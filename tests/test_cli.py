@@ -1,5 +1,6 @@
 """CLI end-to-end: config, synth, studies, costsweep, report, verify."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -15,6 +16,19 @@ from gtscore.cli import (
     trade_returns_from_row,
 )
 from gtscore.errors import ConfigError
+
+# Byte-level pins on the outputs of the runs below. A change to any of them
+# is a change of behaviour and must be deliberate.
+SYNTH_AA_SHA256 = (
+    "f9b000129f7ab5510e4e1dc2fb892ab2c281ba8009b5af5a0f3fe87a569ad75b")
+MONTECARLO_TRIALS_SHA256 = (
+    "c39c72fa3bf4f9bd3ae214f3f03707574fddae9dfdbe25946d4b26a4bc0bb878")
+WALKFORWARD_TRIALS_SHA256 = (
+    "1a6e3e2384733c226f010aa7313fa39b257bde47bedb54793b4a88ba1faec9e1")
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def small_manifest():
@@ -87,6 +101,7 @@ def test_synth_writes_loadable_csvs(workspace):
     assert files == ["AA.csv", "BB.csv"]
     header = (root / "data" / "AA.csv").read_text().splitlines()[0]
     assert header == "date,open,high,low,close,volume"
+    assert sha256_of(root / "data" / "AA.csv") == SYNTH_AA_SHA256
 
 
 def test_montecarlo_outputs(workspace):
@@ -99,6 +114,7 @@ def test_montecarlo_outputs(workspace):
     assert len(rows) == 2 * 3 * 4 * 2  # assets x strategies x objectives x seeds
     assert {r["objective"] for r in rows} == {
         "gt_score", "simple", "sharpe", "sortino"}
+    assert sha256_of(out / "trials.csv") == MONTECARLO_TRIALS_SHA256
 
 
 def test_trial_rows_round_trip_returns(workspace):
@@ -195,6 +211,7 @@ def test_walkforward_end_to_end(tmp_path):
     splits = {r["split_id"] for r in rows}
     assert splits == set(range(4))
     assert len(rows) == 3 * 4 * 4
+    assert sha256_of(out / "trials.csv") == WALKFORWARD_TRIALS_SHA256
     for name in ("aggregates.csv", "periods.csv", "splits_genratio.csv"):
         assert (out / name).exists(), name
     assert main(["verify", "--out", str(out)]) == 0
