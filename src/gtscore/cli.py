@@ -94,6 +94,8 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "RunConfig":
+        # One asset name, so the reference also knows the element type there.
+        _check_json_types(doc, RunConfig(assets=[""]).to_json())
         try:
             kwargs = dict(doc)
             if "wf" in kwargs:
@@ -106,6 +108,26 @@ class RunConfig:
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad run config: {exc}") from exc
+
+
+def _check_json_types(value, want, where: str = "") -> None:
+    """Raise ConfigError where `value` differs in JSON type from the
+    reference `want`; an int is accepted where a float is expected. Keys
+    the reference lacks are left to the dataclass constructors."""
+    if type(value) is int and type(want) is float:
+        return
+    if type(value) is not type(want):
+        raise ConfigError(
+            f"bad run config: {where or 'document'}: expected "
+            f"{type(want).__name__}, got {type(value).__name__}")
+    if isinstance(want, dict):
+        for key, item in value.items():
+            if key in want:
+                _check_json_types(item, want[key],
+                                  f"{where}.{key}" if where else key)
+    elif isinstance(want, list) and want:
+        for i, item in enumerate(value):
+            _check_json_types(item, want[0], f"{where}[{i}]")
 
 
 def load_config(path: str) -> RunConfig:

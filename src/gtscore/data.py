@@ -1,5 +1,9 @@
 """OHLCV data ingestion, synthetic series generation, and train/test splits.
 
+A price series is held as columns: one `datetime64[D]` date array and five
+float arrays. Rows exist only in CSV text, which is parsed straight into
+columns and written straight from them.
+
 All randomness in this module goes through numpy's Philox (4x64)
 counter-based bit generator so a given seed reproduces the same series
 bit-for-bit on any platform.
@@ -11,7 +15,7 @@ import csv
 import datetime as dt
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,97 +29,102 @@ from .errors import (
 CSV_HEADER = ["date", "open", "high", "low", "close", "volume"]
 
 
-@dataclass(frozen=True)
-class OhlcvBar:
-    """One daily bar. Prices strictly positive, low <= open/close <= high."""
-
-    date: dt.date
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-
-    def validate(self) -> None:
-        if min(self.open, self.high, self.low, self.close) <= 0:
-            raise CsvValidationError(f"{self.date}: non-positive price")
-        if self.volume < 0:
-            raise CsvValidationError(f"{self.date}: negative volume")
-        if not (self.low <= self.open <= self.high
-                and self.low <= self.close <= self.high):
-            raise CsvValidationError(
-                f"{self.date}: OHLC ordering violated "
-                f"(o={self.open} h={self.high} l={self.low} c={self.close})")
+def _column(values, dtype) -> np.ndarray:
+    """Read-only array view, so validated data cannot change afterwards."""
+    col = np.asarray(values, dtype=dtype).view()
+    col.flags.writeable = False
+    return col
 
 
 class PriceSeries:
-    """Ordered daily bars for one asset, with cached numpy views.
+    """Daily OHLCV columns for one asset.
 
-    Bars must be strictly increasing by date; length >= 2.
+    Validated on construction: at least 2 bars, dates strictly increasing,
+    every value finite, prices positive, volume non-negative and
+    low <= open/close <= high. Errors name the first offending date.
     """
 
-    def __init__(self, asset_id: str, bars: list[OhlcvBar],
-                 _validated: bool = False):
-        if len(bars) < 2:
-            raise InsufficientDataError(
-                f"{asset_id}: need at least 2 bars, got {len(bars)}")
-        if not _validated:
-            for bar in bars:
-                bar.validate()
-            for prev, cur in zip(bars, bars[1:]):
-                if cur.date == prev.date:
-                    raise CsvValidationError(
-                        f"{asset_id}: duplicate date {cur.date}")
-                if cur.date < prev.date:
-                    raise CsvValidationError(
-                        f"{asset_id}: bars not sorted at {cur.date}")
+    def __init__(self, asset_id: str, dates, opens, highs, lows, closes,
+                 volumes):
         self.asset_id = asset_id
-        self.bars = list(bars)
-        self.dates = [b.date for b in bars]
-        self._dates64 = np.array(self.dates, dtype="datetime64[D]")
-        self.opens = np.array([b.open for b in bars])
-        self.highs = np.array([b.high for b in bars])
-        self.lows = np.array([b.low for b in bars])
-        self.closes = np.array([b.close for b in bars])
-        self.volumes = np.array([b.volume for b in bars])
+        self.dates = _column(dates, "datetime64[D]")
+        self.opens = _column(opens, float)
+        self.highs = _column(highs, float)
+        self.lows = _column(lows, float)
+        self.closes = _column(closes, float)
+        self.volumes = _column(volumes, float)
+        n = len(self.dates)
+        if any(len(c) != n for c in (self.opens, self.highs, self.lows,
+                                     self.closes, self.volumes)):
+            raise ParameterError(f"{asset_id}: columns differ in length")
+        if n < 2:
+            raise InsufficientDataError(
+                f"{asset_id}: need at least 2 bars, got {n}")
+        self._validate()
+
+    def _validate(self) -> None:
+        o, h, l, c, v = (self.opens, self.highs, self.lows, self.closes,
+                         self.volumes)
+        checks = [
+            ("non-finite value", ~(np.isfinite(o) & np.isfinite(h)
+                                   & np.isfinite(l) & np.isfinite(c)
+                                   & np.isfinite(v))),
+            ("non-positive price", (o <= 0) | (h <= 0) | (l <= 0) | (c <= 0)),
+            ("negative volume", v < 0),
+            ("OHLC ordering violated",
+             (l > o) | (o > h) | (l > c) | (c > h)),
+            ("duplicate or out-of-order date", np.concatenate(
+                ([False], self.dates[1:] <= self.dates[:-1]))),
+        ]
+        bad = np.logical_or.reduce([mask for _, mask in checks])
+        if bad.any():
+            i = int(bad.argmax())
+            what = next(msg for msg, mask in checks if mask[i])
+            raise CsvValidationError(
+                f"{self.asset_id}: {self.dates[i]}: {what} "
+                f"(o={o[i]} h={h[i]} l={l[i]} c={c[i]} v={v[i]})")
 
     def __len__(self) -> int:
-        return len(self.bars)
+        return len(self.dates)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PriceSeries)
                 and self.asset_id == other.asset_id
-                and self.bars == other.bars)
+                and all(np.array_equal(getattr(self, k), getattr(other, k))
+                        for k in ("dates", "opens", "highs", "lows",
+                                  "closes", "volumes")))
 
     @property
     def start_date(self) -> dt.date:
-        return self.dates[0]
+        return self.dates[0].item()
 
     @property
     def end_date(self) -> dt.date:
         """Last bar date."""
-        return self.dates[-1]
+        return self.dates[-1].item()
 
     @property
     def span_end(self) -> dt.date:
         """Exclusive end of the covered span (last bar date + 1 day)."""
-        return self.dates[-1] + dt.timedelta(days=1)
+        return self.end_date + dt.timedelta(days=1)
 
     def index_window(self, start: dt.date, end: dt.date) -> tuple[int, int]:
         """Half-open bar index range [i0, i1) covering dates in [start, end)."""
-        i0 = int(np.searchsorted(self._dates64, np.datetime64(start, "D"), "left"))
-        i1 = int(np.searchsorted(self._dates64, np.datetime64(end, "D"), "left"))
+        i0 = int(np.searchsorted(self.dates, np.datetime64(start, "D"), "left"))
+        i1 = int(np.searchsorted(self.dates, np.datetime64(end, "D"), "left"))
         return i0, i1
 
     def slice(self, start: dt.date, end: dt.date) -> "PriceSeries":
-        """Sub-series of bars with start <= date < end."""
+        """Sub-series of bars with start <= date < end, as views."""
         i0, i1 = self.index_window(start, end)
         if i1 - i0 < 2:
             raise InsufficientDataError(
                 f"{self.asset_id}: window [{start}, {end}) holds "
                 f"{i1 - i0} bars, need >= 2")
-        # Bars were validated when this series was built.
-        return PriceSeries(self.asset_id, self.bars[i0:i1], _validated=True)
+        return PriceSeries(self.asset_id, self.dates[i0:i1],
+                           self.opens[i0:i1], self.highs[i0:i1],
+                           self.lows[i0:i1], self.closes[i0:i1],
+                           self.volumes[i0:i1])
 
 
 @dataclass(frozen=True)
@@ -169,7 +178,7 @@ class SyntheticSpec:
         )
 
 
-def _parse_row(line_no: int, row: list[str]) -> OhlcvBar:
+def _parse_row(line_no: int, row: list[str]) -> tuple[dt.date, list[float]]:
     if len(row) != 6:
         raise CsvParseError(line_no, f"expected 6 fields, got {len(row)}")
     try:
@@ -177,10 +186,9 @@ def _parse_row(line_no: int, row: list[str]) -> OhlcvBar:
     except ValueError:
         raise CsvParseError(line_no, f"bad date {row[0]!r}") from None
     try:
-        o, h, l, c, v = (float(x) for x in row[1:])
+        return d, [float(x) for x in row[1:]]
     except ValueError:
         raise CsvParseError(line_no, f"non-numeric field in {row!r}") from None
-    return OhlcvBar(d, o, h, l, c, v)
 
 
 def parse_ohlcv_csv(text: str, asset_id: str = "") -> PriceSeries:
@@ -194,35 +202,27 @@ def parse_ohlcv_csv(text: str, asset_id: str = "") -> PriceSeries:
     header = [h.strip().lower() for h in rows[0]]
     if header != CSV_HEADER:
         raise CsvParseError(1, f"bad header {rows[0]!r}, want {CSV_HEADER}")
-    bars = [_parse_row(i, row) for i, row in enumerate(rows[1:], start=2)
-            if row]
-    bars.sort(key=lambda b: b.date)
-    return PriceSeries(asset_id, bars)
+    parsed = [_parse_row(i, row) for i, row in enumerate(rows[1:], start=2)
+              if row]
+    dates = np.array([d for d, _ in parsed], dtype="datetime64[D]")
+    values = np.array([v for _, v in parsed], dtype=float).reshape(-1, 5)
+    order = np.argsort(dates, kind="stable")
+    return PriceSeries(asset_id, dates[order], *values[order].T)
 
 
 def _fmt(x: float) -> str:
     # repr round-trips exactly; keep integral values compact
-    return str(int(x)) if float(x).is_integer() else repr(float(x))
+    return str(int(x)) if x.is_integer() else repr(x)
 
 
 def to_ohlcv_csv(series: PriceSeries) -> str:
     """Serialize a PriceSeries; parse(to_csv(s)) == s."""
     out = [",".join(CSV_HEADER)]
-    for b in series.bars:
-        out.append(",".join([b.date.isoformat(), _fmt(b.open), _fmt(b.high),
-                             _fmt(b.low), _fmt(b.close), _fmt(b.volume)]))
+    for d, *values in zip(series.dates.tolist(), series.opens.tolist(),
+                          series.highs.tolist(), series.lows.tolist(),
+                          series.closes.tolist(), series.volumes.tolist()):
+        out.append(",".join([d.isoformat(), *map(_fmt, values)]))
     return "\n".join(out) + "\n"
-
-
-def _trading_dates(start: dt.date, n: int) -> list[dt.date]:
-    """n consecutive weekdays starting at the first weekday >= start."""
-    dates = []
-    d = start
-    while len(dates) < n:
-        if d.weekday() < 5:
-            dates.append(d)
-        d += dt.timedelta(days=1)
-    return dates
 
 
 def generate_synthetic_series(spec: SyntheticSpec,
@@ -231,7 +231,8 @@ def generate_synthetic_series(spec: SyntheticSpec,
 
     close[t+1] = close[t] * exp(drift + vol * g[t]) with g standard normal
     from Philox(seed). Highs/lows are max/min(open, close) inflated/deflated
-    by |vol * g'| with an independent draw per bar.
+    by |vol * g'| with an independent draw per bar. Bars fall on n
+    consecutive weekdays from the first weekday >= spec.start_date.
     """
     rng = np.random.Generator(np.random.Philox(spec.seed))
     n = spec.n_days
@@ -263,11 +264,9 @@ def generate_synthetic_series(spec: SyntheticSpec,
     # Guard against a pathological draw pushing low non-positive
     lows = np.maximum(lows, np.minimum(opens, closes) * 1e-6)
 
-    dates = _trading_dates(spec.start_date, n)
-    bars = [OhlcvBar(dates[i], float(opens[i]), float(highs[i]),
-                     float(lows[i]), float(closes[i]), float(volumes[i]))
-            for i in range(n)]
-    return PriceSeries(asset_id, bars)
+    dates = np.busday_offset(np.datetime64(spec.start_date, "D"),
+                             np.arange(n), roll="forward")
+    return PriceSeries(asset_id, dates, opens, highs, lows, closes, volumes)
 
 
 def add_years(d: dt.date, years: int) -> dt.date:

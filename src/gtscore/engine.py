@@ -1,10 +1,13 @@
-"""Signal execution: trades, trade-level returns, equity curve, benchmark.
+"""Signal execution: trade-level returns, equity curve, benchmark.
 
 Execution convention: a signal transition observed at bar i fills at bar
 i+1's open (signals are computed on closes, so same-bar fills would peek).
 A position still open at the window end is force-exited at the last bar's
 close. Costs are a flat per-side haircut in basis points of notional,
 charged on entry and exit.
+
+Trades come out as arrays (returns and exit dates), derived from the
+rising and falling edges of the position array; no per-trade objects exist.
 """
 
 from __future__ import annotations
@@ -20,26 +23,18 @@ from .errors import InsufficientDataError, ParameterError
 BPS = 1e-4
 
 
-@dataclass(frozen=True)
-class TradeRecord:
-    entry_date: dt.date
-    exit_date: dt.date
-    entry_price: float
-    exit_price: float
-    gross_return: float
-    net_return: float
-
-
 @dataclass
 class BacktestResult:
-    trades: list[TradeRecord]
     trade_returns: np.ndarray
     equity_points: np.ndarray
     total_return: float
     benchmark_total_return: float
-    n_trades: int
     window: tuple[dt.date, dt.date]
-    trade_exit_dates: list[dt.date]
+    trade_exit_dates: np.ndarray  # datetime64[D], one per trade
+
+    @property
+    def n_trades(self) -> int:
+        return len(self.trade_returns)
 
 
 def run_backtest(series: PriceSeries, positions: np.ndarray,
@@ -64,57 +59,34 @@ def run_backtest(series: PriceSeries, positions: np.ndarray,
         raise InsufficientDataError(
             f"window [{window_start}, {window_end}) holds no bars")
 
+    m = i1 - i0
     cost = 2.0 * cost_bps_per_side * BPS
-    opens, closes, dates = series.opens.tolist(), series.closes.tolist(), series.dates
-    sig_list = np.asarray(positions, dtype=bool).tolist()
-    trades: list[TradeRecord] = []
-    held = False
-    entry_price = 0.0
-    entry_date = dates[i0]
-    pending: str | None = None
-    prev_sig = False
+    opens, closes = series.opens[i0:i1], series.closes[i0:i1]
+    sig = np.asarray(positions, dtype=bool)[i0:i1]
+    prev = np.concatenate(([False], sig[:-1]))
+    rises = np.flatnonzero(sig & ~prev)
+    falls = np.flatnonzero(prev & ~sig)
+    # A rise at bar r fills at r + 1. Skip fills on the final bar: they
+    # would be force-closed the same day with zero holding period.
+    entry_at = rises[rises < m - 2] + 1
+    n = len(entry_at)
+    # Edges alternate, so the k-th rise pairs with the k-th fall, which
+    # fills at the next open; a trade with no fall, or a fall on the last
+    # bar, is force-closed at the last close.
+    exit_at = np.append(falls + 1, m)[:n]
+    forced = exit_at == m
+    exit_at[forced] = m - 1
+    exit_prices = np.where(forced, closes[-1], opens[exit_at])
 
-    def close_trade(exit_date: dt.date, exit_price: float) -> None:
-        gross = exit_price / entry_price - 1.0
-        trades.append(TradeRecord(entry_date, exit_date, entry_price,
-                                  exit_price, gross, gross - cost))
-
-    for i in range(i0, i1):
-        if pending == "enter":
-            # Skip entries that would fill on the final bar: they would be
-            # force-closed the same day with zero holding period.
-            if i < i1 - 1:
-                held = True
-                entry_price = float(opens[i])
-                entry_date = dates[i]
-            pending = None
-        elif pending == "exit":
-            close_trade(dates[i], float(opens[i]))
-            held = False
-            pending = None
-        sig = sig_list[i]
-        if sig and not prev_sig and not held and pending is None:
-            pending = "enter"
-        elif prev_sig and not sig and held:
-            pending = "exit"
-        prev_sig = sig
-
-    if held:
-        close_trade(dates[i1 - 1], float(closes[i1 - 1]))
-
-    trade_returns = np.array([t.net_return for t in trades])
+    trade_returns = exit_prices / opens[entry_at] - 1.0 - cost
     equity_points = np.cumprod(1.0 + trade_returns) - 1.0
-    total_return = float(equity_points[-1]) if trades else 0.0
-    benchmark = float(closes[i1 - 1] / closes[i0] - 1.0)
     return BacktestResult(
-        trades=trades,
         trade_returns=trade_returns,
         equity_points=equity_points,
-        total_return=total_return,
-        benchmark_total_return=benchmark,
-        n_trades=len(trades),
+        total_return=float(equity_points[-1]) if n else 0.0,
+        benchmark_total_return=float(closes[-1] / closes[0] - 1.0),
         window=(window_start, window_end),
-        trade_exit_dates=[t.exit_date for t in trades],
+        trade_exit_dates=series.dates[i0:i1][exit_at],
     )
 
 
@@ -139,12 +111,6 @@ def benchmark_arithmetic_mean(benchmark_total_return: float, n: int) -> float:
     return benchmark_total_return / n
 
 
-def apply_extra_costs(result: BacktestResult,
-                      extra_bps_per_side: float) -> float:
-    """Total compounded return with an extra per-side cost on every trade."""
-    return recompound_with_costs(result.trade_returns, extra_bps_per_side)
-
-
 def recompound_with_costs(trade_returns: np.ndarray,
                           extra_bps_per_side: float) -> float:
     """Compound trade returns after haircutting each by 2 * extra_bps."""
@@ -154,14 +120,3 @@ def recompound_with_costs(trade_returns: np.ndarray,
     if r.size == 0:
         return 0.0
     return float(np.prod(1.0 + r - 2.0 * extra_bps_per_side * BPS) - 1.0)
-
-
-def trades_to_csv(trades: list[TradeRecord]) -> str:
-    """Trade list as CSV with full-precision returns."""
-    lines = ["entry_date,exit_date,entry_price,exit_price,gross_return,net_return"]
-    for t in trades:
-        lines.append(",".join([
-            t.entry_date.isoformat(), t.exit_date.isoformat(),
-            repr(t.entry_price), repr(t.exit_price),
-            repr(t.gross_return), repr(t.net_return)]))
-    return "\n".join(lines) + "\n"

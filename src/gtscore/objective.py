@@ -186,7 +186,7 @@ class StabilizedCount(NamedTuple):
     plateaued: bool
 
 
-def period_returns(equity_dates: list[dt.date], equity_points: np.ndarray,
+def period_returns(equity_dates: np.ndarray, equity_points: np.ndarray,
                    window: tuple[dt.date, dt.date], n: int) -> np.ndarray:
     """Simple returns over n equal-length time slices of the window.
 
@@ -196,7 +196,8 @@ def period_returns(equity_dates: list[dt.date], equity_points: np.ndarray,
     start, end = window
     total_days = (end - start).days
     wealth = np.concatenate([[1.0], 1.0 + np.asarray(equity_points, float)])
-    offsets = np.array([(d - start).days for d in equity_dates])
+    offsets = (np.asarray(equity_dates, dtype="datetime64[D]")
+               - np.datetime64(start, "D")).astype(np.int64)
     bounds = np.array([round(j * total_days / n) for j in range(n + 1)])
     # index of last trade with offset <= bound, shifted into `wealth`
     idx = np.searchsorted(offsets, bounds, side="right")
@@ -204,7 +205,7 @@ def period_returns(equity_dates: list[dt.date], equity_points: np.ndarray,
     return w[1:] / w[:-1] - 1.0
 
 
-def stabilized_period_count(equity_dates: list[dt.date],
+def stabilized_period_count(equity_dates: np.ndarray,
                             equity_points: np.ndarray,
                             window: tuple[dt.date, dt.date],
                             cfg: ObjectiveConfig) -> StabilizedCount:

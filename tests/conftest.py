@@ -4,26 +4,25 @@ import datetime as dt
 
 import numpy as np
 
-from gtscore.data import OhlcvBar, PriceSeries
+from gtscore.data import PriceSeries
 
 
 def make_series(closes, asset_id="T", start=dt.date(2020, 1, 1),
                 opens=None, spread=0.0):
-    """PriceSeries from a close list; opens default to the prior close.
+    """PriceSeries on consecutive calendar days from a close list; opens
+    default to the prior close.
 
     `spread` widens high/low around open/close by a fraction.
     """
-    closes = [float(c) for c in closes]
+    closes = np.asarray(closes, dtype=float)
     if opens is None:
-        opens = [closes[0]] + closes[:-1]
-    bars = []
-    d = start
-    for o, c in zip(opens, closes):
-        hi = max(o, c) * (1.0 + spread)
-        lo = min(o, c) * (1.0 - spread)
-        bars.append(OhlcvBar(d, o, hi, lo, c, 1000.0))
-        d += dt.timedelta(days=1)
-    return PriceSeries(asset_id, bars)
+        opens = np.concatenate([closes[:1], closes[:-1]])
+    opens = np.asarray(opens, dtype=float)
+    dates = np.datetime64(start, "D") + np.arange(len(closes))
+    return PriceSeries(asset_id, dates, opens,
+                       np.maximum(opens, closes) * (1.0 + spread),
+                       np.minimum(opens, closes) * (1.0 - spread),
+                       closes, np.full(len(closes), 1000.0))
 
 
 def random_closes(rng, n, start=100.0, vol=0.02):

@@ -217,18 +217,41 @@ def test_walkforward_end_to_end(tmp_path):
     assert main(["verify", "--out", str(out)]) == 0
 
 
-def test_missing_data_exit_code(tmp_path):
+def test_missing_data_exit_code(tmp_path, capsys):
     cfg = RunConfig(data_dir=str(tmp_path / "nowhere"),
                     out_dir=str(tmp_path / "out"))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg.to_json()))
     assert main(["montecarlo", "--config", str(cfg_path)]) == 2
 
+    # non-finite values are data errors too, reported in one line
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    cfg = RunConfig(data_dir=str(data_dir), out_dir=str(tmp_path / "out"))
+    cfg_path.write_text(json.dumps(cfg.to_json()))
+    good = "date,open,high,low,close,volume\n2020-01-02,10,11,9,10.5,100\n"
+    for row in ["2020-01-03,11,inf,10,10.8,100",
+                "2020-01-03,11,12,10,10.8,nan",
+                "2020-01-03,11,12,10,10.8,inf"]:
+        (data_dir / "X.csv").write_text(good + row + "\n")
+        capsys.readouterr()
+        assert main(["montecarlo", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2020-01-03" in err
+        assert err.count("\n") == 1
 
-def test_bad_config_exit_code(tmp_path):
+
+def test_bad_config_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"wf": 5}')
     assert main(["montecarlo", "--config", str(bad)]) == 1
+    for doc in ['{"budget": "3"}', '{"mc": {"seeds": "12"}}']:
+        bad.write_text(doc)
+        capsys.readouterr()
+        assert main(["montecarlo", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad run config: ")
+        assert err.count("\n") == 1
 
 
 def test_report_without_results_exit_code(tmp_path):

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtscore.data import (
-    OhlcvBar,
     PriceSeries,
     SplitSpec,
     SyntheticSpec,
@@ -43,7 +42,8 @@ def test_parse_basic():
     s = parse_ohlcv_csv(CSV_OK, "A")
     assert len(s) == 3
     assert s.asset_id == "A"
-    assert s.dates[0] == dt.date(2020, 1, 2)
+    assert s.start_date == dt.date(2020, 1, 2)
+    assert s.dates.dtype == np.dtype("datetime64[D]")
     assert s.closes.tolist() == [10.5, 11.0, 11.2]
     assert s.opens[1] == 10.5
 
@@ -54,7 +54,7 @@ def test_parse_sorts_rows():
     lines = CSV_OK.strip().split("\n")
     shuffled = "\n".join([lines[0], lines[3], lines[1], lines[2]]) + "\n"
     s = parse_ohlcv_csv(shuffled, "A")
-    assert s.dates == sorted(s.dates)
+    assert s.dates.tolist() == sorted(s.dates.tolist())
     assert s == parse_ohlcv_csv(CSV_OK, "A")
 
 
@@ -84,9 +84,13 @@ def test_parse_bad_date():
 
 
 def test_validation_rejects_bad_ohlc():
-    bad = CSV_OK + "2020-01-07,11,10,10.5,10.8,100\n"  # high < open
-    with pytest.raises(CsvValidationError):
-        parse_ohlcv_csv(bad, "A")
+    for row in ["2020-01-07,11,10,10.5,10.8,100",  # high < open
+                "2020-01-07,11,inf,10,10.8,100",  # non-finite values
+                "2020-01-07,11,12,10,10.8,nan",
+                "2020-01-07,11,12,10,10.8,inf"]:
+        with pytest.raises(CsvValidationError) as exc:
+            parse_ohlcv_csv(CSV_OK + row + "\n", "A")
+        assert "2020-01-07" in str(exc.value)
 
 
 def test_validation_rejects_nonpositive_price():
@@ -109,13 +113,19 @@ def test_csv_round_trip():
 
 def test_series_needs_two_bars():
     with pytest.raises(InsufficientDataError):
-        PriceSeries("X", [OhlcvBar(dt.date(2020, 1, 1), 1, 1, 1, 1, 0)])
+        PriceSeries("X", [dt.date(2020, 1, 1)], [1], [1], [1], [1], [0])
+    with pytest.raises(ParameterError):  # columns of unequal length
+        PriceSeries("X", [dt.date(2020, 1, 1), dt.date(2020, 1, 2)],
+                    [1, 1], [1, 1], [1, 1], [1, 1], [0])
 
 
 def test_slice_half_open():
     s = make_series([10, 11, 12, 13, 14])
     sub = s.slice(dt.date(2020, 1, 2), dt.date(2020, 1, 4))
-    assert sub.dates == [dt.date(2020, 1, 2), dt.date(2020, 1, 3)]
+    assert sub.dates.tolist() == [dt.date(2020, 1, 2), dt.date(2020, 1, 3)]
+    # a window is a read-only view of the parent's columns
+    assert np.shares_memory(sub.closes, s.closes)
+    assert not sub.closes.flags.writeable
     with pytest.raises(InsufficientDataError):
         s.slice(dt.date(2020, 1, 4), dt.date(2020, 1, 5))
 
@@ -153,7 +163,7 @@ def test_synthetic_bar_shape():
     spec = SyntheticSpec(300, 100.0, ((300, 0.0005, 0.03),), seed=5)
     s = generate_synthetic_series(spec)
     assert len(s) == 300
-    assert all(d.weekday() < 5 for d in s.dates)
+    assert all(d.weekday() < 5 for d in s.dates.tolist())
     # next open equals previous close (no overnight gap model)
     assert np.array_equal(s.opens[1:], s.closes[:-1])
     assert np.all(s.highs >= np.maximum(s.opens, s.closes))
@@ -242,10 +252,25 @@ def test_split_spec_ordering():
         SplitSpec(d(2020, 1, 1), d(2021, 1, 1), d(2020, 6, 1), d(2022, 1, 1))
 
 
+def weekdays_from(start, n):
+    """Oracle: n consecutive weekdays starting at the first weekday >= start."""
+    dates = []
+    d = start
+    while len(dates) < n:
+        if d.weekday() < 5:
+            dates.append(d)
+        d += dt.timedelta(days=1)
+    return dates
+
+
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 120))
-def test_synthetic_series_valid_property(seed, n):
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 120),
+       start=st.dates(dt.date(1990, 1, 1), dt.date(2030, 12, 31)))
+def test_synthetic_series_valid_property(seed, n, start):
     # Every generated series passes full bar validation on reconstruction.
-    spec = SyntheticSpec(n, 100.0, ((n, 0.0, 0.05),), seed=seed)
+    spec = SyntheticSpec(n, 100.0, ((n, 0.0, 0.05),), seed=seed,
+                         start_date=start)
     s = generate_synthetic_series(spec)
-    PriceSeries(s.asset_id, s.bars)  # re-validates every bar
+    PriceSeries(s.asset_id, s.dates, s.opens, s.highs, s.lows, s.closes,
+                s.volumes)  # re-validates every bar
+    assert s.dates.tolist() == weekdays_from(start, n)

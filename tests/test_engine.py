@@ -4,17 +4,16 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtscore.data import SyntheticSpec, generate_synthetic_series
 from gtscore.engine import (
-    apply_extra_costs,
+    BPS,
     benchmark_arithmetic_mean,
     benchmark_per_observation_mean,
     recompound_with_costs,
     run_backtest,
-    trades_to_csv,
 )
 from gtscore.errors import InsufficientDataError, ParameterError
 
@@ -27,6 +26,108 @@ def full_window(series):
     return series.start_date, series.span_end
 
 
+def oracle_backtest(series, positions, window_start, window_end,
+                    cost_bps_per_side=0.0):
+    """Reference engine: a bar-by-bar state machine with pending fills.
+
+    Returns (trade_returns, equity_points, total_return,
+    benchmark_total_return, exit_dates).
+    """
+    i0, i1 = series.index_window(window_start, window_end)
+    cost = 2.0 * cost_bps_per_side * BPS
+    opens, closes = series.opens.tolist(), series.closes.tolist()
+    dates = series.dates.tolist()
+    sig_list = np.asarray(positions, dtype=bool).tolist()
+    returns, exit_dates = [], []
+    held = False
+    entry_price = 0.0
+    pending = None
+    prev_sig = False
+
+    def close_trade(exit_date, exit_price):
+        gross = exit_price / entry_price - 1.0
+        returns.append(gross - cost)
+        exit_dates.append(exit_date)
+
+    for i in range(i0, i1):
+        if pending == "enter":
+            # Skip entries that would fill on the final bar.
+            if i < i1 - 1:
+                held = True
+                entry_price = float(opens[i])
+            pending = None
+        elif pending == "exit":
+            close_trade(dates[i], float(opens[i]))
+            held = False
+            pending = None
+        sig = sig_list[i]
+        if sig and not prev_sig and not held and pending is None:
+            pending = "enter"
+        elif prev_sig and not sig and held:
+            pending = "exit"
+        prev_sig = sig
+
+    if held:
+        close_trade(dates[i1 - 1], float(closes[i1 - 1]))
+
+    trade_returns = np.array(returns, dtype=float)
+    equity_points = np.cumprod(1.0 + trade_returns) - 1.0
+    total_return = float(equity_points[-1]) if returns else 0.0
+    benchmark = float(closes[i1 - 1] / closes[i0] - 1.0)
+    return trade_returns, equity_points, total_return, benchmark, exit_dates
+
+
+@st.composite
+def backtest_cases(draw):
+    """(closes, opens, positions, window bar range, cost bps)."""
+    n = draw(st.integers(2, 40))
+    prices = st.floats(1.0, 1000.0, allow_nan=False, allow_infinity=False)
+    closes = draw(st.lists(prices, min_size=n, max_size=n))
+    opens = draw(st.lists(prices, min_size=n, max_size=n))
+    positions = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    i0 = draw(st.integers(0, n - 1))
+    i1 = draw(st.integers(i0 + 1, n))
+    cost = draw(st.sampled_from([0.0, 2.5, 10.0]) | st.floats(0.0, 100.0))
+    return closes, opens, positions, (i0, i1), cost
+
+
+def _edge_case(positions):
+    closes = [10.0, 11.0, 12.0, 13.0, 12.0, 11.0, 12.0][:len(positions)]
+    opens = [10.0] + closes[:-1]
+    return closes, opens, positions, (0, len(positions)), 5.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=backtest_cases())
+# one-bar signal: enters at bar 2's open, exits at bar 3's open
+@example(case=_edge_case([0, 1, 0, 0, 0, 0, 0]))
+# entry signal on the last bar, and one that would fill on the last bar
+@example(case=_edge_case([0, 0, 0, 0, 0, 0, 1]))
+@example(case=_edge_case([0, 0, 0, 0, 0, 1, 1]))
+# fall on the last bar: the exit would fill after the window, so the
+# position is force-closed at the last close
+@example(case=_edge_case([0, 1, 1, 1, 1, 1, 0]))
+# forced close of a position still held at the end, after a round trip
+@example(case=_edge_case([1, 0, 1, 1, 1, 1, 1]))
+def test_backtest_matches_oracle(case):
+    closes, opens, positions, (i0, i1), cost = case
+    series = make_series(closes, opens=opens)
+    start = series.dates[i0].item()
+    end = series.dates[i1 - 1].item() + dt.timedelta(days=1)
+    res = run_backtest(series, np.array(positions, bool), start, end, cost)
+    returns, equity, total, bench, exit_dates = oracle_backtest(
+        series, positions, start, end, cost)
+    assert res.trade_returns.dtype == returns.dtype
+    assert res.trade_returns.tobytes() == returns.tobytes()
+    assert res.equity_points.tobytes() == equity.tobytes()
+    assert res.total_return == total
+    assert res.benchmark_total_return == bench
+    assert res.trade_exit_dates.dtype == np.dtype("datetime64[D]")
+    assert res.trade_exit_dates.tolist() == exit_dates
+    assert res.n_trades == len(exit_dates)
+    assert res.window == (start, end)
+
+
 def test_single_trade_hand_example():
     # closes 10,11,12,13,12,11,12; opens are the prior close. A long signal
     # appearing at bar 1 fills at bar 2's open (11); the exit signal at
@@ -35,13 +136,8 @@ def test_single_trade_hand_example():
     pos = np.array([0, 1, 1, 0, 0, 1, 1], dtype=bool)
     res = run_backtest(series, pos, *full_window(series))
     assert res.n_trades == 1
-    t = res.trades[0]
-    assert t.entry_date == D(2020, 1, 3)
-    assert t.exit_date == D(2020, 1, 5)
-    assert t.entry_price == 11.0
-    assert t.exit_price == 13.0
-    assert t.gross_return == pytest.approx(2.0 / 11.0)
-    assert t.net_return == t.gross_return
+    assert res.trade_returns[0] == 13.0 / 11.0 - 1.0
+    assert res.trade_exit_dates.tolist() == [D(2020, 1, 5)]
     # the entry signal at bar 5 would fill on the final bar and is skipped
     assert res.total_return == pytest.approx(2.0 / 11.0)
     assert res.benchmark_total_return == pytest.approx(12.0 / 10.0 - 1.0)
@@ -52,9 +148,7 @@ def test_cost_haircut_per_round_trip():
     pos = np.array([0, 1, 1, 0, 0, 0, 0], dtype=bool)
     res = run_backtest(series, pos, *full_window(series),
                        cost_bps_per_side=10.0)
-    t = res.trades[0]
-    assert t.gross_return == pytest.approx(2.0 / 11.0)
-    assert t.net_return == pytest.approx(2.0 / 11.0 - 0.002)
+    assert res.trade_returns.tolist() == [13.0 / 11.0 - 1.0 - 0.002]
 
 
 def test_force_exit_at_last_close():
@@ -62,10 +156,9 @@ def test_force_exit_at_last_close():
     pos = np.array([0, 1, 1, 1, 1, 1, 1], dtype=bool)
     res = run_backtest(series, pos, *full_window(series))
     assert res.n_trades == 1
-    t = res.trades[0]
-    assert t.entry_price == 11.0
-    assert t.exit_date == D(2020, 1, 7)
-    assert t.exit_price == 12.0  # last close, not open
+    # entered at 11, exited at the last close (12), not at an open
+    assert res.trade_returns[0] == 12.0 / 11.0 - 1.0
+    assert res.trade_exit_dates.tolist() == [D(2020, 1, 7)]
 
 
 def test_entry_on_final_bar_is_skipped():
@@ -82,9 +175,8 @@ def test_window_restricts_execution():
     res = run_backtest(series, pos, D(2020, 1, 3), D(2020, 1, 6))
     # within [bar2, bar5): entry fills at bar 3 open, forced out at bar 4
     # close; the benchmark covers the same bars
-    assert res.n_trades == 1
-    assert res.trades[0].entry_price == 12.0
-    assert res.trades[0].exit_price == 12.0
+    assert res.trade_returns.tolist() == [12.0 / 12.0 - 1.0]
+    assert res.trade_exit_dates.tolist() == [D(2020, 1, 5)]
     assert res.benchmark_total_return == pytest.approx(12.0 / 12.0 - 1.0)
 
 
@@ -172,23 +264,3 @@ def test_recompound_monotone_in_costs(returns, lo, hi):
     r = np.array(returns)
     assert (recompound_with_costs(r, hi)
             <= recompound_with_costs(r, lo) + 1e-12)
-
-
-def test_apply_extra_costs_uses_trade_returns():
-    series = make_series([10, 11, 12, 13, 12, 11, 12])
-    pos = np.array([0, 1, 1, 0, 0, 0, 0], dtype=bool)
-    res = run_backtest(series, pos, *full_window(series))
-    assert apply_extra_costs(res, 0.0) == pytest.approx(res.total_return)
-    assert apply_extra_costs(res, 10.0) == pytest.approx(
-        res.total_return - 0.002)
-
-
-def test_trades_to_csv_round_trips_floats():
-    series = make_series([10, 11, 12, 13, 12, 11, 12])
-    pos = np.array([0, 1, 1, 0, 0, 0, 0], dtype=bool)
-    res = run_backtest(series, pos, *full_window(series))
-    text = trades_to_csv(res.trades)
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("entry_date,exit_date")
-    fields = lines[1].split(",")
-    assert float(fields[4]) == res.trades[0].gross_return
