@@ -66,10 +66,10 @@ class MonteCarloConfig:
 class RunConfig:
     data_dir: str = "data"
     assets: list[str] = field(default_factory=list)
-    strategies: list[str] = field(
-        default_factory=lambda: [k.value for k in StrategyKind])
-    objectives: list[str] = field(
-        default_factory=lambda: [k.value for k in ObjectiveKind])
+    strategies: list[StrategyKind] = field(
+        default_factory=lambda: list(StrategyKind))
+    objectives: list[ObjectiveKind] = field(
+        default_factory=lambda: list(ObjectiveKind))
     wf: WalkforwardConfig = field(default_factory=WalkforwardConfig)
     mc: MonteCarloConfig = field(default_factory=MonteCarloConfig)
     budget: int = 25
@@ -82,8 +82,8 @@ class RunConfig:
         return {
             "data_dir": self.data_dir,
             "assets": list(self.assets),
-            "strategies": list(self.strategies),
-            "objectives": list(self.objectives),
+            "strategies": [k.value for k in self.strategies],
+            "objectives": [k.value for k in self.objectives],
             "wf": vars(self.wf).copy(),
             "mc": vars(self.mc).copy(),
             "budget": self.budget,
@@ -98,6 +98,10 @@ class RunConfig:
         _check_json_types(doc, RunConfig(assets=[""]).to_json())
         try:
             kwargs = dict(doc)
+            for key, kind in (("strategies", StrategyKind),
+                              ("objectives", ObjectiveKind)):
+                if key in kwargs:
+                    kwargs[key] = [kind(name) for name in kwargs[key]]
             if "wf" in kwargs:
                 kwargs["wf"] = WalkforwardConfig(**kwargs["wf"])
             if "mc" in kwargs:
@@ -177,7 +181,7 @@ def trial_row(result: TrialResult) -> dict:
     return {
         "asset": spec.asset_id,
         "strategy": spec.strategy_kind.value,
-        "objective": spec.objective_kind.value,
+        "objective": result.objective_kind.value,
         "split_id": spec.split_id,
         "seed": spec.seed,
         "train_return": result.train_total_return,
@@ -344,10 +348,7 @@ def cmd_walkforward(args) -> int:
     out_dir = _prepare_out(cfg, args.out)
     assets = _load_assets(cfg)
     results = search.run_walkforward(
-        assets,
-        [StrategyKind(s) for s in cfg.strategies],
-        [ObjectiveKind(o) for o in cfg.objectives],
-        cfg.objective, jobs=args.jobs,
+        assets, cfg.strategies, cfg.objectives, cfg.objective, jobs=args.jobs,
         train_years=cfg.wf.train_years, val_years=cfg.wf.val_years,
         step_years=cfg.wf.step_years, embargo_days=cfg.wf.embargo_days,
         budget=cfg.budget)
@@ -365,10 +366,8 @@ def cmd_montecarlo(args) -> int:
     assets = _load_assets(cfg)
     seeds = parse_seed_range(args.seed_range) if args.seed_range else cfg.mc.seeds
     results = search.run_montecarlo(
-        assets,
-        [StrategyKind(s) for s in cfg.strategies],
-        [ObjectiveKind(o) for o in cfg.objectives],
-        seeds, cfg.objective, jobs=args.jobs,
+        assets, cfg.strategies, cfg.objectives, seeds, cfg.objective,
+        jobs=args.jobs,
         train_fraction=cfg.mc.train_fraction,
         embargo_days=cfg.mc.embargo_days, budget=cfg.budget)
     rows = [trial_row(r) for r in results]
@@ -381,8 +380,11 @@ def cmd_montecarlo(args) -> int:
 
 def cmd_costsweep(args) -> int:
     rows = read_trials_csv(Path(args.trials))
-    sweep = ([float(x) for x in args.bps.split(",")] if args.bps
-             else DEFAULT_COST_SWEEP)
+    try:
+        sweep = ([float(x) for x in args.bps.split(",")] if args.bps
+                 else DEFAULT_COST_SWEEP)
+    except ValueError as exc:
+        raise ConfigError(f"bad --bps level: {exc}") from None
     cols, data = derive_cost_sensitivity(rows, sweep)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

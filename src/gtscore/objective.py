@@ -198,7 +198,7 @@ def period_returns(equity_dates: np.ndarray, equity_points: np.ndarray,
     wealth = np.concatenate([[1.0], 1.0 + np.asarray(equity_points, float)])
     offsets = (np.asarray(equity_dates, dtype="datetime64[D]")
                - np.datetime64(start, "D")).astype(np.int64)
-    bounds = np.array([round(j * total_days / n) for j in range(n + 1)])
+    bounds = np.rint(np.arange(n + 1) * total_days / n).astype(np.int64)
     # index of last trade with offset <= bound, shifted into `wealth`
     idx = np.searchsorted(offsets, bounds, side="right")
     w = wealth[idx]

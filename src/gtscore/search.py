@@ -1,11 +1,13 @@
-"""Seeded random-search trials and the two study protocols.
+"""Seeded random-search cells and the two study protocols.
 
-A trial draws `budget` parameter candidates from a generator keyed on
-(seed, asset, strategy) only -- the objective kind is deliberately left
-out of the key, so every objective scores the identical candidate pool
-for a given cell and paired comparisons across objectives are meaningful.
-Out-of-sample bars never enter candidate evaluation: the series is sliced
-to the training window before the search.
+A cell is one (asset, strategy, split, seed). It draws `budget` parameter
+candidates from a generator keyed on (seed, asset, strategy), backtests each
+candidate once on the training window and scores that one pool under every
+objective, so paired comparisons across objectives rest on identical
+candidates by construction. Each objective's winner then gets one
+out-of-sample pass: one trial per (cell, objective). Out-of-sample bars never
+enter candidate evaluation: the series is sliced to the training window
+before the search.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -33,10 +36,9 @@ BASELINES = (ObjectiveKind.SHARPE, ObjectiveKind.SORTINO, ObjectiveKind.SIMPLE)
 
 
 @dataclass(frozen=True)
-class TrialSpec:
+class CellSpec:
     asset_id: str
     strategy_kind: StrategyKind
-    objective_kind: ObjectiveKind
     split: SplitSpec
     seed: int
     split_id: int = 0
@@ -50,14 +52,14 @@ class TrialSpec:
 
 @dataclass
 class TrialResult:
-    spec: TrialSpec
+    spec: CellSpec
+    objective_kind: ObjectiveKind
     best_params: StrategyParams
     best_loss: float
     train_total_return: float
     oos_total_return: float
     train_n_trades: int
     oos_n_trades: int
-    evaluated: int
     degenerate: bool
     candidates: list[StrategyParams]
     oos_trade_returns: np.ndarray
@@ -70,11 +72,6 @@ def candidate_rng(seed: int, asset_id: str,
         f"{seed}|{asset_id}|{strategy_kind.value}".encode()).digest()
     key = int.from_bytes(digest[:8], "little")
     return np.random.Generator(np.random.Philox(key))
-
-
-def draw_candidates(spec: TrialSpec) -> list[StrategyParams]:
-    rng = candidate_rng(spec.seed, spec.asset_id, spec.strategy_kind)
-    return [sample_params(spec.strategy_kind, rng) for _ in range(spec.budget)]
 
 
 def backtest_window(params: StrategyParams, series: PriceSeries,
@@ -98,89 +95,92 @@ def _backtest_sliced(params: StrategyParams, window: PriceSeries,
                         cost_bps)
 
 
-def run_trial(spec: TrialSpec, series: PriceSeries,
-              cfg: ObjectiveConfig) -> TrialResult:
-    """Random search over the train window, then one out-of-sample pass.
+def run_cell(spec: CellSpec, series: PriceSeries,
+             objectives: list[ObjectiveKind],
+             cfg: ObjectiveConfig) -> list[TrialResult]:
+    """Random search over the train window scored under each objective,
+    then one out-of-sample pass per objective; one result per objective.
 
-    Ties on loss go to the first-seen candidate. A trial where every
-    candidate hits the minimum-trade penalty is flagged degenerate.
+    Ties on loss go to the first-seen candidate. An objective under which
+    every candidate hits the minimum-trade penalty is flagged degenerate.
     """
-    candidates = draw_candidates(spec)
+    rng = candidate_rng(spec.seed, spec.asset_id, spec.strategy_kind)
+    candidates = [sample_params(spec.strategy_kind, rng)
+                  for _ in range(spec.budget)]
     split = spec.split
     try:
         train_window = series.slice(split.train_start, split.train_end)
     except InsufficientDataError:
         train_window = None
-    best_loss = math.inf
-    best_params = candidates[0]
-    best_result: BacktestResult | None = None
-    for params in candidates:
-        result = (None if train_window is None else
-                  _backtest_sliced(params, train_window, spec.cost_bps))
-        loss = (cfg.below_min_penalty if result is None
-                else trial_loss(spec.objective_kind, result, cfg))
-        if loss < best_loss:
-            best_loss = loss
-            best_params = params
-            best_result = result
-
-    degenerate = best_loss >= cfg.below_min_penalty
-    # Degenerate trials (every candidate gated) get a zero-trade
-    # out-of-sample record; they stay in the table but are excluded from
-    # generalization-ratio aggregates.
-    oos = None if degenerate else backtest_window(
-        best_params, series, split.val_start, split.val_end, spec.cost_bps)
-    return TrialResult(
-        spec=spec,
-        best_params=best_params,
-        best_loss=best_loss,
-        train_total_return=best_result.total_return if best_result else 0.0,
-        oos_total_return=oos.total_return if oos else 0.0,
-        train_n_trades=best_result.n_trades if best_result else 0,
-        oos_n_trades=oos.n_trades if oos else 0,
-        evaluated=len(candidates),
-        degenerate=degenerate,
-        candidates=candidates,
-        oos_trade_returns=(oos.trade_returns if oos else np.array([])),
-    )
+    backtests = [None if train_window is None else
+                 _backtest_sliced(params, train_window, spec.cost_bps)
+                 for params in candidates]
+    trials = []
+    for kind in objectives:
+        best_loss, best = math.inf, None
+        for i, result in enumerate(backtests):
+            loss = (cfg.below_min_penalty if result is None
+                    else trial_loss(kind, result, cfg))
+            if loss < best_loss:
+                best_loss, best = loss, i
+        best_params = candidates[best or 0]
+        train = None if best is None else backtests[best]
+        degenerate = best_loss >= cfg.below_min_penalty
+        # Degenerate trials (every candidate gated) get a zero-trade
+        # out-of-sample record; they stay in the table but are excluded
+        # from generalization-ratio aggregates.
+        oos = None if degenerate else backtest_window(
+            best_params, series, split.val_start, split.val_end,
+            spec.cost_bps)
+        trials.append(TrialResult(
+            spec=spec,
+            objective_kind=kind,
+            best_params=best_params,
+            best_loss=best_loss,
+            train_total_return=train.total_return if train else 0.0,
+            oos_total_return=oos.total_return if oos else 0.0,
+            train_n_trades=train.n_trades if train else 0,
+            oos_n_trades=oos.n_trades if oos else 0,
+            degenerate=degenerate,
+            candidates=candidates,
+            oos_trade_returns=(oos.trade_returns if oos else np.array([])),
+        ))
+    return trials
 
 
 def _sort_key(r: TrialResult):
     s = r.spec
-    return (s.asset_id, s.strategy_kind.value, s.objective_kind.value,
+    return (s.asset_id, s.strategy_kind.value, r.objective_kind.value,
             s.split_id, s.seed)
 
 
-def _run_one(args) -> TrialResult:
-    spec, series, cfg = args
-    return run_trial(spec, series, cfg)
-
-
-def run_trials(specs: list[TrialSpec], series_by_asset: dict[str, PriceSeries],
-               cfg: ObjectiveConfig, jobs: int = 1) -> list[TrialResult]:
-    """Execute trials (optionally in parallel); output order is canonical
-    and independent of scheduling."""
-    work = [(s, series_by_asset[s.asset_id], cfg) for s in specs]
+def run_trials(cells: list[CellSpec], series_by_asset: dict[str, PriceSeries],
+               objectives: list[ObjectiveKind], cfg: ObjectiveConfig,
+               jobs: int = 1) -> list[TrialResult]:
+    """Run every cell under every objective (optionally in parallel);
+    output order is canonical and independent of scheduling."""
+    args = (cells, [series_by_asset[c.asset_id] for c in cells],
+            repeat(objectives), repeat(cfg))
     if jobs <= 1:
-        results = [run_trial(s, ser, cfg) for s, ser, cfg in work]
+        per_cell = list(map(run_cell, *args))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_one, work, chunksize=8))
+            per_cell = list(pool.map(run_cell, *args, chunksize=8))
+    results = [trial for trials in per_cell for trial in trials]
     results.sort(key=_sort_key)
     return results
 
 
 def walkforward_specs(assets: list[PriceSeries],
                       strategies: list[StrategyKind],
-                      objectives: list[ObjectiveKind],
                       train_years: int = 4, val_years: int = 2,
                       step_years: int = 1, embargo_days: int = 30,
                       seed: int = WALKFORWARD_SEED,
                       budget: int = DEFAULT_BUDGET,
-                      cost_bps: float = 0.0) -> list[TrialSpec]:
-    """Cartesian product of assets x strategies x objectives x splits with
-    one fixed seed per cell. Assets too short for a single split are
-    skipped with a warning."""
+                      cost_bps: float = 0.0) -> list[CellSpec]:
+    """Cartesian product of assets x strategies x splits with one fixed
+    seed per cell. Assets too short for a single split are skipped with a
+    warning."""
     specs = []
     for series in assets:
         try:
@@ -190,21 +190,19 @@ def walkforward_specs(assets: list[PriceSeries],
             logger.warning("skipping %s: %s", series.asset_id, exc)
             continue
         for strat in strategies:
-            for obj in objectives:
-                for i, split in enumerate(splits):
-                    specs.append(TrialSpec(series.asset_id, strat, obj, split,
-                                           seed=seed, split_id=i,
-                                           budget=budget, cost_bps=cost_bps))
+            for i, split in enumerate(splits):
+                specs.append(CellSpec(series.asset_id, strat, split,
+                                      seed=seed, split_id=i,
+                                      budget=budget, cost_bps=cost_bps))
     return specs
 
 
 def montecarlo_specs(assets: list[PriceSeries],
                      strategies: list[StrategyKind],
-                     objectives: list[ObjectiveKind],
                      seeds: list[int],
                      train_fraction: float = 0.7, embargo_days: int = 30,
                      budget: int = DEFAULT_BUDGET,
-                     cost_bps: float = 0.0) -> list[TrialSpec]:
+                     cost_bps: float = 0.0) -> list[CellSpec]:
     """Multi-seed study on one chronological split per asset."""
     if not seeds:
         raise ParameterError("seeds must be non-empty")
@@ -216,26 +214,26 @@ def montecarlo_specs(assets: list[PriceSeries],
             logger.warning("skipping %s: %s", series.asset_id, exc)
             continue
         for strat in strategies:
-            for obj in objectives:
-                for seed in seeds:
-                    specs.append(TrialSpec(series.asset_id, strat, obj, split,
-                                           seed=seed, split_id=0,
-                                           budget=budget, cost_bps=cost_bps))
+            for seed in seeds:
+                specs.append(CellSpec(series.asset_id, strat, split,
+                                      seed=seed, split_id=0,
+                                      budget=budget, cost_bps=cost_bps))
     return specs
 
 
 def run_walkforward(assets, strategies, objectives, cfg: ObjectiveConfig,
                     jobs: int = 1, **wf_kwargs) -> list[TrialResult]:
-    specs = walkforward_specs(assets, strategies, objectives, **wf_kwargs)
-    return run_trials(specs, {s.asset_id: s for s in assets}, cfg, jobs)
+    specs = walkforward_specs(assets, strategies, **wf_kwargs)
+    return run_trials(specs, {s.asset_id: s for s in assets}, objectives,
+                      cfg, jobs)
 
 
 def run_montecarlo(assets, strategies, objectives, seeds,
                    cfg: ObjectiveConfig, jobs: int = 1,
                    **mc_kwargs) -> list[TrialResult]:
-    specs = montecarlo_specs(assets, strategies, objectives, seeds,
-                             **mc_kwargs)
-    return run_trials(specs, {s.asset_id: s for s in assets}, cfg, jobs)
+    specs = montecarlo_specs(assets, strategies, seeds, **mc_kwargs)
+    return run_trials(specs, {s.asset_id: s for s in assets}, objectives,
+                      cfg, jobs)
 
 
 # --- Aggregation over plain row dicts -------------------------------------

@@ -51,11 +51,12 @@ def paired_t_test(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     return float(t), min(p, 1.0), mean_diff
 
 
-def _signed_ranks(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop zero differences; average ranks of |d| for ties."""
+def _signed_ranks(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Drop zero differences; average ranks of |d| for ties; W = min(W+, W-)."""
     d = d[d != 0.0]
     ranks = rankdata(np.abs(d)) if d.size else np.array([])
-    return d, ranks
+    w_plus = float(ranks[d > 0].sum())
+    return d, ranks, min(w_plus, float(ranks.sum()) - w_plus)
 
 
 def wilcoxon_exact_p(d: np.ndarray) -> float:
@@ -64,15 +65,16 @@ def wilcoxon_exact_p(d: np.ndarray) -> float:
     p = P(W+ <= w) + P(W+ >= T - w) with w = min(W+, W-), which equals
     the usual doubled one-tail by the symmetry of the null distribution.
     """
-    d, ranks = _signed_ranks(np.asarray(d, dtype=float))
+    return _exact_p(*_signed_ranks(np.asarray(d, dtype=float)))
+
+
+def _exact_p(d: np.ndarray, ranks: np.ndarray, w: float) -> float:
     n = d.size
     if n == 0:
         return 1.0
     if n > WILCOXON_EXACT_MAX_N:
         raise ParameterError(f"exact enumeration limited to n <= {WILCOXON_EXACT_MAX_N}")
-    w_plus = float(ranks[d > 0].sum())
     total = float(ranks.sum())
-    w = min(w_plus, total - w_plus)
     count = 0
     for mask in range(1 << n):
         s = 0.0
@@ -87,13 +89,14 @@ def wilcoxon_exact_p(d: np.ndarray) -> float:
 def wilcoxon_normal_p(d: np.ndarray) -> tuple[float, float]:
     """Two-sided normal-approximation p with tie-corrected variance and a
     0.5 continuity correction; returns (W, p) with W = min(W+, W-)."""
-    d, ranks = _signed_ranks(np.asarray(d, dtype=float))
+    return _normal_p(*_signed_ranks(np.asarray(d, dtype=float)))
+
+
+def _normal_p(d: np.ndarray, ranks: np.ndarray,
+              w: float) -> tuple[float, float]:
     n = d.size
     if n == 0:
         return 0.0, 1.0
-    w_plus = float(ranks[d > 0].sum())
-    total = float(ranks.sum())
-    w = min(w_plus, total - w_plus)
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
     _, counts = np.unique(np.abs(d), return_counts=True)
@@ -112,16 +115,10 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ParameterError(f"length mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    nonzero, ranks = _signed_ranks(d)
-    n = nonzero.size
-    if n == 0:
-        return 0.0, 1.0
-    w_plus = float(ranks[nonzero > 0].sum())
-    w = min(w_plus, float(ranks.sum()) - w_plus)
-    if n <= WILCOXON_EXACT_MAX_N:
-        return w, wilcoxon_exact_p(d)
-    return wilcoxon_normal_p(d)
+    d, ranks, w = _signed_ranks(a - b)
+    if d.size <= WILCOXON_EXACT_MAX_N:
+        return w, _exact_p(d, ranks, w)
+    return _normal_p(d, ranks, w)
 
 
 def cohens_d_pooled(a: np.ndarray, b: np.ndarray) -> float:

@@ -147,7 +147,7 @@ def test_seed_range_overrides_config(workspace, tmp_path):
     assert {r["seed"] for r in rows} == {50}
 
 
-def test_costsweep_and_report(workspace):
+def test_costsweep_and_report(workspace, capsys):
     root, _ = workspace
     out = root / "mc"
     assert main(["costsweep", "--trials", str(out / "trials.csv"),
@@ -160,6 +160,13 @@ def test_costsweep_and_report(workspace):
     assert (out / "fig_genratio_bars.csv").read_text() == (
         out / "aggregates.csv").read_text()
     assert (out / "fig_cost_curves.csv").exists()
+
+    capsys.readouterr()
+    assert main(["costsweep", "--trials", str(out / "trials.csv"),
+                 "--out", str(out / "bad"), "--bps", "0,x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad --bps level: ") and "'x'" in err
+    assert err.count("\n") == 1
 
 
 def test_cost_zero_level_matches_oos_mean(workspace):
@@ -245,7 +252,8 @@ def test_bad_config_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"wf": 5}')
     assert main(["montecarlo", "--config", str(bad)]) == 1
-    for doc in ['{"budget": "3"}', '{"mc": {"seeds": "12"}}']:
+    for doc in ['{"budget": "3"}', '{"mc": {"seeds": "12"}}',
+                '{"strategies": ["bogus"]}', '{"objectives": ["bogus"]}']:
         bad.write_text(doc)
         capsys.readouterr()
         assert main(["montecarlo", "--config", str(bad)]) == 1

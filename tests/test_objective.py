@@ -251,6 +251,37 @@ def test_period_returns_no_trades():
     assert np.all(pr == 0.0)
 
 
+def oracle_period_returns(dates, equity, window, n):
+    """Slice-by-slice loop: bounds rounded half to even by Python round()."""
+    start, end = window
+    total = (end - start).days
+    offsets = [(d - start).days for d in dates]
+
+    def wealth_at(bound):
+        done = [e for o, e in zip(offsets, equity) if o <= bound]
+        return 1.0 + done[-1] if done else 1.0
+
+    bounds = [round(j * total / n) for j in range(n + 1)]
+    return np.array([wealth_at(b) / wealth_at(a) - 1.0
+                     for a, b in zip(bounds, bounds[1:])])
+
+
+def test_period_returns_match_loop_oracle():
+    # odd spans put bounds on exact halves, where rounding must go to even
+    rng = np.random.Generator(np.random.Philox(7))
+    start = dt.date(2020, 1, 1)
+    for total in (5, 99, 101, 365, 1001):
+        window = (start, start + dt.timedelta(days=total))
+        offsets = np.sort(rng.choice(total + 1, size=min(40, total),
+                                     replace=False))
+        dates = [start + dt.timedelta(days=int(o)) for o in offsets]
+        equity = np.cumsum(rng.normal(0.0, 0.02, offsets.size))
+        for n in range(1, 92):
+            np.testing.assert_array_equal(
+                period_returns(dates, equity, window, n),
+                oracle_period_returns(dates, equity, window, n))
+
+
 def test_stabilized_count_short_span_falls_back():
     start = dt.date(2020, 1, 1)
     window = (start, start + dt.timedelta(days=5))

@@ -1,4 +1,4 @@
-"""Random-search trials: determinism, fairness, aggregation."""
+"""Random-search cells: determinism, evaluate-once, aggregation."""
 
 import math
 
@@ -8,24 +8,24 @@ import pytest
 from gtscore.data import SyntheticSpec, generate_synthetic_series, make_chrono_split
 from gtscore.errors import DataError
 from gtscore.objective import ObjectiveConfig, ObjectiveKind
+from gtscore import search
 from gtscore.search import (
-    TrialSpec,
+    CellSpec,
     aggregate_by_objective,
     aggregate_by_period,
     aggregate_by_split,
     aggregate_by_strategy,
     backtest_window,
     candidate_rng,
-    draw_candidates,
     mean_trade_counts,
     montecarlo_specs,
     paired_oos_returns,
-    run_trial,
+    run_cell,
     run_trials,
     walkforward_specs,
 )
 from gtscore.objective import trial_loss
-from gtscore.strategy import StrategyKind
+from gtscore.strategy import StrategyKind, sample_params
 
 CFG = ObjectiveConfig()
 
@@ -49,9 +49,16 @@ ASSET = make_asset(n_days=2000)  # long enough for non-degenerate trials
 SPLIT = make_chrono_split(ASSET)
 
 
-def spec_for(objective, strategy=StrategyKind.MACD, seed=42, budget=10):
-    return TrialSpec(ASSET.asset_id, strategy, objective, SPLIT, seed=seed,
-                     budget=budget)
+OBJECTIVES = list(ObjectiveKind)
+
+
+def cell_for(strategy=StrategyKind.MACD, seed=42, budget=10):
+    return CellSpec(ASSET.asset_id, strategy, SPLIT, seed=seed, budget=budget)
+
+
+def draw_pool(spec):
+    rng = candidate_rng(spec.seed, spec.asset_id, spec.strategy_kind)
+    return [sample_params(spec.strategy_kind, rng) for _ in range(spec.budget)]
 
 
 # --- candidate generation --------------------------------------------------
@@ -71,79 +78,96 @@ def test_candidate_rng_distinguishes_key_parts():
         assert not np.array_equal(base, other.integers(0, 1 << 30, 5))
 
 
-def test_candidate_pool_shared_across_objectives():
-    pools = [draw_candidates(spec_for(obj)) for obj in ObjectiveKind]
-    assert all(p == pools[0] for p in pools[1:])
-    assert len(pools[0]) == 10
-
-
-# --- trials ----------------------------------------------------------------
+# --- cells -----------------------------------------------------------------
 
 
 def test_run_trial_deterministic():
-    a = run_trial(spec_for(ObjectiveKind.GT_SCORE), ASSET, CFG)
-    b = run_trial(spec_for(ObjectiveKind.GT_SCORE), ASSET, CFG)
-    assert a.best_params == b.best_params
-    assert a.best_loss == b.best_loss
-    assert a.oos_total_return == b.oos_total_return
+    a = run_cell(cell_for(), ASSET, OBJECTIVES, CFG)
+    b = run_cell(cell_for(), ASSET, OBJECTIVES, CFG)
+    assert [r.objective_kind for r in a] == OBJECTIVES
+    for x, y in zip(a, b):
+        assert x.best_params == y.best_params
+        assert x.best_loss == y.best_loss
+        assert x.oos_total_return == y.oos_total_return
 
 
 def test_run_trial_replay_oracle():
-    # Recompute every candidate's loss independently; the reported winner
-    # must be the first candidate attaining the minimum.
-    for obj in ObjectiveKind:
-        spec = spec_for(obj, budget=15)
-        res = run_trial(spec, ASSET, CFG)
-        losses = []
-        for params in draw_candidates(spec):
-            bt = backtest_window(params, ASSET, SPLIT.train_start,
-                                 SPLIT.train_end, 0.0)
-            losses.append(CFG.below_min_penalty if bt is None
-                          else trial_loss(obj, bt, CFG))
+    # Recompute every candidate's loss independently under each objective;
+    # the reported winner must be the first candidate attaining the minimum.
+    spec = cell_for(budget=15)
+    pool = draw_pool(spec)
+    backtests = [backtest_window(params, ASSET, SPLIT.train_start,
+                                 SPLIT.train_end, 0.0) for params in pool]
+    results = run_cell(spec, ASSET, OBJECTIVES, CFG)
+    assert len(results) == len(OBJECTIVES)
+    for res, obj in zip(results, OBJECTIVES):
+        assert res.objective_kind is obj
+        assert res.candidates == pool
+        losses = [CFG.below_min_penalty if bt is None
+                  else trial_loss(obj, bt, CFG) for bt in backtests]
         best = min(losses)
         assert res.best_loss == best
-        assert res.best_params == res.candidates[losses.index(best)]
+        assert res.best_params == pool[losses.index(best)]
 
 
 def test_run_trial_oos_consistent_with_best_params():
-    spec = spec_for(ObjectiveKind.SIMPLE, budget=15)
-    res = run_trial(spec, ASSET, CFG)
-    if res.degenerate:
+    results = run_cell(cell_for(budget=15), ASSET, OBJECTIVES, CFG)
+    live = [r for r in results if not r.degenerate]
+    if not live:
         pytest.skip("needs a non-degenerate trial")
-    oos = backtest_window(res.best_params, ASSET, SPLIT.val_start,
-                          SPLIT.val_end, 0.0)
-    assert res.oos_total_return == oos.total_return
-    assert res.oos_n_trades == oos.n_trades
-    np.testing.assert_array_equal(res.oos_trade_returns, oos.trade_returns)
+    for res in live:
+        oos = backtest_window(res.best_params, ASSET, SPLIT.val_start,
+                              SPLIT.val_end, 0.0)
+        assert res.oos_total_return == oos.total_return
+        assert res.oos_n_trades == oos.n_trades
+        np.testing.assert_array_equal(res.oos_trade_returns,
+                                      oos.trade_returns)
+
+
+def test_run_cell_backtests_each_candidate_once(monkeypatch):
+    starts = []
+    real = search.run_backtest
+
+    def counting(series, sig, start, end, cost_bps):
+        starts.append(start)
+        return real(series, sig, start, end, cost_bps)
+
+    monkeypatch.setattr(search, "run_backtest", counting)
+    spec = cell_for(budget=12)
+    results = run_cell(spec, ASSET, OBJECTIVES, CFG)
+    train_calls = sum(s < SPLIT.val_start for s in starts)
+    oos_calls = len(starts) - train_calls
+    assert train_calls == spec.budget
+    assert oos_calls == sum(not r.degenerate for r in results)
+    assert oos_calls <= len(OBJECTIVES)
 
 
 def test_degenerate_trial_has_empty_oos():
     # ~210 training bars cannot produce 50 RSI round trips, so every
-    # candidate is gated
+    # candidate is gated under every objective
     tiny = make_asset(seed=5, n_days=300, asset_id="TINY")
-    split = make_chrono_split(tiny)
-    spec = TrialSpec("TINY", StrategyKind.RSI, ObjectiveKind.GT_SCORE, split,
-                     seed=42, budget=5)
-    res = run_trial(spec, tiny, CFG)
-    assert res.degenerate
-    assert res.best_loss == CFG.below_min_penalty
-    assert res.oos_n_trades == 0
-    assert res.oos_total_return == 0.0
-    assert res.oos_trade_returns.size == 0
+    spec = CellSpec("TINY", StrategyKind.RSI, make_chrono_split(tiny),
+                    seed=42, budget=5)
+    for res in run_cell(spec, tiny, OBJECTIVES, CFG):
+        assert res.degenerate
+        assert res.best_loss == CFG.below_min_penalty
+        assert res.oos_n_trades == 0
+        assert res.oos_total_return == 0.0
+        assert res.oos_trade_returns.size == 0
 
 
 def test_run_trials_parallel_matches_serial():
     assets = {"A": ASSET, "B": make_asset(seed=1, asset_id="B")}
-    specs = [TrialSpec(aid, strat, obj, make_chrono_split(assets[aid]),
-                       seed=42, budget=5)
+    cells = [CellSpec(aid, strat, make_chrono_split(assets[aid]),
+                      seed=42, budget=5)
              for aid in assets
-             for strat in (StrategyKind.MACD, StrategyKind.BOLLINGER)
-             for obj in ObjectiveKind]
-    serial = run_trials(specs, assets, CFG, jobs=1)
-    parallel = run_trials(specs, assets, CFG, jobs=4)
-    assert len(serial) == len(parallel)
+             for strat in (StrategyKind.MACD, StrategyKind.BOLLINGER)]
+    serial = run_trials(cells, assets, OBJECTIVES, CFG, jobs=1)
+    parallel = run_trials(cells, assets, OBJECTIVES, CFG, jobs=4)
+    assert len(serial) == len(parallel) == len(cells) * len(OBJECTIVES)
     for s, p in zip(serial, parallel):
         assert s.spec == p.spec
+        assert s.objective_kind == p.objective_kind
         assert s.best_params == p.best_params
         assert s.best_loss == p.best_loss
         assert s.oos_total_return == p.oos_total_return
@@ -151,14 +175,15 @@ def test_run_trials_parallel_matches_serial():
 
 def test_run_trials_canonical_order():
     assets = {"A": ASSET}
-    specs = [spec_for(obj, strat, seed)
-             for obj in ObjectiveKind
+    cells = [cell_for(strat, seed)
              for strat in StrategyKind
              for seed in (43, 42)]
-    results = run_trials(list(reversed(specs)), assets, CFG)
+    results = run_trials(list(reversed(cells)), assets,
+                         list(reversed(OBJECTIVES)), CFG)
     keys = [(r.spec.asset_id, r.spec.strategy_kind.value,
-             r.spec.objective_kind.value, r.spec.split_id, r.spec.seed)
+             r.objective_kind.value, r.spec.split_id, r.spec.seed)
             for r in results]
+    assert len(keys) == len(cells) * len(OBJECTIVES)
     assert keys == sorted(keys)
 
 
@@ -167,26 +192,23 @@ def test_run_trials_canonical_order():
 
 def test_montecarlo_spec_count():
     assets = [ASSET, make_asset(seed=1, asset_id="B")]
-    specs = montecarlo_specs(assets, list(StrategyKind), list(ObjectiveKind),
-                             seeds=[42, 43, 44])
-    assert len(specs) == 2 * 3 * 4 * 3
+    specs = montecarlo_specs(assets, list(StrategyKind), seeds=[42, 43, 44])
+    assert len(specs) == 2 * 3 * 3
     assert all(s.split_id == 0 for s in specs)
 
 
 def test_montecarlo_skips_short_assets(caplog):
     short = make_asset(seed=2, n_days=100, asset_id="SHORT")
-    specs = montecarlo_specs([ASSET, short], [StrategyKind.MACD],
-                             [ObjectiveKind.GT_SCORE], seeds=[42])
+    specs = montecarlo_specs([ASSET, short], [StrategyKind.MACD], seeds=[42])
     assert {s.asset_id for s in specs} == {"A"}
 
 
 def test_walkforward_spec_count():
     long_asset = make_asset(seed=3, n_days=15 * 261, asset_id="L")
-    specs = walkforward_specs([long_asset], list(StrategyKind),
-                              list(ObjectiveKind))
+    specs = walkforward_specs([long_asset], list(StrategyKind))
     split_ids = {s.split_id for s in specs}
     assert split_ids == set(range(9))
-    assert len(specs) == 3 * 4 * 9
+    assert len(specs) == 3 * 9
     assert all(s.seed == 42 for s in specs)
 
 
