@@ -6,6 +6,11 @@ z = 1, and -(mu * ln(z) * r2) / (sigma_d + eps) for z > 1. Windows with
 fewer than n_min trades receive a fixed penalty that dominates every
 other branch; the same gate applies to the Simple/Sharpe/Sortino
 baselines so all objectives face identical constraints.
+
+Losses are computed per candidate pool (`pool_losses`): each backtest with
+trades gets one metric context, shared by every objective. Under the
+stabilized periodization one batched scan picks the period count of every
+candidate in the pool at once.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import (
     BacktestResult,
@@ -55,6 +61,18 @@ class StabilizationConfig:
     window: int = 3
     n_range: tuple[int, int] = (10, 100)
     fallback: int = 50
+
+    def __post_init__(self):
+        r = self.n_range
+        for ok, what in (
+                (math.isfinite(self.threshold) and self.threshold > 0,
+                 "threshold must be finite and > 0"),
+                (self.window >= 1, "window must be >= 1"),
+                (len(r) == 2 and all(type(v) is int for v in r)
+                 and 1 <= r[0] <= r[1], "n_range must be ints 1 <= lo <= hi"),
+                (self.fallback >= 1, "fallback must be >= 1")):
+            if not ok:
+                raise ParameterError(f"stabilization {what}: {self.to_json()}")
 
     def to_json(self) -> dict:
         return {"threshold": self.threshold, "window": self.window,
@@ -161,24 +179,46 @@ def metric_context(result: BacktestResult, cfg: ObjectiveConfig,
                          sigma_d=sigma_d, r2=r2, z=z)
 
 
-def trial_loss(kind: ObjectiveKind, result: BacktestResult,
-               cfg: ObjectiveConfig) -> float:
-    """Loss for one backtest under the given objective and config."""
-    if result.n_trades == 0:
-        return cfg.below_min_penalty
+def pool_losses(results: list[BacktestResult | None],
+                objectives: list[ObjectiveKind],
+                cfg: ObjectiveConfig) -> list[list[float]]:
+    """Losses of a candidate pool under each objective: one list per
+    objective, aligned with `results`.
+
+    Missing and zero-trade backtests get the gate penalty; every other
+    backtest gets one metric context, shared by all objectives.
+    """
+    live = [i for i, r in enumerate(results) if r is not None and r.n_trades]
+    trading = [results[i] for i in live]
     if cfg.periodization == Periodization.STABILIZED:
         # Period returns replace trade returns as the observation set and
         # the selected period count stands in for N, so the trade-count
         # gate does not apply on this path.
-        obs, n_obs = _period_observations(result, cfg)
-        ctx = metric_context(result, cfg, observations=obs, n_obs=n_obs)
+        windows = {r.window for r in results if r is not None}
+        if len(windows) > 1:
+            raise ParameterError("stabilized losses need one window per "
+                                 f"pool, got {len(windows)}")
+        window = windows.pop() if windows else None
+        counts = stabilized_period_count(
+            [r.trade_exit_dates for r in trading],
+            [r.equity_points for r in trading], window, cfg)
+        contexts = [metric_context(r, cfg, observations=period_returns(
+                        r.trade_exit_dates, r.equity_points, window, n_star),
+                        n_obs=n_star)
+                    for r, (n_star, _) in zip(trading, counts)]
         eff_cfg = replace(cfg, n_min=1)
     else:
-        ctx = metric_context(result, cfg)
+        contexts = [metric_context(r, cfg) for r in trading]
         eff_cfg = cfg
-    if kind == ObjectiveKind.GT_SCORE:
-        return gt_score_loss(ctx, eff_cfg)
-    return baseline_loss(kind, ctx, result.total_return, eff_cfg)
+    losses = []
+    for kind in objectives:
+        row = [cfg.below_min_penalty] * len(results)
+        for i, r, ctx in zip(live, trading, contexts):
+            row[i] = (gt_score_loss(ctx, eff_cfg)
+                      if kind == ObjectiveKind.GT_SCORE else
+                      baseline_loss(kind, ctx, r.total_return, eff_cfg))
+        losses.append(row)
+    return losses
 
 
 class StabilizedCount(NamedTuple):
@@ -205,44 +245,52 @@ def period_returns(equity_dates: np.ndarray, equity_points: np.ndarray,
     return w[1:] / w[:-1] - 1.0
 
 
-def stabilized_period_count(equity_dates: np.ndarray,
-                            equity_points: np.ndarray,
+def stabilized_period_count(equity_dates_list: list[np.ndarray],
+                            equity_points_list: list[np.ndarray],
                             window: tuple[dt.date, dt.date],
-                            cfg: ObjectiveConfig) -> StabilizedCount:
-    """Pick a periodization where the variance of period returns plateaus.
+                            cfg: ObjectiveConfig) -> list[StabilizedCount]:
+    """Pick, per candidate, a periodization where the variance of period
+    returns plateaus; all candidates share `window`.
 
     Scans candidate counts ascending; returns the first n at which the
     variance changed by less than the relative threshold across the last
-    `window` consecutive candidates, else the fallback.
+    `window` consecutive candidates, else the fallback. The scan runs over
+    the whole pool at once: one wealth matrix holds every candidate's
+    wealth at the slice bounds of every n.
     """
     stab = cfg.stabilization
     lo, hi = stab.n_range
-    span_days = (window[1] - window[0]).days
-    if span_days < lo:
-        return StabilizedCount(stab.fallback, False)
-    variances = []
-    for n in range(lo, hi + 1):
-        pr = period_returns(equity_dates, equity_points, window, n)
-        variances.append(float(np.var(pr)))
-        if len(variances) >= stab.window:
-            recent = variances[-stab.window:]
-            if all(_rel_change(a, b) < stab.threshold
-                   for a, b in zip(recent, recent[1:])):
-                return StabilizedCount(n, True)
-    return StabilizedCount(stab.fallback, False)
-
-
-def _rel_change(prev: float, cur: float) -> float:
-    if prev == 0.0:
-        return 0.0 if cur == 0.0 else math.inf
-    return abs(cur - prev) / abs(prev)
-
-
-def _period_observations(result: BacktestResult,
-                         cfg: ObjectiveConfig) -> tuple[np.ndarray, int]:
-    n_star, _ = stabilized_period_count(result.trade_exit_dates,
-                                        result.equity_points,
-                                        result.window, cfg)
-    obs = period_returns(result.trade_exit_dates, result.equity_points,
-                         result.window, n_star)
-    return obs, n_star
+    m = len(equity_dates_list)
+    fallback = [StabilizedCount(stab.fallback, False)] * m
+    total_days = (window[1] - window[0]).days if m else 0
+    if total_days < lo or stab.window > hi - lo + 1:
+        return fallback
+    ns = np.arange(lo, hi + 1)
+    # Bounds of every n in one ragged array, block j = rint(k * days / n_j)
+    # for k = 0..n_j: the same operations as `period_returns`.
+    firsts = np.concatenate([[0], np.cumsum(ns + 1)[:-1]])
+    k = np.arange(firsts[-1] + hi + 1) - np.repeat(firsts, ns + 1)
+    bounds = np.rint(k * total_days / np.repeat(ns, ns + 1)).astype(np.int64)
+    start = np.datetime64(window[0], "D")
+    wealth = np.empty((m, bounds.size))
+    for row, dates, points in zip(wealth, equity_dates_list,
+                                  equity_points_list):
+        offsets = (np.asarray(dates, dtype="datetime64[D]")
+                   - start).astype(np.int64)
+        levels = np.concatenate([[1.0], 1.0 + np.asarray(points, float)])
+        row[:] = levels[np.searchsorted(offsets, bounds, side="right")]
+    returns = wealth[:, 1:] / wealth[:, :-1]
+    returns -= 1.0
+    var = np.stack([returns[:, s:s + n].var(axis=1)
+                    for s, n in zip(firsts, ns)], axis=1)
+    prev, cur = var[:, :-1], var[:, 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        change = np.where(prev == 0.0, np.where(cur == 0.0, 0.0, np.inf),
+                          np.abs(cur - prev) / np.abs(prev))
+    # full[:, t]: the window - 1 changes up to count lo + t + window - 1
+    # are all below the threshold
+    need = stab.window - 1
+    full = sliding_window_view(change < stab.threshold, need, axis=1).all(2)
+    first = full.argmax(axis=1)
+    return [StabilizedCount(int(lo + need + t), True) if full[i, t]
+            else fallback[i] for i, t in enumerate(first)]

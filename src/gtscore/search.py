@@ -25,7 +25,7 @@ from .data import PriceSeries, SplitSpec, make_chrono_split, make_walkforward_sp
 from .engine import BacktestResult, run_backtest
 from .errors import DataError, InsufficientDataError, ParameterError
 from .metrics import generalization_ratio
-from .objective import ObjectiveConfig, ObjectiveKind, trial_loss
+from .objective import ObjectiveConfig, ObjectiveKind, pool_losses
 from .strategy import StrategyKind, StrategyParams, sample_params, signals
 
 logger = logging.getLogger(__name__)
@@ -115,12 +115,11 @@ def run_cell(spec: CellSpec, series: PriceSeries,
     backtests = [None if train_window is None else
                  _backtest_sliced(params, train_window, spec.cost_bps)
                  for params in candidates]
+    scored = pool_losses(backtests, objectives, cfg)
     trials = []
-    for kind in objectives:
+    for kind, losses in zip(objectives, scored):
         best_loss, best = math.inf, None
-        for i, result in enumerate(backtests):
-            loss = (cfg.below_min_penalty if result is None
-                    else trial_loss(kind, result, cfg))
+        for i, loss in enumerate(losses):
             if loss < best_loss:
                 best_loss, best = loss, i
         best_params = candidates[best or 0]

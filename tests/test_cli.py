@@ -252,8 +252,12 @@ def test_bad_config_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"wf": 5}')
     assert main(["montecarlo", "--config", str(bad)]) == 1
+    stabilization = ['"window": 0', '"n_range": [0, 5]', '"n_range": [50, 10]',
+                     '"threshold": -1', '"n_range": [10]', '"fallback": 0']
     for doc in ['{"budget": "3"}', '{"mc": {"seeds": "12"}}',
-                '{"strategies": ["bogus"]}', '{"objectives": ["bogus"]}']:
+                '{"strategies": ["bogus"]}', '{"objectives": ["bogus"]}'] + [
+            '{"objective": {"stabilization": {%s}}}' % item
+            for item in stabilization]:
         bad.write_text(doc)
         capsys.readouterr()
         assert main(["montecarlo", "--config", str(bad)]) == 1

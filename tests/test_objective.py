@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtscore.engine import run_backtest
@@ -16,17 +16,19 @@ from gtscore.objective import (
     ObjectiveKind,
     Periodization,
     StabilizationConfig,
+    StabilizedCount,
     baseline_loss,
     gt_score_loss,
     metric_context,
     period_returns,
+    pool_losses,
     stabilized_period_count,
-    trial_loss,
 )
 
-from conftest import make_series
+from conftest import make_series, random_closes
 
 CFG = ObjectiveConfig()
+STAB = ObjectiveConfig(periodization=Periodization.STABILIZED)
 
 
 def ctx(z, mu=0.01, sigma=0.02, mu_m=0.0, n=100, sigma_d=0.01, r2=0.8):
@@ -171,7 +173,24 @@ def test_config_validation():
         ObjectiveConfig(benchmark_mode="median")
 
 
-# --- metric_context and trial_loss ----------------------------------------
+@pytest.mark.parametrize("kwargs", [
+    dict(threshold=-1.0), dict(threshold=0.0), dict(threshold=math.inf),
+    dict(threshold=math.nan), dict(window=0), dict(n_range=(0, 5)),
+    dict(n_range=(50, 10)), dict(n_range=(10,)), dict(n_range=(1, 2, 3)),
+    dict(n_range=(10.0, 20)), dict(fallback=0),
+])
+def test_stabilization_config_validation(kwargs):
+    with pytest.raises(ParameterError, match="stabilization"):
+        StabilizationConfig(**kwargs)
+
+
+def test_stabilization_config_accepts_edges():
+    cfg = StabilizationConfig(threshold=1e-9, window=1, n_range=(1, 1),
+                              fallback=1)
+    assert cfg.n_range == (1, 1)
+
+
+# --- metric_context and pool_losses ---------------------------------------
 
 
 def winning_backtest(n_trades=60):
@@ -208,16 +227,56 @@ def test_trial_loss_zero_trades_is_penalty():
     series = make_series([10, 11, 12, 13, 12, 11, 12])
     res = run_backtest(series, np.zeros(7, bool), series.start_date,
                        series.span_end)
-    for kind in ObjectiveKind:
-        assert trial_loss(kind, res, CFG) == CFG.below_min_penalty
+    for cfg in (CFG, STAB):
+        losses = pool_losses([res, None], list(ObjectiveKind), cfg)
+        assert losses == [[cfg.below_min_penalty] * 2] * len(ObjectiveKind)
 
 
 def test_trial_loss_matches_direct_composition():
     res = winning_backtest()
     c = metric_context(res, CFG)
-    assert trial_loss(ObjectiveKind.GT_SCORE, res, CFG) == gt_score_loss(c, CFG)
-    assert trial_loss(ObjectiveKind.SIMPLE, res, CFG) == baseline_loss(
-        ObjectiveKind.SIMPLE, c, res.total_return, CFG)
+    gt, simple = pool_losses([res], [ObjectiveKind.GT_SCORE,
+                                     ObjectiveKind.SIMPLE], CFG)
+    assert gt == [gt_score_loss(c, CFG)]
+    assert simple == [baseline_loss(ObjectiveKind.SIMPLE, c,
+                                    res.total_return, CFG)]
+
+
+def stabilized_pool():
+    """A missing, a zero-trade and three trading backtests on one window."""
+    rng = np.random.Generator(np.random.Philox(11))
+    series = make_series(random_closes(rng, 400, vol=0.01))
+    pool = [None]
+    for p in (0.0, 0.1, 0.3, 0.5):
+        pos = rng.random(400) < p
+        pool.append(run_backtest(series, pos, series.start_date,
+                                 series.span_end))
+    return pool
+
+
+def test_pool_losses_stabilized_match_single_candidate_pools():
+    pool = stabilized_pool()
+    objectives = list(ObjectiveKind)
+    whole = pool_losses(pool, objectives, STAB)
+    singles = [pool_losses([res], objectives, STAB) for res in pool]
+    assert sum(r is not None and r.n_trades > 0 for r in pool) == 3
+    apart = [[single[j][0] for single in singles]
+             for j in range(len(objectives))]
+    assert np.array(whole).tobytes() == np.array(apart).tobytes()
+
+
+def test_pool_losses_stabilized_rejects_mixed_windows():
+    series = make_series(random_closes(np.random.Generator(
+        np.random.Philox(12)), 300))
+    pos = np.zeros(300, bool)
+    pos[::3] = True
+    a = run_backtest(series, pos, series.start_date, series.span_end)
+    b = run_backtest(series, pos, series.start_date + dt.timedelta(days=10),
+                     series.span_end)
+    with pytest.raises(ParameterError, match="one window"):
+        pool_losses([a, b], [ObjectiveKind.GT_SCORE], STAB)
+    # the fixed-trades mode reads no window
+    assert len(pool_losses([a, b], [ObjectiveKind.GT_SCORE], CFG)[0]) == 2
 
 
 # --- periodization ---------------------------------------------------------
@@ -282,30 +341,117 @@ def test_period_returns_match_loop_oracle():
                 oracle_period_returns(dates, equity, window, n))
 
 
+def _rel_change(prev: float, cur: float) -> float:
+    if prev == 0.0:
+        return 0.0 if cur == 0.0 else math.inf
+    return abs(cur - prev) / abs(prev)
+
+
+def oracle_stabilized_count(equity_dates, equity_points, window, cfg):
+    """One candidate, one `period_returns` call and one variance per n."""
+    stab = cfg.stabilization
+    lo, hi = stab.n_range
+    if (window[1] - window[0]).days < lo:
+        return StabilizedCount(stab.fallback, False)
+    variances = []
+    for n in range(lo, hi + 1):
+        pr = period_returns(equity_dates, equity_points, window, n)
+        variances.append(float(np.var(pr)))
+        if len(variances) >= stab.window:
+            recent = variances[-stab.window:]
+            if all(_rel_change(a, b) < stab.threshold
+                   for a, b in zip(recent, recent[1:])):
+                return StabilizedCount(n, True)
+    return StabilizedCount(stab.fallback, False)
+
+
+START = dt.date(2020, 1, 1)
+
+
+@st.composite
+def equity_pools(draw):
+    """(span in days, [(exit-day offsets, trade returns)]) for 1-6
+    candidates whose trades all lie inside one window."""
+    span = draw(st.integers(0, 400))
+    pool = []
+    for _ in range(draw(st.integers(1, 6))):
+        rets = draw(st.lists(st.floats(-0.3, 0.3), max_size=25))
+        offsets = draw(st.lists(st.integers(0, span), min_size=len(rets),
+                                max_size=len(rets)))
+        pool.append((sorted(offsets), rets))
+    return span, pool
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool=equity_pools(), threshold=st.floats(1e-4, 2.0),
+       window=st.integers(1, 5), lo=st.integers(1, 60),
+       width=st.integers(0, 40))
+@example(pool=(365, [([], [])] * 3), threshold=0.01, window=3, lo=10,
+         width=90)
+@example(pool=(365, [([], []), ([5, 90, 200], [0.1, -0.05, 0.02])]),
+         threshold=1e-6, window=5, lo=10, width=90)
+@example(pool=(200, [([5, 50, 120], [0.1, -0.05, 0.02]), ([], [])]),
+         threshold=0.01, window=1, lo=10, width=90)
+@example(pool=(30, [([3, 20], [0.1, 0.1])]), threshold=0.5, window=2,
+         lo=40, width=5)
+@example(pool=(300, [([10, 100], [0.2, -0.1])]), threshold=0.5, window=2,
+         lo=20, width=0)
+def test_stabilized_count_matches_oracle(pool, threshold, window, lo, width):
+    span, cands = pool
+    win = (START, START + dt.timedelta(days=span))
+    dates = [np.array([START + dt.timedelta(days=o) for o in offsets],
+                      dtype="datetime64[D]") for offsets, _ in cands]
+    equity = [np.cumprod(1.0 + np.array(rets, float)) - 1.0
+              for _, rets in cands]
+    cfg = ObjectiveConfig(
+        periodization=Periodization.STABILIZED,
+        stabilization=StabilizationConfig(threshold, window,
+                                          (lo, lo + width), 50))
+    got = stabilized_period_count(dates, equity, win, cfg)
+    assert got == [oracle_stabilized_count(d, e, win, cfg)
+                   for d, e in zip(dates, equity)]
+
+
+def test_stabilized_count_threshold_is_strict():
+    # a change exactly at the threshold is not below it
+    window = (START, START + dt.timedelta(days=365))
+    dates = np.array([START + dt.timedelta(days=d) for d in (20, 150, 300)],
+                     dtype="datetime64[D]")
+    equity = np.array([0.1, 0.05, 0.2])
+    v0, v1 = (float(np.var(period_returns(dates, equity, window, n)))
+              for n in (10, 11))
+    cfg = ObjectiveConfig(stabilization=StabilizationConfig(
+        abs(v1 - v0) / abs(v0), 2, (10, 11), 50))
+    assert stabilized_period_count([dates], [equity], window, cfg) == [
+        (50, False)]
+
+
+def no_trades():
+    return np.array([], "datetime64[D]"), np.array([])
+
+
 def test_stabilized_count_short_span_falls_back():
-    start = dt.date(2020, 1, 1)
-    window = (start, start + dt.timedelta(days=5))
-    got = stabilized_period_count([], np.array([]), window, CFG)
-    assert got.n == CFG.stabilization.fallback
-    assert not got.plateaued
+    window = (START, START + dt.timedelta(days=5))
+    dates, equity = no_trades()
+    got = stabilized_period_count([dates] * 2, [equity] * 2, window, CFG)
+    assert got == [(CFG.stabilization.fallback, False)] * 2
 
 
 def test_stabilized_count_plateaus_on_flat_equity():
     # no trades: every periodization has zero variance, so the scan
     # plateaus as early as the window allows
-    start = dt.date(2020, 1, 1)
-    window = (start, start + dt.timedelta(days=365))
-    got = stabilized_period_count([], np.array([]), window, CFG)
+    window = (START, START + dt.timedelta(days=365))
+    dates, equity = no_trades()
+    got = stabilized_period_count([dates] * 3, [equity] * 3, window, CFG)
     lo = CFG.stabilization.n_range[0]
-    assert got.plateaued
-    assert got.n == lo + CFG.stabilization.window - 1
+    assert got == [(lo + CFG.stabilization.window - 1, True)] * 3
 
 
 def test_stabilized_mode_bypasses_trade_gate():
     # 5 trades is far below n_min, but period observations stand in for
     # trades under the stabilized mode
     res = winning_backtest(n_trades=5)
-    cfg = ObjectiveConfig(periodization=Periodization.STABILIZED)
-    fixed = ObjectiveConfig()
-    assert trial_loss(ObjectiveKind.GT_SCORE, res, fixed) == CFG.below_min_penalty
-    assert trial_loss(ObjectiveKind.GT_SCORE, res, cfg) != cfg.below_min_penalty
+    [[fixed]] = pool_losses([res], [ObjectiveKind.GT_SCORE], CFG)
+    [[stab]] = pool_losses([res], [ObjectiveKind.GT_SCORE], STAB)
+    assert fixed == CFG.below_min_penalty
+    assert stab != STAB.below_min_penalty

@@ -7,8 +7,14 @@ import pytest
 
 from gtscore.data import SyntheticSpec, generate_synthetic_series, make_chrono_split
 from gtscore.errors import DataError
-from gtscore.objective import ObjectiveConfig, ObjectiveKind
-from gtscore import search
+from gtscore.objective import (
+    ObjectiveConfig,
+    ObjectiveKind,
+    baseline_loss,
+    gt_score_loss,
+    metric_context,
+)
+from gtscore import objective, search
 from gtscore.search import (
     CellSpec,
     aggregate_by_objective,
@@ -24,7 +30,6 @@ from gtscore.search import (
     run_trials,
     walkforward_specs,
 )
-from gtscore.objective import trial_loss
 from gtscore.strategy import StrategyKind, sample_params
 
 CFG = ObjectiveConfig()
@@ -91,6 +96,16 @@ def test_run_trial_deterministic():
         assert x.oos_total_return == y.oos_total_return
 
 
+def composed_loss(kind, bt):
+    """Fixed-trades loss of one backtest, composed from its parts."""
+    if bt is None or bt.n_trades == 0:
+        return CFG.below_min_penalty
+    ctx = metric_context(bt, CFG)
+    if kind == ObjectiveKind.GT_SCORE:
+        return gt_score_loss(ctx, CFG)
+    return baseline_loss(kind, ctx, bt.total_return, CFG)
+
+
 def test_run_trial_replay_oracle():
     # Recompute every candidate's loss independently under each objective;
     # the reported winner must be the first candidate attaining the minimum.
@@ -103,8 +118,7 @@ def test_run_trial_replay_oracle():
     for res, obj in zip(results, OBJECTIVES):
         assert res.objective_kind is obj
         assert res.candidates == pool
-        losses = [CFG.below_min_penalty if bt is None
-                  else trial_loss(obj, bt, CFG) for bt in backtests]
+        losses = [composed_loss(obj, bt) for bt in backtests]
         best = min(losses)
         assert res.best_loss == best
         assert res.best_params == pool[losses.index(best)]
@@ -140,6 +154,26 @@ def test_run_cell_backtests_each_candidate_once(monkeypatch):
     assert train_calls == spec.budget
     assert oos_calls == sum(not r.degenerate for r in results)
     assert oos_calls <= len(OBJECTIVES)
+
+
+def test_run_cell_one_metric_context_per_candidate(monkeypatch):
+    calls = []
+    real = objective.metric_context
+
+    def counting(result, *args, **kwargs):
+        calls.append(result)
+        return real(result, *args, **kwargs)
+
+    monkeypatch.setattr(objective, "metric_context", counting)
+    spec = cell_for(budget=12)
+    train = [backtest_window(params, ASSET, SPLIT.train_start,
+                             SPLIT.train_end, 0.0) for params in draw_pool(spec)]
+    live = sum(bt is not None and bt.n_trades > 0 for bt in train)
+    assert live > 0
+    run_cell(spec, ASSET, OBJECTIVES, CFG)
+    assert len(OBJECTIVES) == 4
+    assert len(calls) == live
+    assert len({id(r) for r in calls}) == live
 
 
 def test_degenerate_trial_has_empty_oos():
