@@ -33,18 +33,26 @@ from .errors import ConfigError, DataError, GtscoreError, InternalCheckError
 from .objective import ObjectiveConfig, ObjectiveKind
 from .search import TrialResult
 from .stats import compare_paired
-from .strategy import StrategyKind, params_to_json
-
-logger = logging.getLogger(__name__)
+from .strategy import StrategyKind, params_doc, params_to_json
 
 DEFAULT_COST_SWEEP = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
 
-TRIAL_COLUMNS = [
-    "asset", "strategy", "objective", "split_id", "seed",
-    "train_return", "oos_return", "train_trades", "oos_trades",
-    "best_loss", "degenerate", "params_json", "candidates_json",
-    "oos_trade_returns_json",
-]
+
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
+# trials.csv column -> parser of its text, in file order
+TRIAL_SCHEMA = {
+    "asset": str, "strategy": str, "objective": str, "split_id": int,
+    "seed": int, "train_return": float, "oos_return": float,
+    "train_trades": int, "oos_trades": int, "best_loss": float,
+    "degenerate": _parse_bool, "params_json": str, "candidates_json": str,
+    "oos_trade_returns_json": str,
+}
+TRIAL_COLUMNS = list(TRIAL_SCHEMA)
 
 
 @dataclass
@@ -167,13 +175,17 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
+def csv_text(columns: list[str], rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_cell(row[c]) for c in columns])
-    path.write_text(buf.getvalue())
+    return buf.getvalue()
+
+
+def write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
+    path.write_text(csv_text(columns, rows))
 
 
 def trial_row(result: TrialResult) -> dict:
@@ -192,8 +204,7 @@ def trial_row(result: TrialResult) -> dict:
         "degenerate": result.degenerate,
         "params_json": params_to_json(result.best_params),
         "candidates_json": json.dumps(
-            [json.loads(params_to_json(p)) for p in result.candidates],
-            sort_keys=True),
+            [params_doc(p) for p in result.candidates], sort_keys=True),
         "oos_trade_returns_json": json.dumps(
             [repr(float(r)) for r in result.oos_trade_returns]),
     }
@@ -204,24 +215,21 @@ def read_trials_csv(path: Path) -> list[dict]:
         raise DataError(f"missing trials file: {path}")
     with path.open() as fh:
         reader = csv.DictReader(fh)
+        for col in TRIAL_COLUMNS:
+            if col not in (reader.fieldnames or []):
+                raise DataError(f"{path} line 1: missing column {col}")
         rows = []
         for raw in reader:
-            rows.append({
-                "asset": raw["asset"],
-                "strategy": raw["strategy"],
-                "objective": raw["objective"],
-                "split_id": int(raw["split_id"]),
-                "seed": int(raw["seed"]),
-                "train_return": float(raw["train_return"]),
-                "oos_return": float(raw["oos_return"]),
-                "train_trades": int(raw["train_trades"]),
-                "oos_trades": int(raw["oos_trades"]),
-                "best_loss": float(raw["best_loss"]),
-                "degenerate": raw["degenerate"] == "true",
-                "params_json": raw["params_json"],
-                "candidates_json": raw["candidates_json"],
-                "oos_trade_returns_json": raw["oos_trade_returns_json"],
-            })
+            row = {}
+            for col, parse in TRIAL_SCHEMA.items():
+                try:
+                    if raw[col] is None:
+                        raise ValueError("missing value")
+                    row[col] = parse(raw[col])
+                except ValueError as exc:
+                    raise DataError(f"{path} line {reader.line_num}, column "
+                                    f"{col}: {exc}") from None
+            rows.append(row)
     return rows
 
 
@@ -235,7 +243,6 @@ AGG_COLUMNS = ["objective", "val_mean", "val_std", "train_mean", "gen_ratio", "n
 SPLIT_COLUMNS = ["split_id", "objective", "val_mean", "val_std", "train_mean",
                  "gen_ratio", "n"]
 PERIOD_COLUMNS = ["split_id", "gt_score_mean", "baseline_avg", "delta_pp"]
-STRATEGY_COLUMNS_BASE = ["strategy"]
 COMPARISON_COLUMNS = ["comparison", "mean_diff", "t_stat", "p_value_t",
                       "wilcoxon_stat", "wilcoxon_p", "cohens_d", "n"]
 TRADECOUNT_COLUMNS = ["objective", "mean_oos_trades"]
@@ -251,10 +258,7 @@ def derive_walkforward_files(rows: list[dict]) -> dict[str, tuple[list[str], lis
 
 
 def derive_montecarlo_files(rows: list[dict]) -> dict[str, tuple[list[str], list[dict]]]:
-    strat_rows = search.aggregate_by_strategy(rows)
-    strat_cols = STRATEGY_COLUMNS_BASE + [
-        c for c in (k.value for k in ObjectiveKind)
-        if strat_rows and c in strat_rows[0]]
+    strat_cols = ["strategy"] + search.objectives_in(rows)
     comparisons = []
     objectives = {r["objective"] for r in rows}
     if ObjectiveKind.GT_SCORE.value in objectives:
@@ -273,7 +277,8 @@ def derive_montecarlo_files(rows: list[dict]) -> dict[str, tuple[list[str], list
             })
     return {
         "aggregates.csv": (AGG_COLUMNS, search.aggregate_by_objective(rows)),
-        "strategy_means.csv": (strat_cols, strat_rows),
+        "strategy_means.csv": (strat_cols,
+                               search.aggregate_by_strategy(rows)),
         "comparisons.csv": (COMPARISON_COLUMNS, comparisons),
         "trade_counts.csv": (TRADECOUNT_COLUMNS, search.mean_trade_counts(rows)),
     }
@@ -283,14 +288,13 @@ def derive_cost_sensitivity(rows: list[dict],
                             sweep: list[float]) -> tuple[list[str], list[dict]]:
     cols = COST_COLUMNS_BASE + [f"bps_{_bps_label(b)}" for b in sweep]
     out = []
-    for obj in [k.value for k in ObjectiveKind
-                if k.value in {r["objective"] for r in rows}]:
-        sub = [r for r in rows if r["objective"] == obj]
+    for obj in search.objectives_in(rows):
+        returns = [trade_returns_from_row(r) for r in rows
+                   if r["objective"] == obj]
         entry = {"objective": obj}
         for bps in sweep:
-            vals = [recompound_with_costs(trade_returns_from_row(r), bps)
-                    for r in sub]
-            entry[f"bps_{_bps_label(bps)}"] = float(np.mean(vals))
+            entry[f"bps_{_bps_label(bps)}"] = float(np.mean(
+                [recompound_with_costs(t, bps) for t in returns]))
         out.append(entry)
     return cols, out
 
@@ -472,12 +476,7 @@ def cmd_verify(args) -> int:
         if not path.exists():
             failures.append(f"{name}: missing")
             continue
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(cols)
-        for row in data:
-            writer.writerow([_cell(row[c]) for c in cols])
-        if buf.getvalue() != path.read_text():
+        if csv_text(cols, data) != path.read_text():
             failures.append(f"{name}: differs from recomputation")
         else:
             print(f"verify: {name} OK")

@@ -245,7 +245,7 @@ def aggregate_by_objective(rows: list[dict]) -> list[dict]:
     generalization ratio (ratio of the aggregate means). Degenerate rows
     are excluded from the generalization ratio only."""
     out = []
-    for obj in _objectives_in(rows):
+    for obj in objectives_in(rows):
         sub = [r for r in rows if r["objective"] == obj]
         oos = np.array([r["oos_return"] for r in sub])
         train = np.array([r["train_return"] for r in sub])
@@ -305,7 +305,7 @@ def aggregate_by_strategy(rows: list[dict]) -> list[dict]:
     out = []
     for strat in sorted({r["strategy"] for r in rows}):
         entry = {"strategy": strat}
-        for obj in _objectives_in(rows):
+        for obj in objectives_in(rows):
             vals = [r["oos_return"] for r in rows
                     if r["strategy"] == strat and r["objective"] == obj]
             entry[obj] = float(np.mean(vals)) if vals else math.nan
@@ -319,7 +319,7 @@ def mean_trade_counts(rows: list[dict]) -> list[dict]:
         "objective": obj,
         "mean_oos_trades": float(np.mean(
             [r["oos_trades"] for r in rows if r["objective"] == obj])),
-    } for obj in _objectives_in(rows)]
+    } for obj in objectives_in(rows)]
 
 
 def paired_oos_returns(rows: list[dict], obj_a: str,
@@ -337,7 +337,8 @@ def paired_oos_returns(rows: list[dict], obj_a: str,
             np.array([b_by_key[k] for k in common]))
 
 
-def _objectives_in(rows: list[dict]) -> list[str]:
+def objectives_in(rows: list[dict]) -> list[str]:
+    """The objectives present in `rows`, in `ObjectiveKind` order."""
     order = [k.value for k in ObjectiveKind]
     present = {r["objective"] for r in rows}
     return [o for o in order if o in present]

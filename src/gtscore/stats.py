@@ -12,7 +12,7 @@ from scipy.stats import rankdata
 from .errors import ParameterError
 
 # Exact signed-rank enumeration is used at or below this sample size
-# (2^n sign patterns).
+# (a 2^n x n matrix of sign patterns).
 WILCOXON_EXACT_MAX_N = 12
 
 
@@ -70,19 +70,13 @@ def wilcoxon_exact_p(d: np.ndarray) -> float:
 
 def _exact_p(d: np.ndarray, ranks: np.ndarray, w: float) -> float:
     n = d.size
-    if n == 0:
-        return 1.0
     if n > WILCOXON_EXACT_MAX_N:
         raise ParameterError(f"exact enumeration limited to n <= {WILCOXON_EXACT_MAX_N}")
     total = float(ranks.sum())
-    count = 0
-    for mask in range(1 << n):
-        s = 0.0
-        for i in range(n):
-            if mask >> i & 1:
-                s += ranks[i]
-        if s <= w + 1e-9 or s >= total - w - 1e-9:
-            count += 1
+    # W+ of every sign pattern; half-integer rank sums are exact in float64
+    signs = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    s = signs @ ranks
+    count = int(np.count_nonzero((s <= w + 1e-9) | (s >= total - w - 1e-9)))
     return min(count / (1 << n), 1.0)
 
 

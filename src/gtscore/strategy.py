@@ -101,10 +101,12 @@ def sample_params(kind: StrategyKind, rng: np.random.Generator) -> StrategyParam
     raise ParameterError(f"unknown strategy kind {kind!r}")
 
 
+def params_doc(params: StrategyParams) -> dict:
+    return {"kind": params.kind.value, **asdict(params)}
+
+
 def params_to_json(params: StrategyParams) -> str:
-    doc = {"kind": params.kind.value}
-    doc.update(asdict(params))
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps(params_doc(params), sort_keys=True)
 
 
 def params_from_json(text: str) -> StrategyParams:
@@ -121,14 +123,15 @@ def signals(params: StrategyParams, series: PriceSeries) -> np.ndarray:
     Long-only state machine on closes, initial state flat, flat during
     indicator warm-up:
       - RSI: enter on a cross up out of the oversold zone
-        (prev < oversold <= current); exit once RSI >= overbought.
+        (prev < oversold <= current); exit once RSI >= overbought. A jump
+        from below oversold to at or above overbought fires both, which
+        flips the state (see `positions`).
       - MACD: enter when the MACD line crosses above the signal line;
         exit when it crosses below.
       - Bollinger: enter when the close drops below the lower band;
         exit once the close is at or above the middle band.
     """
     closes = series.closes
-    n = len(closes)
 
     if isinstance(params, RsiParams):
         ind = rsi(closes, params.period)
@@ -155,16 +158,18 @@ def signals(params: StrategyParams, series: PriceSeries) -> np.ndarray:
     else:
         raise ParameterError(f"unknown params type {type(params)!r}")
 
-    pos = np.zeros(n, dtype=bool)
-    long = False
-    enter_l, leave_l, valid_l = enter.tolist(), leave.tolist(), valid.tolist()
-    for i in range(n):
-        if not valid_l[i]:
-            continue
-        if long:
-            if leave_l[i]:
-                long = False
-        elif enter_l[i]:
-            long = True
-        pos[i] = long
-    return pos
+    return positions(enter, leave, valid)
+
+
+def positions(enter: np.ndarray, leave: np.ndarray,
+              valid: np.ndarray) -> np.ndarray:
+    """Long/flat state per bar: long after a lone enter, flat after a lone
+    leave (or before either), flipped once per later bar where both fire.
+    Events count on valid bars only; invalid bars are flat."""
+    enter, leave = enter & valid, leave & valid
+    flips = np.concatenate([[0], np.cumsum(enter & leave)])
+    # 1-based index of the last lone event at or before each bar, 0 = none
+    last = np.maximum.accumulate(
+        np.where(enter ^ leave, np.arange(1, len(enter) + 1), 0))
+    long = np.concatenate([[False], enter])[last]
+    return valid & (long ^ ((flips[1:] - flips[last]) & 1).astype(bool))

@@ -1,6 +1,8 @@
 """CLI end-to-end: config, synth, studies, costsweep, report, verify."""
 
+import csv
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -169,11 +171,13 @@ def test_costsweep_and_report(workspace, capsys):
     assert err.count("\n") == 1
 
 
-def test_cost_zero_level_matches_oos_mean(workspace):
+def test_cost_zero_level_matches_oos_mean(workspace, tmp_path):
     root, _ = workspace
     out = root / "mc"
+    assert main(["costsweep", "--trials", str(out / "trials.csv"),
+                 "--out", str(tmp_path)]) == 0
     rows = read_trials_csv(out / "trials.csv")
-    lines = (out / "cost_sensitivity.csv").read_text().splitlines()
+    lines = (tmp_path / "cost_sensitivity.csv").read_text().splitlines()
     cols = lines[0].split(",")
     for line in lines[1:]:
         cells = dict(zip(cols, line.split(",")))
@@ -194,6 +198,41 @@ def test_verify_passes_then_catches_tampering(workspace, tmp_path, capsys):
     agg = broken / "aggregates.csv"
     agg.write_text(agg.read_text().replace("0.", "1.", 1))
     assert main(["verify", "--out", str(broken)]) == 3
+
+
+def test_malformed_trials_exit_code(workspace, tmp_path, capsys):
+    root, _ = workspace
+    table = list(csv.reader(io.StringIO(
+        (root / "mc" / "trials.csv").read_text())))
+    col = table[0].index
+
+    def broken(line, column, value):
+        rows = [list(r) for r in table]
+        rows[line - 1][col(column)] = value
+        return rows
+
+    truncated = [list(r) for r in table]
+    truncated[2] = truncated[2][:5]
+    # (rows, file line and column the message must name)
+    cases = [(broken(1, "seed", "sead"), "line 1", "seed"),
+             (broken(4, "oos_return", "abc"), "line 4", "oos_return"),
+             (broken(2, "split_id", "1.5"), "line 2", "split_id"),
+             (broken(3, "degenerate", "yes"), "line 3", "degenerate"),
+             (truncated, "line 3", "train_return")]
+    for i, (rows, line, column) in enumerate(cases):
+        out = tmp_path / f"case{i}"
+        out.mkdir()
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        (out / "trials.csv").write_text(buf.getvalue())
+        for argv in (["costsweep", "--trials", str(out / "trials.csv"),
+                      "--out", str(out)],
+                     ["verify", "--out", str(out)]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert line in err and column in err
 
 
 def test_walkforward_end_to_end(tmp_path):

@@ -95,11 +95,13 @@ def test_t_test_errors():
 
 def test_exact_p_matches_oracle_random():
     rng = np.random.Generator(np.random.Philox(42))
-    for _ in range(100):
-        n = int(rng.integers(2, WILCOXON_EXACT_MAX_N + 1))
-        d = rng.standard_normal(n)
-        assert wilcoxon_exact_p(d) == pytest.approx(oracle_exact_p(d),
-                                                    abs=1e-12)
+    samples = [rng.standard_normal(int(rng.integers(2, WILCOXON_EXACT_MAX_N + 1)))
+               for _ in range(100)]
+    # tie-heavy half-integer differences with zeros, every n up to the limit
+    samples += [rng.integers(-4, 5, size=n) / 2.0
+                for n in range(WILCOXON_EXACT_MAX_N + 1) for _ in range(20)]
+    for d in samples:
+        assert wilcoxon_exact_p(d) == oracle_exact_p(d)
 
 
 def test_exact_p_handles_ties_and_zeros():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gtscore.errors import ParameterError
 from gtscore.indicators import bollinger, macd, rsi
@@ -20,6 +22,7 @@ from gtscore.strategy import (
     StrategyKind,
     params_from_json,
     params_to_json,
+    positions,
     sample_params,
     signals,
 )
@@ -112,6 +115,52 @@ def oracle_positions(enter, leave, valid):
                 long = True
         pos.append(long if v else False)
     return pos
+
+
+@st.composite
+def event_masks(draw):
+    n = draw(st.integers(0, 40))
+    bars = st.lists(st.booleans(), min_size=n, max_size=n)
+    return draw(bars), draw(bars), draw(bars)
+
+
+def _bars(*masks):
+    """(enter, leave, valid) lists from strings of 0/1, one per bar."""
+    return tuple([c == "1" for c in m] for m in masks)
+
+
+@settings(max_examples=400, deadline=None)
+@given(masks=event_masks())
+# enter and leave on the same bar while flat: long
+@example(masks=_bars("0100", "0100", "1111"))
+# enter and leave on the same bar while long: flat
+@example(masks=_bars("1100", "0100", "1111"))
+# an invalid bar after an event is flat, and the state carries over it
+@example(masks=_bars("1000", "0000", "1011"))
+# events on invalid bars are ignored
+@example(masks=_bars("0110", "0001", "1011"))
+def test_positions_match_oracle(masks):
+    enter, leave, valid = masks
+    pos = positions(np.array(enter, dtype=bool), np.array(leave, dtype=bool),
+                    np.array(valid, dtype=bool))
+    assert pos.dtype == bool
+    assert pos.tolist() == oracle_positions(enter, leave, valid)
+
+
+def test_rsi_jump_through_both_levels_flips_state():
+    # RSI(3) jumps from below 30 to at or above 70 at bar j, so enter and
+    # leave fire together and the state flips: flat -> long, long -> flat.
+    p = RsiParams(3, 30.0, 70.0)
+    from_flat = np.array([100.0, 99, 98, 97, 96, 95, 94, 93, 104, 105, 104,
+                          103])
+    from_long = np.array([100.0, 99, 98, 97, 96, 95, 96, 95, 94, 93, 92, 91,
+                          102, 101])
+    for closes, j, want in [(from_flat, 8, [False] * 8 + [True] + [False] * 3),
+                            (from_long, 12, [False] * 6 + [True] * 6
+                             + [False] * 2)]:
+        ind = rsi(closes, p.period)
+        assert ind[j - 1] < p.oversold and ind[j] >= p.overbought
+        assert signals(p, make_series(closes)).tolist() == want
 
 
 def test_rsi_signals_match_rule():
