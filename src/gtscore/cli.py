@@ -14,10 +14,11 @@ import csv
 import io
 import json
 import logging
-import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -44,13 +45,17 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
+def _parse_returns(text: str) -> np.ndarray:
+    return np.array([float(x) for x in json.loads(text)])
+
+
 # trials.csv column -> parser of its text, in file order
 TRIAL_SCHEMA = {
     "asset": str, "strategy": str, "objective": str, "split_id": int,
     "seed": int, "train_return": float, "oos_return": float,
     "train_trades": int, "oos_trades": int, "best_loss": float,
     "degenerate": _parse_bool, "params_json": str, "candidates_json": str,
-    "oos_trade_returns_json": str,
+    "oos_trade_returns_json": _parse_returns,
 }
 TRIAL_COLUMNS = list(TRIAL_SCHEMA)
 
@@ -87,59 +92,62 @@ class RunConfig:
     out_dir: str = "out"
 
     def to_json(self) -> dict:
-        return {
-            "data_dir": self.data_dir,
-            "assets": list(self.assets),
-            "strategies": [k.value for k in self.strategies],
-            "objectives": [k.value for k in self.objectives],
-            "wf": vars(self.wf).copy(),
-            "mc": vars(self.mc).copy(),
-            "budget": self.budget,
-            "objective": self.objective.to_json(),
-            "cost_sweep_bps": list(self.cost_sweep_bps),
-            "out_dir": self.out_dir,
-        }
+        return encode_config(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "RunConfig":
-        # One asset name, so the reference also knows the element type there.
-        _check_json_types(doc, RunConfig(assets=[""]).to_json())
         try:
-            kwargs = dict(doc)
-            for key, kind in (("strategies", StrategyKind),
-                              ("objectives", ObjectiveKind)):
-                if key in kwargs:
-                    kwargs[key] = [kind(name) for name in kwargs[key]]
-            if "wf" in kwargs:
-                kwargs["wf"] = WalkforwardConfig(**kwargs["wf"])
-            if "mc" in kwargs:
-                kwargs["mc"] = MonteCarloConfig(**kwargs["mc"])
-            if "objective" in kwargs:
-                kwargs["objective"] = ObjectiveConfig.from_json(
-                    kwargs["objective"])
-            return cls(**kwargs)
+            return decode_config(cls, doc)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad run config: {exc}") from exc
 
 
-def _check_json_types(value, want, where: str = "") -> None:
-    """Raise ConfigError where `value` differs in JSON type from the
-    reference `want`; an int is accepted where a float is expected. Keys
-    the reference lacks are left to the dataclass constructors."""
-    if type(value) is int and type(want) is float:
-        return
-    if type(value) is not type(want):
-        raise ConfigError(
-            f"bad run config: {where or 'document'}: expected "
-            f"{type(want).__name__}, got {type(value).__name__}")
-    if isinstance(want, dict):
+def encode_config(value):
+    """A config value as JSON: a dataclass becomes its fields in declaration
+    order, an Enum its value, a list or tuple a list."""
+    if is_dataclass(value):
+        return {f.name: encode_config(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (list, tuple)):
+        return [encode_config(v) for v in value]
+    return value
+
+
+def decode_config(tp, value, where: str = ""):
+    """Rebuild a value of type `tp` from its JSON form, checking the JSON
+    type of every part; a TypeError names the path of a mismatch. An int
+    passes for a float; a bool passes for neither."""
+    if is_dataclass(tp):
+        _expect(dict, value, where)
+        hints = get_type_hints(tp)
+        kwargs = dict(value)  # the constructor rejects an unknown key
         for key, item in value.items():
-            if key in want:
-                _check_json_types(item, want[key],
-                                  f"{where}.{key}" if where else key)
-    elif isinstance(want, list) and want:
-        for i, item in enumerate(value):
-            _check_json_types(item, want[0], f"{where}[{i}]")
+            if key in hints:
+                kwargs[key] = decode_config(hints[key], item,
+                                            f"{where}.{key}" if where else key)
+        return tp(**kwargs)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (list, tuple):
+        _expect(list, value, where)
+        if origin is list:  # one element type for every item
+            args *= len(value)
+        if len(value) != len(args):
+            raise TypeError(f"{where}: expected {len(args)} items, "
+                            f"got {len(value)}")
+        return origin(decode_config(a, v, f"{where}[{i}]")
+                      for i, (a, v) in enumerate(zip(args, value)))
+    if issubclass(tp, Enum):  # every config enum has str values
+        return tp(decode_config(str, value, where))
+    _expect(tp, value, where)
+    return value
+
+
+def _expect(tp: type, value, where: str) -> None:
+    if type(value) is not tp and (tp, type(value)) != (float, int):
+        raise TypeError(f"{where or 'document'}: expected {tp.__name__}, "
+                        f"got {type(value).__name__}")
 
 
 def load_config(path: str) -> RunConfig:
@@ -226,15 +234,11 @@ def read_trials_csv(path: Path) -> list[dict]:
                     if raw[col] is None:
                         raise ValueError("missing value")
                     row[col] = parse(raw[col])
-                except ValueError as exc:
+                except (TypeError, ValueError) as exc:
                     raise DataError(f"{path} line {reader.line_num}, column "
                                     f"{col}: {exc}") from None
             rows.append(row)
     return rows
-
-
-def trade_returns_from_row(row: dict) -> np.ndarray:
-    return np.array([float(x) for x in json.loads(row["oos_trade_returns_json"])])
 
 
 # --- derived-file builders (shared by run and verify) ----------------------
@@ -289,7 +293,7 @@ def derive_cost_sensitivity(rows: list[dict],
     cols = COST_COLUMNS_BASE + [f"bps_{_bps_label(b)}" for b in sweep]
     out = []
     for obj in search.objectives_in(rows):
-        returns = [trade_returns_from_row(r) for r in rows
+        returns = [r["oos_trade_returns_json"] for r in rows
                    if r["objective"] == obj]
         entry = {"objective": obj}
         for bps in sweep:
@@ -331,7 +335,12 @@ def cmd_config_init(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    manifest = load_synthetic_manifest(Path(args.spec).read_text())
+    try:
+        text = Path(args.spec).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read manifest {args.spec}: "
+                          f"{exc.strerror}") from None
+    manifest = load_synthetic_manifest(text)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for asset_id, spec in manifest:
@@ -347,38 +356,25 @@ def _prepare_out(cfg: RunConfig, override: str | None) -> Path:
     return out_dir
 
 
-def cmd_walkforward(args) -> int:
+def cmd_study(args) -> int:
     cfg = load_config(args.config)
     out_dir = _prepare_out(cfg, args.out)
     assets = _load_assets(cfg)
-    results = search.run_walkforward(
-        assets, cfg.strategies, cfg.objectives, cfg.objective, jobs=args.jobs,
-        train_years=cfg.wf.train_years, val_years=cfg.wf.val_years,
-        step_years=cfg.wf.step_years, embargo_days=cfg.wf.embargo_days,
-        budget=cfg.budget)
+    if args.command == "montecarlo":
+        if args.seed_range:
+            cfg.mc.seeds = parse_seed_range(args.seed_range)
+        run, settings = search.run_montecarlo, vars(cfg.mc)
+        derive = derive_montecarlo_files
+    else:
+        run, settings = search.run_walkforward, vars(cfg.wf)
+        derive = derive_walkforward_files
+    results = run(assets, cfg.strategies, cfg.objectives, cfg=cfg.objective,
+                  jobs=args.jobs, budget=cfg.budget, **settings)
     rows = [trial_row(r) for r in results]
     write_csv(out_dir / "trials.csv", TRIAL_COLUMNS, rows)
-    for name, (cols, data) in derive_walkforward_files(rows).items():
+    for name, (cols, data) in derive(rows).items():
         write_csv(out_dir / name, cols, data)
-    print(f"walkforward: {len(rows)} trials -> {out_dir}")
-    return 0
-
-
-def cmd_montecarlo(args) -> int:
-    cfg = load_config(args.config)
-    out_dir = _prepare_out(cfg, args.out)
-    assets = _load_assets(cfg)
-    seeds = parse_seed_range(args.seed_range) if args.seed_range else cfg.mc.seeds
-    results = search.run_montecarlo(
-        assets, cfg.strategies, cfg.objectives, seeds, cfg.objective,
-        jobs=args.jobs,
-        train_fraction=cfg.mc.train_fraction,
-        embargo_days=cfg.mc.embargo_days, budget=cfg.budget)
-    rows = [trial_row(r) for r in results]
-    write_csv(out_dir / "trials.csv", TRIAL_COLUMNS, rows)
-    for name, (cols, data) in derive_montecarlo_files(rows).items():
-        write_csv(out_dir / name, cols, data)
-    print(f"montecarlo: {len(rows)} trials -> {out_dir}")
+    print(f"{args.command}: {len(rows)} trials -> {out_dir}")
     return 0
 
 
@@ -503,8 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
-    for name, func in [("walkforward", cmd_walkforward),
-                       ("montecarlo", cmd_montecarlo)]:
+    for name in ("walkforward", "montecarlo"):
         p = sub.add_parser(name, help=f"run the {name} study")
         p.add_argument("--config", required=True)
         p.add_argument("--out", help="override config out_dir")
@@ -512,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "montecarlo":
             p.add_argument("--seed-range", dest="seed_range",
                            help="inclusive range a..b overriding config seeds")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("costsweep", help="transaction-cost sensitivity")
     p.add_argument("--trials", required=True, help="montecarlo trials.csv")

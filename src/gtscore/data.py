@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     CsvParseError,
     CsvValidationError,
     InsufficientDataError,
@@ -333,10 +334,12 @@ def make_chrono_split(series: PriceSeries, train_fraction: float = 0.7,
 
 
 def load_synthetic_manifest(text: str) -> list[tuple[str, SyntheticSpec]]:
-    """Parse a JSON manifest: {"assets": [{"asset_id": ..., <spec fields>}]}."""
-    doc = json.loads(text)
-    out = []
-    for entry in doc["assets"]:
-        asset_id = entry["asset_id"]
-        out.append((asset_id, SyntheticSpec.from_json(entry)))
-    return out
+    """Parse a JSON manifest: {"assets": [{"asset_id": ..., <spec fields>}]}.
+    Raises ConfigError for invalid JSON, a missing key or a bad value."""
+    try:
+        return [(entry["asset_id"], SyntheticSpec.from_json(entry))
+                for entry in json.loads(text)["assets"]]
+    except KeyError as exc:
+        raise ConfigError(f"bad synthetic manifest: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad synthetic manifest: {exc}") from None

@@ -72,18 +72,7 @@ class StabilizationConfig:
                  and 1 <= r[0] <= r[1], "n_range must be ints 1 <= lo <= hi"),
                 (self.fallback >= 1, "fallback must be >= 1")):
             if not ok:
-                raise ParameterError(f"stabilization {what}: {self.to_json()}")
-
-    def to_json(self) -> dict:
-        return {"threshold": self.threshold, "window": self.window,
-                "n_range": list(self.n_range), "fallback": self.fallback}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "StabilizationConfig":
-        kwargs = dict(doc)
-        if "n_range" in kwargs:
-            kwargs["n_range"] = tuple(kwargs["n_range"])
-        return cls(**kwargs)
+                raise ParameterError(f"stabilization {what}: {self}")
 
 
 @dataclass(frozen=True)
@@ -107,27 +96,6 @@ class ObjectiveConfig:
                 "branch is bounded below 200)")
         if self.benchmark_mode not in ("geometric", "arithmetic"):
             raise ParameterError(f"bad benchmark_mode {self.benchmark_mode!r}")
-
-    def to_json(self) -> dict:
-        return {
-            "eps": self.eps,
-            "n_min": self.n_min,
-            "below_min_penalty": self.below_min_penalty,
-            "periodization": self.periodization.value,
-            "stabilization": self.stabilization.to_json(),
-            "benchmark_mode": self.benchmark_mode,
-            "r2_on_log_equity": self.r2_on_log_equity,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "ObjectiveConfig":
-        kwargs = dict(doc)
-        if "periodization" in kwargs:
-            kwargs["periodization"] = Periodization(kwargs["periodization"])
-        if "stabilization" in kwargs:
-            kwargs["stabilization"] = StabilizationConfig.from_json(
-                kwargs["stabilization"])
-        return cls(**kwargs)
 
 
 def gt_score_loss(ctx: MetricContext, cfg: ObjectiveConfig) -> float:
@@ -159,11 +127,10 @@ def baseline_loss(kind: ObjectiveKind, ctx: MetricContext,
 
 
 def metric_context(result: BacktestResult, cfg: ObjectiveConfig,
-                   observations: np.ndarray | None = None,
-                   n_obs: int | None = None) -> MetricContext:
+                   observations: np.ndarray | None = None) -> MetricContext:
     """Build the metric inputs for one backtest window (needs >= 1 trade)."""
     obs = result.trade_returns if observations is None else observations
-    n = int(obs.size) if n_obs is None else n_obs
+    n = int(obs.size)
     mu, sigma = mean_and_std(obs)
     sigma_d = downside_deviation(obs)
     equity = np.cumprod(1.0 + np.asarray(obs, dtype=float)) - 1.0
@@ -203,8 +170,7 @@ def pool_losses(results: list[BacktestResult | None],
             [r.trade_exit_dates for r in trading],
             [r.equity_points for r in trading], window, cfg)
         contexts = [metric_context(r, cfg, observations=period_returns(
-                        r.trade_exit_dates, r.equity_points, window, n_star),
-                        n_obs=n_star)
+                        r.trade_exit_dates, r.equity_points, window, n_star))
                     for r, (n_star, _) in zip(trading, counts)]
         eff_cfg = replace(cfg, n_min=1)
     else:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -32,6 +33,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_BUDGET = 25
 WALKFORWARD_SEED = 42
+CHUNKSIZE = 8  # cells per pool task
 BASELINES = (ObjectiveKind.SHARPE, ObjectiveKind.SORTINO, ObjectiveKind.SIMPLE)
 
 
@@ -156,82 +158,70 @@ def _sort_key(r: TrialResult):
 def run_trials(cells: list[CellSpec], series_by_asset: dict[str, PriceSeries],
                objectives: list[ObjectiveKind], cfg: ObjectiveConfig,
                jobs: int = 1) -> list[TrialResult]:
-    """Run every cell under every objective (optionally in parallel);
-    output order is canonical and independent of scheduling."""
+    """Run every cell under every objective, in a pool of at most one
+    worker per chunk of cells when jobs > 1; output order is canonical and
+    independent of scheduling."""
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     args = (cells, [series_by_asset[c.asset_id] for c in cells],
             repeat(objectives), repeat(cfg))
-    if jobs <= 1:
+    if jobs == 1 or not cells:
         per_cell = list(map(run_cell, *args))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_cell = list(pool.map(run_cell, *args, chunksize=8))
+        workers = min(jobs, -(-len(cells) // CHUNKSIZE))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_cell = list(pool.map(run_cell, *args, chunksize=CHUNKSIZE))
     results = [trial for trials in per_cell for trial in trials]
     results.sort(key=_sort_key)
     return results
 
 
-def walkforward_specs(assets: list[PriceSeries],
-                      strategies: list[StrategyKind],
-                      train_years: int = 4, val_years: int = 2,
-                      step_years: int = 1, embargo_days: int = 30,
-                      seed: int = WALKFORWARD_SEED,
-                      budget: int = DEFAULT_BUDGET,
-                      cost_bps: float = 0.0) -> list[CellSpec]:
-    """Cartesian product of assets x strategies x splits with one fixed
-    seed per cell. Assets too short for a single split are skipped with a
-    warning."""
-    specs = []
-    for series in assets:
-        try:
-            splits = make_walkforward_splits(series, train_years, val_years,
-                                             step_years, embargo_days)
-        except DataError as exc:
-            logger.warning("skipping %s: %s", series.asset_id, exc)
-            continue
-        for strat in strategies:
-            for i, split in enumerate(splits):
-                specs.append(CellSpec(series.asset_id, strat, split,
-                                      seed=seed, split_id=i,
-                                      budget=budget, cost_bps=cost_bps))
-    return specs
-
-
-def montecarlo_specs(assets: list[PriceSeries],
-                     strategies: list[StrategyKind],
-                     seeds: list[int],
-                     train_fraction: float = 0.7, embargo_days: int = 30,
-                     budget: int = DEFAULT_BUDGET,
-                     cost_bps: float = 0.0) -> list[CellSpec]:
-    """Multi-seed study on one chronological split per asset."""
+def study_cells(assets: list[PriceSeries], strategies: list[StrategyKind],
+                splits_of: Callable[[PriceSeries], list[SplitSpec]],
+                seeds: list[int],
+                budget: int = DEFAULT_BUDGET) -> list[CellSpec]:
+    """Cartesian product of assets x strategies x splits x seeds, where
+    `splits_of` gives a series' splits. Assets too short for a split are
+    skipped with a warning."""
     if not seeds:
         raise ParameterError("seeds must be non-empty")
-    specs = []
+    cells = []
     for series in assets:
         try:
-            split = make_chrono_split(series, train_fraction, embargo_days)
+            splits = splits_of(series)
         except DataError as exc:
             logger.warning("skipping %s: %s", series.asset_id, exc)
             continue
-        for strat in strategies:
-            for seed in seeds:
-                specs.append(CellSpec(series.asset_id, strat, split,
-                                      seed=seed, split_id=0,
-                                      budget=budget, cost_bps=cost_bps))
-    return specs
+        cells += [CellSpec(series.asset_id, strat, split, seed=seed,
+                           split_id=i, budget=budget)
+                  for strat in strategies
+                  for i, split in enumerate(splits)
+                  for seed in seeds]
+    return cells
 
 
 def run_walkforward(assets, strategies, objectives, cfg: ObjectiveConfig,
-                    jobs: int = 1, **wf_kwargs) -> list[TrialResult]:
-    specs = walkforward_specs(assets, strategies, **wf_kwargs)
-    return run_trials(specs, {s.asset_id: s for s in assets}, objectives,
+                    jobs: int = 1, budget: int = DEFAULT_BUDGET,
+                    **split_kwargs) -> list[TrialResult]:
+    """Rolling splits (`make_walkforward_splits`), one fixed seed per cell."""
+    cells = study_cells(
+        assets, strategies,
+        lambda series: make_walkforward_splits(series, **split_kwargs),
+        [WALKFORWARD_SEED], budget)
+    return run_trials(cells, {s.asset_id: s for s in assets}, objectives,
                       cfg, jobs)
 
 
 def run_montecarlo(assets, strategies, objectives, seeds,
                    cfg: ObjectiveConfig, jobs: int = 1,
-                   **mc_kwargs) -> list[TrialResult]:
-    specs = montecarlo_specs(assets, strategies, seeds, **mc_kwargs)
-    return run_trials(specs, {s.asset_id: s for s in assets}, objectives,
+                   budget: int = DEFAULT_BUDGET,
+                   **split_kwargs) -> list[TrialResult]:
+    """Many seeds on one chronological split per asset (`make_chrono_split`)."""
+    cells = study_cells(
+        assets, strategies,
+        lambda series: [make_chrono_split(series, **split_kwargs)],
+        seeds, budget)
+    return run_trials(cells, {s.asset_id: s for s in assets}, objectives,
                       cfg, jobs)
 
 

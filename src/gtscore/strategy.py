@@ -109,14 +109,6 @@ def params_to_json(params: StrategyParams) -> str:
     return json.dumps(params_doc(params), sort_keys=True)
 
 
-def params_from_json(text: str) -> StrategyParams:
-    doc = json.loads(text)
-    kind = StrategyKind(doc.pop("kind"))
-    cls = {StrategyKind.RSI: RsiParams, StrategyKind.MACD: MacdParams,
-           StrategyKind.BOLLINGER: BollingerParams}[kind]
-    return cls(**doc)
-
-
 def signals(params: StrategyParams, series: PriceSeries) -> np.ndarray:
     """Long/flat position per bar as a boolean array (True = long).
 

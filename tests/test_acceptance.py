@@ -14,11 +14,10 @@ import pytest
 from scipy.special import stdtr
 
 from gtscore.cli import (
+    TRIAL_SCHEMA,
     MonteCarloConfig,
     RunConfig,
     main,
-    read_trials_csv,
-    trade_returns_from_row,
     trial_row,
 )
 from gtscore.data import (
@@ -157,7 +156,8 @@ def test_criterion_4_engine_consistency(study):
     # cost monotonicity over every logged trial
     sweep = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
     for row in rows:
-        returns = trade_returns_from_row(row)
+        returns = TRIAL_SCHEMA["oos_trade_returns_json"](
+            row["oos_trade_returns_json"])
         totals = [recompound_with_costs(returns, bps) for bps in sweep]
         assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
     assert time.monotonic() - t0 < 10.0

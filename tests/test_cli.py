@@ -4,20 +4,29 @@ import csv
 import hashlib
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from gtscore import search
 from gtscore.cli import (
     MonteCarloConfig,
     RunConfig,
+    WalkforwardConfig,
     load_config,
     main,
     parse_seed_range,
     read_trials_csv,
-    trade_returns_from_row,
 )
 from gtscore.errors import ConfigError
+from gtscore.objective import (
+    ObjectiveConfig,
+    ObjectiveKind,
+    Periodization,
+    StabilizationConfig,
+)
+from gtscore.strategy import StrategyKind
 
 # Byte-level pins on the outputs of the runs below. A change to any of them
 # is a change of behaviour and must be deliberate.
@@ -27,6 +36,8 @@ MONTECARLO_TRIALS_SHA256 = (
     "c39c72fa3bf4f9bd3ae214f3f03707574fddae9dfdbe25946d4b26a4bc0bb878")
 WALKFORWARD_TRIALS_SHA256 = (
     "1a6e3e2384733c226f010aa7313fa39b257bde47bedb54793b4a88ba1faec9e1")
+CONFIG_INIT_SHA256 = (
+    "c263e19e8e5be473d7a57350f7c1e66c837556824e0b5d4e8af7b52444ef2db2")
 
 
 def sha256_of(path):
@@ -73,6 +84,38 @@ def test_config_init_round_trips(tmp_path):
     assert main(["config", "init", "--out", str(out)]) == 0
     cfg = load_config(str(out))
     assert cfg == RunConfig()
+
+
+def test_config_init_output_pinned(capsys):
+    capsys.readouterr()
+    assert main(["config", "init"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == CONFIG_INIT_SHA256
+
+
+def test_run_config_json_round_trip():
+    cfg = RunConfig(
+        data_dir="d", assets=["X", "Y"], strategies=[StrategyKind.MACD],
+        objectives=[ObjectiveKind.SORTINO, ObjectiveKind.GT_SCORE],
+        wf=WalkforwardConfig(3, 1, 2, 10),
+        mc=MonteCarloConfig([7, 5], 0.6, 12), budget=9,
+        objective=ObjectiveConfig(
+            eps=1e-5, n_min=20, below_min_penalty=250.0,
+            periodization=Periodization.STABILIZED,
+            stabilization=StabilizationConfig(0.05, 4, (5, 80), 40),
+            benchmark_mode="arithmetic", r2_on_log_equity=True),
+        cost_sweep_bps=[1.5, 3.0], out_dir="o")
+    default = RunConfig()
+    for ours, theirs in ((cfg, default), (cfg.wf, default.wf),
+                         (cfg.mc, default.mc),
+                         (cfg.objective, default.objective),
+                         (cfg.objective.stabilization,
+                          default.objective.stabilization)):
+        for f in fields(ours):
+            assert getattr(ours, f.name) != getattr(theirs, f.name), f.name
+    doc = json.loads(json.dumps(cfg.to_json()))
+    assert doc["objective"]["stabilization"]["n_range"] == [5, 80]
+    assert RunConfig.from_json(doc) == cfg
 
 
 def test_load_config_errors(tmp_path):
@@ -123,7 +166,7 @@ def test_trial_rows_round_trip_returns(workspace):
     root, _ = workspace
     rows = read_trials_csv(root / "mc" / "trials.csv")
     for r in rows:
-        returns = trade_returns_from_row(r)
+        returns = r["oos_trade_returns_json"]
         assert returns.size == r["oos_trades"]
         if returns.size:
             total = float(np.prod(1 + returns) - 1)
@@ -218,6 +261,12 @@ def test_malformed_trials_exit_code(workspace, tmp_path, capsys):
              (broken(4, "oos_return", "abc"), "line 4", "oos_return"),
              (broken(2, "split_id", "1.5"), "line 2", "split_id"),
              (broken(3, "degenerate", "yes"), "line 3", "degenerate"),
+             (broken(5, "oos_trade_returns_json", '["0.1", '), "line 5",
+              "oos_trade_returns_json"),
+             (broken(6, "oos_trade_returns_json", '["0.1", "x"]'), "line 6",
+              "oos_trade_returns_json"),
+             (broken(7, "oos_trade_returns_json", '[null]'), "line 7",
+              "oos_trade_returns_json"),
              (truncated, "line 3", "train_return")]
     for i, (rows, line, column) in enumerate(cases):
         out = tmp_path / f"case{i}"
@@ -293,8 +342,11 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert main(["montecarlo", "--config", str(bad)]) == 1
     stabilization = ['"window": 0', '"n_range": [0, 5]', '"n_range": [50, 10]',
                      '"threshold": -1', '"n_range": [10]', '"fallback": 0']
+    stabilization.append('"n_range": [10, "a"]')
     for doc in ['{"budget": "3"}', '{"mc": {"seeds": "12"}}',
-                '{"strategies": ["bogus"]}', '{"objectives": ["bogus"]}'] + [
+                '{"strategies": ["bogus"]}', '{"objectives": ["bogus"]}',
+                '{"assets": [1]}', '{"budget": true}',
+                '{"cost_sweep_bps": ["x"]}', '{"wf": {"step": 1}}', '[]'] + [
             '{"objective": {"stabilization": {%s}}}' % item
             for item in stabilization]:
         bad.write_text(doc)
@@ -302,7 +354,90 @@ def test_bad_config_exit_code(tmp_path, capsys):
         assert main(["montecarlo", "--config", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: bad run config: ")
+        assert err.count("bad run config") == 1
         assert err.count("\n") == 1
+    # a wrong JSON type is named by its path
+    for doc, path in [('{"assets": [1]}', "assets[0]"),
+                      ('{"budget": true}', "budget"),
+                      ('{"cost_sweep_bps": ["x"]}', "cost_sweep_bps[0]"),
+                      ('{"objective": {"stabilization": {"n_range": '
+                       '[10, "a"]}}}', "objective.stabilization.n_range[1]")]:
+        bad.write_text(doc)
+        capsys.readouterr()
+        assert main(["montecarlo", "--config", str(bad)]) == 1
+        assert f"bad run config: {path}: expected " in capsys.readouterr().err
+
+
+def test_synth_bad_manifest_exit_code(tmp_path, capsys):
+    entry = small_manifest()["assets"][0]
+    no_seed = {k: v for k, v in entry.items() if k != "seed"}
+    spec = tmp_path / "m.json"
+    cases = [(None, "cannot read manifest"),
+             ("{not json", "bad synthetic manifest"),
+             (json.dumps({"assets": [no_seed]}), "missing key 'seed'"),
+             (json.dumps({"assets": [{**entry, "n_days": "many"}]}),
+              "bad synthetic manifest"),
+             (json.dumps({"assets": [{**entry, "regimes": 5}]}),
+              "bad synthetic manifest")]
+    for text, message in cases:
+        if text is not None:
+            spec.write_text(text)
+        capsys.readouterr()
+        path = str(spec if text is not None else tmp_path / "missing.json")
+        assert main(["synth", "--spec", path,
+                     "--out", str(tmp_path / "data")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+
+def test_jobs_below_one_exit_code(workspace, tmp_path, capsys):
+    _, cfg_path = workspace
+    capsys.readouterr()
+    assert main(["montecarlo", "--config", str(cfg_path),
+                 "--out", str(tmp_path), "--jobs", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "jobs" in err
+    assert err.count("\n") == 1
+
+
+def test_study_settings_reach_splits(workspace, tmp_path, monkeypatch):
+    root, _ = workspace
+    # step_years 2 leaves 2 of the 4 default splits of a 9.2-year series
+    manifest = {"assets": [{
+        "asset_id": "WF", "n_days": 2400, "initial_price": 100.0,
+        "regimes": [[2400, 0.0005, 0.015]], "seed": 4}]}
+    spec_path = tmp_path / "m.json"
+    spec_path.write_text(json.dumps(manifest))
+    assert main(["synth", "--spec", str(spec_path),
+                 "--out", str(tmp_path / "data")]) == 0
+    cfg = RunConfig(data_dir=str(tmp_path / "data"), budget=1,
+                    strategies=[StrategyKind.MACD],
+                    objectives=[ObjectiveKind.SIMPLE],
+                    wf=WalkforwardConfig(step_years=2))
+    cfg_path = tmp_path / "wf.json"
+    cfg_path.write_text(json.dumps(cfg.to_json()))
+    assert main(["walkforward", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "wf")]) == 0
+    rows = read_trials_csv(tmp_path / "wf" / "trials.csv")
+    assert sorted(r["split_id"] for r in rows) == [0, 1]
+
+    calls = []
+    real = search.make_chrono_split
+
+    def recording(series, **kwargs):
+        calls.append(kwargs)
+        return real(series, **kwargs)
+
+    monkeypatch.setattr(search, "make_chrono_split", recording)
+    cfg = RunConfig(data_dir=str(root / "data"), budget=1,
+                    strategies=[StrategyKind.MACD],
+                    objectives=[ObjectiveKind.SIMPLE],
+                    mc=MonteCarloConfig([3], 0.6, 12))
+    cfg_path.write_text(json.dumps(cfg.to_json()))
+    assert main(["montecarlo", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "mc")]) == 0
+    assert calls == [{"train_fraction": 0.6, "embargo_days": 12}] * 2
 
 
 def test_report_without_results_exit_code(tmp_path):

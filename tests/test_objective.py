@@ -155,15 +155,6 @@ def test_penalty_dominates_every_branch():
 # --- config ----------------------------------------------------------------
 
 
-def test_config_json_round_trip():
-    cfg = ObjectiveConfig(
-        eps=1e-5, n_min=20, below_min_penalty=250.0,
-        periodization=Periodization.STABILIZED,
-        stabilization=StabilizationConfig(0.05, 4, (5, 80), 40),
-        benchmark_mode="arithmetic", r2_on_log_equity=True)
-    assert ObjectiveConfig.from_json(cfg.to_json()) == cfg
-
-
 def test_config_validation():
     with pytest.raises(ParameterError):
         ObjectiveConfig(below_min_penalty=150.0)

@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from gtscore.data import SyntheticSpec, generate_synthetic_series, make_chrono_split
-from gtscore.errors import DataError
+from gtscore.data import (
+    SyntheticSpec,
+    generate_synthetic_series,
+    make_chrono_split,
+    make_walkforward_splits,
+)
+from gtscore.errors import DataError, ParameterError
 from gtscore.objective import (
     ObjectiveConfig,
     ObjectiveKind,
@@ -24,11 +29,10 @@ from gtscore.search import (
     backtest_window,
     candidate_rng,
     mean_trade_counts,
-    montecarlo_specs,
     paired_oos_returns,
     run_cell,
     run_trials,
-    walkforward_specs,
+    study_cells,
 )
 from gtscore.strategy import StrategyKind, sample_params
 
@@ -207,6 +211,45 @@ def test_run_trials_parallel_matches_serial():
         assert s.oos_total_return == p.oos_total_return
 
 
+def test_run_trials_caps_workers_at_chunks(monkeypatch):
+    # A serial stand-in for the pool records the worker count it is given;
+    # no process is started.
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    assets = {"A": ASSET}
+    objectives = [ObjectiveKind.SIMPLE]
+    two = [cell_for(seed=s, budget=1) for s in range(2)]
+    many = [cell_for(seed=s, budget=1) for s in range(2 * search.CHUNKSIZE + 1)]
+
+    def summary(results):
+        return [(r.spec, r.best_params, r.oos_total_return) for r in results]
+
+    serial = run_trials(many, assets, objectives, CFG, jobs=1)
+    assert seen == []
+    run_trials(two, assets, objectives, CFG, jobs=64)
+    assert summary(run_trials(many, assets, objectives, CFG,
+                              jobs=64)) == summary(serial)
+    run_trials(many, assets, objectives, CFG, jobs=2)
+    run_trials([], assets, objectives, CFG, jobs=64)
+    assert seen == [1, 3, 2]
+    with pytest.raises(ParameterError, match="jobs"):
+        run_trials(two, assets, objectives, CFG, jobs=0)
+
+
 def test_run_trials_canonical_order():
     assets = {"A": ASSET}
     cells = [cell_for(strat, seed)
@@ -224,26 +267,37 @@ def test_run_trials_canonical_order():
 # --- protocol builders -----------------------------------------------------
 
 
+def chrono(series):
+    return [make_chrono_split(series)]
+
+
 def test_montecarlo_spec_count():
     assets = [ASSET, make_asset(seed=1, asset_id="B")]
-    specs = montecarlo_specs(assets, list(StrategyKind), seeds=[42, 43, 44])
+    specs = study_cells(assets, list(StrategyKind), chrono, seeds=[42, 43, 44])
     assert len(specs) == 2 * 3 * 3
     assert all(s.split_id == 0 for s in specs)
 
 
 def test_montecarlo_skips_short_assets(caplog):
     short = make_asset(seed=2, n_days=100, asset_id="SHORT")
-    specs = montecarlo_specs([ASSET, short], [StrategyKind.MACD], seeds=[42])
+    specs = study_cells([ASSET, short], [StrategyKind.MACD], chrono, seeds=[42])
     assert {s.asset_id for s in specs} == {"A"}
+    assert "skipping SHORT" in caplog.text
 
 
 def test_walkforward_spec_count():
     long_asset = make_asset(seed=3, n_days=15 * 261, asset_id="L")
-    specs = walkforward_specs([long_asset], list(StrategyKind))
+    specs = study_cells([long_asset], list(StrategyKind),
+                        make_walkforward_splits, seeds=[42])
     split_ids = {s.split_id for s in specs}
     assert split_ids == set(range(9))
     assert len(specs) == 3 * 9
     assert all(s.seed == 42 for s in specs)
+
+
+def test_study_cells_need_seeds():
+    with pytest.raises(ParameterError, match="seeds"):
+        study_cells([ASSET], [StrategyKind.MACD], chrono, seeds=[])
 
 
 # --- aggregation -----------------------------------------------------------

@@ -20,7 +20,6 @@ from gtscore.strategy import (
     MacdParams,
     RsiParams,
     StrategyKind,
-    params_from_json,
     params_to_json,
     positions,
     sample_params,
@@ -44,12 +43,6 @@ def test_param_validation():
         BollingerParams(3, 2.0)
     with pytest.raises(ParameterError):
         BollingerParams(20, -1.0)
-
-
-def test_json_round_trip():
-    for p in (RsiParams(14, 30.0, 70.0), MacdParams(12, 26, 9),
-              BollingerParams(20, 2.0)):
-        assert params_from_json(params_to_json(p)) == p
 
 
 def test_json_is_sorted_and_tagged():
