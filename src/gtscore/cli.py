@@ -150,11 +150,18 @@ def _expect(tp: type, value, where: str) -> None:
                         f"got {type(value).__name__}")
 
 
+def read_text(path, error: type[GtscoreError], what: str) -> str:
+    """A file's text; `error`, naming the file, if it cannot be read."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: "
+                    f"{getattr(exc, 'strerror', None) or exc}") from None
+
+
 def load_config(path: str) -> RunConfig:
     try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        doc = json.loads(read_text(path, ConfigError, "config"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     return RunConfig.from_json(doc)
@@ -196,8 +203,13 @@ def write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
     path.write_text(csv_text(columns, rows))
 
 
-def trial_row(result: TrialResult) -> dict:
+def trial_row(result: TrialResult, cell_json: dict) -> dict:
+    """One trials.csv row. A cell's trials share one candidate pool, so
+    `cell_json` keeps each cell's `candidates_json` across calls."""
     spec = result.spec
+    if spec not in cell_json:
+        cell_json[spec] = json.dumps(
+            [params_doc(p) for p in result.candidates], sort_keys=True)
     return {
         "asset": spec.asset_id,
         "strategy": spec.strategy_kind.value,
@@ -211,33 +223,30 @@ def trial_row(result: TrialResult) -> dict:
         "best_loss": result.best_loss,
         "degenerate": result.degenerate,
         "params_json": params_to_json(result.best_params),
-        "candidates_json": json.dumps(
-            [params_doc(p) for p in result.candidates], sort_keys=True),
+        "candidates_json": cell_json[spec],
         "oos_trade_returns_json": json.dumps(
             [repr(float(r)) for r in result.oos_trade_returns]),
     }
 
 
 def read_trials_csv(path: Path) -> list[dict]:
-    if not path.exists():
-        raise DataError(f"missing trials file: {path}")
-    with path.open() as fh:
-        reader = csv.DictReader(fh)
-        for col in TRIAL_COLUMNS:
-            if col not in (reader.fieldnames or []):
-                raise DataError(f"{path} line 1: missing column {col}")
-        rows = []
-        for raw in reader:
-            row = {}
-            for col, parse in TRIAL_SCHEMA.items():
-                try:
-                    if raw[col] is None:
-                        raise ValueError("missing value")
-                    row[col] = parse(raw[col])
-                except (TypeError, ValueError) as exc:
-                    raise DataError(f"{path} line {reader.line_num}, column "
-                                    f"{col}: {exc}") from None
-            rows.append(row)
+    text = read_text(path, DataError, "trials file")
+    reader = csv.DictReader(io.StringIO(text))
+    for col in TRIAL_COLUMNS:
+        if col not in (reader.fieldnames or []):
+            raise DataError(f"{path} line 1: missing column {col}")
+    rows = []
+    for raw in reader:
+        row = {}
+        for col, parse in TRIAL_SCHEMA.items():
+            try:
+                if raw[col] is None:
+                    raise ValueError("missing value")
+                row[col] = parse(raw[col])
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path} line {reader.line_num}, column "
+                                f"{col}: {exc}") from None
+        rows.append(row)
     return rows
 
 
@@ -312,16 +321,12 @@ def _bps_label(bps: float) -> str:
 
 def _load_assets(cfg: RunConfig) -> list:
     data_dir = Path(cfg.data_dir)
-    assets = []
     ids = cfg.assets or sorted(p.stem for p in data_dir.glob("*.csv"))
     if not ids:
         raise DataError(f"no assets configured and no CSVs in {data_dir}")
-    for asset_id in ids:
-        path = data_dir / f"{asset_id}.csv"
-        if not path.exists():
-            raise DataError(f"missing data file {path}")
-        assets.append(parse_ohlcv_csv(path.read_text(), asset_id))
-    return assets
+    return [parse_ohlcv_csv(read_text(data_dir / f"{asset_id}.csv", DataError,
+                                      "data file"), asset_id)
+            for asset_id in ids]
 
 
 def cmd_config_init(args) -> int:
@@ -335,12 +340,8 @@ def cmd_config_init(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    try:
-        text = Path(args.spec).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read manifest {args.spec}: "
-                          f"{exc.strerror}") from None
-    manifest = load_synthetic_manifest(text)
+    manifest = load_synthetic_manifest(
+        read_text(args.spec, ConfigError, "manifest"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for asset_id, spec in manifest:
@@ -370,7 +371,8 @@ def cmd_study(args) -> int:
         derive = derive_walkforward_files
     results = run(assets, cfg.strategies, cfg.objectives, cfg=cfg.objective,
                   jobs=args.jobs, budget=cfg.budget, **settings)
-    rows = [trial_row(r) for r in results]
+    cell_json = {}
+    rows = [trial_row(r, cell_json) for r in results]
     write_csv(out_dir / "trials.csv", TRIAL_COLUMNS, rows)
     for name, (cols, data) in derive(rows).items():
         write_csv(out_dir / name, cols, data)
@@ -394,9 +396,8 @@ def cmd_costsweep(args) -> int:
 
 
 def _read_raw_csv(path: Path) -> tuple[list[str], list[dict]]:
-    with path.open() as fh:
-        reader = csv.DictReader(fh)
-        return list(reader.fieldnames or []), list(reader)
+    reader = csv.DictReader(io.StringIO(read_text(path, DataError, "file")))
+    return list(reader.fieldnames or []), list(reader)
 
 
 def _format_text_table(cols: list[str], rows: list[dict],
@@ -472,7 +473,7 @@ def cmd_verify(args) -> int:
         if not path.exists():
             failures.append(f"{name}: missing")
             continue
-        if csv_text(cols, data) != path.read_text():
+        if csv_text(cols, data) != read_text(path, DataError, "file"):
             failures.append(f"{name}: differs from recomputation")
         else:
             print(f"verify: {name} OK")
@@ -531,18 +532,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InternalCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except GtscoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return (2 if isinstance(exc, DataError) else
+                3 if isinstance(exc, InternalCheckError) else 1)
 
 
 if __name__ == "__main__":

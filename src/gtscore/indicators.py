@@ -7,6 +7,7 @@ positions hold NaN. values[i] depends only on closes[0..i] (no lookahead).
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -67,24 +68,23 @@ def ema(values: np.ndarray, period: int) -> np.ndarray:
     return np.array(out)
 
 
-def macd(closes: np.ndarray, fast: int, slow: int,
-         signal_p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def macd(closes: np.ndarray, fast: int, slow: int, signal_p: int,
+         leg=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """MACD line, signal line, histogram.
 
     The MACD line is EMA(fast) - EMA(slow), defined once the slow EMA is.
     The signal line is an EMA of the defined MACD values; the histogram is
-    their difference.
+    their difference. `leg(p)`, when given, returns the EMA(p) of `closes`
+    (a caller's cache of the two legs).
     """
-    closes = np.asarray(closes, dtype=float)
     n = len(closes)
     if fast >= slow:
         raise ParameterError(f"fast ({fast}) must be < slow ({slow})")
     if n <= slow + signal_p:
         raise InsufficientDataError(
             f"macd needs > {slow + signal_p} closes, got {n}")
-    ema_fast = ema(closes, fast)
-    ema_slow = ema(closes, slow)
-    macd_line = ema_fast - ema_slow  # NaN until slow EMA defined
+    leg = leg or partial(ema, closes)
+    macd_line = leg(fast) - leg(slow)  # NaN until slow EMA defined
 
     signal_line = np.full(n, np.nan)
     start = slow - 1  # first defined macd index
@@ -93,25 +93,32 @@ def macd(closes: np.ndarray, fast: int, slow: int,
     return macd_line, signal_line, histogram
 
 
-def bollinger(closes: np.ndarray, window: int,
-              k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def bollinger(closes: np.ndarray, window: int, k: float,
+              stats=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Middle/upper/lower Bollinger bands.
 
     Middle is a simple moving average; the band offset is k times the
-    population standard deviation over the same window.
+    population standard deviation over the same window. `stats`, when
+    given, is `rolling_stats(closes, window)` (a caller's cache).
     """
+    if k <= 0:
+        raise ParameterError("bollinger k must be > 0")
+    middle, std = rolling_stats(closes, window) if stats is None else stats
+    offset = k * std
+    return middle, middle + offset, middle - offset
+
+
+def rolling_stats(closes: np.ndarray,
+                  window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rolling mean and population std of `window` closes; NaN in warm-up."""
     closes = np.asarray(closes, dtype=float)
     n = len(closes)
     if window < 2:
         raise ParameterError("bollinger window must be >= 2")
-    if k <= 0:
-        raise ParameterError("bollinger k must be > 0")
     if n < window:
         raise InsufficientDataError(
             f"bollinger needs >= {window} closes, got {n}")
     views = np.lib.stride_tricks.sliding_window_view(closes, window)
-    middle = np.full(n, np.nan)
-    offset = np.full(n, np.nan)
-    middle[window - 1:] = views.mean(axis=1)
-    offset[window - 1:] = k * views.std(axis=1)  # population std
-    return middle, middle + offset, middle - offset
+    warmup = np.full(window - 1, np.nan)
+    return (np.concatenate([warmup, views.mean(axis=1)]),
+            np.concatenate([warmup, views.std(axis=1)]))

@@ -7,7 +7,7 @@ objective, so paired comparisons across objectives rest on identical
 candidates by construction. Each objective's winner then gets one
 out-of-sample pass: one trial per (cell, objective). Out-of-sample bars never
 enter candidate evaluation: the series is sliced to the training window
-before the search.
+before the search. Cells run in tasks of one (asset, split) (`run_task`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_BUDGET = 25
 WALKFORWARD_SEED = 42
-CHUNKSIZE = 8  # cells per pool task
 BASELINES = (ObjectiveKind.SHARPE, ObjectiveKind.SORTINO, ObjectiveKind.SIMPLE)
 
 
@@ -45,7 +44,6 @@ class CellSpec:
     seed: int
     split_id: int = 0
     budget: int = DEFAULT_BUDGET
-    cost_bps: float = 0.0
 
     def __post_init__(self):
         if self.budget < 1:
@@ -77,75 +75,83 @@ def candidate_rng(seed: int, asset_id: str,
 
 
 def backtest_window(params: StrategyParams, series: PriceSeries,
-                    start, end, cost_bps: float) -> BacktestResult | None:
+                    start, end) -> BacktestResult | None:
     """Backtest on the sub-series restricted to [start, end); None when the
     window is too short for the indicator warm-up."""
     try:
         window = series.slice(start, end)
     except InsufficientDataError:
         return None
-    return _backtest_sliced(params, window, cost_bps)
+    return _backtest_sliced(params, window)
 
 
 def _backtest_sliced(params: StrategyParams, window: PriceSeries,
-                     cost_bps: float) -> BacktestResult | None:
+                     cache: dict | None = None) -> BacktestResult | None:
     try:
-        sig = signals(params, window)
+        sig = signals(params, window, cache)
     except InsufficientDataError:
         return None
-    return run_backtest(window, sig, window.start_date, window.span_end,
-                        cost_bps)
+    return run_backtest(window, sig, window.start_date, window.span_end)
 
 
 def run_cell(spec: CellSpec, series: PriceSeries,
              objectives: list[ObjectiveKind],
              cfg: ObjectiveConfig) -> list[TrialResult]:
-    """Random search over the train window scored under each objective,
-    then one out-of-sample pass per objective; one result per objective.
+    """Run one cell on its own (`run_task` of that cell alone)."""
+    return run_task([spec], series, objectives, cfg)
 
-    Ties on loss go to the first-seen candidate. An objective under which
-    every candidate hits the minimum-trade penalty is flagged degenerate.
-    """
-    rng = candidate_rng(spec.seed, spec.asset_id, spec.strategy_kind)
-    candidates = [sample_params(spec.strategy_kind, rng)
-                  for _ in range(spec.budget)]
-    split = spec.split
+
+def run_task(cells: list[CellSpec], series: PriceSeries,
+             objectives: list[ObjectiveKind],
+             cfg: ObjectiveConfig) -> list[TrialResult]:
+    """Random search of each cell of one (asset, split), in order, on one
+    slice of the train window, scored under each objective, then one
+    out-of-sample pass per objective; one result per (cell, objective).
+    Consecutive cells of one strategy family share an indicator cache. Ties
+    on loss go to the first-seen candidate; an objective under which every
+    candidate hits the minimum-trade penalty is flagged degenerate."""
+    split = cells[0].split
     try:
         train_window = series.slice(split.train_start, split.train_end)
     except InsufficientDataError:
         train_window = None
-    backtests = [None if train_window is None else
-                 _backtest_sliced(params, train_window, spec.cost_bps)
-                 for params in candidates]
-    scored = pool_losses(backtests, objectives, cfg)
-    trials = []
-    for kind, losses in zip(objectives, scored):
-        best_loss, best = math.inf, None
-        for i, loss in enumerate(losses):
-            if loss < best_loss:
-                best_loss, best = loss, i
-        best_params = candidates[best or 0]
-        train = None if best is None else backtests[best]
-        degenerate = best_loss >= cfg.below_min_penalty
-        # Degenerate trials (every candidate gated) get a zero-trade
-        # out-of-sample record; they stay in the table but are excluded
-        # from generalization-ratio aggregates.
-        oos = None if degenerate else backtest_window(
-            best_params, series, split.val_start, split.val_end,
-            spec.cost_bps)
-        trials.append(TrialResult(
-            spec=spec,
-            objective_kind=kind,
-            best_params=best_params,
-            best_loss=best_loss,
-            train_total_return=train.total_return if train else 0.0,
-            oos_total_return=oos.total_return if oos else 0.0,
-            train_n_trades=train.n_trades if train else 0,
-            oos_n_trades=oos.n_trades if oos else 0,
-            degenerate=degenerate,
-            candidates=candidates,
-            oos_trade_returns=(oos.trade_returns if oos else np.array([])),
-        ))
+    trials, family = [], None
+    for spec in cells:
+        if spec.strategy_kind != family:  # families share no indicator
+            family, cache = spec.strategy_kind, {}
+        rng = candidate_rng(spec.seed, spec.asset_id, spec.strategy_kind)
+        candidates = [sample_params(spec.strategy_kind, rng)
+                      for _ in range(spec.budget)]
+        backtests = [None if train_window is None else
+                     _backtest_sliced(params, train_window, cache)
+                     for params in candidates]
+        scored = pool_losses(backtests, objectives, cfg)
+        for kind, losses in zip(objectives, scored):
+            best_loss, best = math.inf, None
+            for i, loss in enumerate(losses):
+                if loss < best_loss:
+                    best_loss, best = loss, i
+            best_params = candidates[best or 0]
+            train = None if best is None else backtests[best]
+            degenerate = best_loss >= cfg.below_min_penalty
+            # Degenerate trials (every candidate gated) get a zero-trade
+            # out-of-sample record; they stay in the table but are excluded
+            # from generalization-ratio aggregates.
+            oos = None if degenerate else backtest_window(
+                best_params, series, spec.split.val_start, spec.split.val_end)
+            trials.append(TrialResult(
+                spec=spec,
+                objective_kind=kind,
+                best_params=best_params,
+                best_loss=best_loss,
+                train_total_return=train.total_return if train else 0.0,
+                oos_total_return=oos.total_return if oos else 0.0,
+                train_n_trades=train.n_trades if train else 0,
+                oos_n_trades=oos.n_trades if oos else 0,
+                degenerate=degenerate,
+                candidates=candidates,
+                oos_trade_returns=oos.trade_returns if oos else np.array([]),
+            ))
     return trials
 
 
@@ -158,20 +164,23 @@ def _sort_key(r: TrialResult):
 def run_trials(cells: list[CellSpec], series_by_asset: dict[str, PriceSeries],
                objectives: list[ObjectiveKind], cfg: ObjectiveConfig,
                jobs: int = 1) -> list[TrialResult]:
-    """Run every cell under every objective, in a pool of at most one
-    worker per chunk of cells when jobs > 1; output order is canonical and
-    independent of scheduling."""
+    """Run every cell under every objective, one task per (asset, split)
+    (see `run_task`), in a pool of at most one worker per task when
+    jobs > 1; output order is canonical and independent of scheduling."""
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    args = (cells, [series_by_asset[c.asset_id] for c in cells],
+    tasks: dict[tuple, list[CellSpec]] = {}
+    for cell in cells:
+        tasks.setdefault((cell.asset_id, cell.split), []).append(cell)
+    args = (tasks.values(), [series_by_asset[a] for a, _ in tasks],
             repeat(objectives), repeat(cfg))
-    if jobs == 1 or not cells:
-        per_cell = list(map(run_cell, *args))
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        per_task = list(map(run_task, *args))
     else:
-        workers = min(jobs, -(-len(cells) // CHUNKSIZE))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(pool.map(run_cell, *args, chunksize=CHUNKSIZE))
-    results = [trial for trials in per_cell for trial in trials]
+            per_task = list(pool.map(run_task, *args))
+    results = [trial for trials in per_task for trial in trials]
     results.sort(key=_sort_key)
     return results
 

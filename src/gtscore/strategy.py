@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .data import PriceSeries
 from .errors import ParameterError
-from .indicators import bollinger, macd, rsi
+from .indicators import bollinger, ema, macd, rolling_stats, rsi
 
 
 class StrategyKind(str, Enum):
@@ -102,14 +102,15 @@ def sample_params(kind: StrategyKind, rng: np.random.Generator) -> StrategyParam
 
 
 def params_doc(params: StrategyParams) -> dict:
-    return {"kind": params.kind.value, **asdict(params)}
+    return {"kind": params.kind.value, **vars(params)}
 
 
 def params_to_json(params: StrategyParams) -> str:
     return json.dumps(params_doc(params), sort_keys=True)
 
 
-def signals(params: StrategyParams, series: PriceSeries) -> np.ndarray:
+def signals(params: StrategyParams, series: PriceSeries,
+            cache: dict | None = None) -> np.ndarray:
     """Long/flat position per bar as a boolean array (True = long).
 
     Long-only state machine on closes, initial state flat, flat during
@@ -122,11 +123,21 @@ def signals(params: StrategyParams, series: PriceSeries) -> np.ndarray:
         exit when it crosses below.
       - Bollinger: enter when the close drops below the lower band;
         exit once the close is at or above the middle band.
+
+    `cache`, a dict bound to this series, keeps its RSI, EMA-leg and
+    rolling mean/std arrays across calls, one per parameter value.
     """
-    closes = series.closes
+    closes, cache = series.closes, {} if cache is None else cache
+    if cache.setdefault("closes", closes) is not closes:
+        raise ParameterError("indicator cache belongs to another series")
+
+    def memo(indicator, period):
+        if (indicator, period) not in cache:
+            cache[indicator, period] = indicator(closes, period)
+        return cache[indicator, period]
 
     if isinstance(params, RsiParams):
-        ind = rsi(closes, params.period)
+        ind = memo(rsi, params.period)
         prev = np.concatenate([[np.nan], ind[:-1]])
         valid = ~(np.isnan(ind) | np.isnan(prev))
         with np.errstate(invalid="ignore"):
@@ -134,7 +145,7 @@ def signals(params: StrategyParams, series: PriceSeries) -> np.ndarray:
             leave = valid & (ind >= params.overbought)
     elif isinstance(params, MacdParams):
         macd_line, signal_line, _ = macd(closes, params.fast, params.slow,
-                                         params.signal)
+                                         params.signal, lambda p: memo(ema, p))
         diff = macd_line - signal_line
         prev = np.concatenate([[np.nan], diff[:-1]])
         valid = ~(np.isnan(diff) | np.isnan(prev))
@@ -142,7 +153,8 @@ def signals(params: StrategyParams, series: PriceSeries) -> np.ndarray:
             enter = valid & (prev <= 0) & (diff > 0)
             leave = valid & (prev >= 0) & (diff < 0)
     elif isinstance(params, BollingerParams):
-        middle, _, lower = bollinger(closes, params.window, params.k)
+        middle, _, lower = bollinger(closes, params.window, params.k,
+                                     memo(rolling_stats, params.window))
         valid = ~np.isnan(middle)
         with np.errstate(invalid="ignore"):
             enter = valid & (closes < lower)

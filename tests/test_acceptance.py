@@ -62,7 +62,8 @@ def study():
     results = run_montecarlo(assets, list(StrategyKind), list(ObjectiveKind),
                              seeds=STUDY_SEEDS, cfg=CFG, jobs=8)
     elapsed = time.monotonic() - t0
-    return [trial_row(r) for r in results], elapsed
+    cell_json = {}
+    return [trial_row(r, cell_json) for r in results], elapsed
 
 
 def test_criterion_1_composite_branch_suite():

@@ -241,6 +241,13 @@ def test_verify_passes_then_catches_tampering(workspace, tmp_path, capsys):
     agg = broken / "aggregates.csv"
     agg.write_text(agg.read_text().replace("0.", "1.", 1))
     assert main(["verify", "--out", str(broken)]) == 3
+    # a derived file that is not UTF-8 text is named in one line
+    agg.write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    assert main(["verify", "--out", str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read file {agg}")
+    assert err.count("\n") == 1
 
 
 def test_malformed_trials_exit_code(workspace, tmp_path, capsys):
@@ -282,6 +289,13 @@ def test_malformed_trials_exit_code(workspace, tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
             assert line in err and column in err
+    # a directory where the trials file should be
+    capsys.readouterr()
+    assert main(["costsweep", "--trials", str(tmp_path),
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read trials file ")
+    assert err.count("\n") == 1
 
 
 def test_walkforward_end_to_end(tmp_path):
@@ -334,6 +348,13 @@ def test_missing_data_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "2020-01-03" in err
         assert err.count("\n") == 1
+    # a data file that is not UTF-8 text is named in one line
+    (data_dir / "X.csv").write_bytes(b"\xff\xfe" + good.encode("utf-16-le"))
+    capsys.readouterr()
+    assert main(["montecarlo", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read data file {data_dir / 'X.csv'}")
+    assert err.count("\n") == 1
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
@@ -366,6 +387,12 @@ def test_bad_config_exit_code(tmp_path, capsys):
         capsys.readouterr()
         assert main(["montecarlo", "--config", str(bad)]) == 1
         assert f"bad run config: {path}: expected " in capsys.readouterr().err
+    # a directory where the config file should be
+    capsys.readouterr()
+    assert main(["montecarlo", "--config", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {tmp_path}")
+    assert err.count("\n") == 1
 
 
 def test_synth_bad_manifest_exit_code(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Random-search cells: determinism, evaluate-once, aggregation."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from gtscore.objective import (
     gt_score_loss,
     metric_context,
 )
-from gtscore import objective, search
+from gtscore import objective, search, strategy
 from gtscore.search import (
     CellSpec,
     aggregate_by_objective,
@@ -31,6 +32,7 @@ from gtscore.search import (
     mean_trade_counts,
     paired_oos_returns,
     run_cell,
+    run_task,
     run_trials,
     study_cells,
 )
@@ -116,7 +118,7 @@ def test_run_trial_replay_oracle():
     spec = cell_for(budget=15)
     pool = draw_pool(spec)
     backtests = [backtest_window(params, ASSET, SPLIT.train_start,
-                                 SPLIT.train_end, 0.0) for params in pool]
+                                 SPLIT.train_end) for params in pool]
     results = run_cell(spec, ASSET, OBJECTIVES, CFG)
     assert len(results) == len(OBJECTIVES)
     for res, obj in zip(results, OBJECTIVES):
@@ -135,7 +137,7 @@ def test_run_trial_oos_consistent_with_best_params():
         pytest.skip("needs a non-degenerate trial")
     for res in live:
         oos = backtest_window(res.best_params, ASSET, SPLIT.val_start,
-                              SPLIT.val_end, 0.0)
+                              SPLIT.val_end)
         assert res.oos_total_return == oos.total_return
         assert res.oos_n_trades == oos.n_trades
         np.testing.assert_array_equal(res.oos_trade_returns,
@@ -146,9 +148,9 @@ def test_run_cell_backtests_each_candidate_once(monkeypatch):
     starts = []
     real = search.run_backtest
 
-    def counting(series, sig, start, end, cost_bps):
+    def counting(series, sig, start, end):
         starts.append(start)
-        return real(series, sig, start, end, cost_bps)
+        return real(series, sig, start, end)
 
     monkeypatch.setattr(search, "run_backtest", counting)
     spec = cell_for(budget=12)
@@ -171,7 +173,7 @@ def test_run_cell_one_metric_context_per_candidate(monkeypatch):
     monkeypatch.setattr(objective, "metric_context", counting)
     spec = cell_for(budget=12)
     train = [backtest_window(params, ASSET, SPLIT.train_start,
-                             SPLIT.train_end, 0.0) for params in draw_pool(spec)]
+                             SPLIT.train_end) for params in draw_pool(spec)]
     live = sum(bt is not None and bt.n_trades > 0 for bt in train)
     assert live > 0
     run_cell(spec, ASSET, OBJECTIVES, CFG)
@@ -194,26 +196,64 @@ def test_degenerate_trial_has_empty_oos():
         assert res.oos_trade_returns.size == 0
 
 
+def _outcomes(results):
+    return {(r.spec, r.objective_kind): (
+        r.best_params, r.best_loss, r.train_total_return, r.oos_total_return,
+        r.train_n_trades, r.oos_n_trades, r.degenerate, r.candidates,
+        r.oos_trade_returns.tolist()) for r in results}
+
+
 def test_run_trials_parallel_matches_serial():
+    # Each cell run on its own (no indicator shared between cells) is the
+    # oracle for the task path, serial and in a pool.
     assets = {"A": ASSET, "B": make_asset(seed=1, asset_id="B")}
-    cells = [CellSpec(aid, strat, make_chrono_split(assets[aid]),
-                      seed=42, budget=5)
-             for aid in assets
-             for strat in (StrategyKind.MACD, StrategyKind.BOLLINGER)]
+    cells = study_cells(list(assets.values()), list(StrategyKind), chrono,
+                        [42, 43], budget=5)
+    alone = [t for c in cells
+             for t in run_cell(c, assets[c.asset_id], OBJECTIVES, CFG)]
     serial = run_trials(cells, assets, OBJECTIVES, CFG, jobs=1)
-    parallel = run_trials(cells, assets, OBJECTIVES, CFG, jobs=4)
+    parallel = run_trials(cells, assets, OBJECTIVES, CFG, jobs=2)
     assert len(serial) == len(parallel) == len(cells) * len(OBJECTIVES)
-    for s, p in zip(serial, parallel):
-        assert s.spec == p.spec
-        assert s.objective_kind == p.objective_kind
-        assert s.best_params == p.best_params
-        assert s.best_loss == p.best_loss
-        assert s.oos_total_return == p.oos_total_return
+    assert [(r.spec, r.objective_kind) for r in serial] == \
+        [(r.spec, r.objective_kind) for r in parallel]
+    assert _outcomes(serial) == _outcomes(parallel) == _outcomes(alone)
 
 
-def test_run_trials_caps_workers_at_chunks(monkeypatch):
+def test_run_task_computes_each_indicator_once(monkeypatch):
+    # Within a task, each RSI period, EMA leg and Bollinger window is
+    # computed once on the training window, however many cells and
+    # candidates use it (out-of-sample passes are not cached).
+    train_bars = len(ASSET.slice(SPLIT.train_start, SPLIT.train_end))
+    counts = Counter()
+
+    def counted(fn):
+        def wrapper(closes, period):
+            if len(closes) == train_bars:
+                counts[fn.__name__, period] += 1
+            return fn(closes, period)
+        return wrapper
+
+    for name in ("rsi", "ema", "rolling_stats"):
+        monkeypatch.setattr(strategy, name, counted(getattr(strategy, name)))
+    cells = study_cells([ASSET], list(StrategyKind), chrono, [42, 43, 44],
+                        budget=10)
+    run_task(cells, ASSET, OBJECTIVES, CFG)
+    want = Counter()
+    for spec in cells:
+        for p in draw_pool(spec):
+            if spec.strategy_kind is StrategyKind.RSI:
+                want["rsi", p.period] = 1
+            elif spec.strategy_kind is StrategyKind.MACD:
+                want["ema", p.fast] = want["ema", p.slow] = 1
+            else:
+                want["rolling_stats", p.window] = 1
+    assert counts == want
+    assert sum(want.values()) < len(cells) * 10
+
+
+def test_run_trials_caps_workers_at_tasks(monkeypatch):
     # A serial stand-in for the pool records the worker count it is given;
-    # no process is started.
+    # no process is started. A task is one (asset, split).
     seen = []
 
     class SerialPool:
@@ -226,28 +266,31 @@ def test_run_trials_caps_workers_at_chunks(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables, chunksize=1):
+        def map(self, fn, *iterables):
             return map(fn, *iterables)
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
-    assets = {"A": ASSET}
+    assets = {aid: make_asset(seed=i, n_days=600, asset_id=aid)
+              for i, aid in enumerate("ABC")}
     objectives = [ObjectiveKind.SIMPLE]
-    two = [cell_for(seed=s, budget=1) for s in range(2)]
-    many = [cell_for(seed=s, budget=1) for s in range(2 * search.CHUNKSIZE + 1)]
+    one = study_cells([assets["A"]], [StrategyKind.MACD], chrono, [1, 2, 3],
+                      budget=1)
+    three = study_cells(list(assets.values()), [StrategyKind.MACD], chrono,
+                        [1, 2], budget=1)
 
     def summary(results):
         return [(r.spec, r.best_params, r.oos_total_return) for r in results]
 
-    serial = run_trials(many, assets, objectives, CFG, jobs=1)
-    assert seen == []
-    run_trials(two, assets, objectives, CFG, jobs=64)
-    assert summary(run_trials(many, assets, objectives, CFG,
-                              jobs=64)) == summary(serial)
-    run_trials(many, assets, objectives, CFG, jobs=2)
+    serial = run_trials(three, assets, objectives, CFG, jobs=1)
+    run_trials(one, assets, objectives, CFG, jobs=64)
     run_trials([], assets, objectives, CFG, jobs=64)
-    assert seen == [1, 3, 2]
+    assert seen == []
+    assert summary(run_trials(three, assets, objectives, CFG,
+                              jobs=64)) == summary(serial)
+    run_trials(three, assets, objectives, CFG, jobs=2)
+    assert seen == [3, 2]
     with pytest.raises(ParameterError, match="jobs"):
-        run_trials(two, assets, objectives, CFG, jobs=0)
+        run_trials(one, assets, objectives, CFG, jobs=0)
 
 
 def test_run_trials_canonical_order():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtscore.errors import ParameterError
+from gtscore.errors import InsufficientDataError, ParameterError
 from gtscore.indicators import bollinger, macd, rsi
 from gtscore.strategy import (
     BOLLINGER_K_RANGE,
@@ -227,3 +227,50 @@ def test_signals_start_flat_even_if_oversold():
     series = make_series(np.linspace(200.0, 100.0, 120))
     pos = signals(RsiParams(14, 30.0, 70.0), series)
     assert not pos.any()
+
+
+# --- indicator cache: the uncached call is the oracle -----------------------
+
+
+@st.composite
+def any_params(draw):
+    kind = draw(st.sampled_from(StrategyKind))
+    if kind is StrategyKind.RSI:
+        oversold = draw(st.floats(1.0, 90.0))
+        return RsiParams(draw(st.integers(2, 30)), oversold,
+                         draw(st.floats(oversold + 1.0, 99.0)))
+    if kind is StrategyKind.MACD:
+        fast = draw(st.integers(2, 20))
+        return MacdParams(fast, draw(st.integers(fast + 1, 50)),
+                          draw(st.integers(2, 15)))
+    return BollingerParams(draw(st.integers(5, 50)), draw(st.floats(0.1, 4.0)))
+
+
+def _outcome(call):
+    try:
+        return call().tolist()
+    except InsufficientDataError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 150), seed=st.integers(0, 2**32 - 1),
+       pool=st.lists(any_params(), min_size=1, max_size=15))
+def test_cached_signals_match_uncached(n, seed, pool):
+    # One cache shared by every candidate on one series, windows too short
+    # for warm-up included: each cached call equals the uncached one, and
+    # no cached array is changed by a later candidate.
+    series = make_series(random_closes(np.random.Generator(np.random.Philox(seed)), n))
+    cache = {}
+    for params in pool:
+        assert (_outcome(lambda: signals(params, series, cache))
+                == _outcome(lambda: signals(params, series)))
+    for key, cached in cache.items():
+        if key == "closes":
+            continue
+        indicator, period = key
+        fresh = indicator(series.closes, period)
+        assert np.asarray(cached).tobytes() == np.asarray(fresh).tobytes()
+    other = make_series(series.closes.copy())
+    with pytest.raises(ParameterError, match="another series"):
+        signals(pool[0], other, cache)
