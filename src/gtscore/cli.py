@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -87,8 +88,6 @@ class RunConfig:
     mc: MonteCarloConfig = field(default_factory=MonteCarloConfig)
     budget: int = 25
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
-    cost_sweep_bps: list[float] = field(
-        default_factory=lambda: list(DEFAULT_COST_SWEEP))
     out_dir: str = "out"
 
     def to_json(self) -> dict:
@@ -118,7 +117,8 @@ def encode_config(value):
 def decode_config(tp, value, where: str = ""):
     """Rebuild a value of type `tp` from its JSON form, checking the JSON
     type of every part; a TypeError names the path of a mismatch. An int
-    passes for a float; a bool passes for neither."""
+    passes for a float; a bool passes for neither. A list item may not
+    repeat: every config list is a set of things to run."""
     if is_dataclass(tp):
         _expect(dict, value, where)
         hints = get_type_hints(tp)
@@ -136,8 +136,12 @@ def decode_config(tp, value, where: str = ""):
         if len(value) != len(args):
             raise TypeError(f"{where}: expected {len(args)} items, "
                             f"got {len(value)}")
-        return origin(decode_config(a, v, f"{where}[{i}]")
-                      for i, (a, v) in enumerate(zip(args, value)))
+        items = origin(decode_config(a, v, f"{where}[{i}]")
+                       for i, (a, v) in enumerate(zip(args, value)))
+        for i, item in enumerate(items if origin is list else ()):
+            if item in items[:i]:
+                raise ValueError(f"{where}[{i}]: repeats {value[i]!r}")
+        return items
     if issubclass(tp, Enum):  # every config enum has str values
         return tp(decode_config(str, value, where))
     _expect(tp, value, where)
@@ -381,12 +385,15 @@ def cmd_study(args) -> int:
 
 
 def cmd_costsweep(args) -> int:
-    rows = read_trials_csv(Path(args.trials))
     try:
         sweep = ([float(x) for x in args.bps.split(",")] if args.bps
                  else DEFAULT_COST_SWEEP)
+        for i, bps in enumerate(sweep):
+            if not math.isfinite(bps) or bps in sweep[:i]:
+                raise ValueError(f"{bps!r}: levels must be finite and distinct")
     except ValueError as exc:
         raise ConfigError(f"bad --bps level: {exc}") from None
+    rows = read_trials_csv(Path(args.trials))
     cols, data = derive_cost_sensitivity(rows, sweep)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

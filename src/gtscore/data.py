@@ -28,6 +28,7 @@ from .errors import (
 )
 
 CSV_HEADER = ["date", "open", "high", "low", "close", "volume"]
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
 def _column(values, dtype) -> np.ndarray:
@@ -179,15 +180,15 @@ class SyntheticSpec:
         )
 
 
-def _parse_row(line_no: int, row: list[str]) -> tuple[dt.date, list[float]]:
+def _check_row(line_no: int, row: list[str]) -> None:
     if len(row) != 6:
         raise CsvParseError(line_no, f"expected 6 fields, got {len(row)}")
     try:
-        d = dt.date.fromisoformat(row[0].strip())
+        dt.date.fromisoformat(row[0].strip())
     except ValueError:
         raise CsvParseError(line_no, f"bad date {row[0]!r}") from None
     try:
-        return d, [float(x) for x in row[1:]]
+        list(map(float, row[1:]))
     except ValueError:
         raise CsvParseError(line_no, f"non-numeric field in {row!r}") from None
 
@@ -203,12 +204,22 @@ def parse_ohlcv_csv(text: str, asset_id: str = "") -> PriceSeries:
     header = [h.strip().lower() for h in rows[0]]
     if header != CSV_HEADER:
         raise CsvParseError(1, f"bad header {rows[0]!r}, want {CSV_HEADER}")
-    parsed = [_parse_row(i, row) for i, row in enumerate(rows[1:], start=2)
-              if row]
-    dates = np.array([d for d, _ in parsed], dtype="datetime64[D]")
-    values = np.array([v for _, v in parsed], dtype=float).reshape(-1, 5)
-    order = np.argsort(dates, kind="stable")
-    return PriceSeries(asset_id, dates[order], *values[order].T)
+    body = [row for row in rows[1:] if row]
+    try:
+        if any(len(row) != 6 for row in body):
+            raise ValueError("ragged rows")
+        date_text, *value_text = zip(*body) if body else [()] * 6
+        days = np.fromiter((dt.date.fromisoformat(s.strip()).toordinal()
+                            for s in date_text), np.int64, len(body))
+        values = np.array([list(map(float, col)) for col in value_text])
+    except ValueError:  # name the first bad record, in file order
+        for i, row in enumerate(rows[1:], start=2):
+            if row:
+                _check_row(i, row)
+        raise
+    order = np.argsort(days, kind="stable")
+    dates = (days[order] - _EPOCH_ORDINAL).astype("datetime64[D]")
+    return PriceSeries(asset_id, dates, *values[:, order])
 
 
 def _fmt(x: float) -> str:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, stdtr
-from scipy.stats import rankdata
 
 from .errors import ParameterError
 
@@ -51,10 +50,17 @@ def paired_t_test(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     return float(t), min(p, 1.0), mean_diff
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, tie, counts = np.unique(x, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # rank of each tie group's last value
+    return (last - (counts - 1) / 2.0)[tie]
+
+
 def _signed_ranks(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Drop zero differences; average ranks of |d| for ties; W = min(W+, W-)."""
     d = d[d != 0.0]
-    ranks = rankdata(np.abs(d)) if d.size else np.array([])
+    ranks = _average_ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     return d, ranks, min(w_plus, float(ranks.sum()) - w_plus)
 

@@ -4,11 +4,16 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gtscore
 from gtscore import search
 from gtscore.cli import (
     MonteCarloConfig,
@@ -37,7 +42,7 @@ MONTECARLO_TRIALS_SHA256 = (
 WALKFORWARD_TRIALS_SHA256 = (
     "1a6e3e2384733c226f010aa7313fa39b257bde47bedb54793b4a88ba1faec9e1")
 CONFIG_INIT_SHA256 = (
-    "c263e19e8e5be473d7a57350f7c1e66c837556824e0b5d4e8af7b52444ef2db2")
+    "eb5200fe96d76c3c76536ebea1321ec054448bfa55bf31b6d711069b95098960")
 
 
 def sha256_of(path):
@@ -79,6 +84,18 @@ def workspace(tmp_path_factory):
     return root, cfg_path
 
 
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # every subcommand pays for what `import gtscore.cli` loads, and
+    # scipy.stats alone took most of a second
+    src = Path(gtscore.__file__).resolve().parents[1]
+    code = ("import sys, gtscore.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['scipy', 'stats']))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
 def test_config_init_round_trips(tmp_path):
     out = tmp_path / "cfg.json"
     assert main(["config", "init", "--out", str(out)]) == 0
@@ -104,7 +121,7 @@ def test_run_config_json_round_trip():
             periodization=Periodization.STABILIZED,
             stabilization=StabilizationConfig(0.05, 4, (5, 80), 40),
             benchmark_mode="arithmetic", r2_on_log_equity=True),
-        cost_sweep_bps=[1.5, 3.0], out_dir="o")
+        out_dir="o")
     default = RunConfig()
     for ours, theirs in ((cfg, default), (cfg.wf, default.wf),
                          (cfg.mc, default.mc),
@@ -206,12 +223,17 @@ def test_costsweep_and_report(workspace, capsys):
         out / "aggregates.csv").read_text()
     assert (out / "fig_cost_curves.csv").exists()
 
-    capsys.readouterr()
-    assert main(["costsweep", "--trials", str(out / "trials.csv"),
-                 "--out", str(out / "bad"), "--bps", "0,x"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: bad --bps level: ") and "'x'" in err
-    assert err.count("\n") == 1
+    # a level that is not a number, not finite or given twice
+    for bps, message in [("0,x", "'x'"), ("nan", "nan: levels must"),
+                         ("0,inf", "inf: levels"), ("1e400", "inf: levels"),
+                         ("2,2", "2.0: levels"), ("2,5,2.0", "2.0: levels")]:
+        capsys.readouterr()
+        assert main(["costsweep", "--trials", str(out / "trials.csv"),
+                     "--out", str(out / "bad"), "--bps", bps]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad --bps level: ") and message in err
+        assert err.count("\n") == 1
+        assert not (out / "bad").exists()
 
 
 def test_cost_zero_level_matches_oos_mean(workspace, tmp_path):
@@ -367,7 +389,7 @@ def test_bad_config_exit_code(tmp_path, capsys):
     for doc in ['{"budget": "3"}', '{"mc": {"seeds": "12"}}',
                 '{"strategies": ["bogus"]}', '{"objectives": ["bogus"]}',
                 '{"assets": [1]}', '{"budget": true}',
-                '{"cost_sweep_bps": ["x"]}', '{"wf": {"step": 1}}', '[]'] + [
+                '{"mc": {"seeds": ["x"]}}', '{"wf": {"step": 1}}', '[]'] + [
             '{"objective": {"stabilization": {%s}}}' % item
             for item in stabilization]:
         bad.write_text(doc)
@@ -380,13 +402,27 @@ def test_bad_config_exit_code(tmp_path, capsys):
     # a wrong JSON type is named by its path
     for doc, path in [('{"assets": [1]}', "assets[0]"),
                       ('{"budget": true}', "budget"),
-                      ('{"cost_sweep_bps": ["x"]}', "cost_sweep_bps[0]"),
+                      ('{"mc": {"seeds": ["x"]}}', "mc.seeds[0]"),
                       ('{"objective": {"stabilization": {"n_range": '
                        '[10, "a"]}}}', "objective.stabilization.n_range[1]")]:
         bad.write_text(doc)
         capsys.readouterr()
         assert main(["montecarlo", "--config", str(bad)]) == 1
         assert f"bad run config: {path}: expected " in capsys.readouterr().err
+    # a repeated list entry would count its trials twice; named by its path
+    for doc, path in [('{"assets": ["A", "B", "A"]}',
+                       "assets[2]: repeats 'A'"),
+                      ('{"strategies": ["rsi", "rsi"]}',
+                       "strategies[1]: repeats 'rsi'"),
+                      ('{"objectives": ["gt_score", "gt_score", "sharpe"]}',
+                       "objectives[1]: repeats 'gt_score'"),
+                      ('{"mc": {"seeds": [42, 43, 42]}}',
+                       "mc.seeds[2]: repeats 42")]:
+        bad.write_text(doc)
+        capsys.readouterr()
+        assert main(["montecarlo", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: bad run config: {path}\n"
     # a directory where the config file should be
     capsys.readouterr()
     assert main(["montecarlo", "--config", str(tmp_path)]) == 1

@@ -1,6 +1,8 @@
 """Data layer: CSV parsing, synthetic generation, splits."""
 
+import csv
 import datetime as dt
+import io
 import json
 import math
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtscore.data import (
+    CSV_HEADER,
     PriceSeries,
     SplitSpec,
     SyntheticSpec,
@@ -81,6 +84,111 @@ def test_parse_bad_date():
     bad = CSV_OK + "not-a-date,11,12,10,10.8,100\n"
     with pytest.raises(CsvParseError):
         parse_ohlcv_csv(bad, "A")
+
+
+# --- per-row oracle for the column parser -----------------------------------
+
+
+def oracle_row(line_no, row):
+    if len(row) != 6:
+        raise CsvParseError(line_no, f"expected 6 fields, got {len(row)}")
+    try:
+        d = dt.date.fromisoformat(row[0].strip())
+    except ValueError:
+        raise CsvParseError(line_no, f"bad date {row[0]!r}") from None
+    try:
+        return d, [float(x) for x in row[1:]]
+    except ValueError:
+        raise CsvParseError(line_no, f"non-numeric field in {row!r}") from None
+
+
+def oracle_parse(text, asset_id=""):
+    """Row-at-a-time parse: each record becomes a (date, values) pair."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows:
+        raise CsvParseError(1, "empty document")
+    header = [h.strip().lower() for h in rows[0]]
+    if header != CSV_HEADER:
+        raise CsvParseError(1, f"bad header {rows[0]!r}, want {CSV_HEADER}")
+    parsed = [oracle_row(i, row) for i, row in enumerate(rows[1:], start=2)
+              if row]
+    dates = np.array([d for d, _ in parsed], dtype="datetime64[D]")
+    values = np.array([v for _, v in parsed], dtype=float).reshape(-1, 5)
+    order = np.argsort(dates, kind="stable")
+    return PriceSeries(asset_id, dates[order], *values[order].T)
+
+
+def outcome(parse, text):
+    """A parsed series, or the type, line and message of its error."""
+    try:
+        return parse(text, "A")
+    except (CsvParseError, CsvValidationError, InsufficientDataError) as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+
+
+BAD_DATES = ["2020-02-30", "not-a-date", "", "2020/01/02", "02-01-2020"]
+BAD_NUMBERS = ["x", "", "1.2.3", "--1", "1e"]
+
+
+@st.composite
+def csv_documents(draw):
+    """OHLCV documents with unsorted dates, some of them corrupted: short or
+    long rows, bad dates, non-numeric fields and blank lines."""
+    n = draw(st.integers(0, 10))
+    faults = (["short", "long", "date", "number", "blank"]
+              if draw(st.booleans()) else [])
+    days = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n,
+                         unique=draw(st.booleans())))
+    lines = [draw(st.sampled_from([",".join(CSV_HEADER),
+                                   "Date, Open,HIGH,low,close,volume"]))]
+    for day in days:
+        low, a, b, high = sorted(draw(st.lists(
+            st.floats(1.0, 100.0), min_size=4, max_size=4)))
+        row = [(dt.date(2020, 1, 1) + dt.timedelta(day)).isoformat(),
+               repr(a), repr(high), repr(low), repr(b),
+               str(draw(st.integers(0, 10**6)))]
+        if draw(st.booleans()):
+            row[0] = " " + row[0]
+        fault = draw(st.sampled_from(faults + [None] * 10))
+        if fault == "short":
+            row = row[:draw(st.integers(1, 5))]
+        elif fault == "long":
+            row.append("1")
+        elif fault == "date":
+            row[0] = draw(st.sampled_from(BAD_DATES))
+        elif fault == "number":
+            row[draw(st.integers(1, 5))] = draw(st.sampled_from(BAD_NUMBERS))
+        elif fault == "blank":
+            lines.append("")
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_documents())
+def test_parse_matches_row_oracle(text):
+    got, want = outcome(parse_ohlcv_csv, text), outcome(oracle_parse, text)
+    assert got == want
+    if isinstance(got, PriceSeries):
+        assert all(getattr(got, k).dtype == getattr(want, k).dtype
+                   for k in ("dates", "opens", "volumes"))
+
+
+def test_parse_reports_first_bad_record():
+    # the column pass meets the bad date before the bad number; the error
+    # still names the earlier record, whichever fault comes first
+    lines = CSV_OK.splitlines()
+    bad_number = "2020-01-07,11,xx,10,10.8,100"
+    bad_date = "2020-13-01,11,12,10,10.8,100"
+    for first, second in [(bad_number, bad_date), (bad_date, bad_number),
+                          ("2020-01-07,11", bad_date)]:
+        text = "\n".join(lines[:2] + [first] + lines[2:] + [second]) + "\n"
+        got = outcome(parse_ohlcv_csv, text)
+        assert got == outcome(oracle_parse, text)
+        assert got[1] == 3
+    for text in ["", "date,open,high,low,close,volume\n",
+                 "date,open,high,low,close,volume\n\n\n"]:
+        assert outcome(parse_ohlcv_csv, text) == outcome(oracle_parse, text)
 
 
 def test_validation_rejects_bad_ohlc():

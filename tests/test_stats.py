@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gtscore.errors import ParameterError
 from gtscore.stats import (
     WILCOXON_EXACT_MAX_N,
+    _average_ranks,
     cohens_d_pooled,
     compare_paired,
     paired_t_test,
@@ -91,6 +94,26 @@ def test_t_test_errors():
 
 
 # --- Wilcoxon --------------------------------------------------------------
+
+
+# tie-heavy floats: a few distinct magnitudes, all repeated, or any float
+tied_values = st.one_of(
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 1e-300, 1e300]),
+             max_size=40),
+    st.integers(0, 40).flatmap(
+        lambda n: st.floats(-1e6, 1e6).map(lambda v: [v] * n)),
+    st.lists(st.floats(allow_nan=False), max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=tied_values)
+@example(values=[])
+@example(values=[2.5] * 7)
+def test_average_ranks_match_scipy_rankdata(values):
+    x = np.array(values, dtype=float)
+    ranks, want = _average_ranks(x), scipy.stats.rankdata(x)
+    assert ranks.dtype == want.dtype
+    assert np.array_equal(ranks, want)
 
 
 def test_exact_p_matches_oracle_random():
