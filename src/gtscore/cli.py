@@ -16,15 +16,15 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass
-from enum import Enum
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import search
 from .data import (
+    decode_config,
+    encode_config,
     generate_synthetic_series,
     load_synthetic_manifest,
     parse_ohlcv_csv,
@@ -99,59 +99,6 @@ class RunConfig:
             return decode_config(cls, doc)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad run config: {exc}") from exc
-
-
-def encode_config(value):
-    """A config value as JSON: a dataclass becomes its fields in declaration
-    order, an Enum its value, a list or tuple a list."""
-    if is_dataclass(value):
-        return {f.name: encode_config(getattr(value, f.name))
-                for f in fields(value)}
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, (list, tuple)):
-        return [encode_config(v) for v in value]
-    return value
-
-
-def decode_config(tp, value, where: str = ""):
-    """Rebuild a value of type `tp` from its JSON form, checking the JSON
-    type of every part; a TypeError names the path of a mismatch. An int
-    passes for a float; a bool passes for neither. A list item may not
-    repeat: every config list is a set of things to run."""
-    if is_dataclass(tp):
-        _expect(dict, value, where)
-        hints = get_type_hints(tp)
-        kwargs = dict(value)  # the constructor rejects an unknown key
-        for key, item in value.items():
-            if key in hints:
-                kwargs[key] = decode_config(hints[key], item,
-                                            f"{where}.{key}" if where else key)
-        return tp(**kwargs)
-    origin, args = get_origin(tp), get_args(tp)
-    if origin in (list, tuple):
-        _expect(list, value, where)
-        if origin is list:  # one element type for every item
-            args *= len(value)
-        if len(value) != len(args):
-            raise TypeError(f"{where}: expected {len(args)} items, "
-                            f"got {len(value)}")
-        items = origin(decode_config(a, v, f"{where}[{i}]")
-                       for i, (a, v) in enumerate(zip(args, value)))
-        for i, item in enumerate(items if origin is list else ()):
-            if item in items[:i]:
-                raise ValueError(f"{where}[{i}]: repeats {value[i]!r}")
-        return items
-    if issubclass(tp, Enum):  # every config enum has str values
-        return tp(decode_config(str, value, where))
-    _expect(tp, value, where)
-    return value
-
-
-def _expect(tp: type, value, where: str) -> None:
-    if type(value) is not tp and (tp, type(value)) != (float, int):
-        raise TypeError(f"{where or 'document'}: expected {tp.__name__}, "
-                        f"got {type(value).__name__}")
 
 
 def read_text(path, error: type[GtscoreError], what: str) -> str:
@@ -263,7 +210,6 @@ PERIOD_COLUMNS = ["split_id", "gt_score_mean", "baseline_avg", "delta_pp"]
 COMPARISON_COLUMNS = ["comparison", "mean_diff", "t_stat", "p_value_t",
                       "wilcoxon_stat", "wilcoxon_p", "cohens_d", "n"]
 TRADECOUNT_COLUMNS = ["objective", "mean_oos_trades"]
-COST_COLUMNS_BASE = ["objective"]
 
 
 def derive_walkforward_files(rows: list[dict]) -> dict[str, tuple[list[str], list[dict]]]:
@@ -303,7 +249,7 @@ def derive_montecarlo_files(rows: list[dict]) -> dict[str, tuple[list[str], list
 
 def derive_cost_sensitivity(rows: list[dict],
                             sweep: list[float]) -> tuple[list[str], list[dict]]:
-    cols = COST_COLUMNS_BASE + [f"bps_{_bps_label(b)}" for b in sweep]
+    cols = ["objective"] + [f"bps_{_bps_label(b)}" for b in sweep]
     out = []
     for obj in search.objectives_in(rows):
         returns = [r["oos_trade_returns_json"] for r in rows
@@ -314,6 +260,17 @@ def derive_cost_sensitivity(rows: list[dict],
                 [recompound_with_costs(t, bps) for t in returns]))
         out.append(entry)
     return cols, out
+
+
+def parse_bps_levels(texts) -> list[float]:
+    """Per-side cost levels in bps: finite, non-negative and distinct."""
+    levels = []
+    for bps in map(float, texts):
+        if not (math.isfinite(bps) and bps >= 0) or bps in levels:
+            raise ValueError(
+                f"{bps!r}: levels must be finite, non-negative and distinct")
+        levels.append(bps)
+    return levels
 
 
 def _bps_label(bps: float) -> str:
@@ -355,15 +312,10 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _prepare_out(cfg: RunConfig, override: str | None) -> Path:
-    out_dir = Path(override or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
 def cmd_study(args) -> int:
     cfg = load_config(args.config)
-    out_dir = _prepare_out(cfg, args.out)
+    out_dir = Path(args.out or cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     assets = _load_assets(cfg)
     if args.command == "montecarlo":
         if args.seed_range:
@@ -386,11 +338,8 @@ def cmd_study(args) -> int:
 
 def cmd_costsweep(args) -> int:
     try:
-        sweep = ([float(x) for x in args.bps.split(",")] if args.bps
+        sweep = (parse_bps_levels(args.bps.split(",")) if args.bps
                  else DEFAULT_COST_SWEEP)
-        for i, bps in enumerate(sweep):
-            if not math.isfinite(bps) or bps in sweep[:i]:
-                raise ValueError(f"{bps!r}: levels must be finite and distinct")
     except ValueError as exc:
         raise ConfigError(f"bad --bps level: {exc}") from None
     rows = read_trials_csv(Path(args.trials))
@@ -444,17 +393,15 @@ def cmd_report(args) -> int:
         "cost_sensitivity.csv": ("Transaction-cost sensitivity",
                                  "fig_cost_curves.csv"),
     }
-    found = False
     for name, (title, plot_name) in plot_files.items():
         path = out_dir / name
         if not path.exists():
             continue
-        found = True
         cols, rows = _read_raw_csv(path)
         sections.append(f"{title}\n{_format_text_table(cols, rows)}")
         if plot_name:
             (out_dir / plot_name).write_text(path.read_text())
-    if not found:
+    if not sections:
         raise DataError(f"no result CSVs found in {out_dir}")
     report = "\n\n".join(sections) + "\n"
     (out_dir / "report.txt").write_text(report)
@@ -472,7 +419,10 @@ def cmd_verify(args) -> int:
     cost_path = out_dir / "cost_sensitivity.csv"
     if cost_path.exists():
         cols, _ = _read_raw_csv(cost_path)
-        sweep = [float(c.removeprefix("bps_")) for c in cols[1:]]
+        try:
+            sweep = parse_bps_levels(c.removeprefix("bps_") for c in cols[1:])
+        except ValueError as exc:
+            raise DataError(f"{cost_path}: bad header {cols}: {exc}") from None
         derived["cost_sensitivity.csv"] = derive_cost_sensitivity(rows, sweep)
     failures = []
     for name, (cols, data) in derived.items():

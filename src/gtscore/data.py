@@ -15,7 +15,9 @@ import csv
 import datetime as dt
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from enum import Enum
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -163,21 +165,6 @@ class SyntheticSpec:
             raise ParameterError("regime lengths must sum to n_days")
         if any(r[2] < 0 for r in self.regimes):
             raise ParameterError("vol_per_day must be non-negative")
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "SyntheticSpec":
-        start = doc.get("start_date")
-        kwargs = {}
-        if start is not None:
-            kwargs["start_date"] = dt.date.fromisoformat(start)
-        return cls(
-            n_days=int(doc["n_days"]),
-            initial_price=float(doc["initial_price"]),
-            regimes=tuple((int(a), float(b), float(c))
-                          for a, b, c in doc["regimes"]),
-            seed=int(doc["seed"]),
-            **kwargs,
-        )
 
 
 def _check_row(line_no: int, row: list[str]) -> None:
@@ -344,12 +331,81 @@ def make_chrono_split(series: PriceSeries, train_fraction: float = 0.7,
     return split
 
 
+def encode_config(value):
+    """A config value as JSON: a dataclass becomes its fields in declaration
+    order, an Enum its value, a list or tuple a list."""
+    if is_dataclass(value):
+        return {f.name: encode_config(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (list, tuple)):
+        return [encode_config(v) for v in value]
+    return value
+
+
+def decode_config(tp, value, where: str = ""):
+    """Rebuild a value of type `tp` from its JSON form, checking every part;
+    an error names the path of a wrong JSON type, a missing required field
+    or a bad date or enum value. An int passes for a float; a bool for
+    neither; a date is an ISO string and an enum its str value. A list item
+    may not repeat: every config list is a set of things to run."""
+    if is_dataclass(tp):
+        _expect(dict, value, where)
+        hints = get_type_hints(tp)
+        kwargs = dict(value)  # the constructor rejects an unknown key
+        for f in fields(tp):
+            path = f"{where}.{f.name}" if where else f.name
+            if f.name in value:
+                kwargs[f.name] = decode_config(hints[f.name], value[f.name],
+                                               path)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise TypeError(f"{where}: missing key {f.name!r}")
+        return tp(**kwargs)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (list, tuple):
+        _expect(list, value, where)
+        if origin is list or args[-1] is Ellipsis:  # one type for every item
+            args = args[:1] * len(value)
+        if len(value) != len(args):
+            raise TypeError(f"{where}: expected {len(args)} items, "
+                            f"got {len(value)}")
+        items = origin(decode_config(a, v, f"{where}[{i}]")
+                       for i, (a, v) in enumerate(zip(args, value)))
+        for i, item in enumerate(items if origin is list else ()):
+            if item in items[:i]:
+                raise ValueError(f"{where}[{i}]: repeats {value[i]!r}")
+        return items
+    if tp is dt.date or issubclass(tp, Enum):
+        text = decode_config(str, value, where)
+        try:
+            return dt.date.fromisoformat(text) if tp is dt.date else tp(text)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+    _expect(tp, value, where)
+    return value
+
+
+def _expect(tp: type, value, where: str) -> None:
+    if type(value) is not tp and (tp, type(value)) != (float, int):
+        raise TypeError(f"{where or 'document'}: expected {tp.__name__}, "
+                        f"got {type(value).__name__}")
+
+
 def load_synthetic_manifest(text: str) -> list[tuple[str, SyntheticSpec]]:
-    """Parse a JSON manifest: {"assets": [{"asset_id": ..., <spec fields>}]}.
-    Raises ConfigError for invalid JSON, a missing key or a bad value."""
+    """Parse a JSON manifest: {"assets": [{"asset_id": ..., <spec fields>}]},
+    each entry decoded by type (`decode_config`). Raises ConfigError for
+    invalid JSON, a missing key or a bad value."""
     try:
-        return [(entry["asset_id"], SyntheticSpec.from_json(entry))
-                for entry in json.loads(text)["assets"]]
+        entries = decode_config(list[dict], json.loads(text)["assets"],
+                                "assets")
+        manifest = []
+        for i, entry in enumerate(entries):
+            spec = {k: v for k, v in entry.items() if k != "asset_id"}
+            manifest.append((
+                decode_config(str, entry["asset_id"], f"assets[{i}].asset_id"),
+                decode_config(SyntheticSpec, spec, f"assets[{i}]")))
+        return manifest
     except KeyError as exc:
         raise ConfigError(f"bad synthetic manifest: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -1,10 +1,11 @@
 """Signal execution: trade-level returns, equity curve, benchmark.
 
-Execution convention: a signal transition observed at bar i fills at bar
-i+1's open (signals are computed on closes, so same-bar fills would peek).
-A position still open at the window end is force-exited at the last bar's
-close. Costs are a flat per-side haircut in basis points of notional,
-charged on entry and exit.
+Execution convention: a backtest runs over every bar of the series it is
+given (callers cut the window with `PriceSeries.slice`). A signal transition
+observed at bar i fills at bar i+1's open (signals are computed on closes,
+so same-bar fills would peek); a position still open at the last bar is
+force-exited at its close. Backtests are gross: `recompound_with_costs`
+charges a flat per-side haircut in basis points on entry and exit.
 
 Trades come out as arrays (returns and exit dates), derived from the
 rising and falling edges of the position array; no per-trade objects exist.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PriceSeries
-from .errors import InsufficientDataError, ParameterError
+from .errors import ParameterError
 
 BPS = 1e-4
 
@@ -37,32 +38,14 @@ class BacktestResult:
         return len(self.trade_returns)
 
 
-def run_backtest(series: PriceSeries, positions: np.ndarray,
-                 window_start: dt.date, window_end: dt.date,
-                 cost_bps_per_side: float = 0.0) -> BacktestResult:
-    """Execute long/flat signals over [window_start, window_end).
-
-    `positions` must be aligned 1:1 with series bars. Only transitions at
-    bars inside the window generate trades; the state before the first
-    window bar is treated as flat.
-    """
-    if cost_bps_per_side < 0:
-        raise ParameterError("cost_bps_per_side must be >= 0")
+def run_backtest(series: PriceSeries, positions: np.ndarray) -> BacktestResult:
+    """Execute long/flat signals over every bar of `series`, flat before
+    the first bar. `positions` must be aligned 1:1 with series bars."""
     if len(positions) != len(series):
         raise ParameterError("positions not aligned with series bars")
-    if window_start < series.start_date or window_end > series.span_end:
-        raise InsufficientDataError(
-            f"window [{window_start}, {window_end}) outside series span "
-            f"[{series.start_date}, {series.span_end})")
-    i0, i1 = series.index_window(window_start, window_end)
-    if i1 <= i0:
-        raise InsufficientDataError(
-            f"window [{window_start}, {window_end}) holds no bars")
-
-    m = i1 - i0
-    cost = 2.0 * cost_bps_per_side * BPS
-    opens, closes = series.opens[i0:i1], series.closes[i0:i1]
-    sig = np.asarray(positions, dtype=bool)[i0:i1]
+    m = len(series)
+    opens, closes = series.opens, series.closes
+    sig = np.asarray(positions, dtype=bool)
     prev = np.concatenate(([False], sig[:-1]))
     rises = np.flatnonzero(sig & ~prev)
     falls = np.flatnonzero(prev & ~sig)
@@ -78,15 +61,15 @@ def run_backtest(series: PriceSeries, positions: np.ndarray,
     exit_at[forced] = m - 1
     exit_prices = np.where(forced, closes[-1], opens[exit_at])
 
-    trade_returns = exit_prices / opens[entry_at] - 1.0 - cost
+    trade_returns = exit_prices / opens[entry_at] - 1.0
     equity_points = np.cumprod(1.0 + trade_returns) - 1.0
     return BacktestResult(
         trade_returns=trade_returns,
         equity_points=equity_points,
         total_return=float(equity_points[-1]) if n else 0.0,
         benchmark_total_return=float(closes[-1] / closes[0] - 1.0),
-        window=(window_start, window_end),
-        trade_exit_dates=series.dates[i0:i1][exit_at],
+        window=(series.start_date, series.span_end),
+        trade_exit_dates=series.dates[exit_at],
     )
 
 

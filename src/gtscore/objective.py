@@ -19,7 +19,6 @@ import datetime as dt
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -86,14 +85,14 @@ class ObjectiveConfig:
     r2_on_log_equity: bool = False
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ParameterError("eps must be > 0")
+        if not 0 < self.eps < math.inf:  # NaN fails every comparison
+            raise ParameterError("eps must be finite and > 0")
         if self.n_min < 1:
             raise ParameterError("n_min must be >= 1")
-        if self.below_min_penalty <= 200:
+        if not 200 < self.below_min_penalty < math.inf:
             raise ParameterError(
-                "below_min_penalty must exceed 200 (the worst piecewise "
-                "branch is bounded below 200)")
+                "below_min_penalty must be finite and exceed 200 (the worst "
+                "piecewise branch is bounded below 200)")
         if self.benchmark_mode not in ("geometric", "arithmetic"):
             raise ParameterError(f"bad benchmark_mode {self.benchmark_mode!r}")
 
@@ -171,7 +170,7 @@ def pool_losses(results: list[BacktestResult | None],
             [r.equity_points for r in trading], window, cfg)
         contexts = [metric_context(r, cfg, observations=period_returns(
                         r.trade_exit_dates, r.equity_points, window, n_star))
-                    for r, (n_star, _) in zip(trading, counts)]
+                    for r, n_star in zip(trading, counts)]
         eff_cfg = replace(cfg, n_min=1)
     else:
         contexts = [metric_context(r, cfg) for r in trading]
@@ -185,11 +184,6 @@ def pool_losses(results: list[BacktestResult | None],
                       baseline_loss(kind, ctx, r.total_return, eff_cfg))
         losses.append(row)
     return losses
-
-
-class StabilizedCount(NamedTuple):
-    n: int
-    plateaued: bool
 
 
 def period_returns(equity_dates: np.ndarray, equity_points: np.ndarray,
@@ -214,7 +208,7 @@ def period_returns(equity_dates: np.ndarray, equity_points: np.ndarray,
 def stabilized_period_count(equity_dates_list: list[np.ndarray],
                             equity_points_list: list[np.ndarray],
                             window: tuple[dt.date, dt.date],
-                            cfg: ObjectiveConfig) -> list[StabilizedCount]:
+                            cfg: ObjectiveConfig) -> list[int]:
     """Pick, per candidate, a periodization where the variance of period
     returns plateaus; all candidates share `window`.
 
@@ -227,10 +221,9 @@ def stabilized_period_count(equity_dates_list: list[np.ndarray],
     stab = cfg.stabilization
     lo, hi = stab.n_range
     m = len(equity_dates_list)
-    fallback = [StabilizedCount(stab.fallback, False)] * m
     total_days = (window[1] - window[0]).days if m else 0
     if total_days < lo or stab.window > hi - lo + 1:
-        return fallback
+        return [stab.fallback] * m
     ns = np.arange(lo, hi + 1)
     # Bounds of every n in one ragged array, block j = rint(k * days / n_j)
     # for k = 0..n_j: the same operations as `period_returns`.
@@ -258,5 +251,5 @@ def stabilized_period_count(equity_dates_list: list[np.ndarray],
     need = stab.window - 1
     full = sliding_window_view(change < stab.threshold, need, axis=1).all(2)
     first = full.argmax(axis=1)
-    return [StabilizedCount(int(lo + need + t), True) if full[i, t]
-            else fallback[i] for i, t in enumerate(first)]
+    return [int(lo + need + t) if full[i, t] else stab.fallback
+            for i, t in enumerate(first)]

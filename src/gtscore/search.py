@@ -5,9 +5,9 @@ candidates from a generator keyed on (seed, asset, strategy), backtests each
 candidate once on the training window and scores that one pool under every
 objective, so paired comparisons across objectives rest on identical
 candidates by construction. Each objective's winner then gets one
-out-of-sample pass: one trial per (cell, objective). Out-of-sample bars never
-enter candidate evaluation: the series is sliced to the training window
-before the search. Cells run in tasks of one (asset, split) (`run_task`).
+out-of-sample pass: one trial per (cell, objective). Cells run in tasks of
+one (asset, split) (`run_task`), which cut the training and validation
+windows once each; the search sees only the training window.
 """
 
 from __future__ import annotations
@@ -74,47 +74,37 @@ def candidate_rng(seed: int, asset_id: str,
     return np.random.Generator(np.random.Philox(key))
 
 
-def backtest_window(params: StrategyParams, series: PriceSeries,
-                    start, end) -> BacktestResult | None:
-    """Backtest on the sub-series restricted to [start, end); None when the
-    window is too short for the indicator warm-up."""
-    try:
-        window = series.slice(start, end)
-    except InsufficientDataError:
+def _backtest(params: StrategyParams, window: PriceSeries | None,
+              cache: dict | None = None) -> BacktestResult | None:
+    """Backtest on a pre-cut window; None when there is no window or it is
+    too short for the indicator warm-up."""
+    if window is None:
         return None
-    return _backtest_sliced(params, window)
-
-
-def _backtest_sliced(params: StrategyParams, window: PriceSeries,
-                     cache: dict | None = None) -> BacktestResult | None:
     try:
         sig = signals(params, window, cache)
     except InsufficientDataError:
         return None
-    return run_backtest(window, sig, window.start_date, window.span_end)
-
-
-def run_cell(spec: CellSpec, series: PriceSeries,
-             objectives: list[ObjectiveKind],
-             cfg: ObjectiveConfig) -> list[TrialResult]:
-    """Run one cell on its own (`run_task` of that cell alone)."""
-    return run_task([spec], series, objectives, cfg)
+    return run_backtest(window, sig)
 
 
 def run_task(cells: list[CellSpec], series: PriceSeries,
              objectives: list[ObjectiveKind],
              cfg: ObjectiveConfig) -> list[TrialResult]:
-    """Random search of each cell of one (asset, split), in order, on one
-    slice of the train window, scored under each objective, then one
-    out-of-sample pass per objective; one result per (cell, objective).
-    Consecutive cells of one strategy family share an indicator cache. Ties
-    on loss go to the first-seen candidate; an objective under which every
-    candidate hits the minimum-trade penalty is flagged degenerate."""
-    split = cells[0].split
-    try:
-        train_window = series.slice(split.train_start, split.train_end)
-    except InsufficientDataError:
-        train_window = None
+    """Random search of each cell of one (asset, split), in order, on the
+    train window, scored under each objective, then one out-of-sample pass
+    per objective on the validation window; one result per (cell,
+    objective). Each window is cut once per task. Consecutive cells of one
+    strategy family share an indicator cache. Ties on loss go to the
+    first-seen candidate; an objective under which every candidate hits the
+    minimum-trade penalty is flagged degenerate."""
+    split, windows = cells[0].split, []
+    for start, end in ((split.train_start, split.train_end),
+                       (split.val_start, split.val_end)):
+        try:
+            windows.append(series.slice(start, end))
+        except InsufficientDataError:
+            windows.append(None)
+    train_window, val_window = windows
     trials, family = [], None
     for spec in cells:
         if spec.strategy_kind != family:  # families share no indicator
@@ -122,8 +112,7 @@ def run_task(cells: list[CellSpec], series: PriceSeries,
         rng = candidate_rng(spec.seed, spec.asset_id, spec.strategy_kind)
         candidates = [sample_params(spec.strategy_kind, rng)
                       for _ in range(spec.budget)]
-        backtests = [None if train_window is None else
-                     _backtest_sliced(params, train_window, cache)
+        backtests = [_backtest(params, train_window, cache)
                      for params in candidates]
         scored = pool_losses(backtests, objectives, cfg)
         for kind, losses in zip(objectives, scored):
@@ -137,8 +126,7 @@ def run_task(cells: list[CellSpec], series: PriceSeries,
             # Degenerate trials (every candidate gated) get a zero-trade
             # out-of-sample record; they stay in the table but are excluded
             # from generalization-ratio aggregates.
-            oos = None if degenerate else backtest_window(
-                best_params, series, spec.split.val_start, spec.split.val_end)
+            oos = None if degenerate else _backtest(best_params, val_window)
             trials.append(TrialResult(
                 spec=spec,
                 objective_kind=kind,
@@ -271,10 +259,8 @@ def aggregate_by_split(rows: list[dict]) -> list[dict]:
     """Per-split, per-objective aggregate generalization ratios."""
     out = []
     for split_id in sorted({r["split_id"] for r in rows}):
-        for agg in aggregate_by_objective(
-                [r for r in rows if r["split_id"] == split_id]):
-            agg = {"split_id": split_id, **agg}
-            out.append(agg)
+        out += [{"split_id": split_id, **agg} for agg in aggregate_by_objective(
+            [r for r in rows if r["split_id"] == split_id])]
     return out
 
 

@@ -149,8 +149,7 @@ def test_criterion_4_engine_consistency(study):
         spec = SyntheticSpec(150, 100.0, ((150, 0.0005, 0.02),),
                              seed=20_000 + seed)
         series = generate_synthetic_series(spec)
-        res = run_backtest(series, np.ones(len(series), bool),
-                           series.start_date, series.span_end)
+        res = run_backtest(series, np.ones(len(series), bool))
         bar_move = float(np.max(np.abs(series.closes / series.opens - 1.0)))
         assert abs(res.total_return - res.benchmark_total_return) <= bar_move
 

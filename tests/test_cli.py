@@ -223,10 +223,11 @@ def test_costsweep_and_report(workspace, capsys):
         out / "aggregates.csv").read_text()
     assert (out / "fig_cost_curves.csv").exists()
 
-    # a level that is not a number, not finite or given twice
+    # a level that is not a number, not finite, negative or given twice
     for bps, message in [("0,x", "'x'"), ("nan", "nan: levels must"),
                          ("0,inf", "inf: levels"), ("1e400", "inf: levels"),
-                         ("2,2", "2.0: levels"), ("2,5,2.0", "2.0: levels")]:
+                         ("2,2", "2.0: levels"), ("2,5,2.0", "2.0: levels"),
+                         ("0,-1", "-1.0: levels"), ("0,-0", "-0.0: levels")]:
         capsys.readouterr()
         assert main(["costsweep", "--trials", str(out / "trials.csv"),
                      "--out", str(out / "bad"), "--bps", bps]) == 1
@@ -270,6 +271,21 @@ def test_verify_passes_then_catches_tampering(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read file {agg}")
     assert err.count("\n") == 1
+    # a cost_sensitivity.csv header whose levels cannot be read back is
+    # named with its file in one line
+    shutil.rmtree(broken)
+    shutil.copytree(out, broken)
+    cost = broken / "cost_sensitivity.csv"
+    for header in ["objective,bps_x", "objective,bps_0,bps_nan",
+                   "objective,bps_-1", "objective,bps_2,bps_2.0",
+                   "objective,level_5"]:
+        cost.write_text(header + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--out", str(broken)]) == 2
+        err = capsys.readouterr().err
+        cols = header.split(",")
+        assert err.startswith(f"error: {cost}: bad header {cols}: ")
+        assert err.count("\n") == 1
 
 
 def test_malformed_trials_exit_code(workspace, tmp_path, capsys):
@@ -389,7 +405,11 @@ def test_bad_config_exit_code(tmp_path, capsys):
     for doc in ['{"budget": "3"}', '{"mc": {"seeds": "12"}}',
                 '{"strategies": ["bogus"]}', '{"objectives": ["bogus"]}',
                 '{"assets": [1]}', '{"budget": true}',
-                '{"mc": {"seeds": ["x"]}}', '{"wf": {"step": 1}}', '[]'] + [
+                '{"mc": {"seeds": ["x"]}}', '{"wf": {"step": 1}}', '[]',
+                '{"objective": {"eps": NaN}}',
+                '{"objective": {"eps": Infinity}}',
+                '{"objective": {"below_min_penalty": NaN}}',
+                '{"objective": {"below_min_penalty": Infinity}}'] + [
             '{"objective": {"stabilization": {%s}}}' % item
             for item in stabilization]:
         bad.write_text(doc)
@@ -423,6 +443,16 @@ def test_bad_config_exit_code(tmp_path, capsys):
         assert main(["montecarlo", "--config", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: bad run config: {path}\n"
+    # a string that is not one of an enum's values is named by its path
+    for doc, path in [('{"strategies": ["rsi", "bogus"]}',
+                       "strategies[1]: 'bogus' is not a valid StrategyKind"),
+                      ('{"objective": {"periodization": "weekly"}}',
+                       "objective.periodization: 'weekly' is not a valid "
+                       "Periodization")]:
+        bad.write_text(doc)
+        capsys.readouterr()
+        assert main(["montecarlo", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: bad run config: {path}\n"
     # a directory where the config file should be
     capsys.readouterr()
     assert main(["montecarlo", "--config", str(tmp_path)]) == 1
@@ -441,7 +471,30 @@ def test_synth_bad_manifest_exit_code(tmp_path, capsys):
              (json.dumps({"assets": [{**entry, "n_days": "many"}]}),
               "bad synthetic manifest"),
              (json.dumps({"assets": [{**entry, "regimes": 5}]}),
-              "bad synthetic manifest")]
+              "bad synthetic manifest"),
+             # a manifest value of the wrong JSON type is named by its path,
+             # never coerced
+             (json.dumps({"assets": [{**entry, "n_days": 600.7}]}),
+              "assets[0].n_days: expected int, got float"),
+             (json.dumps({"assets": [{**entry, "seed": True}]}),
+              "assets[0].seed: expected int, got bool"),
+             (json.dumps({"assets": [{**entry, "seed": "7"}]}),
+              "assets[0].seed: expected int, got str"),
+             (json.dumps({"assets": [{**entry, "asset_id": 7}]}),
+              "assets[0].asset_id: expected str, got int"),
+             (json.dumps({"assets": [{**entry, "regimes": [[600, 0, "x"]]}]}),
+              "assets[0].regimes[0][2]: expected float, got str"),
+             (json.dumps({"assets": [{**entry, "start_date": 2010}]}),
+              "assets[0].start_date: expected str, got int"),
+             (json.dumps({"assets": [{**entry, "start_date": "2010-13-01"}]}),
+              "bad synthetic manifest: assets[0].start_date: "),
+             (json.dumps({"assets": [entry, entry]}), "assets[1]: repeats"),
+             (json.dumps({"assets": [{**entry, "colour": "red"}]}),
+              "bad synthetic manifest"),
+             (json.dumps({"assets": [5]}), "assets[0]: expected dict"),
+             (json.dumps({"assets": [entry, {
+                 k: v for k, v in entry.items() if k != "n_days"}]}),
+              "bad synthetic manifest: assets[1]: missing key 'n_days'")]
     for text, message in cases:
         if text is not None:
             spec.write_text(text)

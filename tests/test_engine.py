@@ -1,6 +1,7 @@
 """Execution engine: fills, forced exits, costs, benchmark helpers."""
 
 import datetime as dt
+import math
 
 import numpy as np
 import pytest
@@ -15,20 +16,18 @@ from gtscore.engine import (
     recompound_with_costs,
     run_backtest,
 )
-from gtscore.errors import InsufficientDataError, ParameterError
+from gtscore.errors import ParameterError
 
 from conftest import make_series
 
 D = dt.date
 
 
-def full_window(series):
-    return series.start_date, series.span_end
-
-
 def oracle_backtest(series, positions, window_start, window_end,
                     cost_bps_per_side=0.0):
-    """Reference engine: a bar-by-bar state machine with pending fills.
+    """Reference engine: a bar-by-bar state machine with pending fills,
+    run over the bars of [window_start, window_end) of the whole series and
+    charging the per-side cost on each trade.
 
     Returns (trade_returns, equity_points, total_return,
     benchmark_total_return, exit_dates).
@@ -79,14 +78,15 @@ def oracle_backtest(series, positions, window_start, window_end,
 
 @st.composite
 def backtest_cases(draw):
-    """(closes, opens, positions, window bar range, cost bps)."""
+    """(closes, opens, positions, window bar range, cost bps); a window
+    holds at least 2 bars, as every series does."""
     n = draw(st.integers(2, 40))
     prices = st.floats(1.0, 1000.0, allow_nan=False, allow_infinity=False)
     closes = draw(st.lists(prices, min_size=n, max_size=n))
     opens = draw(st.lists(prices, min_size=n, max_size=n))
     positions = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    i0 = draw(st.integers(0, n - 1))
-    i1 = draw(st.integers(i0 + 1, n))
+    i0 = draw(st.integers(0, n - 2))
+    i1 = draw(st.integers(i0 + 2, n))
     cost = draw(st.sampled_from([0.0, 2.5, 10.0]) | st.floats(0.0, 100.0))
     return closes, opens, positions, (i0, i1), cost
 
@@ -110,13 +110,20 @@ def _edge_case(positions):
 # forced close of a position still held at the end, after a round trip
 @example(case=_edge_case([1, 0, 1, 1, 1, 1, 1]))
 def test_backtest_matches_oracle(case):
+    # The engine runs on the cut window, gross of costs; the oracle runs on
+    # the whole series with window bounds. Costs are charged by
+    # `recompound_with_costs`, which must agree with the oracle's net trades.
     closes, opens, positions, (i0, i1), cost = case
     series = make_series(closes, opens=opens)
     start = series.dates[i0].item()
     end = series.dates[i1 - 1].item() + dt.timedelta(days=1)
-    res = run_backtest(series, np.array(positions, bool), start, end, cost)
+    res = run_backtest(series.slice(start, end),
+                       np.array(positions, bool)[i0:i1])
+    net_total = oracle_backtest(series, positions, start, end, cost)[2]
+    assert math.isclose(recompound_with_costs(res.trade_returns, cost),
+                        net_total, rel_tol=1e-12, abs_tol=1e-12)
     returns, equity, total, bench, exit_dates = oracle_backtest(
-        series, positions, start, end, cost)
+        series, positions, start, end)
     assert res.trade_returns.dtype == returns.dtype
     assert res.trade_returns.tobytes() == returns.tobytes()
     assert res.equity_points.tobytes() == equity.tobytes()
@@ -134,7 +141,7 @@ def test_single_trade_hand_example():
     # bar 3 fills at bar 4's open (13).
     series = make_series([10, 11, 12, 13, 12, 11, 12])
     pos = np.array([0, 1, 1, 0, 0, 1, 1], dtype=bool)
-    res = run_backtest(series, pos, *full_window(series))
+    res = run_backtest(series, pos)
     assert res.n_trades == 1
     assert res.trade_returns[0] == 13.0 / 11.0 - 1.0
     assert res.trade_exit_dates.tolist() == [D(2020, 1, 5)]
@@ -144,17 +151,19 @@ def test_single_trade_hand_example():
 
 
 def test_cost_haircut_per_round_trip():
+    # backtests are gross; 10 bps per side costs 0.002 per round trip
     series = make_series([10, 11, 12, 13, 12, 11, 12])
     pos = np.array([0, 1, 1, 0, 0, 0, 0], dtype=bool)
-    res = run_backtest(series, pos, *full_window(series),
-                       cost_bps_per_side=10.0)
-    assert res.trade_returns.tolist() == [13.0 / 11.0 - 1.0 - 0.002]
+    res = run_backtest(series, pos)
+    assert res.trade_returns.tolist() == [13.0 / 11.0 - 1.0]
+    assert recompound_with_costs(res.trade_returns, 10.0) == pytest.approx(
+        13.0 / 11.0 - 1.0 - 0.002, rel=1e-12)
 
 
 def test_force_exit_at_last_close():
     series = make_series([10, 11, 12, 13, 12, 11, 12])
     pos = np.array([0, 1, 1, 1, 1, 1, 1], dtype=bool)
-    res = run_backtest(series, pos, *full_window(series))
+    res = run_backtest(series, pos)
     assert res.n_trades == 1
     # entered at 11, exited at the last close (12), not at an open
     assert res.trade_returns[0] == 12.0 / 11.0 - 1.0
@@ -164,7 +173,7 @@ def test_force_exit_at_last_close():
 def test_entry_on_final_bar_is_skipped():
     series = make_series([10, 11, 12, 13, 12, 11, 12])
     pos = np.array([0, 0, 0, 0, 0, 1, 1], dtype=bool)
-    res = run_backtest(series, pos, *full_window(series))
+    res = run_backtest(series, pos)
     assert res.n_trades == 0
     assert res.total_return == 0.0
 
@@ -172,9 +181,10 @@ def test_entry_on_final_bar_is_skipped():
 def test_window_restricts_execution():
     series = make_series([10, 11, 12, 13, 12, 11, 12])
     pos = np.ones(7, dtype=bool)
-    res = run_backtest(series, pos, D(2020, 1, 3), D(2020, 1, 6))
+    res = run_backtest(series.slice(D(2020, 1, 3), D(2020, 1, 6)), pos[2:5])
     # within [bar2, bar5): entry fills at bar 3 open, forced out at bar 4
     # close; the benchmark covers the same bars
+    assert res.window == (D(2020, 1, 3), D(2020, 1, 6))
     assert res.trade_returns.tolist() == [12.0 / 12.0 - 1.0]
     assert res.trade_exit_dates.tolist() == [D(2020, 1, 5)]
     assert res.benchmark_total_return == pytest.approx(12.0 / 12.0 - 1.0)
@@ -186,7 +196,7 @@ def test_always_long_equals_buy_and_hold():
     spec = SyntheticSpec(200, 100.0, ((200, 0.0005, 0.02),), seed=42)
     series = generate_synthetic_series(spec)
     pos = np.ones(len(series), dtype=bool)
-    res = run_backtest(series, pos, *full_window(series))
+    res = run_backtest(series, pos)
     assert res.n_trades == 1
     assert res.total_return == pytest.approx(res.benchmark_total_return,
                                              abs=1e-12)
@@ -195,7 +205,7 @@ def test_always_long_equals_buy_and_hold():
 def test_equity_points_compound():
     series = make_series([10, 11, 12, 13, 12, 11, 13, 14, 15])
     pos = np.array([0, 1, 1, 0, 0, 1, 1, 0, 0], dtype=bool)
-    res = run_backtest(series, pos, *full_window(series))
+    res = run_backtest(series, pos)
     assert res.n_trades == 2
     r = res.trade_returns
     np.testing.assert_allclose(res.equity_points,
@@ -206,14 +216,7 @@ def test_equity_points_compound():
 def test_run_backtest_errors():
     series = make_series([10, 11, 12])
     with pytest.raises(ParameterError):
-        run_backtest(series, np.ones(2, bool), *full_window(series))
-    with pytest.raises(ParameterError):
-        run_backtest(series, np.ones(3, bool), *full_window(series),
-                     cost_bps_per_side=-1.0)
-    with pytest.raises(InsufficientDataError):
-        run_backtest(series, np.ones(3, bool), D(2019, 1, 1), D(2020, 1, 2))
-    with pytest.raises(InsufficientDataError):
-        run_backtest(series, np.ones(3, bool), D(2020, 2, 1), D(2020, 3, 1))
+        run_backtest(series, np.ones(2, bool))
 
 
 # --- benchmark helpers -----------------------------------------------------

@@ -16,7 +16,6 @@ from gtscore.objective import (
     ObjectiveKind,
     Periodization,
     StabilizationConfig,
-    StabilizedCount,
     baseline_loss,
     gt_score_loss,
     metric_context,
@@ -194,7 +193,7 @@ def winning_backtest(n_trades=60):
     pos = np.zeros(len(closes), dtype=bool)
     pos[0::2] = True  # enter on even bars, exit next bar
     pos[-1] = False
-    return run_backtest(series, pos, series.start_date, series.span_end)
+    return run_backtest(series, pos)
 
 
 def test_metric_context_fields():
@@ -216,8 +215,7 @@ def test_metric_context_arithmetic_mode():
 
 def test_trial_loss_zero_trades_is_penalty():
     series = make_series([10, 11, 12, 13, 12, 11, 12])
-    res = run_backtest(series, np.zeros(7, bool), series.start_date,
-                       series.span_end)
+    res = run_backtest(series, np.zeros(7, bool))
     for cfg in (CFG, STAB):
         losses = pool_losses([res, None], list(ObjectiveKind), cfg)
         assert losses == [[cfg.below_min_penalty] * 2] * len(ObjectiveKind)
@@ -240,8 +238,7 @@ def stabilized_pool():
     pool = [None]
     for p in (0.0, 0.1, 0.3, 0.5):
         pos = rng.random(400) < p
-        pool.append(run_backtest(series, pos, series.start_date,
-                                 series.span_end))
+        pool.append(run_backtest(series, pos))
     return pool
 
 
@@ -261,9 +258,9 @@ def test_pool_losses_stabilized_rejects_mixed_windows():
         np.random.Philox(12)), 300))
     pos = np.zeros(300, bool)
     pos[::3] = True
-    a = run_backtest(series, pos, series.start_date, series.span_end)
-    b = run_backtest(series, pos, series.start_date + dt.timedelta(days=10),
-                     series.span_end)
+    a = run_backtest(series, pos)
+    b = run_backtest(series.slice(series.start_date + dt.timedelta(days=10),
+                                  series.span_end), pos[10:])
     with pytest.raises(ParameterError, match="one window"):
         pool_losses([a, b], [ObjectiveKind.GT_SCORE], STAB)
     # the fixed-trades mode reads no window
@@ -343,7 +340,7 @@ def oracle_stabilized_count(equity_dates, equity_points, window, cfg):
     stab = cfg.stabilization
     lo, hi = stab.n_range
     if (window[1] - window[0]).days < lo:
-        return StabilizedCount(stab.fallback, False)
+        return stab.fallback
     variances = []
     for n in range(lo, hi + 1):
         pr = period_returns(equity_dates, equity_points, window, n)
@@ -352,8 +349,8 @@ def oracle_stabilized_count(equity_dates, equity_points, window, cfg):
             recent = variances[-stab.window:]
             if all(_rel_change(a, b) < stab.threshold
                    for a, b in zip(recent, recent[1:])):
-                return StabilizedCount(n, True)
-    return StabilizedCount(stab.fallback, False)
+                return n
+    return stab.fallback
 
 
 START = dt.date(2020, 1, 1)
@@ -399,6 +396,7 @@ def test_stabilized_count_matches_oracle(pool, threshold, window, lo, width):
         stabilization=StabilizationConfig(threshold, window,
                                           (lo, lo + width), 50))
     got = stabilized_period_count(dates, equity, win, cfg)
+    assert all(type(n) is int for n in got)
     assert got == [oracle_stabilized_count(d, e, win, cfg)
                    for d, e in zip(dates, equity)]
 
@@ -413,8 +411,7 @@ def test_stabilized_count_threshold_is_strict():
               for n in (10, 11))
     cfg = ObjectiveConfig(stabilization=StabilizationConfig(
         abs(v1 - v0) / abs(v0), 2, (10, 11), 50))
-    assert stabilized_period_count([dates], [equity], window, cfg) == [
-        (50, False)]
+    assert stabilized_period_count([dates], [equity], window, cfg) == [50]
 
 
 def no_trades():
@@ -425,7 +422,7 @@ def test_stabilized_count_short_span_falls_back():
     window = (START, START + dt.timedelta(days=5))
     dates, equity = no_trades()
     got = stabilized_period_count([dates] * 2, [equity] * 2, window, CFG)
-    assert got == [(CFG.stabilization.fallback, False)] * 2
+    assert got == [CFG.stabilization.fallback] * 2
 
 
 def test_stabilized_count_plateaus_on_flat_equity():
@@ -435,7 +432,7 @@ def test_stabilized_count_plateaus_on_flat_equity():
     dates, equity = no_trades()
     got = stabilized_period_count([dates] * 3, [equity] * 3, window, CFG)
     lo = CFG.stabilization.n_range[0]
-    assert got == [(lo + CFG.stabilization.window - 1, True)] * 3
+    assert got == [lo + CFG.stabilization.window - 1] * 3
 
 
 def test_stabilized_mode_bypasses_trade_gate():

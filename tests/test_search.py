@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from gtscore.data import (
+    PriceSeries,
     SyntheticSpec,
     generate_synthetic_series,
     make_chrono_split,
     make_walkforward_splits,
 )
+from gtscore.engine import run_backtest
 from gtscore.errors import DataError, ParameterError
 from gtscore.objective import (
     ObjectiveConfig,
@@ -27,11 +29,9 @@ from gtscore.search import (
     aggregate_by_period,
     aggregate_by_split,
     aggregate_by_strategy,
-    backtest_window,
     candidate_rng,
     mean_trade_counts,
     paired_oos_returns,
-    run_cell,
     run_task,
     run_trials,
     study_cells,
@@ -67,6 +67,12 @@ def cell_for(strategy=StrategyKind.MACD, seed=42, budget=10):
     return CellSpec(ASSET.asset_id, strategy, SPLIT, seed=seed, budget=budget)
 
 
+def backtest_on(params, start, end):
+    """Backtest of one candidate on the [start, end) window of ASSET."""
+    window = ASSET.slice(start, end)
+    return run_backtest(window, strategy.signals(params, window))
+
+
 def draw_pool(spec):
     rng = candidate_rng(spec.seed, spec.asset_id, spec.strategy_kind)
     return [sample_params(spec.strategy_kind, rng) for _ in range(spec.budget)]
@@ -93,8 +99,8 @@ def test_candidate_rng_distinguishes_key_parts():
 
 
 def test_run_trial_deterministic():
-    a = run_cell(cell_for(), ASSET, OBJECTIVES, CFG)
-    b = run_cell(cell_for(), ASSET, OBJECTIVES, CFG)
+    a = run_task([cell_for()], ASSET, OBJECTIVES, CFG)
+    b = run_task([cell_for()], ASSET, OBJECTIVES, CFG)
     assert [r.objective_kind for r in a] == OBJECTIVES
     for x, y in zip(a, b):
         assert x.best_params == y.best_params
@@ -117,9 +123,9 @@ def test_run_trial_replay_oracle():
     # the reported winner must be the first candidate attaining the minimum.
     spec = cell_for(budget=15)
     pool = draw_pool(spec)
-    backtests = [backtest_window(params, ASSET, SPLIT.train_start,
-                                 SPLIT.train_end) for params in pool]
-    results = run_cell(spec, ASSET, OBJECTIVES, CFG)
+    backtests = [backtest_on(params, SPLIT.train_start, SPLIT.train_end)
+                 for params in pool]
+    results = run_task([spec], ASSET, OBJECTIVES, CFG)
     assert len(results) == len(OBJECTIVES)
     for res, obj in zip(results, OBJECTIVES):
         assert res.objective_kind is obj
@@ -131,13 +137,12 @@ def test_run_trial_replay_oracle():
 
 
 def test_run_trial_oos_consistent_with_best_params():
-    results = run_cell(cell_for(budget=15), ASSET, OBJECTIVES, CFG)
+    results = run_task([cell_for(budget=15)], ASSET, OBJECTIVES, CFG)
     live = [r for r in results if not r.degenerate]
     if not live:
         pytest.skip("needs a non-degenerate trial")
     for res in live:
-        oos = backtest_window(res.best_params, ASSET, SPLIT.val_start,
-                              SPLIT.val_end)
+        oos = backtest_on(res.best_params, SPLIT.val_start, SPLIT.val_end)
         assert res.oos_total_return == oos.total_return
         assert res.oos_n_trades == oos.n_trades
         np.testing.assert_array_equal(res.oos_trade_returns,
@@ -148,13 +153,13 @@ def test_run_cell_backtests_each_candidate_once(monkeypatch):
     starts = []
     real = search.run_backtest
 
-    def counting(series, sig, start, end):
-        starts.append(start)
-        return real(series, sig, start, end)
+    def counting(series, sig):
+        starts.append(series.start_date)
+        return real(series, sig)
 
     monkeypatch.setattr(search, "run_backtest", counting)
     spec = cell_for(budget=12)
-    results = run_cell(spec, ASSET, OBJECTIVES, CFG)
+    results = run_task([spec], ASSET, OBJECTIVES, CFG)
     train_calls = sum(s < SPLIT.val_start for s in starts)
     oos_calls = len(starts) - train_calls
     assert train_calls == spec.budget
@@ -172,11 +177,11 @@ def test_run_cell_one_metric_context_per_candidate(monkeypatch):
 
     monkeypatch.setattr(objective, "metric_context", counting)
     spec = cell_for(budget=12)
-    train = [backtest_window(params, ASSET, SPLIT.train_start,
-                             SPLIT.train_end) for params in draw_pool(spec)]
+    train = [backtest_on(params, SPLIT.train_start, SPLIT.train_end)
+             for params in draw_pool(spec)]
     live = sum(bt is not None and bt.n_trades > 0 for bt in train)
     assert live > 0
-    run_cell(spec, ASSET, OBJECTIVES, CFG)
+    run_task([spec], ASSET, OBJECTIVES, CFG)
     assert len(OBJECTIVES) == 4
     assert len(calls) == live
     assert len({id(r) for r in calls}) == live
@@ -188,7 +193,7 @@ def test_degenerate_trial_has_empty_oos():
     tiny = make_asset(seed=5, n_days=300, asset_id="TINY")
     spec = CellSpec("TINY", StrategyKind.RSI, make_chrono_split(tiny),
                     seed=42, budget=5)
-    for res in run_cell(spec, tiny, OBJECTIVES, CFG):
+    for res in run_task([spec], tiny, OBJECTIVES, CFG):
         assert res.degenerate
         assert res.best_loss == CFG.below_min_penalty
         assert res.oos_n_trades == 0
@@ -210,7 +215,7 @@ def test_run_trials_parallel_matches_serial():
     cells = study_cells(list(assets.values()), list(StrategyKind), chrono,
                         [42, 43], budget=5)
     alone = [t for c in cells
-             for t in run_cell(c, assets[c.asset_id], OBJECTIVES, CFG)]
+             for t in run_task([c], assets[c.asset_id], OBJECTIVES, CFG)]
     serial = run_trials(cells, assets, OBJECTIVES, CFG, jobs=1)
     parallel = run_trials(cells, assets, OBJECTIVES, CFG, jobs=2)
     assert len(serial) == len(parallel) == len(cells) * len(OBJECTIVES)
@@ -249,6 +254,34 @@ def test_run_task_computes_each_indicator_once(monkeypatch):
                 want["rolling_stats", p.window] = 1
     assert counts == want
     assert sum(want.values()) < len(cells) * 10
+
+
+def test_run_task_cuts_each_window_once(monkeypatch):
+    # A task slices its series twice, the training and the validation
+    # window, however many cells, candidates and objectives it runs.
+    cuts = []
+    real = PriceSeries.slice
+
+    def counting(self, start, end):
+        cuts.append((self.asset_id, start, end))
+        return real(self, start, end)
+
+    monkeypatch.setattr(PriceSeries, "slice", counting)
+    windows = [(SPLIT.train_start, SPLIT.train_end),
+               (SPLIT.val_start, SPLIT.val_end)]
+    for cells, objectives in [([cell_for(budget=2)], [ObjectiveKind.SIMPLE]),
+                              ([cell_for(strat, seed, budget=4)
+                                for strat in StrategyKind
+                                for seed in (42, 43)], OBJECTIVES)]:
+        cuts.clear()
+        run_task(cells, ASSET, objectives, CFG)
+        assert cuts == [(ASSET.asset_id, *w) for w in windows]
+    assets = {"A": ASSET, "B": make_asset(seed=1, asset_id="B")}
+    cells = study_cells(list(assets.values()), list(StrategyKind), chrono,
+                        [42, 43], budget=2)
+    cuts.clear()
+    run_trials(cells, assets, OBJECTIVES, CFG, jobs=1)
+    assert Counter(a for a, *_ in cuts) == {"A": 2, "B": 2}
 
 
 def test_run_trials_caps_workers_at_tasks(monkeypatch):
