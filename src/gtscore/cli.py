@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from .data import (
 )
 from .engine import recompound_with_costs
 from .errors import ConfigError, DataError, GtscoreError, InternalCheckError
+from .metrics import generalization_ratio
 from .objective import ObjectiveConfig, ObjectiveKind
 from .search import TrialResult
 from .stats import compare_paired
@@ -201,65 +203,118 @@ def read_trials_csv(path: Path) -> list[dict]:
     return rows
 
 
-# --- derived-file builders (shared by run and verify) ----------------------
+# --- derived files: one table drives study, costsweep, verify and report ---
+# Every derived file is built from the same row dicts that land in
+# trials.csv, so `verify` can recompute it from the file bit-for-bit.
 
-AGG_COLUMNS = ["objective", "val_mean", "val_std", "train_mean", "gen_ratio", "n"]
-SPLIT_COLUMNS = ["split_id", "objective", "val_mean", "val_std", "train_mean",
-                 "gen_ratio", "n"]
-PERIOD_COLUMNS = ["split_id", "gt_score_mean", "baseline_avg", "delta_pp"]
-COMPARISON_COLUMNS = ["comparison", "mean_diff", "t_stat", "p_value_t",
-                      "wilcoxon_stat", "wilcoxon_p", "cohens_d", "n"]
-TRADECOUNT_COLUMNS = ["objective", "mean_oos_trades"]
+OBJECTIVES = [k.value for k in ObjectiveKind]
+GT_SCORE = ObjectiveKind.GT_SCORE.value
+BASELINES = [b.value for b in search.BASELINES]
 
 
-def derive_walkforward_files(rows: list[dict]) -> dict[str, tuple[list[str], list[dict]]]:
-    return {
-        "aggregates.csv": (AGG_COLUMNS, search.aggregate_by_objective(rows)),
-        "periods.csv": (PERIOD_COLUMNS, search.aggregate_by_period(rows)),
-        "splits_genratio.csv": (SPLIT_COLUMNS, search.aggregate_by_split(rows)),
-    }
+def group_by(rows: list[dict], column: str) -> dict[object, list[dict]]:
+    """Rows by their value in `column`: sorted keys, except objectives,
+    which come in `ObjectiveKind` order (rows of any other objective are
+    left out). Each group keeps its rows in input order, so a mean over a
+    group covers the same values in the same order as a filter would."""
+    groups = {}
+    for r in rows:
+        groups.setdefault(r[column], []).append(r)
+    if column == "objective":
+        return {k: groups[k] for k in OBJECTIVES if k in groups}
+    return dict(sorted(groups.items()))
 
 
-def derive_montecarlo_files(rows: list[dict]) -> dict[str, tuple[list[str], list[dict]]]:
-    strat_cols = ["strategy"] + search.objectives_in(rows)
-    comparisons = []
-    objectives = {r["objective"] for r in rows}
-    if ObjectiveKind.GT_SCORE.value in objectives:
-        for baseline in search.BASELINES:
-            if baseline.value not in objectives:
-                continue
-            a, b = search.paired_oos_returns(rows, ObjectiveKind.GT_SCORE.value,
-                                             baseline.value)
-            cmp = compare_paired(f"gt_score_vs_{baseline.value}", a, b)
-            comparisons.append({
-                "comparison": cmp.name, "mean_diff": cmp.mean_diff,
-                "t_stat": cmp.t_stat, "p_value_t": cmp.p_value_t,
-                "wilcoxon_stat": cmp.wilcoxon_stat,
-                "wilcoxon_p": cmp.wilcoxon_p,
-                "cohens_d": cmp.cohens_d, "n": cmp.n,
-            })
-    return {
-        "aggregates.csv": (AGG_COLUMNS, search.aggregate_by_objective(rows)),
-        "strategy_means.csv": (strat_cols,
-                               search.aggregate_by_strategy(rows)),
-        "comparisons.csv": (COMPARISON_COLUMNS, comparisons),
-        "trade_counts.csv": (TRADECOUNT_COLUMNS, search.mean_trade_counts(rows)),
-    }
+def objectives_in(rows: list[dict]) -> list[str]:
+    """The objectives present in `rows`, in `ObjectiveKind` order."""
+    return list(group_by(rows, "objective"))
 
 
-def derive_cost_sensitivity(rows: list[dict],
-                            sweep: list[float]) -> tuple[list[str], list[dict]]:
-    cols = ["objective"] + [f"bps_{_bps_label(b)}" for b in sweep]
+def _mean(rows: list[dict], column: str) -> float:
+    return float(np.mean([r[column] for r in rows])) if rows else math.nan
+
+
+def aggregate_by_objective(rows: list[dict]) -> list[dict]:
+    """Per-objective mean/std of out-of-sample returns, train mean, and the
+    generalization ratio (ratio of the aggregate means). Degenerate rows
+    are excluded from the generalization ratio only."""
     out = []
-    for obj in search.objectives_in(rows):
-        returns = [r["oos_trade_returns_json"] for r in rows
-                   if r["objective"] == obj]
-        entry = {"objective": obj}
-        for bps in sweep:
-            entry[f"bps_{_bps_label(bps)}"] = float(np.mean(
-                [recompound_with_costs(t, bps) for t in returns]))
-        out.append(entry)
-    return cols, out
+    for obj, sub in group_by(rows, "objective").items():
+        live = [r for r in sub if not r["degenerate"]]
+        out.append({
+            "objective": obj,
+            "val_mean": _mean(sub, "oos_return"),
+            "val_std": float(np.std([r["oos_return"] for r in sub])),
+            "train_mean": _mean(sub, "train_return"),
+            "gen_ratio": generalization_ratio(_mean(live, "oos_return"),
+                                              _mean(live, "train_return")),
+            "n": len(sub),
+        })
+    return out
+
+
+def aggregate_by_split(rows: list[dict]) -> list[dict]:
+    """Per-split, per-objective aggregate generalization ratios."""
+    return [{"split_id": split_id, **agg}
+            for split_id, sub in group_by(rows, "split_id").items()
+            for agg in aggregate_by_objective(sub)]
+
+
+def aggregate_by_period(rows: list[dict]) -> list[dict]:
+    """Per-split validation means: composite vs the baseline average, with
+    the difference in percentage points."""
+    out = []
+    for split_id, sub in group_by(rows, "split_id").items():
+        gt = _mean([r for r in sub if r["objective"] == GT_SCORE],
+                   "oos_return")
+        base = _mean([r for r in sub if r["objective"] in BASELINES],
+                     "oos_return")
+        out.append({"split_id": split_id, "gt_score_mean": gt,
+                    "baseline_avg": base, "delta_pp": (gt - base) * 100.0})
+    return out
+
+
+def aggregate_by_strategy(rows: list[dict]) -> list[dict]:
+    """Mean out-of-sample return per strategy x objective; NaN where a
+    strategy has no trial of an objective."""
+    objectives, out = objectives_in(rows), []
+    for strat, sub in group_by(rows, "strategy").items():
+        by_obj = group_by(sub, "objective")
+        out.append({"strategy": strat, **{
+            obj: _mean(by_obj.get(obj, []), "oos_return")
+            for obj in objectives}})
+    return out
+
+
+def mean_trade_counts(rows: list[dict]) -> list[dict]:
+    """Mean out-of-sample trade count per objective."""
+    return [{"objective": obj, "mean_oos_trades": _mean(sub, "oos_trades")}
+            for obj, sub in group_by(rows, "objective").items()]
+
+
+def paired_oos_returns(rows: list[dict], obj_a: str,
+                       obj_b: str) -> tuple[np.ndarray, np.ndarray]:
+    """Out-of-sample returns of two objectives aligned on the full trial
+    key (asset, strategy, split, seed)."""
+    def by_key(obj):
+        return {(r["asset"], r["strategy"], r["split_id"], r["seed"]):
+                r["oos_return"] for r in rows if r["objective"] == obj}
+    a, b = by_key(obj_a), by_key(obj_b)
+    if a.keys() != b.keys():
+        raise DataError(f"unpaired trials between {obj_a} and {obj_b}")
+    keys = sorted(a)
+    return np.array([a[k] for k in keys]), np.array([b[k] for k in keys])
+
+
+def paired_comparisons(rows: list[dict]) -> list[dict]:
+    """GT-Score against each baseline present, paired on the trial key."""
+    present, out = objectives_in(rows), []
+    for baseline in BASELINES:
+        if GT_SCORE in present and baseline in present:
+            cmp = compare_paired(f"gt_score_vs_{baseline}",
+                                 *paired_oos_returns(rows, GT_SCORE, baseline))
+            out.append({"comparison": cmp.name, **vars(cmp)})
+    return out
 
 
 def parse_bps_levels(texts) -> list[float]:
@@ -273,8 +328,66 @@ def parse_bps_levels(texts) -> list[float]:
     return levels
 
 
-def _bps_label(bps: float) -> str:
-    return str(int(bps)) if float(bps).is_integer() else str(bps)
+def _bps_column(bps: float) -> str:
+    return f"bps_{int(bps) if float(bps).is_integer() else bps}"
+
+
+def cost_sensitivity(rows: list[dict], levels: list[float]) -> list[dict]:
+    """Mean out-of-sample return per objective with every trade charged
+    each per-side cost level."""
+    out = []
+    for obj, sub in group_by(rows, "objective").items():
+        returns = [r["oos_trade_returns_json"] for r in sub]
+        out.append({"objective": obj, **{
+            _bps_column(bps): float(np.mean(
+                [recompound_with_costs(t, bps) for t in returns]))
+            for bps in levels}})
+    return out
+
+
+# `columns` is a list, or a function of the builder's arguments where the
+# data decide them; `written_by` names the commands that write the file;
+# `report` shows it under `title` and copies it to `figure`, if given.
+Output = namedtuple("Output", "name columns build written_by title figure",
+                    defaults=[None])
+
+OUTPUTS = [  # in report order
+    Output("aggregates.csv",
+           ["objective", "val_mean", "val_std", "train_mean", "gen_ratio", "n"],
+           aggregate_by_objective, ("montecarlo", "walkforward"),
+           "Aggregate performance by objective", "fig_genratio_bars.csv"),
+    Output("splits_genratio.csv",
+           ["split_id", "objective", "val_mean", "val_std", "train_mean",
+            "gen_ratio", "n"],
+           aggregate_by_split, ("walkforward",),
+           "Generalization ratio by split", "fig_genratio_by_split.csv"),
+    Output("periods.csv",
+           ["split_id", "gt_score_mean", "baseline_avg", "delta_pp"],
+           aggregate_by_period, ("walkforward",), "Validation mean by period"),
+    Output("strategy_means.csv",
+           lambda rows: ["strategy", *objectives_in(rows)],
+           aggregate_by_strategy, ("montecarlo",),
+           "Mean out-of-sample return by strategy"),
+    Output("comparisons.csv",
+           ["comparison", "mean_diff", "t_stat", "p_value_t",
+            "wilcoxon_stat", "wilcoxon_p", "cohens_d", "n"],
+           paired_comparisons, ("montecarlo",),
+           "Paired statistical comparisons"),
+    Output("trade_counts.csv", ["objective", "mean_oos_trades"],
+           mean_trade_counts, ("montecarlo",),
+           "Mean out-of-sample trade counts"),
+    Output("cost_sensitivity.csv",
+           lambda rows, levels: ["objective", *map(_bps_column, levels)],
+           cost_sensitivity, ("costsweep",),
+           "Transaction-cost sensitivity", "fig_cost_curves.csv"),
+]
+
+
+def derive(out: Output, *args) -> tuple[list[str], list[dict]]:
+    """A file's (columns, rows) from trial rows, plus the cost levels for
+    the file `costsweep` writes."""
+    columns = out.columns(*args) if callable(out.columns) else out.columns
+    return columns, out.build(*args)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -313,24 +426,26 @@ def cmd_synth(args) -> int:
 
 
 def cmd_study(args) -> int:
+    """Run the study and derive every file it writes, then write them all;
+    a study that fails leaves no directory and no file behind."""
     cfg = load_config(args.config)
-    out_dir = Path(args.out or cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     assets = _load_assets(cfg)
     if args.command == "montecarlo":
         if args.seed_range:
             cfg.mc.seeds = parse_seed_range(args.seed_range)
         run, settings = search.run_montecarlo, vars(cfg.mc)
-        derive = derive_montecarlo_files
     else:
         run, settings = search.run_walkforward, vars(cfg.wf)
-        derive = derive_walkforward_files
     results = run(assets, cfg.strategies, cfg.objectives, cfg=cfg.objective,
                   jobs=args.jobs, budget=cfg.budget, **settings)
     cell_json = {}
     rows = [trial_row(r, cell_json) for r in results]
-    write_csv(out_dir / "trials.csv", TRIAL_COLUMNS, rows)
-    for name, (cols, data) in derive(rows).items():
+    files = {"trials.csv": (TRIAL_COLUMNS, rows)}
+    files.update((out.name, derive(out, rows)) for out in OUTPUTS
+                 if args.command in out.written_by)
+    out_dir = Path(args.out or cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (cols, data) in files.items():
         write_csv(out_dir / name, cols, data)
     print(f"{args.command}: {len(rows)} trials -> {out_dir}")
     return 0
@@ -343,10 +458,11 @@ def cmd_costsweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad --bps level: {exc}") from None
     rows = read_trials_csv(Path(args.trials))
-    cols, data = derive_cost_sensitivity(rows, sweep)
+    (out,) = [out for out in OUTPUTS if "costsweep" in out.written_by]
+    cols, data = derive(out, rows, sweep)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "cost_sensitivity.csv", cols, data)
+    write_csv(out_dir / out.name, cols, data)
     print(f"costsweep: {len(data)} objectives x {len(sweep)} levels -> {out_dir}")
     return 0
 
@@ -366,13 +482,10 @@ def _format_text_table(cols: list[str], rows: list[dict],
         if f.is_integer() and abs(f) < 1e15:
             return str(int(f))
         return f"{f:.{precision}f}"
-    table = [[fmt(r[c]) for c in cols] for r in rows]
-    widths = [max(len(c), *(len(row[i]) for row in table)) if table else len(c)
-              for i, c in enumerate(cols)]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(cols, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in table:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
+    table = [cols, *([fmt(r[c]) for c in cols] for r in rows)]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in table]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines)
 
 
@@ -381,26 +494,14 @@ def cmd_report(args) -> int:
     if not out_dir.is_dir():
         raise DataError(f"output directory not found: {out_dir}")
     sections = []
-    plot_files = {
-        "aggregates.csv": ("Aggregate performance by objective",
-                           "fig_genratio_bars.csv"),
-        "splits_genratio.csv": ("Generalization ratio by split",
-                                "fig_genratio_by_split.csv"),
-        "periods.csv": ("Validation mean by period", None),
-        "strategy_means.csv": ("Mean out-of-sample return by strategy", None),
-        "comparisons.csv": ("Paired statistical comparisons", None),
-        "trade_counts.csv": ("Mean out-of-sample trade counts", None),
-        "cost_sensitivity.csv": ("Transaction-cost sensitivity",
-                                 "fig_cost_curves.csv"),
-    }
-    for name, (title, plot_name) in plot_files.items():
-        path = out_dir / name
+    for out in OUTPUTS:
+        path = out_dir / out.name
         if not path.exists():
             continue
         cols, rows = _read_raw_csv(path)
-        sections.append(f"{title}\n{_format_text_table(cols, rows)}")
-        if plot_name:
-            (out_dir / plot_name).write_text(path.read_text())
+        sections.append(f"{out.title}\n{_format_text_table(cols, rows)}")
+        if out.figure:
+            (out_dir / out.figure).write_text(path.read_text())
     if not sections:
         raise DataError(f"no result CSVs found in {out_dir}")
     report = "\n\n".join(sections) + "\n"
@@ -412,28 +513,31 @@ def cmd_report(args) -> int:
 def cmd_verify(args) -> int:
     out_dir = Path(args.out)
     rows = read_trials_csv(out_dir / "trials.csv")
-    if (out_dir / "periods.csv").exists():
-        derived = derive_walkforward_files(rows)
-    else:
-        derived = derive_montecarlo_files(rows)
-    cost_path = out_dir / "cost_sensitivity.csv"
-    if cost_path.exists():
-        cols, _ = _read_raw_csv(cost_path)
-        try:
-            sweep = parse_bps_levels(c.removeprefix("bps_") for c in cols[1:])
-        except ValueError as exc:
-            raise DataError(f"{cost_path}: bad header {cols}: {exc}") from None
-        derived["cost_sensitivity.csv"] = derive_cost_sensitivity(rows, sweep)
+    # the protocol is a guess: walkforward if a file only it writes is there
+    protocol = "walkforward" if any(
+        (out_dir / out.name).exists() for out in OUTPUTS
+        if out.written_by == ("walkforward",)) else "montecarlo"
     failures = []
-    for name, (cols, data) in derived.items():
-        path = out_dir / name
-        if not path.exists():
-            failures.append(f"{name}: missing")
-            continue
-        if csv_text(cols, data) != read_text(path, DataError, "file"):
-            failures.append(f"{name}: differs from recomputation")
+    for out in OUTPUTS:
+        path = out_dir / out.name
+        if protocol in out.written_by:
+            cols, data = derive(out, rows)
+        elif "costsweep" in out.written_by and path.exists():
+            cols, _ = _read_raw_csv(path)
+            try:
+                levels = parse_bps_levels(c.removeprefix("bps_")
+                                          for c in cols[1:])
+            except ValueError as exc:
+                raise DataError(f"{path}: bad header {cols}: {exc}") from None
+            cols, data = derive(out, rows, levels)
         else:
-            print(f"verify: {name} OK")
+            continue
+        if not path.exists():
+            failures.append(f"{out.name}: missing")
+        elif csv_text(cols, data) != read_text(path, DataError, "file"):
+            failures.append(f"{out.name}: differs from recomputation")
+        else:
+            print(f"verify: {out.name} OK")
     if failures:
         raise InternalCheckError("; ".join(failures))
     print("verify: all aggregates recomputable from trials.csv")

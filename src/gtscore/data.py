@@ -395,16 +395,21 @@ def _expect(tp: type, value, where: str) -> None:
 def load_synthetic_manifest(text: str) -> list[tuple[str, SyntheticSpec]]:
     """Parse a JSON manifest: {"assets": [{"asset_id": ..., <spec fields>}]},
     each entry decoded by type (`decode_config`). Raises ConfigError for
-    invalid JSON, a missing key or a bad value."""
+    invalid JSON, a missing key, a bad value or a repeated asset_id."""
     try:
         entries = decode_config(list[dict], json.loads(text)["assets"],
                                 "assets")
         manifest = []
         for i, entry in enumerate(entries):
             spec = {k: v for k, v in entry.items() if k != "asset_id"}
-            manifest.append((
-                decode_config(str, entry["asset_id"], f"assets[{i}].asset_id"),
-                decode_config(SyntheticSpec, spec, f"assets[{i}]")))
+            asset_id = decode_config(str, entry["asset_id"],
+                                     f"assets[{i}].asset_id")
+            spec = decode_config(SyntheticSpec, spec, f"assets[{i}]")
+            ids = [a for a, _ in manifest]
+            if asset_id in ids:  # its CSV would overwrite the first one's
+                raise ValueError(f"assets[{i}].asset_id repeats assets"
+                                 f"[{ids.index(asset_id)}].asset_id {asset_id!r}")
+            manifest.append((asset_id, spec))
         return manifest
     except KeyError as exc:
         raise ConfigError(f"bad synthetic manifest: missing key {exc}") from None

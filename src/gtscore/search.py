@@ -25,7 +25,6 @@ import numpy as np
 from .data import PriceSeries, SplitSpec, make_chrono_split, make_walkforward_splits
 from .engine import BacktestResult, run_backtest
 from .errors import DataError, InsufficientDataError, ParameterError
-from .metrics import generalization_ratio
 from .objective import ObjectiveConfig, ObjectiveKind, pool_losses
 from .strategy import StrategyKind, StrategyParams, sample_params, signals
 
@@ -179,21 +178,25 @@ def study_cells(assets: list[PriceSeries], strategies: list[StrategyKind],
                 budget: int = DEFAULT_BUDGET) -> list[CellSpec]:
     """Cartesian product of assets x strategies x splits x seeds, where
     `splits_of` gives a series' splits. Assets too short for a split are
-    skipped with a warning."""
+    skipped with a warning; DataError when every asset is."""
     if not seeds:
         raise ParameterError("seeds must be non-empty")
-    cells = []
+    cells, skipped = [], []
     for series in assets:
         try:
             splits = splits_of(series)
         except DataError as exc:
             logger.warning("skipping %s: %s", series.asset_id, exc)
+            skipped.append(series.asset_id)
             continue
         cells += [CellSpec(series.asset_id, strat, split, seed=seed,
                            split_id=i, budget=budget)
                   for strat in strategies
                   for i, split in enumerate(splits)
                   for seed in seeds]
+    if skipped and len(skipped) == len(assets):
+        raise DataError(f"no asset is long enough for a split: skipped "
+                        f"{', '.join(skipped)}")
     return cells
 
 
@@ -218,112 +221,11 @@ def run_montecarlo(assets, strategies, objectives, seeds,
         assets, strategies,
         lambda series: [make_chrono_split(series, **split_kwargs)],
         seeds, budget)
+    # each cell pairs GT-Score with each baseline once
+    if (ObjectiveKind.GT_SCORE in objectives
+            and any(b in objectives for b in BASELINES) and len(cells) < 2):
+        raise ParameterError(
+            f"need n >= 2 pairs to compare gt_score with a baseline; this "
+            f"study has {len(cells)} (one per asset, strategy and seed)")
     return run_trials(cells, {s.asset_id: s for s in assets}, objectives,
                       cfg, jobs)
-
-
-# --- Aggregation over plain row dicts -------------------------------------
-# Aggregates operate on the same row dicts that land in the trial CSV, so
-# the verify subcommand can recompute them from the file bit-for-bit.
-
-
-def aggregate_by_objective(rows: list[dict]) -> list[dict]:
-    """Per-objective mean/std of out-of-sample returns, train mean, and the
-    generalization ratio (ratio of the aggregate means). Degenerate rows
-    are excluded from the generalization ratio only."""
-    out = []
-    for obj in objectives_in(rows):
-        sub = [r for r in rows if r["objective"] == obj]
-        oos = np.array([r["oos_return"] for r in sub])
-        train = np.array([r["train_return"] for r in sub])
-        live = [r for r in sub if not r["degenerate"]]
-        if live:
-            oos_live = np.array([r["oos_return"] for r in live])
-            train_live = np.array([r["train_return"] for r in live])
-            gen = generalization_ratio(float(oos_live.mean()),
-                                       float(train_live.mean()))
-        else:
-            gen = math.nan
-        out.append({
-            "objective": obj,
-            "val_mean": float(oos.mean()),
-            "val_std": float(oos.std()),
-            "train_mean": float(train.mean()),
-            "gen_ratio": gen,
-            "n": len(sub),
-        })
-    return out
-
-
-def aggregate_by_split(rows: list[dict]) -> list[dict]:
-    """Per-split, per-objective aggregate generalization ratios."""
-    out = []
-    for split_id in sorted({r["split_id"] for r in rows}):
-        out += [{"split_id": split_id, **agg} for agg in aggregate_by_objective(
-            [r for r in rows if r["split_id"] == split_id])]
-    return out
-
-
-def aggregate_by_period(rows: list[dict]) -> list[dict]:
-    """Per-split validation means: composite vs the baseline average, with
-    the difference in percentage points."""
-    out = []
-    for split_id in sorted({r["split_id"] for r in rows}):
-        sub = [r for r in rows if r["split_id"] == split_id]
-        gt = [r["oos_return"] for r in sub
-              if r["objective"] == ObjectiveKind.GT_SCORE.value]
-        base = [r["oos_return"] for r in sub
-                if r["objective"] in {b.value for b in BASELINES}]
-        gt_mean = float(np.mean(gt)) if gt else math.nan
-        base_mean = float(np.mean(base)) if base else math.nan
-        out.append({
-            "split_id": split_id,
-            "gt_score_mean": gt_mean,
-            "baseline_avg": base_mean,
-            "delta_pp": (gt_mean - base_mean) * 100.0,
-        })
-    return out
-
-
-def aggregate_by_strategy(rows: list[dict]) -> list[dict]:
-    """Mean out-of-sample return per strategy x objective."""
-    out = []
-    for strat in sorted({r["strategy"] for r in rows}):
-        entry = {"strategy": strat}
-        for obj in objectives_in(rows):
-            vals = [r["oos_return"] for r in rows
-                    if r["strategy"] == strat and r["objective"] == obj]
-            entry[obj] = float(np.mean(vals)) if vals else math.nan
-        out.append(entry)
-    return out
-
-
-def mean_trade_counts(rows: list[dict]) -> list[dict]:
-    """Mean out-of-sample trade count per objective."""
-    return [{
-        "objective": obj,
-        "mean_oos_trades": float(np.mean(
-            [r["oos_trades"] for r in rows if r["objective"] == obj])),
-    } for obj in objectives_in(rows)]
-
-
-def paired_oos_returns(rows: list[dict], obj_a: str,
-                       obj_b: str) -> tuple[np.ndarray, np.ndarray]:
-    """Out-of-sample returns of two objectives aligned on the full trial
-    key (asset, strategy, split, seed)."""
-    def key(r):
-        return (r["asset"], r["strategy"], r["split_id"], r["seed"])
-    a_by_key = {key(r): r["oos_return"] for r in rows if r["objective"] == obj_a}
-    b_by_key = {key(r): r["oos_return"] for r in rows if r["objective"] == obj_b}
-    common = sorted(set(a_by_key) & set(b_by_key))
-    if len(common) != len(a_by_key) or len(common) != len(b_by_key):
-        raise DataError(f"unpaired trials between {obj_a} and {obj_b}")
-    return (np.array([a_by_key[k] for k in common]),
-            np.array([b_by_key[k] for k in common]))
-
-
-def objectives_in(rows: list[dict]) -> list[str]:
-    """The objectives present in `rows`, in `ObjectiveKind` order."""
-    order = [k.value for k in ObjectiveKind]
-    present = {r["objective"] for r in rows}
-    return [o for o in order if o in present]

@@ -226,7 +226,7 @@ def test_criterion_6_determinism(tmp_path):
 def test_criterion_7_directional_study(study):
     rows, elapsed = study
     assert elapsed < 300.0
-    from gtscore.search import aggregate_by_objective
+    from gtscore.cli import aggregate_by_objective
 
     passing = 0
     for seed in STUDY_SEEDS:

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -43,6 +44,43 @@ WALKFORWARD_TRIALS_SHA256 = (
     "1a6e3e2384733c226f010aa7313fa39b257bde47bedb54793b4a88ba1faec9e1")
 CONFIG_INIT_SHA256 = (
     "eb5200fe96d76c3c76536ebea1321ec054448bfa55bf31b6d711069b95098960")
+# every file in a study directory: the workspace Monte Carlo study after
+# `costsweep --bps 0,5,10` and `report`, and `walkforward_study` after
+# `report`
+MONTECARLO_OUTPUT_SHA256 = {
+    "aggregates.csv": (
+        "450e77b9bf78fd8470a2ab8100ecb89747a02e5a75e9a2ad5249c9318900e734"),
+    "comparisons.csv": (
+        "7d92d69a9c923cec5e6ead9d8e68f50237dcb9d616e94fae2f4d7a166efd1418"),
+    "cost_sensitivity.csv": (
+        "3af5a9d07e2481d440d01a4e8b8e421572680ee8fc441139f658ead5f6063918"),
+    "fig_cost_curves.csv": (
+        "3af5a9d07e2481d440d01a4e8b8e421572680ee8fc441139f658ead5f6063918"),
+    "fig_genratio_bars.csv": (
+        "450e77b9bf78fd8470a2ab8100ecb89747a02e5a75e9a2ad5249c9318900e734"),
+    "report.txt": (
+        "b3c8fb71ea628e75ee2472aa3117d2b378df1ca6c8c44d5bb5c569556a1e7666"),
+    "strategy_means.csv": (
+        "2dd16f17934588f4db73d5d2be6e5b59cbb10fa5d2eb2ce50cbfe4aaa7b98f4c"),
+    "trade_counts.csv": (
+        "943507aa8a9939e0caca2e630438af28b9194919e5748f70efeb26a99a06d8b4"),
+    "trials.csv": MONTECARLO_TRIALS_SHA256,
+}
+WALKFORWARD_OUTPUT_SHA256 = {
+    "aggregates.csv": (
+        "fc54910fb50ede407658e557baf4d75918c75bd28ecc270ba608aa340976fb0e"),
+    "fig_genratio_bars.csv": (
+        "fc54910fb50ede407658e557baf4d75918c75bd28ecc270ba608aa340976fb0e"),
+    "fig_genratio_by_split.csv": (
+        "18299e11d73032a0a100c97bb14965b6708bf42701b33ed8aaf219b94ec64e9b"),
+    "periods.csv": (
+        "8214aced6d8b2a38011e4aa16d52d6c2cd9fc19a2e34dfd9f4c013f28383886b"),
+    "report.txt": (
+        "b74204b18c2f8c7545ea637fd46f4fd24f613dd9036f6bb159962261393eaedf"),
+    "splits_genratio.csv": (
+        "18299e11d73032a0a100c97bb14965b6708bf42701b33ed8aaf219b94ec64e9b"),
+    "trials.csv": WALKFORWARD_TRIALS_SHA256,
+}
 
 
 def sha256_of(path):
@@ -82,6 +120,37 @@ def workspace(tmp_path_factory):
     cfg_path.write_text(json.dumps(cfg.to_json()))
     assert main(["montecarlo", "--config", str(cfg_path)]) == 0
     return root, cfg_path
+
+
+def test_output_files_pinned(workspace, tmp_path):
+    _, cfg_path = workspace
+    mc = tmp_path / "mc"
+    assert main(["montecarlo", "--config", str(cfg_path),
+                 "--out", str(mc)]) == 0
+    assert main(["costsweep", "--trials", str(mc / "trials.csv"),
+                 "--out", str(mc), "--bps", "0,5,10"]) == 0
+    assert main(["report", "--out", str(mc)]) == 0
+    wf = walkforward_study(tmp_path)
+    assert main(["report", "--out", str(wf)]) == 0
+    for out, pins in ((mc, MONTECARLO_OUTPUT_SHA256),
+                      (wf, WALKFORWARD_OUTPUT_SHA256)):
+        assert {p.name: sha256_of(p) for p in sorted(out.iterdir())} == pins
+
+
+def test_tracer_cli_targets_resolve():
+    # perfbench/tracer.py wraps these names where gtscore.cli looks them
+    # up; a rename must fail here, not silently zero a benchmark metric
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [t for t in tracer.TARGETS if t[1] == "gtscore.cli"]
+    assert targets
+    for name, module, attr, _ in targets:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), name
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -336,24 +405,29 @@ def test_malformed_trials_exit_code(workspace, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_walkforward_end_to_end(tmp_path):
-    # ~9.2 calendar years of weekdays -> 4 rolling splits
+def walkforward_study(root):
+    """A walkforward study of one ~9.2-year synthetic asset (4 rolling
+    splits) at --jobs 2; its output directory."""
     manifest = {"assets": [{
         "asset_id": "WF", "n_days": 2400, "initial_price": 100.0,
         "regimes": [[2400, 0.0005, 0.015]], "seed": 4}]}
-    spec_path = tmp_path / "m.json"
+    spec_path = root / "m.json"
     spec_path.write_text(json.dumps(manifest))
-    data_dir = tmp_path / "data"
+    data_dir = root / "data"
     assert main(["synth", "--spec", str(spec_path),
                  "--out", str(data_dir)]) == 0
 
     cfg = RunConfig(data_dir=str(data_dir), budget=3,
-                    out_dir=str(tmp_path / "wf"))
-    cfg_path = tmp_path / "cfg.json"
+                    out_dir=str(root / "wf"))
+    cfg_path = root / "cfg.json"
     cfg_path.write_text(json.dumps(cfg.to_json()))
     assert main(["walkforward", "--config", str(cfg_path),
                  "--jobs", "2"]) == 0
-    out = tmp_path / "wf"
+    return root / "wf"
+
+
+def test_walkforward_end_to_end(tmp_path):
+    out = walkforward_study(tmp_path)
     rows = read_trials_csv(out / "trials.csv")
     splits = {r["split_id"] for r in rows}
     assert splits == set(range(4))
@@ -393,6 +467,41 @@ def test_missing_data_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read data file {data_dir / 'X.csv'}")
     assert err.count("\n") == 1
+    # an asset too short for any split leaves the study without a cell
+    spec_path = tmp_path / "m.json"
+    spec_path.write_text(json.dumps({"assets": [{
+        "asset_id": "X", "n_days": 30, "initial_price": 100.0,
+        "regimes": [[30, 0.0, 0.01]], "seed": 1}]}))
+    assert main(["synth", "--spec", str(spec_path),
+                 "--out", str(data_dir)]) == 0
+    for command in ("montecarlo", "walkforward"):
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: no asset is long enough for a split: "
+                       "skipped X\n")
+    # a failing study writes nothing
+    assert not (tmp_path / "out").exists()
+
+
+def test_too_few_pairs_exit_code(workspace, tmp_path, capsys, monkeypatch):
+    # one asset, strategy and seed: one pair per comparison, too few for
+    # the paired statistics, found before any backtest runs
+    root, _ = workspace
+    cfg = RunConfig(data_dir=str(root / "data"), assets=["AA"],
+                    strategies=[StrategyKind.MACD],
+                    mc=MonteCarloConfig(seeds=[42]), budget=2,
+                    out_dir=str(tmp_path / "out"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_json()))
+    monkeypatch.setattr(search, "run_trials",
+                        lambda *args: pytest.fail("the study ran"))
+    capsys.readouterr()
+    assert main(["montecarlo", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: need n >= 2 pairs to compare gt_score with a baseline; this "
+        "study has 1 (one per asset, strategy and seed)\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
@@ -489,6 +598,9 @@ def test_synth_bad_manifest_exit_code(tmp_path, capsys):
              (json.dumps({"assets": [{**entry, "start_date": "2010-13-01"}]}),
               "bad synthetic manifest: assets[0].start_date: "),
              (json.dumps({"assets": [entry, entry]}), "assets[1]: repeats"),
+             # one CSV per asset_id: a second entry would overwrite the first
+             (json.dumps({"assets": [entry, {**entry, "seed": 2}]}),
+              "assets[1].asset_id repeats assets[0].asset_id 'AA'"),
              (json.dumps({"assets": [{**entry, "colour": "red"}]}),
               "bad synthetic manifest"),
              (json.dumps({"assets": [5]}), "assets[0]: expected dict"),
@@ -505,6 +617,7 @@ def test_synth_bad_manifest_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+    assert not (tmp_path / "data").exists()
 
 
 def test_jobs_below_one_exit_code(workspace, tmp_path, capsys):

@@ -23,15 +23,17 @@ from gtscore.objective import (
     metric_context,
 )
 from gtscore import objective, search, strategy
-from gtscore.search import (
-    CellSpec,
+from gtscore.cli import (
     aggregate_by_objective,
     aggregate_by_period,
     aggregate_by_split,
     aggregate_by_strategy,
-    candidate_rng,
     mean_trade_counts,
     paired_oos_returns,
+)
+from gtscore.search import (
+    CellSpec,
+    candidate_rng,
     run_task,
     run_trials,
     study_cells,
