@@ -92,15 +92,10 @@ class RunConfig:
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
     out_dir: str = "out"
 
-    def to_json(self) -> dict:
-        return encode_config(self)
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "RunConfig":
-        try:
-            return decode_config(cls, doc)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad run config: {exc}") from exc
+    def __post_init__(self):
+        for name in ("strategies", "objectives"):
+            if not getattr(self, name):
+                raise ValueError(f"{name}: must name at least one")
 
 
 def read_text(path, error: type[GtscoreError], what: str) -> str:
@@ -117,7 +112,21 @@ def load_config(path: str) -> RunConfig:
         doc = json.loads(read_text(path, ConfigError, "config"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return RunConfig.from_json(doc)
+    try:
+        return decode_config(RunConfig, doc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad run config: {exc}") from exc
+
+
+def output_dir(path) -> Path:
+    """`path` as a directory to write into, checked before any work: it,
+    or else its nearest existing parent, must be a directory."""
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output path {path}: {existing} is not a "
+                          f"directory")
+    return path
 
 
 def parse_seed_range(text: str) -> list[int]:
@@ -404,7 +413,7 @@ def _load_assets(cfg: RunConfig) -> list:
 
 
 def cmd_config_init(args) -> int:
-    doc = json.dumps(RunConfig().to_json(), indent=2) + "\n"
+    doc = json.dumps(encode_config(RunConfig()), indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(doc)
         print(f"wrote {args.out}")
@@ -429,6 +438,7 @@ def cmd_study(args) -> int:
     """Run the study and derive every file it writes, then write them all;
     a study that fails leaves no directory and no file behind."""
     cfg = load_config(args.config)
+    out_dir = output_dir(args.out or cfg.out_dir)
     assets = _load_assets(cfg)
     if args.command == "montecarlo":
         if args.seed_range:
@@ -443,7 +453,6 @@ def cmd_study(args) -> int:
     files = {"trials.csv": (TRIAL_COLUMNS, rows)}
     files.update((out.name, derive(out, rows)) for out in OUTPUTS
                  if args.command in out.written_by)
-    out_dir = Path(args.out or cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, (cols, data) in files.items():
         write_csv(out_dir / name, cols, data)
@@ -457,10 +466,10 @@ def cmd_costsweep(args) -> int:
                  else DEFAULT_COST_SWEEP)
     except ValueError as exc:
         raise ConfigError(f"bad --bps level: {exc}") from None
+    out_dir = output_dir(args.out)
     rows = read_trials_csv(Path(args.trials))
     (out,) = [out for out in OUTPUTS if "costsweep" in out.written_by]
     cols, data = derive(out, rows, sweep)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / out.name, cols, data)
     print(f"costsweep: {len(data)} objectives x {len(sweep)} levels -> {out_dir}")

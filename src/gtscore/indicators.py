@@ -6,76 +6,121 @@ positions hold NaN. values[i] depends only on closes[0..i] (no lookahead).
 
 from __future__ import annotations
 
-import math
-from functools import partial
-
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
 
 
 def rsi(closes: np.ndarray, period: int) -> np.ndarray:
-    """Wilder's RSI.
+    """Wilder's RSI of one period: `rsi_columns` for a single column."""
+    return rsi_columns(closes, [period])[:, 0]
+
+
+def rsi_columns(closes: np.ndarray, periods) -> np.ndarray:
+    """Wilder's RSI of `closes` for each of `periods`, as the columns of a
+    time-major (bars, len(periods)) array, in one pass over the bars.
 
     Initial average gain/loss is the simple mean of the first `period`
     up/down moves; thereafter avg = (prev * (period - 1) + current) / period.
-    RSI = 100 when the average loss is zero, 0 when the average gain is zero.
+    RSI = 100 when the average loss is zero, else 0 when the average gain
+    is zero; NaN before index `period`.
     """
     closes = np.asarray(closes, dtype=float)
     n = len(closes)
-    if period < 2:
-        raise ParameterError("rsi period must be >= 2")
-    if n <= period:
-        raise InsufficientDataError(f"rsi needs > {period} closes, got {n}")
+    for period in periods:
+        if period < 2:
+            raise ParameterError("rsi period must be >= 2")
+        if n <= period:
+            raise InsufficientDataError(
+                f"rsi needs > {period} closes, got {n}")
     deltas = np.diff(closes)
-    gains = np.maximum(deltas, 0.0)
-    losses = np.maximum(-deltas, 0.0)
-
-    out = [math.nan] * n
-    gains_l, losses_l = gains.tolist(), losses.tolist()
-    avg_gain = float(gains[:period].mean())
-    avg_loss = float(losses[:period].mean())
-    for i in range(period, n):
-        if i > period:
-            avg_gain = (avg_gain * (period - 1) + gains_l[i - 1]) / period
-            avg_loss = (avg_loss * (period - 1) + losses_l[i - 1]) / period
-        if avg_loss == 0.0:
-            out[i] = 100.0
-        elif avg_gain == 0.0:
-            out[i] = 0.0
-        else:
-            out[i] = 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
-    return np.array(out)
+    gains, losses = np.maximum(deltas, 0.0), np.maximum(-deltas, 0.0)
+    k = len(periods)
+    # Row i holds the move into bar i, gains in the first k columns and
+    # losses in the last k, until the pass turns it into the averages after
+    # bar i. A column holds NaN before its seed row, which the update keeps.
+    avg = np.empty((n, 2 * k))
+    avg[1:, :k] = gains[:, None]
+    avg[1:, k:] = losses[:, None]
+    width = np.array(list(periods) * 2, dtype=float)
+    keep = width - 1.0
+    seeds = {}  # row -> columns seeded there
+    for j, period in enumerate(periods):
+        seeds.setdefault(period, []).append(j)
+    begin = min(seeds, default=n)
+    avg[:begin + 1] = np.nan
+    for i in range(begin, n):
+        row = avg[i]
+        if i > begin:
+            row += prev * keep
+            row /= width
+        if i in seeds:
+            cols = seeds[i]
+            row[cols] = float(gains[:i].mean())
+            row[[k + j for j in cols]] = float(losses[:i].mean())
+        prev = row
+    gain, loss = avg[:, :k], avg[:, k:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = 100.0 - 100.0 / (1.0 + gain / loss)
+    out[gain == 0.0] = 0.0
+    out[loss == 0.0] = 100.0
+    return out
 
 
 def ema(values: np.ndarray, period: int) -> np.ndarray:
     """EMA with multiplier 2/(period+1), seeded by the SMA of the first
-    `period` values; NaN before index period-1."""
-    values = np.asarray(values, dtype=float)
-    n = len(values)
-    if period < 1:
-        raise ParameterError("ema period must be >= 1")
-    if n < period:
-        raise InsufficientDataError(f"ema needs >= {period} values, got {n}")
-    out = [math.nan] * n
-    mult = 2.0 / (period + 1.0)
-    vals = values.tolist()
-    prev = float(values[:period].mean())
-    out[period - 1] = prev
-    for i in range(period, n):
-        prev = prev + mult * (vals[i] - prev)
-        out[i] = prev
-    return np.array(out)
+    `period` values; NaN before index period-1: `ema_columns` for a single
+    column."""
+    column = np.array(values, dtype=float).reshape(-1, 1)
+    return ema_columns(column, [period], [0])[:, 0]
 
 
-def macd(closes: np.ndarray, fast: int, slow: int, signal_p: int,
-         leg=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def ema_columns(x: np.ndarray, periods, starts) -> np.ndarray:
+    """EMAs of the columns of the time-major (bars, k) float array `x`, in
+    place and in one pass over the bars; returns `x`.
+
+    Column j is EMA(periods[j]) of x[starts[j]:, j]: multiplier
+    2/(period+1), seeded by the SMA of its first `period` values, NaN
+    before row starts[j] + periods[j] - 1.
+    """
+    n = len(x)
+    mult = np.array([2.0 / (period + 1.0) for period in periods])
+    # row -> (columns seeded there, their seeds), each seed the mean of a
+    # contiguous 1-D copy of the column's first `period` values
+    seeds = {}
+    for j, (period, start) in enumerate(zip(periods, starts)):
+        if period < 1:
+            raise ParameterError("ema period must be >= 1")
+        if n - start < period:
+            raise InsufficientDataError(
+                f"ema needs >= {period} values, got {n - start}")
+        first = start + period - 1
+        cols, vals = seeds.setdefault(first, ([], []))
+        cols.append(j)
+        vals.append(float(np.ascontiguousarray(x[start:first + 1, j]).mean()))
+    begin = min(seeds, default=n)
+    x[:begin] = np.nan
+    for i in range(begin, n):
+        row = x[i]
+        if i > begin:  # columns not yet seeded hold NaN, which this keeps
+            row -= prev
+            row *= mult
+            row += prev
+        else:
+            row[:] = np.nan
+        if i in seeds:
+            row[seeds[i][0]] = seeds[i][1]
+        prev = row
+    return x
+
+
+def macd(closes: np.ndarray, fast: int, slow: int,
+         signal_p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """MACD line, signal line, histogram.
 
     The MACD line is EMA(fast) - EMA(slow), defined once the slow EMA is.
     The signal line is an EMA of the defined MACD values; the histogram is
-    their difference. `leg(p)`, when given, returns the EMA(p) of `closes`
-    (a caller's cache of the two legs).
+    their difference.
     """
     n = len(closes)
     if fast >= slow:
@@ -83,8 +128,8 @@ def macd(closes: np.ndarray, fast: int, slow: int, signal_p: int,
     if n <= slow + signal_p:
         raise InsufficientDataError(
             f"macd needs > {slow + signal_p} closes, got {n}")
-    leg = leg or partial(ema, closes)
-    macd_line = leg(fast) - leg(slow)  # NaN until slow EMA defined
+    # NaN until the slow EMA is defined
+    macd_line = ema(closes, fast) - ema(closes, slow)
 
     signal_line = np.full(n, np.nan)
     start = slow - 1  # first defined macd index

@@ -18,7 +18,7 @@ import math
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import groupby, repeat
 
 import numpy as np
 
@@ -26,7 +26,13 @@ from .data import PriceSeries, SplitSpec, make_chrono_split, make_walkforward_sp
 from .engine import BacktestResult, run_backtest
 from .errors import DataError, InsufficientDataError, ParameterError
 from .objective import ObjectiveConfig, ObjectiveKind, pool_losses
-from .strategy import StrategyKind, StrategyParams, sample_params, signals
+from .strategy import (
+    StrategyKind,
+    StrategyParams,
+    indicator_cache,
+    sample_params,
+    signals,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -74,7 +80,7 @@ def candidate_rng(seed: int, asset_id: str,
 
 
 def _backtest(params: StrategyParams, window: PriceSeries | None,
-              cache: dict | None = None) -> BacktestResult | None:
+              cache: dict | None) -> BacktestResult | None:
     """Backtest on a pre-cut window; None when there is no window or it is
     too short for the indicator warm-up."""
     if window is None:
@@ -86,16 +92,43 @@ def _backtest(params: StrategyParams, window: PriceSeries | None,
     return run_backtest(window, sig)
 
 
+def _cache(window: PriceSeries | None, pool: list) -> dict | None:
+    return None if window is None else indicator_cache(window, pool)
+
+
+def _search_family(pools: list[list], window: PriceSeries | None,
+                   objectives: list[ObjectiveKind],
+                   cfg: ObjectiveConfig) -> list[tuple]:
+    """Backtest every candidate of these pools of one strategy family on
+    the training window, sharing one indicator cache, and pick each
+    objective's winner, the first candidate attaining the lowest loss:
+    (loss, winner, its backtest) per pool and objective, in order."""
+    cache = _cache(window, [p for pool in pools for p in pool])
+    picks = []
+    for pool in pools:
+        backtests = [_backtest(params, window, cache) for params in pool]
+        for losses in pool_losses(backtests, objectives, cfg):
+            best_loss, best = math.inf, None
+            for i, loss in enumerate(losses):
+                if loss < best_loss:
+                    best_loss, best = loss, i
+            picks.append((best_loss, pool[best or 0],
+                          None if best is None else backtests[best]))
+    return picks
+
+
 def run_task(cells: list[CellSpec], series: PriceSeries,
              objectives: list[ObjectiveKind],
              cfg: ObjectiveConfig) -> list[TrialResult]:
-    """Random search of each cell of one (asset, split), in order, on the
-    train window, scored under each objective, then one out-of-sample pass
-    per objective on the validation window; one result per (cell,
-    objective). Each window is cut once per task. Consecutive cells of one
-    strategy family share an indicator cache. Ties on loss go to the
-    first-seen candidate; an objective under which every candidate hits the
-    minimum-trade penalty is flagged degenerate."""
+    """Random search of each cell of one (asset, split) on the train
+    window, scored under each objective, then one out-of-sample pass per
+    objective on the validation window; one result per (cell, objective),
+    in order. Each window is cut once per task. Every cell's pool is drawn
+    first; each run of consecutive cells of one strategy family shares an
+    indicator cache of the training window, and the winners share one of
+    the validation window. Ties on loss go to the first-seen candidate; an
+    objective under which every candidate hits the minimum-trade penalty
+    is flagged degenerate."""
     split, windows = cells[0].split, []
     for start, end in ((split.train_start, split.train_end),
                        (split.val_start, split.val_end)):
@@ -104,42 +137,43 @@ def run_task(cells: list[CellSpec], series: PriceSeries,
         except InsufficientDataError:
             windows.append(None)
     train_window, val_window = windows
-    trials, family = [], None
+    pools = []
     for spec in cells:
-        if spec.strategy_kind != family:  # families share no indicator
-            family, cache = spec.strategy_kind, {}
         rng = candidate_rng(spec.seed, spec.asset_id, spec.strategy_kind)
-        candidates = [sample_params(spec.strategy_kind, rng)
-                      for _ in range(spec.budget)]
-        backtests = [_backtest(params, train_window, cache)
-                     for params in candidates]
-        scored = pool_losses(backtests, objectives, cfg)
-        for kind, losses in zip(objectives, scored):
-            best_loss, best = math.inf, None
-            for i, loss in enumerate(losses):
-                if loss < best_loss:
-                    best_loss, best = loss, i
-            best_params = candidates[best or 0]
-            train = None if best is None else backtests[best]
-            degenerate = best_loss >= cfg.below_min_penalty
-            # Degenerate trials (every candidate gated) get a zero-trade
-            # out-of-sample record; they stay in the table but are excluded
-            # from generalization-ratio aggregates.
-            oos = None if degenerate else _backtest(best_params, val_window)
-            trials.append(TrialResult(
-                spec=spec,
-                objective_kind=kind,
-                best_params=best_params,
-                best_loss=best_loss,
-                train_total_return=train.total_return if train else 0.0,
-                oos_total_return=oos.total_return if oos else 0.0,
-                train_n_trades=train.n_trades if train else 0,
-                oos_n_trades=oos.n_trades if oos else 0,
-                degenerate=degenerate,
-                candidates=candidates,
-                oos_trade_returns=oos.trade_returns if oos else np.array([]),
-            ))
-    return trials
+        pools.append([sample_params(spec.strategy_kind, rng)
+                      for _ in range(spec.budget)])
+    picks = []
+    for _, run in groupby(zip(cells, pools),
+                          key=lambda cell: cell[0].strategy_kind):
+        picks += _search_family([pool for _, pool in run], train_window,
+                                objectives, cfg)
+    # Degenerate trials (every candidate gated) get a zero-trade
+    # out-of-sample record; they stay in the table but are excluded from
+    # generalization-ratio aggregates.
+    val_cache = _cache(val_window, [params for loss, params, _ in picks
+                                    if loss < cfg.below_min_penalty])
+    trials = [(spec, pool, kind)
+              for spec, pool in zip(cells, pools) for kind in objectives]
+    results = []
+    for (spec, pool, kind), (best_loss, best_params, train) in zip(trials,
+                                                                  picks):
+        degenerate = best_loss >= cfg.below_min_penalty
+        oos = None if degenerate else _backtest(best_params, val_window,
+                                                val_cache)
+        results.append(TrialResult(
+            spec=spec,
+            objective_kind=kind,
+            best_params=best_params,
+            best_loss=best_loss,
+            train_total_return=train.total_return if train else 0.0,
+            oos_total_return=oos.total_return if oos else 0.0,
+            train_n_trades=train.n_trades if train else 0,
+            oos_n_trades=oos.n_trades if oos else 0,
+            degenerate=degenerate,
+            candidates=pool,
+            oos_trade_returns=oos.trade_returns if oos else np.array([]),
+        ))
+    return results
 
 
 def _sort_key(r: TrialResult):

@@ -10,7 +10,14 @@ import numpy as np
 
 from .data import PriceSeries
 from .errors import ParameterError
-from .indicators import bollinger, ema, macd, rolling_stats, rsi
+from .indicators import (
+    bollinger,
+    ema_columns,
+    macd,
+    rolling_stats,
+    rsi,
+    rsi_columns,
+)
 
 
 class StrategyKind(str, Enum):
@@ -109,6 +116,76 @@ def params_to_json(params: StrategyParams) -> str:
     return json.dumps(params_doc(params), sort_keys=True)
 
 
+def indicator_key(params: StrategyParams) -> tuple:
+    """What a candidate's rule reads, which its thresholds then apply to:
+    the RSI of its period, the rolling mean and std of its Bollinger
+    window, or, for MACD, whose rule has no threshold, the long/flat state
+    of its (fast, slow, signal) crossings."""
+    if isinstance(params, RsiParams):
+        return params.kind, params.period
+    if isinstance(params, MacdParams):
+        return params.kind, params.fast, params.slow, params.signal
+    if isinstance(params, BollingerParams):
+        return params.kind, params.window
+    raise ParameterError(f"unknown params type {type(params)!r}")
+
+
+def _indicator(params: StrategyParams, closes: np.ndarray):
+    """What `indicator_key(params)` names, computed for one candidate."""
+    if isinstance(params, RsiParams):
+        return rsi(closes, params.period)
+    if isinstance(params, MacdParams):
+        _, _, diff = macd(closes, params.fast, params.slow, params.signal)
+        return _crossings(diff)
+    return rolling_stats(closes, params.window)
+
+
+def indicator_cache(series: PriceSeries, pool) -> dict:
+    """What each candidate of `pool` reads on `series` (`indicator_key`),
+    each distinct entry computed once, together with the others of its
+    kind:
+      - the RSI of every period, in one time-major pass;
+      - every EMA leg in one pass, then every signal line in another, each
+        turned into its crossings' long/flat state;
+      - the rolling mean and std of every Bollinger window.
+    A candidate whose warm-up needs more bars than the series has is left
+    out, so `signals` raises InsufficientDataError for it. The RSI and
+    MACD entries are column views of one (bars, keys) array per kind; the
+    EMA arrays behind the MACD states are freed on return.
+    """
+    closes, n = series.closes, len(series)
+    cache = {"closes": closes}
+    keys = {indicator_key(p) for p in pool}
+    periods = sorted(p for kind, p, *_ in keys
+                     if kind is StrategyKind.RSI and n > p)
+    if periods:
+        columns = rsi_columns(closes, periods)
+        cache.update(((StrategyKind.RSI, p), columns[:, j])
+                     for j, p in enumerate(periods))
+    triples = sorted(k[1:] for k in keys
+                     if k[0] is StrategyKind.MACD and n > k[2] + k[3])
+    if triples:
+        periods = sorted({p for t in triples for p in t[:2]})
+        legs = ema_columns(np.repeat(closes[:, None], len(periods), axis=1),
+                           periods, [0] * len(periods))
+        leg = dict(zip(periods, legs.T))
+        lines = np.empty((n, len(triples)))
+        for j, (fast, slow, _) in enumerate(triples):
+            np.subtract(leg[fast], leg[slow], out=lines[:, j])
+        # each signal line is the EMA of its MACD line from its first
+        # defined bar, computed in place
+        signal_lines = ema_columns(lines, [signal for *_, signal in triples],
+                                   [slow - 1 for _, slow, _ in triples])
+        states = np.empty((n, len(triples)), dtype=bool)
+        for j, (fast, slow, signal) in enumerate(triples):
+            states[:, j] = _crossings(
+                leg[fast] - leg[slow] - signal_lines[:, j])
+            cache[StrategyKind.MACD, fast, slow, signal] = states[:, j]
+    cache.update(((kind, w), rolling_stats(closes, w)) for kind, w, *_ in keys
+                 if kind is StrategyKind.BOLLINGER and n >= w)
+    return cache
+
+
 def signals(params: StrategyParams, series: PriceSeries,
             cache: dict | None = None) -> np.ndarray:
     """Long/flat position per bar as a boolean array (True = long).
@@ -124,44 +201,42 @@ def signals(params: StrategyParams, series: PriceSeries,
       - Bollinger: enter when the close drops below the lower band;
         exit once the close is at or above the middle band.
 
-    `cache`, a dict bound to this series, keeps its RSI, EMA-leg and
-    rolling mean/std arrays across calls, one per parameter value.
+    `cache`, an `indicator_cache` of this series, supplies what the rule
+    reads; what it lacks is computed for this candidate alone. A returned
+    array may be the cache's own and must not be written to.
     """
-    closes, cache = series.closes, {} if cache is None else cache
-    if cache.setdefault("closes", closes) is not closes:
+    closes, key = series.closes, indicator_key(params)
+    cache = {"closes": closes} if cache is None else cache
+    if cache["closes"] is not closes:
         raise ParameterError("indicator cache belongs to another series")
+    ind = cache[key] if key in cache else _indicator(params, closes)
 
-    def memo(indicator, period):
-        if (indicator, period) not in cache:
-            cache[indicator, period] = indicator(closes, period)
-        return cache[indicator, period]
-
+    if isinstance(params, MacdParams):
+        return ind
     if isinstance(params, RsiParams):
-        ind = memo(rsi, params.period)
         prev = np.concatenate([[np.nan], ind[:-1]])
         valid = ~(np.isnan(ind) | np.isnan(prev))
         with np.errstate(invalid="ignore"):
             enter = valid & (prev < params.oversold) & (ind >= params.oversold)
             leave = valid & (ind >= params.overbought)
-    elif isinstance(params, MacdParams):
-        macd_line, signal_line, _ = macd(closes, params.fast, params.slow,
-                                         params.signal, lambda p: memo(ema, p))
-        diff = macd_line - signal_line
-        prev = np.concatenate([[np.nan], diff[:-1]])
-        valid = ~(np.isnan(diff) | np.isnan(prev))
-        with np.errstate(invalid="ignore"):
-            enter = valid & (prev <= 0) & (diff > 0)
-            leave = valid & (prev >= 0) & (diff < 0)
-    elif isinstance(params, BollingerParams):
-        middle, _, lower = bollinger(closes, params.window, params.k,
-                                     memo(rolling_stats, params.window))
+    else:
+        middle, _, lower = bollinger(closes, params.window, params.k, ind)
         valid = ~np.isnan(middle)
         with np.errstate(invalid="ignore"):
             enter = valid & (closes < lower)
             leave = valid & (closes >= middle)
-    else:
-        raise ParameterError(f"unknown params type {type(params)!r}")
+    return positions(enter, leave, valid)
 
+
+def _crossings(diff: np.ndarray) -> np.ndarray:
+    """Long/flat state of the MACD rule on its MACD-minus-signal
+    difference: enter when it turns positive, leave when it turns
+    negative."""
+    prev = np.concatenate([[np.nan], diff[:-1]])
+    valid = ~(np.isnan(diff) | np.isnan(prev))
+    with np.errstate(invalid="ignore"):
+        enter = valid & (prev <= 0) & (diff > 0)
+        leave = valid & (prev >= 0) & (diff < 0)
     return positions(enter, leave, valid)
 
 

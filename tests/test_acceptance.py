@@ -22,6 +22,7 @@ from gtscore.cli import (
 )
 from gtscore.data import (
     SyntheticSpec,
+    encode_config,
     generate_synthetic_series,
     load_synthetic_manifest,
     make_walkforward_splits,
@@ -206,7 +207,7 @@ def test_criterion_6_determinism(tmp_path):
                     mc=MonteCarloConfig(seeds=[42, 43]),
                     out_dir=str(tmp_path / "run1"))
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(cfg.to_json()))
+    cfg_path.write_text(json.dumps(encode_config(cfg)))
 
     assert main(["montecarlo", "--config", str(cfg_path)]) == 0
     assert main(["montecarlo", "--config", str(cfg_path),

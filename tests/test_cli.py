@@ -25,6 +25,7 @@ from gtscore.cli import (
     parse_seed_range,
     read_trials_csv,
 )
+from gtscore.data import decode_config, encode_config
 from gtscore.errors import ConfigError
 from gtscore.objective import (
     ObjectiveConfig,
@@ -117,7 +118,7 @@ def workspace(tmp_path_factory):
                     mc=MonteCarloConfig(seeds=[42, 43]),
                     budget=5, out_dir=str(root / "mc"))
     cfg_path = root / "config.json"
-    cfg_path.write_text(json.dumps(cfg.to_json()))
+    cfg_path.write_text(json.dumps(encode_config(cfg)))
     assert main(["montecarlo", "--config", str(cfg_path)]) == 0
     return root, cfg_path
 
@@ -199,9 +200,9 @@ def test_run_config_json_round_trip():
                           default.objective.stabilization)):
         for f in fields(ours):
             assert getattr(ours, f.name) != getattr(theirs, f.name), f.name
-    doc = json.loads(json.dumps(cfg.to_json()))
+    doc = json.loads(json.dumps(encode_config(cfg)))
     assert doc["objective"]["stabilization"]["n_range"] == [5, 80]
-    assert RunConfig.from_json(doc) == cfg
+    assert decode_config(RunConfig, doc) == cfg
 
 
 def test_load_config_errors(tmp_path):
@@ -420,7 +421,7 @@ def walkforward_study(root):
     cfg = RunConfig(data_dir=str(data_dir), budget=3,
                     out_dir=str(root / "wf"))
     cfg_path = root / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg.to_json()))
+    cfg_path.write_text(json.dumps(encode_config(cfg)))
     assert main(["walkforward", "--config", str(cfg_path),
                  "--jobs", "2"]) == 0
     return root / "wf"
@@ -442,14 +443,14 @@ def test_missing_data_exit_code(tmp_path, capsys):
     cfg = RunConfig(data_dir=str(tmp_path / "nowhere"),
                     out_dir=str(tmp_path / "out"))
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg.to_json()))
+    cfg_path.write_text(json.dumps(encode_config(cfg)))
     assert main(["montecarlo", "--config", str(cfg_path)]) == 2
 
     # non-finite values are data errors too, reported in one line
     data_dir = tmp_path / "data"
     data_dir.mkdir()
     cfg = RunConfig(data_dir=str(data_dir), out_dir=str(tmp_path / "out"))
-    cfg_path.write_text(json.dumps(cfg.to_json()))
+    cfg_path.write_text(json.dumps(encode_config(cfg)))
     good = "date,open,high,low,close,volume\n2020-01-02,10,11,9,10.5,100\n"
     for row in ["2020-01-03,11,inf,10,10.8,100",
                 "2020-01-03,11,12,10,10.8,nan",
@@ -493,7 +494,7 @@ def test_too_few_pairs_exit_code(workspace, tmp_path, capsys, monkeypatch):
                     mc=MonteCarloConfig(seeds=[42]), budget=2,
                     out_dir=str(tmp_path / "out"))
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg.to_json()))
+    cfg_path.write_text(json.dumps(encode_config(cfg)))
     monkeypatch.setattr(search, "run_trials",
                         lambda *args: pytest.fail("the study ran"))
     capsys.readouterr()
@@ -502,6 +503,38 @@ def test_too_few_pairs_exit_code(workspace, tmp_path, capsys, monkeypatch):
         "error: need n >= 2 pairs to compare gt_score with a baseline; this "
         "study has 1 (one per asset, strategy and seed)\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_study_out_is_a_file_exit_code(workspace, tmp_path, capsys,
+                                       monkeypatch):
+    # --out naming a file, or a path under one, fails in one line before
+    # any backtest runs, for both protocols; the file is left as it was
+    _, cfg_path = workspace
+    monkeypatch.setattr(search, "run_trials",
+                        lambda *args: pytest.fail("the study ran"))
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    for command in ("montecarlo", "walkforward"):
+        for out in (taken, taken / "sub"):
+            capsys.readouterr()
+            assert main([command, "--config", str(cfg_path),
+                         "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: output path {out}: {taken} is not a directory\n")
+    assert taken.read_text() == "keep"
+
+
+def test_costsweep_out_is_a_file_exit_code(workspace, tmp_path, capsys):
+    root, _ = workspace
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    for out in (taken, taken / "sub"):
+        capsys.readouterr()
+        assert main(["costsweep", "--trials", str(root / "mc" / "trials.csv"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: output path {out}: {taken} is not a directory\n")
+    assert taken.read_text() == "keep"
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
@@ -538,6 +571,14 @@ def test_bad_config_exit_code(tmp_path, capsys):
         capsys.readouterr()
         assert main(["montecarlo", "--config", str(bad)]) == 1
         assert f"bad run config: {path}: expected " in capsys.readouterr().err
+    # an empty strategy or objective list would run a study of no trial
+    for command in ("montecarlo", "walkforward"):
+        for name in ("strategies", "objectives"):
+            bad.write_text('{"%s": []}' % name)
+            capsys.readouterr()
+            assert main([command, "--config", str(bad)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: bad run config: {name}: must name at least one\n")
     # a repeated list entry would count its trials twice; named by its path
     for doc, path in [('{"assets": ["A", "B", "A"]}',
                        "assets[2]: repeats 'A'"),
@@ -645,7 +686,7 @@ def test_study_settings_reach_splits(workspace, tmp_path, monkeypatch):
                     objectives=[ObjectiveKind.SIMPLE],
                     wf=WalkforwardConfig(step_years=2))
     cfg_path = tmp_path / "wf.json"
-    cfg_path.write_text(json.dumps(cfg.to_json()))
+    cfg_path.write_text(json.dumps(encode_config(cfg)))
     assert main(["walkforward", "--config", str(cfg_path),
                  "--out", str(tmp_path / "wf")]) == 0
     rows = read_trials_csv(tmp_path / "wf" / "trials.csv")
@@ -663,7 +704,7 @@ def test_study_settings_reach_splits(workspace, tmp_path, monkeypatch):
                     strategies=[StrategyKind.MACD],
                     objectives=[ObjectiveKind.SIMPLE],
                     mc=MonteCarloConfig([3], 0.6, 12))
-    cfg_path.write_text(json.dumps(cfg.to_json()))
+    cfg_path.write_text(json.dumps(encode_config(cfg)))
     assert main(["montecarlo", "--config", str(cfg_path),
                  "--out", str(tmp_path / "mc")]) == 0
     assert calls == [{"train_fraction": 0.6, "embargo_days": 12}] * 2

@@ -4,11 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gtscore.errors import InsufficientDataError, ParameterError
-from gtscore.indicators import bollinger, ema, macd, rsi
+from gtscore.indicators import (
+    bollinger,
+    ema,
+    ema_columns,
+    macd,
+    rsi,
+    rsi_columns,
+)
 
 from conftest import random_closes
 
@@ -77,6 +84,46 @@ def oracle_bollinger(closes, window, k):
         sd = math.sqrt(var)
         mid[i], up[i], lo[i] = m, m + k * sd, m - k * sd
     return mid, up, lo
+
+
+# --- the scalar loops the time-major kernels replaced: exact oracles --------
+
+
+def loop_rsi(closes, period):
+    closes = np.asarray(closes, dtype=float)
+    n = len(closes)
+    deltas = np.diff(closes)
+    gains = np.maximum(deltas, 0.0)
+    losses = np.maximum(-deltas, 0.0)
+    out = [math.nan] * n
+    gains_l, losses_l = gains.tolist(), losses.tolist()
+    avg_gain = float(gains[:period].mean())
+    avg_loss = float(losses[:period].mean())
+    for i in range(period, n):
+        if i > period:
+            avg_gain = (avg_gain * (period - 1) + gains_l[i - 1]) / period
+            avg_loss = (avg_loss * (period - 1) + losses_l[i - 1]) / period
+        if avg_loss == 0.0:
+            out[i] = 100.0
+        elif avg_gain == 0.0:
+            out[i] = 0.0
+        else:
+            out[i] = 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
+    return np.array(out)
+
+
+def loop_ema(values, period):
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    out = [math.nan] * n
+    mult = 2.0 / (period + 1.0)
+    vals = values.tolist()
+    prev = float(values[:period].mean())
+    out[period - 1] = prev
+    for i in range(period, n):
+        prev = prev + mult * (vals[i] - prev)
+        out[i] = prev
+    return np.array(out)
 
 
 def assert_close_with_nans(actual, expected, tol=1e-9):
@@ -162,6 +209,69 @@ def test_macd_errors():
         macd(np.ones(100), 26, 12, 9)
     with pytest.raises(InsufficientDataError):
         macd(np.ones(30), 12, 26, 9)
+
+
+# --- time-major kernels against the scalar loops, bit for bit -------------
+
+
+@st.composite
+def stepped_closes(draw):
+    """Closes from log steps that are often exactly zero, after a lead-in
+    that is flat, only rising or only falling, so the RSI averages hit
+    zero (avg_loss == 0 gives 100, else avg_gain == 0 gives 0)."""
+    lead = [draw(st.sampled_from([0.0, 0.01, -0.01]))] * draw(
+        st.integers(0, 40))
+    tail = draw(st.lists(st.sampled_from([0.0, 0.0, 0.01, -0.01, 0.03,
+                                          -0.02]), min_size=1, max_size=80))
+    return 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(lead + tail)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(closes=stepped_closes(),
+       periods=st.lists(st.integers(2, 30), min_size=1, max_size=6))
+def test_rsi_columns_match_loop(closes, periods):
+    periods = [p for p in periods if p < len(closes)]
+    assume(periods)
+    periods.append(periods[0])  # a repeated period is its own column
+    got = rsi_columns(closes, periods)
+    assert got.shape == (len(closes), len(periods))
+    for j, period in enumerate(periods):
+        assert np.array_equal(got[:, j], loop_rsi(closes, period),
+                              equal_nan=True)
+    assert np.array_equal(rsi(closes, periods[0]),
+                          loop_rsi(closes, periods[0]), equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=stepped_closes(),
+       columns=st.lists(st.tuples(st.integers(1, 30), st.integers(0, 40)),
+                        min_size=1, max_size=6))
+def test_ema_columns_match_loop(values, columns):
+    # Column j is the series scaled by j + 1, NaN before its start (as a
+    # MACD line is before its slow EMA is defined).
+    n = len(values)
+    columns = [(p, s) for p, s in columns if s + p <= n]
+    assume(columns)
+    columns.append(columns[0])
+    x = np.stack([values * (j + 1) for j in range(len(columns))], axis=1)
+    inputs = x.copy()
+    for j, (_, start) in enumerate(columns):
+        x[:start, j] = np.nan
+    periods, starts = zip(*columns)
+    assert ema_columns(x, list(periods), list(starts)) is x
+    for j, (period, start) in enumerate(columns):
+        want = np.full(n, np.nan)
+        want[start:] = loop_ema(inputs[start:, j], period)
+        assert np.array_equal(x[:, j], want, equal_nan=True)
+    assert np.array_equal(ema(values, periods[0]),
+                          loop_ema(values, periods[0]), equal_nan=True)
+
+
+def test_ema_columns_errors():
+    with pytest.raises(ParameterError):
+        ema_columns(np.ones((10, 2)), [3, 0], [0, 0])
+    with pytest.raises(InsufficientDataError, match="ema needs >= 5"):
+        ema_columns(np.ones((10, 2)), [3, 5], [0, 6])
 
 
 # --- Bollinger -------------------------------------------------------------

@@ -110,14 +110,14 @@ def test_run_trial_deterministic():
         assert x.oos_total_return == y.oos_total_return
 
 
-def composed_loss(kind, bt):
+def composed_loss(kind, bt, cfg=CFG):
     """Fixed-trades loss of one backtest, composed from its parts."""
     if bt is None or bt.n_trades == 0:
-        return CFG.below_min_penalty
-    ctx = metric_context(bt, CFG)
+        return cfg.below_min_penalty
+    ctx = metric_context(bt, cfg)
     if kind == ObjectiveKind.GT_SCORE:
-        return gt_score_loss(ctx, CFG)
-    return baseline_loss(kind, ctx, bt.total_return, CFG)
+        return gt_score_loss(ctx, cfg)
+    return baseline_loss(kind, ctx, bt.total_return, cfg)
 
 
 def test_run_trial_replay_oracle():
@@ -226,36 +226,96 @@ def test_run_trials_parallel_matches_serial():
     assert _outcomes(serial) == _outcomes(parallel) == _outcomes(alone)
 
 
+# a gate low enough that every family has non-degenerate winners
+FEW_TRADES = ObjectiveConfig(n_min=5)
+
+
 def test_run_task_computes_each_indicator_once(monkeypatch):
-    # Within a task, each RSI period, EMA leg and Bollinger window is
-    # computed once on the training window, however many cells and
-    # candidates use it (out-of-sample passes are not cached).
-    train_bars = len(ASSET.slice(SPLIT.train_start, SPLIT.train_end))
-    counts = Counter()
+    # Within a task, each distinct RSI period, EMA leg, signal line and
+    # Bollinger window is computed exactly once per strategy family and
+    # window, however many cells and candidates use it: on the training
+    # window for every candidate, on the validation window for every
+    # non-degenerate winner. Nothing is computed for one candidate alone.
+    computed = Counter()
 
-    def counted(fn):
-        def wrapper(closes, period):
-            if len(closes) == train_bars:
-                counts[fn.__name__, period] += 1
-            return fn(closes, period)
-        return wrapper
+    def spy(name, record):
+        real = getattr(strategy, name)
 
-    for name in ("rsi", "ema", "rolling_stats"):
-        monkeypatch.setattr(strategy, name, counted(getattr(strategy, name)))
+        def wrapper(*args):
+            record(*args)
+            return real(*args)
+        monkeypatch.setattr(strategy, name, wrapper)
+
+    def legs_or_signals(x, periods, starts):
+        for period, start in zip(periods, starts):
+            computed[len(x), "signal", period, start] += 1 if start else 0
+            computed[len(x), "leg", period] += 0 if start else 1
+
+    spy("rsi_columns", lambda closes, periods: computed.update(
+        (len(closes), "rsi", p) for p in periods))
+    spy("ema_columns", legs_or_signals)
+    spy("rolling_stats", lambda closes, window: computed.update(
+        [(len(closes), "bollinger", window)]))
+    for alone in ("rsi", "macd"):
+        spy(alone, lambda *args, alone=alone: computed.update([alone]))
+
+    def want(bars, pool):
+        counts = Counter()
+        for kind, *key in {strategy.indicator_key(p) for p in pool}:
+            if kind is StrategyKind.RSI:
+                counts[bars, "rsi", key[0]] = 1
+            elif kind is StrategyKind.MACD:
+                fast, slow, signal = key
+                counts[bars, "leg", fast] = counts[bars, "leg", slow] = 1
+                counts[bars, "signal", signal, slow - 1] += 1
+            else:
+                counts[bars, "bollinger", key[0]] = 1
+        return counts
+
     cells = study_cells([ASSET], list(StrategyKind), chrono, [42, 43, 44],
                         budget=10)
-    run_task(cells, ASSET, OBJECTIVES, CFG)
-    want = Counter()
+    results = run_task(cells, ASSET, OBJECTIVES, FEW_TRADES)
+    train_bars = len(ASSET.slice(SPLIT.train_start, SPLIT.train_end))
+    val_bars = len(ASSET.slice(SPLIT.val_start, SPLIT.val_end))
+    assert train_bars != val_bars
+    winners = [r.best_params for r in results if not r.degenerate]
+    assert {p.kind for p in winners} == set(StrategyKind)
+    pool = [p for c in cells for p in draw_pool(c)]
+    assert +computed == want(train_bars, pool) + want(val_bars, winners)
+    # candidates and winners share indicators, so sharing is exercised
+    for shared in (pool, winners):
+        assert len({strategy.indicator_key(p) for p in shared}) < len(shared)
+
+
+def test_run_task_matches_uncached_oracle():
+    # Every cell of a task replayed candidate by candidate without a cache:
+    # the training backtests pick the same winners with the same losses,
+    # and each winner's uncached validation backtest gives the same
+    # out-of-sample record.
+    cells = study_cells([ASSET], list(StrategyKind), chrono, [42, 43],
+                        budget=8)
+    results = iter(run_task(cells, ASSET, OBJECTIVES, FEW_TRADES))
     for spec in cells:
-        for p in draw_pool(spec):
-            if spec.strategy_kind is StrategyKind.RSI:
-                want["rsi", p.period] = 1
-            elif spec.strategy_kind is StrategyKind.MACD:
-                want["ema", p.fast] = want["ema", p.slow] = 1
-            else:
-                want["rolling_stats", p.window] = 1
-    assert counts == want
-    assert sum(want.values()) < len(cells) * 10
+        pool = draw_pool(spec)
+        train = [backtest_on(p, SPLIT.train_start, SPLIT.train_end)
+                 for p in pool]
+        for obj in OBJECTIVES:
+            res = next(results)
+            losses = [composed_loss(obj, bt, FEW_TRADES) for bt in train]
+            best = losses.index(min(losses))
+            assert (res.spec, res.objective_kind) == (spec, obj)
+            assert (res.best_loss, res.best_params) == (losses[best],
+                                                        pool[best])
+            assert res.train_total_return == train[best].total_return
+            assert res.train_n_trades == train[best].n_trades
+            if res.degenerate:
+                assert res.oos_n_trades == 0
+                continue
+            oos = backtest_on(pool[best], SPLIT.val_start, SPLIT.val_end)
+            assert res.oos_total_return == oos.total_return
+            assert res.oos_n_trades == oos.n_trades
+            assert np.array_equal(res.oos_trade_returns, oos.trade_returns)
+    assert next(results, None) is None
 
 
 def test_run_task_cuts_each_window_once(monkeypatch):

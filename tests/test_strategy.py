@@ -20,6 +20,7 @@ from gtscore.strategy import (
     MacdParams,
     RsiParams,
     StrategyKind,
+    indicator_cache,
     params_to_json,
     positions,
     sample_params,
@@ -257,20 +258,19 @@ def _outcome(call):
 @given(n=st.integers(2, 150), seed=st.integers(0, 2**32 - 1),
        pool=st.lists(any_params(), min_size=1, max_size=15))
 def test_cached_signals_match_uncached(n, seed, pool):
-    # One cache shared by every candidate on one series, windows too short
-    # for warm-up included: each cached call equals the uncached one, and
-    # no cached array is changed by a later candidate.
+    # One cache primed with every candidate of one series, windows too
+    # short for warm-up included: each cached call equals the uncached one
+    # (the same InsufficientDataError for a warm-up that does not fit), and
+    # no cached array is changed by a candidate's call.
     series = make_series(random_closes(np.random.Generator(np.random.Philox(seed)), n))
-    cache = {}
+    cache = indicator_cache(series, pool)
     for params in pool:
         assert (_outcome(lambda: signals(params, series, cache))
                 == _outcome(lambda: signals(params, series)))
+    fresh = indicator_cache(series, pool)
+    assert fresh.keys() == cache.keys()
     for key, cached in cache.items():
-        if key == "closes":
-            continue
-        indicator, period = key
-        fresh = indicator(series.closes, period)
-        assert np.asarray(cached).tobytes() == np.asarray(fresh).tobytes()
+        assert np.asarray(cached).tobytes() == np.asarray(fresh[key]).tobytes()
     other = make_series(series.closes.copy())
     with pytest.raises(ParameterError, match="another series"):
         signals(pool[0], other, cache)
