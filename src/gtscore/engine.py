@@ -38,6 +38,18 @@ class BacktestResult:
         return len(self.trade_returns)
 
 
+def entry_bars(positions: np.ndarray) -> np.ndarray:
+    """Bars whose open fills an entry of the long/flat `positions`, flat
+    before the first bar: one per trade `run_backtest` makes, so its length
+    is the trade count. A rise at bar r fills at r + 1; fills on the final
+    bar are skipped, since they would be force-closed the same day with
+    zero holding period."""
+    sig = np.asarray(positions, dtype=bool)
+    prev = np.concatenate(([False], sig[:-1]))
+    rises = np.flatnonzero(sig & ~prev)
+    return rises[rises < len(sig) - 2] + 1
+
+
 def run_backtest(series: PriceSeries, positions: np.ndarray) -> BacktestResult:
     """Execute long/flat signals over every bar of `series`, flat before
     the first bar. `positions` must be aligned 1:1 with series bars."""
@@ -46,16 +58,13 @@ def run_backtest(series: PriceSeries, positions: np.ndarray) -> BacktestResult:
     m = len(series)
     opens, closes = series.opens, series.closes
     sig = np.asarray(positions, dtype=bool)
-    prev = np.concatenate(([False], sig[:-1]))
-    rises = np.flatnonzero(sig & ~prev)
-    falls = np.flatnonzero(prev & ~sig)
-    # A rise at bar r fills at r + 1. Skip fills on the final bar: they
-    # would be force-closed the same day with zero holding period.
-    entry_at = rises[rises < m - 2] + 1
+    entry_at = entry_bars(sig)
     n = len(entry_at)
-    # Edges alternate, so the k-th rise pairs with the k-th fall, which
-    # fills at the next open; a trade with no fall, or a fall on the last
-    # bar, is force-closed at the last close.
+    falls = np.flatnonzero(sig[:-1] & ~sig[1:]) + 1
+    # Edges alternate, so the k-th entry pairs with the k-th fall (a bar
+    # where the position turns flat), which fills at the next open; a
+    # trade with no fall, or a fall on the last bar, is force-closed at
+    # the last close.
     exit_at = np.append(falls + 1, m)[:n]
     forced = exit_at == m
     exit_at[forced] = m - 1

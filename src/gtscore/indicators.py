@@ -128,8 +128,10 @@ def macd(closes: np.ndarray, fast: int, slow: int,
     if n <= slow + signal_p:
         raise InsufficientDataError(
             f"macd needs > {slow + signal_p} closes, got {n}")
-    # NaN until the slow EMA is defined
-    macd_line = ema(closes, fast) - ema(closes, slow)
+    # both EMA legs in one two-column pass; NaN until the slow one is defined
+    legs = np.repeat(np.asarray(closes, dtype=float)[:, None], 2, axis=1)
+    fast_ema, slow_ema = ema_columns(legs, [fast, slow], [0, 0]).T
+    macd_line = fast_ema - slow_ema
 
     signal_line = np.full(n, np.nan)
     start = slow - 1  # first defined macd index

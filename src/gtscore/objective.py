@@ -7,8 +7,8 @@ fewer than n_min trades receive a fixed penalty that dominates every
 other branch; the same gate applies to the Simple/Sharpe/Sortino
 baselines so all objectives face identical constraints.
 
-Losses are computed per candidate pool (`pool_losses`): each backtest with
-trades gets one metric context, shared by every objective. Under the
+Losses are computed per candidate pool (`pool_losses`): each backtest the
+gate admits gets one metric context, shared by every objective. Under the
 stabilized periodization one batched scan picks the period count of every
 candidate in the pool at once.
 """
@@ -132,7 +132,8 @@ def metric_context(result: BacktestResult, cfg: ObjectiveConfig,
     n = int(obs.size)
     mu, sigma = mean_and_std(obs)
     sigma_d = downside_deviation(obs)
-    equity = np.cumprod(1.0 + np.asarray(obs, dtype=float)) - 1.0
+    equity = (result.equity_points if observations is None else
+              np.cumprod(1.0 + np.asarray(obs, dtype=float)) - 1.0)
     if cfg.r2_on_log_equity:
         equity = np.log1p(equity)
     r2 = r_squared_consistency(equity) if obs.size >= 2 else 0.0
@@ -145,16 +146,28 @@ def metric_context(result: BacktestResult, cfg: ObjectiveConfig,
                          sigma_d=sigma_d, r2=r2, z=z)
 
 
+def trade_gate(cfg: ObjectiveConfig) -> int:
+    """Fewest trades a backtest needs for its losses to depend on more than
+    the gate: n_min under fixed-trades periodization, where fewer trades
+    get the penalty under every objective; 1 under the stabilized one,
+    where the period count stands in for the trade count."""
+    if cfg.periodization == Periodization.STABILIZED:
+        return 1
+    return cfg.n_min
+
+
 def pool_losses(results: list[BacktestResult | None],
                 objectives: list[ObjectiveKind],
                 cfg: ObjectiveConfig) -> list[list[float]]:
     """Losses of a candidate pool under each objective: one list per
     objective, aligned with `results`.
 
-    Missing and zero-trade backtests get the gate penalty; every other
-    backtest gets one metric context, shared by all objectives.
+    Missing backtests and those below `trade_gate` get the gate penalty;
+    every other backtest gets one metric context, shared by all objectives.
     """
-    live = [i for i, r in enumerate(results) if r is not None and r.n_trades]
+    gate = trade_gate(cfg)
+    live = [i for i, r in enumerate(results)
+            if r is not None and r.n_trades >= gate]
     trading = [results[i] for i in live]
     if cfg.periodization == Periodization.STABILIZED:
         # Period returns replace trade returns as the observation set and

@@ -1,13 +1,15 @@
 """Seeded random-search cells and the two study protocols.
 
 A cell is one (asset, strategy, split, seed). It draws `budget` parameter
-candidates from a generator keyed on (seed, asset, strategy), backtests each
-candidate once on the training window and scores that one pool under every
-objective, so paired comparisons across objectives rest on identical
-candidates by construction. Each objective's winner then gets one
-out-of-sample pass: one trial per (cell, objective). Cells run in tasks of
-one (asset, split) (`run_task`), which cut the training and validation
-windows once each; the search sees only the training window.
+candidates from a generator keyed on (seed, asset, strategy), computes each
+candidate's positions once on the training window and scores that one pool
+under every objective, so paired comparisons across objectives rest on
+identical candidates by construction. Only candidates the trade gate admits
+are backtested and scored; the gate alone decides every other loss. Each
+objective's winner then gets one out-of-sample pass: one trial per (cell,
+objective). Cells run in tasks of one (asset, split) (`run_task`), which
+cut the training and validation windows once each; the search sees only
+the training window.
 """
 
 from __future__ import annotations
@@ -23,9 +25,14 @@ from itertools import groupby, repeat
 import numpy as np
 
 from .data import PriceSeries, SplitSpec, make_chrono_split, make_walkforward_splits
-from .engine import BacktestResult, run_backtest
+from .engine import BacktestResult, entry_bars, run_backtest
 from .errors import DataError, InsufficientDataError, ParameterError
-from .objective import ObjectiveConfig, ObjectiveKind, pool_losses
+from .objective import (
+    ObjectiveConfig,
+    ObjectiveKind,
+    pool_losses,
+    trade_gate,
+)
 from .strategy import (
     StrategyKind,
     StrategyParams,
@@ -83,13 +90,18 @@ def _backtest(params: StrategyParams, window: PriceSeries | None,
               cache: dict | None) -> BacktestResult | None:
     """Backtest on a pre-cut window; None when there is no window or it is
     too short for the indicator warm-up."""
+    sig = _signals(params, window, cache)
+    return None if sig is None else run_backtest(window, sig)
+
+
+def _signals(params: StrategyParams, window: PriceSeries | None,
+             cache: dict | None) -> np.ndarray | None:
     if window is None:
         return None
     try:
-        sig = signals(params, window, cache)
+        return signals(params, window, cache)
     except InsufficientDataError:
         return None
-    return run_backtest(window, sig)
 
 
 def _cache(window: PriceSeries | None, pool: list) -> dict | None:
@@ -99,21 +111,32 @@ def _cache(window: PriceSeries | None, pool: list) -> dict | None:
 def _search_family(pools: list[list], window: PriceSeries | None,
                    objectives: list[ObjectiveKind],
                    cfg: ObjectiveConfig) -> list[tuple]:
-    """Backtest every candidate of these pools of one strategy family on
-    the training window, sharing one indicator cache, and pick each
+    """Score every candidate of these pools of one strategy family on the
+    training window, sharing one indicator cache, and pick each
     objective's winner, the first candidate attaining the lowest loss:
-    (loss, winner, its backtest) per pool and objective, in order."""
+    (loss, winner, its backtest) per pool and objective, in order.
+
+    Only candidates with at least `trade_gate(cfg)` trades are backtested
+    and scored: the gate alone decides every other loss. A pick below the
+    gate still gets its backtest, which its trial reports."""
     cache = _cache(window, [p for pool in pools for p in pool])
+    gate = trade_gate(cfg)
     picks = []
     for pool in pools:
-        backtests = [_backtest(params, window, cache) for params in pool]
+        sigs = [_signals(params, window, cache) for params in pool]
+        backtests = [None if sig is None or len(entry_bars(sig)) < gate
+                     else run_backtest(window, sig) for sig in sigs]
         for losses in pool_losses(backtests, objectives, cfg):
             best_loss, best = math.inf, None
             for i, loss in enumerate(losses):
                 if loss < best_loss:
                     best_loss, best = loss, i
-            picks.append((best_loss, pool[best or 0],
-                          None if best is None else backtests[best]))
+            if best is None:
+                picks.append((best_loss, pool[0], None))
+                continue
+            if backtests[best] is None and sigs[best] is not None:
+                backtests[best] = run_backtest(window, sigs[best])
+            picks.append((best_loss, pool[best], backtests[best]))
     return picks
 
 

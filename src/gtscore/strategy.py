@@ -246,9 +246,12 @@ def positions(enter: np.ndarray, leave: np.ndarray,
     leave (or before either), flipped once per later bar where both fire.
     Events count on valid bars only; invalid bars are flat."""
     enter, leave = enter & valid, leave & valid
-    flips = np.concatenate([[0], np.cumsum(enter & leave)])
     # 1-based index of the last lone event at or before each bar, 0 = none
     last = np.maximum.accumulate(
         np.where(enter ^ leave, np.arange(1, len(enter) + 1), 0))
     long = np.concatenate([[False], enter])[last]
+    both = enter & leave
+    if not both.any():  # only RSI ever fires both on one bar
+        return valid & long
+    flips = np.concatenate([[0], np.cumsum(both)])
     return valid & (long ^ ((flips[1:] - flips[last]) & 1).astype(bool))

@@ -13,6 +13,7 @@ from gtscore.engine import (
     BPS,
     benchmark_arithmetic_mean,
     benchmark_per_observation_mean,
+    entry_bars,
     recompound_with_costs,
     run_backtest,
 )
@@ -133,6 +134,25 @@ def test_backtest_matches_oracle(case):
     assert res.trade_exit_dates.tolist() == exit_dates
     assert res.n_trades == len(exit_dates)
     assert res.window == (start, end)
+
+
+@settings(max_examples=300, deadline=None)
+@given(positions=st.lists(st.booleans(), min_size=2, max_size=12))
+@example(positions=[False] * 12)
+@example(positions=[True] * 12)
+@example(positions=[True, True])
+# rises on the second-to-last and on the last bar
+@example(positions=[False, False, False, True, True])
+@example(positions=[False, True, False, False, True])
+@example(positions=[True, False, True, False, True, False, True])
+def test_entry_bars_count_the_backtest_trades(positions):
+    # The search gates candidates on len(entry_bars(...)) before any
+    # backtest, so it must be the trade count of the full backtest.
+    series = make_series(100.0 + np.arange(len(positions)))
+    sig = np.array(positions, dtype=bool)
+    assert len(entry_bars(sig)) == run_backtest(series, sig).n_trades
+    assert len(entry_bars(positions)) == len(oracle_backtest(
+        series, positions, series.start_date, series.span_end)[0])
 
 
 def test_single_trade_hand_example():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gtscore.engine import run_backtest
 from gtscore.errors import ParameterError
-from gtscore.metrics import MetricContext
+from gtscore.metrics import MetricContext, r_squared_consistency
 from gtscore.objective import (
     ObjectiveConfig,
     ObjectiveKind,
@@ -211,6 +211,25 @@ def test_metric_context_arithmetic_mode():
     cfg = ObjectiveConfig(benchmark_mode="arithmetic")
     c = metric_context(res, cfg)
     assert c.mu_m == pytest.approx(res.benchmark_total_return / c.n)
+
+
+def test_metric_context_r2_reads_its_observations():
+    # r2 is fitted to the equity of the observations the context is built
+    # on: the backtest's own equity curve for trade returns (log1p of it
+    # when asked), the compounded period returns otherwise.
+    res = stabilized_pool()[-1]
+    equity = np.cumprod(1.0 + res.trade_returns) - 1.0
+    kept = res.equity_points.copy()
+    assert metric_context(res, CFG).r2 == r_squared_consistency(equity)
+    log_cfg = ObjectiveConfig(r2_on_log_equity=True)
+    assert metric_context(res, log_cfg).r2 == r_squared_consistency(
+        np.log1p(equity))
+    obs = period_returns(res.trade_exit_dates, res.equity_points,
+                         res.window, 20)
+    by_period = metric_context(res, STAB, observations=obs).r2
+    assert by_period == r_squared_consistency(np.cumprod(1.0 + obs) - 1.0)
+    assert by_period != metric_context(res, CFG).r2
+    assert res.equity_points.tobytes() == kept.tobytes()
 
 
 def test_trial_loss_zero_trades_is_penalty():

@@ -1,5 +1,6 @@
 """Random-search cells: determinism, evaluate-once, aggregation."""
 
+import datetime as dt
 import math
 from collections import Counter
 
@@ -8,6 +9,7 @@ import pytest
 
 from gtscore.data import (
     PriceSeries,
+    SplitSpec,
     SyntheticSpec,
     generate_synthetic_series,
     make_chrono_split,
@@ -38,7 +40,9 @@ from gtscore.search import (
     run_trials,
     study_cells,
 )
-from gtscore.strategy import StrategyKind, sample_params
+from gtscore.strategy import BollingerParams, StrategyKind, sample_params
+
+from conftest import make_series
 
 CFG = ObjectiveConfig()
 
@@ -151,7 +155,37 @@ def test_run_trial_oos_consistent_with_best_params():
                                       oos.trade_returns)
 
 
+def admitted_and_gated_picks(cells, cfg):
+    """Per cell, from full training backtests of every candidate: the
+    candidates the n_min gate admits, and the gated ones that some
+    objective picks (replayed as in `test_run_trial_replay_oracle`) and
+    that have a backtest."""
+    out = []
+    for spec in cells:
+        bts = [backtest_on(p, SPLIT.train_start, SPLIT.train_end)
+               for p in draw_pool(spec)]
+        admitted = {i for i, bt in enumerate(bts)
+                    if bt is not None and bt.n_trades >= cfg.n_min}
+        picks = set()
+        for obj in OBJECTIVES:
+            losses = [composed_loss(obj, bt, cfg) for bt in bts]
+            picks.add(losses.index(min(losses)))
+        out.append((admitted, {i for i in picks - admitted
+                               if bts[i] is not None}))
+    return out
+
+
+# every family, several seeds: the gate admits some candidates and some
+# objectives pick a gated one
+GATE_CELLS = study_cells([ASSET], list(StrategyKind), lambda _: [SPLIT],
+                         [42, 43], budget=12)
+
+
 def test_run_cell_backtests_each_candidate_once(monkeypatch):
+    # Training backtests run once per admitted candidate and once per gated
+    # pick (its trial reports it), never for a gated candidate no
+    # objective picks; out-of-sample backtests once per non-degenerate
+    # trial.
     starts = []
     real = search.run_backtest
 
@@ -160,16 +194,20 @@ def test_run_cell_backtests_each_candidate_once(monkeypatch):
         return real(series, sig)
 
     monkeypatch.setattr(search, "run_backtest", counting)
-    spec = cell_for(budget=12)
-    results = run_task([spec], ASSET, OBJECTIVES, CFG)
+    results = run_task(GATE_CELLS, ASSET, OBJECTIVES, CFG)
     train_calls = sum(s < SPLIT.val_start for s in starts)
     oos_calls = len(starts) - train_calls
-    assert train_calls == spec.budget
+    counts = admitted_and_gated_picks(GATE_CELLS, CFG)
+    admitted = sum(len(a) for a, _ in counts)
+    gated_picks = sum(len(g) for _, g in counts)
+    assert admitted > 0 and gated_picks > 0
+    assert admitted + gated_picks < sum(c.budget for c in GATE_CELLS)
+    assert train_calls == admitted + gated_picks
     assert oos_calls == sum(not r.degenerate for r in results)
-    assert oos_calls <= len(OBJECTIVES)
 
 
-def test_run_cell_one_metric_context_per_candidate(monkeypatch):
+def spy_contexts(monkeypatch):
+    """The backtest of every metric context built from here on, in order."""
     calls = []
     real = objective.metric_context
 
@@ -178,15 +216,91 @@ def test_run_cell_one_metric_context_per_candidate(monkeypatch):
         return real(result, *args, **kwargs)
 
     monkeypatch.setattr(objective, "metric_context", counting)
-    spec = cell_for(budget=12)
-    train = [backtest_on(params, SPLIT.train_start, SPLIT.train_end)
-             for params in draw_pool(spec)]
-    live = sum(bt is not None and bt.n_trades > 0 for bt in train)
-    assert live > 0
-    run_task([spec], ASSET, OBJECTIVES, CFG)
+    return calls
+
+
+def test_run_cell_one_metric_context_per_candidate(monkeypatch):
+    # One metric context per candidate the n_min gate admits, shared by
+    # every objective; none for a gated candidate, picked or not.
+    admitted = sum(len(a) for a, _ in
+                   admitted_and_gated_picks(GATE_CELLS, CFG))
+    assert admitted > 0
+    calls = spy_contexts(monkeypatch)
+    run_task(GATE_CELLS, ASSET, OBJECTIVES, CFG)
     assert len(OBJECTIVES) == 4
-    assert len(calls) == live
-    assert len({id(r) for r in calls}) == live
+    assert len(calls) == admitted
+    assert len({id(r) for r in calls}) == admitted
+    assert all(r.n_trades >= CFG.n_min for r in calls)
+
+
+def test_pool_losses_scores_only_admitted_backtests(monkeypatch):
+    # A direct caller passing every backtest gets no context for those
+    # below the gate, and the same losses as scoring each one alone.
+    spec = cell_for(StrategyKind.BOLLINGER, budget=12)
+    bts = [backtest_on(p, SPLIT.train_start, SPLIT.train_end)
+           for p in draw_pool(spec)]
+    admitted = [bt for bt in bts if bt is not None
+                and bt.n_trades >= CFG.n_min]
+    assert 0 < len(admitted) < sum(bt is not None and bt.n_trades > 0
+                                   for bt in bts)
+    want = [[composed_loss(obj, bt) for bt in bts] for obj in OBJECTIVES]
+    calls = spy_contexts(monkeypatch)
+    assert objective.pool_losses(bts, OBJECTIVES, CFG) == want
+    assert [id(r) for r in calls] == [id(r) for r in admitted]
+
+
+def test_degenerate_trial_reports_first_candidate_backtest():
+    # When every candidate is gated the first one is picked, and the
+    # trial reports its full training backtest, trades and all.
+    cells = study_cells([ASSET], [StrategyKind.RSI], chrono, [42, 43, 44],
+                        budget=8)
+    degenerate = [r for r in run_task(cells, ASSET, OBJECTIVES, CFG)
+                  if r.degenerate]
+    assert degenerate
+    for res in degenerate:
+        first = draw_pool(res.spec)[0]
+        train = backtest_on(first, SPLIT.train_start, SPLIT.train_end)
+        assert res.best_params == first
+        assert res.best_loss == CFG.below_min_penalty
+        assert res.train_total_return == train.total_return
+        assert res.train_n_trades == train.n_trades
+    assert any(r.train_n_trades > 0 for r in degenerate)
+
+
+def test_gated_pick_keeps_its_training_backtest(monkeypatch):
+    # Opens and closes alternate 100/99, so a Bollinger rule with k = 0.5
+    # is long on every 99 bar: each trade enters at 100 and exits at 99.
+    # n_min or more identical -1% trades give a Sharpe loss of about
+    # 0.01 / eps, far above the penalty, so under Sharpe the gated
+    # candidate (4 trades, window 34) wins at the penalty. Its degenerate
+    # trial still reports its training backtest.
+    closes = np.tile([100.0, 99.0], 40)
+    series = make_series(closes, opens=closes)
+    day = [dt.date(2020, 1, 1) + dt.timedelta(days=k) for k in (0, 42, 80)]
+    split = SplitSpec(day[0], day[1], day[1], day[2])
+    admitted, gated = BollingerParams(10, 0.5), BollingerParams(34, 0.5)
+    draws = iter([admitted, gated])
+    monkeypatch.setattr(search, "sample_params",
+                        lambda kind, rng: next(draws))
+    cfg = ObjectiveConfig(n_min=5)
+    spec = CellSpec("T", StrategyKind.BOLLINGER, split, seed=1, budget=2)
+    results = {r.objective_kind: r
+               for r in run_task([spec], series, OBJECTIVES, cfg)}
+    window = series.slice(day[0], day[1])
+    train = {p: run_backtest(window, strategy.signals(p, window))
+             for p in (admitted, gated)}
+    assert 0 < train[gated].n_trades < cfg.n_min <= train[admitted].n_trades
+    assert composed_loss(ObjectiveKind.SHARPE, train[admitted], cfg) > 300
+    sharpe = results.pop(ObjectiveKind.SHARPE)
+    assert sharpe.best_params == gated and sharpe.degenerate
+    assert sharpe.best_loss == cfg.below_min_penalty
+    assert sharpe.train_n_trades == train[gated].n_trades
+    assert sharpe.train_total_return == train[gated].total_return
+    assert sharpe.oos_n_trades == 0
+    for res in results.values():
+        assert res.best_params == admitted and not res.degenerate
+        assert res.train_n_trades == train[admitted].n_trades
+        assert res.train_total_return == train[admitted].total_return
 
 
 def test_degenerate_trial_has_empty_oos():

@@ -1,0 +1,225 @@
+"""Alternating parent/change pairs of the study benchmark, as a BENCH file.
+
+    python3 tools/bench_pairs.py --parent <tree> --change <tree> \
+        --pairs 10 --out BENCH_<n>.json --change-text "..." --target "..."
+    python3 tools/bench_pairs.py --merge <set>.json ... --out BENCH_<n>.json
+
+Run from the repository root, which supplies the bounds in
+`BENCHMARK.json`. Each tree is a full copy of the repository (for example
+from `git archive`); `perfbench/run.py --trace 0` runs from inside it, so
+the two sides never share a work directory. Give both trees the same
+bytecode state (no `__pycache__` on either side, or a warm one on both): a
+tree whose modules are already compiled starts every child process
+faster. Pair i runs the parent first when i is even and the change first
+when it is odd; the pairs of every workload/seed row are interleaved, so a
+slow spell of the host falls on both sides. With `--trace`, each side
+also runs one traced `mc_study` seed-0 pass, whose per-layer metrics go
+under "trace".
+
+The output follows `BENCH_12.json`: per row and end-to-end metric, the
+runs of each side with their median and quartiles, the pairs the change
+won (lower is better for every end-to-end metric), the median change as a
+fraction of the parent's median, the parent's interquartile range, and
+whether the change stays inside the `BENCHMARK.json` bound. The claim
+section checks the claimed metric: the change wins at least 9 in 10 pairs
+and the median gap exceeds the parent's interquartile range.
+
+`--merge` pools the runs of earlier outputs of this script, made on the
+same trees, into one record over all their pairs, keeping each set's own
+claim under "sets" and the first traced pass found.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+WORKLOADS = ("mc_study", "mc_stab_gt")
+SEEDS = (0, 1)
+SIDES = ("parent", "change")
+CLAIM_WORKLOAD, CLAIM_METRIC = "mc_study", "study_s"
+MIN_WON_FRACTION = 0.9
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
+    """One `perfbench/run.py` run inside `tree`: its result object."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise SystemExit(f"no result from {tree} {workload} seed {seed}:\n"
+                         f"{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def quartiles(runs: list[float]) -> dict:
+    q1, median, q3 = np.percentile(runs, [25, 50, 75])
+    return {"median": round(float(median), 4), "q1": round(float(q1), 4),
+            "q3": round(float(q3), 4), "runs": [round(r, 4) for r in runs]}
+
+
+def summarize(row: dict, bounds: dict) -> dict:
+    """Per-metric comparison of one row's runs: `row` holds, per side, the
+    runs of each metric, whether every run was correct and the failures."""
+    metrics = {}
+    for name, bound in bounds.items():
+        parent, change = (row["runs"][side][name] for side in SIDES)
+        p, c = quartiles(parent), quartiles(change)
+        frac = (c["median"] - p["median"]) / p["median"]
+        metrics[name] = {
+            "parent": p, "change": c,
+            "change_better_pairs": sum(b < a for a, b in zip(parent, change)),
+            "median_change_frac": round(frac, 4),
+            "parent_iqr": round(p["q3"] - p["q1"], 4),
+            "bound": bound,
+            "within_bound": frac <= bound,
+        }
+    return {"pairs": len(parent), "correct": row["correct"],
+            "failed": row["failed"], "metrics": metrics}
+
+
+def claim(rows: dict, target: str) -> dict:
+    out = {"metric": CLAIM_METRIC, "workload": CLAIM_WORKLOAD,
+           "target": target}
+    for seed in SEEDS:
+        m = rows[f"{CLAIM_WORKLOAD}/seed{seed}"]["metrics"][CLAIM_METRIC]
+        gap = m["parent"]["median"] - m["change"]["median"]
+        pairs = len(m["parent"]["runs"])
+        out[f"seed{seed}"] = {
+            "median_change_frac": m["median_change_frac"],
+            "change_better_pairs": m["change_better_pairs"],
+            "pairs": pairs,
+            "median_gap_s": round(gap, 4),
+            "parent_iqr_s": m["parent_iqr"],
+            "met": (m["change_better_pairs"] >= MIN_WON_FRACTION * pairs
+                    and gap > m["parent_iqr"]),
+        }
+    return out
+
+
+def empty_row(bounds: dict) -> dict:
+    return {"runs": {side: {name: [] for name in bounds} for side in SIDES},
+            "correct": {side: True for side in SIDES},
+            "failed": {side: 0 for side in SIDES}}
+
+
+def measure(args, bounds: dict) -> tuple[dict, dict]:
+    """Run the pairs; the raw rows and the record's descriptive fields."""
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    rows = {f"{w}/seed{s}": empty_row(bounds) for w in WORKLOADS
+            for s in SEEDS}
+    for i in range(args.pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for workload in WORKLOADS:
+            for seed in SEEDS:
+                row = rows[f"{workload}/seed{seed}"]
+                for side in order:
+                    result = run_once(trees[side], workload, seed,
+                                      args.seconds)
+                    for name in bounds:
+                        row["runs"][side][name].append(
+                            result["metrics"][name]["value"])
+                    row["correct"][side] &= result["correct"]
+                    row["failed"][side] += result["failed"]
+                    print(f"pair {i} {workload} seed {seed} {side}: "
+                          f"{CLAIM_METRIC} "
+                          f"{result['metrics'][CLAIM_METRIC]['value']:.3f}",
+                          file=sys.stderr)
+    record = {
+        "change": args.change_text,
+        "command": (f"python3 perfbench/run.py --workload <w> --seed <s> "
+                    f"--seconds {args.seconds:g} --trace 0"),
+        "method": ("alternating pairs: pair i runs parent first when i is "
+                   "even, change first when odd; each side runs from its "
+                   "own copy of the tree; the pairs of the four "
+                   "workload/seed rows are interleaved"),
+        "host": {"cpus": len(os.sched_getaffinity(0)),
+                 "machine": platform.machine(),
+                 "python": platform.python_version(),
+                 "numpy": np.__version__},
+    }
+    if args.trace:
+        traced = {side: run_once(tree, CLAIM_WORKLOAD, 0, args.seconds,
+                                 trace=1) for side, tree in trees.items()}
+        record["trace"] = {CLAIM_WORKLOAD: {
+            side: {"correct": r["correct"],
+                   "metrics": {k: v["value"]
+                               for k, v in r["metrics"].items()}}
+            for side, r in traced.items()}}
+    return rows, record
+
+
+def merge(paths: list[Path], bounds: dict) -> tuple[dict, dict]:
+    """Pool the runs of earlier records; the first one's descriptive
+    fields, each set's claim, and the first traced pass."""
+    sets = [json.loads(p.read_text()) for p in paths]
+    rows = {}
+    for s in sets:
+        for key, done in s["workloads"].items():
+            row = rows.setdefault(key, empty_row(bounds))
+            for side in SIDES:
+                for name in bounds:
+                    row["runs"][side][name] += (
+                        done["metrics"][name][side]["runs"])
+                row["correct"][side] &= done["correct"][side]
+                row["failed"][side] += done["failed"][side]
+    record = {k: sets[0][k] for k in ("change", "command", "method", "host")}
+    record["method"] += (f"; {len(sets)} sets of pairs on the same trees, "
+                         "pooled")
+    record["sets"] = [s["claim"] for s in sets]
+    trace = next((s["trace"] for s in sets if "trace" in s), None)
+    if trace is not None:
+        record["trace"] = trace
+    return rows, record
+
+
+def parse_args(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", type=Path)
+    p.add_argument("--change", type=Path)
+    p.add_argument("--merge", nargs="+", type=Path,
+                   help="pool these earlier outputs instead of running")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=20.0)
+    p.add_argument("--out", required=True, type=Path)
+    p.add_argument("--change-text", default="",
+                   help="one sentence on what the change does")
+    p.add_argument("--target", default="",
+                   help="the claimed gain, in words")
+    p.add_argument("--trace", action="store_true",
+                   help="also run one traced mc_study seed-0 pass per side")
+    args = p.parse_args(argv)
+    if not args.merge and not (args.parent and args.change):
+        p.error("give --parent and --change, or --merge")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    spec = json.loads(Path("BENCHMARK.json").read_text())
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    if args.merge:
+        raw, record = merge(args.merge, bounds)
+        target = json.loads(args.merge[0].read_text())["claim"]["target"]
+    else:
+        raw, record = measure(args, bounds)
+        target = args.target
+    rows = {key: summarize(row, bounds) for key, row in raw.items()}
+    record = {"claim": claim(rows, target), **record, "workloads": rows}
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
