@@ -415,7 +415,11 @@ def _load_assets(cfg: RunConfig) -> list:
 def cmd_config_init(args) -> int:
     doc = json.dumps(encode_config(RunConfig()), indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(doc)
+        try:
+            Path(args.out).write_text(doc)
+        except OSError as exc:
+            raise ConfigError(f"cannot write config {args.out}: "
+                              f"{exc.strerror or exc}") from None
         print(f"wrote {args.out}")
     else:
         print(doc, end="")
@@ -425,7 +429,7 @@ def cmd_config_init(args) -> int:
 def cmd_synth(args) -> int:
     manifest = load_synthetic_manifest(
         read_text(args.spec, ConfigError, "manifest"))
-    out_dir = Path(args.out)
+    out_dir = output_dir(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for asset_id, spec in manifest:
         series = generate_synthetic_series(spec, asset_id)

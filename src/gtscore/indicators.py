@@ -67,14 +67,6 @@ def rsi_columns(closes: np.ndarray, periods) -> np.ndarray:
     return out
 
 
-def ema(values: np.ndarray, period: int) -> np.ndarray:
-    """EMA with multiplier 2/(period+1), seeded by the SMA of the first
-    `period` values; NaN before index period-1: `ema_columns` for a single
-    column."""
-    column = np.array(values, dtype=float).reshape(-1, 1)
-    return ema_columns(column, [period], [0])[:, 0]
-
-
 def ema_columns(x: np.ndarray, periods, starts) -> np.ndarray:
     """EMAs of the columns of the time-major (bars, k) float array `x`, in
     place and in one pass over the bars; returns `x`.
@@ -114,30 +106,42 @@ def ema_columns(x: np.ndarray, periods, starts) -> np.ndarray:
     return x
 
 
-def macd(closes: np.ndarray, fast: int, slow: int,
-         signal_p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """MACD line, signal line, histogram.
+def macd_columns(closes: np.ndarray, triples) -> tuple[dict, np.ndarray]:
+    """EMA legs and signal lines of the MACD (fast, slow, signal) `triples`:
+    a dict from each fast and slow period to its EMA of `closes`, from one
+    time-major pass, and a (bars, len(triples)) array whose column j is
+    the signal line of triples[j], from a second pass.
 
     The MACD line is EMA(fast) - EMA(slow), defined once the slow EMA is.
-    The signal line is an EMA of the defined MACD values; the histogram is
-    their difference.
+    Its signal line is the EMA of its defined values, computed in place of
+    the line.
     """
+    closes = np.asarray(closes, dtype=float)
     n = len(closes)
-    if fast >= slow:
-        raise ParameterError(f"fast ({fast}) must be < slow ({slow})")
-    if n <= slow + signal_p:
-        raise InsufficientDataError(
-            f"macd needs > {slow + signal_p} closes, got {n}")
-    # both EMA legs in one two-column pass; NaN until the slow one is defined
-    legs = np.repeat(np.asarray(closes, dtype=float)[:, None], 2, axis=1)
-    fast_ema, slow_ema = ema_columns(legs, [fast, slow], [0, 0]).T
-    macd_line = fast_ema - slow_ema
+    for fast, slow, signal in triples:
+        if fast >= slow:
+            raise ParameterError(f"fast ({fast}) must be < slow ({slow})")
+        if n <= slow + signal:
+            raise InsufficientDataError(
+                f"macd needs > {slow + signal} closes, got {n}")
+    periods = sorted({p for t in triples for p in t[:2]})
+    legs = dict(zip(periods, ema_columns(
+        np.repeat(closes[:, None], len(periods), axis=1), periods,
+        [0] * len(periods)).T))
+    lines = np.empty((n, len(triples)))
+    for j, (fast, slow, _) in enumerate(triples):
+        np.subtract(legs[fast], legs[slow], out=lines[:, j])
+    return legs, ema_columns(lines, [signal for *_, signal in triples],
+                             [slow - 1 for _, slow, _ in triples])
 
-    signal_line = np.full(n, np.nan)
-    start = slow - 1  # first defined macd index
-    signal_line[start:] = ema(macd_line[start:], signal_p)
-    histogram = macd_line - signal_line
-    return macd_line, signal_line, histogram
+
+def macd(closes: np.ndarray, fast: int, slow: int,
+         signal_p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """MACD line, signal line, histogram: `macd_columns` for one triple.
+    The histogram is the line minus the signal line."""
+    legs, signal = macd_columns(closes, [(fast, slow, signal_p)])
+    line, signal = legs[fast] - legs[slow], signal[:, 0]
+    return line, signal, line - signal
 
 
 def bollinger(closes: np.ndarray, window: int, k: float,

@@ -25,7 +25,7 @@ from itertools import groupby, repeat
 import numpy as np
 
 from .data import PriceSeries, SplitSpec, make_chrono_split, make_walkforward_splits
-from .engine import BacktestResult, entry_bars, run_backtest
+from .engine import entry_bars, run_backtest
 from .errors import DataError, InsufficientDataError, ParameterError
 from .objective import (
     ObjectiveConfig,
@@ -36,9 +36,8 @@ from .objective import (
 from .strategy import (
     StrategyKind,
     StrategyParams,
-    indicator_cache,
+    pool_signals,
     sample_params,
-    signals,
 )
 
 logger = logging.getLogger(__name__)
@@ -86,44 +85,28 @@ def candidate_rng(seed: int, asset_id: str,
     return np.random.Generator(np.random.Philox(key))
 
 
-def _backtest(params: StrategyParams, window: PriceSeries | None,
-              cache: dict | None) -> BacktestResult | None:
-    """Backtest on a pre-cut window; None when there is no window or it is
-    too short for the indicator warm-up."""
-    sig = _signals(params, window, cache)
-    return None if sig is None else run_backtest(window, sig)
-
-
-def _signals(params: StrategyParams, window: PriceSeries | None,
-             cache: dict | None) -> np.ndarray | None:
-    if window is None:
-        return None
-    try:
-        return signals(params, window, cache)
-    except InsufficientDataError:
-        return None
-
-
-def _cache(window: PriceSeries | None, pool: list) -> dict | None:
-    return None if window is None else indicator_cache(window, pool)
+def _pool_signals(window: PriceSeries | None, pool: list) -> list:
+    """`pool_signals` on a window; all None when there is no window."""
+    return [None] * len(pool) if window is None else pool_signals(window, pool)
 
 
 def _search_family(pools: list[list], window: PriceSeries | None,
                    objectives: list[ObjectiveKind],
                    cfg: ObjectiveConfig) -> list[tuple]:
     """Score every candidate of these pools of one strategy family on the
-    training window, sharing one indicator cache, and pick each
+    training window, each distinct indicator computed once, and pick each
     objective's winner, the first candidate attaining the lowest loss:
     (loss, winner, its backtest) per pool and objective, in order.
 
     Only candidates with at least `trade_gate(cfg)` trades are backtested
     and scored: the gate alone decides every other loss. A pick below the
     gate still gets its backtest, which its trial reports."""
-    cache = _cache(window, [p for pool in pools for p in pool])
+    family_sigs = iter(_pool_signals(window, [p for pool in pools
+                                              for p in pool]))
     gate = trade_gate(cfg)
     picks = []
     for pool in pools:
-        sigs = [_signals(params, window, cache) for params in pool]
+        sigs = [next(family_sigs) for _ in pool]
         backtests = [None if sig is None or len(entry_bars(sig)) < gate
                      else run_backtest(window, sig) for sig in sigs]
         for losses in pool_losses(backtests, objectives, cfg):
@@ -147,11 +130,11 @@ def run_task(cells: list[CellSpec], series: PriceSeries,
     window, scored under each objective, then one out-of-sample pass per
     objective on the validation window; one result per (cell, objective),
     in order. Each window is cut once per task. Every cell's pool is drawn
-    first; each run of consecutive cells of one strategy family shares an
-    indicator cache of the training window, and the winners share one of
-    the validation window. Ties on loss go to the first-seen candidate; an
-    objective under which every candidate hits the minimum-trade penalty
-    is flagged degenerate."""
+    first; each run of consecutive cells of one strategy family gets its
+    positions on the training window from one `pool_signals` call, and
+    the winners get theirs on the validation window from one more. Ties
+    on loss go to the first-seen candidate; an objective under which every
+    candidate hits the minimum-trade penalty is flagged degenerate."""
     split, windows = cells[0].split, []
     for start, end in ((split.train_start, split.train_end),
                        (split.val_start, split.val_end)):
@@ -173,16 +156,17 @@ def run_task(cells: list[CellSpec], series: PriceSeries,
     # Degenerate trials (every candidate gated) get a zero-trade
     # out-of-sample record; they stay in the table but are excluded from
     # generalization-ratio aggregates.
-    val_cache = _cache(val_window, [params for loss, params, _ in picks
-                                    if loss < cfg.below_min_penalty])
+    val_sigs = iter(_pool_signals(val_window, [
+        params for loss, params, _ in picks
+        if loss < cfg.below_min_penalty]))
     trials = [(spec, pool, kind)
               for spec, pool in zip(cells, pools) for kind in objectives]
     results = []
     for (spec, pool, kind), (best_loss, best_params, train) in zip(trials,
                                                                   picks):
         degenerate = best_loss >= cfg.below_min_penalty
-        oos = None if degenerate else _backtest(best_params, val_window,
-                                                val_cache)
+        sig = None if degenerate else next(val_sigs)
+        oos = None if sig is None else run_backtest(val_window, sig)
         results.append(TrialResult(
             spec=spec,
             objective_kind=kind,

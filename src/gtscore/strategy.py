@@ -9,15 +9,8 @@ from enum import Enum
 import numpy as np
 
 from .data import PriceSeries
-from .errors import ParameterError
-from .indicators import (
-    bollinger,
-    ema_columns,
-    macd,
-    rolling_stats,
-    rsi,
-    rsi_columns,
-)
+from .errors import InsufficientDataError, ParameterError
+from .indicators import bollinger, macd_columns, rolling_stats, rsi_columns
 
 
 class StrategyKind(str, Enum):
@@ -130,65 +123,46 @@ def indicator_key(params: StrategyParams) -> tuple:
     raise ParameterError(f"unknown params type {type(params)!r}")
 
 
-def _indicator(params: StrategyParams, closes: np.ndarray):
-    """What `indicator_key(params)` names, computed for one candidate."""
-    if isinstance(params, RsiParams):
-        return rsi(closes, params.period)
-    if isinstance(params, MacdParams):
-        _, _, diff = macd(closes, params.fast, params.slow, params.signal)
-        return _crossings(diff)
-    return rolling_stats(closes, params.window)
-
-
-def indicator_cache(series: PriceSeries, pool) -> dict:
-    """What each candidate of `pool` reads on `series` (`indicator_key`),
-    each distinct entry computed once, together with the others of its
-    kind:
+def _indicators(closes: np.ndarray, keys) -> dict:
+    """What each of `keys` (`indicator_key`) names on `closes`, each
+    computed once, together with the others of its kind:
       - the RSI of every period, in one time-major pass;
-      - every EMA leg in one pass, then every signal line in another, each
-        turned into its crossings' long/flat state;
+      - every EMA leg and every signal line (`macd_columns`), then the
+        long/flat state of each triple's crossings (the MACD rule);
       - the rolling mean and std of every Bollinger window.
-    A candidate whose warm-up needs more bars than the series has is left
-    out, so `signals` raises InsufficientDataError for it. The RSI and
-    MACD entries are column views of one (bars, keys) array per kind; the
-    EMA arrays behind the MACD states are freed on return.
+    A key whose warm-up needs more bars than there are closes is left out.
+    RSI and MACD entries are column views of one (bars, keys) array per
+    kind: one block in place of many small arrays keeps the peak RSS low.
     """
-    closes, n = series.closes, len(series)
-    cache = {"closes": closes}
-    keys = {indicator_key(p) for p in pool}
+    n, out = len(closes), {}
     periods = sorted(p for kind, p, *_ in keys
                      if kind is StrategyKind.RSI and n > p)
-    if periods:
-        columns = rsi_columns(closes, periods)
-        cache.update(((StrategyKind.RSI, p), columns[:, j])
-                     for j, p in enumerate(periods))
+    columns = rsi_columns(closes, periods)
+    out.update(((StrategyKind.RSI, p), columns[:, j])
+               for j, p in enumerate(periods))
     triples = sorted(k[1:] for k in keys
                      if k[0] is StrategyKind.MACD and n > k[2] + k[3])
-    if triples:
-        periods = sorted({p for t in triples for p in t[:2]})
-        legs = ema_columns(np.repeat(closes[:, None], len(periods), axis=1),
-                           periods, [0] * len(periods))
-        leg = dict(zip(periods, legs.T))
-        lines = np.empty((n, len(triples)))
-        for j, (fast, slow, _) in enumerate(triples):
-            np.subtract(leg[fast], leg[slow], out=lines[:, j])
-        # each signal line is the EMA of its MACD line from its first
-        # defined bar, computed in place
-        signal_lines = ema_columns(lines, [signal for *_, signal in triples],
-                                   [slow - 1 for _, slow, _ in triples])
-        states = np.empty((n, len(triples)), dtype=bool)
-        for j, (fast, slow, signal) in enumerate(triples):
-            states[:, j] = _crossings(
-                leg[fast] - leg[slow] - signal_lines[:, j])
-            cache[StrategyKind.MACD, fast, slow, signal] = states[:, j]
-    cache.update(((kind, w), rolling_stats(closes, w)) for kind, w, *_ in keys
-                 if kind is StrategyKind.BOLLINGER and n >= w)
-    return cache
+    legs, signal_lines = macd_columns(closes, triples)
+    states = np.empty((n, len(triples)), dtype=bool)
+    for j, (fast, slow, signal) in enumerate(triples):
+        diff = legs[fast] - legs[slow] - signal_lines[:, j]
+        prev = np.concatenate([[np.nan], diff[:-1]])
+        valid = ~(np.isnan(diff) | np.isnan(prev))
+        with np.errstate(invalid="ignore"):
+            enter = valid & (prev <= 0) & (diff > 0)
+            leave = valid & (prev >= 0) & (diff < 0)
+        states[:, j] = positions(enter, leave, valid)
+        out[StrategyKind.MACD, fast, slow, signal] = states[:, j]
+    out.update(((kind, w), rolling_stats(closes, w)) for kind, w, *_ in keys
+               if kind is StrategyKind.BOLLINGER and n >= w)
+    return out
 
 
-def signals(params: StrategyParams, series: PriceSeries,
-            cache: dict | None = None) -> np.ndarray:
-    """Long/flat position per bar as a boolean array (True = long).
+def pool_signals(series: PriceSeries, pool) -> list[np.ndarray | None]:
+    """Long/flat position per bar of every candidate of `pool` on
+    `series`, in order, as boolean arrays (True = long); None for a
+    candidate whose indicator warm-up needs more bars than the series has.
+    Each distinct indicator (`indicator_key`) is computed once.
 
     Long-only state machine on closes, initial state flat, flat during
     indicator warm-up:
@@ -201,16 +175,27 @@ def signals(params: StrategyParams, series: PriceSeries,
       - Bollinger: enter when the close drops below the lower band;
         exit once the close is at or above the middle band.
 
-    `cache`, an `indicator_cache` of this series, supplies what the rule
-    reads; what it lacks is computed for this candidate alone. A returned
-    array may be the cache's own and must not be written to.
+    Candidates with the same MACD parameters share one array, which must
+    not be written to.
     """
-    closes, key = series.closes, indicator_key(params)
-    cache = {"closes": closes} if cache is None else cache
-    if cache["closes"] is not closes:
-        raise ParameterError("indicator cache belongs to another series")
-    ind = cache[key] if key in cache else _indicator(params, closes)
+    closes = series.closes
+    found = _indicators(closes, {indicator_key(p) for p in pool})
+    return [None if (key := indicator_key(params)) not in found
+            else _rule(params, closes, found[key]) for params in pool]
 
+
+def signals(params: StrategyParams, series: PriceSeries) -> np.ndarray:
+    """`pool_signals` of one candidate; InsufficientDataError when its
+    warm-up needs more bars than the series has."""
+    sig, = pool_signals(series, [params])
+    if sig is None:
+        raise InsufficientDataError(f"{params_to_json(params)}: warm-up "
+                                    f"longer than the {len(series)} bars")
+    return sig
+
+
+def _rule(params: StrategyParams, closes: np.ndarray, ind) -> np.ndarray:
+    """The positions of one candidate's rule on its indicator `ind`."""
     if isinstance(params, MacdParams):
         return ind
     if isinstance(params, RsiParams):
@@ -225,18 +210,6 @@ def signals(params: StrategyParams, series: PriceSeries,
         with np.errstate(invalid="ignore"):
             enter = valid & (closes < lower)
             leave = valid & (closes >= middle)
-    return positions(enter, leave, valid)
-
-
-def _crossings(diff: np.ndarray) -> np.ndarray:
-    """Long/flat state of the MACD rule on its MACD-minus-signal
-    difference: enter when it turns positive, leave when it turns
-    negative."""
-    prev = np.concatenate([[np.nan], diff[:-1]])
-    valid = ~(np.isnan(diff) | np.isnan(prev))
-    with np.errstate(invalid="ignore"):
-        enter = valid & (prev <= 0) & (diff > 0)
-        leave = valid & (prev >= 0) & (diff < 0)
     return positions(enter, leave, valid)
 
 

@@ -166,11 +166,21 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert run.stdout == "[]\n"
 
 
-def test_config_init_round_trips(tmp_path):
+def test_config_init_round_trips(tmp_path, capsys):
     out = tmp_path / "cfg.json"
     assert main(["config", "init", "--out", str(out)]) == 0
     cfg = load_config(str(out))
     assert cfg == RunConfig()
+    # an --out that cannot be written is one error line, and writes nothing
+    text = out.read_text()
+    for bad, reason in ((tmp_path, "Is a directory"),
+                        (tmp_path / "missing" / "c.json",
+                         "No such file or directory")):
+        capsys.readouterr()
+        assert main(["config", "init", "--out", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write config {bad}: {reason}\n")
+    assert list(tmp_path.iterdir()) == [out] and out.read_text() == text
 
 
 def test_config_init_output_pinned(capsys):
@@ -529,12 +539,14 @@ def test_costsweep_out_is_a_file_exit_code(workspace, tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("keep")
     for out in (taken, taken / "sub"):
-        capsys.readouterr()
-        assert main(["costsweep", "--trials", str(root / "mc" / "trials.csv"),
-                     "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: output path {out}: {taken} is not a directory\n")
+        for argv in (["costsweep", "--trials", str(root / "mc" / "trials.csv")],
+                     ["synth", "--spec", str(root / "manifest.json")]):
+            capsys.readouterr()
+            assert main(argv + ["--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: output path {out}: {taken} is not a directory\n")
     assert taken.read_text() == "keep"
+    assert list(tmp_path.iterdir()) == [taken]  # no CSV written anywhere
 
 
 def test_bad_config_exit_code(tmp_path, capsys):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from gtscore.errors import InsufficientDataError, ParameterError
 from gtscore.indicators import (
     bollinger,
-    ema,
     ema_columns,
     macd,
+    macd_columns,
     rsi,
     rsi_columns,
 )
@@ -126,6 +126,12 @@ def loop_ema(values, period):
     return np.array(out)
 
 
+def ema_of(values, period):
+    """`ema_columns` with k = 1: the EMA of one column of `values`."""
+    column = np.array(values, dtype=float).reshape(-1, 1)
+    return ema_columns(column, [period], [0])[:, 0]
+
+
 def assert_close_with_nans(actual, expected, tol=1e-9):
     actual = np.asarray(actual, float)
     expected = np.asarray(expected, float)
@@ -182,13 +188,13 @@ def test_ema_matches_oracle():
     for _ in range(20):
         vals = random_closes(rng, 90)
         period = int(rng.integers(1, 25))
-        assert_close_with_nans(ema(vals, period),
+        assert_close_with_nans(ema_of(vals, period),
                                oracle_ema(vals.tolist(), period))
 
 
 def test_ema_period_one_is_identity():
     vals = np.array([3.0, 1.0, 4.0, 1.5])
-    np.testing.assert_allclose(ema(vals, 1), vals)
+    np.testing.assert_allclose(ema_of(vals, 1), vals)
 
 
 def test_macd_matches_oracle():
@@ -263,7 +269,7 @@ def test_ema_columns_match_loop(values, columns):
         want = np.full(n, np.nan)
         want[start:] = loop_ema(inputs[start:, j], period)
         assert np.array_equal(x[:, j], want, equal_nan=True)
-    assert np.array_equal(ema(values, periods[0]),
+    assert np.array_equal(ema_of(values, periods[0]),
                           loop_ema(values, periods[0]), equal_nan=True)
 
 
@@ -272,6 +278,32 @@ def test_ema_columns_errors():
         ema_columns(np.ones((10, 2)), [3, 0], [0, 0])
     with pytest.raises(InsufficientDataError, match="ema needs >= 5"):
         ema_columns(np.ones((10, 2)), [3, 5], [0, 6])
+
+
+@settings(max_examples=100, deadline=None)
+@given(closes=stepped_closes(),
+       triples=st.lists(st.tuples(st.integers(2, 15), st.integers(1, 20),
+                                  st.integers(2, 10)), min_size=1, max_size=6))
+def test_macd_columns_match_macd(closes, triples):
+    # Each triple's legs and signal line, computed with the others (a
+    # repeated triple included), equal its own `macd` bit for bit.
+    triples = [(fast, fast + gap, signal) for fast, gap, signal in triples
+               if fast + gap + signal < len(closes)]
+    assume(triples)
+    triples.append(triples[0])
+    legs, signal = macd_columns(closes, triples)
+    assert signal.shape == (len(closes), len(triples))
+    for j, (fast, slow, sig) in enumerate(triples):
+        line, want, _ = macd(closes, fast, slow, sig)
+        assert np.array_equal(legs[fast] - legs[slow], line, equal_nan=True)
+        assert np.array_equal(signal[:, j], want, equal_nan=True)
+
+
+def test_macd_columns_errors():
+    with pytest.raises(ParameterError):
+        macd_columns(np.ones(100), [(5, 20, 9), (26, 12, 9)])
+    with pytest.raises(InsufficientDataError, match="macd needs > 29"):
+        macd_columns(np.ones(29), [(5, 10, 9), (5, 20, 9)])
 
 
 # --- Bollinger -------------------------------------------------------------

@@ -24,7 +24,7 @@ from gtscore.objective import (
     gt_score_loss,
     metric_context,
 )
-from gtscore import objective, search, strategy
+from gtscore import indicators, objective, search, strategy
 from gtscore.cli import (
     aggregate_by_objective,
     aggregate_by_period,
@@ -43,6 +43,7 @@ from gtscore.search import (
 from gtscore.strategy import BollingerParams, StrategyKind, sample_params
 
 from conftest import make_series
+from test_strategy import reference_signals
 
 CFG = ObjectiveConfig()
 
@@ -74,9 +75,10 @@ def cell_for(strategy=StrategyKind.MACD, seed=42, budget=10):
 
 
 def backtest_on(params, start, end):
-    """Backtest of one candidate on the [start, end) window of ASSET."""
+    """Backtest of one candidate on the [start, end) window of ASSET, its
+    positions from `reference_signals`."""
     window = ASSET.slice(start, end)
-    return run_backtest(window, strategy.signals(params, window))
+    return run_backtest(window, reference_signals(params, window))
 
 
 def draw_pool(spec):
@@ -352,26 +354,25 @@ def test_run_task_computes_each_indicator_once(monkeypatch):
     # non-degenerate winner. Nothing is computed for one candidate alone.
     computed = Counter()
 
-    def spy(name, record):
-        real = getattr(strategy, name)
+    def spy(module, name, record):
+        real = getattr(module, name)
 
         def wrapper(*args):
             record(*args)
             return real(*args)
-        monkeypatch.setattr(strategy, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
     def legs_or_signals(x, periods, starts):
         for period, start in zip(periods, starts):
             computed[len(x), "signal", period, start] += 1 if start else 0
             computed[len(x), "leg", period] += 0 if start else 1
 
-    spy("rsi_columns", lambda closes, periods: computed.update(
+    spy(strategy, "rsi_columns", lambda closes, periods: computed.update(
         (len(closes), "rsi", p) for p in periods))
-    spy("ema_columns", legs_or_signals)
-    spy("rolling_stats", lambda closes, window: computed.update(
+    # where `macd_columns` looks it up
+    spy(indicators, "ema_columns", legs_or_signals)
+    spy(strategy, "rolling_stats", lambda closes, window: computed.update(
         [(len(closes), "bollinger", window)]))
-    for alone in ("rsi", "macd"):
-        spy(alone, lambda *args, alone=alone: computed.update([alone]))
 
     def want(bars, pool):
         counts = Counter()
@@ -402,10 +403,10 @@ def test_run_task_computes_each_indicator_once(monkeypatch):
 
 
 def test_run_task_matches_uncached_oracle():
-    # Every cell of a task replayed candidate by candidate without a cache:
-    # the training backtests pick the same winners with the same losses,
-    # and each winner's uncached validation backtest gives the same
-    # out-of-sample record.
+    # Every cell of a task replayed candidate by candidate with
+    # `reference_signals`: the training backtests pick the same winners
+    # with the same losses, and each winner's own validation backtest
+    # gives the same out-of-sample record.
     cells = study_cells([ASSET], list(StrategyKind), chrono, [42, 43],
                         budget=8)
     results = iter(run_task(cells, ASSET, OBJECTIVES, FEW_TRADES))

@@ -20,8 +20,8 @@ from gtscore.strategy import (
     MacdParams,
     RsiParams,
     StrategyKind,
-    indicator_cache,
     params_to_json,
+    pool_signals,
     positions,
     sample_params,
     signals,
@@ -230,7 +230,34 @@ def test_signals_start_flat_even_if_oversold():
     assert not pos.any()
 
 
-# --- indicator cache: the uncached call is the oracle -----------------------
+# --- pool signals: one candidate at a time is the oracle --------------------
+
+
+def reference_signals(params, series):
+    """Positions of one candidate from the public one-candidate indicators
+    and its rule applied bar by bar (`oracle_positions`): the oracle for
+    `pool_signals`. InsufficientDataError when the warm-up does not fit."""
+    closes = series.closes
+    if isinstance(params, RsiParams):
+        ind = rsi(closes, params.period)
+        prev = np.concatenate([[np.nan], ind[:-1]])
+        with np.errstate(invalid="ignore"):
+            enter = (prev < params.oversold) & (ind >= params.oversold)
+            leave = ind >= params.overbought
+        valid = ~(np.isnan(ind) | np.isnan(prev))
+    elif isinstance(params, MacdParams):
+        _, _, diff = macd(closes, params.fast, params.slow, params.signal)
+        prev = np.concatenate([[np.nan], diff[:-1]])
+        with np.errstate(invalid="ignore"):
+            enter = (prev <= 0) & (diff > 0)
+            leave = (prev >= 0) & (diff < 0)
+        valid = ~(np.isnan(diff) | np.isnan(prev))
+    else:
+        middle, _, lower = bollinger(closes, params.window, params.k)
+        with np.errstate(invalid="ignore"):
+            enter, leave = closes < lower, closes >= middle
+        valid = ~np.isnan(middle)
+    return np.array(oracle_positions(enter, leave, valid), dtype=bool)
 
 
 @st.composite
@@ -247,30 +274,37 @@ def any_params(draw):
     return BollingerParams(draw(st.integers(5, 50)), draw(st.floats(0.1, 4.0)))
 
 
-def _outcome(call):
-    try:
-        return call().tolist()
-    except InsufficientDataError as exc:
-        return type(exc), str(exc)
+def _bytes(sigs):
+    return [None if sig is None else sig.tobytes() for sig in sigs]
 
 
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(2, 150), seed=st.integers(0, 2**32 - 1),
        pool=st.lists(any_params(), min_size=1, max_size=15))
-def test_cached_signals_match_uncached(n, seed, pool):
-    # One cache primed with every candidate of one series, windows too
-    # short for warm-up included: each cached call equals the uncached one
-    # (the same InsufficientDataError for a warm-up that does not fit), and
-    # no cached array is changed by a candidate's call.
+# a repeated candidate, shared indicators and warm-ups that do not fit
+@example(n=40, seed=7, pool=[
+    MacdParams(5, 20, 9), RsiParams(40, 30.0, 70.0), MacdParams(5, 20, 9),
+    MacdParams(5, 30, 9), BollingerParams(20, 2.0), BollingerParams(20, 1.0),
+    RsiParams(14, 30.0, 70.0), RsiParams(14, 25.0, 75.0),
+    BollingerParams(41, 2.0)])
+def test_pool_signals_match_reference(n, seed, pool):
+    # One call for a pool whose windows include warm-ups too long for the
+    # series: each entry equals the reference (None exactly where it
+    # raises, and `signals` then raises naming the bar count) and the
+    # candidate's own one-candidate pool; no call changes an array another
+    # returned, and a second call returns the same bytes.
     series = make_series(random_closes(np.random.Generator(np.random.Philox(seed)), n))
-    cache = indicator_cache(series, pool)
-    for params in pool:
-        assert (_outcome(lambda: signals(params, series, cache))
-                == _outcome(lambda: signals(params, series)))
-    fresh = indicator_cache(series, pool)
-    assert fresh.keys() == cache.keys()
-    for key, cached in cache.items():
-        assert np.asarray(cached).tobytes() == np.asarray(fresh[key]).tobytes()
-    other = make_series(series.closes.copy())
-    with pytest.raises(ParameterError, match="another series"):
-        signals(pool[0], other, cache)
+    got = pool_signals(series, pool)
+    first = _bytes(got)
+    assert len(got) == len(pool)
+    for params, sig in zip(pool, got):
+        try:
+            want = reference_signals(params, series)
+        except InsufficientDataError:
+            assert sig is None
+            with pytest.raises(InsufficientDataError, match=f"the {n} bars"):
+                signals(params, series)
+        else:
+            assert sig.dtype == bool and np.array_equal(sig, want)
+        assert _bytes(pool_signals(series, [params])) == _bytes([sig])
+    assert _bytes(got) == first == _bytes(pool_signals(series, pool))

@@ -20,9 +20,14 @@ The output follows `BENCH_12.json`: per row and end-to-end metric, the
 runs of each side with their median and quartiles, the pairs the change
 won (lower is better for every end-to-end metric), the median change as a
 fraction of the parent's median, the parent's interquartile range, and
-whether the change stays inside the `BENCHMARK.json` bound. The claim
-section checks the claimed metric: the change wins at least 9 in 10 pairs
-and the median gap exceeds the parent's interquartile range.
+whether the change stays inside the `BENCHMARK.json` bound, and a verdict:
+"worse" when the median change exceeds the bound; else "unresolved" when
+the parent's interquartile range, as a fraction of its median, exceeds
+the bound, unless every change run beats every parent run; else "no
+worse". The claim section checks the claimed metric: the change wins at
+least 9 in 10 pairs and the median gap exceeds the parent's interquartile
+range. With an empty `--target` the change claims no gain, and the claim
+is null.
 
 `--merge` pools the runs of earlier outputs of this script, made on the
 same trees, into one record over all their pairs, keeping each set's own
@@ -77,19 +82,29 @@ def summarize(row: dict, bounds: dict) -> dict:
         parent, change = (row["runs"][side][name] for side in SIDES)
         p, c = quartiles(parent), quartiles(change)
         frac = (c["median"] - p["median"]) / p["median"]
+        iqr = p["q3"] - p["q1"]
+        if frac > bound:
+            verdict = "worse"
+        elif iqr / p["median"] > bound and max(change) >= min(parent):
+            verdict = "unresolved"
+        else:
+            verdict = "no worse"
         metrics[name] = {
             "parent": p, "change": c,
             "change_better_pairs": sum(b < a for a, b in zip(parent, change)),
             "median_change_frac": round(frac, 4),
-            "parent_iqr": round(p["q3"] - p["q1"], 4),
+            "parent_iqr": round(iqr, 4),
             "bound": bound,
             "within_bound": frac <= bound,
+            "verdict": verdict,
         }
     return {"pairs": len(parent), "correct": row["correct"],
             "failed": row["failed"], "metrics": metrics}
 
 
-def claim(rows: dict, target: str) -> dict:
+def claim(rows: dict, target: str) -> dict | None:
+    if not target:
+        return None
     out = {"metric": CLAIM_METRIC, "workload": CLAIM_WORKLOAD,
            "target": target}
     for seed in SEEDS:
@@ -196,7 +211,7 @@ def parse_args(argv=None):
     p.add_argument("--change-text", default="",
                    help="one sentence on what the change does")
     p.add_argument("--target", default="",
-                   help="the claimed gain, in words")
+                   help="the claimed gain, in words; empty for none")
     p.add_argument("--trace", action="store_true",
                    help="also run one traced mc_study seed-0 pass per side")
     args = p.parse_args(argv)
@@ -211,7 +226,8 @@ def main(argv=None) -> int:
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     if args.merge:
         raw, record = merge(args.merge, bounds)
-        target = json.loads(args.merge[0].read_text())["claim"]["target"]
+        first = json.loads(args.merge[0].read_text())["claim"]
+        target = first["target"] if first else ""
     else:
         raw, record = measure(args, bounds)
         target = args.target
