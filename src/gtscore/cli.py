@@ -118,14 +118,18 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"bad run config: {exc}") from exc
 
 
-def output_dir(path) -> Path:
-    """`path` as a directory to write into, checked before any work: it,
-    or else its nearest existing parent, must be a directory."""
+def output_dir(path, names) -> Path:
+    """`path` as a directory to write the files `names` into, checked
+    before any work: it, or else its nearest existing parent, must be a
+    directory, and each name must be free or a file."""
     path = Path(path)
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"output path {path}: {existing} is not a "
                           f"directory")
+    for target in (path / name for name in names):
+        if target.exists() and not target.is_file():
+            raise ConfigError(f"output path {target}: not a file")
     return path
 
 
@@ -429,7 +433,7 @@ def cmd_config_init(args) -> int:
 def cmd_synth(args) -> int:
     manifest = load_synthetic_manifest(
         read_text(args.spec, ConfigError, "manifest"))
-    out_dir = output_dir(args.out)
+    out_dir = output_dir(args.out, [f"{a}.csv" for a, _ in manifest])
     out_dir.mkdir(parents=True, exist_ok=True)
     for asset_id, spec in manifest:
         series = generate_synthetic_series(spec, asset_id)
@@ -442,7 +446,9 @@ def cmd_study(args) -> int:
     """Run the study and derive every file it writes, then write them all;
     a study that fails leaves no directory and no file behind."""
     cfg = load_config(args.config)
-    out_dir = output_dir(args.out or cfg.out_dir)
+    derived = [out for out in OUTPUTS if args.command in out.written_by]
+    names = ["trials.csv", *(out.name for out in derived)]
+    out_dir = output_dir(args.out or cfg.out_dir, names)
     assets = _load_assets(cfg)
     if args.command == "montecarlo":
         if args.seed_range:
@@ -454,11 +460,9 @@ def cmd_study(args) -> int:
                   jobs=args.jobs, budget=cfg.budget, **settings)
     cell_json = {}
     rows = [trial_row(r, cell_json) for r in results]
-    files = {"trials.csv": (TRIAL_COLUMNS, rows)}
-    files.update((out.name, derive(out, rows)) for out in OUTPUTS
-                 if args.command in out.written_by)
+    tables = [(TRIAL_COLUMNS, rows), *(derive(out, rows) for out in derived)]
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, (cols, data) in files.items():
+    for name, (cols, data) in zip(names, tables):
         write_csv(out_dir / name, cols, data)
     print(f"{args.command}: {len(rows)} trials -> {out_dir}")
     return 0
@@ -470,9 +474,9 @@ def cmd_costsweep(args) -> int:
                  else DEFAULT_COST_SWEEP)
     except ValueError as exc:
         raise ConfigError(f"bad --bps level: {exc}") from None
-    out_dir = output_dir(args.out)
-    rows = read_trials_csv(Path(args.trials))
     (out,) = [out for out in OUTPUTS if "costsweep" in out.written_by]
+    out_dir = output_dir(args.out, [out.name])
+    rows = read_trials_csv(Path(args.trials))
     cols, data = derive(out, rows, sweep)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / out.name, cols, data)
@@ -506,18 +510,19 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out)
     if not out_dir.is_dir():
         raise DataError(f"output directory not found: {out_dir}")
-    sections = []
-    for out in OUTPUTS:
-        path = out_dir / out.name
-        if not path.exists():
-            continue
-        cols, rows = _read_raw_csv(path)
-        sections.append(f"{out.title}\n{_format_text_table(cols, rows)}")
-        if out.figure:
-            (out_dir / out.figure).write_text(path.read_text())
-    if not sections:
+    present = [out for out in OUTPUTS if (out_dir / out.name).exists()]
+    if not present:
         raise DataError(f"no result CSVs found in {out_dir}")
+    figures = {out.figure: read_text(out_dir / out.name, DataError, "file")
+               for out in present if out.figure}
+    output_dir(out_dir, ["report.txt", *figures])
+    sections = []
+    for out in present:
+        cols, rows = _read_raw_csv(out_dir / out.name)
+        sections.append(f"{out.title}\n{_format_text_table(cols, rows)}")
     report = "\n\n".join(sections) + "\n"
+    for name, text in figures.items():
+        (out_dir / name).write_text(text)
     (out_dir / "report.txt").write_text(report)
     print(report, end="")
     return 0

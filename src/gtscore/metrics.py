@@ -1,7 +1,9 @@
 """Statistical building blocks for the objectives.
 
 Dispersion measures use the population convention (divide by n) so they
-are defined down to a single observation.
+are defined down to a single observation. They work row-wise along the
+last axis: each row of a row-major (g, n) stack gets its 1-D value, bit
+for bit (a column-major one sums in another order).
 """
 
 from __future__ import annotations
@@ -35,21 +37,21 @@ class MetricContext:
             raise ParameterError(f"r2 must be in [0, 1], got {self.r2}")
 
 
-def mean_and_std(returns: np.ndarray) -> tuple[float, float]:
+def mean_and_std(returns: np.ndarray) -> tuple:
     """Arithmetic mean and population standard deviation."""
     r = np.asarray(returns, dtype=float)
-    if r.size == 0:
+    if r.shape[-1] == 0:
         raise ParameterError("empty return sequence")
-    return float(r.mean()), float(r.std())
+    return r.mean(axis=-1), r.std(axis=-1)
 
 
-def downside_deviation(returns: np.ndarray, mar: float = 0.0) -> float:
+def downside_deviation(returns: np.ndarray, mar: float = 0.0):
     """Root mean square of shortfalls below the minimum acceptable return."""
     r = np.asarray(returns, dtype=float)
-    if r.size == 0:
+    if r.shape[-1] == 0:
         raise ParameterError("empty return sequence")
     shortfall = np.minimum(r - mar, 0.0)
-    return float(math.sqrt(np.mean(shortfall ** 2)))
+    return np.sqrt(np.mean(shortfall ** 2, axis=-1))
 
 
 def sharpe(mu: float, sigma: float, eps: float) -> float:
@@ -66,27 +68,25 @@ def sortino(mu: float, sigma_d: float, eps: float) -> float:
     return mu / (sigma_d + eps)
 
 
-def r_squared_consistency(equity_points: np.ndarray) -> float:
+def r_squared_consistency(equity_points: np.ndarray):
     """R-squared of the equity curve regressed on observation index.
 
     A perfectly steady equity ramp scores 1; flat equity (zero total
     variance) scores 0 by convention.
     """
     y = np.asarray(equity_points, dtype=float)
-    n = y.size
+    n = y.shape[-1]
     if n < 2:
         raise ParameterError("need >= 2 equity points")
     x = np.arange(n, dtype=float)
-    xm, ym = x.mean(), y.mean()
-    sxx = np.sum((x - xm) ** 2)
-    ss_tot = float(np.sum((y - ym) ** 2))
-    if ss_tot == 0.0:
-        return 0.0
-    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
-    resid = y - ym - slope * (x - xm)
-    ss_res = float(np.sum(resid ** 2))
-    r2 = 1.0 - ss_res / ss_tot
-    return min(max(r2, 0.0), 1.0)
+    dx = x - x.mean()
+    dy = y - y.mean(axis=-1, keepdims=True)
+    ss_tot = np.sum(dy ** 2, axis=-1)
+    slope = np.sum(dx * dy, axis=-1) / np.sum(dx ** 2)
+    ss_res = np.sum((dy - slope[..., None] * dx) ** 2, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.minimum(np.maximum(1.0 - ss_res / ss_tot, 0.0), 1.0)
+    return np.where(ss_tot == 0.0, 0.0, r2)[()]
 
 
 def z_score(mu: float, mu_m: float, sigma: float, n: int, eps: float) -> float:

@@ -8,9 +8,10 @@ other branch; the same gate applies to the Simple/Sharpe/Sortino
 baselines so all objectives face identical constraints.
 
 Losses are computed per candidate pool (`pool_losses`): each backtest the
-gate admits gets one metric context, shared by every objective. Under the
-stabilized periodization one batched scan picks the period count of every
-candidate in the pool at once.
+gate admits gets one metric context, shared by every objective and built
+with those of the same observation count. Under the stabilized
+periodization one scan picks each candidate's period count and returns
+the period returns that stand in for its trade returns.
 """
 
 from __future__ import annotations
@@ -125,25 +126,35 @@ def baseline_loss(kind: ObjectiveKind, ctx: MetricContext,
     raise ParameterError(f"unknown objective kind {kind!r}")
 
 
-def metric_context(result: BacktestResult, cfg: ObjectiveConfig,
-                   observations: np.ndarray | None = None) -> MetricContext:
-    """Build the metric inputs for one backtest window (needs >= 1 trade)."""
-    obs = result.trade_returns if observations is None else observations
-    n = int(obs.size)
-    mu, sigma = mean_and_std(obs)
-    sigma_d = downside_deviation(obs)
-    equity = (result.equity_points if observations is None else
-              np.cumprod(1.0 + np.asarray(obs, dtype=float)) - 1.0)
-    if cfg.r2_on_log_equity:
-        equity = np.log1p(equity)
-    r2 = r_squared_consistency(equity) if obs.size >= 2 else 0.0
-    if cfg.benchmark_mode == "arithmetic":
-        mu_m = benchmark_arithmetic_mean(result.benchmark_total_return, n)
-    else:
-        mu_m = benchmark_per_observation_mean(result.benchmark_total_return, n)
-    z = z_score(mu, mu_m, sigma, n, cfg.eps)
-    return MetricContext(mu=mu, sigma=sigma, mu_m=mu_m, n=n,
-                         sigma_d=sigma_d, r2=r2, z=z)
+def metric_contexts(results: list[BacktestResult], cfg: ObjectiveConfig,
+                    observations: list[np.ndarray] | None = None
+                    ) -> list[MetricContext]:
+    """The metric inputs of each backtest (each needs >= 1 trade), in
+    order, from its trade returns or from `observations` in their place.
+
+    Built one group at a time: the backtests with the same observation
+    count, their observations stacked as the rows of one matrix."""
+    obs = observations or [r.trade_returns for r in results]
+    groups: dict[int, list[int]] = {}
+    for i, o in enumerate(obs):
+        groups.setdefault(o.size, []).append(i)
+    benchmark_mean = (benchmark_arithmetic_mean if cfg.benchmark_mode
+                      == "arithmetic" else benchmark_per_observation_mean)
+    contexts = [None] * len(obs)
+    for n, rows in groups.items():
+        x = np.stack([obs[i] for i in rows])
+        mu, sigma = mean_and_std(x)
+        equity = np.cumprod(1.0 + x, axis=1) - 1.0
+        if cfg.r2_on_log_equity:
+            equity = np.log1p(equity)
+        r2 = r_squared_consistency(equity) if n >= 2 else np.zeros(len(rows))
+        for i, m, s, d, r in zip(rows, mu.tolist(), sigma.tolist(),
+                                 downside_deviation(x).tolist(), r2.tolist()):
+            mu_m = benchmark_mean(results[i].benchmark_total_return, n)
+            contexts[i] = MetricContext(mu=m, sigma=s, mu_m=mu_m, n=n,
+                                        sigma_d=d, r2=r,
+                                        z=z_score(m, mu_m, s, n, cfg.eps))
+    return contexts
 
 
 def trade_gate(cfg: ObjectiveConfig) -> int:
@@ -177,17 +188,14 @@ def pool_losses(results: list[BacktestResult | None],
         if len(windows) > 1:
             raise ParameterError("stabilized losses need one window per "
                                  f"pool, got {len(windows)}")
-        window = windows.pop() if windows else None
-        counts = stabilized_period_count(
+        observations = stabilized_period_returns(
             [r.trade_exit_dates for r in trading],
-            [r.equity_points for r in trading], window, cfg)
-        contexts = [metric_context(r, cfg, observations=period_returns(
-                        r.trade_exit_dates, r.equity_points, window, n_star))
-                    for r, n_star in zip(trading, counts)]
+            [r.equity_points for r in trading],
+            windows.pop() if windows else None, cfg)
         eff_cfg = replace(cfg, n_min=1)
     else:
-        contexts = [metric_context(r, cfg) for r in trading]
-        eff_cfg = cfg
+        observations, eff_cfg = None, cfg
+    contexts = metric_contexts(trading, cfg, observations)
     losses = []
     for kind in objectives:
         row = [cfg.below_min_penalty] * len(results)
@@ -199,70 +207,76 @@ def pool_losses(results: list[BacktestResult | None],
     return losses
 
 
-def period_returns(equity_dates: np.ndarray, equity_points: np.ndarray,
-                   window: tuple[dt.date, dt.date], n: int) -> np.ndarray:
-    """Simple returns over n equal-length time slices of the window.
-
-    Wealth is 1 + equity at the last trade completed in or before a slice;
-    slices with no trades return 0.
-    """
-    start, end = window
-    total_days = (end - start).days
-    wealth = np.concatenate([[1.0], 1.0 + np.asarray(equity_points, float)])
-    offsets = (np.asarray(equity_dates, dtype="datetime64[D]")
-               - np.datetime64(start, "D")).astype(np.int64)
-    bounds = np.rint(np.arange(n + 1) * total_days / n).astype(np.int64)
-    # index of last trade with offset <= bound, shifted into `wealth`
-    idx = np.searchsorted(offsets, bounds, side="right")
-    w = wealth[idx]
-    return w[1:] / w[:-1] - 1.0
+SCAN_BLOCK = 25  # candidates per wealth matrix of the stabilized scan
 
 
-def stabilized_period_count(equity_dates_list: list[np.ndarray],
-                            equity_points_list: list[np.ndarray],
-                            window: tuple[dt.date, dt.date],
-                            cfg: ObjectiveConfig) -> list[int]:
-    """Pick, per candidate, a periodization where the variance of period
-    returns plateaus; all candidates share `window`.
+def stabilized_period_returns(equity_dates_list: list[np.ndarray],
+                              equity_points_list: list[np.ndarray],
+                              window: tuple[dt.date, dt.date],
+                              cfg: ObjectiveConfig) -> list[np.ndarray]:
+    """Per candidate, its simple returns over n equal-length time slices
+    of `window` (shared by all) at the count n where their variance
+    plateaus; the array's length is n.
 
-    Scans candidate counts ascending; returns the first n at which the
-    variance changed by less than the relative threshold across the last
-    `window` consecutive candidates, else the fallback. The scan runs over
-    the whole pool at once: one wealth matrix holds every candidate's
-    wealth at the slice bounds of every n.
+    Wealth is 1 + equity at the last trade completed in or before a slice
+    bound; slices with no trades return 0. Counts are scanned ascending:
+    n is the first at which the variance changed by less than the relative
+    threshold across the last `window` consecutive counts, else the
+    fallback.
     """
     stab = cfg.stabilization
     lo, hi = stab.n_range
-    m = len(equity_dates_list)
-    total_days = (window[1] - window[0]).days if m else 0
-    if total_days < lo or stab.window > hi - lo + 1:
-        return [stab.fallback] * m
-    ns = np.arange(lo, hi + 1)
-    # Bounds of every n in one ragged array, block j = rint(k * days / n_j)
-    # for k = 0..n_j: the same operations as `period_returns`.
+    if not equity_dates_list:
+        return []
+    total_days = (window[1] - window[0]).days
+    scan = (list(range(lo, hi + 1))
+            if total_days >= lo and stab.window <= hi - lo + 1 else [])
+    ns = np.array(scan + ([] if stab.fallback in scan else [stab.fallback]))
+    # Bounds of every count scanned and of the fallback in one ragged
+    # array, block j = rint(k * days / n_j) for k = 0..n_j; wealth at each
+    # bound is read through a per-day index table.
     firsts = np.concatenate([[0], np.cumsum(ns + 1)[:-1]])
-    k = np.arange(firsts[-1] + hi + 1) - np.repeat(firsts, ns + 1)
+    k = np.arange(firsts[-1] + ns[-1] + 1) - np.repeat(firsts, ns + 1)
     bounds = np.rint(k * total_days / np.repeat(ns, ns + 1)).astype(np.int64)
-    start = np.datetime64(window[0], "D")
-    wealth = np.empty((m, bounds.size))
-    for row, dates, points in zip(wealth, equity_dates_list,
-                                  equity_points_list):
-        offsets = (np.asarray(dates, dtype="datetime64[D]")
-                   - start).astype(np.int64)
-        levels = np.concatenate([[1.0], 1.0 + np.asarray(points, float)])
-        row[:] = levels[np.searchsorted(offsets, bounds, side="right")]
-    returns = wealth[:, 1:] / wealth[:, :-1]
-    returns -= 1.0
-    var = np.stack([returns[:, s:s + n].var(axis=1)
-                    for s, n in zip(firsts, ns)], axis=1)
-    prev, cur = var[:, :-1], var[:, 1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        change = np.where(prev == 0.0, np.where(cur == 0.0, 0.0, np.inf),
-                          np.abs(cur - prev) / np.abs(prev))
-    # full[:, t]: the window - 1 changes up to count lo + t + window - 1
-    # are all below the threshold
-    need = stab.window - 1
-    full = sliding_window_view(change < stab.threshold, need, axis=1).all(2)
-    first = full.argmax(axis=1)
-    return [int(lo + need + t) if full[i, t] else stab.fallback
-            for i, t in enumerate(first)]
+    first_of = dict(zip(ns.tolist(), firsts.tolist()))
+    days = np.arange(total_days + 1)
+    start, need = np.datetime64(window[0], "D"), stab.window - 1
+    # Every block reuses two row-major buffers: two matrices live at most,
+    # and each row's sums take numpy's pairwise order.
+    wealth = np.empty((min(SCAN_BLOCK, len(equity_dates_list)), bounds.size))
+    buffer, out = np.empty((len(wealth), bounds.size - 1)), []
+    for b in range(0, len(equity_dates_list), SCAN_BLOCK):
+        block = list(zip(equity_dates_list[b:b + SCAN_BLOCK],
+                         equity_points_list[b:b + SCAN_BLOCK]))
+        for row, (dates, points) in zip(wealth, block):
+            offsets = (np.asarray(dates, dtype="datetime64[D]")
+                       - start).astype(np.int64)
+            levels = np.concatenate([[1.0], 1.0 + np.asarray(points, float)])
+            row[:] = levels[np.searchsorted(offsets, days, side="right")
+                            [bounds]]
+        returns = np.divide(wealth[:len(block), 1:],
+                            wealth[:len(block), :-1], out=buffer[:len(block)])
+        returns -= 1.0
+        chosen = [stab.fallback] * len(block)
+        if scan:
+            # np.var's own ufunc sequence, without its per-call overhead
+            var = np.empty((len(block), len(scan)))
+            for j, (s, n) in enumerate(zip(firsts, scan)):
+                dev = returns[:, s:s + n] - np.add.reduce(
+                    returns[:, s:s + n], axis=1, keepdims=True) / n
+                np.add.reduce(np.square(dev, out=dev), axis=1, out=var[:, j])
+            var /= scan
+            prev, cur = var[:, :-1], var[:, 1:]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                change = np.where(prev == 0.0,
+                                  np.where(cur == 0.0, 0.0, np.inf),
+                                  np.abs(cur - prev) / np.abs(prev))
+            # full[:, t]: the window - 1 changes up to count
+            # lo + t + window - 1 are all below the threshold
+            full = sliding_window_view(change < stab.threshold, need,
+                                       axis=1).all(2)
+            chosen = [lo + need + t if full[i, t] else stab.fallback
+                      for i, t in enumerate(full.argmax(axis=1).tolist())]
+        out += [row[first_of[n]:first_of[n] + n].copy()
+                for row, n in zip(returns, chosen)]
+    return out

@@ -85,41 +85,38 @@ def candidate_rng(seed: int, asset_id: str,
     return np.random.Generator(np.random.Philox(key))
 
 
-def _pool_signals(window: PriceSeries | None, pool: list) -> list:
-    """`pool_signals` on a window; all None when there is no window."""
-    return [None] * len(pool) if window is None else pool_signals(window, pool)
-
-
 def _search_family(pools: list[list], window: PriceSeries | None,
                    objectives: list[ObjectiveKind],
                    cfg: ObjectiveConfig) -> list[tuple]:
     """Score every candidate of these pools of one strategy family on the
-    training window, each distinct indicator computed once, and pick each
-    objective's winner, the first candidate attaining the lowest loss:
-    (loss, winner, its backtest) per pool and objective, in order.
+    training window, each distinct indicator computed once and every loss
+    from one `pool_losses` call, and pick each pool's winner under each
+    objective, the first candidate attaining the lowest loss: (loss,
+    winner, its backtest) per pool and objective, in order.
 
     Only candidates with at least `trade_gate(cfg)` trades are backtested
     and scored: the gate alone decides every other loss. A pick below the
     gate still gets its backtest, which its trial reports."""
-    family_sigs = iter(_pool_signals(window, [p for pool in pools
-                                              for p in pool]))
+    sigs = ([None] * sum(map(len, pools)) if window is None else
+            pool_signals(window, [p for pool in pools for p in pool]))
     gate = trade_gate(cfg)
-    picks = []
+    backtests = [None if sig is None or len(entry_bars(sig)) < gate
+                 else run_backtest(window, sig) for sig in sigs]
+    family_losses = pool_losses(backtests, objectives, cfg)
+    picks, start = [], 0
     for pool in pools:
-        sigs = [next(family_sigs) for _ in pool]
-        backtests = [None if sig is None or len(entry_bars(sig)) < gate
-                     else run_backtest(window, sig) for sig in sigs]
-        for losses in pool_losses(backtests, objectives, cfg):
+        for losses in family_losses:
             best_loss, best = math.inf, None
-            for i, loss in enumerate(losses):
-                if loss < best_loss:
-                    best_loss, best = loss, i
+            for i in range(start, start + len(pool)):
+                if losses[i] < best_loss:
+                    best_loss, best = losses[i], i
             if best is None:
                 picks.append((best_loss, pool[0], None))
                 continue
             if backtests[best] is None and sigs[best] is not None:
                 backtests[best] = run_backtest(window, sigs[best])
-            picks.append((best_loss, pool[best], backtests[best]))
+            picks.append((best_loss, pool[best - start], backtests[best]))
+        start += len(pool)
     return picks
 
 
@@ -156,9 +153,10 @@ def run_task(cells: list[CellSpec], series: PriceSeries,
     # Degenerate trials (every candidate gated) get a zero-trade
     # out-of-sample record; they stay in the table but are excluded from
     # generalization-ratio aggregates.
-    val_sigs = iter(_pool_signals(val_window, [
-        params for loss, params, _ in picks
-        if loss < cfg.below_min_penalty]))
+    winners = [params for loss, params, _ in picks
+               if loss < cfg.below_min_penalty]
+    val_sigs = iter([None] * len(winners) if val_window is None
+                    else pool_signals(val_window, winners))
     trials = [(spec, pool, kind)
               for spec, pool in zip(cells, pools) for kind in objectives]
     results = []

@@ -65,16 +65,9 @@ def _signed_ranks(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return d, ranks, min(w_plus, float(ranks.sum()) - w_plus)
 
 
-def wilcoxon_exact_p(d: np.ndarray) -> float:
-    """Two-sided exact p by enumerating all 2^n sign patterns.
-
-    p = P(W+ <= w) + P(W+ >= T - w) with w = min(W+, W-), which equals
-    the usual doubled one-tail by the symmetry of the null distribution.
-    """
-    return _exact_p(*_signed_ranks(np.asarray(d, dtype=float)))
-
-
 def _exact_p(d: np.ndarray, ranks: np.ndarray, w: float) -> float:
+    """Two-sided exact p by enumerating all 2^n sign patterns: P(W+ <= w)
+    + P(W+ >= T - w), the doubled one-tail by the null's symmetry."""
     n = d.size
     if n > WILCOXON_EXACT_MAX_N:
         raise ParameterError(f"exact enumeration limited to n <= {WILCOXON_EXACT_MAX_N}")

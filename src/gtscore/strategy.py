@@ -9,7 +9,7 @@ from enum import Enum
 import numpy as np
 
 from .data import PriceSeries
-from .errors import InsufficientDataError, ParameterError
+from .errors import ParameterError
 from .indicators import bollinger, macd_columns, rolling_stats, rsi_columns
 
 
@@ -182,16 +182,6 @@ def pool_signals(series: PriceSeries, pool) -> list[np.ndarray | None]:
     found = _indicators(closes, {indicator_key(p) for p in pool})
     return [None if (key := indicator_key(params)) not in found
             else _rule(params, closes, found[key]) for params in pool]
-
-
-def signals(params: StrategyParams, series: PriceSeries) -> np.ndarray:
-    """`pool_signals` of one candidate; InsufficientDataError when its
-    warm-up needs more bars than the series has."""
-    sig, = pool_signals(series, [params])
-    if sig is None:
-        raise InsufficientDataError(f"{params_to_json(params)}: warm-up "
-                                    f"longer than the {len(series)} bars")
-    return sig
 
 
 def _rule(params: StrategyParams, closes: np.ndarray, ind) -> np.ndarray:

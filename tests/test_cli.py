@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -83,6 +84,21 @@ WALKFORWARD_OUTPUT_SHA256 = {
     "trials.csv": WALKFORWARD_TRIALS_SHA256,
 }
 
+# every file of a stabilized-periodization Monte Carlo study on the
+# workspace data (`stabilized_study`)
+STABILIZED_OUTPUT_SHA256 = {
+    "aggregates.csv": (
+        "a2e559a7143cac782e531f3d16b279611dc271ec95a9fa2b55f1764d0b6f4ff0"),
+    "comparisons.csv": (
+        "fe25e35152765745e3302d2247eb0a9a28e8690d617a3fc7d13f5dabf811bdeb"),
+    "strategy_means.csv": (
+        "8857f8d8f6c9bbfb7451fcba74318c05f3db64c903baa9cc2460c1eca4490f24"),
+    "trade_counts.csv": (
+        "1887d7a516a8412b9a41060cb2ac8e775650be07fc21f9f750c26e35e44c1065"),
+    "trials.csv": (
+        "363f52ce93ec5f58e024cad52cd240b6263ba9de09627477d6f8cb5e74551a66"),
+}
+
 
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -137,6 +153,25 @@ def test_output_files_pinned(workspace, tmp_path):
                       (wf, WALKFORWARD_OUTPUT_SHA256)):
         assert {p.name: sha256_of(p) for p in sorted(out.iterdir())} == pins
 
+
+
+def test_stabilized_output_files_pinned(workspace, tmp_path):
+    # scored on period returns: counts that plateau inside n_range and the
+    # fallback outside it
+    root, _ = workspace
+    cfg = RunConfig(data_dir=str(root / "data"),
+                    mc=MonteCarloConfig(seeds=[42, 43]), budget=5,
+                    objective=ObjectiveConfig(
+                        periodization=Periodization.STABILIZED,
+                        stabilization=StabilizationConfig(
+                            n_range=(10, 80), fallback=90)),
+                    out_dir=str(tmp_path / "stab"))
+    cfg_path = tmp_path / "stab.json"
+    cfg_path.write_text(json.dumps(encode_config(cfg)))
+    assert main(["montecarlo", "--config", str(cfg_path)]) == 0
+    out = tmp_path / "stab"
+    assert {p.name: sha256_of(p)
+            for p in sorted(out.iterdir())} == STABILIZED_OUTPUT_SHA256
 
 def test_tracer_cli_targets_resolve():
     # perfbench/tracer.py wraps these names where gtscore.cli looks them
@@ -548,6 +583,65 @@ def test_costsweep_out_is_a_file_exit_code(workspace, tmp_path, capsys):
     assert taken.read_text() == "keep"
     assert list(tmp_path.iterdir()) == [taken]  # no CSV written anywhere
 
+
+
+def tree_state(root):
+    """Every path under `root` with its bytes, None for a directory."""
+    return {p: None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
+
+
+def assert_output_file_blocked(argv, taken, capsys):
+    """`argv` fails in one line naming `taken`, a directory where it
+    would write a file, and changes nothing under its parent."""
+    before = tree_state(taken.parent)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: output path {taken}: not a file\n"
+    assert tree_state(taken.parent) == before
+
+
+def test_costsweep_output_file_is_a_directory_exit_code(workspace, tmp_path,
+                                                        capsys):
+    root, _ = workspace
+    (tmp_path / "cost_sensitivity.csv").mkdir()
+    assert_output_file_blocked(
+        ["costsweep", "--trials", str(root / "mc" / "trials.csv"),
+         "--out", str(tmp_path)], tmp_path / "cost_sensitivity.csv", capsys)
+
+
+def test_report_output_file_is_a_directory_exit_code(workspace, tmp_path,
+                                                     capsys):
+    # no figure copy is written before the report fails
+    root, _ = workspace
+    study = tmp_path / "mc"
+    shutil.copytree(root / "mc", study, ignore=shutil.ignore_patterns(
+        "report.txt", "fig_*"))
+    (study / "report.txt").mkdir()
+    assert_output_file_blocked(["report", "--out", str(study)],
+                               study / "report.txt", capsys)
+
+
+def test_study_output_file_is_a_directory_exit_code(workspace, tmp_path,
+                                                    capsys, monkeypatch):
+    # found before any backtest runs, so no half-written study is left
+    _, cfg_path = workspace
+    monkeypatch.setattr(search, "run_trials",
+                        lambda *args: pytest.fail("the study ran"))
+    (tmp_path / "aggregates.csv").mkdir()
+    assert_output_file_blocked(
+        ["montecarlo", "--config", str(cfg_path), "--out", str(tmp_path)],
+        tmp_path / "aggregates.csv", capsys)
+
+
+def test_synth_output_file_is_a_directory_exit_code(workspace, tmp_path,
+                                                    capsys):
+    # the manifest's second asset is not written either
+    root, _ = workspace
+    (tmp_path / "AA.csv").mkdir()
+    assert_output_file_blocked(
+        ["synth", "--spec", str(root / "manifest.json"),
+         "--out", str(tmp_path)], tmp_path / "AA.csv", capsys)
 
 def test_bad_config_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"

@@ -2,26 +2,32 @@
 
 import datetime as dt
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtscore.engine import run_backtest
+from gtscore.engine import (
+    BacktestResult,
+    benchmark_arithmetic_mean,
+    benchmark_per_observation_mean,
+    run_backtest,
+)
 from gtscore.errors import ParameterError
-from gtscore.metrics import MetricContext, r_squared_consistency
+from gtscore.metrics import MetricContext, r_squared_consistency, z_score
 from gtscore.objective import (
+    SCAN_BLOCK,
     ObjectiveConfig,
     ObjectiveKind,
     Periodization,
     StabilizationConfig,
     baseline_loss,
     gt_score_loss,
-    metric_context,
-    period_returns,
+    metric_contexts,
     pool_losses,
-    stabilized_period_count,
+    stabilized_period_returns,
 )
 
 from conftest import make_series, random_closes
@@ -196,6 +202,12 @@ def winning_backtest(n_trades=60):
     return run_backtest(series, pos)
 
 
+def metric_context(res, cfg, observations=None):
+    """`metric_contexts` of one backtest."""
+    return metric_contexts([res], cfg, None if observations is None
+                           else [observations])[0]
+
+
 def test_metric_context_fields():
     res = winning_backtest()
     c = metric_context(res, CFG)
@@ -230,6 +242,93 @@ def test_metric_context_r2_reads_its_observations():
     assert by_period == r_squared_consistency(np.cumprod(1.0 + obs) - 1.0)
     assert by_period != metric_context(res, CFG).r2
     assert res.equity_points.tobytes() == kept.tobytes()
+
+
+def oracle_r_squared(y):
+    """R-squared of one equity curve on its index, 0 when it is flat."""
+    x = np.arange(y.size, dtype=float)
+    xm, ym = x.mean(), y.mean()
+    sxx = np.sum((x - xm) ** 2)
+    ss_tot = float(np.sum((y - ym) ** 2))
+    if ss_tot == 0.0:
+        return 0.0
+    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
+    ss_res = float(np.sum((y - ym - slope * (x - xm)) ** 2))
+    return min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
+
+
+def oracle_metric_context(result, cfg, observations=None):
+    """Scalar metric context of one backtest with >= 1 trade, built from
+    its trade returns or from `observations` in their place."""
+    obs = result.trade_returns if observations is None else observations
+    n = int(obs.size)
+    mu, sigma = float(obs.mean()), float(obs.std())
+    sigma_d = math.sqrt(np.mean(np.minimum(obs, 0.0) ** 2))
+    equity = (result.equity_points if observations is None else
+              np.cumprod(1.0 + np.asarray(obs, dtype=float)) - 1.0)
+    if cfg.r2_on_log_equity:
+        equity = np.log1p(equity)
+    r2 = oracle_r_squared(equity) if n >= 2 else 0.0
+    if cfg.benchmark_mode == "arithmetic":
+        mu_m = benchmark_arithmetic_mean(result.benchmark_total_return, n)
+    else:
+        mu_m = benchmark_per_observation_mean(result.benchmark_total_return, n)
+    z = z_score(mu, mu_m, sigma, n, cfg.eps)
+    return MetricContext(mu=mu, sigma=sigma, mu_m=mu_m, n=n,
+                         sigma_d=sigma_d, r2=r2, z=z)
+
+
+def fake_backtest(trade_returns, benchmark_total_return):
+    r = np.array(trade_returns, dtype=float)
+    equity = np.cumprod(1.0 + r) - 1.0
+    return BacktestResult(r, equity, float(equity[-1]),
+                          benchmark_total_return,
+                          (START, START + dt.timedelta(days=100)),
+                          np.array([], "datetime64[D]"))
+
+
+@st.composite
+def observation_lists(draw):
+    """1-8 observation lists, of few lengths so equal lengths form groups,
+    some past the 8 terms where numpy's pairwise sum unrolls; some are
+    flat (all zero)."""
+    out = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.sampled_from([1, 2, 3, 9, 20]))
+        out.append([0.0] * n if draw(st.booleans()) else draw(
+            st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
+    return out
+
+
+MIXED = [[0.1], [0.0, 0.0, 0.0], [0.2, -0.1, 0.05], [0.3], [0.0],
+         [0.01, 0.02, -0.03], [-0.2, 0.1], [0.01 * i for i in range(-9, 11)],
+         [0.03 - 0.002 * i for i in range(20)]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(returns=observation_lists(), periods=st.booleans(),
+       log=st.booleans(), mode=st.sampled_from(["geometric", "arithmetic"]),
+       bench=st.floats(-0.9, 3.0))
+@example(returns=MIXED, periods=False, log=True, mode="arithmetic",
+         bench=0.3)
+@example(returns=MIXED, periods=True, log=False, mode="geometric",
+         bench=-0.2)
+def test_grouped_contexts_match_scalar_oracle(returns, periods, log, mode,
+                                              bench):
+    # Groups of one and of several, n = 1, flat equity (zero total
+    # variance), log equity and both benchmark means: each grouped context
+    # equals the scalar oracle's bit for bit, in the input order.
+    cfg = ObjectiveConfig(benchmark_mode=mode, r2_on_log_equity=log)
+    obs = [np.array(r, dtype=float) for r in returns]
+    results = [fake_backtest([0.05, -0.02] if periods else r, bench + 0.1 * i)
+               for i, r in enumerate(returns)]
+    got = metric_contexts(results, cfg, obs if periods else None)
+    want = [oracle_metric_context(r, cfg, o if periods else None)
+            for r, o in zip(results, obs)]
+    for g, w in zip(got, want, strict=True):
+        values = astuple(g)
+        assert [type(v) for v in values] == [float] * 3 + [int] + [float] * 3
+        assert np.array(values).tobytes() == np.array(astuple(w)).tobytes()
 
 
 def test_trial_loss_zero_trades_is_penalty():
@@ -287,6 +386,25 @@ def test_pool_losses_stabilized_rejects_mixed_windows():
 
 
 # --- periodization ---------------------------------------------------------
+
+
+def period_returns(equity_dates, equity_points, window, n):
+    """Simple returns over n equal-length time slices of the window, the
+    vectorised single-count form of `stabilized_period_returns`.
+
+    Wealth is 1 + equity at the last trade completed in or before a slice;
+    slices with no trades return 0.
+    """
+    start, end = window
+    total_days = (end - start).days
+    wealth = np.concatenate([[1.0], 1.0 + np.asarray(equity_points, float)])
+    offsets = (np.asarray(equity_dates, dtype="datetime64[D]")
+               - np.datetime64(start, "D")).astype(np.int64)
+    bounds = np.rint(np.arange(n + 1) * total_days / n).astype(np.int64)
+    # index of last trade with offset <= bound, shifted into `wealth`
+    idx = np.searchsorted(offsets, bounds, side="right")
+    w = wealth[idx]
+    return w[1:] / w[:-1] - 1.0
 
 
 def test_period_returns_compound_to_final_wealth():
@@ -414,10 +532,19 @@ def test_stabilized_count_matches_oracle(pool, threshold, window, lo, width):
         periodization=Periodization.STABILIZED,
         stabilization=StabilizationConfig(threshold, window,
                                           (lo, lo + width), 50))
-    got = stabilized_period_count(dates, equity, win, cfg)
-    assert all(type(n) is int for n in got)
-    assert got == [oracle_stabilized_count(d, e, win, cfg)
-                   for d, e in zip(dates, equity)]
+    got = stabilized_period_returns(dates, equity, win, cfg)
+    assert len(got) == len(cands)
+    for returns, d, e in zip(got, dates, equity):
+        n = oracle_stabilized_count(d, e, win, cfg)
+        assert returns.dtype == float and returns.shape == (n,)
+        np.testing.assert_array_equal(
+            returns, oracle_period_returns(d.tolist(), e, win, n))
+
+
+def counts(dates_list, equity_list, window, cfg):
+    """The period count `stabilized_period_returns` chose per candidate."""
+    return [len(r) for r in stabilized_period_returns(dates_list, equity_list,
+                                                      window, cfg)]
 
 
 def test_stabilized_count_threshold_is_strict():
@@ -430,7 +557,34 @@ def test_stabilized_count_threshold_is_strict():
               for n in (10, 11))
     cfg = ObjectiveConfig(stabilization=StabilizationConfig(
         abs(v1 - v0) / abs(v0), 2, (10, 11), 50))
-    assert stabilized_period_count([dates], [equity], window, cfg) == [50]
+    assert counts([dates], [equity], window, cfg) == [50]
+
+
+def test_stabilized_variance_is_numpys_to_the_last_bit():
+    # Every slice of these candidates trades, so the variances of 40 and
+    # 41 period returns depend on numpy's summation order. A threshold at
+    # the oracle's relative change keeps the scan on the fallback, outside
+    # n_range, and one a step above it stops the scan at 41, for every row
+    # of both blocks, only if the scan's change equals the oracle's to the
+    # bit; the returns at either count match the slice-by-slice oracle.
+    rng = np.random.Generator(np.random.Philox(5))
+    window = (START, START + dt.timedelta(days=365))
+    dates = [np.array([START + dt.timedelta(days=int(d))
+                       for d in np.sort(rng.choice(365, 150, False))],
+                      dtype="datetime64[D]") for _ in range(SCAN_BLOCK + 5)]
+    equity = [np.cumprod(1.0 + rng.normal(0.0, 0.02, 150)) - 1.0
+              for _ in dates]
+    for i, (d, e) in enumerate(zip(dates, equity)):
+        v0, v1 = (float(np.var(period_returns(d, e, window, n)))
+                  for n in (40, 41))
+        change = abs(v1 - v0) / abs(v0)
+        for threshold, want in ((change, 50),
+                                (float(np.nextafter(change, np.inf)), 41)):
+            cfg = ObjectiveConfig(stabilization=StabilizationConfig(
+                threshold, 2, (40, 41), 50))
+            got = stabilized_period_returns(dates, equity, window, cfg)[i]
+            np.testing.assert_array_equal(
+                got, oracle_period_returns(d.tolist(), e, window, want))
 
 
 def no_trades():
@@ -440,7 +594,7 @@ def no_trades():
 def test_stabilized_count_short_span_falls_back():
     window = (START, START + dt.timedelta(days=5))
     dates, equity = no_trades()
-    got = stabilized_period_count([dates] * 2, [equity] * 2, window, CFG)
+    got = counts([dates] * 2, [equity] * 2, window, CFG)
     assert got == [CFG.stabilization.fallback] * 2
 
 
@@ -449,7 +603,7 @@ def test_stabilized_count_plateaus_on_flat_equity():
     # plateaus as early as the window allows
     window = (START, START + dt.timedelta(days=365))
     dates, equity = no_trades()
-    got = stabilized_period_count([dates] * 3, [equity] * 3, window, CFG)
+    got = counts([dates] * 3, [equity] * 3, window, CFG)
     lo = CFG.stabilization.n_range[0]
     assert got == [lo + CFG.stabilization.window - 1] * 3
 

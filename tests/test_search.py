@@ -3,6 +3,7 @@
 import datetime as dt
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,14 +16,15 @@ from gtscore.data import (
     make_chrono_split,
     make_walkforward_splits,
 )
-from gtscore.engine import run_backtest
+from gtscore.engine import BacktestResult, run_backtest
 from gtscore.errors import DataError, ParameterError
 from gtscore.objective import (
     ObjectiveConfig,
     ObjectiveKind,
+    Periodization,
+    StabilizationConfig,
     baseline_loss,
     gt_score_loss,
-    metric_context,
 )
 from gtscore import indicators, objective, search, strategy
 from gtscore.cli import (
@@ -43,6 +45,12 @@ from gtscore.search import (
 from gtscore.strategy import BollingerParams, StrategyKind, sample_params
 
 from conftest import make_series
+from test_engine import oracle_backtest
+from test_objective import (
+    oracle_metric_context,
+    oracle_period_returns,
+    oracle_stabilized_count,
+)
 from test_strategy import reference_signals
 
 CFG = ObjectiveConfig()
@@ -120,7 +128,7 @@ def composed_loss(kind, bt, cfg=CFG):
     """Fixed-trades loss of one backtest, composed from its parts."""
     if bt is None or bt.n_trades == 0:
         return cfg.below_min_penalty
-    ctx = metric_context(bt, cfg)
+    ctx = oracle_metric_context(bt, cfg)
     if kind == ObjectiveKind.GT_SCORE:
         return gt_score_loss(ctx, cfg)
     return baseline_loss(kind, ctx, bt.total_return, cfg)
@@ -211,13 +219,13 @@ def test_run_cell_backtests_each_candidate_once(monkeypatch):
 def spy_contexts(monkeypatch):
     """The backtest of every metric context built from here on, in order."""
     calls = []
-    real = objective.metric_context
+    real = objective.metric_contexts
 
-    def counting(result, *args, **kwargs):
-        calls.append(result)
-        return real(result, *args, **kwargs)
+    def counting(results, *args, **kwargs):
+        calls.extend(results)
+        return real(results, *args, **kwargs)
 
-    monkeypatch.setattr(objective, "metric_context", counting)
+    monkeypatch.setattr(objective, "metric_contexts", counting)
     return calls
 
 
@@ -289,7 +297,7 @@ def test_gated_pick_keeps_its_training_backtest(monkeypatch):
     results = {r.objective_kind: r
                for r in run_task([spec], series, OBJECTIVES, cfg)}
     window = series.slice(day[0], day[1])
-    train = {p: run_backtest(window, strategy.signals(p, window))
+    train = {p: run_backtest(window, reference_signals(p, window))
              for p in (admitted, gated)}
     assert 0 < train[gated].n_trades < cfg.n_min <= train[admitted].n_trades
     assert composed_loss(ObjectiveKind.SHARPE, train[admitted], cfg) > 300
@@ -431,6 +439,79 @@ def test_run_task_matches_uncached_oracle():
             assert res.oos_n_trades == oos.n_trades
             assert np.array_equal(res.oos_trade_returns, oos.trade_returns)
     assert next(results, None) is None
+
+
+# the fallback count lies outside n_range, so every candidate whose
+# variance does not plateau by count 80 is scored on a count no scan visits
+STABILIZED = ObjectiveConfig(
+    periodization=Periodization.STABILIZED,
+    stabilization=StabilizationConfig(n_range=(10, 80), fallback=90))
+
+
+def oracle_stabilized_losses(pool, window, cfg):
+    """Per objective, the stabilized loss of each candidate in `pool` on
+    `window`, rebuilt candidate by candidate from the reference signals,
+    the reference engine, the scalar period-count scan, the slice-by-slice
+    period returns and the scalar metric context; the backtests; and the
+    period counts chosen."""
+    span = (window.start_date, window.span_end)
+    eff = replace(cfg, n_min=1)
+    losses, backtests, counts = {obj: [] for obj in OBJECTIVES}, [], []
+    for params in pool:
+        rets, equity, total, bench, dates = oracle_backtest(
+            window, reference_signals(params, window), *span)
+        dates = np.array(dates, dtype="datetime64[D]")
+        backtests.append(BacktestResult(rets, equity, total, bench, span,
+                                        dates))
+        if not rets.size:
+            for obj in OBJECTIVES:
+                losses[obj].append(cfg.below_min_penalty)
+            continue
+        n = oracle_stabilized_count(dates, equity, span, cfg)
+        counts.append(n)
+        ctx = oracle_metric_context(backtests[-1], cfg, observations=(
+            oracle_period_returns(dates.tolist(), equity, span, n)))
+        for obj in OBJECTIVES:
+            losses[obj].append(gt_score_loss(ctx, eff)
+                               if obj is ObjectiveKind.GT_SCORE else
+                               baseline_loss(obj, ctx, total, eff))
+    return losses, backtests, counts
+
+
+def test_run_task_stabilized_matches_uncached_oracle():
+    # The stabilized twin of `test_run_task_matches_uncached_oracle`,
+    # over candidates that plateau inside n_range and candidates on the
+    # out-of-range fallback.
+    cells = study_cells([ASSET], list(StrategyKind), chrono, [42, 43],
+                        budget=8)
+    results = iter(run_task(cells, ASSET, OBJECTIVES, STABILIZED))
+    train = ASSET.slice(SPLIT.train_start, SPLIT.train_end)
+    val = ASSET.slice(SPLIT.val_start, SPLIT.val_end)
+    counts = set()
+    for spec in cells:
+        pool = draw_pool(spec)
+        losses, backtests, chosen = oracle_stabilized_losses(pool, train,
+                                                             STABILIZED)
+        counts.update(chosen)
+        for obj in OBJECTIVES:
+            res = next(results)
+            best = losses[obj].index(min(losses[obj]))
+            assert (res.spec, res.objective_kind) == (spec, obj)
+            assert (res.best_loss, res.best_params) == (losses[obj][best],
+                                                        pool[best])
+            assert res.train_total_return == backtests[best].total_return
+            assert res.train_n_trades == backtests[best].n_trades
+            if res.degenerate:
+                assert res.oos_n_trades == 0
+                continue
+            rets, _, total, _, _ = oracle_backtest(
+                val, reference_signals(pool[best], val), val.start_date,
+                val.span_end)
+            assert res.oos_total_return == total
+            assert res.oos_n_trades == rets.size
+            assert np.array_equal(res.oos_trade_returns, rets)
+    assert next(results, None) is None
+    assert 90 in counts and len(counts) > 2
 
 
 def test_run_task_cuts_each_window_once(monkeypatch):

@@ -12,10 +12,11 @@ from gtscore.errors import ParameterError
 from gtscore.stats import (
     WILCOXON_EXACT_MAX_N,
     _average_ranks,
+    _exact_p,
+    _signed_ranks,
     cohens_d_pooled,
     compare_paired,
     paired_t_test,
-    wilcoxon_exact_p,
     wilcoxon_normal_p,
     wilcoxon_signed_rank,
 )
@@ -94,6 +95,11 @@ def test_t_test_errors():
 
 
 # --- Wilcoxon --------------------------------------------------------------
+
+
+def wilcoxon_exact_p(d):
+    """The package's exact two-sided p of the differences `d`."""
+    return _exact_p(*_signed_ranks(np.asarray(d, dtype=float)))
 
 
 # tie-heavy floats: a few distinct magnitudes, all repeated, or any float

@@ -24,7 +24,6 @@ from gtscore.strategy import (
     pool_signals,
     positions,
     sample_params,
-    signals,
 )
 
 from conftest import make_series, random_closes
@@ -232,6 +231,15 @@ def test_signals_start_flat_even_if_oversold():
 
 # --- pool signals: one candidate at a time is the oracle --------------------
 
+
+def signals(params, series):
+    """`pool_signals` of one candidate; InsufficientDataError when its
+    warm-up needs more bars than the series has."""
+    sig, = pool_signals(series, [params])
+    if sig is None:
+        raise InsufficientDataError(f"{params_to_json(params)}: warm-up "
+                                    f"longer than the {len(series)} bars")
+    return sig
 
 def reference_signals(params, series):
     """Positions of one candidate from the public one-candidate indicators

@@ -1,7 +1,8 @@
 """Alternating parent/change pairs of the study benchmark, as a BENCH file.
 
     python3 tools/bench_pairs.py --parent <tree> --change <tree> \
-        --pairs 10 --out BENCH_<n>.json --change-text "..." --target "..."
+        --pairs 10 --out BENCH_<n>.json --change-text "..." --target "..." \
+        [--claim mc_stab_gt/study_s]
     python3 tools/bench_pairs.py --merge <set>.json ... --out BENCH_<n>.json
 
 Run from the repository root, which supplies the bounds in
@@ -13,8 +14,8 @@ tree whose modules are already compiled starts every child process
 faster. Pair i runs the parent first when i is even and the change first
 when it is odd; the pairs of every workload/seed row are interleaved, so a
 slow spell of the host falls on both sides. With `--trace`, each side
-also runs one traced `mc_study` seed-0 pass, whose per-layer metrics go
-under "trace".
+also runs one traced seed-0 pass of the claimed workload, whose per-layer
+metrics go under "trace".
 
 The output follows `BENCH_12.json`: per row and end-to-end metric, the
 runs of each side with their median and quartiles, the pairs the change
@@ -24,10 +25,11 @@ whether the change stays inside the `BENCHMARK.json` bound, and a verdict:
 "worse" when the median change exceeds the bound; else "unresolved" when
 the parent's interquartile range, as a fraction of its median, exceeds
 the bound, unless every change run beats every parent run; else "no
-worse". The claim section checks the claimed metric: the change wins at
-least 9 in 10 pairs and the median gap exceeds the parent's interquartile
-range. With an empty `--target` the change claims no gain, and the claim
-is null.
+worse". The claim section checks the claimed metric, `--claim
+workload/metric` (default mc_study/study_s), on every seed: the change
+wins at least 9 in 10 pairs and the median gap exceeds the parent's
+interquartile range. With an empty `--target` the change claims no gain,
+and the claim is null.
 
 `--merge` pools the runs of earlier outputs of this script, made on the
 same trees, into one record over all their pairs, keeping each set's own
@@ -49,7 +51,7 @@ import numpy as np
 WORKLOADS = ("mc_study", "mc_stab_gt")
 SEEDS = (0, 1)
 SIDES = ("parent", "change")
-CLAIM_WORKLOAD, CLAIM_METRIC = "mc_study", "study_s"
+DEFAULT_CLAIM = "mc_study/study_s"
 MIN_WON_FRACTION = 0.9
 
 
@@ -102,13 +104,13 @@ def summarize(row: dict, bounds: dict) -> dict:
             "failed": row["failed"], "metrics": metrics}
 
 
-def claim(rows: dict, target: str) -> dict | None:
+def claim(rows: dict, target: str, workload: str,
+          metric: str) -> dict | None:
     if not target:
         return None
-    out = {"metric": CLAIM_METRIC, "workload": CLAIM_WORKLOAD,
-           "target": target}
+    out = {"metric": metric, "workload": workload, "target": target}
     for seed in SEEDS:
-        m = rows[f"{CLAIM_WORKLOAD}/seed{seed}"]["metrics"][CLAIM_METRIC]
+        m = rows[f"{workload}/seed{seed}"]["metrics"][metric]
         gap = m["parent"]["median"] - m["change"]["median"]
         pairs = len(m["parent"]["runs"])
         out[f"seed{seed}"] = {
@@ -132,6 +134,7 @@ def empty_row(bounds: dict) -> dict:
 def measure(args, bounds: dict) -> tuple[dict, dict]:
     """Run the pairs; the raw rows and the record's descriptive fields."""
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    claimed, metric = args.claim
     rows = {f"{w}/seed{s}": empty_row(bounds) for w in WORKLOADS
             for s in SEEDS}
     for i in range(args.pairs):
@@ -148,8 +151,8 @@ def measure(args, bounds: dict) -> tuple[dict, dict]:
                     row["correct"][side] &= result["correct"]
                     row["failed"][side] += result["failed"]
                     print(f"pair {i} {workload} seed {seed} {side}: "
-                          f"{CLAIM_METRIC} "
-                          f"{result['metrics'][CLAIM_METRIC]['value']:.3f}",
+                          f"{metric} "
+                          f"{result['metrics'][metric]['value']:.3f}",
                           file=sys.stderr)
     record = {
         "change": args.change_text,
@@ -165,9 +168,9 @@ def measure(args, bounds: dict) -> tuple[dict, dict]:
                  "numpy": np.__version__},
     }
     if args.trace:
-        traced = {side: run_once(tree, CLAIM_WORKLOAD, 0, args.seconds,
-                                 trace=1) for side, tree in trees.items()}
-        record["trace"] = {CLAIM_WORKLOAD: {
+        traced = {side: run_once(tree, claimed, 0, args.seconds, trace=1)
+                  for side, tree in trees.items()}
+        record["trace"] = {claimed: {
             side: {"correct": r["correct"],
                    "metrics": {k: v["value"]
                                for k, v in r["metrics"].items()}}
@@ -199,6 +202,17 @@ def merge(paths: list[Path], bounds: dict) -> tuple[dict, dict]:
     return rows, record
 
 
+def claim_spec(text: str) -> tuple[str, str]:
+    """`workload/metric` as a pair, both known to the benchmark."""
+    workload, _, metric = text.partition("/")
+    names = [m["name"] for m in json.loads(
+        Path("BENCHMARK.json").read_text())["end_to_end"]]
+    if workload not in WORKLOADS or metric not in names:
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: want one of {WORKLOADS} / one of {names}")
+    return workload, metric
+
+
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", type=Path)
@@ -212,8 +226,12 @@ def parse_args(argv=None):
                    help="one sentence on what the change does")
     p.add_argument("--target", default="",
                    help="the claimed gain, in words; empty for none")
+    p.add_argument("--claim", default=DEFAULT_CLAIM, type=claim_spec,
+                   help="the claimed workload/metric (default "
+                        f"{DEFAULT_CLAIM})")
     p.add_argument("--trace", action="store_true",
-                   help="also run one traced mc_study seed-0 pass per side")
+                   help="also run one traced seed-0 pass of the claimed "
+                        "workload per side")
     args = p.parse_args(argv)
     if not args.merge and not (args.parent and args.change):
         p.error("give --parent and --change, or --merge")
@@ -228,11 +246,14 @@ def main(argv=None) -> int:
         raw, record = merge(args.merge, bounds)
         first = json.loads(args.merge[0].read_text())["claim"]
         target = first["target"] if first else ""
+        claimed = ((first["workload"], first["metric"]) if first
+                   else args.claim)
     else:
         raw, record = measure(args, bounds)
-        target = args.target
+        target, claimed = args.target, args.claim
     rows = {key: summarize(row, bounds) for key, row in raw.items()}
-    record = {"claim": claim(rows, target), **record, "workloads": rows}
+    record = {"claim": claim(rows, target, *claimed), **record,
+              "workloads": rows}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
