@@ -611,7 +611,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GtscoreError as exc:
+    except (GtscoreError, OSError) as exc:  # OSError: e.g. a bad --out path
         print(f"error: {exc}", file=sys.stderr)
         return (2 if isinstance(exc, DataError) else
                 3 if isinstance(exc, InternalCheckError) else 1)

@@ -161,6 +161,8 @@ class SyntheticSpec:
             raise ParameterError("n_days must be >= 2")
         if self.initial_price <= 0:
             raise ParameterError("initial_price must be positive")
+        if any(r[0] < 0 for r in self.regimes):
+            raise ParameterError("regime lengths must be >= 0")
         if sum(r[0] for r in self.regimes) != self.n_days:
             raise ParameterError("regime lengths must sum to n_days")
         if any(r[2] < 0 for r in self.regimes):
@@ -235,13 +237,9 @@ def generate_synthetic_series(spec: SyntheticSpec,
     """
     rng = np.random.Generator(np.random.Philox(spec.seed))
     n = spec.n_days
-    drift = np.empty(n)
-    vol = np.empty(n)
-    pos = 0
-    for length, d, v in spec.regimes:
-        drift[pos:pos + length] = d
-        vol[pos:pos + length] = v
-        pos += length
+    lengths, drifts, vols = zip(*spec.regimes)
+    drift = np.repeat(np.array(drifts, dtype=float), lengths)
+    vol = np.repeat(np.array(vols, dtype=float), lengths)
 
     # Fixed draw order: n-1 step shocks, then n high/low shocks, then volumes.
     g = rng.standard_normal(n - 1)
@@ -307,9 +305,11 @@ def make_walkforward_splits(series: PriceSeries, train_years: int = 4,
     return splits
 
 
+CHRONO_MIN_BARS = 60  # fewest bars each side of a chrono split must hold
+
+
 def make_chrono_split(series: PriceSeries, train_fraction: float = 0.7,
-                      embargo_days: int = 30,
-                      min_bars_per_side: int = 60) -> SplitSpec:
+                      embargo_days: int = 30) -> SplitSpec:
     """Single chronological split at train_fraction of the calendar span."""
     if not 0 < train_fraction < 1:
         raise ParameterError("train_fraction must be in (0, 1)")
@@ -324,10 +324,10 @@ def make_chrono_split(series: PriceSeries, train_fraction: float = 0.7,
     split = SplitSpec(series.start_date, train_end, val_start, series.span_end)
     i0, i1 = series.index_window(split.train_start, split.train_end)
     j0, j1 = series.index_window(split.val_start, split.val_end)
-    if i1 - i0 < min_bars_per_side or j1 - j0 < min_bars_per_side:
+    if i1 - i0 < CHRONO_MIN_BARS or j1 - j0 < CHRONO_MIN_BARS:
         raise InsufficientDataError(
             f"{series.asset_id}: chrono split leaves {i1 - i0} train / "
-            f"{j1 - j0} test bars, need >= {min_bars_per_side} each")
+            f"{j1 - j0} test bars, need >= {CHRONO_MIN_BARS} each")
     return split
 
 

@@ -3,8 +3,9 @@
 The composite loss is piecewise in the z statistic: a high penalty band
 for z <= 0, a smooth transition band for 0 < z <= 1 anchored to 0 at
 z = 1, and -(mu * ln(z) * r2) / (sigma_d + eps) for z > 1. Windows with
-fewer than n_min trades receive a fixed penalty that dominates every
-other branch; the same gate applies to the Simple/Sharpe/Sortino
+fewer observations than `trade_gate` (n_min trades, or one period under
+the stabilized periodization) receive a fixed penalty that dominates
+every other branch; the same gate applies to the Simple/Sharpe/Sortino
 baselines so all objectives face identical constraints.
 
 Losses are computed per candidate pool (`pool_losses`): each backtest the
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -100,7 +101,7 @@ class ObjectiveConfig:
 
 def gt_score_loss(ctx: MetricContext, cfg: ObjectiveConfig) -> float:
     """Composite loss; finite on every branch."""
-    if ctx.n < cfg.n_min:
+    if ctx.n < trade_gate(cfg):
         return cfg.below_min_penalty
     z = ctx.z
     if z <= 0.0:
@@ -112,10 +113,10 @@ def gt_score_loss(ctx: MetricContext, cfg: ObjectiveConfig) -> float:
 
 def baseline_loss(kind: ObjectiveKind, ctx: MetricContext,
                   total_return: float, cfg: ObjectiveConfig) -> float:
-    """Simple/Sharpe/Sortino losses, gated by n_min like the composite."""
+    """Simple/Sharpe/Sortino losses, gated like the composite."""
     if kind == ObjectiveKind.GT_SCORE:
         raise ParameterError("use gt_score_loss for the composite objective")
-    if ctx.n < cfg.n_min:
+    if ctx.n < trade_gate(cfg):
         return cfg.below_min_penalty
     if kind == ObjectiveKind.SIMPLE:
         return -total_return
@@ -158,10 +159,11 @@ def metric_contexts(results: list[BacktestResult], cfg: ObjectiveConfig,
 
 
 def trade_gate(cfg: ObjectiveConfig) -> int:
-    """Fewest trades a backtest needs for its losses to depend on more than
-    the gate: n_min under fixed-trades periodization, where fewer trades
-    get the penalty under every objective; 1 under the stabilized one,
-    where the period count stands in for the trade count."""
+    """The one gate of every loss: the fewest observations a window needs
+    for its losses to depend on more than the gate. n_min trades under
+    fixed-trades periodization, where fewer get the penalty under every
+    objective; 1 under the stabilized one, where the period count stands
+    in for the trade count."""
     if cfg.periodization == Periodization.STABILIZED:
         return 1
     return cfg.n_min
@@ -180,10 +182,10 @@ def pool_losses(results: list[BacktestResult | None],
     live = [i for i, r in enumerate(results)
             if r is not None and r.n_trades >= gate]
     trading = [results[i] for i in live]
+    observations = None
     if cfg.periodization == Periodization.STABILIZED:
         # Period returns replace trade returns as the observation set and
-        # the selected period count stands in for N, so the trade-count
-        # gate does not apply on this path.
+        # the selected period count stands in for N.
         windows = {r.window for r in results if r is not None}
         if len(windows) > 1:
             raise ParameterError("stabilized losses need one window per "
@@ -192,17 +194,14 @@ def pool_losses(results: list[BacktestResult | None],
             [r.trade_exit_dates for r in trading],
             [r.equity_points for r in trading],
             windows.pop() if windows else None, cfg)
-        eff_cfg = replace(cfg, n_min=1)
-    else:
-        observations, eff_cfg = None, cfg
     contexts = metric_contexts(trading, cfg, observations)
     losses = []
     for kind in objectives:
         row = [cfg.below_min_penalty] * len(results)
         for i, r, ctx in zip(live, trading, contexts):
-            row[i] = (gt_score_loss(ctx, eff_cfg)
+            row[i] = (gt_score_loss(ctx, cfg)
                       if kind == ObjectiveKind.GT_SCORE else
-                      baseline_loss(kind, ctx, r.total_return, eff_cfg))
+                      baseline_loss(kind, ctx, r.total_return, cfg))
         losses.append(row)
     return losses
 

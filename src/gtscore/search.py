@@ -8,15 +8,16 @@ identical candidates by construction. Only candidates the trade gate admits
 are backtested and scored; the gate alone decides every other loss. Each
 objective's winner then gets one out-of-sample pass: one trial per (cell,
 objective). Cells run in tasks of one (asset, split) (`run_task`), which
-cut the training and validation windows once each; the search sees only
-the training window.
+cut the training and validation windows once each. Each strategy family
+of a task is searched end to end by one `_search_family` call: pools,
+scores, winners, then their out-of-sample pass; the search sees only the
+training window.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-import math
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -85,53 +86,75 @@ def candidate_rng(seed: int, asset_id: str,
     return np.random.Generator(np.random.Philox(key))
 
 
-def _search_family(pools: list[list], window: PriceSeries | None,
-                   objectives: list[ObjectiveKind],
-                   cfg: ObjectiveConfig) -> list[tuple]:
-    """Score every candidate of these pools of one strategy family on the
-    training window, each distinct indicator computed once and every loss
-    from one `pool_losses` call, and pick each pool's winner under each
-    objective, the first candidate attaining the lowest loss: (loss,
-    winner, its backtest) per pool and objective, in order.
+def _search_family(cells: list[CellSpec], train: PriceSeries | None,
+                   val: PriceSeries | None, objectives: list[ObjectiveKind],
+                   cfg: ObjectiveConfig) -> list[TrialResult]:
+    """Random search of these cells of one strategy family, end to end:
+    one result per (cell, objective), in order.
 
-    Only candidates with at least `trade_gate(cfg)` trades are backtested
-    and scored: the gate alone decides every other loss. A pick below the
-    gate still gets its backtest, which its trial reports."""
-    sigs = ([None] * sum(map(len, pools)) if window is None else
-            pool_signals(window, [p for pool in pools for p in pool]))
+    Every candidate's training positions come from one `pool_signals`
+    call and every loss from one `pool_losses` call; only candidates at
+    or above `trade_gate(cfg)` are backtested and scored. Each pool's
+    winner under an objective is its first candidate with the lowest
+    loss. A gated winner still gets the training backtest its trial
+    reports; its trial is degenerate, with a zero-trade out-of-sample
+    record. The other winners get their validation positions from one
+    more `pool_signals` call. A window of fewer than 2 bars (None)
+    backtests nothing."""
+    pools = []
+    for spec in cells:
+        rng = candidate_rng(spec.seed, spec.asset_id, spec.strategy_kind)
+        pools.append([sample_params(spec.strategy_kind, rng)
+                      for _ in range(spec.budget)])
+    flat = [params for pool in pools for params in pool]
+    sigs = [None] * len(flat) if train is None else pool_signals(train, flat)
     gate = trade_gate(cfg)
     backtests = [None if sig is None or len(entry_bars(sig)) < gate
-                 else run_backtest(window, sig) for sig in sigs]
-    family_losses = pool_losses(backtests, objectives, cfg)
+                 else run_backtest(train, sig) for sig in sigs]
+    losses = pool_losses(backtests, objectives, cfg)
     picks, start = [], 0
-    for pool in pools:
-        for losses in family_losses:
-            best_loss, best = math.inf, None
-            for i in range(start, start + len(pool)):
-                if losses[i] < best_loss:
-                    best_loss, best = losses[i], i
-            if best is None:
-                picks.append((best_loss, pool[0], None))
-                continue
+    for spec, pool in zip(cells, pools):
+        stop = start + len(pool)
+        for kind, row in zip(objectives, losses):
+            best = min(range(start, stop), key=row.__getitem__)
             if backtests[best] is None and sigs[best] is not None:
-                backtests[best] = run_backtest(window, sigs[best])
-            picks.append((best_loss, pool[best - start], backtests[best]))
-        start += len(pool)
-    return picks
+                backtests[best] = run_backtest(train, sigs[best])
+            picks.append((spec, pool, kind, row[best], flat[best],
+                          backtests[best]))
+        start = stop
+    del sigs, backtests  # only the picks' backtests outlive the search
+    winners = [params for _, _, _, loss, params, _ in picks
+               if loss < cfg.below_min_penalty]
+    val_sigs = iter([None] * len(winners) if val is None
+                    else pool_signals(val, winners))
+    results = []
+    for spec, pool, kind, loss, params, fit in picks:
+        degenerate = loss >= cfg.below_min_penalty
+        sig = None if degenerate else next(val_sigs)
+        oos = None if sig is None else run_backtest(val, sig)
+        results.append(TrialResult(
+            spec=spec,
+            objective_kind=kind,
+            best_params=params,
+            best_loss=loss,
+            train_total_return=fit.total_return if fit else 0.0,
+            oos_total_return=oos.total_return if oos else 0.0,
+            train_n_trades=fit.n_trades if fit else 0,
+            oos_n_trades=oos.n_trades if oos else 0,
+            degenerate=degenerate,
+            candidates=pool,
+            oos_trade_returns=oos.trade_returns if oos else np.array([]),
+        ))
+    return results
 
 
 def run_task(cells: list[CellSpec], series: PriceSeries,
              objectives: list[ObjectiveKind],
              cfg: ObjectiveConfig) -> list[TrialResult]:
-    """Random search of each cell of one (asset, split) on the train
-    window, scored under each objective, then one out-of-sample pass per
-    objective on the validation window; one result per (cell, objective),
-    in order. Each window is cut once per task. Every cell's pool is drawn
-    first; each run of consecutive cells of one strategy family gets its
-    positions on the training window from one `pool_signals` call, and
-    the winners get theirs on the validation window from one more. Ties
-    on loss go to the first-seen candidate; an objective under which every
-    candidate hits the minimum-trade penalty is flagged degenerate."""
+    """The cells of one (asset, split), one result per (cell, objective)
+    in order: the training and validation windows are cut once each (None
+    if one holds fewer than 2 bars), and each run of consecutive cells of
+    one strategy family is searched by `_search_family`."""
     split, windows = cells[0].split, []
     for start, end in ((split.train_start, split.train_end),
                        (split.val_start, split.val_end)):
@@ -139,46 +162,9 @@ def run_task(cells: list[CellSpec], series: PriceSeries,
             windows.append(series.slice(start, end))
         except InsufficientDataError:
             windows.append(None)
-    train_window, val_window = windows
-    pools = []
-    for spec in cells:
-        rng = candidate_rng(spec.seed, spec.asset_id, spec.strategy_kind)
-        pools.append([sample_params(spec.strategy_kind, rng)
-                      for _ in range(spec.budget)])
-    picks = []
-    for _, run in groupby(zip(cells, pools),
-                          key=lambda cell: cell[0].strategy_kind):
-        picks += _search_family([pool for _, pool in run], train_window,
-                                objectives, cfg)
-    # Degenerate trials (every candidate gated) get a zero-trade
-    # out-of-sample record; they stay in the table but are excluded from
-    # generalization-ratio aggregates.
-    winners = [params for loss, params, _ in picks
-               if loss < cfg.below_min_penalty]
-    val_sigs = iter([None] * len(winners) if val_window is None
-                    else pool_signals(val_window, winners))
-    trials = [(spec, pool, kind)
-              for spec, pool in zip(cells, pools) for kind in objectives]
-    results = []
-    for (spec, pool, kind), (best_loss, best_params, train) in zip(trials,
-                                                                  picks):
-        degenerate = best_loss >= cfg.below_min_penalty
-        sig = None if degenerate else next(val_sigs)
-        oos = None if sig is None else run_backtest(val_window, sig)
-        results.append(TrialResult(
-            spec=spec,
-            objective_kind=kind,
-            best_params=best_params,
-            best_loss=best_loss,
-            train_total_return=train.total_return if train else 0.0,
-            oos_total_return=oos.total_return if oos else 0.0,
-            train_n_trades=train.n_trades if train else 0,
-            oos_n_trades=oos.n_trades if oos else 0,
-            degenerate=degenerate,
-            candidates=pool,
-            oos_trade_returns=oos.trade_returns if oos else np.array([]),
-        ))
-    return results
+    return [trial for _, family in groupby(cells, lambda c: c.strategy_kind)
+            for trial in _search_family(list(family), *windows, objectives,
+                                        cfg)]
 
 
 def _sort_key(r: TrialResult):

@@ -69,6 +69,7 @@ StrategyParams = RsiParams | MacdParams | BollingerParams
 
 # Uniform sampling ranges bracketing the conventional defaults
 # (RSI 14/30/70, MACD 12/26/9, Bollinger 20/2). Integers drawn inclusive.
+# The RSI zones are disjoint, so every draw has oversold < overbought.
 RSI_PERIOD_RANGE = (7, 28)
 RSI_OVERSOLD_RANGE = (15.0, 40.0)
 RSI_OVERBOUGHT_RANGE = (60.0, 85.0)
@@ -82,12 +83,10 @@ BOLLINGER_K_RANGE = (1.0, 3.0)
 def sample_params(kind: StrategyKind, rng: np.random.Generator) -> StrategyParams:
     """Draw one parameterization uniformly from the family's search space."""
     if kind == StrategyKind.RSI:
-        while True:
-            period = int(rng.integers(RSI_PERIOD_RANGE[0], RSI_PERIOD_RANGE[1] + 1))
-            oversold = float(rng.uniform(*RSI_OVERSOLD_RANGE))
-            overbought = float(rng.uniform(*RSI_OVERBOUGHT_RANGE))
-            if oversold < overbought:
-                return RsiParams(period, oversold, overbought)
+        period = int(rng.integers(RSI_PERIOD_RANGE[0], RSI_PERIOD_RANGE[1] + 1))
+        oversold = float(rng.uniform(*RSI_OVERSOLD_RANGE))
+        overbought = float(rng.uniform(*RSI_OVERBOUGHT_RANGE))
+        return RsiParams(period, oversold, overbought)
     if kind == StrategyKind.MACD:
         fast = int(rng.integers(MACD_FAST_RANGE[0], MACD_FAST_RANGE[1] + 1))
         slow = int(rng.integers(MACD_SLOW_RANGE[0], MACD_SLOW_RANGE[1] + 1))

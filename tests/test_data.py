@@ -286,6 +286,8 @@ def test_synthetic_spec_validation():
         SyntheticSpec(10, -1.0, ((10, 0.0, 0.01),), seed=1)
     with pytest.raises(ParameterError):
         SyntheticSpec(10, 100.0, ((10, 0.0, -0.01),), seed=1)
+    with pytest.raises(ParameterError, match="lengths must be >= 0"):
+        SyntheticSpec(10, 100.0, ((-5, 0.5, 0.0), (15, -0.5, 0.0)), seed=1)
 
 
 def test_manifest_round_trip():

@@ -135,6 +135,19 @@ def test_n_min_gate_baselines():
         assert baseline_loss(kind, good, 0.5, CFG) == CFG.below_min_penalty
 
 
+def test_stabilized_losses_gate_at_one_observation():
+    # Under the stabilized periodization the gate is `trade_gate`, one
+    # period: a context with fewer than n_min observations is scored by
+    # every objective, the same as with n_min = 1.
+    for n in (1, 10, STAB.n_min - 1):
+        c = ctx(3.0, n=n)
+        assert (gt_score_loss(c, STAB)
+                == gt_score_loss(c, ObjectiveConfig(n_min=1)) < 0)
+        for kind in (ObjectiveKind.SIMPLE, ObjectiveKind.SHARPE,
+                     ObjectiveKind.SORTINO):
+            assert baseline_loss(kind, c, 0.5, STAB) < 0
+
+
 def test_baseline_losses_oriented():
     c = ctx(1.0, mu=0.02, sigma=0.04, sigma_d=0.01)
     assert baseline_loss(ObjectiveKind.SIMPLE, c, 0.5, CFG) == -0.5
