@@ -88,7 +88,7 @@ class RunConfig:
         default_factory=lambda: list(ObjectiveKind))
     wf: WalkforwardConfig = field(default_factory=WalkforwardConfig)
     mc: MonteCarloConfig = field(default_factory=MonteCarloConfig)
-    budget: int = 25
+    budget: int = search.DEFAULT_BUDGET
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
     out_dir: str = "out"
 

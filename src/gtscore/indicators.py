@@ -1,14 +1,16 @@
 """Technical indicators on close prices: RSI, MACD, Bollinger Bands.
 
 Outputs are numpy arrays aligned 1:1 with the input closes; warm-up
-positions hold NaN. values[i] depends only on closes[0..i] (no lookahead).
+positions hold NaN. values[i] depends only on closes[0..i] (no lookahead),
+so the output on closes[:cut] is the first `cut` values of the output on
+closes, whatever `cut`: a series too short for a warm-up to end is all NaN.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InsufficientDataError, ParameterError
+from .errors import ParameterError
 
 
 def rsi(closes: np.ndarray, period: int) -> np.ndarray:
@@ -30,9 +32,6 @@ def rsi_columns(closes: np.ndarray, periods) -> np.ndarray:
     for period in periods:
         if period < 2:
             raise ParameterError("rsi period must be >= 2")
-        if n <= period:
-            raise InsufficientDataError(
-                f"rsi needs > {period} closes, got {n}")
     deltas = np.diff(closes)
     gains, losses = np.maximum(deltas, 0.0), np.maximum(-deltas, 0.0)
     k = len(periods)
@@ -83,13 +82,12 @@ def ema_columns(x: np.ndarray, periods, starts) -> np.ndarray:
     for j, (period, start) in enumerate(zip(periods, starts)):
         if period < 1:
             raise ParameterError("ema period must be >= 1")
-        if n - start < period:
-            raise InsufficientDataError(
-                f"ema needs >= {period} values, got {n - start}")
         first = start + period - 1
-        cols, vals = seeds.setdefault(first, ([], []))
-        cols.append(j)
-        vals.append(float(np.ascontiguousarray(x[start:first + 1, j]).mean()))
+        if first < n:  # else the column is all warm-up
+            cols, vals = seeds.setdefault(first, ([], []))
+            cols.append(j)
+            vals.append(float(
+                np.ascontiguousarray(x[start:first + 1, j]).mean()))
     begin = min(seeds, default=n)
     x[:begin] = np.nan
     for i in range(begin, n):
@@ -118,12 +116,9 @@ def macd_columns(closes: np.ndarray, triples) -> tuple[dict, np.ndarray]:
     """
     closes = np.asarray(closes, dtype=float)
     n = len(closes)
-    for fast, slow, signal in triples:
+    for fast, slow, _ in triples:
         if fast >= slow:
             raise ParameterError(f"fast ({fast}) must be < slow ({slow})")
-        if n <= slow + signal:
-            raise InsufficientDataError(
-                f"macd needs > {slow + signal} closes, got {n}")
     periods = sorted({p for t in triples for p in t[:2]})
     legs = dict(zip(periods, ema_columns(
         np.repeat(closes[:, None], len(periods), axis=1), periods,
@@ -166,9 +161,8 @@ def rolling_stats(closes: np.ndarray,
     n = len(closes)
     if window < 2:
         raise ParameterError("bollinger window must be >= 2")
-    if n < window:
-        raise InsufficientDataError(
-            f"bollinger needs >= {window} closes, got {n}")
+    if n < window:  # all warm-up
+        return np.full(n, np.nan), np.full(n, np.nan)
     views = np.lib.stride_tricks.sliding_window_view(closes, window)
     warmup = np.full(window - 1, np.nan)
     return (np.concatenate([warmup, views.mean(axis=1)]),

@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import PriceSeries, SplitSpec, make_chrono_split, make_walkforward_splits
 from .engine import entry_bars, run_backtest
-from .errors import DataError, InsufficientDataError, ParameterError
+from .errors import DataError, ParameterError
 from .objective import (
     ObjectiveConfig,
     ObjectiveKind,
@@ -86,8 +86,8 @@ def candidate_rng(seed: int, asset_id: str,
     return np.random.Generator(np.random.Philox(key))
 
 
-def _search_family(cells: list[CellSpec], train: PriceSeries | None,
-                   val: PriceSeries | None, objectives: list[ObjectiveKind],
+def _search_family(cells: list[CellSpec], train: PriceSeries,
+                   val: PriceSeries, objectives: list[ObjectiveKind],
                    cfg: ObjectiveConfig) -> list[TrialResult]:
     """Random search of these cells of one strategy family, end to end:
     one result per (cell, objective), in order.
@@ -97,19 +97,18 @@ def _search_family(cells: list[CellSpec], train: PriceSeries | None,
     or above `trade_gate(cfg)` are backtested and scored. Each pool's
     winner under an objective is its first candidate with the lowest
     loss. A gated winner still gets the training backtest its trial
-    reports; its trial is degenerate, with a zero-trade out-of-sample
-    record. The other winners get their validation positions from one
-    more `pool_signals` call. A window of fewer than 2 bars (None)
-    backtests nothing."""
+    reports; its trial is degenerate, with no out-of-sample backtest (a
+    zero-trade record). The other winners get their validation positions
+    from one more `pool_signals` call and one backtest each."""
     pools = []
     for spec in cells:
         rng = candidate_rng(spec.seed, spec.asset_id, spec.strategy_kind)
         pools.append([sample_params(spec.strategy_kind, rng)
                       for _ in range(spec.budget)])
     flat = [params for pool in pools for params in pool]
-    sigs = [None] * len(flat) if train is None else pool_signals(train, flat)
+    sigs = pool_signals(train, flat)
     gate = trade_gate(cfg)
-    backtests = [None if sig is None or len(entry_bars(sig)) < gate
+    backtests = [None if len(entry_bars(sig)) < gate
                  else run_backtest(train, sig) for sig in sigs]
     losses = pool_losses(backtests, objectives, cfg)
     picks, start = [], 0
@@ -117,7 +116,7 @@ def _search_family(cells: list[CellSpec], train: PriceSeries | None,
         stop = start + len(pool)
         for kind, row in zip(objectives, losses):
             best = min(range(start, stop), key=row.__getitem__)
-            if backtests[best] is None and sigs[best] is not None:
+            if backtests[best] is None:
                 backtests[best] = run_backtest(train, sigs[best])
             picks.append((spec, pool, kind, row[best], flat[best],
                           backtests[best]))
@@ -125,21 +124,19 @@ def _search_family(cells: list[CellSpec], train: PriceSeries | None,
     del sigs, backtests  # only the picks' backtests outlive the search
     winners = [params for _, _, _, loss, params, _ in picks
                if loss < cfg.below_min_penalty]
-    val_sigs = iter([None] * len(winners) if val is None
-                    else pool_signals(val, winners))
+    val_sigs = iter(pool_signals(val, winners))
     results = []
     for spec, pool, kind, loss, params, fit in picks:
         degenerate = loss >= cfg.below_min_penalty
-        sig = None if degenerate else next(val_sigs)
-        oos = None if sig is None else run_backtest(val, sig)
+        oos = None if degenerate else run_backtest(val, next(val_sigs))
         results.append(TrialResult(
             spec=spec,
             objective_kind=kind,
             best_params=params,
             best_loss=loss,
-            train_total_return=fit.total_return if fit else 0.0,
+            train_total_return=fit.total_return,
             oos_total_return=oos.total_return if oos else 0.0,
-            train_n_trades=fit.n_trades if fit else 0,
+            train_n_trades=fit.n_trades,
             oos_n_trades=oos.n_trades if oos else 0,
             degenerate=degenerate,
             candidates=pool,
@@ -152,18 +149,15 @@ def run_task(cells: list[CellSpec], series: PriceSeries,
              objectives: list[ObjectiveKind],
              cfg: ObjectiveConfig) -> list[TrialResult]:
     """The cells of one (asset, split), one result per (cell, objective)
-    in order: the training and validation windows are cut once each (None
-    if one holds fewer than 2 bars), and each run of consecutive cells of
-    one strategy family is searched by `_search_family`."""
-    split, windows = cells[0].split, []
-    for start, end in ((split.train_start, split.train_end),
-                       (split.val_start, split.val_end)):
-        try:
-            windows.append(series.slice(start, end))
-        except InsufficientDataError:
-            windows.append(None)
+    in order: the training and validation windows are cut once each
+    (`study_cells` admits only splits with at least 2 bars in both), and
+    each run of consecutive cells of one strategy family is searched by
+    `_search_family`."""
+    split = cells[0].split
+    train = series.slice(split.train_start, split.train_end)
+    val = series.slice(split.val_start, split.val_end)
     return [trial for _, family in groupby(cells, lambda c: c.strategy_kind)
-            for trial in _search_family(list(family), *windows, objectives,
+            for trial in _search_family(list(family), train, val, objectives,
                                         cfg)]
 
 
@@ -201,27 +195,35 @@ def study_cells(assets: list[PriceSeries], strategies: list[StrategyKind],
                 splits_of: Callable[[PriceSeries], list[SplitSpec]],
                 seeds: list[int],
                 budget: int = DEFAULT_BUDGET) -> list[CellSpec]:
-    """Cartesian product of assets x strategies x splits x seeds, where
-    `splits_of` gives a series' splits. Assets too short for a split are
-    skipped with a warning; DataError when every asset is."""
+    """Cartesian product of assets x splits x strategies x seeds, where
+    `splits_of` gives a series' splits. Skipped with a warning: an asset
+    too short for a split, and each split whose training or validation
+    window holds fewer than 2 bars (split ids keep their calendar
+    position). DataError when no asset keeps a split."""
     if not seeds:
         raise ParameterError("seeds must be non-empty")
-    cells, skipped = [], []
+    cells = []
     for series in assets:
         try:
             splits = splits_of(series)
         except DataError as exc:
             logger.warning("skipping %s: %s", series.asset_id, exc)
-            skipped.append(series.asset_id)
             continue
-        cells += [CellSpec(series.asset_id, strat, split, seed=seed,
-                           split_id=i, budget=budget)
-                  for strat in strategies
-                  for i, split in enumerate(splits)
-                  for seed in seeds]
-    if skipped and len(skipped) == len(assets):
+        for i, split in enumerate(splits):
+            bars = [stop - start for start, stop in (
+                series.index_window(split.train_start, split.train_end),
+                series.index_window(split.val_start, split.val_end))]
+            if min(bars) < 2:
+                logger.warning("skipping %s split %d: %d training and %d "
+                               "validation bars, need >= 2 each",
+                               series.asset_id, i, *bars)
+                continue
+            cells += [CellSpec(series.asset_id, strat, split, seed=seed,
+                               split_id=i, budget=budget)
+                      for strat in strategies for seed in seeds]
+    if assets and not cells:
         raise DataError(f"no asset is long enough for a split: skipped "
-                        f"{', '.join(skipped)}")
+                        f"{', '.join(s.asset_id for s in assets)}")
     return cells
 
 

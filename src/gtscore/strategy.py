@@ -129,20 +129,19 @@ def _indicators(closes: np.ndarray, keys) -> dict:
       - every EMA leg and every signal line (`macd_columns`), then the
         long/flat state of each triple's crossings (the MACD rule);
       - the rolling mean and std of every Bollinger window.
-    A key whose warm-up needs more bars than there are closes is left out.
-    RSI and MACD entries are column views of one (bars, keys) array per
-    kind: one block in place of many small arrays keeps the peak RSS low.
+    A key whose warm-up does not end inside `closes` is all warm-up (NaN,
+    or flat for MACD). RSI and MACD entries are column views of one
+    (bars, keys) array per kind: one block in place of many small arrays
+    keeps the peak RSS low.
     """
-    n, out = len(closes), {}
-    periods = sorted(p for kind, p, *_ in keys
-                     if kind is StrategyKind.RSI and n > p)
+    out = {}
+    periods = sorted(p for kind, p, *_ in keys if kind is StrategyKind.RSI)
     columns = rsi_columns(closes, periods)
     out.update(((StrategyKind.RSI, p), columns[:, j])
                for j, p in enumerate(periods))
-    triples = sorted(k[1:] for k in keys
-                     if k[0] is StrategyKind.MACD and n > k[2] + k[3])
+    triples = sorted(k[1:] for k in keys if k[0] is StrategyKind.MACD)
     legs, signal_lines = macd_columns(closes, triples)
-    states = np.empty((n, len(triples)), dtype=bool)
+    states = np.empty((len(closes), len(triples)), dtype=bool)
     for j, (fast, slow, signal) in enumerate(triples):
         diff = legs[fast] - legs[slow] - signal_lines[:, j]
         prev = np.concatenate([[np.nan], diff[:-1]])
@@ -153,18 +152,18 @@ def _indicators(closes: np.ndarray, keys) -> dict:
         states[:, j] = positions(enter, leave, valid)
         out[StrategyKind.MACD, fast, slow, signal] = states[:, j]
     out.update(((kind, w), rolling_stats(closes, w)) for kind, w, *_ in keys
-               if kind is StrategyKind.BOLLINGER and n >= w)
+               if kind is StrategyKind.BOLLINGER)
     return out
 
 
-def pool_signals(series: PriceSeries, pool) -> list[np.ndarray | None]:
+def pool_signals(series: PriceSeries, pool) -> list[np.ndarray]:
     """Long/flat position per bar of every candidate of `pool` on
-    `series`, in order, as boolean arrays (True = long); None for a
-    candidate whose indicator warm-up needs more bars than the series has.
-    Each distinct indicator (`indicator_key`) is computed once.
+    `series`, in order, as boolean arrays (True = long). Each distinct
+    indicator (`indicator_key`) is computed once.
 
     Long-only state machine on closes, initial state flat, flat during
-    indicator warm-up:
+    indicator warm-up (a candidate whose warm-up covers the series is
+    flat on every bar):
       - RSI: enter on a cross up out of the oversold zone
         (prev < oversold <= current); exit once RSI >= overbought. A jump
         from below oversold to at or above overbought fires both, which
@@ -179,8 +178,8 @@ def pool_signals(series: PriceSeries, pool) -> list[np.ndarray | None]:
     """
     closes = series.closes
     found = _indicators(closes, {indicator_key(p) for p in pool})
-    return [None if (key := indicator_key(params)) not in found
-            else _rule(params, closes, found[key]) for params in pool]
+    return [_rule(params, closes, found[indicator_key(params)])
+            for params in pool]
 
 
 def _rule(params: StrategyParams, closes: np.ndarray, ind) -> np.ndarray:

@@ -1,6 +1,7 @@
 """CLI end-to-end: config, synth, studies, costsweep, report, verify."""
 
 import csv
+import datetime as dt
 import hashlib
 import importlib.util
 import io
@@ -26,7 +27,12 @@ from gtscore.cli import (
     parse_seed_range,
     read_trials_csv,
 )
-from gtscore.data import decode_config, encode_config
+from gtscore.data import (
+    PriceSeries,
+    decode_config,
+    encode_config,
+    to_ohlcv_csv,
+)
 from gtscore.errors import ConfigError
 from gtscore.objective import (
     ObjectiveConfig,
@@ -35,6 +41,8 @@ from gtscore.objective import (
     StabilizationConfig,
 )
 from gtscore.strategy import StrategyKind
+
+from conftest import make_series, random_closes
 
 # Byte-level pins on the outputs of the runs below. A change to any of them
 # is a change of behaviour and must be deliberate.
@@ -492,6 +500,62 @@ def test_walkforward_end_to_end(tmp_path):
     for name in ("aggregates.csv", "periods.csv", "splits_genratio.csv"):
         assert (out / name).exists(), name
     assert main(["verify", "--out", str(out)]) == 0
+
+
+def test_walkforward_skips_splits_below_two_bars(tmp_path, capsys):
+    # Split k of one-year windows two years apart trains on year 2k and
+    # validates on year 2k + 1 of 2010-2015. N holds every day. G holds
+    # one bar of 2010 and one of 2013, so its splits 0 and 1 are skipped
+    # with one warning each; H also holds one bar of 2014-2015, so it keeps
+    # no split.
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    full = make_series(random_closes(np.random.Generator(np.random.Philox(7)),
+                                     2191), start=dt.date(2010, 1, 1))
+    year = full.dates.astype("datetime64[Y]").astype(int) + 1970
+    lone = np.isin(full.dates, np.array(
+        ["2010-01-01", "2013-07-01", "2015-12-31"], dtype="datetime64[D]"))
+    for asset_id, keep in (("N", year > 0),
+                           ("G", lone | np.isin(year, [2011, 2012, 2014,
+                                                       2015])),
+                           ("H", lone | np.isin(year, [2011, 2012]))):
+        cols = [getattr(full, name)[keep] for name in (
+            "dates", "opens", "highs", "lows", "closes", "volumes")]
+        (data_dir / f"{asset_id}.csv").write_text(
+            to_ohlcv_csv(PriceSeries(asset_id, *cols)))
+    cfg = RunConfig(data_dir=str(data_dir), assets=["N", "G"],
+                    strategies=[StrategyKind.BOLLINGER], budget=2,
+                    wf=WalkforwardConfig(train_years=1, val_years=1,
+                                         step_years=2, embargo_days=0),
+                    out_dir=str(tmp_path / "wf"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(encode_config(cfg)))
+    src = Path(gtscore.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-m", "gtscore.cli", "walkforward", "--config",
+         str(cfg_path)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0, run.stderr
+    assert [line for line in run.stderr.splitlines()
+            if line.startswith("WARNING")] == [
+        "WARNING skipping G split 0: 1 training and 365 validation bars, "
+        "need >= 2 each",
+        "WARNING skipping G split 1: 366 training and 1 validation bars, "
+        "need >= 2 each"]
+    rows = read_trials_csv(tmp_path / "wf" / "trials.csv")
+    assert len(rows) == 4 * len(ObjectiveKind)
+    assert {(r["asset"], r["split_id"]) for r in rows} == {
+        ("N", 0), ("N", 1), ("N", 2), ("G", 2)}
+    assert main(["verify", "--out", str(tmp_path / "wf")]) == 0
+
+    # an asset that keeps no split leaves the study without a cell
+    cfg.assets, cfg.out_dir = ["H"], str(tmp_path / "none")
+    cfg_path.write_text(json.dumps(encode_config(cfg)))
+    capsys.readouterr()
+    assert main(["walkforward", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: no asset is long enough for a split: skipped H\n")
+    assert not (tmp_path / "none").exists()
 
 
 def test_missing_data_exit_code(tmp_path, capsys):

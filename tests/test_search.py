@@ -327,38 +327,39 @@ def test_degenerate_trial_has_empty_oos():
         assert res.oos_trade_returns.size == 0
 
 
-def test_walkforward_windows_below_two_bars():
-    # One bar in 2010 and one on 2012-12-31 around a daily 2011: with
-    # one-year windows, split 0 trains on 1 bar and split 1 validates on
-    # 1 bar. A window that short cannot be cut, so split 0 has no
-    # training backtest (every trial degenerate, all zeros) and split 1
-    # no out-of-sample one (a 0.0 return over 0 trades).
-    body = make_asset(seed=4, n_days=365)
+def test_walkforward_windows_below_two_bars(caplog):
+    # One bar in 2010 and one in 2013 around daily 2011-2012 and
+    # 2014-2015: with one-year windows two years apart, split 0 trains on
+    # 1 bar, split 1 validates on 1 bar and split 2 holds two full years.
+    # A window that short is skipped with one warning per split, and the
+    # full split keeps its calendar id and the trials it gets alone.
     dates = np.concatenate([[np.datetime64("2010-01-01")],
-                            np.datetime64("2011-01-01") + np.arange(365),
-                            [np.datetime64("2012-12-31")]])
-    cols = [np.concatenate([c[:1], c, c[-1:]])
-            for c in (body.opens, body.highs, body.lows, body.closes,
-                      body.volumes)]
-    gappy = PriceSeries("G", dates, *cols)
+                            np.datetime64("2011-01-01") + np.arange(731),
+                            [np.datetime64("2013-07-01")],
+                            np.datetime64("2014-01-01") + np.arange(730)])
+    body = make_asset(seed=4, n_days=len(dates))
+    gappy = PriceSeries("G", dates, body.opens, body.highs, body.lows,
+                        body.closes, body.volumes)
+    settings = dict(train_years=1, val_years=1, step_years=2, embargo_days=0)
     results = search.run_walkforward(
         [gappy], [StrategyKind.BOLLINGER], OBJECTIVES, FEW_TRADES, budget=6,
-        train_years=1, val_years=1, embargo_days=0)
-    by_split = {k: [r for r in results if r.spec.split_id == k]
-                for k in (0, 1)}
-    assert len(results) == 2 * len(OBJECTIVES)
-    for res in by_split[0]:
-        assert res.degenerate
-        assert res.best_loss == FEW_TRADES.below_min_penalty
-        assert res.best_params == draw_pool(res.spec)[0]
-        assert (res.train_total_return, res.train_n_trades) == (0.0, 0)
-        assert (res.oos_total_return, res.oos_n_trades) == (0.0, 0)
-        assert res.oos_trade_returns.size == 0
-    for res in by_split[1]:
-        assert not res.degenerate
-        assert res.train_n_trades >= FEW_TRADES.n_min
-        assert (res.oos_total_return, res.oos_n_trades) == (0.0, 0)
-        assert res.oos_trade_returns.size == 0
+        **settings)
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "gtscore.search"] == [
+        "skipping G split 0: 1 training and 365 validation bars, "
+        "need >= 2 each",
+        "skipping G split 1: 366 training and 1 validation bars, "
+        "need >= 2 each"]
+    assert len(results) == len(OBJECTIVES)
+    assert {r.spec.split_id for r in results} == {2}
+    alone = search.run_walkforward(
+        [gappy.slice(dt.date(2014, 1, 1), dt.date(2016, 1, 1))],
+        [StrategyKind.BOLLINGER], OBJECTIVES, FEW_TRADES, budget=6,
+        **settings)
+    assert [r.spec.split for r in alone] == [r.spec.split for r in results]
+    assert (list(_outcomes(results).values())
+            == list(_outcomes(alone).values()))
+    assert not all(r.degenerate for r in results)
 
 
 def _outcomes(results):

@@ -1,11 +1,13 @@
 """Parameter sampling, serialization, and signal generation rules."""
 
+import datetime as dt
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtscore.errors import InsufficientDataError, ParameterError
+from gtscore.errors import ParameterError
 from gtscore.indicators import bollinger, macd, rsi
 from gtscore.strategy import (
     BOLLINGER_K_RANGE,
@@ -233,18 +235,15 @@ def test_signals_start_flat_even_if_oversold():
 
 
 def signals(params, series):
-    """`pool_signals` of one candidate; InsufficientDataError when its
-    warm-up needs more bars than the series has."""
+    """`pool_signals` of one candidate."""
     sig, = pool_signals(series, [params])
-    if sig is None:
-        raise InsufficientDataError(f"{params_to_json(params)}: warm-up "
-                                    f"longer than the {len(series)} bars")
     return sig
+
 
 def reference_signals(params, series):
     """Positions of one candidate from the public one-candidate indicators
     and its rule applied bar by bar (`oracle_positions`): the oracle for
-    `pool_signals`. InsufficientDataError when the warm-up does not fit."""
+    `pool_signals`."""
     closes = series.closes
     if isinstance(params, RsiParams):
         ind = rsi(closes, params.period)
@@ -283,7 +282,7 @@ def any_params(draw):
 
 
 def _bytes(sigs):
-    return [None if sig is None else sig.tobytes() for sig in sigs]
+    return [sig.tobytes() for sig in sigs]
 
 
 @settings(max_examples=150, deadline=None)
@@ -297,8 +296,7 @@ def _bytes(sigs):
     BollingerParams(41, 2.0)])
 def test_pool_signals_match_reference(n, seed, pool):
     # One call for a pool whose windows include warm-ups too long for the
-    # series: each entry equals the reference (None exactly where it
-    # raises, and `signals` then raises naming the bar count) and the
+    # series (flat on every bar): each entry equals the reference and the
     # candidate's own one-candidate pool; no call changes an array another
     # returned, and a second call returns the same bytes.
     series = make_series(random_closes(np.random.Generator(np.random.Philox(seed)), n))
@@ -306,13 +304,24 @@ def test_pool_signals_match_reference(n, seed, pool):
     first = _bytes(got)
     assert len(got) == len(pool)
     for params, sig in zip(pool, got):
-        try:
-            want = reference_signals(params, series)
-        except InsufficientDataError:
-            assert sig is None
-            with pytest.raises(InsufficientDataError, match=f"the {n} bars"):
-                signals(params, series)
-        else:
-            assert sig.dtype == bool and np.array_equal(sig, want)
+        want = reference_signals(params, series)
+        assert sig.dtype == bool and np.array_equal(sig, want)
         assert _bytes(pool_signals(series, [params])) == _bytes([sig])
     assert _bytes(got) == first == _bytes(pool_signals(series, pool))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 120), seed=st.integers(0, 2**32 - 1),
+       pool=st.lists(any_params(), min_size=1, max_size=8), data=st.data())
+def test_pool_signals_on_a_prefix(n, seed, pool, data):
+    # A candidate's positions on a prefix of the series are the first bars
+    # of its positions on the whole series, whether or not its warm-up
+    # ends inside the prefix.
+    series = make_series(random_closes(np.random.Generator(np.random.Philox(seed)), n))
+    cut = data.draw(st.integers(2, n), label="cut")
+    head = series.slice(series.start_date,
+                        series.start_date + dt.timedelta(days=cut))
+    assert len(head) == cut
+    for whole, part in zip(pool_signals(series, pool),
+                           pool_signals(head, pool)):
+        assert part.tobytes() == whole[:cut].tobytes()

@@ -31,9 +31,13 @@ wins at least 9 in 10 pairs and the median gap exceeds the parent's
 interquartile range. With an empty `--target` the change claims no gain,
 and the claim is null.
 
+The record also holds "src_lines": per side, the number of lines in the
+tree's `src/gtscore/*.py`, the size to report next to the timings.
+
 `--merge` pools the runs of earlier outputs of this script, made on the
 same trees, into one record over all their pairs, keeping each set's own
-claim under "sets" and the first traced pass found.
+claim under "sets", the first set's "src_lines" and the first traced pass
+found.
 """
 
 from __future__ import annotations
@@ -68,6 +72,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
         raise SystemExit(f"no result from {tree} {workload} seed {seed}:\n"
                          f"{proc.stderr}")
     return json.loads(lines[-1])
+
+
+def src_lines(tree: Path) -> int:
+    """Lines in the package modules of `tree`, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "gtscore").glob("*.py"))
 
 
 def quartiles(runs: list[float]) -> dict:
@@ -166,6 +176,7 @@ def measure(args, bounds: dict) -> tuple[dict, dict]:
                  "machine": platform.machine(),
                  "python": platform.python_version(),
                  "numpy": np.__version__},
+        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
     }
     if args.trace:
         traced = {side: run_once(tree, claimed, 0, args.seconds, trace=1)
@@ -192,7 +203,8 @@ def merge(paths: list[Path], bounds: dict) -> tuple[dict, dict]:
                         done["metrics"][name][side]["runs"])
                 row["correct"][side] &= done["correct"][side]
                 row["failed"][side] += done["failed"][side]
-    record = {k: sets[0][k] for k in ("change", "command", "method", "host")}
+    record = {k: sets[0][k]
+              for k in ("change", "command", "method", "host", "src_lines")}
     record["method"] += (f"; {len(sets)} sets of pairs on the same trees, "
                          "pooled")
     record["sets"] = [s["claim"] for s in sets]
