@@ -54,7 +54,8 @@ def _parse_returns(text: str) -> np.ndarray:
 
 # trials.csv column -> parser of its text, in file order
 TRIAL_SCHEMA = {
-    "asset": str, "strategy": str, "objective": str, "split_id": int,
+    "asset": str, "strategy": lambda text: StrategyKind(text).value,
+    "objective": lambda text: ObjectiveKind(text).value, "split_id": int,
     "seed": int, "train_return": float, "oos_return": float,
     "train_trades": int, "oos_trades": int, "best_loss": float,
     "degenerate": _parse_bool, "params_json": str, "candidates_json": str,
@@ -227,9 +228,9 @@ BASELINES = [b.value for b in search.BASELINES]
 
 def group_by(rows: list[dict], column: str) -> dict[object, list[dict]]:
     """Rows by their value in `column`: sorted keys, except objectives,
-    which come in `ObjectiveKind` order (rows of any other objective are
-    left out). Each group keeps its rows in input order, so a mean over a
-    group covers the same values in the same order as a filter would."""
+    which come in `ObjectiveKind` order. Each group keeps its rows in
+    input order, so a mean over a group covers the same values in the
+    same order as a filter would."""
     groups = {}
     for r in rows:
         groups.setdefault(r[column], []).append(r)

@@ -4,15 +4,17 @@ The composite loss is piecewise in the z statistic: a high penalty band
 for z <= 0, a smooth transition band for 0 < z <= 1 anchored to 0 at
 z = 1, and -(mu * ln(z) * r2) / (sigma_d + eps) for z > 1. Windows with
 fewer observations than `trade_gate` (n_min trades, or one period under
-the stabilized periodization) receive a fixed penalty that dominates
-every other branch; the same gate applies to the Simple/Sharpe/Sortino
-baselines so all objectives face identical constraints.
+the stabilized periodization) receive a fixed penalty; the same gate
+applies to the Simple/Sharpe/Sortino baselines so all objectives face
+identical constraints. The penalty exceeds every GT-Score, Simple and
+Sortino loss, but not every Sharpe loss: one of about |mu| / eps, from
+losing trades whose returns barely vary, lies above it.
 
-Losses are computed per candidate pool (`pool_losses`): each backtest the
-gate admits gets one metric context, shared by every objective and built
-with those of the same observation count. Under the stabilized
-periodization one scan picks each candidate's period count and returns
-the period returns that stand in for its trade returns.
+Losses are computed per candidate pool (`pool_losses`) of the backtests
+the search's gate admits: each gets one metric context, shared by every
+objective and built with those of the same observation count. Under the
+stabilized periodization one scan picks each candidate's period count
+and returns the period returns that stand in for its trade returns.
 """
 
 from __future__ import annotations
@@ -169,41 +171,32 @@ def trade_gate(cfg: ObjectiveConfig) -> int:
     return cfg.n_min
 
 
-def pool_losses(results: list[BacktestResult | None],
+def pool_losses(results: list[BacktestResult],
                 objectives: list[ObjectiveKind],
                 cfg: ObjectiveConfig) -> list[list[float]]:
-    """Losses of a candidate pool under each objective: one list per
-    objective, aligned with `results`.
+    """Losses of the admitted backtests of a candidate pool under each
+    objective: one list per objective, aligned with `results`.
 
-    Missing backtests and those below `trade_gate` get the gate penalty;
-    every other backtest gets one metric context, shared by all objectives.
+    Every backtest must have at least `trade_gate(cfg)` trades: the caller
+    decides the gate and prices the candidates it leaves out. Each
+    backtest gets one metric context, shared by all objectives.
     """
-    gate = trade_gate(cfg)
-    live = [i for i, r in enumerate(results)
-            if r is not None and r.n_trades >= gate]
-    trading = [results[i] for i in live]
     observations = None
     if cfg.periodization == Periodization.STABILIZED:
         # Period returns replace trade returns as the observation set and
         # the selected period count stands in for N.
-        windows = {r.window for r in results if r is not None}
+        windows = {r.window for r in results}
         if len(windows) > 1:
             raise ParameterError("stabilized losses need one window per "
                                  f"pool, got {len(windows)}")
         observations = stabilized_period_returns(
-            [r.trade_exit_dates for r in trading],
-            [r.equity_points for r in trading],
+            [r.trade_exit_dates for r in results],
+            [r.equity_points for r in results],
             windows.pop() if windows else None, cfg)
-    contexts = metric_contexts(trading, cfg, observations)
-    losses = []
-    for kind in objectives:
-        row = [cfg.below_min_penalty] * len(results)
-        for i, r, ctx in zip(live, trading, contexts):
-            row[i] = (gt_score_loss(ctx, cfg)
-                      if kind == ObjectiveKind.GT_SCORE else
-                      baseline_loss(kind, ctx, r.total_return, cfg))
-        losses.append(row)
-    return losses
+    contexts = metric_contexts(results, cfg, observations)
+    return [[gt_score_loss(ctx, cfg) if kind == ObjectiveKind.GT_SCORE
+             else baseline_loss(kind, ctx, r.total_return, cfg)
+             for r, ctx in zip(results, contexts)] for kind in objectives]
 
 
 SCAN_BLOCK = 25  # candidates per wealth matrix of the stabilized scan

@@ -5,10 +5,11 @@ candidates from a generator keyed on (seed, asset, strategy), computes each
 candidate's positions once on the training window and scores that one pool
 under every objective, so paired comparisons across objectives rest on
 identical candidates by construction. Only candidates the trade gate admits
-are backtested and scored; the gate alone decides every other loss. Each
-objective's winner then gets one out-of-sample pass: one trial per (cell,
-objective). Cells run in tasks of one (asset, split) (`run_task`), which
-cut the training and validation windows once each. Each strategy family
+are backtested and scored; every other one's loss is the penalty, and a
+trial is degenerate when its winner is one of them. Each objective's
+winner then gets one out-of-sample pass: one trial per (cell, objective).
+Cells run in tasks of one (asset, split) (`run_task`), which cut the
+training and validation windows once each. Each strategy family
 of a task is searched end to end by one `_search_family` call: pools,
 scores, winners, then their out-of-sample pass; the search sees only the
 training window.
@@ -93,11 +94,12 @@ def _search_family(cells: list[CellSpec], train: PriceSeries,
     one result per (cell, objective), in order.
 
     Every candidate's training positions come from one `pool_signals`
-    call and every loss from one `pool_losses` call; only candidates at
-    or above `trade_gate(cfg)` are backtested and scored. Each pool's
+    call. The gate is decided here, once: only candidates with at least
+    `trade_gate(cfg)` trades are backtested and scored, by one
+    `pool_losses` call; the others' loss is the penalty. Each pool's
     winner under an objective is its first candidate with the lowest
-    loss. A gated winner still gets the training backtest its trial
-    reports; its trial is degenerate, with no out-of-sample backtest (a
+    loss. A trial is degenerate when its winner was not admitted: it gets
+    that winner's training backtest and no out-of-sample one (a
     zero-trade record). The other winners get their validation positions
     from one more `pool_signals` call and one backtest each."""
     pools = []
@@ -108,31 +110,33 @@ def _search_family(cells: list[CellSpec], train: PriceSeries,
     flat = [params for pool in pools for params in pool]
     sigs = pool_signals(train, flat)
     gate = trade_gate(cfg)
-    backtests = [None if len(entry_bars(sig)) < gate
-                 else run_backtest(train, sig) for sig in sigs]
-    losses = pool_losses(backtests, objectives, cfg)
+    fits = {i: run_backtest(train, sig) for i, sig in enumerate(sigs)
+            if len(entry_bars(sig)) >= gate}
+    losses = np.full((len(objectives), len(flat)), cfg.below_min_penalty)
+    losses[:, list(fits)] = pool_losses(list(fits.values()), objectives, cfg)
     picks, start = [], 0
     for spec, pool in zip(cells, pools):
         stop = start + len(pool)
         for kind, row in zip(objectives, losses):
-            best = min(range(start, stop), key=row.__getitem__)
-            if backtests[best] is None:
-                backtests[best] = run_backtest(train, sigs[best])
-            picks.append((spec, pool, kind, row[best], flat[best],
-                          backtests[best]))
+            best = start + int(row[start:stop].argmin())
+            picks.append((spec, pool, kind, float(row[best]), best,
+                          best not in fits))
         start = stop
-    del sigs, backtests  # only the picks' backtests outlive the search
-    winners = [params for _, _, _, loss, params, _ in picks
-               if loss < cfg.below_min_penalty]
-    val_sigs = iter(pool_signals(val, winners))
+    # only the picks' training backtests outlive the search; a gated
+    # pick's runs once, however many objectives pick it
+    picked = {i: fits[i] if i in fits else run_backtest(train, sigs[i])
+              for i in dict.fromkeys(pick[4] for pick in picks)}
+    del sigs, fits
+    val_sigs = iter(pool_signals(val, [flat[best] for *_, best, degenerate
+                                       in picks if not degenerate]))
     results = []
-    for spec, pool, kind, loss, params, fit in picks:
-        degenerate = loss >= cfg.below_min_penalty
+    for spec, pool, kind, loss, best, degenerate in picks:
+        fit = picked[best]
         oos = None if degenerate else run_backtest(val, next(val_sigs))
         results.append(TrialResult(
             spec=spec,
             objective_kind=kind,
-            best_params=params,
+            best_params=flat[best],
             best_loss=loss,
             train_total_return=fit.total_return,
             oos_total_return=oos.total_return if oos else 0.0,
@@ -222,8 +226,8 @@ def study_cells(assets: list[PriceSeries], strategies: list[StrategyKind],
                                split_id=i, budget=budget)
                       for strat in strategies for seed in seeds]
     if assets and not cells:
-        raise DataError(f"no asset is long enough for a split: skipped "
-                        f"{', '.join(s.asset_id for s in assets)}")
+        raise DataError("no asset has a split with >= 2 bars in each window: "
+                        "skipped " + ", ".join(s.asset_id for s in assets))
     return cells
 
 

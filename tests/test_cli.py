@@ -445,6 +445,8 @@ def test_malformed_trials_exit_code(workspace, tmp_path, capsys):
               "oos_trade_returns_json"),
              (broken(7, "oos_trade_returns_json", '[null]'), "line 7",
               "oos_trade_returns_json"),
+             (broken(8, "objective", "sharpee"), "line 8", "objective"),
+             (broken(9, "strategy", "bolinger"), "line 9", "strategy"),
              (truncated, "line 3", "train_return")]
     for i, (rows, line, column) in enumerate(cases):
         out = tmp_path / f"case{i}"
@@ -554,7 +556,8 @@ def test_walkforward_skips_splits_below_two_bars(tmp_path, capsys):
     capsys.readouterr()
     assert main(["walkforward", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err == (
-        "error: no asset is long enough for a split: skipped H\n")
+        "error: no asset has a split with >= 2 bars in each window: "
+        "skipped H\n")
     assert not (tmp_path / "none").exists()
 
 
@@ -598,8 +601,8 @@ def test_missing_data_exit_code(tmp_path, capsys):
         capsys.readouterr()
         assert main([command, "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert err == ("error: no asset is long enough for a split: "
-                       "skipped X\n")
+        assert err == ("error: no asset has a split with >= 2 bars in "
+                       "each window: skipped X\n")
     # a failing study writes nothing
     assert not (tmp_path / "out").exists()
 

@@ -28,6 +28,7 @@ from gtscore.objective import (
     metric_contexts,
     pool_losses,
     stabilized_period_returns,
+    trade_gate,
 )
 
 from conftest import make_series, random_closes
@@ -345,11 +346,16 @@ def test_grouped_contexts_match_scalar_oracle(returns, periods, log, mode,
 
 
 def test_trial_loss_zero_trades_is_penalty():
+    # No gate admits a zero-trade window, so it never reaches
+    # `pool_losses`: the search prices it at the penalty (the degenerate
+    # trial tests of test_search). Its trade returns give no metric
+    # context to score.
     series = make_series([10, 11, 12, 13, 12, 11, 12])
     res = run_backtest(series, np.zeros(7, bool))
-    for cfg in (CFG, STAB):
-        losses = pool_losses([res, None], list(ObjectiveKind), cfg)
-        assert losses == [[cfg.below_min_penalty] * 2] * len(ObjectiveKind)
+    for cfg in (CFG, STAB, ObjectiveConfig(n_min=1)):
+        assert trade_gate(cfg) > res.n_trades == 0
+    with pytest.raises(ParameterError, match="empty"):
+        pool_losses([res], list(ObjectiveKind), CFG)
 
 
 def test_trial_loss_matches_direct_composition():
@@ -363,14 +369,11 @@ def test_trial_loss_matches_direct_composition():
 
 
 def stabilized_pool():
-    """A missing, a zero-trade and three trading backtests on one window."""
+    """Three trading backtests on one window, as the gate admits them."""
     rng = np.random.Generator(np.random.Philox(11))
     series = make_series(random_closes(rng, 400, vol=0.01))
-    pool = [None]
-    for p in (0.0, 0.1, 0.3, 0.5):
-        pos = rng.random(400) < p
-        pool.append(run_backtest(series, pos))
-    return pool
+    return [run_backtest(series, rng.random(400) < p)
+            for p in (0.1, 0.3, 0.5)]
 
 
 def test_pool_losses_stabilized_match_single_candidate_pools():
@@ -378,7 +381,7 @@ def test_pool_losses_stabilized_match_single_candidate_pools():
     objectives = list(ObjectiveKind)
     whole = pool_losses(pool, objectives, STAB)
     singles = [pool_losses([res], objectives, STAB) for res in pool]
-    assert sum(r is not None and r.n_trades > 0 for r in pool) == 3
+    assert all(res.n_trades >= trade_gate(STAB) for res in pool)
     apart = [[single[j][0] for single in singles]
              for j in range(len(objectives))]
     assert np.array(whole).tobytes() == np.array(apart).tobytes()

@@ -244,18 +244,17 @@ def test_run_cell_one_metric_context_per_candidate(monkeypatch):
 
 
 def test_pool_losses_scores_only_admitted_backtests(monkeypatch):
-    # A direct caller passing every backtest gets no context for those
-    # below the gate, and the same losses as scoring each one alone.
+    # The search passes only the backtests its gate admits: each gets one
+    # metric context, in order, and the losses of scoring it alone.
     spec = cell_for(StrategyKind.BOLLINGER, budget=12)
     bts = [backtest_on(p, SPLIT.train_start, SPLIT.train_end)
            for p in draw_pool(spec)]
-    admitted = [bt for bt in bts if bt is not None
-                and bt.n_trades >= CFG.n_min]
-    assert 0 < len(admitted) < sum(bt is not None and bt.n_trades > 0
-                                   for bt in bts)
-    want = [[composed_loss(obj, bt) for bt in bts] for obj in OBJECTIVES]
+    admitted = [bt for bt in bts if bt.n_trades >= CFG.n_min]
+    assert 0 < len(admitted) < sum(bt.n_trades > 0 for bt in bts)
+    want = [[composed_loss(obj, bt) for bt in admitted]
+            for obj in OBJECTIVES]
     calls = spy_contexts(monkeypatch)
-    assert objective.pool_losses(bts, OBJECTIVES, CFG) == want
+    assert objective.pool_losses(admitted, OBJECTIVES, CFG) == want
     assert [id(r) for r in calls] == [id(r) for r in admitted]
 
 
@@ -289,13 +288,18 @@ def test_gated_pick_keeps_its_training_backtest(monkeypatch):
     day = [dt.date(2020, 1, 1) + dt.timedelta(days=k) for k in (0, 42, 80)]
     split = SplitSpec(day[0], day[1], day[1], day[2])
     admitted, gated = BollingerParams(10, 0.5), BollingerParams(34, 0.5)
-    draws = iter([admitted, gated])
-    monkeypatch.setattr(search, "sample_params",
-                        lambda kind, rng: next(draws))
     cfg = ObjectiveConfig(n_min=5)
-    spec = CellSpec("T", StrategyKind.BOLLINGER, split, seed=1, budget=2)
-    results = {r.objective_kind: r
-               for r in run_task([spec], series, OBJECTIVES, cfg)}
+
+    def trials(pool):
+        draws = iter(pool)
+        monkeypatch.setattr(search, "sample_params",
+                            lambda kind, rng: next(draws))
+        spec = CellSpec("T", StrategyKind.BOLLINGER, split, seed=1,
+                        budget=len(pool))
+        return {r.objective_kind: r
+                for r in run_task([spec], series, OBJECTIVES, cfg)}
+
+    results = trials([admitted, gated])
     window = series.slice(day[0], day[1])
     train = {p: run_backtest(window, reference_signals(p, window))
              for p in (admitted, gated)}
@@ -311,6 +315,21 @@ def test_gated_pick_keeps_its_training_backtest(monkeypatch):
         assert res.best_params == admitted and not res.degenerate
         assert res.train_n_trades == train[admitted].n_trades
         assert res.train_total_return == train[admitted].total_return
+
+    # Alone in its pool the admitted candidate wins under Sharpe too, at a
+    # loss above the penalty. The gate did not pick it, so its trial is
+    # not degenerate and gets its out-of-sample pass.
+    val = series.slice(day[1], day[2])
+    oos = run_backtest(val, reference_signals(admitted, val))
+    alone = trials([admitted])
+    assert alone[ObjectiveKind.SHARPE].best_loss > cfg.below_min_penalty
+    for res in alone.values():
+        assert res.best_params == admitted and not res.degenerate
+        assert res.train_n_trades == train[admitted].n_trades == 16
+        assert res.oos_total_return == oos.total_return
+        assert res.oos_n_trades == oos.n_trades > 0
+        np.testing.assert_array_equal(res.oos_trade_returns,
+                                      oos.trade_returns)
 
 
 def test_degenerate_trial_has_empty_oos():

@@ -8,14 +8,16 @@
 Run from the repository root, which supplies the bounds in
 `BENCHMARK.json`. Each tree is a full copy of the repository (for example
 from `git archive`); `perfbench/run.py --trace 0` runs from inside it, so
-the two sides never share a work directory. Give both trees the same
-bytecode state (no `__pycache__` on either side, or a warm one on both): a
-tree whose modules are already compiled starts every child process
-faster. Pair i runs the parent first when i is even and the change first
-when it is odd; the pairs of every workload/seed row are interleaved, so a
-slow spell of the host falls on both sides. With `--trace`, each side
-also runs one traced seed-0 pass of the claimed workload, whose per-layer
-metrics go under "trace".
+the two sides never share a work directory. Both trees must have the
+same bytecode state, since a tree whose modules are already compiled
+starts every child process faster: a tree with a `__pycache__` under
+`src/` or `perfbench/` is refused, and every child runs with
+`PYTHONDONTWRITEBYTECODE=1`, so neither side compiles one. Pair i runs
+the parent first when i is even and the change first when it is odd; the
+pairs of every workload/seed row are interleaved, so a slow spell of the
+host falls on both sides. With `--trace`, each side also runs one traced
+seed-0 pass of the claimed workload, whose per-layer metrics go under
+"trace".
 
 The output follows `BENCH_12.json`: per row and end-to-end metric, the
 runs of each side with their median and quartiles, the pairs the change
@@ -66,12 +68,23 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float,
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
          "--trace", str(trace)],
-        cwd=tree, capture_output=True, text=True, check=False)
+        cwd=tree, capture_output=True, text=True, check=False,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = proc.stdout.strip().splitlines()
     if not lines:
         raise SystemExit(f"no result from {tree} {workload} seed {seed}:\n"
                          f"{proc.stderr}")
     return json.loads(lines[-1])
+
+
+def refuse_bytecode(tree: Path) -> None:
+    """Exit with one line naming a `__pycache__` under `src/` or
+    `perfbench/` of `tree`, if it has one."""
+    for top in ("src", "perfbench"):
+        caches = sorted((tree / top).rglob("__pycache__"))
+        if caches:
+            raise SystemExit(f"{caches[0]}: compiled modules in a tree to "
+                             "benchmark; remove the directory")
 
 
 def src_lines(tree: Path) -> int:
@@ -144,6 +157,8 @@ def empty_row(bounds: dict) -> dict:
 def measure(args, bounds: dict) -> tuple[dict, dict]:
     """Run the pairs; the raw rows and the record's descriptive fields."""
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for tree in trees.values():
+        refuse_bytecode(tree)
     claimed, metric = args.claim
     rows = {f"{w}/seed{s}": empty_row(bounds) for w in WORKLOADS
             for s in SEEDS}
