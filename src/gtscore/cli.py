@@ -48,20 +48,44 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
-def _parse_returns(text: str) -> np.ndarray:
-    return np.array([float(x) for x in json.loads(text)])
+def _finite(text: str) -> float:
+    """The finite number `text` spells; a JSON non-string is refused too."""
+    if not isinstance(text, str) or not math.isfinite(number := float(text)):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return number
 
 
-# trials.csv column -> parser of its text, in file order
-TRIAL_SCHEMA = {
-    "asset": str, "strategy": lambda text: StrategyKind(text).value,
-    "objective": lambda text: ObjectiveKind(text).value, "split_id": int,
-    "seed": int, "train_return": float, "oos_return": float,
-    "train_trades": int, "oos_trades": int, "best_loss": float,
-    "degenerate": _parse_bool, "params_json": str, "candidates_json": str,
-    "oos_trade_returns_json": _parse_returns,
+def _finite_list(text: str) -> np.ndarray:
+    """A JSON list of finite numbers' texts, as trade returns are written."""
+    values = json.loads(text)
+    if not isinstance(values, list):
+        raise ValueError(f"expected a JSON list, got {text!r}")
+    return np.array([_finite(x) for x in values])
+
+
+# trials.csv, in file order: column -> (its value from a TrialResult and
+# the `cell_json` memo of `trial_row`, the parser of its text)
+TRIALS = {
+    "asset": (lambda r, _: r.spec.asset_id, str),
+    "strategy": (lambda r, _: r.spec.strategy_kind.value,
+                 lambda text: StrategyKind(text).value),
+    "objective": (lambda r, _: r.objective_kind.value,
+                  lambda text: ObjectiveKind(text).value),
+    "split_id": (lambda r, _: r.spec.split_id, int),
+    "seed": (lambda r, _: r.spec.seed, int),
+    "train_return": (lambda r, _: r.train_total_return, _finite),
+    "oos_return": (lambda r, _: r.oos_total_return, _finite),
+    "train_trades": (lambda r, _: r.train_n_trades, int),
+    "oos_trades": (lambda r, _: r.oos_n_trades, int),
+    "best_loss": (lambda r, _: r.best_loss, _finite),
+    "degenerate": (lambda r, _: r.degenerate, _parse_bool),
+    "params_json": (lambda r, _: params_to_json(r.best_params), str),
+    "candidates_json": (lambda r, cell_json: cell_json[r.spec], str),
+    "oos_trade_returns_json": (lambda r, _: json.dumps(
+        [repr(float(x)) for x in r.oos_trade_returns]), _finite_list),
 }
-TRIAL_COLUMNS = list(TRIAL_SCHEMA)
+TRIAL_SCHEMA = {column: parse for column, (_, parse) in TRIALS.items()}
+TRIAL_COLUMNS = list(TRIALS)
 
 
 @dataclass
@@ -173,27 +197,11 @@ def write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
 def trial_row(result: TrialResult, cell_json: dict) -> dict:
     """One trials.csv row. A cell's trials share one candidate pool, so
     `cell_json` keeps each cell's `candidates_json` across calls."""
-    spec = result.spec
-    if spec not in cell_json:
-        cell_json[spec] = json.dumps(
+    if result.spec not in cell_json:
+        cell_json[result.spec] = json.dumps(
             [params_doc(p) for p in result.candidates], sort_keys=True)
-    return {
-        "asset": spec.asset_id,
-        "strategy": spec.strategy_kind.value,
-        "objective": result.objective_kind.value,
-        "split_id": spec.split_id,
-        "seed": spec.seed,
-        "train_return": result.train_total_return,
-        "oos_return": result.oos_total_return,
-        "train_trades": result.train_n_trades,
-        "oos_trades": result.oos_n_trades,
-        "best_loss": result.best_loss,
-        "degenerate": result.degenerate,
-        "params_json": params_to_json(result.best_params),
-        "candidates_json": cell_json[spec],
-        "oos_trade_returns_json": json.dumps(
-            [repr(float(r)) for r in result.oos_trade_returns]),
-    }
+    return {column: value(result, cell_json)
+            for column, (value, _) in TRIALS.items()}
 
 
 def read_trials_csv(path: Path) -> list[dict]:
@@ -204,6 +212,9 @@ def read_trials_csv(path: Path) -> list[dict]:
             raise DataError(f"{path} line 1: missing column {col}")
     rows = []
     for raw in reader:
+        if None in raw:
+            raise DataError(f"{path} line {reader.line_num}: more cells "
+                            f"than the header's {len(reader.fieldnames)}")
         row = {}
         for col, parse in TRIAL_SCHEMA.items():
             try:
@@ -325,9 +336,9 @@ def paired_comparisons(rows: list[dict]) -> list[dict]:
     present, out = objectives_in(rows), []
     for baseline in BASELINES:
         if GT_SCORE in present and baseline in present:
-            cmp = compare_paired(f"gt_score_vs_{baseline}",
-                                 *paired_oos_returns(rows, GT_SCORE, baseline))
-            out.append({"comparison": cmp.name, **vars(cmp)})
+            a, b = paired_oos_returns(rows, GT_SCORE, baseline)
+            out.append({"comparison": f"gt_score_vs_{baseline}",
+                        **compare_paired(a, b)})
     return out
 
 
@@ -606,8 +617,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Stderr(logging.Handler):
+    def emit(self, record):  # `LEVEL message` on sys.stderr as it is now
+        print(record.levelname, record.getMessage(), file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
+    log = logging.getLogger("gtscore")
+    if not log.handlers:  # once; and a caller's own handler stays alone
+        log.addHandler(_Stderr())
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

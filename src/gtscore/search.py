@@ -211,7 +211,7 @@ def study_cells(assets: list[PriceSeries], strategies: list[StrategyKind],
         try:
             splits = splits_of(series)
         except DataError as exc:
-            logger.warning("skipping %s: %s", series.asset_id, exc)
+            logger.warning("skipping %s", exc)  # exc names the asset
             continue
         for i, split in enumerate(splits):
             bars = [stop - start for start, stop in (

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, stdtr
@@ -13,18 +12,6 @@ from .errors import ParameterError
 # Exact signed-rank enumeration is used at or below this sample size
 # (a 2^n x n matrix of sign patterns).
 WILCOXON_EXACT_MAX_N = 12
-
-
-@dataclass(frozen=True)
-class PairedComparison:
-    name: str
-    mean_diff: float
-    t_stat: float
-    p_value_t: float
-    wilcoxon_stat: float
-    wilcoxon_p: float
-    cohens_d: float
-    n: int
 
 
 def paired_t_test(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
@@ -132,11 +119,10 @@ def cohens_d_pooled(a: np.ndarray, b: np.ndarray) -> float:
     return diff / math.sqrt(float(pooled_var))
 
 
-def compare_paired(name: str, a: np.ndarray, b: np.ndarray) -> PairedComparison:
-    """All three statistics for one named comparison (a minus b)."""
+def compare_paired(a: np.ndarray, b: np.ndarray) -> dict:
+    """The statistics of a minus b by `comparisons.csv` column, in order."""
     t, p_t, mean_diff = paired_t_test(a, b)
     w, p_w = wilcoxon_signed_rank(a, b)
-    d = cohens_d_pooled(a, b)
-    return PairedComparison(name=name, mean_diff=mean_diff, t_stat=t,
-                            p_value_t=p_t, wilcoxon_stat=w, wilcoxon_p=p_w,
-                            cohens_d=d, n=int(np.asarray(a).size))
+    return {"mean_diff": mean_diff, "t_stat": t, "p_value_t": p_t,
+            "wilcoxon_stat": w, "wilcoxon_p": p_w,
+            "cohens_d": cohens_d_pooled(a, b), "n": int(np.asarray(a).size)}

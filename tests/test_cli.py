@@ -434,7 +434,10 @@ def test_malformed_trials_exit_code(workspace, tmp_path, capsys):
 
     truncated = [list(r) for r in table]
     truncated[2] = truncated[2][:5]
-    # (rows, file line and column the message must name)
+    extended = [list(r) for r in table]
+    extended[13].append("0.1")
+    # (rows, file line and column the message must name; for a row
+    # that is too long, what is wrong with it)
     cases = [(broken(1, "seed", "sead"), "line 1", "seed"),
              (broken(4, "oos_return", "abc"), "line 4", "oos_return"),
              (broken(2, "split_id", "1.5"), "line 2", "split_id"),
@@ -447,7 +450,18 @@ def test_malformed_trials_exit_code(workspace, tmp_path, capsys):
               "oos_trade_returns_json"),
              (broken(8, "objective", "sharpee"), "line 8", "objective"),
              (broken(9, "strategy", "bolinger"), "line 9", "strategy"),
-             (truncated, "line 3", "train_return")]
+             (truncated, "line 3", "train_return"),
+             # the writer writes only finite numbers, as strings in a list
+             (broken(10, "oos_return", "nan"), "line 10", "oos_return"),
+             (broken(11, "oos_trade_returns_json", '["inf"]'), "line 11",
+              "oos_trade_returns_json"),
+             (broken(12, "oos_trade_returns_json", '[true]'), "line 12",
+              "oos_trade_returns_json"),
+             (broken(13, "oos_trade_returns_json", '[0.1]'), "line 13",
+              "oos_trade_returns_json"),
+             (broken(14, "oos_trade_returns_json", '"0.1"'), "line 14",
+              "oos_trade_returns_json"),
+             (extended, "line 14", "more cells than the header's 14")]
     for i, (rows, line, column) in enumerate(cases):
         out = tmp_path / f"case{i}"
         out.mkdir()
@@ -461,7 +475,8 @@ def test_malformed_trials_exit_code(workspace, tmp_path, capsys):
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
-            assert line in err and column in err
+            assert f"{line}," in err or f"{line}:" in err
+            assert column in err
     # a directory where the trials file should be
     capsys.readouterr()
     assert main(["costsweep", "--trials", str(tmp_path),
@@ -532,18 +547,15 @@ def test_walkforward_skips_splits_below_two_bars(tmp_path, capsys):
                     out_dir=str(tmp_path / "wf"))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(encode_config(cfg)))
-    src = Path(gtscore.__file__).resolve().parents[1]
-    run = subprocess.run(
-        [sys.executable, "-m", "gtscore.cli", "walkforward", "--config",
-         str(cfg_path)], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(src)})
-    assert run.returncode == 0, run.stderr
-    assert [line for line in run.stderr.splitlines()
-            if line.startswith("WARNING")] == [
+    # in-process, with pytest's handlers on the root logger, each warning
+    # reaches stderr once; so do those of the second `main` call below
+    capsys.readouterr()
+    assert main(["walkforward", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().err == (
         "WARNING skipping G split 0: 1 training and 365 validation bars, "
-        "need >= 2 each",
+        "need >= 2 each\n"
         "WARNING skipping G split 1: 366 training and 1 validation bars, "
-        "need >= 2 each"]
+        "need >= 2 each\n")
     rows = read_trials_csv(tmp_path / "wf" / "trials.csv")
     assert len(rows) == 4 * len(ObjectiveKind)
     assert {(r["asset"], r["split_id"]) for r in rows} == {
@@ -556,6 +568,12 @@ def test_walkforward_skips_splits_below_two_bars(tmp_path, capsys):
     capsys.readouterr()
     assert main(["walkforward", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err == (
+        "WARNING skipping H split 0: 1 training and 365 validation bars, "
+        "need >= 2 each\n"
+        "WARNING skipping H split 1: 366 training and 1 validation bars, "
+        "need >= 2 each\n"
+        "WARNING skipping H split 2: 0 training and 1 validation bars, "
+        "need >= 2 each\n"
         "error: no asset has a split with >= 2 bars in each window: "
         "skipped H\n")
     assert not (tmp_path / "none").exists()
@@ -597,11 +615,18 @@ def test_missing_data_exit_code(tmp_path, capsys):
         "regimes": [[30, 0.0, 0.01]], "seed": 1}]}))
     assert main(["synth", "--spec", str(spec_path),
                  "--out", str(data_dir)]) == 0
-    for command in ("montecarlo", "walkforward"):
+    # after one warning that names the asset once
+    for command, reason in (
+            ("montecarlo", "embargo consumes the whole validation side (val "
+                           "would start 2010-03-01, span ends 2010-02-12)"),
+            ("walkforward", "series ends 2010-02-11, needs to reach "
+                            "2016-01-31 for one split (4y train + 30d "
+                            "embargo + 2y val)")):
         capsys.readouterr()
         assert main([command, "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert err == ("error: no asset has a split with >= 2 bars in "
+        assert err == (f"WARNING skipping X: {reason}\n"
+                       "error: no asset has a split with >= 2 bars in "
                        "each window: skipped X\n")
     # a failing study writes nothing
     assert not (tmp_path / "out").exists()

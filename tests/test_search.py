@@ -126,7 +126,7 @@ def test_run_trial_deterministic():
 
 def composed_loss(kind, bt, cfg=CFG):
     """Fixed-trades loss of one backtest, composed from its parts."""
-    if bt is None or bt.n_trades == 0:
+    if bt.n_trades == 0:
         return cfg.below_min_penalty
     ctx = oracle_metric_context(bt, cfg)
     if kind == ObjectiveKind.GT_SCORE:
@@ -168,20 +168,17 @@ def test_run_trial_oos_consistent_with_best_params():
 def admitted_and_gated_picks(cells, cfg):
     """Per cell, from full training backtests of every candidate: the
     candidates the n_min gate admits, and the gated ones that some
-    objective picks (replayed as in `test_run_trial_replay_oracle`) and
-    that have a backtest."""
+    objective picks (replayed as in `test_run_trial_replay_oracle`)."""
     out = []
     for spec in cells:
         bts = [backtest_on(p, SPLIT.train_start, SPLIT.train_end)
                for p in draw_pool(spec)]
-        admitted = {i for i, bt in enumerate(bts)
-                    if bt is not None and bt.n_trades >= cfg.n_min}
+        admitted = {i for i, bt in enumerate(bts) if bt.n_trades >= cfg.n_min}
         picks = set()
         for obj in OBJECTIVES:
             losses = [composed_loss(obj, bt, cfg) for bt in bts]
             picks.add(losses.index(min(losses)))
-        out.append((admitted, {i for i in picks - admitted
-                               if bts[i] is not None}))
+        out.append((admitted, picks - admitted))
     return out
 
 
@@ -670,7 +667,10 @@ def test_montecarlo_skips_short_assets(caplog):
     short = make_asset(seed=2, n_days=100, asset_id="SHORT")
     specs = study_cells([ASSET, short], [StrategyKind.MACD], chrono, seeds=[42])
     assert {s.asset_id for s in specs} == {"A"}
-    assert "skipping SHORT" in caplog.text
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "gtscore.search"] == [
+        "skipping SHORT: chrono split leaves 70 train / 9 test bars, "
+        "need >= 60 each"]
 
 
 def test_walkforward_spec_count():

@@ -223,11 +223,14 @@ def test_compare_paired_bundles_everything():
     rng = np.random.Generator(np.random.Philox(47))
     a = rng.standard_normal(20)
     b = rng.standard_normal(20) + 0.3
-    cmp = compare_paired("demo", a, b)
-    assert cmp.name == "demo"
-    assert cmp.n == 20
+    cmp = compare_paired(a, b)
+    # the comparisons.csv columns after `comparison`, in file order
+    assert list(cmp) == ["mean_diff", "t_stat", "p_value_t", "wilcoxon_stat",
+                         "wilcoxon_p", "cohens_d", "n"]
+    assert cmp["n"] == 20
     t, p, mean_diff = paired_t_test(a, b)
-    assert (cmp.t_stat, cmp.p_value_t, cmp.mean_diff) == (t, p, mean_diff)
+    assert (cmp["t_stat"], cmp["p_value_t"], cmp["mean_diff"]) == (
+        t, p, mean_diff)
     w, pw = wilcoxon_signed_rank(a, b)
-    assert (cmp.wilcoxon_stat, cmp.wilcoxon_p) == (w, pw)
-    assert cmp.cohens_d == cohens_d_pooled(a, b)
+    assert (cmp["wilcoxon_stat"], cmp["wilcoxon_p"]) == (w, pw)
+    assert cmp["cohens_d"] == cohens_d_pooled(a, b)

@@ -34,12 +34,14 @@ interquartile range. With an empty `--target` the change claims no gain,
 and the claim is null.
 
 The record also holds "src_lines": per side, the number of lines in the
-tree's `src/gtscore/*.py`, the size to report next to the timings.
+tree's `src/gtscore/*.py`, the size to report next to the timings, and
+"src_modules": per side, the lines of each of those modules, so a change
+in size shows where it happened.
 
 `--merge` pools the runs of earlier outputs of this script, made on the
 same trees, into one record over all their pairs, keeping each set's own
-claim under "sets", the first set's "src_lines" and the first traced pass
-found.
+claim under "sets", the first set's "src_lines" and "src_modules" and the
+first traced pass found.
 """
 
 from __future__ import annotations
@@ -87,10 +89,10 @@ def refuse_bytecode(tree: Path) -> None:
                              "benchmark; remove the directory")
 
 
-def src_lines(tree: Path) -> int:
-    """Lines in the package modules of `tree`, as `wc -l` counts them."""
-    return sum(path.read_bytes().count(b"\n")
-               for path in (tree / "src" / "gtscore").glob("*.py"))
+def src_modules(tree: Path) -> dict[str, int]:
+    """Lines in each package module of `tree`, as `wc -l` counts them."""
+    return {path.name: path.read_bytes().count(b"\n")
+            for path in sorted((tree / "src" / "gtscore").glob("*.py"))}
 
 
 def quartiles(runs: list[float]) -> dict:
@@ -179,6 +181,7 @@ def measure(args, bounds: dict) -> tuple[dict, dict]:
                           f"{metric} "
                           f"{result['metrics'][metric]['value']:.3f}",
                           file=sys.stderr)
+    modules = {side: src_modules(tree) for side, tree in trees.items()}
     record = {
         "change": args.change_text,
         "command": (f"python3 perfbench/run.py --workload <w> --seed <s> "
@@ -191,7 +194,8 @@ def measure(args, bounds: dict) -> tuple[dict, dict]:
                  "machine": platform.machine(),
                  "python": platform.python_version(),
                  "numpy": np.__version__},
-        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
+        "src_lines": {side: sum(modules[side].values()) for side in SIDES},
+        "src_modules": modules,
     }
     if args.trace:
         traced = {side: run_once(tree, claimed, 0, args.seconds, trace=1)
@@ -219,7 +223,8 @@ def merge(paths: list[Path], bounds: dict) -> tuple[dict, dict]:
                 row["correct"][side] &= done["correct"][side]
                 row["failed"][side] += done["failed"][side]
     record = {k: sets[0][k]
-              for k in ("change", "command", "method", "host", "src_lines")}
+              for k in ("change", "command", "method", "host", "src_lines",
+                        "src_modules")}
     record["method"] += (f"; {len(sets)} sets of pairs on the same trees, "
                          "pooled")
     record["sets"] = [s["claim"] for s in sets]
