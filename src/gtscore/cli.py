@@ -48,11 +48,15 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
-def _finite(text: str) -> float:
-    """The finite number `text` spells; a JSON non-string is refused too."""
-    if not isinstance(text, str) or not math.isfinite(number := float(text)):
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return number
+def _written(kind: type):
+    """A parser of finite `kind` numbers' texts, accepting only the text
+    the writer spells (`str` of the value); a JSON non-string is refused."""
+    def parse(text):
+        if not (isinstance(text, str) and math.isfinite(number := kind(text))
+                and str(number) == text):
+            raise ValueError(f"{text!r} is not a {kind.__name__} as written")
+        return number
+    return parse
 
 
 def _finite_list(text: str) -> np.ndarray:
@@ -60,7 +64,7 @@ def _finite_list(text: str) -> np.ndarray:
     values = json.loads(text)
     if not isinstance(values, list):
         raise ValueError(f"expected a JSON list, got {text!r}")
-    return np.array([_finite(x) for x in values])
+    return np.array(list(map(_written(float), values)))
 
 
 # trials.csv, in file order: column -> (its value from a TrialResult and
@@ -71,13 +75,13 @@ TRIALS = {
                  lambda text: StrategyKind(text).value),
     "objective": (lambda r, _: r.objective_kind.value,
                   lambda text: ObjectiveKind(text).value),
-    "split_id": (lambda r, _: r.spec.split_id, int),
-    "seed": (lambda r, _: r.spec.seed, int),
-    "train_return": (lambda r, _: r.train_total_return, _finite),
-    "oos_return": (lambda r, _: r.oos_total_return, _finite),
-    "train_trades": (lambda r, _: r.train_n_trades, int),
-    "oos_trades": (lambda r, _: r.oos_n_trades, int),
-    "best_loss": (lambda r, _: r.best_loss, _finite),
+    "split_id": (lambda r, _: r.spec.split_id, _written(int)),
+    "seed": (lambda r, _: r.spec.seed, _written(int)),
+    "train_return": (lambda r, _: r.train_total_return, _written(float)),
+    "oos_return": (lambda r, _: r.oos_total_return, _written(float)),
+    "train_trades": (lambda r, _: r.train_n_trades, _written(int)),
+    "oos_trades": (lambda r, _: r.oos_n_trades, _written(int)),
+    "best_loss": (lambda r, _: r.best_loss, _written(float)),
     "degenerate": (lambda r, _: r.degenerate, _parse_bool),
     "params_json": (lambda r, _: params_to_json(r.best_params), str),
     "candidates_json": (lambda r, cell_json: cell_json[r.spec], str),
@@ -194,6 +198,21 @@ def write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
     path.write_text(csv_text(columns, rows))
 
 
+def write_tables(out_dir: Path, tables: dict) -> None:
+    """Write each file name -> (columns, rows) of `tables` into `out_dir`,
+    all or none: each to a temporary sibling (`write_csv`), then renamed."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    temps = {out_dir / f".{name}.tmp": out_dir / name for name in tables}
+    try:
+        for temp, (columns, rows) in zip(temps, tables.values()):
+            write_csv(temp, columns, rows)
+        for temp, path in temps.items():
+            temp.replace(path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+
+
 def trial_row(result: TrialResult, cell_json: dict) -> dict:
     """One trials.csv row. A cell's trials share one candidate pool, so
     `cell_json` keeps each cell's `candidates_json` across calls."""
@@ -205,22 +224,23 @@ def trial_row(result: TrialResult, cell_json: dict) -> dict:
 
 
 def read_trials_csv(path: Path) -> list[dict]:
-    text = read_text(path, DataError, "trials file")
-    reader = csv.DictReader(io.StringIO(text))
-    for col in TRIAL_COLUMNS:
-        if col not in (reader.fieldnames or []):
-            raise DataError(f"{path} line 1: missing column {col}")
+    """The rows of a trials file exactly as `trial_row` writes them."""
+    reader = csv.reader(io.StringIO(read_text(path, DataError, "trials file")))
+    if (header := next(reader, [])) != TRIAL_COLUMNS:
+        raise DataError(f"{path} line 1: header {','.join(header)} is not "
+                        f"{','.join(TRIAL_COLUMNS)}")
     rows = []
-    for raw in reader:
-        if None in raw:
+    for cells in reader:
+        if len(cells) > len(TRIAL_COLUMNS):
             raise DataError(f"{path} line {reader.line_num}: more cells "
-                            f"than the header's {len(reader.fieldnames)}")
+                            f"than the header's {len(TRIAL_COLUMNS)}")
         row = {}
-        for col, parse in TRIAL_SCHEMA.items():
+        for (col, parse), text in zip(TRIAL_SCHEMA.items(),
+                                      [*cells, *[None] * len(TRIAL_COLUMNS)]):
             try:
-                if raw[col] is None:
+                if text is None:
                     raise ValueError("missing value")
-                row[col] = parse(raw[col])
+                row[col] = parse(text)
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path} line {reader.line_num}, column "
                                 f"{col}: {exc}") from None
@@ -455,8 +475,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_study(args) -> int:
-    """Run the study and derive every file it writes, then write them all;
-    a study that fails leaves no directory and no file behind."""
+    """Run the study and derive every file it writes, then write them all
+    at once (`write_tables`); a study that fails changes no file."""
     cfg = load_config(args.config)
     derived = [out for out in OUTPUTS if args.command in out.written_by]
     names = ["trials.csv", *(out.name for out in derived)]
@@ -472,10 +492,8 @@ def cmd_study(args) -> int:
                   jobs=args.jobs, budget=cfg.budget, **settings)
     cell_json = {}
     rows = [trial_row(r, cell_json) for r in results]
-    tables = [(TRIAL_COLUMNS, rows), *(derive(out, rows) for out in derived)]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, (cols, data) in zip(names, tables):
-        write_csv(out_dir / name, cols, data)
+    write_tables(out_dir, dict(zip(names, [
+        (TRIAL_COLUMNS, rows), *(derive(out, rows) for out in derived)])))
     print(f"{args.command}: {len(rows)} trials -> {out_dir}")
     return 0
 
@@ -490,8 +508,7 @@ def cmd_costsweep(args) -> int:
     out_dir = output_dir(args.out, [out.name])
     rows = read_trials_csv(Path(args.trials))
     cols, data = derive(out, rows, sweep)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / out.name, cols, data)
+    write_tables(out_dir, {out.name: (cols, data)})
     print(f"costsweep: {len(data)} objectives x {len(sweep)} levels -> {out_dir}")
     return 0
 

@@ -311,8 +311,8 @@ CHRONO_MIN_BARS = 60  # fewest bars each side of a chrono split must hold
 def make_chrono_split(series: PriceSeries, train_fraction: float = 0.7,
                       embargo_days: int = 30) -> SplitSpec:
     """Single chronological split at train_fraction of the calendar span."""
-    if not 0 < train_fraction < 1:
-        raise ParameterError("train_fraction must be in (0, 1)")
+    if not 0 < train_fraction < 1 or embargo_days < 0:
+        raise ParameterError("train_fraction must be in (0, 1), embargo >= 0")
     total_days = (series.span_end - series.start_date).days
     train_end = series.start_date + dt.timedelta(
         days=int(total_days * train_fraction))

@@ -26,6 +26,13 @@ class RsiParams:
     overbought: float
 
     kind = StrategyKind.RSI
+    # the zones are disjoint, so every draw has oversold < overbought
+    space = {"period": (7, 28), "oversold": (15.0, 40.0),
+             "overbought": (60.0, 85.0)}
+
+    @property
+    def key(self) -> tuple:
+        return self.kind, self.period
 
     def __post_init__(self):
         if self.period < 2:
@@ -43,6 +50,11 @@ class MacdParams:
     signal: int
 
     kind = StrategyKind.MACD
+    space = {"fast": (5, 20), "slow": (21, 50), "signal": (5, 15)}
+
+    @property
+    def key(self) -> tuple:
+        return self.kind, self.fast, self.slow, self.signal
 
     def __post_init__(self):
         if self.fast < 2 or self.signal < 2:
@@ -57,6 +69,11 @@ class BollingerParams:
     k: float
 
     kind = StrategyKind.BOLLINGER
+    space = {"window": (10, 50), "k": (1.0, 3.0)}
+
+    @property
+    def key(self) -> tuple:
+        return self.kind, self.window
 
     def __post_init__(self):
         if self.window < 5:
@@ -66,38 +83,17 @@ class BollingerParams:
 
 
 StrategyParams = RsiParams | MacdParams | BollingerParams
-
-# Uniform sampling ranges bracketing the conventional defaults
-# (RSI 14/30/70, MACD 12/26/9, Bollinger 20/2). Integers drawn inclusive.
-# The RSI zones are disjoint, so every draw has oversold < overbought.
-RSI_PERIOD_RANGE = (7, 28)
-RSI_OVERSOLD_RANGE = (15.0, 40.0)
-RSI_OVERBOUGHT_RANGE = (60.0, 85.0)
-MACD_FAST_RANGE = (5, 20)
-MACD_SLOW_RANGE = (21, 50)
-MACD_SIGNAL_RANGE = (5, 15)
-BOLLINGER_WINDOW_RANGE = (10, 50)
-BOLLINGER_K_RANGE = (1.0, 3.0)
+# The spaces bracket the conventional defaults (RSI 14/30/70, MACD
+# 12/26/9, Bollinger 20/2); an int range is drawn inclusive.
+FAMILIES = {cls.kind: cls for cls in (RsiParams, MacdParams, BollingerParams)}
 
 
 def sample_params(kind: StrategyKind, rng: np.random.Generator) -> StrategyParams:
-    """Draw one parameterization uniformly from the family's search space."""
-    if kind == StrategyKind.RSI:
-        period = int(rng.integers(RSI_PERIOD_RANGE[0], RSI_PERIOD_RANGE[1] + 1))
-        oversold = float(rng.uniform(*RSI_OVERSOLD_RANGE))
-        overbought = float(rng.uniform(*RSI_OVERBOUGHT_RANGE))
-        return RsiParams(period, oversold, overbought)
-    if kind == StrategyKind.MACD:
-        fast = int(rng.integers(MACD_FAST_RANGE[0], MACD_FAST_RANGE[1] + 1))
-        slow = int(rng.integers(MACD_SLOW_RANGE[0], MACD_SLOW_RANGE[1] + 1))
-        signal = int(rng.integers(MACD_SIGNAL_RANGE[0], MACD_SIGNAL_RANGE[1] + 1))
-        return MacdParams(fast, slow, signal)
-    if kind == StrategyKind.BOLLINGER:
-        window = int(rng.integers(BOLLINGER_WINDOW_RANGE[0],
-                                  BOLLINGER_WINDOW_RANGE[1] + 1))
-        k = float(rng.uniform(*BOLLINGER_K_RANGE))
-        return BollingerParams(window, k)
-    raise ParameterError(f"unknown strategy kind {kind!r}")
+    """Draw one parameterization uniformly from the family's `space`."""
+    family = FAMILIES[kind]
+    return family(*(int(rng.integers(lo, hi + 1)) if isinstance(lo, int)
+                    else float(rng.uniform(lo, hi))
+                    for lo, hi in family.space.values()))
 
 
 def params_doc(params: StrategyParams) -> dict:
@@ -108,31 +104,17 @@ def params_to_json(params: StrategyParams) -> str:
     return json.dumps(params_doc(params), sort_keys=True)
 
 
-def indicator_key(params: StrategyParams) -> tuple:
-    """What a candidate's rule reads, which its thresholds then apply to:
-    the RSI of its period, the rolling mean and std of its Bollinger
-    window, or, for MACD, whose rule has no threshold, the long/flat state
-    of its (fast, slow, signal) crossings."""
-    if isinstance(params, RsiParams):
-        return params.kind, params.period
-    if isinstance(params, MacdParams):
-        return params.kind, params.fast, params.slow, params.signal
-    if isinstance(params, BollingerParams):
-        return params.kind, params.window
-    raise ParameterError(f"unknown params type {type(params)!r}")
-
-
 def _indicators(closes: np.ndarray, keys) -> dict:
-    """What each of `keys` (`indicator_key`) names on `closes`, each
+    """What each of `keys` (a params `key`) names on `closes`, each
     computed once, together with the others of its kind:
       - the RSI of every period, in one time-major pass;
-      - every EMA leg and every signal line (`macd_columns`), then the
-        long/flat state of each triple's crossings (the MACD rule);
+      - each MACD triple's (fast EMA leg, slow EMA leg, signal line), from
+        `macd_columns`;
       - the rolling mean and std of every Bollinger window.
-    A key whose warm-up does not end inside `closes` is all warm-up (NaN,
-    or flat for MACD). RSI and MACD entries are column views of one
-    (bars, keys) array per kind: one block in place of many small arrays
-    keeps the peak RSS low.
+    A key whose warm-up does not end inside `closes` is all warm-up (NaN).
+    RSI entries and signal lines are column views of one (bars, keys)
+    array per kind: one block in place of many small arrays keeps the
+    peak RSS low.
     """
     out = {}
     periods = sorted(p for kind, p, *_ in keys if kind is StrategyKind.RSI)
@@ -141,16 +123,9 @@ def _indicators(closes: np.ndarray, keys) -> dict:
                for j, p in enumerate(periods))
     triples = sorted(k[1:] for k in keys if k[0] is StrategyKind.MACD)
     legs, signal_lines = macd_columns(closes, triples)
-    states = np.empty((len(closes), len(triples)), dtype=bool)
-    for j, (fast, slow, signal) in enumerate(triples):
-        diff = legs[fast] - legs[slow] - signal_lines[:, j]
-        prev = np.concatenate([[np.nan], diff[:-1]])
-        valid = ~(np.isnan(diff) | np.isnan(prev))
-        with np.errstate(invalid="ignore"):
-            enter = valid & (prev <= 0) & (diff > 0)
-            leave = valid & (prev >= 0) & (diff < 0)
-        states[:, j] = positions(enter, leave, valid)
-        out[StrategyKind.MACD, fast, slow, signal] = states[:, j]
+    out.update(((StrategyKind.MACD, fast, slow, signal),
+                (legs[fast], legs[slow], signal_lines[:, j]))
+               for j, (fast, slow, signal) in enumerate(triples))
     out.update(((kind, w), rolling_stats(closes, w)) for kind, w, *_ in keys
                if kind is StrategyKind.BOLLINGER)
     return out
@@ -159,7 +134,7 @@ def _indicators(closes: np.ndarray, keys) -> dict:
 def pool_signals(series: PriceSeries, pool) -> list[np.ndarray]:
     """Long/flat position per bar of every candidate of `pool` on
     `series`, in order, as boolean arrays (True = long). Each distinct
-    indicator (`indicator_key`) is computed once.
+    indicator (a params `key`) is computed once.
 
     Long-only state machine on closes, initial state flat, flat during
     indicator warm-up (a candidate whose warm-up covers the series is
@@ -172,32 +147,30 @@ def pool_signals(series: PriceSeries, pool) -> list[np.ndarray]:
         exit when it crosses below.
       - Bollinger: enter when the close drops below the lower band;
         exit once the close is at or above the middle band.
-
-    Candidates with the same MACD parameters share one array, which must
-    not be written to.
     """
     closes = series.closes
-    found = _indicators(closes, {indicator_key(p) for p in pool})
-    return [_rule(params, closes, found[indicator_key(params)])
-            for params in pool]
+    found = _indicators(closes, {p.key for p in pool})
+    return [_rule(params, closes, found[params.key]) for params in pool]
 
 
 def _rule(params: StrategyParams, closes: np.ndarray, ind) -> np.ndarray:
     """The positions of one candidate's rule on its indicator `ind`."""
-    if isinstance(params, MacdParams):
-        return ind
-    if isinstance(params, RsiParams):
-        prev = np.concatenate([[np.nan], ind[:-1]])
-        valid = ~(np.isnan(ind) | np.isnan(prev))
-        with np.errstate(invalid="ignore"):
-            enter = valid & (prev < params.oversold) & (ind >= params.oversold)
-            leave = valid & (ind >= params.overbought)
-    else:
+    if isinstance(params, BollingerParams):
         middle, _, lower = bollinger(closes, params.window, params.k, ind)
-        valid = ~np.isnan(middle)
         with np.errstate(invalid="ignore"):
-            enter = valid & (closes < lower)
-            leave = valid & (closes >= middle)
+            return positions(closes < lower, closes >= middle,
+                             ~np.isnan(middle))
+    if isinstance(params, MacdParams):
+        fast, slow, signal = ind
+        ind = fast - slow - signal
+    prev = np.concatenate([[np.nan], ind[:-1]])
+    valid = ~(np.isnan(ind) | np.isnan(prev))
+    with np.errstate(invalid="ignore"):
+        if isinstance(params, RsiParams):
+            enter = (prev < params.oversold) & (ind >= params.oversold)
+            leave = ind >= params.overbought
+        else:
+            enter, leave = (prev <= 0) & (ind > 0), (prev >= 0) & (ind < 0)
     return positions(enter, leave, valid)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import gtscore
-from gtscore import search
+from gtscore import cli, search
 from gtscore.cli import (
     MonteCarloConfig,
     RunConfig,
@@ -436,6 +436,9 @@ def test_malformed_trials_exit_code(workspace, tmp_path, capsys):
     truncated[2] = truncated[2][:5]
     extended = [list(r) for r in table]
     extended[13].append("0.1")
+    widened = [[*r, "x" if i == 0 else "0"] for i, r in enumerate(table)]
+    swapped = [[r[1], r[0], *r[2:]] for r in table]
+    padded = broken(16, "oos_return", f" {table[15][col('oos_return')]} ")
     # (rows, file line and column the message must name; for a row
     # that is too long, what is wrong with it)
     cases = [(broken(1, "seed", "sead"), "line 1", "seed"),
@@ -461,7 +464,15 @@ def test_malformed_trials_exit_code(workspace, tmp_path, capsys):
               "oos_trade_returns_json"),
              (broken(14, "oos_trade_returns_json", '"0.1"'), "line 14",
               "oos_trade_returns_json"),
-             (extended, "line 14", "more cells than the header's 14")]
+             (extended, "line 14", "more cells than the header's 14"),
+             # and spells every cell as the writer does: the header in
+             # order, integers as `str` and numbers as `repr` writes them
+             (widened, "line 1", "oos_trade_returns_json,x is not"),
+             (swapped, "line 1", "header strategy,asset,objective,"),
+             (broken(15, "oos_trades", "2_7"), "line 15", "oos_trades"),
+             (padded, "line 16", "oos_return"),
+             (broken(17, "oos_trade_returns_json", '["0.10"]'), "line 17",
+              "oos_trade_returns_json")]
     for i, (rows, line, column) in enumerate(cases):
         out = tmp_path / f"case{i}"
         out.mkdir()
@@ -757,6 +768,39 @@ def test_study_output_file_is_a_directory_exit_code(workspace, tmp_path,
         tmp_path / "aggregates.csv", capsys)
 
 
+def test_write_failure_changes_no_file(workspace, tmp_path, capsys,
+                                       monkeypatch):
+    # a study with other seeds whose third file fails to write, and a
+    # costsweep whose one file does, over a finished study: each exits 1
+    # in one line and leaves every file as it was, with no temporary file
+    root, cfg_path = workspace
+    study = tmp_path / "mc"
+    shutil.copytree(root / "mc", study)
+    assert main(["costsweep", "--trials", str(study / "trials.csv"),
+                 "--out", str(study)]) == 0
+    before = tree_state(study)
+    real, calls = cli.write_csv, []
+
+    def failing(path, *args):
+        calls.append(path.parent)
+        if len(calls) == fail_at:
+            raise OSError(28, "No space left on device")
+        real(path, *args)
+
+    monkeypatch.setattr(cli, "write_csv", failing)
+    for fail_at, argv in ((3, ["montecarlo", "--config", str(cfg_path),
+                               "--seed-range", "7..8"]),
+                          (1, ["costsweep", "--trials",
+                               str(study / "trials.csv")])):
+        calls.clear()
+        capsys.readouterr()
+        assert main(argv + ["--out", str(study)]) == 1
+        assert capsys.readouterr().err == (
+            "error: [Errno 28] No space left on device\n")
+        assert calls == [study] * fail_at
+        assert tree_state(study) == before
+
+
 def test_synth_output_file_is_a_directory_exit_code(workspace, tmp_path,
                                                     capsys):
     # the manifest's second asset is not written either
@@ -902,6 +946,23 @@ def test_jobs_below_one_exit_code(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "jobs" in err
     assert err.count("\n") == 1
+
+
+def test_negative_embargo_exit_code(workspace, tmp_path, capsys):
+    root, _ = workspace
+    cfg_path = tmp_path / "cfg.json"
+    for command, settings, message in (
+            ("montecarlo", {"mc": {"embargo_days": -5}},
+             "train_fraction must be in (0, 1), embargo >= 0"),
+            ("walkforward", {"wf": {"embargo_days": -5}},
+             "window sizes must be >= 1 year, embargo >= 0")):
+        cfg_path.write_text(json.dumps({
+            "data_dir": str(root / "data"), "budget": 1,
+            "out_dir": str(tmp_path / "out"), **settings}))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_study_settings_reach_splits(workspace, tmp_path, monkeypatch):

@@ -354,6 +354,20 @@ def test_chrono_split_too_short():
         make_chrono_split(make_series(range(10, 110)))
 
 
+def test_split_settings_rejected():
+    # one plain message, not the repr of a SplitSpec out of order
+    s = fifteen_year_series()
+    for kwargs in ({"embargo_days": -5}, {"train_fraction": 0.0},
+                   {"train_fraction": 1.0}):
+        with pytest.raises(ParameterError) as exc:
+            make_chrono_split(s, **kwargs)
+        assert str(exc.value) == (
+            "train_fraction must be in (0, 1), embargo >= 0")
+    with pytest.raises(ParameterError) as exc:
+        make_walkforward_splits(s, embargo_days=-5)
+    assert str(exc.value) == "window sizes must be >= 1 year, embargo >= 0"
+
+
 def test_split_spec_ordering():
     d = dt.date
     with pytest.raises(ParameterError):

@@ -435,7 +435,7 @@ def test_run_task_computes_each_indicator_once(monkeypatch):
 
     def want(bars, pool):
         counts = Counter()
-        for kind, *key in {strategy.indicator_key(p) for p in pool}:
+        for kind, *key in {p.key for p in pool}:
             if kind is StrategyKind.RSI:
                 counts[bars, "rsi", key[0]] = 1
             elif kind is StrategyKind.MACD:
@@ -458,7 +458,7 @@ def test_run_task_computes_each_indicator_once(monkeypatch):
     assert +computed == want(train_bars, pool) + want(val_bars, winners)
     # candidates and winners share indicators, so sharing is exercised
     for shared in (pool, winners):
-        assert len({strategy.indicator_key(p) for p in shared}) < len(shared)
+        assert len({p.key for p in shared}) < len(shared)
 
 
 def test_run_task_matches_uncached_oracle():

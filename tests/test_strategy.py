@@ -1,6 +1,7 @@
 """Parameter sampling, serialization, and signal generation rules."""
 
 import datetime as dt
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,14 +11,7 @@ from hypothesis import strategies as st
 from gtscore.errors import ParameterError
 from gtscore.indicators import bollinger, macd, rsi
 from gtscore.strategy import (
-    BOLLINGER_K_RANGE,
-    BOLLINGER_WINDOW_RANGE,
-    MACD_FAST_RANGE,
-    MACD_SIGNAL_RANGE,
-    MACD_SLOW_RANGE,
-    RSI_OVERBOUGHT_RANGE,
-    RSI_OVERSOLD_RANGE,
-    RSI_PERIOD_RANGE,
+    FAMILIES,
     BollingerParams,
     MacdParams,
     RsiParams,
@@ -55,26 +49,67 @@ def test_json_is_sorted_and_tagged():
 # --- samplers --------------------------------------------------------------
 
 
+def in_space(params):
+    """Whether every field of `params` lies in its family's range."""
+    return all(lo <= getattr(params, name) <= hi
+               for name, (lo, hi) in type(params).space.items())
+
+
 def test_sampler_ranges_audit():
     rng = np.random.Generator(np.random.Philox(77))
     for _ in range(500):
         p = sample_params(StrategyKind.RSI, rng)
-        assert RSI_PERIOD_RANGE[0] <= p.period <= RSI_PERIOD_RANGE[1]
-        assert RSI_OVERSOLD_RANGE[0] <= p.oversold <= RSI_OVERSOLD_RANGE[1]
-        assert (RSI_OVERBOUGHT_RANGE[0] <= p.overbought
-                <= RSI_OVERBOUGHT_RANGE[1])
+        assert in_space(p)
         assert p.oversold < p.overbought
         assert isinstance(p.period, int)
     for _ in range(500):
         p = sample_params(StrategyKind.MACD, rng)
-        assert MACD_FAST_RANGE[0] <= p.fast <= MACD_FAST_RANGE[1]
-        assert MACD_SLOW_RANGE[0] <= p.slow <= MACD_SLOW_RANGE[1]
-        assert MACD_SIGNAL_RANGE[0] <= p.signal <= MACD_SIGNAL_RANGE[1]
+        assert in_space(p)
         assert p.fast < p.slow
     for _ in range(500):
-        p = sample_params(StrategyKind.BOLLINGER, rng)
-        assert BOLLINGER_WINDOW_RANGE[0] <= p.window <= BOLLINGER_WINDOW_RANGE[1]
-        assert BOLLINGER_K_RANGE[0] <= p.k <= BOLLINGER_K_RANGE[1]
+        assert in_space(sample_params(StrategyKind.BOLLINGER, rng))
+
+
+def test_space_keys_are_the_fields_in_order():
+    for kind, family in FAMILIES.items():
+        assert family.kind is kind
+        assert list(family.space) == [f.name for f in fields(family)]
+
+
+def branch_sample_params(kind, rng):
+    """One draw with each family's ranges and draws written out: the
+    oracle for the generic `sample_params`."""
+    if kind == StrategyKind.RSI:
+        period = int(rng.integers(7, 28 + 1))
+        oversold = float(rng.uniform(15.0, 40.0))
+        overbought = float(rng.uniform(60.0, 85.0))
+        return RsiParams(period, oversold, overbought)
+    if kind == StrategyKind.MACD:
+        fast = int(rng.integers(5, 20 + 1))
+        slow = int(rng.integers(21, 50 + 1))
+        signal = int(rng.integers(5, 15 + 1))
+        return MacdParams(fast, slow, signal)
+    if kind == StrategyKind.BOLLINGER:
+        window = int(rng.integers(10, 50 + 1))
+        k = float(rng.uniform(1.0, 3.0))
+        return BollingerParams(window, k)
+    raise ParameterError(f"unknown strategy kind {kind!r}")
+
+
+def test_sampler_matches_branch_oracle():
+    # the same draws in the same order: equal params of the same types,
+    # and the generator left at the same point
+    for kind in StrategyKind:
+        for seed in range(200):
+            a = np.random.Generator(np.random.Philox(seed))
+            b = np.random.Generator(np.random.Philox(seed))
+            for _ in range(5):
+                got = sample_params(kind, a)
+                want = branch_sample_params(kind, b)
+                assert got == want
+                assert [type(v) for v in vars(got).values()] == [
+                    type(v) for v in vars(want).values()]
+            assert a.bit_generator.random_raw() == b.bit_generator.random_raw()
 
 
 def test_sampler_hits_range_bounds():
@@ -83,8 +118,7 @@ def test_sampler_hits_range_bounds():
     rng = np.random.Generator(np.random.Philox(78))
     periods = {sample_params(StrategyKind.RSI, rng).period
                for _ in range(2000)}
-    assert RSI_PERIOD_RANGE[0] in periods
-    assert RSI_PERIOD_RANGE[1] in periods
+    assert set(RsiParams.space["period"]) <= periods
 
 
 def test_sampler_deterministic():

@@ -36,17 +36,20 @@ and the claim is null.
 The record also holds "src_lines": per side, the number of lines in the
 tree's `src/gtscore/*.py`, the size to report next to the timings, and
 "src_modules": per side, the lines of each of those modules, so a change
-in size shows where it happened.
+in size shows where it happened. "bench_sha256" holds, per side, a
+SHA-256 over the tree's `BENCHMARK.json` and its `perfbench/*.py` files
+in sorted order: equal digests show that both sides ran one benchmark.
 
 `--merge` pools the runs of earlier outputs of this script, made on the
 same trees, into one record over all their pairs, keeping each set's own
-claim under "sets", the first set's "src_lines" and "src_modules" and the
-first traced pass found.
+claim under "sets", the first set's "src_lines", "src_modules" and
+"bench_sha256" and the first traced pass found.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -93,6 +96,16 @@ def src_modules(tree: Path) -> dict[str, int]:
     """Lines in each package module of `tree`, as `wc -l` counts them."""
     return {path.name: path.read_bytes().count(b"\n")
             for path in sorted((tree / "src" / "gtscore").glob("*.py"))}
+
+
+def bench_sha256(tree: Path) -> str:
+    """SHA-256 over each benchmark file of `tree`, by name and content."""
+    digest = hashlib.sha256()
+    for path in [tree / "BENCHMARK.json",
+                 *sorted((tree / "perfbench").glob("*.py"))]:
+        digest.update(f"{path.relative_to(tree)}\0".encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def quartiles(runs: list[float]) -> dict:
@@ -196,6 +209,8 @@ def measure(args, bounds: dict) -> tuple[dict, dict]:
                  "numpy": np.__version__},
         "src_lines": {side: sum(modules[side].values()) for side in SIDES},
         "src_modules": modules,
+        "bench_sha256": {side: bench_sha256(tree)
+                         for side, tree in trees.items()},
     }
     if args.trace:
         traced = {side: run_once(tree, claimed, 0, args.seconds, trace=1)
@@ -224,7 +239,7 @@ def merge(paths: list[Path], bounds: dict) -> tuple[dict, dict]:
                 row["failed"][side] += done["failed"][side]
     record = {k: sets[0][k]
               for k in ("change", "command", "method", "host", "src_lines",
-                        "src_modules")}
+                        "src_modules", "bench_sha256")}
     record["method"] += (f"; {len(sets)} sets of pairs on the same trees, "
                          "pooled")
     record["sets"] = [s["claim"] for s in sets]
