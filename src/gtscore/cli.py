@@ -15,6 +15,7 @@ import io
 import json
 import logging
 import math
+import shutil
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -200,17 +201,22 @@ def write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
 
 def write_tables(out_dir: Path, tables: dict) -> None:
     """Write each file name -> (columns, rows) of `tables` into `out_dir`,
-    all or none: each to a temporary sibling (`write_csv`), then renamed."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    all or none: each to a temporary sibling (`write_csv`), then renamed;
+    an error removes the temporaries and the directories made here."""
+    made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     temps = {out_dir / f".{name}.tmp": out_dir / name for name in tables}
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         for temp, (columns, rows) in zip(temps, tables.values()):
             write_csv(temp, columns, rows)
         for temp, path in temps.items():
             temp.replace(path)
-    finally:
+    except BaseException:
         for temp in temps:
             temp.unlink(missing_ok=True)
+        if made:  # the outermost, with every directory made under it
+            shutil.rmtree(made[-1], ignore_errors=True)
+        raise
 
 
 def trial_row(result: TrialResult, cell_json: dict) -> dict:

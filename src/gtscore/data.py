@@ -321,14 +321,14 @@ def make_chrono_split(series: PriceSeries, train_fraction: float = 0.7,
         raise InsufficientDataError(
             f"{series.asset_id}: embargo consumes the whole validation side "
             f"(val would start {val_start}, span ends {series.span_end})")
-    split = SplitSpec(series.start_date, train_end, val_start, series.span_end)
-    i0, i1 = series.index_window(split.train_start, split.train_end)
-    j0, j1 = series.index_window(split.val_start, split.val_end)
+    # bars first: a 0-day training side is short data, not a bad split
+    i0, i1 = series.index_window(series.start_date, train_end)
+    j0, j1 = series.index_window(val_start, series.span_end)
     if i1 - i0 < CHRONO_MIN_BARS or j1 - j0 < CHRONO_MIN_BARS:
         raise InsufficientDataError(
             f"{series.asset_id}: chrono split leaves {i1 - i0} train / "
             f"{j1 - j0} test bars, need >= {CHRONO_MIN_BARS} each")
-    return split
+    return SplitSpec(series.start_date, train_end, val_start, series.span_end)
 
 
 def encode_config(value):

@@ -164,6 +164,9 @@ def rolling_stats(closes: np.ndarray,
     if n < window:  # all warm-up
         return np.full(n, np.nan), np.full(n, np.nan)
     views = np.lib.stride_tricks.sliding_window_view(closes, window)
+    # np.std's own ufunc sequence, from the one mean of each window
+    mean = np.add.reduce(views, axis=1) / window
+    dev = views - mean[:, None]
+    std = np.sqrt(np.add.reduce(np.square(dev, out=dev), axis=1) / window)
     warmup = np.full(window - 1, np.nan)
-    return (np.concatenate([warmup, views.mean(axis=1)]),
-            np.concatenate([warmup, views.std(axis=1)]))
+    return np.concatenate([warmup, mean]), np.concatenate([warmup, std])

@@ -14,7 +14,9 @@ Losses are computed per candidate pool (`pool_losses`) of the backtests
 the search's gate admits: each gets one metric context, shared by every
 objective and built with those of the same observation count. Under the
 stabilized periodization one scan picks each candidate's period count
-and returns the period returns that stand in for its trade returns.
+and returns the period returns that stand in for its trade returns: a
+per-day index table gives every candidate's wealth on each day of the
+window, and each count reads its slice bounds from it for the whole pool.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import (
     BacktestResult,
@@ -199,9 +200,6 @@ def pool_losses(results: list[BacktestResult],
              for r, ctx in zip(results, contexts)] for kind in objectives]
 
 
-SCAN_BLOCK = 25  # candidates per wealth matrix of the stabilized scan
-
-
 def stabilized_period_returns(equity_dates_list: list[np.ndarray],
                               equity_points_list: list[np.ndarray],
                               window: tuple[dt.date, dt.date],
@@ -221,54 +219,45 @@ def stabilized_period_returns(equity_dates_list: list[np.ndarray],
     if not equity_dates_list:
         return []
     total_days = (window[1] - window[0]).days
-    scan = (list(range(lo, hi + 1))
-            if total_days >= lo and stab.window <= hi - lo + 1 else [])
-    ns = np.array(scan + ([] if stab.fallback in scan else [stab.fallback]))
-    # Bounds of every count scanned and of the fallback in one ragged
-    # array, block j = rint(k * days / n_j) for k = 0..n_j; wealth at each
-    # bound is read through a per-day index table.
-    firsts = np.concatenate([[0], np.cumsum(ns + 1)[:-1]])
-    k = np.arange(firsts[-1] + ns[-1] + 1) - np.repeat(firsts, ns + 1)
-    bounds = np.rint(k * total_days / np.repeat(ns, ns + 1)).astype(np.int64)
-    first_of = dict(zip(ns.tolist(), firsts.tolist()))
-    days = np.arange(total_days + 1)
-    start, need = np.datetime64(window[0], "D"), stab.window - 1
-    # Every block reuses two row-major buffers: two matrices live at most,
-    # and each row's sums take numpy's pairwise order.
-    wealth = np.empty((min(SCAN_BLOCK, len(equity_dates_list)), bounds.size))
-    buffer, out = np.empty((len(wealth), bounds.size - 1)), []
-    for b in range(0, len(equity_dates_list), SCAN_BLOCK):
-        block = list(zip(equity_dates_list[b:b + SCAN_BLOCK],
-                         equity_points_list[b:b + SCAN_BLOCK]))
-        for row, (dates, points) in zip(wealth, block):
-            offsets = (np.asarray(dates, dtype="datetime64[D]")
-                       - start).astype(np.int64)
-            levels = np.concatenate([[1.0], 1.0 + np.asarray(points, float)])
-            row[:] = levels[np.searchsorted(offsets, days, side="right")
-                            [bounds]]
-        returns = np.divide(wealth[:len(block), 1:],
-                            wealth[:len(block), :-1], out=buffer[:len(block)])
-        returns -= 1.0
-        chosen = [stab.fallback] * len(block)
-        if scan:
-            # np.var's own ufunc sequence, without its per-call overhead
-            var = np.empty((len(block), len(scan)))
-            for j, (s, n) in enumerate(zip(firsts, scan)):
-                dev = returns[:, s:s + n] - np.add.reduce(
-                    returns[:, s:s + n], axis=1, keepdims=True) / n
-                np.add.reduce(np.square(dev, out=dev), axis=1, out=var[:, j])
-            var /= scan
-            prev, cur = var[:, :-1], var[:, 1:]
+    days, start = np.arange(total_days + 1), np.datetime64(window[0], "D")
+    # at[i, d]: the index in `levels` of candidate i's wealth d days into
+    # the window; `levels` holds each candidate's [1, 1 + equity...].
+    at = np.empty((len(equity_dates_list), days.size), np.int32)
+    levels = np.ones(len(at) + sum(map(len, equity_points_list)))
+    size = 0
+    for row, dates, points in zip(at, equity_dates_list, equity_points_list):
+        offsets = (np.asarray(dates, dtype="datetime64[D]")
+                   - start).astype(np.int64)
+        row[:] = size + np.searchsorted(offsets, days, side="right")
+        size += 1 + len(points)
+        levels[size - len(points):size] = 1.0 + np.asarray(points, float)
+
+    def returns(n):
+        # np.take makes a row-major matrix, so each row sums pairwise
+        bounds = np.rint(np.arange(n + 1) * total_days / n).astype(np.int64)
+        wealth = levels[np.take(at, bounds, axis=1)]
+        return wealth[:, 1:] / wealth[:, :-1] - 1.0
+
+    out, need = [None] * len(at), stab.window - 1
+    pending = np.ones(len(at), bool)
+    run = np.zeros(len(at), int)  # trailing changes below the threshold
+    scan = range(lo, hi + 1) if total_days >= lo and need <= hi - lo else ()
+    for n in scan:
+        r = returns(n)
+        # np.var's own ufunc sequence, without its per-call overhead
+        dev = r - np.add.reduce(r, axis=1, keepdims=True) / n
+        var = np.add.reduce(np.square(dev, out=dev), axis=1) / n
+        if n > lo:
             with np.errstate(divide="ignore", invalid="ignore"):
                 change = np.where(prev == 0.0,
-                                  np.where(cur == 0.0, 0.0, np.inf),
-                                  np.abs(cur - prev) / np.abs(prev))
-            # full[:, t]: the window - 1 changes up to count
-            # lo + t + window - 1 are all below the threshold
-            full = sliding_window_view(change < stab.threshold, need,
-                                       axis=1).all(2)
-            chosen = [lo + need + t if full[i, t] else stab.fallback
-                      for i, t in enumerate(full.argmax(axis=1).tolist())]
-        out += [row[first_of[n]:first_of[n] + n].copy()
-                for row, n in zip(returns, chosen)]
-    return out
+                                  np.where(var == 0.0, 0.0, np.inf),
+                                  np.abs(var - prev) / np.abs(prev))
+            run = np.where(change < stab.threshold, run + 1, 0)
+        prev = var
+        for i in np.flatnonzero(pending & (run >= need)).tolist():
+            out[i] = r[i].copy()
+        pending &= run < need
+        if not pending.any():
+            return out
+    r = returns(stab.fallback)
+    return [r[i].copy() if o is None else o for i, o in enumerate(out)]

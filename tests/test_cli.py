@@ -643,6 +643,38 @@ def test_missing_data_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_zero_day_training_side_skips_the_asset(workspace, tmp_path,
+                                                capsys):
+    # a 3-bar asset whose training side rounds to 0 days is skipped with
+    # one warning: alone it leaves the study without a cell (exit 2),
+    # beside a valid asset the study completes without it
+    root, _ = workspace
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / "S.csv").write_text(
+        "date,open,high,low,close,volume\n2020-01-02,10,11,9,10.5,100\n"
+        "2020-01-03,10,11,9,10.4,100\n2020-01-06,10,11,9,10.6,100\n")
+    shutil.copy(root / "data" / "AA.csv", data_dir)
+    warning = ("WARNING skipping S: chrono split leaves 0 train / 3 test "
+               "bars, need >= 60 each\n")
+    cfg_path = tmp_path / "cfg.json"
+    for assets, code, err in (
+            (["S"], 2, warning + "error: no asset has a split with >= 2 bars "
+                                 "in each window: skipped S\n"),
+            (["S", "AA"], 0, warning)):
+        cfg_path.write_text(json.dumps({
+            "data_dir": str(data_dir), "assets": assets,
+            "strategies": ["macd"], "budget": 1,
+            "mc": {"seeds": [42, 43], "train_fraction": 0.1,
+                   "embargo_days": 0},
+            "out_dir": str(tmp_path / "out")}))
+        capsys.readouterr()
+        assert main(["montecarlo", "--config", str(cfg_path)]) == code
+        assert capsys.readouterr().err == err
+    assert {r["asset"] for r in read_trials_csv(
+        tmp_path / "out" / "trials.csv")} == {"AA"}
+
+
 def test_too_few_pairs_exit_code(workspace, tmp_path, capsys, monkeypatch):
     # one asset, strategy and seed: one pair per comparison, too few for
     # the paired statistics, found before any backtest runs
@@ -799,6 +831,26 @@ def test_write_failure_changes_no_file(workspace, tmp_path, capsys,
             "error: [Errno 28] No space left on device\n")
         assert calls == [study] * fail_at
         assert tree_state(study) == before
+
+
+def test_write_failure_removes_the_directories_it_made(workspace, tmp_path,
+                                                       capsys, monkeypatch):
+    # a costsweep into fresh/a/b whose file fails to write exits 1 in one
+    # line and leaves no fresh/, and the directory it sat in as it was
+    root, _ = workspace
+    (tmp_path / "keep.txt").write_text("keep")
+
+    def failing(path, *args):
+        assert path.parent.is_dir()
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_csv", failing)
+    capsys.readouterr()
+    assert main(["costsweep", "--trials", str(root / "mc" / "trials.csv"),
+                 "--out", str(tmp_path / "fresh" / "a" / "b")]) == 1
+    assert capsys.readouterr().err == (
+        "error: [Errno 28] No space left on device\n")
+    assert tree_state(tmp_path) == {tmp_path / "keep.txt": b"keep"}
 
 
 def test_synth_output_file_is_a_directory_exit_code(workspace, tmp_path,

@@ -13,6 +13,7 @@ from gtscore.indicators import (
     ema_columns,
     macd,
     macd_columns,
+    rolling_stats,
     rsi,
     rsi_columns,
 )
@@ -331,6 +332,23 @@ def test_bollinger_matches_oracle():
         want = oracle_bollinger(closes.tolist(), window, k)
         for g, w in zip(got, want):
             assert_close_with_nans(g, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(closes=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200),
+       window=st.integers(2, 60))
+def test_rolling_stats_match_numpy(closes, window):
+    # one sum per window: its mean, and the std from it, are numpy's
+    # own `mean` and `std` over each window, to the last bit
+    closes = np.array(closes)
+    got = rolling_stats(closes, window)
+    want = [np.full(len(closes), np.nan) for _ in range(2)]
+    if len(closes) >= window:
+        views = np.lib.stride_tricks.sliding_window_view(closes, window)
+        want[0][window - 1:] = views.mean(axis=1)
+        want[1][window - 1:] = views.std(axis=1)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_bollinger_constant_series():

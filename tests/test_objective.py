@@ -2,6 +2,7 @@
 
 import datetime as dt
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -18,7 +19,6 @@ from gtscore.engine import (
 from gtscore.errors import ParameterError
 from gtscore.metrics import MetricContext, r_squared_consistency, z_score
 from gtscore.objective import (
-    SCAN_BLOCK,
     ObjectiveConfig,
     ObjectiveKind,
     Periodization,
@@ -581,13 +581,13 @@ def test_stabilized_variance_is_numpys_to_the_last_bit():
     # 41 period returns depend on numpy's summation order. A threshold at
     # the oracle's relative change keeps the scan on the fallback, outside
     # n_range, and one a step above it stops the scan at 41, for every row
-    # of both blocks, only if the scan's change equals the oracle's to the
+    # of the pool, only if the scan's change equals the oracle's to the
     # bit; the returns at either count match the slice-by-slice oracle.
     rng = np.random.Generator(np.random.Philox(5))
     window = (START, START + dt.timedelta(days=365))
     dates = [np.array([START + dt.timedelta(days=int(d))
                        for d in np.sort(rng.choice(365, 150, False))],
-                      dtype="datetime64[D]") for _ in range(SCAN_BLOCK + 5)]
+                      dtype="datetime64[D]") for _ in range(30)]
     equity = [np.cumprod(1.0 + rng.normal(0.0, 0.02, 150)) - 1.0
               for _ in dates]
     for i, (d, e) in enumerate(zip(dates, equity)):
@@ -601,6 +601,50 @@ def test_stabilized_variance_is_numpys_to_the_last_bit():
             got = stabilized_period_returns(dates, equity, window, cfg)[i]
             np.testing.assert_array_equal(
                 got, oracle_period_returns(d.tolist(), e, window, want))
+
+
+def random_pool(seed, size, span, trades):
+    """`size` candidates on one window of `span` days, each with a number
+    of trades drawn from `trades` on distinct days and returns of 2% vol."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    dates, equity = [], []
+    for _ in range(size):
+        m = int(rng.integers(*trades))
+        dates.append(np.datetime64(START, "D")
+                     + np.sort(rng.choice(span + 1, m, replace=False)))
+        equity.append(np.cumprod(1.0 + rng.normal(0.0, 0.02, m)) - 1.0)
+    return dates, equity, (START, START + dt.timedelta(days=span))
+
+
+def test_stabilized_pool_rows_choose_their_own_counts():
+    # 40 candidates whose rows plateau at many different counts, and 17
+    # that never do and take the fallback, which lies outside n_range
+    dates, equity, window = random_pool(0, 40, 730, (0, 120))
+    cfg = ObjectiveConfig(stabilization=StabilizationConfig(
+        0.05, 3, (10, 40), 60))
+    got = stabilized_period_returns(dates, equity, window, cfg)
+    assert len({len(r) for r in got}) > 10
+    assert sum(len(r) == 60 for r in got) == 17
+    for returns, d, e in zip(got, dates, equity):
+        n = oracle_stabilized_count(d, e, window, cfg)
+        np.testing.assert_array_equal(
+            returns, oracle_period_returns(d.tolist(), e, window, n))
+
+
+def test_stabilized_scan_peak_memory():
+    # A family as large as the search makes them (125 candidates over a
+    # training window of about 3,000 days). The per-day index table and
+    # the scan's matrices peak at about 2.21 MB here; the earlier scan,
+    # in blocks of 25 candidates through two reused wealth buffers, peaked
+    # at 2.36 MB.
+    dates, equity, window = random_pool(3, 125, 3067, (50, 150))
+    tracemalloc.start()
+    try:
+        stabilized_period_returns(dates, equity, window, STAB)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25e6
 
 
 def no_trades():
