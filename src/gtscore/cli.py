@@ -36,7 +36,6 @@ from .engine import recompound_with_costs
 from .errors import ConfigError, DataError, GtscoreError, InternalCheckError
 from .metrics import generalization_ratio
 from .objective import ObjectiveConfig, ObjectiveKind
-from .search import TrialResult
 from .stats import compare_paired
 from .strategy import StrategyKind, params_doc, params_to_json
 
@@ -68,29 +67,25 @@ def _finite_list(text: str) -> np.ndarray:
     return np.array(list(map(_written(float), values)))
 
 
-# trials.csv, in file order: column -> (its value from a TrialResult and
-# the `cell_json` memo of `trial_row`, the parser of its text)
-TRIALS = {
-    "asset": (lambda r, _: r.spec.asset_id, str),
-    "strategy": (lambda r, _: r.spec.strategy_kind.value,
-                 lambda text: StrategyKind(text).value),
-    "objective": (lambda r, _: r.objective_kind.value,
-                  lambda text: ObjectiveKind(text).value),
-    "split_id": (lambda r, _: r.spec.split_id, _written(int)),
-    "seed": (lambda r, _: r.spec.seed, _written(int)),
-    "train_return": (lambda r, _: r.train_total_return, _written(float)),
-    "oos_return": (lambda r, _: r.oos_total_return, _written(float)),
-    "train_trades": (lambda r, _: r.train_n_trades, _written(int)),
-    "oos_trades": (lambda r, _: r.oos_n_trades, _written(int)),
-    "best_loss": (lambda r, _: r.best_loss, _written(float)),
-    "degenerate": (lambda r, _: r.degenerate, _parse_bool),
-    "params_json": (lambda r, _: params_to_json(r.best_params), str),
-    "candidates_json": (lambda r, cell_json: cell_json[r.spec], str),
-    "oos_trade_returns_json": (lambda r, _: json.dumps(
-        [repr(float(x)) for x in r.oos_trade_returns]), _finite_list),
+# trials.csv, in file order: column -> the parser of its text. A trial of
+# `search` is a dict of these columns; `trial_row` encodes its `*_json` ones.
+TRIAL_SCHEMA = {
+    "asset": str,
+    "strategy": lambda text: StrategyKind(text).value,
+    "objective": lambda text: ObjectiveKind(text).value,
+    "split_id": _written(int),
+    "seed": _written(int),
+    "train_return": _written(float),
+    "oos_return": _written(float),
+    "train_trades": _written(int),
+    "oos_trades": _written(int),
+    "best_loss": _written(float),
+    "degenerate": _parse_bool,
+    "params_json": str,
+    "candidates_json": str,
+    "oos_trade_returns_json": _finite_list,
 }
-TRIAL_SCHEMA = {column: parse for column, (_, parse) in TRIALS.items()}
-TRIAL_COLUMNS = list(TRIALS)
+TRIAL_COLUMNS = list(TRIAL_SCHEMA)
 
 
 @dataclass
@@ -219,14 +214,18 @@ def write_tables(out_dir: Path, tables: dict) -> None:
         raise
 
 
-def trial_row(result: TrialResult, cell_json: dict) -> dict:
-    """One trials.csv row. A cell's trials share one candidate pool, so
-    `cell_json` keeps each cell's `candidates_json` across calls."""
-    if result.spec not in cell_json:
-        cell_json[result.spec] = json.dumps(
-            [params_doc(p) for p in result.candidates], sort_keys=True)
-    return {column: value(result, cell_json)
-            for column, (value, _) in TRIALS.items()}
+def trial_row(trial: dict, cell_json: dict) -> dict:
+    """One trials.csv row from a trial of `search`. A cell's trials share
+    one candidate pool, so `cell_json` keeps each cell's `candidates_json`
+    across calls."""
+    cell = trial["asset"], trial["strategy"], trial["split_id"], trial["seed"]
+    if cell not in cell_json:
+        cell_json[cell] = json.dumps(
+            [params_doc(p) for p in trial["candidates_json"]], sort_keys=True)
+    return {**trial, "params_json": params_to_json(trial["params_json"]),
+            "candidates_json": cell_json[cell],
+            "oos_trade_returns_json": json.dumps(
+                [repr(float(x)) for x in trial["oos_trade_returns_json"]])}
 
 
 def read_trials_csv(path: Path) -> list[dict]:
@@ -398,20 +397,19 @@ def cost_sensitivity(rows: list[dict], levels: list[float]) -> list[dict]:
 
 # `columns` is a list, or a function of the builder's arguments where the
 # data decide them; `written_by` names the commands that write the file;
-# `report` shows it under `title` and copies it to `figure`, if given.
-Output = namedtuple("Output", "name columns build written_by title figure",
-                    defaults=[None])
+# `report` shows it under `title`.
+Output = namedtuple("Output", "name columns build written_by title")
 
 OUTPUTS = [  # in report order
     Output("aggregates.csv",
            ["objective", "val_mean", "val_std", "train_mean", "gen_ratio", "n"],
            aggregate_by_objective, ("montecarlo", "walkforward"),
-           "Aggregate performance by objective", "fig_genratio_bars.csv"),
+           "Aggregate performance by objective"),
     Output("splits_genratio.csv",
            ["split_id", "objective", "val_mean", "val_std", "train_mean",
             "gen_ratio", "n"],
            aggregate_by_split, ("walkforward",),
-           "Generalization ratio by split", "fig_genratio_by_split.csv"),
+           "Generalization ratio by split"),
     Output("periods.csv",
            ["split_id", "gt_score_mean", "baseline_avg", "delta_pp"],
            aggregate_by_period, ("walkforward",), "Validation mean by period"),
@@ -430,7 +428,7 @@ OUTPUTS = [  # in report order
     Output("cost_sensitivity.csv",
            lambda rows, levels: ["objective", *map(_bps_column, levels)],
            cost_sensitivity, ("costsweep",),
-           "Transaction-cost sensitivity", "fig_cost_curves.csv"),
+           "Transaction-cost sensitivity"),
 ]
 
 
@@ -548,16 +546,12 @@ def cmd_report(args) -> int:
     present = [out for out in OUTPUTS if (out_dir / out.name).exists()]
     if not present:
         raise DataError(f"no result CSVs found in {out_dir}")
-    figures = {out.figure: read_text(out_dir / out.name, DataError, "file")
-               for out in present if out.figure}
-    output_dir(out_dir, ["report.txt", *figures])
+    output_dir(out_dir, ["report.txt"])
     sections = []
     for out in present:
         cols, rows = _read_raw_csv(out_dir / out.name)
         sections.append(f"{out.title}\n{_format_text_table(cols, rows)}")
     report = "\n\n".join(sections) + "\n"
-    for name, text in figures.items():
-        (out_dir / name).write_text(text)
     (out_dir / "report.txt").write_text(report)
     print(report, end="")
     return 0
@@ -630,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bps", help="comma-separated per-side bps levels")
     p.set_defaults(func=cmd_costsweep)
 
-    p = sub.add_parser("report", help="text summary + plot-ready data")
+    p = sub.add_parser("report", help="text summary of a study's CSVs")
     p.add_argument("--out", required=True, help="study output directory")
     p.set_defaults(func=cmd_report)
 

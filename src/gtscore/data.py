@@ -169,30 +169,34 @@ class SyntheticSpec:
             raise ParameterError("vol_per_day must be non-negative")
 
 
-def _check_row(line_no: int, row: list[str]) -> None:
+def _row_fault(row: list[str]) -> str | None:
+    """Why one record cannot be parsed, or None if it can."""
     if len(row) != 6:
-        raise CsvParseError(line_no, f"expected 6 fields, got {len(row)}")
+        return f"expected 6 fields, got {len(row)}"
     try:
         dt.date.fromisoformat(row[0].strip())
     except ValueError:
-        raise CsvParseError(line_no, f"bad date {row[0]!r}") from None
+        return f"bad date {row[0]!r}"
     try:
         list(map(float, row[1:]))
     except ValueError:
-        raise CsvParseError(line_no, f"non-numeric field in {row!r}") from None
+        return f"non-numeric field in {row!r}"
+    return None
 
 
-def parse_ohlcv_csv(text: str, asset_id: str = "") -> PriceSeries:
+def parse_ohlcv_csv(text: str, asset_id: str) -> PriceSeries:
     """Parse a `date,open,high,low,close,volume` CSV into a PriceSeries.
 
-    Rows may arrive unsorted; output is sorted ascending by date.
+    Rows may arrive unsorted; output is sorted ascending by date. A parse
+    error names the asset and the first bad line.
     """
     rows = list(csv.reader(io.StringIO(text)))
     if not rows:
-        raise CsvParseError(1, "empty document")
+        raise CsvParseError(asset_id, 1, "empty document")
     header = [h.strip().lower() for h in rows[0]]
     if header != CSV_HEADER:
-        raise CsvParseError(1, f"bad header {rows[0]!r}, want {CSV_HEADER}")
+        raise CsvParseError(asset_id, 1,
+                            f"bad header {rows[0]!r}, want {CSV_HEADER}")
     body = [row for row in rows[1:] if row]
     try:
         if any(len(row) != 6 for row in body):
@@ -203,8 +207,8 @@ def parse_ohlcv_csv(text: str, asset_id: str = "") -> PriceSeries:
         values = np.array([list(map(float, col)) for col in value_text])
     except ValueError:  # name the first bad record, in file order
         for i, row in enumerate(rows[1:], start=2):
-            if row:
-                _check_row(i, row)
+            if row and (fault := _row_fault(row)):
+                raise CsvParseError(asset_id, i, fault) from None
         raise
     order = np.argsort(days, kind="stable")
     dates = (days[order] - _EPOCH_ORDINAL).astype("datetime64[D]")

@@ -14,10 +14,10 @@ class DataError(GtscoreError):
 
 
 class CsvParseError(DataError):
-    """Malformed CSV row or header; carries a 1-based line number."""
+    """Malformed asset CSV row or header; carries a 1-based line number."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, asset_id: str, line_no: int, message: str):
+        super().__init__(f"{asset_id}: line {line_no}: {message}")
         self.line_no = line_no
 
 

@@ -7,7 +7,10 @@ under every objective, so paired comparisons across objectives rest on
 identical candidates by construction. Only candidates the trade gate admits
 are backtested and scored; every other one's loss is the penalty, and a
 trial is degenerate when its winner is one of them. Each objective's
-winner then gets one out-of-sample pass: one trial per (cell, objective).
+winner then gets one out-of-sample pass: one trial per (cell, objective),
+a dict of the trials.csv columns in file order (`cli.TRIAL_SCHEMA`) whose
+`*_json` columns hold the winner's params, the cell's candidate pool and
+its out-of-sample trade returns, for `cli.trial_row` to encode.
 Cells run in tasks of one (asset, split) (`run_task`), which cut the
 training and validation windows once each. Each strategy family
 of a task is searched end to end by one `_search_family` call: pools,
@@ -23,6 +26,7 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -35,12 +39,7 @@ from .objective import (
     pool_losses,
     trade_gate,
 )
-from .strategy import (
-    StrategyKind,
-    StrategyParams,
-    pool_signals,
-    sample_params,
-)
+from .strategy import StrategyKind, pool_signals, sample_params
 
 logger = logging.getLogger(__name__)
 
@@ -63,21 +62,6 @@ class CellSpec:
             raise ParameterError("budget must be >= 1")
 
 
-@dataclass
-class TrialResult:
-    spec: CellSpec
-    objective_kind: ObjectiveKind
-    best_params: StrategyParams
-    best_loss: float
-    train_total_return: float
-    oos_total_return: float
-    train_n_trades: int
-    oos_n_trades: int
-    degenerate: bool
-    candidates: list[StrategyParams]
-    oos_trade_returns: np.ndarray
-
-
 def candidate_rng(seed: int, asset_id: str,
                   strategy_kind: StrategyKind) -> np.random.Generator:
     """Philox generator keyed by a stable hash of (seed, asset, strategy)."""
@@ -89,9 +73,9 @@ def candidate_rng(seed: int, asset_id: str,
 
 def _search_family(cells: list[CellSpec], train: PriceSeries,
                    val: PriceSeries, objectives: list[ObjectiveKind],
-                   cfg: ObjectiveConfig) -> list[TrialResult]:
+                   cfg: ObjectiveConfig) -> list[dict]:
     """Random search of these cells of one strategy family, end to end:
-    one result per (cell, objective), in order.
+    one trial per (cell, objective), in order.
 
     Every candidate's training positions come from one `pool_signals`
     call. The gate is decided here, once: only candidates with at least
@@ -129,30 +113,34 @@ def _search_family(cells: list[CellSpec], train: PriceSeries,
     del sigs, fits
     val_sigs = iter(pool_signals(val, [flat[best] for *_, best, degenerate
                                        in picks if not degenerate]))
-    results = []
+    trials = []
     for spec, pool, kind, loss, best, degenerate in picks:
         fit = picked[best]
         oos = None if degenerate else run_backtest(val, next(val_sigs))
-        results.append(TrialResult(
-            spec=spec,
-            objective_kind=kind,
-            best_params=flat[best],
-            best_loss=loss,
-            train_total_return=fit.total_return,
-            oos_total_return=oos.total_return if oos else 0.0,
-            train_n_trades=fit.n_trades,
-            oos_n_trades=oos.n_trades if oos else 0,
-            degenerate=degenerate,
-            candidates=pool,
-            oos_trade_returns=oos.trade_returns if oos else np.array([]),
-        ))
-    return results
+        trials.append({
+            "asset": spec.asset_id,
+            "strategy": spec.strategy_kind.value,
+            "objective": kind.value,
+            "split_id": spec.split_id,
+            "seed": spec.seed,
+            "train_return": fit.total_return,
+            "oos_return": oos.total_return if oos else 0.0,
+            "train_trades": fit.n_trades,
+            "oos_trades": oos.n_trades if oos else 0,
+            "best_loss": loss,
+            "degenerate": degenerate,
+            "params_json": flat[best],
+            "candidates_json": pool,
+            "oos_trade_returns_json": (oos.trade_returns if oos
+                                       else np.array([])),
+        })
+    return trials
 
 
 def run_task(cells: list[CellSpec], series: PriceSeries,
              objectives: list[ObjectiveKind],
-             cfg: ObjectiveConfig) -> list[TrialResult]:
-    """The cells of one (asset, split), one result per (cell, objective)
+             cfg: ObjectiveConfig) -> list[dict]:
+    """The cells of one (asset, split), one trial per (cell, objective)
     in order: the training and validation windows are cut once each
     (`study_cells` admits only splits with at least 2 bars in both), and
     each run of consecutive cells of one strategy family is searched by
@@ -165,15 +153,9 @@ def run_task(cells: list[CellSpec], series: PriceSeries,
                                         cfg)]
 
 
-def _sort_key(r: TrialResult):
-    s = r.spec
-    return (s.asset_id, s.strategy_kind.value, r.objective_kind.value,
-            s.split_id, s.seed)
-
-
 def run_trials(cells: list[CellSpec], series_by_asset: dict[str, PriceSeries],
                objectives: list[ObjectiveKind], cfg: ObjectiveConfig,
-               jobs: int = 1) -> list[TrialResult]:
+               jobs: int = 1) -> list[dict]:
     """Run every cell under every objective, one task per (asset, split)
     (see `run_task`), in a pool of at most one worker per task when
     jobs > 1; output order is canonical and independent of scheduling."""
@@ -190,9 +172,10 @@ def run_trials(cells: list[CellSpec], series_by_asset: dict[str, PriceSeries],
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_task = list(pool.map(run_task, *args))
-    results = [trial for trials in per_task for trial in trials]
-    results.sort(key=_sort_key)
-    return results
+    trials = [trial for task in per_task for trial in task]
+    trials.sort(key=itemgetter("asset", "strategy", "objective", "split_id",
+                               "seed"))
+    return trials
 
 
 def study_cells(assets: list[PriceSeries], strategies: list[StrategyKind],
@@ -233,7 +216,7 @@ def study_cells(assets: list[PriceSeries], strategies: list[StrategyKind],
 
 def run_walkforward(assets, strategies, objectives, cfg: ObjectiveConfig,
                     jobs: int = 1, budget: int = DEFAULT_BUDGET,
-                    **split_kwargs) -> list[TrialResult]:
+                    **split_kwargs) -> list[dict]:
     """Rolling splits (`make_walkforward_splits`), one fixed seed per cell."""
     cells = study_cells(
         assets, strategies,
@@ -246,7 +229,7 @@ def run_walkforward(assets, strategies, objectives, cfg: ObjectiveConfig,
 def run_montecarlo(assets, strategies, objectives, seeds,
                    cfg: ObjectiveConfig, jobs: int = 1,
                    budget: int = DEFAULT_BUDGET,
-                   **split_kwargs) -> list[TrialResult]:
+                   **split_kwargs) -> list[dict]:
     """Many seeds on one chronological split per asset (`make_chrono_split`)."""
     cells = study_cells(
         assets, strategies,

@@ -64,10 +64,6 @@ MONTECARLO_OUTPUT_SHA256 = {
         "7d92d69a9c923cec5e6ead9d8e68f50237dcb9d616e94fae2f4d7a166efd1418"),
     "cost_sensitivity.csv": (
         "3af5a9d07e2481d440d01a4e8b8e421572680ee8fc441139f658ead5f6063918"),
-    "fig_cost_curves.csv": (
-        "3af5a9d07e2481d440d01a4e8b8e421572680ee8fc441139f658ead5f6063918"),
-    "fig_genratio_bars.csv": (
-        "450e77b9bf78fd8470a2ab8100ecb89747a02e5a75e9a2ad5249c9318900e734"),
     "report.txt": (
         "b3c8fb71ea628e75ee2472aa3117d2b378df1ca6c8c44d5bb5c569556a1e7666"),
     "strategy_means.csv": (
@@ -79,10 +75,6 @@ MONTECARLO_OUTPUT_SHA256 = {
 WALKFORWARD_OUTPUT_SHA256 = {
     "aggregates.csv": (
         "fc54910fb50ede407658e557baf4d75918c75bd28ecc270ba608aa340976fb0e"),
-    "fig_genratio_bars.csv": (
-        "fc54910fb50ede407658e557baf4d75918c75bd28ecc270ba608aa340976fb0e"),
-    "fig_genratio_by_split.csv": (
-        "18299e11d73032a0a100c97bb14965b6708bf42701b33ed8aaf219b94ec64e9b"),
     "periods.csv": (
         "8214aced6d8b2a38011e4aa16d52d6c2cd9fc19a2e34dfd9f4c013f28383886b"),
     "report.txt": (
@@ -352,9 +344,6 @@ def test_costsweep_and_report(workspace, capsys):
 
     assert main(["report", "--out", str(out)]) == 0
     assert (out / "report.txt").exists()
-    assert (out / "fig_genratio_bars.csv").read_text() == (
-        out / "aggregates.csv").read_text()
-    assert (out / "fig_cost_curves.csv").exists()
 
     # a level that is not a number, not finite, negative or given twice
     for bps, message in [("0,x", "'x'"), ("nan", "nan: levels must"),
@@ -612,6 +601,18 @@ def test_missing_data_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "2020-01-03" in err
         assert err.count("\n") == 1
+    # a parse error names the asset, as validation errors do
+    for text, message in [
+            (good + "2020-01-03,11,12,10,10.8\n",
+             "X: line 3: expected 6 fields, got 5"),
+            ("\ufeff" + good,
+             "X: line 1: bad header ['\\ufeffdate', 'open', 'high', 'low', "
+             "'close', 'volume'], want ['date', 'open', 'high', 'low', "
+             "'close', 'volume']")]:
+        (data_dir / "X.csv").write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["montecarlo", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
     # a data file that is not UTF-8 text is named in one line
     (data_dir / "X.csv").write_bytes(b"\xff\xfe" + good.encode("utf-16-le"))
     capsys.readouterr()
@@ -778,11 +779,11 @@ def test_costsweep_output_file_is_a_directory_exit_code(workspace, tmp_path,
 
 def test_report_output_file_is_a_directory_exit_code(workspace, tmp_path,
                                                      capsys):
-    # no figure copy is written before the report fails
+    # report.txt is the one file `report` writes: the study is left as it was
     root, _ = workspace
     study = tmp_path / "mc"
-    shutil.copytree(root / "mc", study, ignore=shutil.ignore_patterns(
-        "report.txt", "fig_*"))
+    shutil.copytree(root / "mc", study,
+                    ignore=shutil.ignore_patterns("report.txt"))
     (study / "report.txt").mkdir()
     assert_output_file_blocked(["report", "--out", str(study)],
                                study / "report.txt", capsys)

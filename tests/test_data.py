@@ -89,29 +89,33 @@ def test_parse_bad_date():
 # --- per-row oracle for the column parser -----------------------------------
 
 
-def oracle_row(line_no, row):
+def oracle_row(asset_id, line_no, row):
     if len(row) != 6:
-        raise CsvParseError(line_no, f"expected 6 fields, got {len(row)}")
+        raise CsvParseError(asset_id, line_no,
+                            f"expected 6 fields, got {len(row)}")
     try:
         d = dt.date.fromisoformat(row[0].strip())
     except ValueError:
-        raise CsvParseError(line_no, f"bad date {row[0]!r}") from None
+        raise CsvParseError(asset_id, line_no,
+                            f"bad date {row[0]!r}") from None
     try:
         return d, [float(x) for x in row[1:]]
     except ValueError:
-        raise CsvParseError(line_no, f"non-numeric field in {row!r}") from None
+        raise CsvParseError(asset_id, line_no,
+                            f"non-numeric field in {row!r}") from None
 
 
-def oracle_parse(text, asset_id=""):
+def oracle_parse(text, asset_id):
     """Row-at-a-time parse: each record becomes a (date, values) pair."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows:
-        raise CsvParseError(1, "empty document")
+        raise CsvParseError(asset_id, 1, "empty document")
     header = [h.strip().lower() for h in rows[0]]
     if header != CSV_HEADER:
-        raise CsvParseError(1, f"bad header {rows[0]!r}, want {CSV_HEADER}")
-    parsed = [oracle_row(i, row) for i, row in enumerate(rows[1:], start=2)
-              if row]
+        raise CsvParseError(asset_id, 1,
+                            f"bad header {rows[0]!r}, want {CSV_HEADER}")
+    parsed = [oracle_row(asset_id, i, row)
+              for i, row in enumerate(rows[1:], start=2) if row]
     dates = np.array([d for d, _ in parsed], dtype="datetime64[D]")
     values = np.array([v for _, v in parsed], dtype=float).reshape(-1, 5)
     order = np.argsort(dates, kind="stable")
@@ -352,6 +356,17 @@ def test_chrono_split_fraction():
 def test_chrono_split_too_short():
     with pytest.raises(InsufficientDataError):
         make_chrono_split(make_series(range(10, 110)))
+
+
+def test_chrono_split_embargo_reaching_span_end():
+    # 100 days split at 0.7: the 30-day embargo ends on the span's end, so
+    # the validation side is empty before any bar is counted
+    s = make_series(range(10, 110))
+    with pytest.raises(InsufficientDataError) as exc:
+        make_chrono_split(s, 0.7, embargo_days=30)
+    assert str(exc.value) == (
+        "T: embargo consumes the whole validation side (val would start "
+        "2020-04-10, span ends 2020-04-10)")
 
 
 def test_split_settings_rejected():

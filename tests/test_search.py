@@ -28,6 +28,7 @@ from gtscore.objective import (
 )
 from gtscore import indicators, objective, search, strategy
 from gtscore.cli import (
+    TRIAL_COLUMNS,
     aggregate_by_objective,
     aggregate_by_period,
     aggregate_by_split,
@@ -94,6 +95,21 @@ def draw_pool(spec):
     return [sample_params(spec.strategy_kind, rng) for _ in range(spec.budget)]
 
 
+# the trials.csv columns that order trials and pair them across objectives
+KEY = ("asset", "strategy", "objective", "split_id", "seed")
+
+
+def key_of(trial):
+    """A trial's key, from its own columns."""
+    return tuple(trial[column] for column in KEY)
+
+
+def key(spec, kind):
+    """The key of the trial of cell `spec` under objective `kind`."""
+    return (spec.asset_id, spec.strategy_kind.value, kind.value,
+            spec.split_id, spec.seed)
+
+
 # --- candidate generation --------------------------------------------------
 
 
@@ -117,11 +133,11 @@ def test_candidate_rng_distinguishes_key_parts():
 def test_run_trial_deterministic():
     a = run_task([cell_for()], ASSET, OBJECTIVES, CFG)
     b = run_task([cell_for()], ASSET, OBJECTIVES, CFG)
-    assert [r.objective_kind for r in a] == OBJECTIVES
+    assert [r["objective"] for r in a] == [k.value for k in OBJECTIVES]
     for x, y in zip(a, b):
-        assert x.best_params == y.best_params
-        assert x.best_loss == y.best_loss
-        assert x.oos_total_return == y.oos_total_return
+        assert x["params_json"] == y["params_json"]
+        assert x["best_loss"] == y["best_loss"]
+        assert x["oos_return"] == y["oos_return"]
 
 
 def composed_loss(kind, bt, cfg=CFG):
@@ -144,24 +160,24 @@ def test_run_trial_replay_oracle():
     results = run_task([spec], ASSET, OBJECTIVES, CFG)
     assert len(results) == len(OBJECTIVES)
     for res, obj in zip(results, OBJECTIVES):
-        assert res.objective_kind is obj
-        assert res.candidates == pool
+        assert res["objective"] == obj.value
+        assert res["candidates_json"] == pool
         losses = [composed_loss(obj, bt) for bt in backtests]
         best = min(losses)
-        assert res.best_loss == best
-        assert res.best_params == pool[losses.index(best)]
+        assert res["best_loss"] == best
+        assert res["params_json"] == pool[losses.index(best)]
 
 
 def test_run_trial_oos_consistent_with_best_params():
     results = run_task([cell_for(budget=15)], ASSET, OBJECTIVES, CFG)
-    live = [r for r in results if not r.degenerate]
+    live = [r for r in results if not r["degenerate"]]
     if not live:
         pytest.skip("needs a non-degenerate trial")
     for res in live:
-        oos = backtest_on(res.best_params, SPLIT.val_start, SPLIT.val_end)
-        assert res.oos_total_return == oos.total_return
-        assert res.oos_n_trades == oos.n_trades
-        np.testing.assert_array_equal(res.oos_trade_returns,
+        oos = backtest_on(res["params_json"], SPLIT.val_start, SPLIT.val_end)
+        assert res["oos_return"] == oos.total_return
+        assert res["oos_trades"] == oos.n_trades
+        np.testing.assert_array_equal(res["oos_trade_returns_json"],
                                       oos.trade_returns)
 
 
@@ -210,7 +226,7 @@ def test_run_cell_backtests_each_candidate_once(monkeypatch):
     assert admitted > 0 and gated_picks > 0
     assert admitted + gated_picks < sum(c.budget for c in GATE_CELLS)
     assert train_calls == admitted + gated_picks
-    assert oos_calls == sum(not r.degenerate for r in results)
+    assert oos_calls == sum(not r["degenerate"] for r in results)
 
 
 def spy_contexts(monkeypatch):
@@ -261,16 +277,18 @@ def test_degenerate_trial_reports_first_candidate_backtest():
     cells = study_cells([ASSET], [StrategyKind.RSI], chrono, [42, 43, 44],
                         budget=8)
     degenerate = [r for r in run_task(cells, ASSET, OBJECTIVES, CFG)
-                  if r.degenerate]
+                  if r["degenerate"]]
     assert degenerate
     for res in degenerate:
-        first = draw_pool(res.spec)[0]
+        # the cells differ only in their seed
+        (spec,) = [c for c in cells if c.seed == res["seed"]]
+        first = draw_pool(spec)[0]
         train = backtest_on(first, SPLIT.train_start, SPLIT.train_end)
-        assert res.best_params == first
-        assert res.best_loss == CFG.below_min_penalty
-        assert res.train_total_return == train.total_return
-        assert res.train_n_trades == train.n_trades
-    assert any(r.train_n_trades > 0 for r in degenerate)
+        assert res["params_json"] == first
+        assert res["best_loss"] == CFG.below_min_penalty
+        assert res["train_return"] == train.total_return
+        assert res["train_trades"] == train.n_trades
+    assert any(r["train_trades"] > 0 for r in degenerate)
 
 
 def test_gated_pick_keeps_its_training_backtest(monkeypatch):
@@ -293,7 +311,7 @@ def test_gated_pick_keeps_its_training_backtest(monkeypatch):
                             lambda kind, rng: next(draws))
         spec = CellSpec("T", StrategyKind.BOLLINGER, split, seed=1,
                         budget=len(pool))
-        return {r.objective_kind: r
+        return {ObjectiveKind(r["objective"]): r
                 for r in run_task([spec], series, OBJECTIVES, cfg)}
 
     results = trials([admitted, gated])
@@ -303,15 +321,15 @@ def test_gated_pick_keeps_its_training_backtest(monkeypatch):
     assert 0 < train[gated].n_trades < cfg.n_min <= train[admitted].n_trades
     assert composed_loss(ObjectiveKind.SHARPE, train[admitted], cfg) > 300
     sharpe = results.pop(ObjectiveKind.SHARPE)
-    assert sharpe.best_params == gated and sharpe.degenerate
-    assert sharpe.best_loss == cfg.below_min_penalty
-    assert sharpe.train_n_trades == train[gated].n_trades
-    assert sharpe.train_total_return == train[gated].total_return
-    assert sharpe.oos_n_trades == 0
+    assert sharpe["params_json"] == gated and sharpe["degenerate"]
+    assert sharpe["best_loss"] == cfg.below_min_penalty
+    assert sharpe["train_trades"] == train[gated].n_trades
+    assert sharpe["train_return"] == train[gated].total_return
+    assert sharpe["oos_trades"] == 0
     for res in results.values():
-        assert res.best_params == admitted and not res.degenerate
-        assert res.train_n_trades == train[admitted].n_trades
-        assert res.train_total_return == train[admitted].total_return
+        assert res["params_json"] == admitted and not res["degenerate"]
+        assert res["train_trades"] == train[admitted].n_trades
+        assert res["train_return"] == train[admitted].total_return
 
     # Alone in its pool the admitted candidate wins under Sharpe too, at a
     # loss above the penalty. The gate did not pick it, so its trial is
@@ -319,13 +337,13 @@ def test_gated_pick_keeps_its_training_backtest(monkeypatch):
     val = series.slice(day[1], day[2])
     oos = run_backtest(val, reference_signals(admitted, val))
     alone = trials([admitted])
-    assert alone[ObjectiveKind.SHARPE].best_loss > cfg.below_min_penalty
+    assert alone[ObjectiveKind.SHARPE]["best_loss"] > cfg.below_min_penalty
     for res in alone.values():
-        assert res.best_params == admitted and not res.degenerate
-        assert res.train_n_trades == train[admitted].n_trades == 16
-        assert res.oos_total_return == oos.total_return
-        assert res.oos_n_trades == oos.n_trades > 0
-        np.testing.assert_array_equal(res.oos_trade_returns,
+        assert res["params_json"] == admitted and not res["degenerate"]
+        assert res["train_trades"] == train[admitted].n_trades == 16
+        assert res["oos_return"] == oos.total_return
+        assert res["oos_trades"] == oos.n_trades > 0
+        np.testing.assert_array_equal(res["oos_trade_returns_json"],
                                       oos.trade_returns)
 
 
@@ -336,11 +354,11 @@ def test_degenerate_trial_has_empty_oos():
     spec = CellSpec("TINY", StrategyKind.RSI, make_chrono_split(tiny),
                     seed=42, budget=5)
     for res in run_task([spec], tiny, OBJECTIVES, CFG):
-        assert res.degenerate
-        assert res.best_loss == CFG.below_min_penalty
-        assert res.oos_n_trades == 0
-        assert res.oos_total_return == 0.0
-        assert res.oos_trade_returns.size == 0
+        assert res["degenerate"]
+        assert res["best_loss"] == CFG.below_min_penalty
+        assert res["oos_trades"] == 0
+        assert res["oos_return"] == 0.0
+        assert res["oos_trade_returns_json"].size == 0
 
 
 def test_walkforward_windows_below_two_bars(caplog):
@@ -367,22 +385,33 @@ def test_walkforward_windows_below_two_bars(caplog):
         "skipping G split 1: 366 training and 1 validation bars, "
         "need >= 2 each"]
     assert len(results) == len(OBJECTIVES)
-    assert {r.spec.split_id for r in results} == {2}
+    assert {r["split_id"] for r in results} == {2}
+    tail = gappy.slice(dt.date(2014, 1, 1), dt.date(2016, 1, 1))
     alone = search.run_walkforward(
-        [gappy.slice(dt.date(2014, 1, 1), dt.date(2016, 1, 1))],
-        [StrategyKind.BOLLINGER], OBJECTIVES, FEW_TRADES, budget=6,
+        [tail], [StrategyKind.BOLLINGER], OBJECTIVES, FEW_TRADES, budget=6,
         **settings)
-    assert [r.spec.split for r in alone] == [r.spec.split for r in results]
+    assert {r["split_id"] for r in alone} == {0}
+
+    def cell_splits(series):
+        return [c.split for c in study_cells(
+            [series], [StrategyKind.BOLLINGER],
+            lambda s: make_walkforward_splits(s, **settings),
+            [search.WALKFORWARD_SEED])]
+
+    # the tail's one split is the full split of the gappy series
+    assert cell_splits(tail) == cell_splits(gappy)
+    assert len(cell_splits(tail)) == 1
     assert (list(_outcomes(results).values())
             == list(_outcomes(alone).values()))
-    assert not all(r.degenerate for r in results)
+    assert not all(r["degenerate"] for r in results)
 
 
 def _outcomes(results):
-    return {(r.spec, r.objective_kind): (
-        r.best_params, r.best_loss, r.train_total_return, r.oos_total_return,
-        r.train_n_trades, r.oos_n_trades, r.degenerate, r.candidates,
-        r.oos_trade_returns.tolist()) for r in results}
+    """Each trial's other columns by its key; the trade returns as a list,
+    so that outcomes compare with ==."""
+    return {key_of(r): [r[c].tolist() if c == "oos_trade_returns_json"
+                        else r[c] for c in r if c not in KEY]
+            for r in results}
 
 
 def test_run_trials_parallel_matches_serial():
@@ -396,8 +425,7 @@ def test_run_trials_parallel_matches_serial():
     serial = run_trials(cells, assets, OBJECTIVES, CFG, jobs=1)
     parallel = run_trials(cells, assets, OBJECTIVES, CFG, jobs=2)
     assert len(serial) == len(parallel) == len(cells) * len(OBJECTIVES)
-    assert [(r.spec, r.objective_kind) for r in serial] == \
-        [(r.spec, r.objective_kind) for r in parallel]
+    assert list(map(key_of, serial)) == list(map(key_of, parallel))
     assert _outcomes(serial) == _outcomes(parallel) == _outcomes(alone)
 
 
@@ -452,7 +480,7 @@ def test_run_task_computes_each_indicator_once(monkeypatch):
     train_bars = len(ASSET.slice(SPLIT.train_start, SPLIT.train_end))
     val_bars = len(ASSET.slice(SPLIT.val_start, SPLIT.val_end))
     assert train_bars != val_bars
-    winners = [r.best_params for r in results if not r.degenerate]
+    winners = [r["params_json"] for r in results if not r["degenerate"]]
     assert {p.kind for p in winners} == set(StrategyKind)
     pool = [p for c in cells for p in draw_pool(c)]
     assert +computed == want(train_bars, pool) + want(val_bars, winners)
@@ -477,18 +505,19 @@ def test_run_task_matches_uncached_oracle():
             res = next(results)
             losses = [composed_loss(obj, bt, FEW_TRADES) for bt in train]
             best = losses.index(min(losses))
-            assert (res.spec, res.objective_kind) == (spec, obj)
-            assert (res.best_loss, res.best_params) == (losses[best],
-                                                        pool[best])
-            assert res.train_total_return == train[best].total_return
-            assert res.train_n_trades == train[best].n_trades
-            if res.degenerate:
-                assert res.oos_n_trades == 0
+            assert key_of(res) == key(spec, obj)
+            assert (res["best_loss"], res["params_json"]) == (losses[best],
+                                                              pool[best])
+            assert res["train_return"] == train[best].total_return
+            assert res["train_trades"] == train[best].n_trades
+            if res["degenerate"]:
+                assert res["oos_trades"] == 0
                 continue
             oos = backtest_on(pool[best], SPLIT.val_start, SPLIT.val_end)
-            assert res.oos_total_return == oos.total_return
-            assert res.oos_n_trades == oos.n_trades
-            assert np.array_equal(res.oos_trade_returns, oos.trade_returns)
+            assert res["oos_return"] == oos.total_return
+            assert res["oos_trades"] == oos.n_trades
+            assert np.array_equal(res["oos_trade_returns_json"],
+                                  oos.trade_returns)
     assert next(results, None) is None
 
 
@@ -547,20 +576,20 @@ def test_run_task_stabilized_matches_uncached_oracle():
         for obj in OBJECTIVES:
             res = next(results)
             best = losses[obj].index(min(losses[obj]))
-            assert (res.spec, res.objective_kind) == (spec, obj)
-            assert (res.best_loss, res.best_params) == (losses[obj][best],
-                                                        pool[best])
-            assert res.train_total_return == backtests[best].total_return
-            assert res.train_n_trades == backtests[best].n_trades
-            if res.degenerate:
-                assert res.oos_n_trades == 0
+            assert key_of(res) == key(spec, obj)
+            assert (res["best_loss"], res["params_json"]) == (
+                losses[obj][best], pool[best])
+            assert res["train_return"] == backtests[best].total_return
+            assert res["train_trades"] == backtests[best].n_trades
+            if res["degenerate"]:
+                assert res["oos_trades"] == 0
                 continue
             rets, _, total, _, _ = oracle_backtest(
                 val, reference_signals(pool[best], val), val.start_date,
                 val.span_end)
-            assert res.oos_total_return == total
-            assert res.oos_n_trades == rets.size
-            assert np.array_equal(res.oos_trade_returns, rets)
+            assert res["oos_return"] == total
+            assert res["oos_trades"] == rets.size
+            assert np.array_equal(res["oos_trade_returns_json"], rets)
     assert next(results, None) is None
     assert 90 in counts and len(counts) > 2
 
@@ -621,7 +650,8 @@ def test_run_trials_caps_workers_at_tasks(monkeypatch):
                         [1, 2], budget=1)
 
     def summary(results):
-        return [(r.spec, r.best_params, r.oos_total_return) for r in results]
+        return [(key_of(r), r["params_json"], r["oos_return"])
+                for r in results]
 
     serial = run_trials(three, assets, objectives, CFG, jobs=1)
     run_trials(one, assets, objectives, CFG, jobs=64)
@@ -642,11 +672,26 @@ def test_run_trials_canonical_order():
              for seed in (43, 42)]
     results = run_trials(list(reversed(cells)), assets,
                          list(reversed(OBJECTIVES)), CFG)
-    keys = [(r.spec.asset_id, r.spec.strategy_kind.value,
-             r.objective_kind.value, r.spec.split_id, r.spec.seed)
-            for r in results]
-    assert len(keys) == len(cells) * len(OBJECTIVES)
+    keys = list(map(key_of, results))
+    assert len(set(keys)) == len(cells) * len(OBJECTIVES)
     assert keys == sorted(keys)
+
+
+def test_trials_hold_the_trials_csv_columns():
+    # A trial is a dict of the trials.csv columns in file order, under both
+    # protocols, its `*_json` columns holding the values `trial_row` encodes.
+    studies = [
+        search.run_montecarlo([ASSET], list(StrategyKind), OBJECTIVES,
+                              [42, 43], CFG, budget=2),
+        search.run_walkforward([ASSET], list(StrategyKind), OBJECTIVES,
+                               FEW_TRADES, budget=2)]
+    for trials in studies:
+        assert trials
+        for trial in trials:
+            assert list(trial) == TRIAL_COLUMNS
+            assert trial["params_json"] in trial["candidates_json"]
+            assert isinstance(trial["oos_trade_returns_json"], np.ndarray)
+    assert len({t["split_id"] for t in studies[1]}) > 1
 
 
 # --- protocol builders -----------------------------------------------------
