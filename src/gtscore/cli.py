@@ -18,6 +18,7 @@ import math
 import shutil
 import sys
 from collections import namedtuple
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,12 +26,13 @@ import numpy as np
 
 from . import search
 from .data import (
+    CSV_HEADER,
     decode_config,
     encode_config,
     generate_synthetic_series,
     load_synthetic_manifest,
+    ohlcv_rows,
     parse_ohlcv_csv,
-    to_ohlcv_csv,
 )
 from .engine import recompound_with_costs
 from .errors import ConfigError, DataError, GtscoreError, InternalCheckError
@@ -181,23 +183,31 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _write_rows(stream, columns: list[str], rows: Iterable[dict]) -> None:
+    """The header `columns`, then each row's cells in that order, as CSV
+    lines on the text stream `stream`."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(row[c]) for c in columns] for row in rows)
+
+
 def csv_text(columns: list[str], rows: list[dict]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row[c]) for c in columns])
+    _write_rows(buf, columns, rows)
     return buf.getvalue()
 
 
-def write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
-    path.write_text(csv_text(columns, rows))
+def write_csv(path: Path, columns: list[str], rows: Iterable[dict]) -> None:
+    with path.open("w") as stream:
+        _write_rows(stream, columns, rows)
 
 
 def write_tables(out_dir: Path, tables: dict) -> None:
     """Write each file name -> (columns, rows) of `tables` into `out_dir`,
-    all or none: each to a temporary sibling (`write_csv`), then renamed;
-    an error removes the temporaries and the directories made here."""
+    all or none: each table's rows are streamed into a temporary sibling
+    (`write_csv`) a line at a time, never held as one text; then each is
+    renamed into place. An error removes the temporaries and the
+    directories made here."""
     made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     temps = {out_dir / f".{name}.tmp": out_dir / name for name in tables}
     try:
@@ -228,14 +238,26 @@ def trial_row(trial: dict, cell_json: dict) -> dict:
                 [repr(float(x)) for x in trial["oos_trade_returns_json"]])}
 
 
+def _records(reader, path: Path):
+    """The records of `reader`, a `csv` reader or DictReader of `path`; a
+    csv.Error, such as a field over `csv.field_size_limit()`, as a
+    DataError naming the file and line."""
+    try:
+        yield from reader
+    except csv.Error as exc:  # a DictReader's line_num lags its reader's
+        line = getattr(reader, "reader", reader).line_num
+        raise DataError(f"{path} line {line}: {exc}") from None
+
+
 def read_trials_csv(path: Path) -> list[dict]:
     """The rows of a trials file exactly as `trial_row` writes them."""
     reader = csv.reader(io.StringIO(read_text(path, DataError, "trials file")))
-    if (header := next(reader, [])) != TRIAL_COLUMNS:
+    records = _records(reader, path)
+    if (header := next(records, [])) != TRIAL_COLUMNS:
         raise DataError(f"{path} line 1: header {','.join(header)} is not "
                         f"{','.join(TRIAL_COLUMNS)}")
     rows = []
-    for cells in reader:
+    for cells in records:
         if len(cells) > len(TRIAL_COLUMNS):
             raise DataError(f"{path} line {reader.line_num}: more cells "
                             f"than the header's {len(TRIAL_COLUMNS)}")
@@ -368,12 +390,14 @@ def paired_comparisons(rows: list[dict]) -> list[dict]:
 
 
 def parse_bps_levels(texts) -> list[float]:
-    """Per-side cost levels in bps: finite, non-negative and distinct."""
+    """Per-side cost levels in bps: non-negative, distinct and below
+    5,000, where the round trip's haircut, 2 * bps * 1e-4, reaches 100%
+    and a trade's wealth factor could turn non-positive."""
     levels = []
     for bps in map(float, texts):
-        if not (math.isfinite(bps) and bps >= 0) or bps in levels:
-            raise ValueError(
-                f"{bps!r}: levels must be finite, non-negative and distinct")
+        if not 0 <= bps < 5000 or bps in levels:
+            raise ValueError(f"{bps!r}: levels must be finite, "
+                             "non-negative, below 5000 and distinct")
         levels.append(bps)
     return levels
 
@@ -470,11 +494,12 @@ def cmd_synth(args) -> int:
     manifest = load_synthetic_manifest(
         read_text(args.spec, ConfigError, "manifest"))
     out_dir = output_dir(args.out, [f"{a}.csv" for a, _ in manifest])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for asset_id, spec in manifest:
-        series = generate_synthetic_series(spec, asset_id)
-        (out_dir / f"{asset_id}.csv").write_text(to_ohlcv_csv(series))
-        print(f"wrote {out_dir / (asset_id + '.csv')} ({len(series)} bars)")
+    series = {f"{a}.csv": generate_synthetic_series(spec, a)
+              for a, spec in manifest}
+    write_tables(out_dir, {name: (CSV_HEADER, ohlcv_rows(s))
+                           for name, s in series.items()})
+    for name, s in series.items():
+        print(f"wrote {out_dir / name} ({len(s)} bars)")
     return 0
 
 
@@ -519,7 +544,8 @@ def cmd_costsweep(args) -> int:
 
 def _read_raw_csv(path: Path) -> tuple[list[str], list[dict]]:
     reader = csv.DictReader(io.StringIO(read_text(path, DataError, "file")))
-    return list(reader.fieldnames or []), list(reader)
+    rows = list(_records(reader, path))  # reads the header first
+    return list(reader.fieldnames or []), rows
 
 
 def _format_text_table(cols: list[str], rows: list[dict],

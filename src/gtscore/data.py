@@ -1,8 +1,11 @@
 """OHLCV data ingestion, synthetic series generation, and train/test splits.
 
 A price series is held as columns: one `datetime64[D]` date array and five
-float arrays. Rows exist only in CSV text, which is parsed straight into
-columns and written straight from them.
+float arrays. Rows exist only in CSV text. It is read in one pass: each
+record `csv.reader` yields is converted at once, its day ordinal appended
+to an `array('q')` and its five values to an `array('d')`, so no record
+outlives its own conversion, and the first bad record raises. It is
+written one bar at a time (`ohlcv_rows`), for a writer to stream.
 
 All randomness in this module goes through numpy's Philox (4x64)
 counter-based bit generator so a given seed reproduces the same series
@@ -15,6 +18,7 @@ import csv
 import datetime as dt
 import io
 import json
+from array import array
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from typing import get_args, get_origin, get_type_hints
@@ -169,50 +173,43 @@ class SyntheticSpec:
             raise ParameterError("vol_per_day must be non-negative")
 
 
-def _row_fault(row: list[str]) -> str | None:
-    """Why one record cannot be parsed, or None if it can."""
-    if len(row) != 6:
-        return f"expected 6 fields, got {len(row)}"
-    try:
-        dt.date.fromisoformat(row[0].strip())
-    except ValueError:
-        return f"bad date {row[0]!r}"
-    try:
-        list(map(float, row[1:]))
-    except ValueError:
-        return f"non-numeric field in {row!r}"
-    return None
-
-
 def parse_ohlcv_csv(text: str, asset_id: str) -> PriceSeries:
     """Parse a `date,open,high,low,close,volume` CSV into a PriceSeries.
 
     Rows may arrive unsorted; output is sorted ascending by date. A parse
     error names the asset and the first bad line.
     """
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        raise CsvParseError(asset_id, 1, "empty document")
-    header = [h.strip().lower() for h in rows[0]]
-    if header != CSV_HEADER:
-        raise CsvParseError(asset_id, 1,
-                            f"bad header {rows[0]!r}, want {CSV_HEADER}")
-    body = [row for row in rows[1:] if row]
+    reader = csv.reader(io.StringIO(text))
+    days, values = array("q"), array("d")  # day ordinals; 5 values a record
     try:
-        if any(len(row) != 6 for row in body):
-            raise ValueError("ragged rows")
-        date_text, *value_text = zip(*body) if body else [()] * 6
-        days = np.fromiter((dt.date.fromisoformat(s.strip()).toordinal()
-                            for s in date_text), np.int64, len(body))
-        values = np.array([list(map(float, col)) for col in value_text])
-    except ValueError:  # name the first bad record, in file order
-        for i, row in enumerate(rows[1:], start=2):
-            if row and (fault := _row_fault(row)):
-                raise CsvParseError(asset_id, i, fault) from None
-        raise
+        if (header := next(reader, None)) is None:
+            raise CsvParseError(asset_id, 1, "empty document")
+        if [h.strip().lower() for h in header] != CSV_HEADER:
+            raise CsvParseError(asset_id, 1,
+                                f"bad header {header!r}, want {CSV_HEADER}")
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 6:
+                raise CsvParseError(asset_id, line,
+                                    f"expected 6 fields, got {len(row)}")
+            try:
+                days.append(dt.date.fromisoformat(row[0].strip()).toordinal())
+            except ValueError:
+                raise CsvParseError(asset_id, line,
+                                    f"bad date {row[0]!r}") from None
+            try:
+                values.extend(map(float, row[1:]))
+            except ValueError:
+                raise CsvParseError(asset_id, line,
+                                    f"non-numeric field in {row!r}") from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise CsvParseError(asset_id, reader.line_num, str(exc)) from None
+    days = np.frombuffer(days, np.int64)
     order = np.argsort(days, kind="stable")
     dates = (days[order] - _EPOCH_ORDINAL).astype("datetime64[D]")
-    return PriceSeries(asset_id, dates, *values[:, order])
+    return PriceSeries(asset_id, dates,
+                       *np.frombuffer(values).reshape(-1, 5)[order].T)
 
 
 def _fmt(x: float) -> str:
@@ -220,14 +217,13 @@ def _fmt(x: float) -> str:
     return str(int(x)) if x.is_integer() else repr(x)
 
 
-def to_ohlcv_csv(series: PriceSeries) -> str:
-    """Serialize a PriceSeries; parse(to_csv(s)) == s."""
-    out = [",".join(CSV_HEADER)]
+def ohlcv_rows(series: PriceSeries):
+    """Each bar's CSV cells by `CSV_HEADER` column, one bar at a time, as
+    text that parses back to the same values."""
     for d, *values in zip(series.dates.tolist(), series.opens.tolist(),
                           series.highs.tolist(), series.lows.tolist(),
                           series.closes.tolist(), series.volumes.tolist()):
-        out.append(",".join([d.isoformat(), *map(_fmt, values)]))
-    return "\n".join(out) + "\n"
+        yield dict(zip(CSV_HEADER, [d.isoformat(), *map(_fmt, values)]))
 
 
 def generate_synthetic_series(spec: SyntheticSpec,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
 from itertools import groupby, repeat
 from operator import itemgetter
@@ -170,7 +170,7 @@ def run_trials(cells: list[CellSpec], series_by_asset: dict[str, PriceSeries],
     if workers <= 1:
         per_task = list(map(run_task, *args))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_task = list(pool.map(run_task, *args))
     trials = [trial for task in per_task for trial in task]
     trials.sort(key=itemgetter("asset", "strategy", "objective", "split_id",

@@ -28,10 +28,11 @@ from gtscore.cli import (
     read_trials_csv,
 )
 from gtscore.data import (
+    CSV_HEADER,
     PriceSeries,
     decode_config,
     encode_config,
-    to_ohlcv_csv,
+    ohlcv_rows,
 )
 from gtscore.errors import ConfigError
 from gtscore.objective import (
@@ -211,6 +212,19 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert run.stdout == "[]\n"
 
 
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a study with --jobs above 1 starts a process pool: the pool's
+    # module, and multiprocessing with it, load there and not before
+    src = Path(gtscore.__file__).resolve().parents[1]
+    code = ("import sys, gtscore.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing' "
+            "or m == 'concurrent.futures.process'))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
 def test_config_init_round_trips(tmp_path, capsys):
     out = tmp_path / "cfg.json"
     assert main(["config", "init", "--out", str(out)]) == 0
@@ -349,7 +363,11 @@ def test_costsweep_and_report(workspace, capsys):
     for bps, message in [("0,x", "'x'"), ("nan", "nan: levels must"),
                          ("0,inf", "inf: levels"), ("1e400", "inf: levels"),
                          ("2,2", "2.0: levels"), ("2,5,2.0", "2.0: levels"),
-                         ("0,-1", "-1.0: levels"), ("0,-0", "-0.0: levels")]:
+                         ("0,-1", "-1.0: levels"), ("0,-0", "-0.0: levels"),
+                         # a 100% round-trip haircut, or more
+                         ("5000", "5000.0: levels"),
+                         ("20000", "20000.0: levels"),
+                         ("1e308,2", "1e+308: levels")]:
         capsys.readouterr()
         assert main(["costsweep", "--trials", str(out / "trials.csv"),
                      "--out", str(out / "bad"), "--bps", bps]) == 1
@@ -400,6 +418,7 @@ def test_verify_passes_then_catches_tampering(workspace, tmp_path, capsys):
     cost = broken / "cost_sensitivity.csv"
     for header in ["objective,bps_x", "objective,bps_0,bps_nan",
                    "objective,bps_-1", "objective,bps_2,bps_2.0",
+                   "objective,bps_0,bps_5000", "objective,bps_1e308",
                    "objective,level_5"]:
         cost.write_text(header + "\n")
         capsys.readouterr()
@@ -538,8 +557,8 @@ def test_walkforward_skips_splits_below_two_bars(tmp_path, capsys):
                            ("H", lone | np.isin(year, [2011, 2012]))):
         cols = [getattr(full, name)[keep] for name in (
             "dates", "opens", "highs", "lows", "closes", "volumes")]
-        (data_dir / f"{asset_id}.csv").write_text(
-            to_ohlcv_csv(PriceSeries(asset_id, *cols)))
+        (data_dir / f"{asset_id}.csv").write_text(cli.csv_text(
+            CSV_HEADER, ohlcv_rows(PriceSeries(asset_id, *cols))))
     cfg = RunConfig(data_dir=str(data_dir), assets=["N", "G"],
                     strategies=[StrategyKind.BOLLINGER], budget=2,
                     wf=WalkforwardConfig(train_years=1, val_years=1,
@@ -852,6 +871,102 @@ def test_write_failure_removes_the_directories_it_made(workspace, tmp_path,
     assert capsys.readouterr().err == (
         "error: [Errno 28] No space left on device\n")
     assert tree_state(tmp_path) == {tmp_path / "keep.txt": b"keep"}
+
+
+def test_write_failure_after_part_of_a_file_changes_no_file(
+        workspace, tmp_path, capsys, monkeypatch):
+    # rows are streamed into the temporary file: a study that fails once
+    # part of its trials.csv is on disk exits 1 in one line, removes the
+    # temporary file and leaves the study it would replace as it was
+    root, cfg_path = workspace
+    study = tmp_path / "mc"
+    shutil.copytree(root / "mc", study)
+    before = tree_state(study)
+    temp, real, streamed = study / ".trials.csv.tmp", cli._cell, []
+
+    def cell(value):
+        if temp.exists() and temp.stat().st_size:
+            streamed.append(temp.stat().st_size)
+            raise OSError(28, "No space left on device")
+        return real(value)
+
+    monkeypatch.setattr(cli, "_cell", cell)
+    capsys.readouterr()
+    assert main(["montecarlo", "--config", str(cfg_path), "--seed-range",
+                 "7..8", "--out", str(study)]) == 1
+    assert capsys.readouterr().err == (
+        "error: [Errno 28] No space left on device\n")
+    assert 0 < streamed[0] < (study / "trials.csv").stat().st_size
+    assert tree_state(study) == before
+
+
+def test_synth_failure_on_the_second_asset_writes_nothing(
+        workspace, tmp_path, capsys, monkeypatch):
+    # synth writes all or nothing: into a directory that exists, and into
+    # one it makes, which it removes again with the parents it made
+    root, _ = workspace
+    kept, fresh = tmp_path / "kept", tmp_path / "fresh" / "a" / "data"
+    kept.mkdir()
+    real, calls = cli.write_csv, []
+
+    def failing(path, *args):
+        calls.append(path)
+        if len(calls) % 2 == 0:
+            raise OSError(28, "No space left on device")
+        real(path, *args)
+
+    monkeypatch.setattr(cli, "write_csv", failing)
+    for out in (kept, fresh):
+        capsys.readouterr()
+        assert main(["synth", "--spec", str(root / "manifest.json"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: [Errno 28] No space left on device\n")
+        assert calls[-2:] == [out / ".AA.csv.tmp", out / ".BB.csv.tmp"]
+        assert tree_state(tmp_path) == {kept: None}
+
+
+def test_oversized_csv_field_exit_code(workspace, tmp_path, capsys):
+    # a cell longer than csv.field_size_limit() (131,072 characters) ends
+    # each reader in one error line naming the file and line, exit 2: an
+    # asset CSV (montecarlo), trials.csv (verify, costsweep) and a derived
+    # CSV (report, and verify reading cost levels)
+    root, _ = workspace
+    big = "1" * 200_000
+    shutil.copytree(root / "data", tmp_path / "data")
+    study = tmp_path / "mc"
+    shutil.copytree(root / "mc", study)
+    assert main(["costsweep", "--trials", str(study / "trials.csv"),
+                 "--out", str(study)]) == 0
+
+    def oversize(path, line):
+        lines = path.read_text().splitlines(keepends=True)
+        lines[line - 1] = lines[line - 1].replace(",", f",{big}", 1)
+        path.write_text("".join(lines))
+
+    asset, trials = tmp_path / "data" / "BB.csv", study / "trials.csv"
+    cost = study / "cost_sensitivity.csv"
+    cfg = RunConfig(data_dir=str(tmp_path / "data"),
+                    mc=MonteCarloConfig(seeds=[42]), budget=2)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(encode_config(cfg)))
+    limit = "field larger than field limit (131072)"
+    cases = [(asset, 3, ["montecarlo", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "new")], "BB: line 3"),
+             (trials, 4, ["verify", "--out", str(study)], f"{trials} line 4"),
+             (trials, 4, ["costsweep", "--trials", str(trials), "--out",
+                          str(tmp_path / "new")], f"{trials} line 4"),
+             (cost, 2, ["report", "--out", str(study)], f"{cost} line 2"),
+             (cost, 1, ["verify", "--out", str(study)], f"{cost} line 1")]
+    for path, line, argv, where in cases:
+        text = path.read_text()
+        oversize(path, line)
+        before = tree_state(tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {where}: {limit}\n"
+        assert tree_state(tmp_path) == before
+        path.write_text(text)
 
 
 def test_synth_output_file_is_a_directory_exit_code(workspace, tmp_path,

@@ -640,7 +640,7 @@ def test_run_trials_caps_workers_at_tasks(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(search.futures, "ProcessPoolExecutor", SerialPool)
     assets = {aid: make_asset(seed=i, n_days=600, asset_id=aid)
               for i, aid in enumerate("ABC")}
     objectives = [ObjectiveKind.SIMPLE]

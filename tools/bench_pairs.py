@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent <tree> --change <tree> \
         --pairs 10 --out BENCH_<n>.json --change-text "..." --target "..." \
-        [--claim mc_stab_gt/study_s]
+        [--claim mc_stab_gt/study_s] [--claim-seed 2]
     python3 tools/bench_pairs.py --merge <set>.json ... --out BENCH_<n>.json
 
 Run from the repository root, which supplies the bounds in
@@ -30,8 +30,10 @@ the bound, unless every change run beats every parent run; else "no
 worse". The claim section checks the claimed metric, `--claim
 workload/metric` (default mc_study/study_s), on every seed: the change
 wins at least 9 in 10 pairs and the median gap exceeds the parent's
-interquartile range. With an empty `--target` the change claims no gain,
-and the claim is null.
+interquartile range. `--claim-seed` (repeatable) adds a row of the
+claimed workload at that seed, so the claim is also checked on a seed not
+used while the change was written. With an empty `--target` the change
+claims no gain, and the claim is null.
 
 The record also holds "src_lines": per side, the number of lines in the
 tree's `src/gtscore/*.py`, the size to report next to the timings, and
@@ -147,8 +149,11 @@ def claim(rows: dict, target: str, workload: str,
     if not target:
         return None
     out = {"metric": metric, "workload": workload, "target": target}
-    for seed in SEEDS:
-        m = rows[f"{workload}/seed{seed}"]["metrics"][metric]
+    for key, row in rows.items():
+        name, _, seed = key.partition("/seed")
+        if name != workload:
+            continue
+        m = row["metrics"][metric]
         gap = m["parent"]["median"] - m["change"]["median"]
         pairs = len(m["parent"]["runs"])
         out[f"seed{seed}"] = {
@@ -175,25 +180,23 @@ def measure(args, bounds: dict) -> tuple[dict, dict]:
     for tree in trees.values():
         refuse_bytecode(tree)
     claimed, metric = args.claim
-    rows = {f"{w}/seed{s}": empty_row(bounds) for w in WORKLOADS
-            for s in SEEDS}
+    keys = [(w, s) for w in WORKLOADS
+            for s in (*SEEDS, *(args.claim_seed if w == claimed else ()))]
+    rows = {f"{w}/seed{s}": empty_row(bounds) for w, s in keys}
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        for workload in WORKLOADS:
-            for seed in SEEDS:
-                row = rows[f"{workload}/seed{seed}"]
-                for side in order:
-                    result = run_once(trees[side], workload, seed,
-                                      args.seconds)
-                    for name in bounds:
-                        row["runs"][side][name].append(
-                            result["metrics"][name]["value"])
-                    row["correct"][side] &= result["correct"]
-                    row["failed"][side] += result["failed"]
-                    print(f"pair {i} {workload} seed {seed} {side}: "
-                          f"{metric} "
-                          f"{result['metrics'][metric]['value']:.3f}",
-                          file=sys.stderr)
+        for workload, seed in keys:
+            row = rows[f"{workload}/seed{seed}"]
+            for side in order:
+                result = run_once(trees[side], workload, seed, args.seconds)
+                for name in bounds:
+                    row["runs"][side][name].append(
+                        result["metrics"][name]["value"])
+                row["correct"][side] &= result["correct"]
+                row["failed"][side] += result["failed"]
+                print(f"pair {i} {workload} seed {seed} {side}: {metric} "
+                      f"{result['metrics'][metric]['value']:.3f}",
+                      file=sys.stderr)
     modules = {side: src_modules(tree) for side, tree in trees.items()}
     record = {
         "change": args.change_text,
@@ -201,7 +204,7 @@ def measure(args, bounds: dict) -> tuple[dict, dict]:
                     f"--seconds {args.seconds:g} --trace 0"),
         "method": ("alternating pairs: pair i runs parent first when i is "
                    "even, change first when odd; each side runs from its "
-                   "own copy of the tree; the pairs of the four "
+                   f"own copy of the tree; the pairs of the {len(rows)} "
                    "workload/seed rows are interleaved"),
         "host": {"cpus": len(os.sched_getaffinity(0)),
                  "machine": platform.machine(),
@@ -276,6 +279,8 @@ def parse_args(argv=None):
     p.add_argument("--claim", default=DEFAULT_CLAIM, type=claim_spec,
                    help="the claimed workload/metric (default "
                         f"{DEFAULT_CLAIM})")
+    p.add_argument("--claim-seed", type=int, action="append", default=[],
+                   help="also run the claimed workload at this seed")
     p.add_argument("--trace", action="store_true",
                    help="also run one traced seed-0 pass of the claimed "
                         "workload per side")
