@@ -160,18 +160,6 @@ def output_dir(path, names) -> Path:
     return path
 
 
-def parse_seed_range(text: str) -> list[int]:
-    """Parse 'a..b' (inclusive) into a seed list."""
-    try:
-        a, b = text.split("..")
-        lo, hi = int(a), int(b)
-    except ValueError:
-        raise ConfigError(f"bad seed range {text!r}, expected a..b") from None
-    if hi < lo:
-        raise ConfigError(f"empty seed range {text!r}")
-    return list(range(lo, hi + 1))
-
-
 # --- CSV plumbing ----------------------------------------------------------
 
 
@@ -239,14 +227,13 @@ def trial_row(trial: dict, cell_json: dict) -> dict:
 
 
 def _records(reader, path: Path):
-    """The records of `reader`, a `csv` reader or DictReader of `path`; a
-    csv.Error, such as a field over `csv.field_size_limit()`, as a
-    DataError naming the file and line."""
+    """The records of `reader`, a `csv` reader of `path`; a csv.Error, such
+    as a field over `csv.field_size_limit()`, as a DataError naming the
+    file and line."""
     try:
         yield from reader
-    except csv.Error as exc:  # a DictReader's line_num lags its reader's
-        line = getattr(reader, "reader", reader).line_num
-        raise DataError(f"{path} line {line}: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path} line {reader.line_num}: {exc}") from None
 
 
 def read_trials_csv(path: Path) -> list[dict]:
@@ -392,7 +379,7 @@ def paired_comparisons(rows: list[dict]) -> list[dict]:
 def parse_bps_levels(texts) -> list[float]:
     """Per-side cost levels in bps: non-negative, distinct and below
     5,000, where the round trip's haircut, 2 * bps * 1e-4, reaches 100%
-    and a trade's wealth factor could turn non-positive."""
+    and would wipe out every trade."""
     levels = []
     for bps in map(float, texts):
         if not 0 <= bps < 5000 or bps in levels:
@@ -477,16 +464,7 @@ def _load_assets(cfg: RunConfig) -> list:
 
 
 def cmd_config_init(args) -> int:
-    doc = json.dumps(encode_config(RunConfig()), indent=2) + "\n"
-    if args.out:
-        try:
-            Path(args.out).write_text(doc)
-        except OSError as exc:
-            raise ConfigError(f"cannot write config {args.out}: "
-                              f"{exc.strerror or exc}") from None
-        print(f"wrote {args.out}")
-    else:
-        print(doc, end="")
+    print(json.dumps(encode_config(RunConfig()), indent=2))
     return 0
 
 
@@ -512,8 +490,6 @@ def cmd_study(args) -> int:
     out_dir = output_dir(args.out or cfg.out_dir, names)
     assets = _load_assets(cfg)
     if args.command == "montecarlo":
-        if args.seed_range:
-            cfg.mc.seeds = parse_seed_range(args.seed_range)
         run, settings = search.run_montecarlo, vars(cfg.mc)
     else:
         run, settings = search.run_walkforward, vars(cfg.wf)
@@ -543,9 +519,17 @@ def cmd_costsweep(args) -> int:
 
 
 def _read_raw_csv(path: Path) -> tuple[list[str], list[dict]]:
-    reader = csv.DictReader(io.StringIO(read_text(path, DataError, "file")))
-    rows = list(_records(reader, path))  # reads the header first
-    return list(reader.fieldnames or []), rows
+    """A derived CSV's header and its rows as dicts of text; a row whose
+    cell count is not the header's is a DataError naming its line."""
+    reader = csv.reader(io.StringIO(read_text(path, DataError, "file")))
+    records = _records(reader, path)
+    header, rows = next(records, []), []
+    for cells in records:
+        if len(cells) != len(header):
+            raise DataError(f"{path} line {reader.line_num}: {len(cells)} "
+                            f"cells, the header has {len(header)}")
+        rows.append(dict(zip(header, cells)))
+    return header, rows
 
 
 def _format_text_table(cols: list[str], rows: list[dict],
@@ -572,14 +556,11 @@ def cmd_report(args) -> int:
     present = [out for out in OUTPUTS if (out_dir / out.name).exists()]
     if not present:
         raise DataError(f"no result CSVs found in {out_dir}")
-    output_dir(out_dir, ["report.txt"])
     sections = []
     for out in present:
         cols, rows = _read_raw_csv(out_dir / out.name)
         sections.append(f"{out.title}\n{_format_text_table(cols, rows)}")
-    report = "\n\n".join(sections) + "\n"
-    (out_dir / "report.txt").write_text(report)
-    print(report, end="")
+    print("\n\n".join(sections))
     return 0
 
 
@@ -617,8 +598,14 @@ def cmd_verify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ConfigError: exit 1 with one `error:` line."""
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gtscore",
         description="Backtesting and objective-function comparison engine")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -626,7 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("config", help="configuration helpers")
     csub = p.add_subparsers(dest="config_command", required=True)
     ci = csub.add_parser("init", help="emit a default run config")
-    ci.add_argument("--out", help="write to file instead of stdout")
     ci.set_defaults(func=cmd_config_init)
 
     p = sub.add_parser("synth", help="generate synthetic OHLCV CSVs")
@@ -639,9 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out", help="override config out_dir")
         p.add_argument("--jobs", type=int, default=1)
-        if name == "montecarlo":
-            p.add_argument("--seed-range", dest="seed_range",
-                           help="inclusive range a..b overriding config seeds")
         p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("costsweep", help="transaction-cost sensitivity")
@@ -669,9 +652,8 @@ def main(argv: list[str] | None = None) -> int:
     log = logging.getLogger("gtscore")
     if not log.handlers:  # once; and a caller's own handler stays alone
         log.addHandler(_Stderr())
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (GtscoreError, OSError) as exc:  # OSError: e.g. a bad --out path
         print(f"error: {exc}", file=sys.stderr)

@@ -105,10 +105,13 @@ def benchmark_arithmetic_mean(benchmark_total_return: float, n: int) -> float:
 
 def recompound_with_costs(trade_returns: np.ndarray,
                           extra_bps_per_side: float) -> float:
-    """Compound trade returns after haircutting each by 2 * extra_bps."""
+    """Compound trade returns after haircutting each by 2 * extra_bps. A
+    trade loses at most its stake: its wealth factor is floored at 0, so a
+    wiped-out trade makes the total exactly -1."""
     if extra_bps_per_side < 0:
         raise ParameterError("extra_bps_per_side must be >= 0")
     r = np.asarray(trade_returns, dtype=float)
     if r.size == 0:
         return 0.0
-    return float(np.prod(1.0 + r - 2.0 * extra_bps_per_side * BPS) - 1.0)
+    factors = np.maximum(1.0 + r - 2.0 * extra_bps_per_side * BPS, 0.0)
+    return float(np.prod(factors) - 1.0)

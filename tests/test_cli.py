@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -24,7 +25,6 @@ from gtscore.cli import (
     WalkforwardConfig,
     load_config,
     main,
-    parse_seed_range,
     read_trials_csv,
 )
 from gtscore.data import (
@@ -34,6 +34,7 @@ from gtscore.data import (
     encode_config,
     ohlcv_rows,
 )
+from gtscore.engine import recompound_with_costs
 from gtscore.errors import ConfigError
 from gtscore.objective import (
     ObjectiveConfig,
@@ -56,8 +57,8 @@ WALKFORWARD_TRIALS_SHA256 = (
 CONFIG_INIT_SHA256 = (
     "eb5200fe96d76c3c76536ebea1321ec054448bfa55bf31b6d711069b95098960")
 # every file in a study directory: the workspace Monte Carlo study after
-# `costsweep --bps 0,5,10` and `report`, and `walkforward_study` after
-# `report`
+# `costsweep --bps 0,5,10`, and `walkforward_study`; and what `report`
+# prints on each
 MONTECARLO_OUTPUT_SHA256 = {
     "aggregates.csv": (
         "450e77b9bf78fd8470a2ab8100ecb89747a02e5a75e9a2ad5249c9318900e734"),
@@ -65,8 +66,6 @@ MONTECARLO_OUTPUT_SHA256 = {
         "7d92d69a9c923cec5e6ead9d8e68f50237dcb9d616e94fae2f4d7a166efd1418"),
     "cost_sensitivity.csv": (
         "3af5a9d07e2481d440d01a4e8b8e421572680ee8fc441139f658ead5f6063918"),
-    "report.txt": (
-        "b3c8fb71ea628e75ee2472aa3117d2b378df1ca6c8c44d5bb5c569556a1e7666"),
     "strategy_means.csv": (
         "2dd16f17934588f4db73d5d2be6e5b59cbb10fa5d2eb2ce50cbfe4aaa7b98f4c"),
     "trade_counts.csv": (
@@ -78,12 +77,14 @@ WALKFORWARD_OUTPUT_SHA256 = {
         "fc54910fb50ede407658e557baf4d75918c75bd28ecc270ba608aa340976fb0e"),
     "periods.csv": (
         "8214aced6d8b2a38011e4aa16d52d6c2cd9fc19a2e34dfd9f4c013f28383886b"),
-    "report.txt": (
-        "b74204b18c2f8c7545ea637fd46f4fd24f613dd9036f6bb159962261393eaedf"),
     "splits_genratio.csv": (
         "18299e11d73032a0a100c97bb14965b6708bf42701b33ed8aaf219b94ec64e9b"),
     "trials.csv": WALKFORWARD_TRIALS_SHA256,
 }
+MONTECARLO_REPORT_SHA256 = (
+    "b3c8fb71ea628e75ee2472aa3117d2b378df1ca6c8c44d5bb5c569556a1e7666")
+WALKFORWARD_REPORT_SHA256 = (
+    "b74204b18c2f8c7545ea637fd46f4fd24f613dd9036f6bb159962261393eaedf")
 
 # every file of a stabilized-periodization Monte Carlo study on the
 # workspace data (`stabilized_study`)
@@ -140,26 +141,31 @@ def workspace(tmp_path_factory):
     return root, cfg_path
 
 
-def test_output_files_pinned(workspace, tmp_path):
+def test_output_files_pinned(workspace, tmp_path, capsys):
     _, cfg_path = workspace
     mc = tmp_path / "mc"
     assert main(["montecarlo", "--config", str(cfg_path),
                  "--out", str(mc)]) == 0
     assert main(["costsweep", "--trials", str(mc / "trials.csv"),
                  "--out", str(mc), "--bps", "0,5,10"]) == 0
-    assert main(["report", "--out", str(mc)]) == 0
     wf = walkforward_study(tmp_path)
-    assert main(["report", "--out", str(wf)]) == 0
-    for out, pins in ((mc, MONTECARLO_OUTPUT_SHA256),
-                      (wf, WALKFORWARD_OUTPUT_SHA256)):
+    for out, pins, report in (
+            (mc, MONTECARLO_OUTPUT_SHA256, MONTECARLO_REPORT_SHA256),
+            (wf, WALKFORWARD_OUTPUT_SHA256, WALKFORWARD_REPORT_SHA256)):
+        # `report` prints, and changes no file
+        before = tree_state(out)
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == report
+        assert tree_state(out) == before
         assert {p.name: sha256_of(p) for p in sorted(out.iterdir())} == pins
 
 
-
-def test_stabilized_output_files_pinned(workspace, tmp_path):
-    # scored on period returns: counts that plateau inside n_range and the
-    # fallback outside it
-    root, _ = workspace
+def stabilized_study(root, tmp_path):
+    """A stabilized-periodization Monte Carlo study of the workspace data
+    `root / "data"`, scored on period returns: counts that plateau inside
+    n_range and the fallback outside it; its output directory."""
     cfg = RunConfig(data_dir=str(root / "data"),
                     mc=MonteCarloConfig(seeds=[42, 43]), budget=5,
                     objective=ObjectiveConfig(
@@ -170,7 +176,11 @@ def test_stabilized_output_files_pinned(workspace, tmp_path):
     cfg_path = tmp_path / "stab.json"
     cfg_path.write_text(json.dumps(encode_config(cfg)))
     assert main(["montecarlo", "--config", str(cfg_path)]) == 0
-    out = tmp_path / "stab"
+    return tmp_path / "stab"
+
+
+def test_stabilized_output_files_pinned(workspace, tmp_path):
+    out = stabilized_study(workspace[0], tmp_path)
     assert {p.name: sha256_of(p)
             for p in sorted(out.iterdir())} == STABILIZED_OUTPUT_SHA256
 
@@ -227,19 +237,10 @@ def test_cli_import_leaves_multiprocessing_unloaded():
 
 def test_config_init_round_trips(tmp_path, capsys):
     out = tmp_path / "cfg.json"
-    assert main(["config", "init", "--out", str(out)]) == 0
-    cfg = load_config(str(out))
-    assert cfg == RunConfig()
-    # an --out that cannot be written is one error line, and writes nothing
-    text = out.read_text()
-    for bad, reason in ((tmp_path, "Is a directory"),
-                        (tmp_path / "missing" / "c.json",
-                         "No such file or directory")):
-        capsys.readouterr()
-        assert main(["config", "init", "--out", str(bad)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: cannot write config {bad}: {reason}\n")
-    assert list(tmp_path.iterdir()) == [out] and out.read_text() == text
+    capsys.readouterr()
+    assert main(["config", "init"]) == 0
+    out.write_text(capsys.readouterr().out)
+    assert load_config(str(out)) == RunConfig()
 
 
 def test_config_init_output_pinned(capsys):
@@ -287,15 +288,6 @@ def test_load_config_errors(tmp_path):
         load_config(str(unknown))
 
 
-def test_parse_seed_range():
-    assert parse_seed_range("42..44") == [42, 43, 44]
-    assert parse_seed_range("7..7") == [7]
-    with pytest.raises(ConfigError):
-        parse_seed_range("44..42")
-    with pytest.raises(ConfigError):
-        parse_seed_range("42-44")
-
-
 def test_synth_writes_loadable_csvs(workspace):
     root, _ = workspace
     files = sorted(p.name for p in (root / "data").glob("*.csv"))
@@ -339,15 +331,6 @@ def test_montecarlo_reruns_identically(workspace, tmp_path):
     assert a == b
 
 
-def test_seed_range_overrides_config(workspace, tmp_path):
-    root, cfg_path = workspace
-    out = tmp_path / "mc_seed"
-    assert main(["montecarlo", "--config", str(cfg_path), "--out", str(out),
-                 "--seed-range", "50..50"]) == 0
-    rows = read_trials_csv(out / "trials.csv")
-    assert {r["seed"] for r in rows} == {50}
-
-
 def test_costsweep_and_report(workspace, capsys):
     root, _ = workspace
     out = root / "mc"
@@ -356,8 +339,9 @@ def test_costsweep_and_report(workspace, capsys):
     text = (out / "cost_sensitivity.csv").read_text()
     assert text.splitlines()[0] == "objective,bps_0,bps_5,bps_10"
 
+    capsys.readouterr()
     assert main(["report", "--out", str(out)]) == 0
-    assert (out / "report.txt").exists()
+    assert "Transaction-cost sensitivity\n" in capsys.readouterr().out
 
     # a level that is not a number, not finite, negative or given twice
     for bps, message in [("0,x", "'x'"), ("nan", "nan: levels must"),
@@ -375,6 +359,31 @@ def test_costsweep_and_report(workspace, capsys):
         assert err.startswith("error: bad --bps level: ") and message in err
         assert err.count("\n") == 1
         assert not (out / "bad").exists()
+
+
+def test_costsweep_wiped_out_trade_loses_its_stake(workspace, tmp_path):
+    # at 4,999 bps a side the round trip's haircut is 99.98%, so each losing
+    # trade of the stabilized study is wiped out: its wealth factor floors
+    # at 0 and its trial returns exactly -100%, also where an even number
+    # of negative factors would multiply to a gain
+    out = stabilized_study(workspace[0], tmp_path)
+    assert main(["costsweep", "--trials", str(out / "trials.csv"),
+                 "--out", str(out), "--bps", "0,4999"]) == 0
+    rows = read_trials_csv(out / "trials.csv")
+    wiped = [int((r["oos_trade_returns_json"] <= 2 * 4999 * 1e-4 - 1).sum())
+             for r in rows]
+    assert any(n % 2 for n in wiped) and any(n and n % 2 == 0 for n in wiped)
+    totals = [recompound_with_costs(r["oos_trade_returns_json"], 4999)
+              for r in rows]
+    assert [t == -1.0 for t in totals] == [n > 0 for n in wiped]
+    assert min(totals) == -1.0
+    with (out / "cost_sensitivity.csv").open() as fh:
+        means = {r["objective"]: float(r["bps_4999"])
+                 for r in csv.DictReader(fh)}
+    assert means == {obj: pytest.approx(np.mean(
+        [t for t, r in zip(totals, rows) if r["objective"] == obj]))
+        for obj in cli.OBJECTIVES}
+    assert min(means.values()) >= -1.0
 
 
 def test_cost_zero_level_matches_oos_mean(workspace, tmp_path):
@@ -796,18 +805,6 @@ def test_costsweep_output_file_is_a_directory_exit_code(workspace, tmp_path,
          "--out", str(tmp_path)], tmp_path / "cost_sensitivity.csv", capsys)
 
 
-def test_report_output_file_is_a_directory_exit_code(workspace, tmp_path,
-                                                     capsys):
-    # report.txt is the one file `report` writes: the study is left as it was
-    root, _ = workspace
-    study = tmp_path / "mc"
-    shutil.copytree(root / "mc", study,
-                    ignore=shutil.ignore_patterns("report.txt"))
-    (study / "report.txt").mkdir()
-    assert_output_file_blocked(["report", "--out", str(study)],
-                               study / "report.txt", capsys)
-
-
 def test_study_output_file_is_a_directory_exit_code(workspace, tmp_path,
                                                     capsys, monkeypatch):
     # found before any backtest runs, so no half-written study is left
@@ -818,6 +815,14 @@ def test_study_output_file_is_a_directory_exit_code(workspace, tmp_path,
     assert_output_file_blocked(
         ["montecarlo", "--config", str(cfg_path), "--out", str(tmp_path)],
         tmp_path / "aggregates.csv", capsys)
+
+
+def other_seeds(cfg_path, path):
+    """The config at `cfg_path` with `mc.seeds` [7, 8], written to `path`."""
+    cfg = load_config(str(cfg_path))
+    cfg.mc.seeds = [7, 8]
+    path.write_text(json.dumps(encode_config(cfg)))
+    return path
 
 
 def test_write_failure_changes_no_file(workspace, tmp_path, capsys,
@@ -840,8 +845,8 @@ def test_write_failure_changes_no_file(workspace, tmp_path, capsys,
         real(path, *args)
 
     monkeypatch.setattr(cli, "write_csv", failing)
-    for fail_at, argv in ((3, ["montecarlo", "--config", str(cfg_path),
-                               "--seed-range", "7..8"]),
+    seeds = other_seeds(cfg_path, tmp_path / "seeds.json")
+    for fail_at, argv in ((3, ["montecarlo", "--config", str(seeds)]),
                           (1, ["costsweep", "--trials",
                                str(study / "trials.csv")])):
         calls.clear()
@@ -890,10 +895,11 @@ def test_write_failure_after_part_of_a_file_changes_no_file(
             raise OSError(28, "No space left on device")
         return real(value)
 
+    seeds = other_seeds(cfg_path, tmp_path / "seeds.json")
     monkeypatch.setattr(cli, "_cell", cell)
     capsys.readouterr()
-    assert main(["montecarlo", "--config", str(cfg_path), "--seed-range",
-                 "7..8", "--out", str(study)]) == 1
+    assert main(["montecarlo", "--config", str(seeds),
+                 "--out", str(study)]) == 1
     assert capsys.readouterr().err == (
         "error: [Errno 28] No space left on device\n")
     assert 0 < streamed[0] < (study / "trials.csv").stat().st_size
@@ -930,7 +936,8 @@ def test_oversized_csv_field_exit_code(workspace, tmp_path, capsys):
     # a cell longer than csv.field_size_limit() (131,072 characters) ends
     # each reader in one error line naming the file and line, exit 2: an
     # asset CSV (montecarlo), trials.csv (verify, costsweep) and a derived
-    # CSV (report, and verify reading cost levels)
+    # CSV (report, and verify reading cost levels); so does a derived-CSV
+    # row with fewer or more cells than its header
     root, _ = workspace
     big = "1" * 200_000
     shutil.copytree(root / "data", tmp_path / "data")
@@ -939,32 +946,50 @@ def test_oversized_csv_field_exit_code(workspace, tmp_path, capsys):
     assert main(["costsweep", "--trials", str(study / "trials.csv"),
                  "--out", str(study)]) == 0
 
-    def oversize(path, line):
-        lines = path.read_text().splitlines(keepends=True)
-        lines[line - 1] = lines[line - 1].replace(",", f",{big}", 1)
-        path.write_text("".join(lines))
+    def oversize(text):
+        return text.replace(",", f",{big}", 1)
+
+    def cut(text):  # to two cells
+        return ",".join(text.split(",")[:2]) + "\n"
+
+    def extend(text):
+        return text.replace("\n", ",0.1\n")
 
     asset, trials = tmp_path / "data" / "BB.csv", study / "trials.csv"
-    cost = study / "cost_sensitivity.csv"
+    cost, agg = study / "cost_sensitivity.csv", study / "aggregates.csv"
     cfg = RunConfig(data_dir=str(tmp_path / "data"),
                     mc=MonteCarloConfig(seeds=[42]), budget=2)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(encode_config(cfg)))
     limit = "field larger than field limit (131072)"
-    cases = [(asset, 3, ["montecarlo", "--config", str(cfg_path),
-                         "--out", str(tmp_path / "new")], "BB: line 3"),
-             (trials, 4, ["verify", "--out", str(study)], f"{trials} line 4"),
-             (trials, 4, ["costsweep", "--trials", str(trials), "--out",
-                          str(tmp_path / "new")], f"{trials} line 4"),
-             (cost, 2, ["report", "--out", str(study)], f"{cost} line 2"),
-             (cost, 1, ["verify", "--out", str(study)], f"{cost} line 1")]
-    for path, line, argv, where in cases:
+    report = ["report", "--out", str(study)]
+    verify = ["verify", "--out", str(study)]
+    cases = [(asset, 3, oversize, ["montecarlo", "--config", str(cfg_path),
+                                   "--out", str(tmp_path / "new")],
+              f"BB: line 3: {limit}"),
+             (trials, 4, oversize, verify, f"{trials} line 4: {limit}"),
+             (trials, 4, oversize, ["costsweep", "--trials", str(trials),
+                                    "--out", str(tmp_path / "new")],
+              f"{trials} line 4: {limit}"),
+             (cost, 2, oversize, report, f"{cost} line 2: {limit}"),
+             (cost, 1, oversize, verify, f"{cost} line 1: {limit}"),
+             (agg, 2, cut, report, f"{agg} line 2: 2 cells, the header "
+                                   "has 6"),
+             (agg, 3, extend, report, f"{agg} line 3: 7 cells, the header "
+                                      "has 6"),
+             (cost, 3, cut, verify, f"{cost} line 3: 2 cells, the header "
+                                    "has 7"),
+             (cost, 2, extend, verify, f"{cost} line 2: 8 cells, the header "
+                                       "has 7")]
+    for path, line, change, argv, message in cases:
         text = path.read_text()
-        oversize(path, line)
+        lines = text.splitlines(keepends=True)
+        lines[line - 1] = change(lines[line - 1])
+        path.write_text("".join(lines))
         before = tree_state(tmp_path)
         capsys.readouterr()
         assert main(argv) == 2, argv
-        assert capsys.readouterr().err == f"error: {where}: {limit}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert tree_state(tmp_path) == before
         path.write_text(text)
 
@@ -1104,6 +1129,52 @@ def test_synth_bad_manifest_exit_code(tmp_path, capsys):
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["montecarlo", "--config", "c.json", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+    (["montecarlo", "--config", "c.json", "--jobs", "two"],
+     "argument --jobs: invalid int value: 'two'"),
+    # removed options: a study's seeds are its config's, and `config init`
+    # prints, for the shell to redirect
+    (["montecarlo", "--config", "c.json", "--seed-range", "1..5"],
+     "unrecognized arguments: --seed-range 1..5"),
+    (["config", "init", "--out", "c.json"],
+     "unrecognized arguments: --out c.json")])
+def test_usage_error_exit_code(tmp_path, monkeypatch, capsys, argv, message):
+    # a usage error is a config error: exit 1, one line, and no file
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and "usage: gtscore" in capsys.readouterr().out
+
+
+def test_readme_walkthrough_parses():
+    # every `gtscore ...` line of the README's walkthrough is one the
+    # parser accepts, so a removed option cannot stay in the docs
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    walkthrough = text[text.index("## CLI walkthrough"):
+                       text.index("### Outputs")]
+    commands = [shlex.split(line.split(">")[0])[1:]
+                for line in walkthrough.splitlines()
+                if line.startswith("gtscore ")]
+    assert {argv[0] for argv in commands} == {
+        "config", "synth", "montecarlo", "walkforward", "costsweep",
+        "report", "verify"}
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_jobs_below_one_exit_code(workspace, tmp_path, capsys):

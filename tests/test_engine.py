@@ -28,7 +28,7 @@ def oracle_backtest(series, positions, window_start, window_end,
                     cost_bps_per_side=0.0):
     """Reference engine: a bar-by-bar state machine with pending fills,
     run over the bars of [window_start, window_end) of the whole series and
-    charging the per-side cost on each trade.
+    charging the per-side cost on each trade, which loses at most its stake.
 
     Returns (trade_returns, equity_points, total_return,
     benchmark_total_return, exit_dates).
@@ -46,7 +46,7 @@ def oracle_backtest(series, positions, window_start, window_end,
 
     def close_trade(exit_date, exit_price):
         gross = exit_price / entry_price - 1.0
-        returns.append(gross - cost)
+        returns.append(max(gross - cost, -1.0))
         exit_dates.append(exit_date)
 
     for i in range(i0, i1):
@@ -110,6 +110,9 @@ def _edge_case(positions):
 @example(case=_edge_case([0, 1, 1, 1, 1, 1, 0]))
 # forced close of a position still held at the end, after a round trip
 @example(case=_edge_case([1, 0, 1, 1, 1, 1, 1]))
+# a trade whose costs take more than what is left of its stake
+@example(case=([1.0] * 5, [1.0, 1.0, 313.0, 1.0, 1.0],
+               [False, True, False, False, False], (0, 4), 16.0))
 def test_backtest_matches_oracle(case):
     # The engine runs on the cut window, gross of costs; the oracle runs on
     # the whole series with window bounds. Costs are charged by
