@@ -1,10 +1,11 @@
 """Command-line interface: dataset management, studies, reports.
 
 Every aggregate file is recomputable from the trial-level CSV next to it;
-`gtscore verify` re-derives them and fails on any byte difference.
+`verify` and `report` re-derive each one (`study_tables`) and fail on any
+byte difference, so `report` prints only what `verify` proves.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal
-invariant failure.
+invariant failure (a derived file that is missing or differs).
 """
 
 from __future__ import annotations
@@ -518,20 +519,6 @@ def cmd_costsweep(args) -> int:
     return 0
 
 
-def _read_raw_csv(path: Path) -> tuple[list[str], list[dict]]:
-    """A derived CSV's header and its rows as dicts of text; a row whose
-    cell count is not the header's is a DataError naming its line."""
-    reader = csv.reader(io.StringIO(read_text(path, DataError, "file")))
-    records = _records(reader, path)
-    header, rows = next(records, []), []
-    for cells in records:
-        if len(cells) != len(header):
-            raise DataError(f"{path} line {reader.line_num}: {len(cells)} "
-                            f"cells, the header has {len(header)}")
-        rows.append(dict(zip(header, cells)))
-    return header, rows
-
-
 def _format_text_table(cols: list[str], rows: list[dict],
                        precision: int = 4) -> str:
     def fmt(v):
@@ -549,51 +536,56 @@ def _format_text_table(cols: list[str], rows: list[dict],
     return "\n".join(lines)
 
 
-def cmd_report(args) -> int:
-    out_dir = Path(args.out)
-    if not out_dir.is_dir():
-        raise DataError(f"output directory not found: {out_dir}")
-    present = [out for out in OUTPUTS if (out_dir / out.name).exists()]
-    if not present:
-        raise DataError(f"no result CSVs found in {out_dir}")
-    sections = []
-    for out in present:
-        cols, rows = _read_raw_csv(out_dir / out.name)
-        sections.append(f"{out.title}\n{_format_text_table(cols, rows)}")
-    print("\n\n".join(sections))
-    return 0
-
-
-def cmd_verify(args) -> int:
-    out_dir = Path(args.out)
+def study_tables(out_dir: Path) -> list[tuple[Output, list, list]]:
+    """Every derived file in `out_dir` as (output, columns, rows) in
+    `OUTPUTS` order, recomputed from the `trials.csv` there and checked
+    against the file's bytes; `cost_sensitivity.csv` at the levels its
+    header names. A file of the study's protocol that is missing, or a
+    file that differs from its recomputation, is one InternalCheckError
+    naming every such file."""
+    try:  # an --out that is no path (too long, say) is exit 1, as when written
+        out_dir.stat()
+    except FileNotFoundError:
+        pass  # named as the trials file that cannot be read
     rows = read_trials_csv(out_dir / "trials.csv")
     # the protocol is a guess: walkforward if a file only it writes is there
     protocol = "walkforward" if any(
         (out_dir / out.name).exists() for out in OUTPUTS
         if out.written_by == ("walkforward",)) else "montecarlo"
-    failures = []
+    tables, failures = [], []
     for out in OUTPUTS:
         path = out_dir / out.name
-        if protocol in out.written_by:
-            cols, data = derive(out, rows)
-        elif "costsweep" in out.written_by and path.exists():
-            cols, _ = _read_raw_csv(path)
-            try:
-                levels = parse_bps_levels(c.removeprefix("bps_")
-                                          for c in cols[1:])
-            except ValueError as exc:
-                raise DataError(f"{path}: bad header {cols}: {exc}") from None
-            cols, data = derive(out, rows, levels)
-        else:
-            continue
         if not path.exists():
-            failures.append(f"{out.name}: missing")
-        elif csv_text(cols, data) != read_text(path, DataError, "file"):
+            if protocol in out.written_by:
+                failures.append(f"{out.name}: missing")
+            continue
+        text = read_text(path, DataError, "file")
+        args = [rows]
+        if "costsweep" in out.written_by:
+            header = next(_records(csv.reader(io.StringIO(text)), path), [])
+            try:
+                args.append(parse_bps_levels(c.removeprefix("bps_")
+                                             for c in header[1:]))
+            except ValueError as exc:
+                raise DataError(f"{path}: bad header {header}: {exc}") from None
+        cols, data = derive(out, *args)
+        if csv_text(cols, data) != text:
             failures.append(f"{out.name}: differs from recomputation")
-        else:
-            print(f"verify: {out.name} OK")
+        tables.append((out, cols, data))
     if failures:
         raise InternalCheckError("; ".join(failures))
+    return tables
+
+
+def cmd_report(args) -> int:
+    print("\n\n".join(f"{out.title}\n{_format_text_table(cols, rows)}"
+                      for out, cols, rows in study_tables(Path(args.out))))
+    return 0
+
+
+def cmd_verify(args) -> int:
+    for out, _, _ in study_tables(Path(args.out)):
+        print(f"verify: {out.name} OK")
     print("verify: all aggregates recomputable from trials.csv")
     return 0
 

@@ -317,10 +317,6 @@ def make_chrono_split(series: PriceSeries, train_fraction: float = 0.7,
     train_end = series.start_date + dt.timedelta(
         days=int(total_days * train_fraction))
     val_start = train_end + dt.timedelta(days=embargo_days)
-    if val_start >= series.span_end:
-        raise InsufficientDataError(
-            f"{series.asset_id}: embargo consumes the whole validation side "
-            f"(val would start {val_start}, span ends {series.span_end})")
     # bars first: a 0-day training side is short data, not a bad split
     i0, i1 = series.index_window(series.start_date, train_end)
     j0, j1 = series.index_window(val_start, series.span_end)
@@ -347,9 +343,9 @@ def encode_config(value):
 def decode_config(tp, value, where: str = ""):
     """Rebuild a value of type `tp` from its JSON form, checking every part;
     an error names the path of a wrong JSON type, a missing required field
-    or a bad date or enum value. An int passes for a float; a bool for
-    neither; a date is an ISO string and an enum its str value. A list item
-    may not repeat: every config list is a set of things to run."""
+    or a bad date or enum value. An int passes for a float, as a float; a
+    bool for neither; a date is an ISO string and an enum its str value. A
+    list item may not repeat: every config list is a set of things to run."""
     if is_dataclass(tp):
         _expect(dict, value, where)
         hints = get_type_hints(tp)
@@ -383,6 +379,11 @@ def decode_config(tp, value, where: str = ""):
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     _expect(tp, value, where)
+    if tp is float:
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return value
 
 

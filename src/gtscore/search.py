@@ -96,7 +96,8 @@ def _search_family(cells: list[CellSpec], train: PriceSeries,
     gate = trade_gate(cfg)
     fits = {i: run_backtest(train, sig) for i, sig in enumerate(sigs)
             if len(entry_bars(sig)) >= gate}
-    losses = np.full((len(objectives), len(flat)), cfg.below_min_penalty)
+    losses = np.full((len(objectives), len(flat)), cfg.below_min_penalty,
+                     dtype=float)
     losses[:, list(fits)] = pool_losses(list(fits.values()), objectives, cfg)
     picks, start = [], 0
     for spec, pool in zip(cells, pools):

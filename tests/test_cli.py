@@ -2,6 +2,7 @@
 
 import csv
 import datetime as dt
+import errno
 import hashlib
 import importlib.util
 import io
@@ -183,6 +184,17 @@ def test_stabilized_output_files_pinned(workspace, tmp_path):
     out = stabilized_study(workspace[0], tmp_path)
     assert {p.name: sha256_of(p)
             for p in sorted(out.iterdir())} == STABILIZED_OUTPUT_SHA256
+    # an int in a float setting is read as that float: a penalty of `300`
+    # must not make the search's loss matrix int64, truncating every loss
+    cfg_path = tmp_path / "stab.json"
+    doc = json.loads(cfg_path.read_text())
+    assert doc["objective"]["below_min_penalty"] == 300.0
+    doc["objective"]["below_min_penalty"] = 300
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["montecarlo", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "int")]) == 0
+    assert (sha256_of(tmp_path / "int" / "trials.csv")
+            == STABILIZED_OUTPUT_SHA256["trials.csv"])
 
 
 # perfbench/tracer.py spans whose target no longer exists; repointing them
@@ -387,39 +399,59 @@ def test_costsweep_wiped_out_trade_loses_its_stake(workspace, tmp_path):
 
 
 def test_cost_zero_level_matches_oos_mean(workspace, tmp_path):
+    # the workspace study (default levels) makes no out-of-sample trade,
+    # so only the stabilized one (89 trades) shows a cost being charged
     root, _ = workspace
-    out = root / "mc"
-    assert main(["costsweep", "--trials", str(out / "trials.csv"),
-                 "--out", str(tmp_path)]) == 0
-    rows = read_trials_csv(out / "trials.csv")
-    lines = (tmp_path / "cost_sensitivity.csv").read_text().splitlines()
-    cols = lines[0].split(",")
-    for line in lines[1:]:
-        cells = dict(zip(cols, line.split(",")))
-        sub = [r["oos_return"] for r in rows
-               if r["objective"] == cells["objective"]]
-        assert float(cells["bps_0"]) == pytest.approx(
-            float(np.mean(sub)), abs=1e-12)
+    traded = []
+    for study, bps in ((root / "mc", []),
+                       (stabilized_study(root, tmp_path), ["--bps", "0,10"])):
+        out = tmp_path / "costs" / study.name
+        assert main(["costsweep", "--trials", str(study / "trials.csv"),
+                     "--out", str(out), *bps]) == 0
+        rows = read_trials_csv(study / "trials.csv")
+        with (out / "cost_sensitivity.csv").open() as fh:
+            for cells in csv.DictReader(fh):
+                sub = [r for r in rows if r["objective"] == cells["objective"]]
+                assert float(cells["bps_0"]) == pytest.approx(
+                    float(np.mean([r["oos_return"] for r in sub])), abs=1e-12)
+                assert float(cells["bps_10"]) == np.mean(
+                    [recompound_with_costs(r["oos_trade_returns_json"], 10)
+                     for r in sub])
+                if any(r["oos_trades"] for r in sub):
+                    traded.append(cells["objective"])
+                    assert float(cells["bps_10"]) < float(cells["bps_0"])
+    assert traded
 
 
 def test_verify_passes_then_catches_tampering(workspace, tmp_path, capsys):
+    # `report` prints only what `verify` proves: on every directory both
+    # exit with the same code, and an error is the same one line
+    def both(out, code):
+        errs = []
+        for command in ("verify", "report"):
+            capsys.readouterr()
+            assert main([command, "--out", str(out)]) == code, command
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and errs[0].count("\n") == (code != 0)
+        return errs[0]
+
     root, _ = workspace
     out = root / "mc"
-    assert main(["verify", "--out", str(out)]) == 0
+    both(out, 0)
 
-    import shutil
     broken = tmp_path / "broken"
     shutil.copytree(out, broken)
     agg = broken / "aggregates.csv"
-    agg.write_text(agg.read_text().replace("0.", "1.", 1))
-    assert main(["verify", "--out", str(broken)]) == 3
+    text = agg.read_text()
+    agg.write_text(text.replace("0.", "1.", 1))
+    assert both(broken, 3) == (
+        "error: aggregates.csv: differs from recomputation\n")
+    # cut to its header
+    agg.write_text(text.splitlines(keepends=True)[0])
+    both(broken, 3)
     # a derived file that is not UTF-8 text is named in one line
     agg.write_bytes(b"\xff\xfe")
-    capsys.readouterr()
-    assert main(["verify", "--out", str(broken)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read file {agg}")
-    assert err.count("\n") == 1
+    assert both(broken, 2).startswith(f"error: cannot read file {agg}")
     # a cost_sensitivity.csv header whose levels cannot be read back is
     # named with its file in one line
     shutil.rmtree(broken)
@@ -430,12 +462,15 @@ def test_verify_passes_then_catches_tampering(workspace, tmp_path, capsys):
                    "objective,bps_0,bps_5000", "objective,bps_1e308",
                    "objective,level_5"]:
         cost.write_text(header + "\n")
-        capsys.readouterr()
-        assert main(["verify", "--out", str(broken)]) == 2
-        err = capsys.readouterr().err
         cols = header.split(",")
-        assert err.startswith(f"error: {cost}: bad header {cols}: ")
-        assert err.count("\n") == 1
+        assert both(broken, 2).startswith(f"error: {cost}: bad header {cols}: ")
+    # a file the other protocol writes is checked too: a wrong stray
+    # trade_counts.csv in a walkforward study
+    wf = walkforward_study(tmp_path)
+    both(wf, 0)
+    shutil.copy(out / "trade_counts.csv", wf)
+    assert both(wf, 3) == (
+        "error: trade_counts.csv: differs from recomputation\n")
 
 
 def test_malformed_trials_exit_code(workspace, tmp_path, capsys):
@@ -657,8 +692,8 @@ def test_missing_data_exit_code(tmp_path, capsys):
                  "--out", str(data_dir)]) == 0
     # after one warning that names the asset once
     for command, reason in (
-            ("montecarlo", "embargo consumes the whole validation side (val "
-                           "would start 2010-03-01, span ends 2010-02-12)"),
+            ("montecarlo", "chrono split leaves 21 train / 0 test bars, need "
+                           ">= 60 each"),
             ("walkforward", "series ends 2010-02-11, needs to reach "
                             "2016-01-31 for one split (4y train + 30d "
                             "embargo + 2y val)")):
@@ -769,8 +804,8 @@ def test_output_path_os_error_exit_code(workspace, tmp_path, capsys,
     out = tmp_path / ("x" * 300)
     argv = {"synth": ["synth", "--spec", str(root / "manifest.json")],
             "montecarlo": ["montecarlo", "--config", str(cfg_path)],
-            "costsweep": ["costsweep",
-                          "--trials", str(root / "mc" / "trials.csv")],
+            "costsweep": ["costsweep", "--trials",
+                          str(root / "mc" / "trials.csv")],
             "report": ["report"]}[command]
     capsys.readouterr()
     assert main(argv + ["--out", str(out)]) == 1
@@ -935,9 +970,10 @@ def test_synth_failure_on_the_second_asset_writes_nothing(
 def test_oversized_csv_field_exit_code(workspace, tmp_path, capsys):
     # a cell longer than csv.field_size_limit() (131,072 characters) ends
     # each reader in one error line naming the file and line, exit 2: an
-    # asset CSV (montecarlo), trials.csv (verify, costsweep) and a derived
-    # CSV (report, and verify reading cost levels); so does a derived-CSV
-    # row with fewer or more cells than its header
+    # asset CSV (montecarlo), trials.csv (verify, costsweep) and the cost
+    # levels' header line (report, verify). A derived file's body is not
+    # parsed but compared with its recomputation, so an oversized cell
+    # there, or a row with fewer or more cells than its header, is exit 3
     root, _ = workspace
     big = "1" * 200_000
     shutil.copytree(root / "data", tmp_path / "data")
@@ -964,31 +1000,30 @@ def test_oversized_csv_field_exit_code(workspace, tmp_path, capsys):
     limit = "field larger than field limit (131072)"
     report = ["report", "--out", str(study)]
     verify = ["verify", "--out", str(study)]
+    agg_differs = "aggregates.csv: differs from recomputation"
+    cost_differs = "cost_sensitivity.csv: differs from recomputation"
     cases = [(asset, 3, oversize, ["montecarlo", "--config", str(cfg_path),
                                    "--out", str(tmp_path / "new")],
-              f"BB: line 3: {limit}"),
-             (trials, 4, oversize, verify, f"{trials} line 4: {limit}"),
+              2, f"BB: line 3: {limit}"),
+             (trials, 4, oversize, verify, 2, f"{trials} line 4: {limit}"),
              (trials, 4, oversize, ["costsweep", "--trials", str(trials),
                                     "--out", str(tmp_path / "new")],
-              f"{trials} line 4: {limit}"),
-             (cost, 2, oversize, report, f"{cost} line 2: {limit}"),
-             (cost, 1, oversize, verify, f"{cost} line 1: {limit}"),
-             (agg, 2, cut, report, f"{agg} line 2: 2 cells, the header "
-                                   "has 6"),
-             (agg, 3, extend, report, f"{agg} line 3: 7 cells, the header "
-                                      "has 6"),
-             (cost, 3, cut, verify, f"{cost} line 3: 2 cells, the header "
-                                    "has 7"),
-             (cost, 2, extend, verify, f"{cost} line 2: 8 cells, the header "
-                                       "has 7")]
-    for path, line, change, argv, message in cases:
+              2, f"{trials} line 4: {limit}"),
+             (cost, 1, oversize, report, 2, f"{cost} line 1: {limit}"),
+             (cost, 1, oversize, verify, 2, f"{cost} line 1: {limit}"),
+             (cost, 2, oversize, report, 3, cost_differs),
+             (agg, 2, cut, report, 3, agg_differs),
+             (agg, 3, extend, report, 3, agg_differs),
+             (cost, 3, cut, verify, 3, cost_differs),
+             (cost, 2, extend, verify, 3, cost_differs)]
+    for path, line, change, argv, code, message in cases:
         text = path.read_text()
         lines = text.splitlines(keepends=True)
         lines[line - 1] = change(lines[line - 1])
         path.write_text("".join(lines))
         before = tree_state(tmp_path)
         capsys.readouterr()
-        assert main(argv) == 2, argv
+        assert main(argv) == code, argv
         assert capsys.readouterr().err == f"error: {message}\n"
         assert tree_state(tmp_path) == before
         path.write_text(text)
@@ -1027,6 +1062,19 @@ def test_bad_config_exit_code(tmp_path, capsys):
         assert err.startswith("error: bad run config: ")
         assert err.count("bad run config") == 1
         assert err.count("\n") == 1
+    # an int beyond float range in a float setting is named by its path
+    huge = "1" + "0" * 400
+    for doc, path in [('{"objective": {"eps": %s}}' % huge, "objective.eps"),
+                      ('{"objective": {"below_min_penalty": %s}}' % huge,
+                       "objective.below_min_penalty"),
+                      ('{"objective": {"stabilization": {"threshold": %s}}}'
+                       % huge, "objective.stabilization.threshold")]:
+        bad.write_text(doc)
+        capsys.readouterr()
+        assert main(["montecarlo", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad run config: {path}: int too large to convert to "
+            "float\n")
     # a wrong JSON type is named by its path
     for doc, path in [('{"assets": [1]}', "assets[0]"),
                       ('{"budget": true}', "budget"),
@@ -1098,6 +1146,8 @@ def test_synth_bad_manifest_exit_code(tmp_path, capsys):
               "assets[0].seed: expected int, got str"),
              (json.dumps({"assets": [{**entry, "asset_id": 7}]}),
               "assets[0].asset_id: expected str, got int"),
+             (json.dumps({"assets": [{**entry, "initial_price": 10 ** 400}]}),
+              "assets[0].initial_price: int too large to convert to float"),
              (json.dumps({"assets": [{**entry, "regimes": [[600, 0, "x"]]}]}),
               "assets[0].regimes[0][2]: expected float, got str"),
              (json.dumps({"assets": [{**entry, "start_date": 2010}]}),
@@ -1243,7 +1293,23 @@ def test_study_settings_reach_splits(workspace, tmp_path, monkeypatch):
     assert calls == [{"train_fraction": 0.6, "embargo_days": 12}] * 2
 
 
-def test_report_without_results_exit_code(tmp_path):
+def test_report_without_results_exit_code(tmp_path, capsys):
+    # `report` and `verify` read a study's trials.csv first: a directory
+    # without one, or no directory, is exit 2 in one line naming the file;
+    # an --out too long to be a path (ENAMETOOLONG) is exit 1 naming it,
+    # as for the commands that write there
     empty = tmp_path / "empty"
     empty.mkdir()
-    assert main(["report", "--out", str(empty)]) == 2
+    for out, code, err in [
+            (empty, 2, f"error: cannot read trials file {empty}/trials.csv: "),
+            (tmp_path / "none", 2,
+             f"error: cannot read trials file {tmp_path}/none/trials.csv: "),
+            (tmp_path / ("x" * 300), 1,
+             f"error: [Errno {errno.ENAMETOOLONG}] ")]:
+        for command in ("report", "verify"):
+            capsys.readouterr()
+            assert main([command, "--out", str(out)]) == code
+            text = capsys.readouterr().err
+            assert text.startswith(err) and text.count("\n") == 1
+            assert str(out) in text
+    assert list(tmp_path.iterdir()) == [empty]

@@ -383,14 +383,15 @@ def test_chrono_split_too_short():
 
 
 def test_chrono_split_embargo_reaching_span_end():
-    # 100 days split at 0.7: the 30-day embargo ends on the span's end, so
-    # the validation side is empty before any bar is counted
+    # 100 days split at 0.7: the 30-day embargo ends on the span's end
+    # (val_start == span_end) or past it, so the validation side holds no
+    # bar and the bar count rejects the split
     s = make_series(range(10, 110))
-    with pytest.raises(InsufficientDataError) as exc:
-        make_chrono_split(s, 0.7, embargo_days=30)
-    assert str(exc.value) == (
-        "T: embargo consumes the whole validation side (val would start "
-        "2020-04-10, span ends 2020-04-10)")
+    for embargo_days in (30, 31):
+        with pytest.raises(InsufficientDataError) as exc:
+            make_chrono_split(s, 0.7, embargo_days=embargo_days)
+        assert str(exc.value) == (
+            "T: chrono split leaves 70 train / 0 test bars, need >= 60 each")
 
 
 def test_split_settings_rejected():
