@@ -28,6 +28,10 @@ import numpy as np
 from . import search
 from .data import (
     CSV_HEADER,
+    MAX_DAYS,
+    MAX_YEARS,
+    bounded,
+    check_bounds,
     decode_config,
     encode_config,
     generate_synthetic_series,
@@ -93,17 +97,24 @@ TRIAL_COLUMNS = list(TRIAL_SCHEMA)
 
 @dataclass
 class WalkforwardConfig:
-    train_years: int = 4
-    val_years: int = 2
-    step_years: int = 1
-    embargo_days: int = 30
+    train_years: int = bounded(4, ge=1, le=MAX_YEARS)
+    val_years: int = bounded(2, ge=1, le=MAX_YEARS)
+    step_years: int = bounded(1, ge=1, le=MAX_YEARS)
+    embargo_days: int = bounded(30, ge=0, le=MAX_DAYS)
+
+    __post_init__ = check_bounds
 
 
 @dataclass
 class MonteCarloConfig:
     seeds: list[int] = field(default_factory=lambda: list(range(42, 57)))
-    train_fraction: float = 0.7
-    embargo_days: int = 30
+    train_fraction: float = bounded(0.7, gt=0, lt=1)
+    embargo_days: int = bounded(30, ge=0, le=MAX_DAYS)
+
+    def __post_init__(self):
+        check_bounds(self)
+        if not self.seeds:
+            raise ConfigError("seeds: must name at least one")
 
 
 @dataclass
@@ -116,14 +127,15 @@ class RunConfig:
         default_factory=lambda: list(ObjectiveKind))
     wf: WalkforwardConfig = field(default_factory=WalkforwardConfig)
     mc: MonteCarloConfig = field(default_factory=MonteCarloConfig)
-    budget: int = search.DEFAULT_BUDGET
+    budget: int = bounded(search.DEFAULT_BUDGET, ge=1)
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
     out_dir: str = "out"
 
     def __post_init__(self):
+        check_bounds(self)
         for name in ("strategies", "objectives"):
             if not getattr(self, name):
-                raise ValueError(f"{name}: must name at least one")
+                raise ConfigError(f"{name}: must name at least one")
 
 
 def read_text(path, error: type[GtscoreError], what: str) -> str:
@@ -136,9 +148,10 @@ def read_text(path, error: type[GtscoreError], what: str) -> str:
 
 
 def load_config(path: str) -> RunConfig:
+    text = read_text(path, ConfigError, "config")
     try:
-        doc = json.loads(read_text(path, ConfigError, "config"))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except ValueError as exc:  # also an int over the digit limit of int()
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     try:
         return decode_config(RunConfig, doc)

@@ -18,23 +18,22 @@ import csv
 import datetime as dt
 import io
 import json
+import math
+import operator
 from array import array
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    CsvParseError,
-    CsvValidationError,
-    InsufficientDataError,
-    ParameterError,
-)
+from .errors import ConfigError, DataError
 
 CSV_HEADER = ["date", "open", "high", "low", "close", "volume"]
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+# the spans the calendar holds: a longer shift from any date leaves it
+MAX_YEARS = dt.MAXYEAR - dt.MINYEAR
+MAX_DAYS = (dt.date.max - dt.date.min).days
 
 
 def _column(values, dtype) -> np.ndarray:
@@ -47,9 +46,10 @@ def _column(values, dtype) -> np.ndarray:
 class PriceSeries:
     """Daily OHLCV columns for one asset.
 
-    Validated on construction: at least 2 bars, dates strictly increasing,
-    every value finite, prices positive, volume non-negative and
-    low <= open/close <= high. Errors name the first offending date.
+    Validated on construction: at least 2 bars, dates strictly increasing
+    and before 9999-12-31, every value finite, prices positive, volume
+    non-negative and low <= open/close <= high. Errors name the first
+    offending date.
     """
 
     def __init__(self, asset_id: str, dates, opens, highs, lows, closes,
@@ -64,9 +64,9 @@ class PriceSeries:
         n = len(self.dates)
         if any(len(c) != n for c in (self.opens, self.highs, self.lows,
                                      self.closes, self.volumes)):
-            raise ParameterError(f"{asset_id}: columns differ in length")
+            raise ConfigError(f"{asset_id}: columns differ in length")
         if n < 2:
-            raise InsufficientDataError(
+            raise DataError(
                 f"{asset_id}: need at least 2 bars, got {n}")
         self._validate()
 
@@ -83,12 +83,14 @@ class PriceSeries:
              (l > o) | (o > h) | (l > c) | (c > h)),
             ("duplicate or out-of-order date", np.concatenate(
                 ([False], self.dates[1:] <= self.dates[:-1]))),
+            ("date on or after 9999-12-31",  # so `span_end` exists
+             self.dates >= np.datetime64(dt.date.max, "D")),
         ]
         bad = np.logical_or.reduce([mask for _, mask in checks])
         if bad.any():
             i = int(bad.argmax())
             what = next(msg for msg, mask in checks if mask[i])
-            raise CsvValidationError(
+            raise DataError(
                 f"{self.asset_id}: {self.dates[i]}: {what} "
                 f"(o={o[i]} h={h[i]} l={l[i]} c={c[i]} v={v[i]})")
 
@@ -126,7 +128,7 @@ class PriceSeries:
         """Sub-series of bars with start <= date < end, as views."""
         i0, i1 = self.index_window(start, end)
         if i1 - i0 < 2:
-            raise InsufficientDataError(
+            raise DataError(
                 f"{self.asset_id}: window [{start}, {end}) holds "
                 f"{i1 - i0} bars, need >= 2")
         return PriceSeries(self.asset_id, self.dates[i0:i1],
@@ -147,30 +149,7 @@ class SplitSpec:
     def __post_init__(self):
         if not (self.train_start < self.train_end
                 <= self.val_start < self.val_end):
-            raise ParameterError(f"split intervals out of order: {self}")
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Geometric random walk spec: piecewise (length, drift, vol) regimes."""
-
-    n_days: int
-    initial_price: float
-    regimes: tuple[tuple[int, float, float], ...]
-    seed: int
-    start_date: dt.date = dt.date(2010, 1, 1)
-
-    def __post_init__(self):
-        if self.n_days < 2:
-            raise ParameterError("n_days must be >= 2")
-        if self.initial_price <= 0:
-            raise ParameterError("initial_price must be positive")
-        if any(r[0] < 0 for r in self.regimes):
-            raise ParameterError("regime lengths must be >= 0")
-        if sum(r[0] for r in self.regimes) != self.n_days:
-            raise ParameterError("regime lengths must sum to n_days")
-        if any(r[2] < 0 for r in self.regimes):
-            raise ParameterError("vol_per_day must be non-negative")
+            raise ConfigError(f"split intervals out of order: {self}")
 
 
 def parse_ohlcv_csv(text: str, asset_id: str) -> PriceSeries:
@@ -179,32 +158,31 @@ def parse_ohlcv_csv(text: str, asset_id: str) -> PriceSeries:
     Rows may arrive unsorted; output is sorted ascending by date. A parse
     error names the asset and the first bad line.
     """
+    def bad(line: int, what) -> DataError:
+        return DataError(f"{asset_id}: line {line}: {what}")
+
     reader = csv.reader(io.StringIO(text))
     days, values = array("q"), array("d")  # day ordinals; 5 values a record
     try:
         if (header := next(reader, None)) is None:
-            raise CsvParseError(asset_id, 1, "empty document")
+            raise bad(1, "empty document")
         if [h.strip().lower() for h in header] != CSV_HEADER:
-            raise CsvParseError(asset_id, 1,
-                                f"bad header {header!r}, want {CSV_HEADER}")
+            raise bad(1, f"bad header {header!r}, want {CSV_HEADER}")
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 6:
-                raise CsvParseError(asset_id, line,
-                                    f"expected 6 fields, got {len(row)}")
+                raise bad(line, f"expected 6 fields, got {len(row)}")
             try:
                 days.append(dt.date.fromisoformat(row[0].strip()).toordinal())
             except ValueError:
-                raise CsvParseError(asset_id, line,
-                                    f"bad date {row[0]!r}") from None
+                raise bad(line, f"bad date {row[0]!r}") from None
             try:
                 values.extend(map(float, row[1:]))
             except ValueError:
-                raise CsvParseError(asset_id, line,
-                                    f"non-numeric field in {row!r}") from None
+                raise bad(line, f"non-numeric field in {row!r}") from None
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise CsvParseError(asset_id, reader.line_num, str(exc)) from None
+        raise bad(reader.line_num, exc) from None
     days = np.frombuffer(days, np.int64)
     order = np.argsort(days, kind="stable")
     dates = (days[order] - _EPOCH_ORDINAL).astype("datetime64[D]")
@@ -282,23 +260,24 @@ def make_walkforward_splits(series: PriceSeries, train_years: int = 4,
     Validation starts embargo_days calendar days after training ends.
     Emits every split whose validation interval fits within the series span.
     """
-    if min(train_years, val_years, step_years) < 1 or embargo_days < 0:
-        raise ParameterError("window sizes must be >= 1 year, embargo >= 0")
-    splits = []
-    i = 0
+    if step_years < 1:  # the config's bound, kept here: 0 would loop forever
+        raise ConfigError(f"step_years: must be >= 1, got {step_years}")
+    splits, need = [], "past 9999-12-31"
     while True:
-        train_start = add_years(series.start_date, i * step_years)
-        train_end = add_years(train_start, train_years)
-        val_start = train_end + dt.timedelta(days=embargo_days)
-        val_end = add_years(val_start, val_years)
+        try:
+            train_start = add_years(series.start_date,
+                                    len(splits) * step_years)
+            train_end = add_years(train_start, train_years)
+            val_start = train_end + dt.timedelta(days=embargo_days)
+            val_end = add_years(val_start, val_years)
+        except (OverflowError, ValueError):  # past 9999-12-31: cannot fit
+            break
         if val_end > series.span_end:
+            need = val_end
             break
         splits.append(SplitSpec(train_start, train_end, val_start, val_end))
-        i += 1
     if not splits:
-        need = add_years(series.start_date, train_years + val_years)
-        need += dt.timedelta(days=embargo_days)
-        raise InsufficientDataError(
+        raise DataError(
             f"{series.asset_id}: series ends {series.end_date}, needs to "
             f"reach {need} for one split "
             f"({train_years}y train + {embargo_days}d embargo + {val_years}y val)")
@@ -311,20 +290,39 @@ CHRONO_MIN_BARS = 60  # fewest bars each side of a chrono split must hold
 def make_chrono_split(series: PriceSeries, train_fraction: float = 0.7,
                       embargo_days: int = 30) -> SplitSpec:
     """Single chronological split at train_fraction of the calendar span."""
-    if not 0 < train_fraction < 1 or embargo_days < 0:
-        raise ParameterError("train_fraction must be in (0, 1), embargo >= 0")
     total_days = (series.span_end - series.start_date).days
     train_end = series.start_date + dt.timedelta(
         days=int(total_days * train_fraction))
-    val_start = train_end + dt.timedelta(days=embargo_days)
+    val_start = dt.date.fromordinal(min(  # past the span: no validation bar
+        train_end.toordinal() + embargo_days, series.span_end.toordinal()))
     # bars first: a 0-day training side is short data, not a bad split
     i0, i1 = series.index_window(series.start_date, train_end)
     j0, j1 = series.index_window(val_start, series.span_end)
     if i1 - i0 < CHRONO_MIN_BARS or j1 - j0 < CHRONO_MIN_BARS:
-        raise InsufficientDataError(
+        raise DataError(
             f"{series.asset_id}: chrono split leaves {i1 - i0} train / "
             f"{j1 - j0} test bars, need >= {CHRONO_MIN_BARS} each")
     return SplitSpec(series.start_date, train_end, val_start, series.span_end)
+
+
+def bounded(default=MISSING, **limits):
+    """A config field whose value must meet each of `limits` (`ge`, `gt`,
+    `le`, `lt`: a number), as `check_bounds` enforces."""
+    return field(default=default, metadata=limits)
+
+
+def check_bounds(obj) -> None:
+    """ConfigError naming the first field of the dataclass `obj` that is a
+    non-finite float or breaks a limit of its `bounded` declaration."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name}: must be finite, got {value}")
+        for name, limit in f.metadata.items():
+            if not getattr(operator, name)(value, limit):
+                sign = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}[name]
+                raise ConfigError(f"{f.name}: must be {sign} {limit}, "
+                                  f"got {value}")
 
 
 def encode_config(value):
@@ -342,10 +340,11 @@ def encode_config(value):
 
 def decode_config(tp, value, where: str = ""):
     """Rebuild a value of type `tp` from its JSON form, checking every part;
-    an error names the path of a wrong JSON type, a missing required field
-    or a bad date or enum value. An int passes for a float, as a float; a
-    bool for neither; a date is an ISO string and an enum its str value. A
-    list item may not repeat: every config list is a set of things to run."""
+    an error names the path of a wrong JSON type, a missing required field,
+    a bad date or enum value, or a value its dataclass refuses. An int
+    passes for a float, as a float; a bool for neither; a date is an ISO
+    string and an enum its str value. A list item may not repeat: every
+    config list is a set of things to run."""
     if is_dataclass(tp):
         _expect(dict, value, where)
         hints = get_type_hints(tp)
@@ -357,7 +356,10 @@ def decode_config(tp, value, where: str = ""):
                                                path)
             elif f.default is MISSING and f.default_factory is MISSING:
                 raise TypeError(f"{where}: missing key {f.name!r}")
-        return tp(**kwargs)
+        try:
+            return tp(**kwargs)
+        except ConfigError as exc:  # its message starts with a field name
+            raise ConfigError(f"{where}.{exc}" if where else str(exc)) from None
     origin, args = get_origin(tp), get_args(tp)
     if origin in (list, tuple):
         _expect(list, value, where)
@@ -391,6 +393,28 @@ def _expect(tp: type, value, where: str) -> None:
     if type(value) is not tp and (tp, type(value)) != (float, int):
         raise TypeError(f"{where or 'document'}: expected {tp.__name__}, "
                         f"got {type(value).__name__}")
+
+
+@dataclass(frozen=True)
+class SyntheticSpec:
+    """Geometric random walk spec: piecewise (length, drift, vol) regimes."""
+
+    n_days: int = bounded(ge=2)
+    initial_price: float = bounded(gt=0)
+    regimes: tuple[tuple[int, float, float], ...]
+    seed: int = bounded(ge=0)
+    start_date: dt.date = dt.date(2010, 1, 1)
+
+    def __post_init__(self):
+        check_bounds(self)
+        if sum(n for n, _, _ in self.regimes) != self.n_days or not all(
+                n >= 0 and math.isfinite(d) and 0 <= v < math.inf
+                for n, d, v in self.regimes):
+            raise ConfigError("regimes: need lengths >= 0 that sum to "
+                              "n_days, finite drifts and finite vols >= 0")
+        if np.busday_count(self.start_date, dt.date.max) < self.n_days:
+            raise ConfigError("start_date: its n_days weekdays must end "
+                              "before 9999-12-31")
 
 
 def load_synthetic_manifest(text: str) -> list[tuple[str, SyntheticSpec]]:

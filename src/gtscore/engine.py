@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PriceSeries
-from .errors import ParameterError
+from .errors import ConfigError
 
 BPS = 1e-4
 
@@ -54,7 +54,7 @@ def run_backtest(series: PriceSeries, positions: np.ndarray) -> BacktestResult:
     """Execute long/flat signals over every bar of `series`, flat before
     the first bar. `positions` must be aligned 1:1 with series bars."""
     if len(positions) != len(series):
-        raise ParameterError("positions not aligned with series bars")
+        raise ConfigError("positions not aligned with series bars")
     m = len(series)
     opens, closes = series.opens, series.closes
     sig = np.asarray(positions, dtype=bool)
@@ -90,16 +90,16 @@ def benchmark_per_observation_mean(benchmark_total_return: float,
     always-in, zero-cost strategy.
     """
     if n < 1:
-        raise ParameterError("n must be >= 1")
+        raise ConfigError("n must be >= 1")
     if benchmark_total_return <= -1:
-        raise ParameterError("benchmark total return must be > -1")
+        raise ConfigError("benchmark total return must be > -1")
     return float((1.0 + benchmark_total_return) ** (1.0 / n) - 1.0)
 
 
 def benchmark_arithmetic_mean(benchmark_total_return: float, n: int) -> float:
     """Alternative per-observation benchmark: total return divided by n."""
     if n < 1:
-        raise ParameterError("n must be >= 1")
+        raise ConfigError("n must be >= 1")
     return benchmark_total_return / n
 
 
@@ -109,7 +109,7 @@ def recompound_with_costs(trade_returns: np.ndarray,
     trade loses at most its stake: its wealth factor is floored at 0, so a
     wiped-out trade makes the total exactly -1."""
     if extra_bps_per_side < 0:
-        raise ParameterError("extra_bps_per_side must be >= 0")
+        raise ConfigError("extra_bps_per_side must be >= 0")
     r = np.asarray(trade_returns, dtype=float)
     if r.size == 0:
         return 0.0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConfigError
 
 
 def rsi(closes: np.ndarray, period: int) -> np.ndarray:
@@ -31,7 +31,7 @@ def rsi_columns(closes: np.ndarray, periods) -> np.ndarray:
     n = len(closes)
     for period in periods:
         if period < 2:
-            raise ParameterError("rsi period must be >= 2")
+            raise ConfigError("rsi period must be >= 2")
     deltas = np.diff(closes)
     gains, losses = np.maximum(deltas, 0.0), np.maximum(-deltas, 0.0)
     k = len(periods)
@@ -81,7 +81,7 @@ def ema_columns(x: np.ndarray, periods, starts) -> np.ndarray:
     seeds = {}
     for j, (period, start) in enumerate(zip(periods, starts)):
         if period < 1:
-            raise ParameterError("ema period must be >= 1")
+            raise ConfigError("ema period must be >= 1")
         first = start + period - 1
         if first < n:  # else the column is all warm-up
             cols, vals = seeds.setdefault(first, ([], []))
@@ -118,7 +118,7 @@ def macd_columns(closes: np.ndarray, triples) -> tuple[dict, np.ndarray]:
     n = len(closes)
     for fast, slow, _ in triples:
         if fast >= slow:
-            raise ParameterError(f"fast ({fast}) must be < slow ({slow})")
+            raise ConfigError(f"fast ({fast}) must be < slow ({slow})")
     periods = sorted({p for t in triples for p in t[:2]})
     legs = dict(zip(periods, ema_columns(
         np.repeat(closes[:, None], len(periods), axis=1), periods,
@@ -148,7 +148,7 @@ def bollinger(closes: np.ndarray, window: int, k: float,
     given, is `rolling_stats(closes, window)` (a caller's cache).
     """
     if k <= 0:
-        raise ParameterError("bollinger k must be > 0")
+        raise ConfigError("bollinger k must be > 0")
     middle, std = rolling_stats(closes, window) if stats is None else stats
     offset = k * std
     return middle, middle + offset, middle - offset
@@ -160,7 +160,7 @@ def rolling_stats(closes: np.ndarray,
     closes = np.asarray(closes, dtype=float)
     n = len(closes)
     if window < 2:
-        raise ParameterError("bollinger window must be >= 2")
+        raise ConfigError("bollinger window must be >= 2")
     if n < window:  # all warm-up
         return np.full(n, np.nan), np.full(n, np.nan)
     views = np.lib.stride_tricks.sliding_window_view(closes, window)

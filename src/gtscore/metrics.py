@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -30,18 +30,18 @@ class MetricContext:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ParameterError("n must be >= 1")
+            raise ConfigError("n must be >= 1")
         if self.sigma < 0 or self.sigma_d < 0:
-            raise ParameterError("dispersion must be non-negative")
+            raise ConfigError("dispersion must be non-negative")
         if not 0.0 <= self.r2 <= 1.0:
-            raise ParameterError(f"r2 must be in [0, 1], got {self.r2}")
+            raise ConfigError(f"r2 must be in [0, 1], got {self.r2}")
 
 
 def mean_and_std(returns: np.ndarray) -> tuple:
     """Arithmetic mean and population standard deviation."""
     r = np.asarray(returns, dtype=float)
     if r.shape[-1] == 0:
-        raise ParameterError("empty return sequence")
+        raise ConfigError("empty return sequence")
     return r.mean(axis=-1), r.std(axis=-1)
 
 
@@ -49,7 +49,7 @@ def downside_deviation(returns: np.ndarray, mar: float = 0.0):
     """Root mean square of shortfalls below the minimum acceptable return."""
     r = np.asarray(returns, dtype=float)
     if r.shape[-1] == 0:
-        raise ParameterError("empty return sequence")
+        raise ConfigError("empty return sequence")
     shortfall = np.minimum(r - mar, 0.0)
     return np.sqrt(np.mean(shortfall ** 2, axis=-1))
 
@@ -57,14 +57,14 @@ def downside_deviation(returns: np.ndarray, mar: float = 0.0):
 def sharpe(mu: float, sigma: float, eps: float) -> float:
     """Per-observation Sharpe ratio, risk-free rate 0, no annualization."""
     if eps <= 0:
-        raise ParameterError("eps must be > 0")
+        raise ConfigError("eps must be > 0")
     return mu / (sigma + eps)
 
 
 def sortino(mu: float, sigma_d: float, eps: float) -> float:
     """Per-observation Sortino ratio against a zero target."""
     if eps <= 0:
-        raise ParameterError("eps must be > 0")
+        raise ConfigError("eps must be > 0")
     return mu / (sigma_d + eps)
 
 
@@ -77,7 +77,7 @@ def r_squared_consistency(equity_points: np.ndarray):
     y = np.asarray(equity_points, dtype=float)
     n = y.shape[-1]
     if n < 2:
-        raise ParameterError("need >= 2 equity points")
+        raise ConfigError("need >= 2 equity points")
     x = np.arange(n, dtype=float)
     dx = x - x.mean()
     dy = y - y.mean(axis=-1, keepdims=True)
@@ -92,9 +92,9 @@ def r_squared_consistency(equity_points: np.ndarray):
 def z_score(mu: float, mu_m: float, sigma: float, n: int, eps: float) -> float:
     """Standardized excess mean (mu - mu_m) / (sigma / sqrt(n) + eps)."""
     if n < 1:
-        raise ParameterError("n must be >= 1")
+        raise ConfigError("n must be >= 1")
     if eps <= 0:
-        raise ParameterError("eps must be > 0")
+        raise ConfigError("eps must be > 0")
     return (mu - mu_m) / (sigma / math.sqrt(n) + eps)
 
 

@@ -28,12 +28,13 @@ from enum import Enum
 
 import numpy as np
 
+from .data import bounded, check_bounds
 from .engine import (
     BacktestResult,
     benchmark_arithmetic_mean,
     benchmark_per_observation_mean,
 )
-from .errors import ParameterError
+from .errors import ConfigError
 from .metrics import (
     MetricContext,
     downside_deviation,
@@ -57,49 +58,39 @@ class Periodization(str, Enum):
     STABILIZED = "stabilized"
 
 
+class BenchmarkMode(str, Enum):
+    GEOMETRIC = "geometric"
+    ARITHMETIC = "arithmetic"  # total / n
+
+
 @dataclass(frozen=True)
 class StabilizationConfig:
     """Knobs for the optional stabilized-variance periodization."""
 
-    threshold: float = 0.01
-    window: int = 3
+    threshold: float = bounded(0.01, gt=0)
+    window: int = bounded(3, ge=1)
     n_range: tuple[int, int] = (10, 100)
-    fallback: int = 50
+    fallback: int = bounded(50, ge=1)
 
     def __post_init__(self):
+        check_bounds(self)
         r = self.n_range
-        for ok, what in (
-                (math.isfinite(self.threshold) and self.threshold > 0,
-                 "threshold must be finite and > 0"),
-                (self.window >= 1, "window must be >= 1"),
-                (len(r) == 2 and all(type(v) is int for v in r)
-                 and 1 <= r[0] <= r[1], "n_range must be ints 1 <= lo <= hi"),
-                (self.fallback >= 1, "fallback must be >= 1")):
-            if not ok:
-                raise ParameterError(f"stabilization {what}: {self}")
+        if list(map(type, r)) != [int, int] or not 1 <= r[0] <= r[1]:
+            raise ConfigError(f"n_range: must be ints 1 <= lo <= hi, got {r}")
 
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
-    eps: float = 1e-6
-    n_min: int = 50
-    below_min_penalty: float = 300.0
+    eps: float = bounded(1e-6, gt=0)
+    n_min: int = bounded(50, ge=1)
+    # above the worst piecewise branch, which is bounded below 200
+    below_min_penalty: float = bounded(300.0, gt=200)
     periodization: Periodization = Periodization.FIXED_TRADES
     stabilization: StabilizationConfig = field(default_factory=StabilizationConfig)
-    benchmark_mode: str = "geometric"   # or "arithmetic": total / n
+    benchmark_mode: BenchmarkMode = BenchmarkMode.GEOMETRIC
     r2_on_log_equity: bool = False
 
-    def __post_init__(self):
-        if not 0 < self.eps < math.inf:  # NaN fails every comparison
-            raise ParameterError("eps must be finite and > 0")
-        if self.n_min < 1:
-            raise ParameterError("n_min must be >= 1")
-        if not 200 < self.below_min_penalty < math.inf:
-            raise ParameterError(
-                "below_min_penalty must be finite and exceed 200 (the worst "
-                "piecewise branch is bounded below 200)")
-        if self.benchmark_mode not in ("geometric", "arithmetic"):
-            raise ParameterError(f"bad benchmark_mode {self.benchmark_mode!r}")
+    __post_init__ = check_bounds
 
 
 def gt_score_loss(ctx: MetricContext, cfg: ObjectiveConfig) -> float:
@@ -118,7 +109,7 @@ def baseline_loss(kind: ObjectiveKind, ctx: MetricContext,
                   total_return: float, cfg: ObjectiveConfig) -> float:
     """Simple/Sharpe/Sortino losses, gated like the composite."""
     if kind == ObjectiveKind.GT_SCORE:
-        raise ParameterError("use gt_score_loss for the composite objective")
+        raise ConfigError("use gt_score_loss for the composite objective")
     if ctx.n < trade_gate(cfg):
         return cfg.below_min_penalty
     if kind == ObjectiveKind.SIMPLE:
@@ -127,7 +118,7 @@ def baseline_loss(kind: ObjectiveKind, ctx: MetricContext,
         return -sharpe(ctx.mu, ctx.sigma, cfg.eps)
     if kind == ObjectiveKind.SORTINO:
         return -sortino(ctx.mu, ctx.sigma_d, cfg.eps)
-    raise ParameterError(f"unknown objective kind {kind!r}")
+    raise ConfigError(f"unknown objective kind {kind!r}")
 
 
 def metric_contexts(results: list[BacktestResult], cfg: ObjectiveConfig,
@@ -188,8 +179,8 @@ def pool_losses(results: list[BacktestResult],
         # the selected period count stands in for N.
         windows = {r.window for r in results}
         if len(windows) > 1:
-            raise ParameterError("stabilized losses need one window per "
-                                 f"pool, got {len(windows)}")
+            raise ConfigError("stabilized losses need one window per "
+                              f"pool, got {len(windows)}")
         observations = stabilized_period_returns(
             [r.trade_exit_dates for r in results],
             [r.equity_points for r in results],

@@ -32,7 +32,7 @@ import numpy as np
 
 from .data import PriceSeries, SplitSpec, make_chrono_split, make_walkforward_splits
 from .engine import entry_bars, run_backtest
-from .errors import DataError, ParameterError
+from .errors import ConfigError, DataError
 from .objective import (
     ObjectiveConfig,
     ObjectiveKind,
@@ -56,10 +56,6 @@ class CellSpec:
     seed: int
     split_id: int = 0
     budget: int = DEFAULT_BUDGET
-
-    def __post_init__(self):
-        if self.budget < 1:
-            raise ParameterError("budget must be >= 1")
 
 
 def candidate_rng(seed: int, asset_id: str,
@@ -161,7 +157,7 @@ def run_trials(cells: list[CellSpec], series_by_asset: dict[str, PriceSeries],
     (see `run_task`), in a pool of at most one worker per task when
     jobs > 1; output order is canonical and independent of scheduling."""
     if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     tasks: dict[tuple, list[CellSpec]] = {}
     for cell in cells:
         tasks.setdefault((cell.asset_id, cell.split), []).append(cell)
@@ -188,8 +184,6 @@ def study_cells(assets: list[PriceSeries], strategies: list[StrategyKind],
     too short for a split, and each split whose training or validation
     window holds fewer than 2 bars (split ids keep their calendar
     position). DataError when no asset keeps a split."""
-    if not seeds:
-        raise ParameterError("seeds must be non-empty")
     cells = []
     for series in assets:
         try:
@@ -239,7 +233,7 @@ def run_montecarlo(assets, strategies, objectives, seeds,
     # each cell pairs GT-Score with each baseline once
     if (ObjectiveKind.GT_SCORE in objectives
             and any(b in objectives for b in BASELINES) and len(cells) < 2):
-        raise ParameterError(
+        raise ConfigError(
             f"need n >= 2 pairs to compare gt_score with a baseline; this "
             f"study has {len(cells)} (one per asset, strategy and seed)")
     return run_trials(cells, {s.asset_id: s for s in assets}, objectives,

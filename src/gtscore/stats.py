@@ -7,7 +7,7 @@ import math
 import numpy as np
 from scipy.special import ndtr, stdtr
 
-from .errors import ParameterError
+from .errors import ConfigError
 
 # Exact signed-rank enumeration is used at or below this sample size
 # (a 2^n x n matrix of sign patterns).
@@ -23,10 +23,10 @@ def paired_t_test(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
-        raise ParameterError(f"length mismatch: {a.shape} vs {b.shape}")
+        raise ConfigError(f"length mismatch: {a.shape} vs {b.shape}")
     n = a.size
     if n < 2:
-        raise ParameterError("need n >= 2 pairs")
+        raise ConfigError("need n >= 2 pairs")
     d = a - b
     mean_diff = float(d.mean())
     s_d = float(d.std(ddof=1))
@@ -57,7 +57,7 @@ def _exact_p(d: np.ndarray, ranks: np.ndarray, w: float) -> float:
     + P(W+ >= T - w), the doubled one-tail by the null's symmetry."""
     n = d.size
     if n > WILCOXON_EXACT_MAX_N:
-        raise ParameterError(f"exact enumeration limited to n <= {WILCOXON_EXACT_MAX_N}")
+        raise ConfigError(f"exact enumeration limited to n <= {WILCOXON_EXACT_MAX_N}")
     total = float(ranks.sum())
     # W+ of every sign pattern; half-integer rank sums are exact in float64
     signs = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
@@ -94,7 +94,7 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
-        raise ParameterError(f"length mismatch: {a.shape} vs {b.shape}")
+        raise ConfigError(f"length mismatch: {a.shape} vs {b.shape}")
     d, ranks, w = _signed_ranks(a - b)
     if d.size <= WILCOXON_EXACT_MAX_N:
         return w, _exact_p(d, ranks, w)
@@ -110,7 +110,7 @@ def cohens_d_pooled(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size < 2 or b.size < 2:
-        raise ParameterError("each group needs >= 2 observations")
+        raise ConfigError("each group needs >= 2 observations")
     na, nb = a.size, b.size
     pooled_var = ((na - 1) * a.var(ddof=1) + (nb - 1) * b.var(ddof=1)) / (na + nb - 2)
     diff = float(a.mean() - b.mean())

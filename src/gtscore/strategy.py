@@ -9,7 +9,7 @@ from enum import Enum
 import numpy as np
 
 from .data import PriceSeries
-from .errors import ParameterError
+from .errors import ConfigError
 from .indicators import bollinger, macd_columns, rolling_stats, rsi_columns
 
 
@@ -36,9 +36,9 @@ class RsiParams:
 
     def __post_init__(self):
         if self.period < 2:
-            raise ParameterError("rsi period must be >= 2")
+            raise ConfigError("rsi period must be >= 2")
         if not 0 < self.oversold < self.overbought < 100:
-            raise ParameterError(
+            raise ConfigError(
                 f"need 0 < oversold < overbought < 100, got "
                 f"{self.oversold}/{self.overbought}")
 
@@ -58,9 +58,9 @@ class MacdParams:
 
     def __post_init__(self):
         if self.fast < 2 or self.signal < 2:
-            raise ParameterError("macd periods must be >= 2")
+            raise ConfigError("macd periods must be >= 2")
         if self.fast >= self.slow:
-            raise ParameterError(f"fast ({self.fast}) must be < slow ({self.slow})")
+            raise ConfigError(f"fast ({self.fast}) must be < slow ({self.slow})")
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,9 @@ class BollingerParams:
 
     def __post_init__(self):
         if self.window < 5:
-            raise ParameterError("bollinger window must be >= 5")
+            raise ConfigError("bollinger window must be >= 5")
         if self.k <= 0:
-            raise ParameterError("bollinger k must be > 0")
+            raise ConfigError("bollinger k must be > 0")
 
 
 StrategyParams = RsiParams | MacdParams | BollingerParams

@@ -7,13 +7,16 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -31,6 +34,7 @@ from gtscore.cli import (
 from gtscore.data import (
     CSV_HEADER,
     PriceSeries,
+    SyntheticSpec,
     decode_config,
     encode_config,
     ohlcv_rows,
@@ -664,6 +668,15 @@ def test_missing_data_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "2020-01-03" in err
         assert err.count("\n") == 1
+    # a last bar on the calendar's last day is refused like any bad row,
+    # under both protocols
+    (data_dir / "X.csv").write_text(good + "9999-12-31,11,12,10,10.8,100\n")
+    for command in ("montecarlo", "walkforward"):
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: X: 9999-12-31: date on or after 9999-12-31 (o=11.0 "
+            "h=12.0 l=10.0 c=10.8 v=100.0)\n")
     # a parse error names the asset, as validation errors do
     for text, message in [
             (good + "2020-01-03,11,12,10,10.8\n",
@@ -1038,7 +1051,8 @@ def test_synth_output_file_is_a_directory_exit_code(workspace, tmp_path,
         ["synth", "--spec", str(root / "manifest.json"),
          "--out", str(tmp_path)], tmp_path / "AA.csv", capsys)
 
-def test_bad_config_exit_code(tmp_path, capsys):
+def test_bad_config_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where the default out_dir would be made
     bad = tmp_path / "bad.json"
     bad.write_text('{"wf": 5}')
     assert main(["montecarlo", "--config", str(bad)]) == 1
@@ -1075,6 +1089,32 @@ def test_bad_config_exit_code(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"error: bad run config: {path}: int too large to convert to "
             "float\n")
+    # a value past its field's bound is named by its path: the upper
+    # bounds are the spans the calendar holds
+    for doc, message in [
+            ('{"mc": {"embargo_days": %s}}' % huge,
+             f"mc.embargo_days: must be <= 3652058, got {huge}"),
+            ('{"wf": {"embargo_days": %d}}' % 10 ** 12,
+             "wf.embargo_days: must be <= 3652058, got 1000000000000"),
+            ('{"wf": {"train_years": %d}}' % 10 ** 6,
+             "wf.train_years: must be <= 9998, got 1000000"),
+            ('{"budget": 0}', "budget: must be >= 1, got 0"),
+            ('{"objective": {"benchmark_mode": "median"}}',
+             "objective.benchmark_mode: 'median' is not a valid "
+             "BenchmarkMode")]:
+        for command in ("montecarlo", "walkforward"):
+            bad.write_text(doc)
+            capsys.readouterr()
+            assert main([command, "--config", str(bad)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: bad run config: {message}\n")
+    # an int too long for int() to read is not JSON this program reads
+    bad.write_text('{"mc": {"embargo_days": 1%s}}' % ("0" * 5000))
+    capsys.readouterr()
+    assert main(["montecarlo", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config is not valid JSON: Exceeds the limit")
+    assert err.count("\n") == 1
     # a wrong JSON type is named by its path
     for doc, path in [('{"assets": [1]}', "assets[0]"),
                       ('{"budget": true}', "budget"),
@@ -1123,6 +1163,65 @@ def test_bad_config_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read config {tmp_path}")
     assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
+def bounded_fields(tp, path):
+    """(dotted path, type, limits) of each `bounded` field of the dataclass
+    `tp` and of the dataclasses nested in it."""
+    hints = get_type_hints(tp)
+    for f in fields(tp):
+        where = f"{path}.{f.name}" if path else f.name
+        if is_dataclass(hints[f.name]):
+            yield from bounded_fields(hints[f.name], where)
+        elif f.metadata:
+            yield where, hints[f.name], f.metadata
+
+
+def test_config_bounds_from_field_metadata():
+    # every bound a config field declares, read from its metadata and
+    # checked through decode_config: the edge of the range is accepted,
+    # one step past it (1 for an int, one float for a float) is refused
+    # naming the field's path, and so is a non-finite float
+    def run_config(path, value):
+        doc = value
+        for key in reversed(path.split(".")):
+            doc = {key: doc}
+        return decode_config(RunConfig, json.loads(json.dumps(doc)))
+
+    def manifest_entry(path, value):
+        entry = {"n_days": 10, "initial_price": 1.0, "seed": 0,
+                 path.removeprefix("assets[0]."): value}
+        entry["regimes"] = [[entry["n_days"], 0.0, 0.01]]
+        return decode_config(SyntheticSpec, json.loads(json.dumps(entry)),
+                             "assets[0]")
+
+    cases = [(*case, run_config) for case in bounded_fields(RunConfig, "")]
+    cases += [(*case, manifest_entry)
+              for case in bounded_fields(SyntheticSpec, "assets[0]")]
+    assert {path for path, *_ in cases} == {
+        "wf.train_years", "wf.val_years", "wf.step_years", "wf.embargo_days",
+        "mc.train_fraction", "mc.embargo_days", "budget", "objective.eps",
+        "objective.n_min", "objective.below_min_penalty",
+        "objective.stabilization.threshold", "objective.stabilization.window",
+        "objective.stabilization.fallback", "assets[0].n_days",
+        "assets[0].initial_price", "assets[0].seed"}
+    for path, kind, limits, decode in cases:
+        for name, limit in limits.items():
+            up = 1 if name in ("ge", "gt") else -1  # the way into the range
+            step = ((lambda x, way: x + way) if kind is int else
+                    (lambda x, way: math.nextafter(x, way * math.inf)))
+            inside, outside = ((limit, step(limit, -up)) if name in ("ge", "le")
+                               else (step(limit, up), limit))
+            decode(path, inside)  # accepted
+            with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: "
+                                                  rf"must be {'<>'[up > 0]}"):
+                decode(path, outside)
+        if kind is float:
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:"
+                                                      r" must be finite"):
+                    decode(path, value)
 
 
 def test_synth_bad_manifest_exit_code(tmp_path, capsys):
@@ -1164,7 +1263,22 @@ def test_synth_bad_manifest_exit_code(tmp_path, capsys):
              # lengths that sum to n_days but one is negative
              (json.dumps({"assets": [{**entry, "n_days": 10, "regimes": [
                  [-5, 0.5, 0.0], [15, -0.5, 0.0]]}]}),
-              "bad synthetic manifest: regime lengths must be >= 0"),
+              "bad synthetic manifest: assets[0].regimes: need lengths >= 0 "
+              "that sum to n_days, finite drifts and finite vols >= 0"),
+             # a value out of its field's range is named by its path too
+             (json.dumps({"assets": [{**entry, "seed": -1}]}),
+              "assets[0].seed: must be >= 0, got -1"),
+             (json.dumps({"assets": [{**entry, "start_date": "9999-12-01"}]}),
+              "assets[0].start_date: its n_days weekdays must end before "
+              "9999-12-31"),
+             (json.dumps({"assets": [{**entry, "initial_price": math.nan}]}),
+              "assets[0].initial_price: must be finite, got nan"),
+             (json.dumps({"assets": [{**entry, "initial_price": math.inf}]}),
+              "assets[0].initial_price: must be finite, got inf"),
+             (json.dumps({"assets": [{**entry, "regimes": [
+                 [600, 0.0, math.nan]]}]}),
+              "assets[0].regimes: need lengths >= 0 that sum to n_days, "
+              "finite drifts and finite vols >= 0"),
              (json.dumps({"assets": [entry, {
                  k: v for k, v in entry.items() if k != "n_days"}]}),
               "bad synthetic manifest: assets[1]: missing key 'n_days'")]
@@ -1242,9 +1356,9 @@ def test_negative_embargo_exit_code(workspace, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     for command, settings, message in (
             ("montecarlo", {"mc": {"embargo_days": -5}},
-             "train_fraction must be in (0, 1), embargo >= 0"),
+             "bad run config: mc.embargo_days: must be >= 0, got -5"),
             ("walkforward", {"wf": {"embargo_days": -5}},
-             "window sizes must be >= 1 year, embargo >= 0")):
+             "bad run config: wf.embargo_days: must be >= 0, got -5")):
         cfg_path.write_text(json.dumps({
             "data_dir": str(root / "data"), "budget": 1,
             "out_dir": str(tmp_path / "out"), **settings}))

@@ -13,13 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtscore.cli import csv_text
+from gtscore.cli import RunConfig, csv_text
 from gtscore.data import (
     CSV_HEADER,
+    MAX_DAYS,
     PriceSeries,
     SplitSpec,
     SyntheticSpec,
     add_years,
+    decode_config,
     generate_synthetic_series,
     load_synthetic_manifest,
     make_chrono_split,
@@ -27,12 +29,7 @@ from gtscore.data import (
     ohlcv_rows,
     parse_ohlcv_csv,
 )
-from gtscore.errors import (
-    CsvParseError,
-    CsvValidationError,
-    InsufficientDataError,
-    ParameterError,
-)
+from gtscore.errors import ConfigError, DataError
 
 from conftest import make_series
 
@@ -71,52 +68,54 @@ def test_parse_header_case_insensitive():
 
 
 def test_parse_bad_header():
-    with pytest.raises(CsvParseError) as exc:
+    with pytest.raises(DataError, match="^A: line 1: bad header "):
         parse_ohlcv_csv("date,open,close\n", "A")
-    assert exc.value.line_no == 1
 
 
 def test_parse_bad_row_reports_line():
     bad = CSV_OK + "2020-01-07,11,xx,10,10.8,100\n"
-    with pytest.raises(CsvParseError) as exc:
+    with pytest.raises(DataError, match="^A: line 5: non-numeric field"):
         parse_ohlcv_csv(bad, "A")
-    assert exc.value.line_no == 5
 
 
 def test_parse_bad_date():
     bad = CSV_OK + "not-a-date,11,12,10,10.8,100\n"
-    with pytest.raises(CsvParseError):
+    with pytest.raises(DataError, match="^A: line 5: bad date 'not-a-date'"):
         parse_ohlcv_csv(bad, "A")
 
 
 # --- per-row oracle for the column parser -----------------------------------
 
 
+def parse_error(asset_id, line_no, message):
+    return DataError(f"{asset_id}: line {line_no}: {message}")
+
+
 def oracle_row(asset_id, line_no, row):
     if len(row) != 6:
-        raise CsvParseError(asset_id, line_no,
-                            f"expected 6 fields, got {len(row)}")
+        raise parse_error(asset_id, line_no,
+                          f"expected 6 fields, got {len(row)}")
     try:
         d = dt.date.fromisoformat(row[0].strip())
     except ValueError:
-        raise CsvParseError(asset_id, line_no,
-                            f"bad date {row[0]!r}") from None
+        raise parse_error(asset_id, line_no,
+                          f"bad date {row[0]!r}") from None
     try:
         return d, [float(x) for x in row[1:]]
     except ValueError:
-        raise CsvParseError(asset_id, line_no,
-                            f"non-numeric field in {row!r}") from None
+        raise parse_error(asset_id, line_no,
+                          f"non-numeric field in {row!r}") from None
 
 
 def oracle_parse(text, asset_id):
     """Row-at-a-time parse: each record becomes a (date, values) pair."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows:
-        raise CsvParseError(asset_id, 1, "empty document")
+        raise parse_error(asset_id, 1, "empty document")
     header = [h.strip().lower() for h in rows[0]]
     if header != CSV_HEADER:
-        raise CsvParseError(asset_id, 1,
-                            f"bad header {rows[0]!r}, want {CSV_HEADER}")
+        raise parse_error(asset_id, 1,
+                          f"bad header {rows[0]!r}, want {CSV_HEADER}")
     parsed = [oracle_row(asset_id, i, row)
               for i, row in enumerate(rows[1:], start=2) if row]
     dates = np.array([d for d, _ in parsed], dtype="datetime64[D]")
@@ -126,11 +125,12 @@ def oracle_parse(text, asset_id):
 
 
 def outcome(parse, text):
-    """A parsed series, or the type, line and message of its error."""
+    """A parsed series, or the message of its error, which names the line
+    of a parse error."""
     try:
         return parse(text, "A")
-    except (CsvParseError, CsvValidationError, InsufficientDataError) as exc:
-        return type(exc), getattr(exc, "line_no", None), str(exc)
+    except DataError as exc:
+        return str(exc)
 
 
 BAD_DATES = ["2020-02-30", "not-a-date", "", "2020/01/02", "02-01-2020"]
@@ -192,7 +192,7 @@ def test_parse_reports_first_bad_record():
         text = "\n".join(lines[:2] + [first] + lines[2:] + [second]) + "\n"
         got = outcome(parse_ohlcv_csv, text)
         assert got == outcome(oracle_parse, text)
-        assert got[1] == 3
+        assert got.startswith("A: line 3: ")
     for text in ["", "date,open,high,low,close,volume\n",
                  "date,open,high,low,close,volume\n\n\n"]:
         assert outcome(parse_ohlcv_csv, text) == outcome(oracle_parse, text)
@@ -224,21 +224,31 @@ def test_validation_rejects_bad_ohlc():
                 "2020-01-07,11,inf,10,10.8,100",  # non-finite values
                 "2020-01-07,11,12,10,10.8,nan",
                 "2020-01-07,11,12,10,10.8,inf"]:
-        with pytest.raises(CsvValidationError) as exc:
+        with pytest.raises(DataError, match="^A: 2020-01-07: (OHLC|non-f)"):
             parse_ohlcv_csv(CSV_OK + row + "\n", "A")
-        assert "2020-01-07" in str(exc.value)
 
 
 def test_validation_rejects_nonpositive_price():
     bad = CSV_OK + "2020-01-07,0,12,0,10.8,100\n"
-    with pytest.raises(CsvValidationError):
+    with pytest.raises(DataError, match="2020-01-07: non-positive price"):
         parse_ohlcv_csv(bad, "A")
 
 
 def test_validation_rejects_duplicate_date():
     bad = CSV_OK + "2020-01-06,11,12,10,10.8,100\n"
-    with pytest.raises(CsvValidationError):
+    with pytest.raises(DataError,
+                       match="2020-01-06: duplicate or out-of-order date"):
         parse_ohlcv_csv(bad, "A")
+
+
+def test_validation_rejects_the_calendars_last_day():
+    # a last bar on 9999-12-31 leaves no day for the span's exclusive end
+    last = "9999-12-30,11,12,10,10.8,100\n"
+    series = parse_ohlcv_csv(CSV_OK + last, "A")
+    assert series.span_end == dt.date.max
+    with pytest.raises(DataError, match="^A: 9999-12-31: date on or after "
+                                        "9999-12-31 "):
+        parse_ohlcv_csv(CSV_OK + last + last.replace("-30", "-31"), "A")
 
 
 def test_csv_round_trip():
@@ -248,9 +258,9 @@ def test_csv_round_trip():
 
 
 def test_series_needs_two_bars():
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(DataError, match="^X: need at least 2 bars, got 1"):
         PriceSeries("X", [dt.date(2020, 1, 1)], [1], [1], [1], [1], [0])
-    with pytest.raises(ParameterError):  # columns of unequal length
+    with pytest.raises(ConfigError, match="^X: columns differ in length"):
         PriceSeries("X", [dt.date(2020, 1, 1), dt.date(2020, 1, 2)],
                     [1, 1], [1, 1], [1, 1], [1, 1], [0])
 
@@ -262,7 +272,7 @@ def test_slice_half_open():
     # a window is a read-only view of the parent's columns
     assert np.shares_memory(sub.closes, s.closes)
     assert not sub.closes.flags.writeable
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(DataError, match="holds 1 bars, need >= 2"):
         s.slice(dt.date(2020, 1, 4), dt.date(2020, 1, 5))
 
 
@@ -308,14 +318,23 @@ def test_synthetic_bar_shape():
 
 
 def test_synthetic_spec_validation():
-    with pytest.raises(ParameterError):
-        SyntheticSpec(10, 100.0, ((5, 0.0, 0.01),), seed=1)  # lengths != n
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="^initial_price: must be > 0"):
         SyntheticSpec(10, -1.0, ((10, 0.0, 0.01),), seed=1)
-    with pytest.raises(ParameterError):
-        SyntheticSpec(10, 100.0, ((10, 0.0, -0.01),), seed=1)
-    with pytest.raises(ParameterError, match="lengths must be >= 0"):
-        SyntheticSpec(10, 100.0, ((-5, 0.5, 0.0), (15, -0.5, 0.0)), seed=1)
+    # lengths that do not sum to n_days, a negative length summing to it,
+    # a negative vol, and a non-finite drift or vol
+    for regimes in [((5, 0.0, 0.01),), ((-5, 0.5, 0.0), (15, -0.5, 0.0)),
+                    ((10, 0.0, -0.01),), ((10, 0.0, math.nan),),
+                    ((10, 0.0, math.inf),), ((10, math.nan, 0.01),),
+                    ((10, -math.inf, 0.01),)]:
+        with pytest.raises(ConfigError, match="^regimes: need lengths >= 0 "
+                                              "that sum to n_days, finite"):
+            SyntheticSpec(10, 100.0, regimes, seed=1)
+    # every bar must fall before 9999-12-31: 22 weekdays from 9999-12-01
+    # end on 9999-12-30, 23 would end on 9999-12-31
+    SyntheticSpec(22, 1.0, ((22, 0.0, 0.0),), 1, dt.date(9999, 12, 1))
+    with pytest.raises(ConfigError, match="^start_date: its n_days weekdays "
+                                          "must end before 9999-12-31"):
+        SyntheticSpec(23, 1.0, ((23, 0.0, 0.0),), 1, dt.date(9999, 12, 1))
 
 
 def test_manifest_round_trip():
@@ -362,7 +381,7 @@ def test_walkforward_split_geometry():
 
 def test_walkforward_too_short():
     short = make_series(range(10, 110))
-    with pytest.raises(InsufficientDataError) as exc:
+    with pytest.raises(DataError, match="needs to reach") as exc:
         make_walkforward_splits(short)
     assert "needs to reach" in str(exc.value)
 
@@ -378,7 +397,7 @@ def test_chrono_split_fraction():
 
 
 def test_chrono_split_too_short():
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(DataError, match="^T: chrono split leaves "):
         make_chrono_split(make_series(range(10, 110)))
 
 
@@ -388,31 +407,54 @@ def test_chrono_split_embargo_reaching_span_end():
     # bar and the bar count rejects the split
     s = make_series(range(10, 110))
     for embargo_days in (30, 31):
-        with pytest.raises(InsufficientDataError) as exc:
+        with pytest.raises(DataError) as exc:
             make_chrono_split(s, 0.7, embargo_days=embargo_days)
         assert str(exc.value) == (
             "T: chrono split leaves 70 train / 0 test bars, need >= 60 each")
 
 
 def test_split_settings_rejected():
-    # one plain message, not the repr of a SplitSpec out of order
-    s = fifteen_year_series()
-    for kwargs in ({"embargo_days": -5}, {"train_fraction": 0.0},
-                   {"train_fraction": 1.0}):
-        with pytest.raises(ParameterError) as exc:
-            make_chrono_split(s, **kwargs)
-        assert str(exc.value) == (
-            "train_fraction must be in (0, 1), embargo >= 0")
-    with pytest.raises(ParameterError) as exc:
-        make_walkforward_splits(s, embargo_days=-5)
-    assert str(exc.value) == "window sizes must be >= 1 year, embargo >= 0"
+    # the config refuses a split setting out of range, in one plain line
+    # that names it, not the repr of a SplitSpec out of order
+    for doc, message in [
+            ({"mc": {"embargo_days": -5}}, "mc.embargo_days: must be >= 0, "
+                                           "got -5"),
+            ({"mc": {"train_fraction": 0.0}}, "mc.train_fraction: must be "
+                                              "> 0, got 0.0"),
+            ({"mc": {"train_fraction": 1.0}}, "mc.train_fraction: must be "
+                                              "< 1, got 1.0"),
+            ({"wf": {"embargo_days": -5}}, "wf.embargo_days: must be >= 0, "
+                                           "got -5")]:
+        with pytest.raises(ConfigError) as exc:
+            decode_config(RunConfig, doc)
+        assert str(exc.value) == message
+    # the split maker keeps this one: a step of 0 would loop forever
+    with pytest.raises(ConfigError) as exc:
+        make_walkforward_splits(fifteen_year_series(), step_years=0)
+    assert str(exc.value) == "step_years: must be >= 1, got 0"
+
+
+def test_splits_stop_at_the_calendars_end():
+    # a split with a date past 9999-12-31 does not fit: walk-forward stops
+    # before it, and a chrono split's validation side gets no bar
+    n = 1300  # weekdays from 9995-01-02 to 9999-12-24
+    s = generate_synthetic_series(SyntheticSpec(
+        n, 100.0, ((n, 0.0, 0.01),), 1, dt.date(9995, 1, 1)), "END")
+    splits = make_walkforward_splits(s, train_years=2, val_years=1)
+    assert [sp.val_end.year for sp in splits] == [9998, 9999]
+    for kwargs in ({"train_years": 9998}, {"embargo_days": MAX_DAYS}):
+        with pytest.raises(DataError) as exc:
+            make_walkforward_splits(s, **kwargs)
+        assert "needs to reach past 9999-12-31" in str(exc.value)
+    with pytest.raises(DataError, match="leaves 910 train / 0 test bars"):
+        make_chrono_split(s, embargo_days=MAX_DAYS)
 
 
 def test_split_spec_ordering():
     d = dt.date
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="split intervals out of order"):
         SplitSpec(d(2020, 1, 1), d(2019, 1, 1), d(2021, 1, 1), d(2022, 1, 1))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="split intervals out of order"):
         SplitSpec(d(2020, 1, 1), d(2021, 1, 1), d(2020, 6, 1), d(2022, 1, 1))
 
 

@@ -17,7 +17,7 @@ from gtscore.engine import (
     recompound_with_costs,
     run_backtest,
 )
-from gtscore.errors import ParameterError
+from gtscore.errors import ConfigError
 
 from conftest import make_series
 
@@ -238,7 +238,7 @@ def test_equity_points_compound():
 
 def test_run_backtest_errors():
     series = make_series([10, 11, 12])
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="positions not aligned"):
         run_backtest(series, np.ones(2, bool))
 
 
@@ -256,9 +256,9 @@ def test_arithmetic_benchmark():
 
 
 def test_benchmark_errors():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="n must be >= 1"):
         benchmark_per_observation_mean(0.5, 0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="must be > -1"):
         benchmark_per_observation_mean(-1.0, 5)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gtscore.errors import ParameterError
+from gtscore.errors import ConfigError
 from gtscore.indicators import (
     bollinger,
     ema_columns,
@@ -179,7 +179,7 @@ def all_nan(values, n):
 
 
 def test_rsi_errors():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="rsi period must be >= 2"):
         rsi(np.ones(50), 1)
     # a warm-up that does not end inside the input is all of it
     assert all_nan(rsi(np.ones(10), 10), 10)
@@ -216,7 +216,7 @@ def test_macd_matches_oracle():
 
 
 def test_macd_errors():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="must be < slow"):
         macd(np.ones(100), 26, 12, 9)
     # the signal line would start at bar 33: it and the histogram are all
     # warm-up, and the line starts at bar 25 as on a longer input
@@ -282,7 +282,7 @@ def test_ema_columns_match_loop(values, columns):
 
 
 def test_ema_columns_errors():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="ema period must be >= 1"):
         ema_columns(np.ones((10, 2)), [3, 0], [0, 0])
     # column 1 would be seeded at row 10 of 10: all warm-up
     x = ema_columns(np.ones((10, 2)), [3, 5], [0, 6])
@@ -310,7 +310,7 @@ def test_macd_columns_match_macd(closes, triples):
 
 
 def test_macd_columns_errors():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="must be < slow"):
         macd_columns(np.ones(100), [(5, 20, 9), (26, 12, 9)])
     # the signal line of (5, 20, 9) would start at bar 27 of 27
     legs, signal = macd_columns(np.ones(27), [(5, 10, 9), (5, 20, 9)])
@@ -359,9 +359,9 @@ def test_bollinger_constant_series():
 
 
 def test_bollinger_errors():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="bollinger window must be >= 2"):
         bollinger(np.ones(30), 1, 2.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="bollinger k must be > 0"):
         bollinger(np.ones(30), 10, 0.0)
     for band in bollinger(np.ones(5), 10, 2.0):
         assert all_nan(band, 5)

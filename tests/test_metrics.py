@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtscore.errors import ParameterError
+from gtscore.errors import ConfigError
 from gtscore.metrics import (
     MetricContext,
     downside_deviation,
@@ -32,7 +32,7 @@ def test_mean_and_std_single_observation():
 
 
 def test_mean_and_std_empty():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="empty return sequence"):
         mean_and_std(np.array([]))
 
 
@@ -52,7 +52,7 @@ def test_downside_deviation_mar_shift():
 def test_sharpe_sortino_values():
     assert sharpe(0.02, 0.04, 1e-6) == pytest.approx(0.02 / 0.040001)
     assert sortino(0.02, 0.01, 1e-6) == pytest.approx(0.02 / 0.010001)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="eps must be > 0"):
         sharpe(0.02, 0.04, 0.0)
 
 
@@ -92,7 +92,7 @@ def test_r_squared_affine_invariance(scale, shift, seed):
 
 
 def test_r_squared_needs_two_points():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="need >= 2 equity points"):
         r_squared_consistency(np.array([1.0]))
 
 
@@ -138,9 +138,9 @@ def test_metric_context_invariants():
     ok = dict(mu=0.01, sigma=0.02, mu_m=0.0, n=50, sigma_d=0.01, r2=0.5,
               z=1.0)
     MetricContext(**ok)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="n must be >= 1"):
         MetricContext(**{**ok, "n": 0})
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="dispersion must be non-negative"):
         MetricContext(**{**ok, "sigma": -0.1})
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="r2 must be in"):
         MetricContext(**{**ok, "r2": 1.5})

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gtscore.data import decode_config
 from gtscore.engine import (
     BacktestResult,
     benchmark_arithmetic_mean,
     benchmark_per_observation_mean,
     run_backtest,
 )
-from gtscore.errors import ParameterError
+from gtscore.errors import ConfigError
 from gtscore.metrics import MetricContext, r_squared_consistency, z_score
 from gtscore.objective import (
     ObjectiveConfig,
@@ -156,7 +157,7 @@ def test_baseline_losses_oriented():
         -0.02 / 0.040001)
     assert baseline_loss(ObjectiveKind.SORTINO, c, 0.5, CFG) == pytest.approx(
         -0.02 / 0.010001)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="use gt_score_loss"):
         baseline_loss(ObjectiveKind.GT_SCORE, c, 0.5, CFG)
 
 
@@ -175,12 +176,14 @@ def test_penalty_dominates_every_branch():
 
 
 def test_config_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="below_min_penalty: must be > 200"):
         ObjectiveConfig(below_min_penalty=150.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="eps: must be > 0"):
         ObjectiveConfig(eps=0.0)
-    with pytest.raises(ParameterError):
-        ObjectiveConfig(benchmark_mode="median")
+    # an enum is checked by type, where its JSON form is decoded
+    with pytest.raises(ValueError, match="benchmark_mode: 'median' is not a "
+                                         "valid BenchmarkMode"):
+        decode_config(ObjectiveConfig, {"benchmark_mode": "median"})
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -190,7 +193,7 @@ def test_config_validation():
     dict(n_range=(10.0, 20)), dict(fallback=0),
 ])
 def test_stabilization_config_validation(kwargs):
-    with pytest.raises(ParameterError, match="stabilization"):
+    with pytest.raises(ConfigError, match=f"^{next(iter(kwargs))}: must be"):
         StabilizationConfig(**kwargs)
 
 
@@ -354,7 +357,7 @@ def test_trial_loss_zero_trades_is_penalty():
     res = run_backtest(series, np.zeros(7, bool))
     for cfg in (CFG, STAB, ObjectiveConfig(n_min=1)):
         assert trade_gate(cfg) > res.n_trades == 0
-    with pytest.raises(ParameterError, match="empty"):
+    with pytest.raises(ConfigError, match="empty"):
         pool_losses([res], list(ObjectiveKind), CFG)
 
 
@@ -395,7 +398,7 @@ def test_pool_losses_stabilized_rejects_mixed_windows():
     a = run_backtest(series, pos)
     b = run_backtest(series.slice(series.start_date + dt.timedelta(days=10),
                                   series.span_end), pos[10:])
-    with pytest.raises(ParameterError, match="one window"):
+    with pytest.raises(ConfigError, match="one window"):
         pool_losses([a, b], [ObjectiveKind.GT_SCORE], STAB)
     # the fixed-trades mode reads no window
     assert len(pool_losses([a, b], [ObjectiveKind.GT_SCORE], CFG)[0]) == 2

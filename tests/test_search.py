@@ -12,12 +12,13 @@ from gtscore.data import (
     PriceSeries,
     SplitSpec,
     SyntheticSpec,
+    decode_config,
     generate_synthetic_series,
     make_chrono_split,
     make_walkforward_splits,
 )
 from gtscore.engine import BacktestResult, run_backtest
-from gtscore.errors import DataError, ParameterError
+from gtscore.errors import ConfigError, DataError
 from gtscore.objective import (
     ObjectiveConfig,
     ObjectiveKind,
@@ -29,6 +30,7 @@ from gtscore.objective import (
 from gtscore import indicators, objective, search, strategy
 from gtscore.cli import (
     TRIAL_COLUMNS,
+    RunConfig,
     aggregate_by_objective,
     aggregate_by_period,
     aggregate_by_split,
@@ -661,7 +663,7 @@ def test_run_trials_caps_workers_at_tasks(monkeypatch):
                               jobs=64)) == summary(serial)
     run_trials(three, assets, objectives, CFG, jobs=2)
     assert seen == [3, 2]
-    with pytest.raises(ParameterError, match="jobs"):
+    with pytest.raises(ConfigError, match="jobs"):
         run_trials(one, assets, objectives, CFG, jobs=0)
 
 
@@ -729,8 +731,9 @@ def test_walkforward_spec_count():
 
 
 def test_study_cells_need_seeds():
-    with pytest.raises(ParameterError, match="seeds"):
-        study_cells([ASSET], [StrategyKind.MACD], chrono, seeds=[])
+    # a study's seeds are its config's, which names at least one
+    with pytest.raises(ConfigError, match="^mc.seeds: must name at least"):
+        decode_config(RunConfig, {"mc": {"seeds": []}})
 
 
 # --- aggregation -----------------------------------------------------------

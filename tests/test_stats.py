@@ -8,7 +8,7 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtscore.errors import ParameterError
+from gtscore.errors import ConfigError
 from gtscore.stats import (
     WILCOXON_EXACT_MAX_N,
     _average_ranks,
@@ -88,9 +88,9 @@ def test_t_test_constant_difference():
 
 
 def test_t_test_errors():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="length mismatch"):
         paired_t_test(np.ones(3), np.ones(4))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="need n >= 2 pairs"):
         paired_t_test(np.ones(1), np.ones(1))
 
 
@@ -146,7 +146,7 @@ def test_exact_small_case_by_hand():
 
 
 def test_exact_rejects_large_n():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="exact enumeration limited"):
         wilcoxon_exact_p(np.arange(1.0, 15.0))
 
 
@@ -215,7 +215,7 @@ def test_cohens_d_hand_value():
 def test_cohens_d_degenerate():
     assert cohens_d_pooled(np.ones(4), np.ones(4)) == 0.0
     assert math.isnan(cohens_d_pooled(np.ones(4), np.zeros(4)))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="each group needs >= 2"):
         cohens_d_pooled(np.ones(1), np.ones(4))
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtscore.errors import ParameterError
+from gtscore.errors import ConfigError
 from gtscore.indicators import bollinger, macd, rsi
 from gtscore.strategy import (
     FAMILIES,
@@ -29,15 +29,15 @@ from conftest import make_series, random_closes
 
 
 def test_param_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="rsi period must be >= 2"):
         RsiParams(1, 30.0, 70.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="oversold < overbought"):
         RsiParams(14, 70.0, 30.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="must be < slow"):
         MacdParams(26, 12, 9)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="bollinger window must be >= 5"):
         BollingerParams(3, 2.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError, match="bollinger k must be > 0"):
         BollingerParams(20, -1.0)
 
 
@@ -93,7 +93,7 @@ def branch_sample_params(kind, rng):
         window = int(rng.integers(10, 50 + 1))
         k = float(rng.uniform(1.0, 3.0))
         return BollingerParams(window, k)
-    raise ParameterError(f"unknown strategy kind {kind!r}")
+    raise ConfigError(f"unknown strategy kind {kind!r}")
 
 
 def test_sampler_matches_branch_oracle():
