@@ -30,6 +30,7 @@ from .data import (
     CSV_HEADER,
     MAX_DAYS,
     MAX_YEARS,
+    NONEMPTY,
     bounded,
     check_bounds,
     decode_config,
@@ -107,14 +108,12 @@ class WalkforwardConfig:
 
 @dataclass
 class MonteCarloConfig:
-    seeds: list[int] = field(default_factory=lambda: list(range(42, 57)))
+    seeds: list[int] = field(
+        default_factory=lambda: list(range(42, 57)), metadata=NONEMPTY)
     train_fraction: float = bounded(0.7, gt=0, lt=1)
     embargo_days: int = bounded(30, ge=0, le=MAX_DAYS)
 
-    def __post_init__(self):
-        check_bounds(self)
-        if not self.seeds:
-            raise ConfigError("seeds: must name at least one")
+    __post_init__ = check_bounds
 
 
 @dataclass
@@ -122,20 +121,16 @@ class RunConfig:
     data_dir: str = "data"
     assets: list[str] = field(default_factory=list)
     strategies: list[StrategyKind] = field(
-        default_factory=lambda: list(StrategyKind))
+        default_factory=lambda: list(StrategyKind), metadata=NONEMPTY)
     objectives: list[ObjectiveKind] = field(
-        default_factory=lambda: list(ObjectiveKind))
+        default_factory=lambda: list(ObjectiveKind), metadata=NONEMPTY)
     wf: WalkforwardConfig = field(default_factory=WalkforwardConfig)
     mc: MonteCarloConfig = field(default_factory=MonteCarloConfig)
     budget: int = bounded(search.DEFAULT_BUDGET, ge=1)
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
     out_dir: str = "out"
 
-    def __post_init__(self):
-        check_bounds(self)
-        for name in ("strategies", "objectives"):
-            if not getattr(self, name):
-                raise ConfigError(f"{name}: must name at least one")
+    __post_init__ = check_bounds
 
 
 def read_text(path, error: type[GtscoreError], what: str) -> str:
@@ -155,8 +150,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     try:
         return decode_config(RunConfig, doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad run config: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"bad run config: {exc}") from None
 
 
 def output_dir(path, names) -> Path:

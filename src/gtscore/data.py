@@ -307,21 +307,28 @@ def make_chrono_split(series: PriceSeries, train_fraction: float = 0.7,
 
 def bounded(default=MISSING, **limits):
     """A config field whose value must meet each of `limits` (`ge`, `gt`,
-    `le`, `lt`: a number), as `check_bounds` enforces."""
+    `le`, `lt`: a number), as `check_bounds` enforces; a config list that
+    must name at least one item is a `field` with `metadata=NONEMPTY`."""
     return field(default=default, metadata=limits)
+
+
+SIGNS = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}
+NONEMPTY = {"nonempty": True}  # a config list that names things to run
 
 
 def check_bounds(obj) -> None:
     """ConfigError naming the first field of the dataclass `obj` that is a
-    non-finite float or breaks a limit of its `bounded` declaration."""
+    non-finite float, an empty list its metadata marks `nonempty`, or a
+    value that breaks a limit of its `bounded` declaration."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{f.name}: must be finite, got {value}")
+        if f.metadata.get("nonempty") and not value:
+            raise ConfigError(f"{f.name}: must name at least one")
         for name, limit in f.metadata.items():
-            if not getattr(operator, name)(value, limit):
-                sign = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}[name]
-                raise ConfigError(f"{f.name}: must be {sign} {limit}, "
+            if name in SIGNS and not getattr(operator, name)(value, limit):
+                raise ConfigError(f"{f.name}: must be {SIGNS[name]} {limit}, "
                                   f"got {value}")
 
 
@@ -340,59 +347,53 @@ def encode_config(value):
 
 def decode_config(tp, value, where: str = ""):
     """Rebuild a value of type `tp` from its JSON form, checking every part;
-    an error names the path of a wrong JSON type, a missing required field,
-    a bad date or enum value, or a value its dataclass refuses. An int
-    passes for a float, as a float; a bool for neither; a date is an ISO
-    string and an enum its str value. A list item may not repeat: every
-    config list is a set of things to run."""
+    any error is a ConfigError naming the path of an unknown key (the first
+    in document order), a missing required field, a wrong JSON type, a bad
+    date or enum value, or a value its dataclass refuses. An int passes for
+    a float, as a float; a bool for neither; a date is an ISO string and an
+    enum its str value. A list item may not repeat: every config list is a
+    set of things to run."""
     if is_dataclass(tp):
         _expect(dict, value, where)
-        hints = get_type_hints(tp)
-        kwargs = dict(value)  # the constructor rejects an unknown key
+        hints, kwargs = get_type_hints(tp), {}
+        at = f"{where}." if where else ""  # the path up to each key
+        if unknown := [key for key in value if key not in hints]:
+            raise ConfigError(f"{at}{unknown[0]}: unknown key")
         for f in fields(tp):
-            path = f"{where}.{f.name}" if where else f.name
             if f.name in value:
                 kwargs[f.name] = decode_config(hints[f.name], value[f.name],
-                                               path)
+                                               at + f.name)
             elif f.default is MISSING and f.default_factory is MISSING:
-                raise TypeError(f"{where}: missing key {f.name!r}")
+                raise ConfigError(f"{at}{f.name}: missing key")
         try:
             return tp(**kwargs)
         except ConfigError as exc:  # its message starts with a field name
-            raise ConfigError(f"{where}.{exc}" if where else str(exc)) from None
+            raise ConfigError(f"{at}{exc}") from None
     origin, args = get_origin(tp), get_args(tp)
     if origin in (list, tuple):
         _expect(list, value, where)
         if origin is list or args[-1] is Ellipsis:  # one type for every item
             args = args[:1] * len(value)
         if len(value) != len(args):
-            raise TypeError(f"{where}: expected {len(args)} items, "
-                            f"got {len(value)}")
+            raise ConfigError(f"{where}: expected {len(args)} items, "
+                              f"got {len(value)}")
         items = origin(decode_config(a, v, f"{where}[{i}]")
                        for i, (a, v) in enumerate(zip(args, value)))
         for i, item in enumerate(items if origin is list else ()):
             if item in items[:i]:
-                raise ValueError(f"{where}[{i}]: repeats {value[i]!r}")
+                raise ConfigError(f"{where}[{i}]: repeats {value[i]!r}")
         return items
-    if tp is dt.date or issubclass(tp, Enum):
-        text = decode_config(str, value, where)
-        try:
-            return dt.date.fromisoformat(text) if tp is dt.date else tp(text)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-    _expect(tp, value, where)
-    if tp is float:
-        try:
-            return float(value)
-        except OverflowError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-    return value
+    _expect(str if tp is dt.date or issubclass(tp, Enum) else tp, value, where)
+    try:  # an int in a float field as that float; a date or enum by its str
+        return (dt.date.fromisoformat if tp is dt.date else tp)(value)
+    except (OverflowError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _expect(tp: type, value, where: str) -> None:
     if type(value) is not tp and (tp, type(value)) != (float, int):
-        raise TypeError(f"{where or 'document'}: expected {tp.__name__}, "
-                        f"got {type(value).__name__}")
+        raise ConfigError(f"{where or 'document'}: expected {tp.__name__}, "
+                          f"got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -417,26 +418,29 @@ class SyntheticSpec:
                               "before 9999-12-31")
 
 
-def load_synthetic_manifest(text: str) -> list[tuple[str, SyntheticSpec]]:
-    """Parse a JSON manifest: {"assets": [{"asset_id": ..., <spec fields>}]},
-    each entry decoded by type (`decode_config`). Raises ConfigError for
-    invalid JSON, a missing key, a bad value or a repeated asset_id."""
+@dataclass(frozen=True)
+class SyntheticAsset(SyntheticSpec):
+    """A manifest entry: a spec and the id that names its CSV."""
+
+    asset_id: str = field(kw_only=True)
+
+
+@dataclass(frozen=True)
+class SyntheticManifest:
+    assets: list[SyntheticAsset]
+
+
+def load_synthetic_manifest(text: str) -> list[tuple[str, SyntheticAsset]]:
+    """(asset_id, entry) of each entry of a JSON manifest, decoded as a
+    `SyntheticManifest`; ConfigError for anything `decode_config` refuses,
+    invalid JSON or a repeated asset_id."""
     try:
-        entries = decode_config(list[dict], json.loads(text)["assets"],
-                                "assets")
-        manifest = []
-        for i, entry in enumerate(entries):
-            spec = {k: v for k, v in entry.items() if k != "asset_id"}
-            asset_id = decode_config(str, entry["asset_id"],
-                                     f"assets[{i}].asset_id")
-            spec = decode_config(SyntheticSpec, spec, f"assets[{i}]")
-            ids = [a for a, _ in manifest]
-            if asset_id in ids:  # its CSV would overwrite the first one's
-                raise ValueError(f"assets[{i}].asset_id repeats assets"
-                                 f"[{ids.index(asset_id)}].asset_id {asset_id!r}")
-            manifest.append((asset_id, spec))
-        return manifest
-    except KeyError as exc:
-        raise ConfigError(f"bad synthetic manifest: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+        assets = decode_config(SyntheticManifest, json.loads(text)).assets
+        ids = [a.asset_id for a in assets]
+        for i, asset_id in enumerate(ids):
+            if asset_id in ids[:i]:  # its CSV would overwrite the first one's
+                raise ConfigError(f"assets[{i}].asset_id repeats assets"
+                                  f"[{ids.index(asset_id)}].asset_id {asset_id!r}")
+    except ValueError as exc:  # a ConfigError, or JSON that does not parse
         raise ConfigError(f"bad synthetic manifest: {exc}") from None
+    return list(zip(ids, assets))

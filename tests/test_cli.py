@@ -16,7 +16,7 @@ import subprocess
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -33,7 +33,9 @@ from gtscore.cli import (
 )
 from gtscore.data import (
     CSV_HEADER,
+    NONEMPTY,
     PriceSeries,
+    SyntheticManifest,
     SyntheticSpec,
     decode_config,
     encode_config,
@@ -1062,7 +1064,7 @@ def test_bad_config_exit_code(tmp_path, capsys, monkeypatch):
     for doc in ['{"budget": "3"}', '{"mc": {"seeds": "12"}}',
                 '{"strategies": ["bogus"]}', '{"objectives": ["bogus"]}',
                 '{"assets": [1]}', '{"budget": true}',
-                '{"mc": {"seeds": ["x"]}}', '{"wf": {"step": 1}}', '[]',
+                '{"mc": {"seeds": ["x"]}}', '[]',
                 '{"objective": {"eps": NaN}}',
                 '{"objective": {"eps": Infinity}}',
                 '{"objective": {"below_min_penalty": NaN}}',
@@ -1115,6 +1117,19 @@ def test_bad_config_exit_code(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: config is not valid JSON: Exceeds the limit")
     assert err.count("\n") == 1
+    # a key its dataclass lacks is named by its path, the first one in
+    # document order, before any value is decoded
+    for doc, path in [('{"wf": {"step": 1}}', "wf.step"),
+                      ('{"objective": {"stabilization": {"windw": 3}}}',
+                       "objective.stabilization.windw"),
+                      ('{"colour": 1}', "colour"),
+                      ('{"budget": "3", "zz": 1, "aa": 2}', "zz")]:
+        for command in ("montecarlo", "walkforward"):
+            bad.write_text(doc)
+            capsys.readouterr()
+            assert main([command, "--config", str(bad)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: bad run config: {path}: unknown key\n")
     # a wrong JSON type is named by its path
     for doc, path in [('{"assets": [1]}', "assets[0]"),
                       ('{"budget": true}', "budget"),
@@ -1174,7 +1189,7 @@ def bounded_fields(tp, path):
         where = f"{path}.{f.name}" if path else f.name
         if is_dataclass(hints[f.name]):
             yield from bounded_fields(hints[f.name], where)
-        elif f.metadata:
+        elif f.metadata and f.metadata != NONEMPTY:
             yield where, hints[f.name], f.metadata
 
 
@@ -1224,13 +1239,67 @@ def test_config_bounds_from_field_metadata():
                     decode(path, value)
 
 
+def config_levels(tp, path=()):
+    """(key path, dataclass) of `tp` and of each dataclass nested in it,
+    through a list's first item."""
+    yield path, tp
+    hints = get_type_hints(tp)
+    for f in fields(tp):
+        hint, where = hints[f.name], (*path, f.name)
+        if get_origin(hint) is list:
+            hint, where = get_args(hint)[0], (*where, 0)
+        if is_dataclass(hint):
+            yield from config_levels(hint, where)
+
+
+def test_config_rules_from_the_fields(tmp_path, capsys, monkeypatch):
+    # the rules read from the dataclass fields, checked through the CLI: at
+    # every level of a run config and of a manifest, an added unknown key,
+    # and an empty list in each field declared NONEMPTY, exits 1 with one
+    # error line naming its path, and writes no file
+    monkeypatch.chdir(tmp_path)  # where the default out_dir would be made
+    doc_path = tmp_path / "doc.json"
+
+    def dotted(keys):
+        return "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                       for k in keys).lstrip(".")
+
+    nonempty = []
+    for tp, base, argv, prefix in [
+            (RunConfig, {}, ["montecarlo", "--config"], "bad run config"),
+            (SyntheticManifest, {"assets": small_manifest()["assets"][:1]},
+             ["synth", "--out", "data", "--spec"], "bad synthetic manifest")]:
+        for path, level in config_levels(tp):
+            cases = [("unknown", 1, "unknown key")]
+            cases += [(f.name, [], "must name at least one")
+                      for f in fields(level) if f.metadata == NONEMPTY]
+            nonempty += [dotted((*path, key)) for key, *_ in cases[1:]]
+            for key, value, message in cases:
+                doc = node = json.loads(json.dumps(base))
+                for k in path:
+                    node = (node[k] if isinstance(k, int)
+                            else node.setdefault(k, {}))
+                node[key] = value
+                doc_path.write_text(json.dumps(doc))
+                capsys.readouterr()
+                assert main([*argv, str(doc_path)]) == 1
+                assert capsys.readouterr().err == (
+                    f"error: {prefix}: {dotted((*path, key))}: {message}\n")
+    assert nonempty == ["strategies", "objectives", "mc.seeds"]
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
 def test_synth_bad_manifest_exit_code(tmp_path, capsys):
     entry = small_manifest()["assets"][0]
     no_seed = {k: v for k, v in entry.items() if k != "seed"}
     spec = tmp_path / "m.json"
     cases = [(None, "cannot read manifest"),
              ("{not json", "bad synthetic manifest"),
-             (json.dumps({"assets": [no_seed]}), "missing key 'seed'"),
+             (json.dumps({"assets": [no_seed]}),
+              "bad synthetic manifest: assets[0].seed: missing key"),
+             (json.dumps({}), "bad synthetic manifest: assets: missing key"),
+             (json.dumps([]),
+              "bad synthetic manifest: document: expected dict, got list"),
              (json.dumps({"assets": [{**entry, "n_days": "many"}]}),
               "bad synthetic manifest"),
              (json.dumps({"assets": [{**entry, "regimes": 5}]}),
@@ -1258,7 +1327,9 @@ def test_synth_bad_manifest_exit_code(tmp_path, capsys):
              (json.dumps({"assets": [entry, {**entry, "seed": 2}]}),
               "assets[1].asset_id repeats assets[0].asset_id 'AA'"),
              (json.dumps({"assets": [{**entry, "colour": "red"}]}),
-              "bad synthetic manifest"),
+              "bad synthetic manifest: assets[0].colour: unknown key"),
+             (json.dumps({"assets": [entry], "version": 1}),
+              "bad synthetic manifest: version: unknown key"),
              (json.dumps({"assets": [5]}), "assets[0]: expected dict"),
              # lengths that sum to n_days but one is negative
              (json.dumps({"assets": [{**entry, "n_days": 10, "regimes": [
@@ -1281,7 +1352,7 @@ def test_synth_bad_manifest_exit_code(tmp_path, capsys):
               "finite drifts and finite vols >= 0"),
              (json.dumps({"assets": [entry, {
                  k: v for k, v in entry.items() if k != "n_days"}]}),
-              "bad synthetic manifest: assets[1]: missing key 'n_days'")]
+              "bad synthetic manifest: assets[1].n_days: missing key")]
     for text, message in cases:
         if text is not None:
             spec.write_text(text)

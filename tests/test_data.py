@@ -19,6 +19,7 @@ from gtscore.data import (
     MAX_DAYS,
     PriceSeries,
     SplitSpec,
+    SyntheticAsset,
     SyntheticSpec,
     add_years,
     decode_config,
@@ -343,8 +344,9 @@ def test_manifest_round_trip():
         "regimes": [[30, 0.001, 0.02]], "seed": 9,
         "start_date": "2015-06-01"}]}
     loaded = load_synthetic_manifest(json.dumps(doc))
-    assert loaded == [("M1", SyntheticSpec(
-        30, 10.0, ((30, 0.001, 0.02),), 9, dt.date(2015, 6, 1)))]
+    assert loaded == [("M1", SyntheticAsset(
+        30, 10.0, ((30, 0.001, 0.02),), 9, dt.date(2015, 6, 1),
+        asset_id="M1"))]
 
 
 # --- splits ----------------------------------------------------------------

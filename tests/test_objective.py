@@ -181,8 +181,8 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="eps: must be > 0"):
         ObjectiveConfig(eps=0.0)
     # an enum is checked by type, where its JSON form is decoded
-    with pytest.raises(ValueError, match="benchmark_mode: 'median' is not a "
-                                         "valid BenchmarkMode"):
+    with pytest.raises(ConfigError, match="benchmark_mode: 'median' is not "
+                                          "a valid BenchmarkMode"):
         decode_config(ObjectiveConfig, {"benchmark_mode": "median"})
 
 
