@@ -375,11 +375,15 @@ def paired_oos_returns(rows: list[dict], obj_a: str,
 
 
 def paired_comparisons(rows: list[dict]) -> list[dict]:
-    """GT-Score against each baseline present, paired on the trial key."""
+    """GT-Score against each baseline present, paired on the trial key;
+    a DataError if a comparison has fewer than 2 pairs."""
     present, out = objectives_in(rows), []
     for baseline in BASELINES:
         if GT_SCORE in present and baseline in present:
             a, b = paired_oos_returns(rows, GT_SCORE, baseline)
+            if len(a) < 2:
+                raise DataError(f"need n >= 2 pairs to compare {GT_SCORE} "
+                                f"with {baseline}, got {len(a)}")
             out.append({"comparison": f"gt_score_vs_{baseline}",
                         **compare_paired(a, b)})
     return out
@@ -493,6 +497,8 @@ def cmd_synth(args) -> int:
 def cmd_study(args) -> int:
     """Run the study and derive every file it writes, then write them all
     at once (`write_tables`); a study that fails changes no file."""
+    if args.jobs < 1:
+        raise ConfigError(f"argument --jobs: must be >= 1, got {args.jobs}")
     cfg = load_config(args.config)
     derived = [out for out in OUTPUTS if args.command in out.written_by]
     names = ["trials.csv", *(out.name for out in derived)]
@@ -550,22 +556,32 @@ def study_tables(out_dir: Path) -> list[tuple[Output, list, list]]:
     against the file's bytes; `cost_sensitivity.csv` at the levels its
     header names. A file of the study's protocol that is missing, or a
     file that differs from its recomputation, is one InternalCheckError
-    naming every such file."""
+    naming every such file; a table that `trials.csv` cannot make (too
+    few or unpaired trials to compare) is a DataError naming it."""
     try:  # an --out that is no path (too long, say) is exit 1, as when written
         out_dir.stat()
     except FileNotFoundError:
         pass  # named as the trials file that cannot be read
-    rows = read_trials_csv(out_dir / "trials.csv")
-    # the protocol is a guess: walkforward if a file only it writes is there
-    protocol = "walkforward" if any(
-        (out_dir / out.name).exists() for out in OUTPUTS
-        if out.written_by == ("walkforward",)) else "montecarlo"
+    trials = out_dir / "trials.csv"
+    rows = read_trials_csv(trials)
+    # the protocol is the one whose own files are there, walkforward's
+    # first (a stray montecarlo file may sit beside them); with neither,
+    # the missing files of each are named
+    own = {p: [out.name for out in OUTPUTS if out.written_by == (p,)]
+           for p in ("walkforward", "montecarlo")}
+    protocols = [p for p, names in own.items()
+                 if any((out_dir / name).exists() for name in names)][:1]
+    missing = {p: [out.name for out in OUTPUTS if p in out.written_by
+                   and not (out_dir / out.name).exists()]
+               for p in protocols or own}
     tables, failures = [], []
+    if all(missing.values()):
+        failures.append(" or ".join(f"{', '.join(names)} ({p})"
+                                    for p, names in missing.items())
+                        + ": missing")
     for out in OUTPUTS:
         path = out_dir / out.name
         if not path.exists():
-            if protocol in out.written_by:
-                failures.append(f"{out.name}: missing")
             continue
         text = read_text(path, DataError, "file")
         args = [rows]
@@ -576,7 +592,10 @@ def study_tables(out_dir: Path) -> list[tuple[Output, list, list]]:
                                              for c in header[1:]))
             except ValueError as exc:
                 raise DataError(f"{path}: bad header {header}: {exc}") from None
-        cols, data = derive(out, *args)
+        try:
+            cols, data = derive(out, *args)
+        except DataError as exc:
+            raise DataError(f"{trials}: {exc}") from None
         if csv_text(cols, data) != text:
             failures.append(f"{out.name}: differs from recomputation")
         tables.append((out, cols, data))

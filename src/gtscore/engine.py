@@ -108,8 +108,6 @@ def recompound_with_costs(trade_returns: np.ndarray,
     """Compound trade returns after haircutting each by 2 * extra_bps. A
     trade loses at most its stake: its wealth factor is floored at 0, so a
     wiped-out trade makes the total exactly -1."""
-    if extra_bps_per_side < 0:
-        raise ConfigError("extra_bps_per_side must be >= 0")
     r = np.asarray(trade_returns, dtype=float)
     if r.size == 0:
         return 0.0

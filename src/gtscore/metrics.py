@@ -56,15 +56,11 @@ def downside_deviation(returns: np.ndarray, mar: float = 0.0):
 
 def sharpe(mu: float, sigma: float, eps: float) -> float:
     """Per-observation Sharpe ratio, risk-free rate 0, no annualization."""
-    if eps <= 0:
-        raise ConfigError("eps must be > 0")
     return mu / (sigma + eps)
 
 
 def sortino(mu: float, sigma_d: float, eps: float) -> float:
     """Per-observation Sortino ratio against a zero target."""
-    if eps <= 0:
-        raise ConfigError("eps must be > 0")
     return mu / (sigma_d + eps)
 
 
@@ -93,8 +89,6 @@ def z_score(mu: float, mu_m: float, sigma: float, n: int, eps: float) -> float:
     """Standardized excess mean (mu - mu_m) / (sigma / sqrt(n) + eps)."""
     if n < 1:
         raise ConfigError("n must be >= 1")
-    if eps <= 0:
-        raise ConfigError("eps must be > 0")
     return (mu - mu_m) / (sigma / math.sqrt(n) + eps)
 
 

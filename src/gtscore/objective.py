@@ -107,18 +107,13 @@ def gt_score_loss(ctx: MetricContext, cfg: ObjectiveConfig) -> float:
 
 def baseline_loss(kind: ObjectiveKind, ctx: MetricContext,
                   total_return: float, cfg: ObjectiveConfig) -> float:
-    """Simple/Sharpe/Sortino losses, gated like the composite."""
-    if kind == ObjectiveKind.GT_SCORE:
-        raise ConfigError("use gt_score_loss for the composite objective")
-    if ctx.n < trade_gate(cfg):
-        return cfg.below_min_penalty
-    if kind == ObjectiveKind.SIMPLE:
-        return -total_return
-    if kind == ObjectiveKind.SHARPE:
-        return -sharpe(ctx.mu, ctx.sigma, cfg.eps)
-    if kind == ObjectiveKind.SORTINO:
-        return -sortino(ctx.mu, ctx.sigma_d, cfg.eps)
-    raise ConfigError(f"unknown objective kind {kind!r}")
+    """Simple/Sharpe/Sortino losses, gated like the composite; any other
+    kind is a KeyError (`pool_losses` sends GT-Score to `gt_score_loss`)."""
+    loss = {ObjectiveKind.SIMPLE: lambda: -total_return,
+            ObjectiveKind.SHARPE: lambda: -sharpe(ctx.mu, ctx.sigma, cfg.eps),
+            ObjectiveKind.SORTINO: lambda: -sortino(ctx.mu, ctx.sigma_d,
+                                                    cfg.eps)}[kind]
+    return cfg.below_min_penalty if ctx.n < trade_gate(cfg) else loss()
 
 
 def metric_contexts(results: list[BacktestResult], cfg: ObjectiveConfig,

@@ -156,8 +156,6 @@ def run_trials(cells: list[CellSpec], series_by_asset: dict[str, PriceSeries],
     """Run every cell under every objective, one task per (asset, split)
     (see `run_task`), in a pool of at most one worker per task when
     jobs > 1; output order is canonical and independent of scheduling."""
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     tasks: dict[tuple, list[CellSpec]] = {}
     for cell in cells:
         tasks.setdefault((cell.asset_id, cell.split), []).append(cell)

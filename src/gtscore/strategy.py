@@ -9,7 +9,6 @@ from enum import Enum
 import numpy as np
 
 from .data import PriceSeries
-from .errors import ConfigError
 from .indicators import bollinger, macd_columns, rolling_stats, rsi_columns
 
 
@@ -34,14 +33,6 @@ class RsiParams:
     def key(self) -> tuple:
         return self.kind, self.period
 
-    def __post_init__(self):
-        if self.period < 2:
-            raise ConfigError("rsi period must be >= 2")
-        if not 0 < self.oversold < self.overbought < 100:
-            raise ConfigError(
-                f"need 0 < oversold < overbought < 100, got "
-                f"{self.oversold}/{self.overbought}")
-
 
 @dataclass(frozen=True)
 class MacdParams:
@@ -56,12 +47,6 @@ class MacdParams:
     def key(self) -> tuple:
         return self.kind, self.fast, self.slow, self.signal
 
-    def __post_init__(self):
-        if self.fast < 2 or self.signal < 2:
-            raise ConfigError("macd periods must be >= 2")
-        if self.fast >= self.slow:
-            raise ConfigError(f"fast ({self.fast}) must be < slow ({self.slow})")
-
 
 @dataclass(frozen=True)
 class BollingerParams:
@@ -75,16 +60,12 @@ class BollingerParams:
     def key(self) -> tuple:
         return self.kind, self.window
 
-    def __post_init__(self):
-        if self.window < 5:
-            raise ConfigError("bollinger window must be >= 5")
-        if self.k <= 0:
-            raise ConfigError("bollinger k must be > 0")
-
 
 StrategyParams = RsiParams | MacdParams | BollingerParams
 # The spaces bracket the conventional defaults (RSI 14/30/70, MACD
-# 12/26/9, Bollinger 20/2); an int range is drawn inclusive.
+# 12/26/9, Bollinger 20/2); an int range is drawn inclusive. Every params
+# object of a study is drawn from its family's space, which meets each
+# rule of the indicator kernels, so the dataclasses check nothing.
 FAMILIES = {cls.kind: cls for cls in (RsiParams, MacdParams, BollingerParams)}
 
 

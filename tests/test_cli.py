@@ -477,6 +477,44 @@ def test_verify_passes_then_catches_tampering(workspace, tmp_path, capsys):
     shutil.copy(out / "trade_counts.csv", wf)
     assert both(wf, 3) == (
         "error: trade_counts.csv: differs from recomputation\n")
+    # missing files are named for the study's protocol, and with neither
+    # protocol's own files there, for each protocol
+    (wf / "splits_genratio.csv").unlink()
+    (wf / "periods.csv").unlink()
+    (wf / "trade_counts.csv").unlink()
+    assert both(wf, 3) == (
+        "error: splits_genratio.csv, periods.csv (walkforward) or "
+        "strategy_means.csv, comparisons.csv, trade_counts.csv (montecarlo): "
+        "missing\n")
+    shutil.rmtree(broken)
+    shutil.copytree(out, broken)
+    (broken / "comparisons.csv").unlink()
+    assert both(broken, 3) == "error: comparisons.csv (montecarlo): missing\n"
+    # a trials.csv that cannot make the paired comparisons is named: one
+    # cell's four trials, one pair per comparison, beside a header-only
+    # comparisons.csv; and a study missing one sharpe trial
+    header, *records = (out / "trials.csv").read_text().splitlines(True)
+
+    def cell(record):  # asset, strategy, split_id, seed
+        cells = record.split(",", 5)
+        return cells[:2] + cells[3:5]
+    shutil.rmtree(broken)
+    broken.mkdir()
+    (broken / "trials.csv").write_text(header + "".join(
+        r for r in records if cell(r) == cell(records[0])))
+    (broken / "comparisons.csv").write_text(
+        (out / "comparisons.csv").read_text().splitlines(True)[0])
+    assert both(broken, 2) == (
+        f"error: {broken}/trials.csv: need n >= 2 pairs to compare gt_score "
+        "with sharpe, got 1\n")
+    shutil.rmtree(broken)
+    shutil.copytree(out, broken)
+    sharpe = next(r for r in records if ",sharpe," in r)
+    (broken / "trials.csv").write_text(
+        header + "".join(r for r in records if r != sharpe))
+    assert both(broken, 2) == (
+        f"error: {broken}/trials.csv: unpaired trials between gt_score and "
+        "sharpe\n")
 
 
 def test_malformed_trials_exit_code(workspace, tmp_path, capsys):
@@ -1412,14 +1450,19 @@ def test_readme_walkthrough_parses():
         parser.parse_args(argv)
 
 
-def test_jobs_below_one_exit_code(workspace, tmp_path, capsys):
-    _, cfg_path = workspace
-    capsys.readouterr()
-    assert main(["montecarlo", "--config", str(cfg_path),
-                 "--out", str(tmp_path), "--jobs", "0"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "jobs" in err
-    assert err.count("\n") == 1
+def test_jobs_below_one_exit_code(tmp_path, capsys):
+    # a --jobs below 1 is refused before the config or an asset CSV is
+    # read: a config whose data_dir does not exist, and no config at all
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        encode_config(RunConfig(data_dir=str(tmp_path / "none")))))
+    for config in (cfg_path, tmp_path / "missing.json"):
+        capsys.readouterr()
+        assert main(["montecarlo", "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--jobs", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "error: argument --jobs: must be >= 1, got 0\n")
+    assert list(tmp_path.iterdir()) == [cfg_path]
 
 
 def test_negative_embargo_exit_code(workspace, tmp_path, capsys):

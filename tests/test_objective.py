@@ -157,8 +157,10 @@ def test_baseline_losses_oriented():
         -0.02 / 0.040001)
     assert baseline_loss(ObjectiveKind.SORTINO, c, 0.5, CFG) == pytest.approx(
         -0.02 / 0.010001)
-    with pytest.raises(ConfigError, match="use gt_score_loss"):
-        baseline_loss(ObjectiveKind.GT_SCORE, c, 0.5, CFG)
+    # GT-Score has its own loss: no baseline stands in for it, gated or not
+    for n in (1, 50):
+        with pytest.raises(KeyError):
+            baseline_loss(ObjectiveKind.GT_SCORE, ctx(1.0, n=n), 0.5, CFG)
 
 
 def test_penalty_dominates_every_branch():

