@@ -36,6 +36,7 @@ from .data import (
     decode_config,
     encode_config,
     generate_synthetic_series,
+    json_document,
     load_synthetic_manifest,
     ohlcv_rows,
     parse_ohlcv_csv,
@@ -145,7 +146,7 @@ def read_text(path, error: type[GtscoreError], what: str) -> str:
 def load_config(path: str) -> RunConfig:
     text = read_text(path, ConfigError, "config")
     try:
-        doc = json.loads(text)
+        doc = json_document(text)
     except ValueError as exc:  # also an int over the digit limit of int()
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     try:

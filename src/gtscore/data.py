@@ -345,12 +345,25 @@ def encode_config(value):
     return value
 
 
+def json_document(text: str):
+    """JSON `text` as `decode_config` reads it: a key that repeats in one
+    object is kept as the 1-tuple (key,), which matches no field, so that
+    `decode_config` refuses it by its path rather than let one value win."""
+    def unique(pairs):
+        doc = {}
+        for key, value in pairs:
+            doc[(key,) if key in doc else key] = value
+        return doc
+    return json.loads(text, object_pairs_hook=unique)
+
+
 def decode_config(tp, value, where: str = ""):
     """Rebuild a value of type `tp` from its JSON form, checking every part;
-    any error is a ConfigError naming the path of an unknown key (the first
-    in document order), a missing required field, a wrong JSON type, a bad
-    date or enum value, or a value its dataclass refuses. An int passes for
-    a float, as a float; a bool for neither; a date is an ISO string and an
+    any error is a ConfigError naming the path of an unknown or repeated
+    key (the first in document order), a missing required field, a wrong
+    JSON type, a string holding a NUL (no file name can), a bad date or
+    enum value, or a value its dataclass refuses. An int passes for a
+    float, as a float; a bool for neither; a date is an ISO string and an
     enum its str value. A list item may not repeat: every config list is a
     set of things to run."""
     if is_dataclass(tp):
@@ -358,7 +371,9 @@ def decode_config(tp, value, where: str = ""):
         hints, kwargs = get_type_hints(tp), {}
         at = f"{where}." if where else ""  # the path up to each key
         if unknown := [key for key in value if key not in hints]:
-            raise ConfigError(f"{at}{unknown[0]}: unknown key")
+            key = unknown[0]
+            raise ConfigError(f"{at}{key[0]}: repeated key" if isinstance(
+                key, tuple) else f"{at}{key}: unknown key")
         for f in fields(tp):
             if f.name in value:
                 kwargs[f.name] = decode_config(hints[f.name], value[f.name],
@@ -384,6 +399,8 @@ def decode_config(tp, value, where: str = ""):
                 raise ConfigError(f"{where}[{i}]: repeats {value[i]!r}")
         return items
     _expect(str if tp is dt.date or issubclass(tp, Enum) else tp, value, where)
+    if isinstance(value, str) and "\0" in value:
+        raise ConfigError(f"{where}: holds a NUL character")
     try:  # an int in a float field as that float; a date or enum by its str
         return (dt.date.fromisoformat if tp is dt.date else tp)(value)
     except (OverflowError, ValueError) as exc:
@@ -424,6 +441,12 @@ class SyntheticAsset(SyntheticSpec):
 
     asset_id: str = field(kw_only=True)
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.asset_id or "/" in self.asset_id:  # <asset_id>.csv
+            raise ConfigError(f"asset_id: must name a file, got "
+                              f"{self.asset_id!r}")
+
 
 @dataclass(frozen=True)
 class SyntheticManifest:
@@ -435,7 +458,7 @@ def load_synthetic_manifest(text: str) -> list[tuple[str, SyntheticAsset]]:
     `SyntheticManifest`; ConfigError for anything `decode_config` refuses,
     invalid JSON or a repeated asset_id."""
     try:
-        assets = decode_config(SyntheticManifest, json.loads(text)).assets
+        assets = decode_config(SyntheticManifest, json_document(text)).assets
         ids = [a.asset_id for a in assets]
         for i, asset_id in enumerate(ids):
             if asset_id in ids[:i]:  # its CSV would overwrite the first one's

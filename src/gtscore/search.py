@@ -1,20 +1,21 @@
-"""Seeded random-search cells and the two study protocols.
+"""Seeded random search and the two study protocols.
 
-A cell is one (asset, strategy, split, seed). It draws `budget` parameter
-candidates from a generator keyed on (seed, asset, strategy), computes each
-candidate's positions once on the training window and scores that one pool
-under every objective, so paired comparisons across objectives rest on
-identical candidates by construction. Only candidates the trade gate admits
-are backtested and scored; every other one's loss is the penalty, and a
-trial is degenerate when its winner is one of them. Each objective's
-winner then gets one out-of-sample pass: one trial per (cell, objective),
-a dict of the trials.csv columns in file order (`cli.TRIAL_SCHEMA`) whose
-`*_json` columns hold the winner's params, the cell's candidate pool and
-its out-of-sample trade returns, for `cli.trial_row` to encode.
-Cells run in tasks of one (asset, split) (`run_task`), which cut the
-training and validation windows once each. Each strategy family
-of a task is searched end to end by one `_search_family` call: pools,
-scores, winners, then their out-of-sample pass; the search sees only the
+A study is a list of tasks (`study_tasks`), one per (asset, split), each
+carrying its training and validation windows, cut once, and the strategies,
+seeds and budget searched on them. A cell is one (strategy, seed) of a
+task. It draws `budget` parameter candidates from a generator keyed on
+(seed, asset, strategy), computes each candidate's positions once on the
+training window and scores that one pool under every objective, so paired
+comparisons across objectives rest on identical candidates by construction.
+Only candidates the trade gate admits are backtested and scored; every
+other one's loss is the penalty, and a trial is degenerate when its winner
+is one of them. Each objective's winner then gets one out-of-sample pass:
+one trial per (cell, objective), a dict of the trials.csv columns in file
+order (`cli.TRIAL_SCHEMA`) whose `*_json` columns hold the winner's params,
+the cell's candidate pool and its out-of-sample trade returns, for
+`cli.trial_row` to encode. `run_task` searches each strategy family of a
+task end to end by one `_search_family` call: pools, scores, winners, then
+their out-of-sample pass. It cuts no window; the search sees only the
 training window.
 """
 
@@ -25,7 +26,7 @@ import logging
 from collections.abc import Callable
 from concurrent import futures
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -49,13 +50,16 @@ BASELINES = (ObjectiveKind.SHARPE, ObjectiveKind.SORTINO, ObjectiveKind.SIMPLE)
 
 
 @dataclass(frozen=True)
-class CellSpec:
-    asset_id: str
-    strategy_kind: StrategyKind
-    split: SplitSpec
-    seed: int
-    split_id: int = 0
-    budget: int = DEFAULT_BUDGET
+class Task:
+    """One (asset, split) of a study: the split's calendar position, its
+    two windows and the cells searched on them, one per (strategy, seed)."""
+
+    split_id: int
+    train: PriceSeries
+    val: PriceSeries
+    strategies: tuple[StrategyKind, ...]
+    seeds: tuple[int, ...]
+    budget: int
 
 
 def candidate_rng(seed: int, asset_id: str,
@@ -67,11 +71,11 @@ def candidate_rng(seed: int, asset_id: str,
     return np.random.Generator(np.random.Philox(key))
 
 
-def _search_family(cells: list[CellSpec], train: PriceSeries,
-                   val: PriceSeries, objectives: list[ObjectiveKind],
+def _search_family(task: Task, family: StrategyKind,
+                   objectives: list[ObjectiveKind],
                    cfg: ObjectiveConfig) -> list[dict]:
-    """Random search of these cells of one strategy family, end to end:
-    one trial per (cell, objective), in order.
+    """Random search of the cells of one strategy family of `task`, end to
+    end: one trial per (seed, objective), in order.
 
     Every candidate's training positions come from one `pool_signals`
     call. The gate is decided here, once: only candidates with at least
@@ -82,11 +86,11 @@ def _search_family(cells: list[CellSpec], train: PriceSeries,
     that winner's training backtest and no out-of-sample one (a
     zero-trade record). The other winners get their validation positions
     from one more `pool_signals` call and one backtest each."""
+    train, val, asset_id = task.train, task.val, task.train.asset_id
     pools = []
-    for spec in cells:
-        rng = candidate_rng(spec.seed, spec.asset_id, spec.strategy_kind)
-        pools.append([sample_params(spec.strategy_kind, rng)
-                      for _ in range(spec.budget)])
+    for seed in task.seeds:
+        rng = candidate_rng(seed, asset_id, family)
+        pools.append([sample_params(family, rng) for _ in range(task.budget)])
     flat = [params for pool in pools for params in pool]
     sigs = pool_signals(train, flat)
     gate = trade_gate(cfg)
@@ -96,11 +100,11 @@ def _search_family(cells: list[CellSpec], train: PriceSeries,
                      dtype=float)
     losses[:, list(fits)] = pool_losses(list(fits.values()), objectives, cfg)
     picks, start = [], 0
-    for spec, pool in zip(cells, pools):
+    for seed, pool in zip(task.seeds, pools):
         stop = start + len(pool)
         for kind, row in zip(objectives, losses):
             best = start + int(row[start:stop].argmin())
-            picks.append((spec, pool, kind, float(row[best]), best,
+            picks.append((seed, pool, kind, float(row[best]), best,
                           best not in fits))
         start = stop
     # only the picks' training backtests outlive the search; a gated
@@ -111,15 +115,15 @@ def _search_family(cells: list[CellSpec], train: PriceSeries,
     val_sigs = iter(pool_signals(val, [flat[best] for *_, best, degenerate
                                        in picks if not degenerate]))
     trials = []
-    for spec, pool, kind, loss, best, degenerate in picks:
+    for seed, pool, kind, loss, best, degenerate in picks:
         fit = picked[best]
         oos = None if degenerate else run_backtest(val, next(val_sigs))
         trials.append({
-            "asset": spec.asset_id,
-            "strategy": spec.strategy_kind.value,
+            "asset": asset_id,
+            "strategy": family.value,
             "objective": kind.value,
-            "split_id": spec.split_id,
-            "seed": spec.seed,
+            "split_id": task.split_id,
+            "seed": seed,
             "train_return": fit.total_return,
             "oos_return": oos.total_return if oos else 0.0,
             "train_trades": fit.n_trades,
@@ -134,33 +138,21 @@ def _search_family(cells: list[CellSpec], train: PriceSeries,
     return trials
 
 
-def run_task(cells: list[CellSpec], series: PriceSeries,
-             objectives: list[ObjectiveKind],
+def run_task(task: Task, objectives: list[ObjectiveKind],
              cfg: ObjectiveConfig) -> list[dict]:
-    """The cells of one (asset, split), one trial per (cell, objective)
-    in order: the training and validation windows are cut once each
-    (`study_cells` admits only splits with at least 2 bars in both), and
-    each run of consecutive cells of one strategy family is searched by
-    `_search_family`."""
-    split = cells[0].split
-    train = series.slice(split.train_start, split.train_end)
-    val = series.slice(split.val_start, split.val_end)
-    return [trial for _, family in groupby(cells, lambda c: c.strategy_kind)
-            for trial in _search_family(list(family), train, val, objectives,
-                                        cfg)]
+    """One trial per (strategy, seed, objective) of `task`, in that order:
+    each strategy family is searched by `_search_family` on the task's
+    windows."""
+    return [trial for family in task.strategies
+            for trial in _search_family(task, family, objectives, cfg)]
 
 
-def run_trials(cells: list[CellSpec], series_by_asset: dict[str, PriceSeries],
-               objectives: list[ObjectiveKind], cfg: ObjectiveConfig,
-               jobs: int = 1) -> list[dict]:
-    """Run every cell under every objective, one task per (asset, split)
-    (see `run_task`), in a pool of at most one worker per task when
-    jobs > 1; output order is canonical and independent of scheduling."""
-    tasks: dict[tuple, list[CellSpec]] = {}
-    for cell in cells:
-        tasks.setdefault((cell.asset_id, cell.split), []).append(cell)
-    args = (tasks.values(), [series_by_asset[a] for a, _ in tasks],
-            repeat(objectives), repeat(cfg))
+def run_trials(tasks: list[Task], objectives: list[ObjectiveKind],
+               cfg: ObjectiveConfig, jobs: int = 1) -> list[dict]:
+    """Run every task under every objective (see `run_task`), in a pool of
+    at most one worker per task when jobs > 1; output order is canonical
+    and independent of scheduling."""
+    args = (tasks, repeat(objectives), repeat(cfg))
     workers = min(jobs, len(tasks))
     if workers <= 1:
         per_task = list(map(run_task, *args))
@@ -173,16 +165,15 @@ def run_trials(cells: list[CellSpec], series_by_asset: dict[str, PriceSeries],
     return trials
 
 
-def study_cells(assets: list[PriceSeries], strategies: list[StrategyKind],
+def study_tasks(assets: list[PriceSeries], strategies: list[StrategyKind],
                 splits_of: Callable[[PriceSeries], list[SplitSpec]],
-                seeds: list[int],
-                budget: int = DEFAULT_BUDGET) -> list[CellSpec]:
-    """Cartesian product of assets x splits x strategies x seeds, where
-    `splits_of` gives a series' splits. Skipped with a warning: an asset
-    too short for a split, and each split whose training or validation
-    window holds fewer than 2 bars (split ids keep their calendar
-    position). DataError when no asset keeps a split."""
-    cells = []
+                seeds: list[int], budget: int = DEFAULT_BUDGET) -> list[Task]:
+    """One task per asset and split, where `splits_of` gives a series'
+    splits, its windows cut here. Skipped with a warning: an asset too
+    short for a split, and each split whose training or validation window
+    holds fewer than 2 bars (split ids keep their calendar position).
+    DataError when no asset keeps a split."""
+    tasks = []
     for series in assets:
         try:
             splits = splits_of(series)
@@ -190,33 +181,32 @@ def study_cells(assets: list[PriceSeries], strategies: list[StrategyKind],
             logger.warning("skipping %s", exc)  # exc names the asset
             continue
         for i, split in enumerate(splits):
+            windows = [(split.train_start, split.train_end),
+                       (split.val_start, split.val_end)]
             bars = [stop - start for start, stop in (
-                series.index_window(split.train_start, split.train_end),
-                series.index_window(split.val_start, split.val_end))]
+                series.index_window(*window) for window in windows)]
             if min(bars) < 2:
                 logger.warning("skipping %s split %d: %d training and %d "
                                "validation bars, need >= 2 each",
                                series.asset_id, i, *bars)
                 continue
-            cells += [CellSpec(series.asset_id, strat, split, seed=seed,
-                               split_id=i, budget=budget)
-                      for strat in strategies for seed in seeds]
-    if assets and not cells:
+            tasks.append(Task(i, *(series.slice(*w) for w in windows),
+                              tuple(strategies), tuple(seeds), budget))
+    if assets and not tasks:
         raise DataError("no asset has a split with >= 2 bars in each window: "
                         "skipped " + ", ".join(s.asset_id for s in assets))
-    return cells
+    return tasks
 
 
 def run_walkforward(assets, strategies, objectives, cfg: ObjectiveConfig,
                     jobs: int = 1, budget: int = DEFAULT_BUDGET,
                     **split_kwargs) -> list[dict]:
     """Rolling splits (`make_walkforward_splits`), one fixed seed per cell."""
-    cells = study_cells(
+    tasks = study_tasks(
         assets, strategies,
         lambda series: make_walkforward_splits(series, **split_kwargs),
         [WALKFORWARD_SEED], budget)
-    return run_trials(cells, {s.asset_id: s for s in assets}, objectives,
-                      cfg, jobs)
+    return run_trials(tasks, objectives, cfg, jobs)
 
 
 def run_montecarlo(assets, strategies, objectives, seeds,
@@ -224,15 +214,15 @@ def run_montecarlo(assets, strategies, objectives, seeds,
                    budget: int = DEFAULT_BUDGET,
                    **split_kwargs) -> list[dict]:
     """Many seeds on one chronological split per asset (`make_chrono_split`)."""
-    cells = study_cells(
+    tasks = study_tasks(
         assets, strategies,
         lambda series: [make_chrono_split(series, **split_kwargs)],
         seeds, budget)
     # each cell pairs GT-Score with each baseline once
+    pairs = len(tasks) * len(strategies) * len(seeds)
     if (ObjectiveKind.GT_SCORE in objectives
-            and any(b in objectives for b in BASELINES) and len(cells) < 2):
+            and any(b in objectives for b in BASELINES) and pairs < 2):
         raise ConfigError(
             f"need n >= 2 pairs to compare gt_score with a baseline; this "
-            f"study has {len(cells)} (one per asset, strategy and seed)")
-    return run_trials(cells, {s.asset_id: s for s in assets}, objectives,
-                      cfg, jobs)
+            f"study has {pairs} (one per asset, strategy and seed)")
+    return run_trials(tasks, objectives, cfg, jobs)

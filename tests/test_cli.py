@@ -63,6 +63,9 @@ WALKFORWARD_TRIALS_SHA256 = (
     "1a6e3e2384733c226f010aa7313fa39b257bde47bedb54793b4a88ba1faec9e1")
 CONFIG_INIT_SHA256 = (
     "eb5200fe96d76c3c76536ebea1321ec054448bfa55bf31b6d711069b95098960")
+# the reference walk-forward: the default config on the 8 fixture assets
+REFERENCE_WALKFORWARD_TRIALS_SHA256 = (
+    "386b2a9129f960964fe4319d6f15d4e401e0ad0b91d6ad10577b7dea3bcd6772")
 # every file in a study directory: the workspace Monte Carlo study after
 # `costsweep --bps 0,5,10`, and `walkforward_study`; and what `report`
 # prints on each
@@ -167,6 +170,23 @@ def test_output_files_pinned(workspace, tmp_path, capsys):
         assert hashlib.sha256(text.encode()).hexdigest() == report
         assert tree_state(out) == before
         assert {p.name: sha256_of(p) for p in sorted(out.iterdir())} == pins
+
+
+def test_reference_walkforward_pinned(tmp_path):
+    # 48 tasks of 12 trials, run in a pool of two workers: each task's two
+    # windows are what a worker receives
+    data_dir = tmp_path / "data"
+    assert main(["synth", "--spec", str(Path(__file__).parent / "fixtures"
+                                        / "study_assets.json"),
+                 "--out", str(data_dir)]) == 0
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(encode_config(
+        RunConfig(data_dir=str(data_dir)))))
+    assert main(["walkforward", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "wf"), "--jobs", "2"]) == 0
+    trials = tmp_path / "wf" / "trials.csv"
+    assert len(read_trials_csv(trials)) == 576
+    assert sha256_of(trials) == REFERENCE_WALKFORWARD_TRIALS_SHA256
 
 
 def stabilized_study(root, tmp_path):
@@ -1168,6 +1188,31 @@ def test_bad_config_exit_code(tmp_path, capsys, monkeypatch):
             assert main([command, "--config", str(bad)]) == 1
             assert capsys.readouterr().err == (
                 f"error: bad run config: {path}: unknown key\n")
+    # a key repeated in one object is named by its path: the last value
+    # would otherwise win unseen
+    for doc, path in [('{"budget": 0, "budget": 2}', "budget"),
+                      ('{"mc": {"seeds": [1], "embargo_days": 3, '
+                       '"seeds": [2]}}', "mc.seeds"),
+                      ('{"objective": {"stabilization": {"window": 3, '
+                       '"window": 3, "window": 4}}}',
+                       "objective.stabilization.window")]:
+        for command in ("montecarlo", "walkforward"):
+            bad.write_text(doc)
+            capsys.readouterr()
+            assert main([command, "--config", str(bad)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: bad run config: {path}: repeated key\n")
+    # a string holding a NUL can name no file, nor anything else
+    for doc, path in [('{"assets": ["AA", "A\\u0000"]}', "assets[1]"),
+                      ('{"out_dir": "out\\u0000"}', "out_dir"),
+                      ('{"data_dir": "\\u0000"}', "data_dir"),
+                      ('{"strategies": ["rsi\\u0000"]}', "strategies[0]")]:
+        for command in ("montecarlo", "walkforward"):
+            bad.write_text(doc)
+            capsys.readouterr()
+            assert main([command, "--config", str(bad)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: bad run config: {path}: holds a NUL character\n")
     # a wrong JSON type is named by its path
     for doc, path in [('{"assets": [1]}', "assets[0]"),
                       ('{"budget": true}', "budget"),
@@ -1366,6 +1411,22 @@ def test_synth_bad_manifest_exit_code(tmp_path, capsys):
               "assets[1].asset_id repeats assets[0].asset_id 'AA'"),
              (json.dumps({"assets": [{**entry, "colour": "red"}]}),
               "bad synthetic manifest: assets[0].colour: unknown key"),
+             # a repeated key is named by its path; a later value would win
+             (json.dumps({"assets": [entry]})[:-3] + ', "seed": 2}]}',
+              "bad synthetic manifest: assets[0].seed: repeated key"),
+             (json.dumps({"assets": [entry]})[:-1] + ', "assets": []}',
+              "bad synthetic manifest: assets: repeated key"),
+             # an asset_id names its CSV: one holding a NUL or a "/", or
+             # none at all, names no file in the output directory
+             (json.dumps({"assets": [{**entry, "asset_id": "A\0B"}]}),
+              "bad synthetic manifest: assets[0].asset_id: holds a NUL "
+              "character"),
+             (json.dumps({"assets": [{**entry, "asset_id": "a/b"}]}),
+              "bad synthetic manifest: assets[0].asset_id: must name a file, "
+              "got 'a/b'"),
+             (json.dumps({"assets": [{**entry, "asset_id": ""}]}),
+              "bad synthetic manifest: assets[0].asset_id: must name a file, "
+              "got ''"),
              (json.dumps({"assets": [entry], "version": 1}),
               "bad synthetic manifest: version: unknown key"),
              (json.dumps({"assets": [5]}), "assets[0]: expected dict"),

@@ -1,4 +1,4 @@
-"""Random-search cells: determinism, evaluate-once, aggregation."""
+"""Random-search tasks and cells: determinism, evaluate-once, aggregation."""
 
 import datetime as dt
 import math
@@ -38,13 +38,7 @@ from gtscore.cli import (
     mean_trade_counts,
     paired_oos_returns,
 )
-from gtscore.search import (
-    CellSpec,
-    candidate_rng,
-    run_task,
-    run_trials,
-    study_cells,
-)
+from gtscore.search import candidate_rng, run_task, run_trials, study_tasks
 from gtscore.strategy import BollingerParams, StrategyKind, sample_params
 
 from conftest import make_series
@@ -81,8 +75,22 @@ SPLIT = make_chrono_split(ASSET)
 OBJECTIVES = list(ObjectiveKind)
 
 
-def cell_for(strategy=StrategyKind.MACD, seed=42, budget=10):
-    return CellSpec(ASSET.asset_id, strategy, SPLIT, seed=seed, budget=budget)
+def chrono(series):
+    return [make_chrono_split(series)]
+
+
+def task_for(strategies=(StrategyKind.MACD,), seeds=(42,), budget=10,
+             asset=ASSET):
+    """The one task of `asset` on its chronological split."""
+    (task,) = study_tasks([asset], list(strategies), chrono, list(seeds),
+                          budget)
+    return task
+
+
+def cells_of(task):
+    """The (strategy, seed) of each cell of `task`, in trial order."""
+    return [(family, seed) for family in task.strategies
+            for seed in task.seeds]
 
 
 def backtest_on(params, start, end):
@@ -92,9 +100,9 @@ def backtest_on(params, start, end):
     return run_backtest(window, reference_signals(params, window))
 
 
-def draw_pool(spec):
-    rng = candidate_rng(spec.seed, spec.asset_id, spec.strategy_kind)
-    return [sample_params(spec.strategy_kind, rng) for _ in range(spec.budget)]
+def draw_pool(task, family, seed):
+    rng = candidate_rng(seed, task.train.asset_id, family)
+    return [sample_params(family, rng) for _ in range(task.budget)]
 
 
 # the trials.csv columns that order trials and pair them across objectives
@@ -106,10 +114,11 @@ def key_of(trial):
     return tuple(trial[column] for column in KEY)
 
 
-def key(spec, kind):
-    """The key of the trial of cell `spec` under objective `kind`."""
-    return (spec.asset_id, spec.strategy_kind.value, kind.value,
-            spec.split_id, spec.seed)
+def key(task, family, seed, kind):
+    """The key of the trial of cell (`family`, `seed`) of `task` under
+    objective `kind`."""
+    return (task.train.asset_id, family.value, kind.value, task.split_id,
+            seed)
 
 
 # --- candidate generation --------------------------------------------------
@@ -133,8 +142,8 @@ def test_candidate_rng_distinguishes_key_parts():
 
 
 def test_run_trial_deterministic():
-    a = run_task([cell_for()], ASSET, OBJECTIVES, CFG)
-    b = run_task([cell_for()], ASSET, OBJECTIVES, CFG)
+    a = run_task(task_for(), OBJECTIVES, CFG)
+    b = run_task(task_for(), OBJECTIVES, CFG)
     assert [r["objective"] for r in a] == [k.value for k in OBJECTIVES]
     for x, y in zip(a, b):
         assert x["params_json"] == y["params_json"]
@@ -155,11 +164,11 @@ def composed_loss(kind, bt, cfg=CFG):
 def test_run_trial_replay_oracle():
     # Recompute every candidate's loss independently under each objective;
     # the reported winner must be the first candidate attaining the minimum.
-    spec = cell_for(budget=15)
-    pool = draw_pool(spec)
+    task = task_for(budget=15)
+    pool = draw_pool(task, StrategyKind.MACD, 42)
     backtests = [backtest_on(params, SPLIT.train_start, SPLIT.train_end)
                  for params in pool]
-    results = run_task([spec], ASSET, OBJECTIVES, CFG)
+    results = run_task(task, OBJECTIVES, CFG)
     assert len(results) == len(OBJECTIVES)
     for res, obj in zip(results, OBJECTIVES):
         assert res["objective"] == obj.value
@@ -171,7 +180,7 @@ def test_run_trial_replay_oracle():
 
 
 def test_run_trial_oos_consistent_with_best_params():
-    results = run_task([cell_for(budget=15)], ASSET, OBJECTIVES, CFG)
+    results = run_task(task_for(budget=15), OBJECTIVES, CFG)
     live = [r for r in results if not r["degenerate"]]
     if not live:
         pytest.skip("needs a non-degenerate trial")
@@ -183,14 +192,14 @@ def test_run_trial_oos_consistent_with_best_params():
                                       oos.trade_returns)
 
 
-def admitted_and_gated_picks(cells, cfg):
-    """Per cell, from full training backtests of every candidate: the
-    candidates the n_min gate admits, and the gated ones that some
+def admitted_and_gated_picks(task, cfg):
+    """Per cell of `task`, from full training backtests of every candidate:
+    the candidates the n_min gate admits, and the gated ones that some
     objective picks (replayed as in `test_run_trial_replay_oracle`)."""
     out = []
-    for spec in cells:
+    for family, seed in cells_of(task):
         bts = [backtest_on(p, SPLIT.train_start, SPLIT.train_end)
-               for p in draw_pool(spec)]
+               for p in draw_pool(task, family, seed)]
         admitted = {i for i, bt in enumerate(bts) if bt.n_trades >= cfg.n_min}
         picks = set()
         for obj in OBJECTIVES:
@@ -202,8 +211,7 @@ def admitted_and_gated_picks(cells, cfg):
 
 # every family, several seeds: the gate admits some candidates and some
 # objectives pick a gated one
-GATE_CELLS = study_cells([ASSET], list(StrategyKind), lambda _: [SPLIT],
-                         [42, 43], budget=12)
+GATE_TASK = task_for(list(StrategyKind), [42, 43], budget=12)
 
 
 def test_run_cell_backtests_each_candidate_once(monkeypatch):
@@ -219,14 +227,14 @@ def test_run_cell_backtests_each_candidate_once(monkeypatch):
         return real(series, sig)
 
     monkeypatch.setattr(search, "run_backtest", counting)
-    results = run_task(GATE_CELLS, ASSET, OBJECTIVES, CFG)
+    results = run_task(GATE_TASK, OBJECTIVES, CFG)
     train_calls = sum(s < SPLIT.val_start for s in starts)
     oos_calls = len(starts) - train_calls
-    counts = admitted_and_gated_picks(GATE_CELLS, CFG)
+    counts = admitted_and_gated_picks(GATE_TASK, CFG)
     admitted = sum(len(a) for a, _ in counts)
     gated_picks = sum(len(g) for _, g in counts)
     assert admitted > 0 and gated_picks > 0
-    assert admitted + gated_picks < sum(c.budget for c in GATE_CELLS)
+    assert admitted + gated_picks < len(cells_of(GATE_TASK)) * GATE_TASK.budget
     assert train_calls == admitted + gated_picks
     assert oos_calls == sum(not r["degenerate"] for r in results)
 
@@ -248,10 +256,10 @@ def test_run_cell_one_metric_context_per_candidate(monkeypatch):
     # One metric context per candidate the n_min gate admits, shared by
     # every objective; none for a gated candidate, picked or not.
     admitted = sum(len(a) for a, _ in
-                   admitted_and_gated_picks(GATE_CELLS, CFG))
+                   admitted_and_gated_picks(GATE_TASK, CFG))
     assert admitted > 0
     calls = spy_contexts(monkeypatch)
-    run_task(GATE_CELLS, ASSET, OBJECTIVES, CFG)
+    run_task(GATE_TASK, OBJECTIVES, CFG)
     assert len(OBJECTIVES) == 4
     assert len(calls) == admitted
     assert len({id(r) for r in calls}) == admitted
@@ -261,9 +269,9 @@ def test_run_cell_one_metric_context_per_candidate(monkeypatch):
 def test_pool_losses_scores_only_admitted_backtests(monkeypatch):
     # The search passes only the backtests its gate admits: each gets one
     # metric context, in order, and the losses of scoring it alone.
-    spec = cell_for(StrategyKind.BOLLINGER, budget=12)
+    task = task_for([StrategyKind.BOLLINGER], budget=12)
     bts = [backtest_on(p, SPLIT.train_start, SPLIT.train_end)
-           for p in draw_pool(spec)]
+           for p in draw_pool(task, StrategyKind.BOLLINGER, 42)]
     admitted = [bt for bt in bts if bt.n_trades >= CFG.n_min]
     assert 0 < len(admitted) < sum(bt.n_trades > 0 for bt in bts)
     want = [[composed_loss(obj, bt) for bt in admitted]
@@ -276,15 +284,13 @@ def test_pool_losses_scores_only_admitted_backtests(monkeypatch):
 def test_degenerate_trial_reports_first_candidate_backtest():
     # When every candidate is gated the first one is picked, and the
     # trial reports its full training backtest, trades and all.
-    cells = study_cells([ASSET], [StrategyKind.RSI], chrono, [42, 43, 44],
-                        budget=8)
-    degenerate = [r for r in run_task(cells, ASSET, OBJECTIVES, CFG)
+    task = task_for([StrategyKind.RSI], [42, 43, 44], budget=8)
+    degenerate = [r for r in run_task(task, OBJECTIVES, CFG)
                   if r["degenerate"]]
     assert degenerate
     for res in degenerate:
         # the cells differ only in their seed
-        (spec,) = [c for c in cells if c.seed == res["seed"]]
-        first = draw_pool(spec)[0]
+        first = draw_pool(task, StrategyKind.RSI, res["seed"])[0]
         train = backtest_on(first, SPLIT.train_start, SPLIT.train_end)
         assert res["params_json"] == first
         assert res["best_loss"] == CFG.below_min_penalty
@@ -311,10 +317,10 @@ def test_gated_pick_keeps_its_training_backtest(monkeypatch):
         draws = iter(pool)
         monkeypatch.setattr(search, "sample_params",
                             lambda kind, rng: next(draws))
-        spec = CellSpec("T", StrategyKind.BOLLINGER, split, seed=1,
-                        budget=len(pool))
+        (task,) = study_tasks([series], [StrategyKind.BOLLINGER],
+                              lambda _: [split], [1], len(pool))
         return {ObjectiveKind(r["objective"]): r
-                for r in run_task([spec], series, OBJECTIVES, cfg)}
+                for r in run_task(task, OBJECTIVES, cfg)}
 
     results = trials([admitted, gated])
     window = series.slice(day[0], day[1])
@@ -353,9 +359,8 @@ def test_degenerate_trial_has_empty_oos():
     # ~210 training bars cannot produce 50 RSI round trips, so every
     # candidate is gated under every objective
     tiny = make_asset(seed=5, n_days=300, asset_id="TINY")
-    spec = CellSpec("TINY", StrategyKind.RSI, make_chrono_split(tiny),
-                    seed=42, budget=5)
-    for res in run_task([spec], tiny, OBJECTIVES, CFG):
+    task = task_for([StrategyKind.RSI], budget=5, asset=tiny)
+    for res in run_task(task, OBJECTIVES, CFG):
         assert res["degenerate"]
         assert res["best_loss"] == CFG.below_min_penalty
         assert res["oos_trades"] == 0
@@ -394,15 +399,15 @@ def test_walkforward_windows_below_two_bars(caplog):
         **settings)
     assert {r["split_id"] for r in alone} == {0}
 
-    def cell_splits(series):
-        return [c.split for c in study_cells(
+    def task_windows(series):
+        return [(t.train, t.val) for t in study_tasks(
             [series], [StrategyKind.BOLLINGER],
             lambda s: make_walkforward_splits(s, **settings),
             [search.WALKFORWARD_SEED])]
 
     # the tail's one split is the full split of the gappy series
-    assert cell_splits(tail) == cell_splits(gappy)
-    assert len(cell_splits(tail)) == 1
+    assert task_windows(tail) == task_windows(gappy)
+    assert len(task_windows(tail)) == 1
     assert (list(_outcomes(results).values())
             == list(_outcomes(alone).values()))
     assert not all(r["degenerate"] for r in results)
@@ -419,13 +424,14 @@ def _outcomes(results):
 def test_run_trials_parallel_matches_serial():
     # Each cell run on its own (no indicator shared between cells) is the
     # oracle for the task path, serial and in a pool.
-    assets = {"A": ASSET, "B": make_asset(seed=1, asset_id="B")}
-    cells = study_cells(list(assets.values()), list(StrategyKind), chrono,
-                        [42, 43], budget=5)
-    alone = [t for c in cells
-             for t in run_task([c], assets[c.asset_id], OBJECTIVES, CFG)]
-    serial = run_trials(cells, assets, OBJECTIVES, CFG, jobs=1)
-    parallel = run_trials(cells, assets, OBJECTIVES, CFG, jobs=2)
+    tasks = study_tasks([ASSET, make_asset(seed=1, asset_id="B")],
+                        list(StrategyKind), chrono, [42, 43], budget=5)
+    cells = [(task, *cell) for task in tasks for cell in cells_of(task)]
+    alone = [t for task, family, seed in cells
+             for t in run_task(replace(task, strategies=(family,),
+                                       seeds=(seed,)), OBJECTIVES, CFG)]
+    serial = run_trials(tasks, OBJECTIVES, CFG, jobs=1)
+    parallel = run_trials(tasks, OBJECTIVES, CFG, jobs=2)
     assert len(serial) == len(parallel) == len(cells) * len(OBJECTIVES)
     assert list(map(key_of, serial)) == list(map(key_of, parallel))
     assert _outcomes(serial) == _outcomes(parallel) == _outcomes(alone)
@@ -476,15 +482,14 @@ def test_run_task_computes_each_indicator_once(monkeypatch):
                 counts[bars, "bollinger", key[0]] = 1
         return counts
 
-    cells = study_cells([ASSET], list(StrategyKind), chrono, [42, 43, 44],
-                        budget=10)
-    results = run_task(cells, ASSET, OBJECTIVES, FEW_TRADES)
+    task = task_for(list(StrategyKind), [42, 43, 44], budget=10)
+    results = run_task(task, OBJECTIVES, FEW_TRADES)
     train_bars = len(ASSET.slice(SPLIT.train_start, SPLIT.train_end))
     val_bars = len(ASSET.slice(SPLIT.val_start, SPLIT.val_end))
     assert train_bars != val_bars
     winners = [r["params_json"] for r in results if not r["degenerate"]]
     assert {p.kind for p in winners} == set(StrategyKind)
-    pool = [p for c in cells for p in draw_pool(c)]
+    pool = [p for cell in cells_of(task) for p in draw_pool(task, *cell)]
     assert +computed == want(train_bars, pool) + want(val_bars, winners)
     # candidates and winners share indicators, so sharing is exercised
     for shared in (pool, winners):
@@ -496,18 +501,17 @@ def test_run_task_matches_uncached_oracle():
     # `reference_signals`: the training backtests pick the same winners
     # with the same losses, and each winner's own validation backtest
     # gives the same out-of-sample record.
-    cells = study_cells([ASSET], list(StrategyKind), chrono, [42, 43],
-                        budget=8)
-    results = iter(run_task(cells, ASSET, OBJECTIVES, FEW_TRADES))
-    for spec in cells:
-        pool = draw_pool(spec)
+    task = task_for(list(StrategyKind), [42, 43], budget=8)
+    results = iter(run_task(task, OBJECTIVES, FEW_TRADES))
+    for family, seed in cells_of(task):
+        pool = draw_pool(task, family, seed)
         train = [backtest_on(p, SPLIT.train_start, SPLIT.train_end)
                  for p in pool]
         for obj in OBJECTIVES:
             res = next(results)
             losses = [composed_loss(obj, bt, FEW_TRADES) for bt in train]
             best = losses.index(min(losses))
-            assert key_of(res) == key(spec, obj)
+            assert key_of(res) == key(task, family, seed, obj)
             assert (res["best_loss"], res["params_json"]) == (losses[best],
                                                               pool[best])
             assert res["train_return"] == train[best].total_return
@@ -564,21 +568,20 @@ def test_run_task_stabilized_matches_uncached_oracle():
     # The stabilized twin of `test_run_task_matches_uncached_oracle`,
     # over candidates that plateau inside n_range and candidates on the
     # out-of-range fallback.
-    cells = study_cells([ASSET], list(StrategyKind), chrono, [42, 43],
-                        budget=8)
-    results = iter(run_task(cells, ASSET, OBJECTIVES, STABILIZED))
+    task = task_for(list(StrategyKind), [42, 43], budget=8)
+    results = iter(run_task(task, OBJECTIVES, STABILIZED))
     train = ASSET.slice(SPLIT.train_start, SPLIT.train_end)
     val = ASSET.slice(SPLIT.val_start, SPLIT.val_end)
     counts = set()
-    for spec in cells:
-        pool = draw_pool(spec)
+    for family, seed in cells_of(task):
+        pool = draw_pool(task, family, seed)
         losses, backtests, chosen = oracle_stabilized_losses(pool, train,
                                                              STABILIZED)
         counts.update(chosen)
         for obj in OBJECTIVES:
             res = next(results)
             best = losses[obj].index(min(losses[obj]))
-            assert key_of(res) == key(spec, obj)
+            assert key_of(res) == key(task, family, seed, obj)
             assert (res["best_loss"], res["params_json"]) == (
                 losses[obj][best], pool[best])
             assert res["train_return"] == backtests[best].total_return
@@ -596,9 +599,11 @@ def test_run_task_stabilized_matches_uncached_oracle():
     assert 90 in counts and len(counts) > 2
 
 
-def test_run_task_cuts_each_window_once(monkeypatch):
-    # A task slices its series twice, the training and the validation
-    # window, however many cells, candidates and objectives it runs.
+def test_study_tasks_cut_each_window_once(monkeypatch):
+    # study_tasks slices each kept (asset, split) twice, its training and
+    # its validation window, and a skipped asset not at all; run_task and
+    # run_trials slice nothing, however many cells, candidates and
+    # objectives they run.
     cuts = []
     real = PriceSeries.slice
 
@@ -607,21 +612,22 @@ def test_run_task_cuts_each_window_once(monkeypatch):
         return real(self, start, end)
 
     monkeypatch.setattr(PriceSeries, "slice", counting)
-    windows = [(SPLIT.train_start, SPLIT.train_end),
-               (SPLIT.val_start, SPLIT.val_end)]
-    for cells, objectives in [([cell_for(budget=2)], [ObjectiveKind.SIMPLE]),
-                              ([cell_for(strat, seed, budget=4)
-                                for strat in StrategyKind
-                                for seed in (42, 43)], OBJECTIVES)]:
-        cuts.clear()
-        run_task(cells, ASSET, objectives, CFG)
-        assert cuts == [(ASSET.asset_id, *w) for w in windows]
-    assets = {"A": ASSET, "B": make_asset(seed=1, asset_id="B")}
-    cells = study_cells(list(assets.values()), list(StrategyKind), chrono,
-                        [42, 43], budget=2)
-    cuts.clear()
-    run_trials(cells, assets, OBJECTIVES, CFG, jobs=1)
+    assets = [ASSET, make_asset(seed=1, asset_id="B"),
+              make_asset(seed=2, n_days=100, asset_id="SHORT")]
+    tasks = study_tasks(assets, list(StrategyKind), chrono, [42, 43],
+                        budget=2)
+    assert cuts == [(s.asset_id, *w) for s in assets[:2]
+                    for split in chrono(s)
+                    for w in [(split.train_start, split.train_end),
+                              (split.val_start, split.val_end)]]
     assert Counter(a for a, *_ in cuts) == {"A": 2, "B": 2}
+    small = [(task_for(budget=2), [ObjectiveKind.SIMPLE]),
+             (task_for(list(StrategyKind), (42, 43), budget=4), OBJECTIVES)]
+    cuts.clear()
+    for task, objectives in small:
+        run_task(task, objectives, CFG)
+    run_trials(tasks, OBJECTIVES, CFG, jobs=1)
+    assert cuts == []
 
 
 def test_run_trials_caps_workers_at_tasks(monkeypatch):
@@ -643,37 +649,35 @@ def test_run_trials_caps_workers_at_tasks(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(search.futures, "ProcessPoolExecutor", SerialPool)
-    assets = {aid: make_asset(seed=i, n_days=600, asset_id=aid)
-              for i, aid in enumerate("ABC")}
+    assets = [make_asset(seed=i, n_days=600, asset_id=aid)
+              for i, aid in enumerate("ABC")]
     objectives = [ObjectiveKind.SIMPLE]
-    one = study_cells([assets["A"]], [StrategyKind.MACD], chrono, [1, 2, 3],
+    one = study_tasks(assets[:1], [StrategyKind.MACD], chrono, [1, 2, 3],
                       budget=1)
-    three = study_cells(list(assets.values()), [StrategyKind.MACD], chrono,
-                        [1, 2], budget=1)
+    three = study_tasks(assets, [StrategyKind.MACD], chrono, [1, 2],
+                        budget=1)
 
     def summary(results):
         return [(key_of(r), r["params_json"], r["oos_return"])
                 for r in results]
 
-    serial = run_trials(three, assets, objectives, CFG, jobs=1)
-    run_trials(one, assets, objectives, CFG, jobs=64)
-    run_trials([], assets, objectives, CFG, jobs=64)
+    serial = run_trials(three, objectives, CFG, jobs=1)
+    run_trials(one, objectives, CFG, jobs=64)
+    run_trials([], objectives, CFG, jobs=64)
     assert seen == []
-    assert summary(run_trials(three, assets, objectives, CFG,
+    assert summary(run_trials(three, objectives, CFG,
                               jobs=64)) == summary(serial)
-    run_trials(three, assets, objectives, CFG, jobs=2)
+    run_trials(three, objectives, CFG, jobs=2)
     assert seen == [3, 2]
 
 
 def test_run_trials_canonical_order():
-    assets = {"A": ASSET}
-    cells = [cell_for(strat, seed)
-             for strat in StrategyKind
-             for seed in (43, 42)]
-    results = run_trials(list(reversed(cells)), assets,
-                         list(reversed(OBJECTIVES)), CFG)
+    # the task lists its strategies and seeds, and the objectives come,
+    # in reverse order
+    task = task_for(list(StrategyKind)[::-1], (43, 42))
+    results = run_trials([task], OBJECTIVES[::-1], CFG)
     keys = list(map(key_of, results))
-    assert len(set(keys)) == len(cells) * len(OBJECTIVES)
+    assert len(set(keys)) == len(cells_of(task)) * len(OBJECTIVES)
     assert keys == sorted(keys)
 
 
@@ -697,21 +701,19 @@ def test_trials_hold_the_trials_csv_columns():
 # --- protocol builders -----------------------------------------------------
 
 
-def chrono(series):
-    return [make_chrono_split(series)]
-
-
 def test_montecarlo_spec_count():
     assets = [ASSET, make_asset(seed=1, asset_id="B")]
-    specs = study_cells(assets, list(StrategyKind), chrono, seeds=[42, 43, 44])
-    assert len(specs) == 2 * 3 * 3
-    assert all(s.split_id == 0 for s in specs)
+    tasks = study_tasks(assets, list(StrategyKind), chrono, seeds=[42, 43, 44])
+    assert sum(len(cells_of(t)) for t in tasks) == 2 * 3 * 3
+    assert all(t.split_id == 0 for t in tasks)
+    assert [(t.strategies, t.seeds) for t in tasks] == [
+        (tuple(StrategyKind), (42, 43, 44))] * 2
 
 
 def test_montecarlo_skips_short_assets(caplog):
     short = make_asset(seed=2, n_days=100, asset_id="SHORT")
-    specs = study_cells([ASSET, short], [StrategyKind.MACD], chrono, seeds=[42])
-    assert {s.asset_id for s in specs} == {"A"}
+    tasks = study_tasks([ASSET, short], [StrategyKind.MACD], chrono, seeds=[42])
+    assert {t.train.asset_id for t in tasks} == {"A"}
     assert [r.getMessage() for r in caplog.records
             if r.name == "gtscore.search"] == [
         "skipping SHORT: chrono split leaves 70 train / 9 test bars, "
@@ -720,15 +722,15 @@ def test_montecarlo_skips_short_assets(caplog):
 
 def test_walkforward_spec_count():
     long_asset = make_asset(seed=3, n_days=15 * 261, asset_id="L")
-    specs = study_cells([long_asset], list(StrategyKind),
+    tasks = study_tasks([long_asset], list(StrategyKind),
                         make_walkforward_splits, seeds=[42])
-    split_ids = {s.split_id for s in specs}
+    split_ids = {t.split_id for t in tasks}
     assert split_ids == set(range(9))
-    assert len(specs) == 3 * 9
-    assert all(s.seed == 42 for s in specs)
+    assert sum(len(cells_of(t)) for t in tasks) == 3 * 9
+    assert all(t.seeds == (42,) for t in tasks)
 
 
-def test_study_cells_need_seeds():
+def test_study_tasks_need_seeds():
     # a study's seeds are its config's, which names at least one
     with pytest.raises(ConfigError, match="^mc.seeds: must name at least"):
         decode_config(RunConfig, {"mc": {"seeds": []}})
