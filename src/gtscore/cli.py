@@ -51,29 +51,11 @@ from .strategy import StrategyKind, params_doc, params_to_json
 DEFAULT_COST_SWEEP = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
 
 
-def _parse_bool(text: str) -> bool:
-    if text not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {text!r}")
-    return text == "true"
-
-
-def _written(kind: type):
-    """A parser of finite `kind` numbers' texts, accepting only the text
-    the writer spells (`str` of the value); a JSON non-string is refused."""
-    def parse(text):
-        if not (isinstance(text, str) and math.isfinite(number := kind(text))
-                and str(number) == text):
-            raise ValueError(f"{text!r} is not a {kind.__name__} as written")
-        return number
-    return parse
-
-
-def _finite_list(text: str) -> np.ndarray:
-    """A JSON list of finite numbers' texts, as trade returns are written."""
-    values = json.loads(text)
-    if not isinstance(values, list):
-        raise ValueError(f"expected a JSON list, got {text!r}")
-    return np.array(list(map(_written(float), values)))
+def _finite(values):
+    """`values`, a float or an array, if every one of them is finite."""
+    if not np.isfinite(values).all():
+        raise ValueError("not finite")
+    return values
 
 
 # trials.csv, in file order: column -> the parser of its text. A trial of
@@ -82,17 +64,18 @@ TRIAL_SCHEMA = {
     "asset": str,
     "strategy": lambda text: StrategyKind(text).value,
     "objective": lambda text: ObjectiveKind(text).value,
-    "split_id": _written(int),
-    "seed": _written(int),
-    "train_return": _written(float),
-    "oos_return": _written(float),
-    "train_trades": _written(int),
-    "oos_trades": _written(int),
-    "best_loss": _written(float),
-    "degenerate": _parse_bool,
+    "split_id": int,
+    "seed": int,
+    "train_return": lambda text: _finite(float(text)),
+    "oos_return": lambda text: _finite(float(text)),
+    "train_trades": int,
+    "oos_trades": int,
+    "best_loss": lambda text: _finite(float(text)),
+    "degenerate": lambda text: text == "true",
     "params_json": str,
     "candidates_json": str,
-    "oos_trade_returns_json": _finite_list,
+    "oos_trade_returns_json": lambda text: _finite(
+        np.array(json.loads(text), dtype=float).ravel()),
 }
 TRIAL_COLUMNS = list(TRIAL_SCHEMA)
 
@@ -178,6 +161,8 @@ def _cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, np.ndarray):  # trade returns: a JSON list of reprs
+        return json.dumps([repr(float(x)) for x in value])
     return str(value)
 
 
@@ -232,8 +217,7 @@ def trial_row(trial: dict, cell_json: dict) -> dict:
             [params_doc(p) for p in trial["candidates_json"]], sort_keys=True)
     return {**trial, "params_json": params_to_json(trial["params_json"]),
             "candidates_json": cell_json[cell],
-            "oos_trade_returns_json": json.dumps(
-                [repr(float(x)) for x in trial["oos_trade_returns_json"]])}
+            "oos_trade_returns_json": _cell(trial["oos_trade_returns_json"])}
 
 
 def _records(reader, path: Path):
@@ -247,7 +231,8 @@ def _records(reader, path: Path):
 
 
 def read_trials_csv(path: Path) -> list[dict]:
-    """The rows of a trials file exactly as `trial_row` writes them."""
+    """The rows of a trials file exactly as `trial_row` writes them: each
+    cell parsed, then refused unless the writer spells its value so."""
     reader = csv.reader(io.StringIO(read_text(path, DataError, "trials file")))
     records = _records(reader, path)
     if (header := next(records, [])) != TRIAL_COLUMNS:
@@ -255,19 +240,22 @@ def read_trials_csv(path: Path) -> list[dict]:
                         f"{','.join(TRIAL_COLUMNS)}")
     rows = []
     for cells in records:
+        where = f"{path} line {reader.line_num}"
         if len(cells) > len(TRIAL_COLUMNS):
-            raise DataError(f"{path} line {reader.line_num}: more cells "
-                            f"than the header's {len(TRIAL_COLUMNS)}")
+            raise DataError(f"{where}: more cells than the header's "
+                            f"{len(TRIAL_COLUMNS)}")
+        if len(cells) < len(TRIAL_COLUMNS):
+            raise DataError(f"{where}, column {TRIAL_COLUMNS[len(cells)]}: "
+                            "missing value")
         row = {}
-        for (col, parse), text in zip(TRIAL_SCHEMA.items(),
-                                      [*cells, *[None] * len(TRIAL_COLUMNS)]):
+        for (col, parse), text in zip(TRIAL_SCHEMA.items(), cells):
             try:
-                if text is None:
-                    raise ValueError("missing value")
                 row[col] = parse(text)
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path} line {reader.line_num}, column "
-                                f"{col}: {exc}") from None
+                if _cell(row[col]) != text:
+                    raise ValueError("not spelled as the writer spells it")
+            except (TypeError, ValueError, OverflowError,
+                    RecursionError) as exc:  # JSON too large or too deep
+                raise DataError(f"{where}, column {col}: {exc}") from None
         rows.append(row)
     return rows
 
@@ -468,13 +456,19 @@ def derive(out: Output, *args) -> tuple[list[str], list[dict]]:
 
 
 def _load_assets(cfg: RunConfig) -> list:
+    """The series of each configured asset, or else of each `*.csv` file
+    in the data directory, by asset id; a file's asset id is its name less
+    `.csv`, so a file named only `.csv` names none."""
     data_dir = Path(cfg.data_dir)
-    ids = cfg.assets or sorted(p.stem for p in data_dir.glob("*.csv"))
-    if not ids:
+    files = [(a, data_dir / f"{a}.csv") for a in cfg.assets] or sorted(
+        (p.name.removesuffix(".csv"), p) for p in data_dir.glob("*.csv"))
+    if not files:
         raise DataError(f"no assets configured and no CSVs in {data_dir}")
-    return [parse_ohlcv_csv(read_text(data_dir / f"{asset_id}.csv", DataError,
-                                      "data file"), asset_id)
-            for asset_id in ids]
+    for asset_id, path in files:
+        if not asset_id:
+            raise DataError(f"data file {path} names no asset")
+    return [parse_ohlcv_csv(read_text(path, DataError, "data file"), asset_id)
+            for asset_id, path in files]
 
 
 def cmd_config_init(args) -> int:
@@ -663,9 +657,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line(text: str) -> str:
+    """`text` with each non-printable character (a newline in a config key
+    or an asset id, say) escaped as `repr` spells it."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 class _Stderr(logging.Handler):
     def emit(self, record):  # `LEVEL message` on sys.stderr as it is now
-        print(record.levelname, record.getMessage(), file=sys.stderr)
+        print(record.levelname, _one_line(record.getMessage()),
+              file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -676,7 +677,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except (GtscoreError, OSError) as exc:  # OSError: e.g. a bad --out path
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(str(exc))}", file=sys.stderr)
         return (2 if isinstance(exc, DataError) else
                 3 if isinstance(exc, InternalCheckError) else 1)
 

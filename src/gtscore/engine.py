@@ -13,7 +13,6 @@ rising and falling edges of the position array; no per-trade objects exist.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ class BacktestResult:
     equity_points: np.ndarray
     total_return: float
     benchmark_total_return: float
-    window: tuple[dt.date, dt.date]
     trade_exit_dates: np.ndarray  # datetime64[D], one per trade
 
     @property
@@ -77,7 +75,6 @@ def run_backtest(series: PriceSeries, positions: np.ndarray) -> BacktestResult:
         equity_points=equity_points,
         total_return=float(equity_points[-1]) if n else 0.0,
         benchmark_total_return=float(closes[-1] / closes[0] - 1.0),
-        window=(series.start_date, series.span_end),
         trade_exit_dates=series.dates[exit_at],
     )
 

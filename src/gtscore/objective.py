@@ -16,7 +16,8 @@ objective and built with those of the same observation count. Under the
 stabilized periodization one scan picks each candidate's period count
 and returns the period returns that stand in for its trade returns: a
 per-day index table gives every candidate's wealth on each day of the
-window, and each count reads its slice bounds from it for the whole pool.
+pool's window, which the caller passes (the search's training window),
+and each count reads its slice bounds from it for the whole pool.
 """
 
 from __future__ import annotations
@@ -159,27 +160,23 @@ def trade_gate(cfg: ObjectiveConfig) -> int:
 
 
 def pool_losses(results: list[BacktestResult],
-                objectives: list[ObjectiveKind],
-                cfg: ObjectiveConfig) -> list[list[float]]:
+                objectives: list[ObjectiveKind], cfg: ObjectiveConfig,
+                window: tuple[dt.date, dt.date]) -> list[list[float]]:
     """Losses of the admitted backtests of a candidate pool under each
     objective: one list per objective, aligned with `results`.
 
     Every backtest must have at least `trade_gate(cfg)` trades: the caller
     decides the gate and prices the candidates it leaves out. Each
-    backtest gets one metric context, shared by all objectives.
+    backtest gets one metric context, shared by all objectives. `window`
+    is the pool's training window, read by the stabilized periodization.
     """
     observations = None
     if cfg.periodization == Periodization.STABILIZED:
         # Period returns replace trade returns as the observation set and
         # the selected period count stands in for N.
-        windows = {r.window for r in results}
-        if len(windows) > 1:
-            raise ConfigError("stabilized losses need one window per "
-                              f"pool, got {len(windows)}")
         observations = stabilized_period_returns(
             [r.trade_exit_dates for r in results],
-            [r.equity_points for r in results],
-            windows.pop() if windows else None, cfg)
+            [r.equity_points for r in results], window, cfg)
     contexts = metric_contexts(results, cfg, observations)
     return [[gt_score_loss(ctx, cfg) if kind == ObjectiveKind.GT_SCORE
              else baseline_loss(kind, ctx, r.total_return, cfg)

@@ -16,7 +16,7 @@ the cell's candidate pool and its out-of-sample trade returns, for
 `cli.trial_row` to encode. `run_task` searches each strategy family of a
 task end to end by one `_search_family` call: pools, scores, winners, then
 their out-of-sample pass. It cuts no window; the search sees only the
-training window.
+training window, which it also hands to `pool_losses` as every pool's.
 """
 
 from __future__ import annotations
@@ -98,7 +98,8 @@ def _search_family(task: Task, family: StrategyKind,
             if len(entry_bars(sig)) >= gate}
     losses = np.full((len(objectives), len(flat)), cfg.below_min_penalty,
                      dtype=float)
-    losses[:, list(fits)] = pool_losses(list(fits.values()), objectives, cfg)
+    losses[:, list(fits)] = pool_losses(list(fits.values()), objectives, cfg,
+                                        (train.start_date, train.span_end))
     picks, start = [], 0
     for seed, pool in zip(task.seeds, pools):
         stop = start + len(pool)

@@ -20,16 +20,21 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import gtscore
 from gtscore import cli, search
 from gtscore.cli import (
+    TRIAL_COLUMNS,
     MonteCarloConfig,
     RunConfig,
     WalkforwardConfig,
+    csv_text,
     load_config,
     main,
     read_trials_csv,
+    trial_row,
 )
 from gtscore.data import (
     CSV_HEADER,
@@ -49,7 +54,7 @@ from gtscore.objective import (
     Periodization,
     StabilizationConfig,
 )
-from gtscore.strategy import StrategyKind
+from gtscore.strategy import StrategyKind, sample_params
 
 from conftest import make_series, random_closes
 
@@ -359,6 +364,62 @@ def test_trial_rows_round_trip_returns(workspace):
             assert total == pytest.approx(r["oos_return"], abs=1e-12)
 
 
+# finite floats, with the edges of the float format drawn often
+FINITE = st.one_of(st.sampled_from([-0.0, 5e-324, -2.2e-308, 1e308, -1e308]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def trials(draw):
+    """A trial of `search`, its params drawn from one strategy's space."""
+    family = draw(st.sampled_from(list(StrategyKind)))
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 99))))
+    pool = [sample_params(family, rng) for _ in range(draw(st.integers(1, 3)))]
+    return {
+        "asset": draw(st.sampled_from(["A", "SYN00", "x-y"])),
+        "strategy": family.value,
+        "objective": draw(st.sampled_from(list(ObjectiveKind))).value,
+        "split_id": draw(st.integers(0, 9)),
+        "seed": draw(st.integers(-2**63, 2**63)),
+        "train_return": draw(FINITE),
+        "oos_return": draw(FINITE),
+        "train_trades": draw(st.integers(0, 10**6)),
+        "oos_trades": draw(st.integers(0, 10**6)),
+        "best_loss": draw(FINITE),
+        "degenerate": draw(st.booleans()),
+        "params_json": draw(st.sampled_from(pool)),
+        "candidates_json": pool,
+        "oos_trade_returns_json": np.array(draw(st.lists(FINITE, max_size=4)),
+                                           dtype=float),
+    }
+
+
+EDGE_POOL = [sample_params(StrategyKind.RSI, np.random.Generator(
+    np.random.Philox(0)))]
+EDGE_TRIAL = {
+    "asset": "A", "strategy": "rsi", "objective": "gt_score", "split_id": 0,
+    "seed": 42, "train_return": -0.0, "oos_return": 5e-324,
+    "train_trades": 0, "oos_trades": 4, "best_loss": 1e308,
+    "degenerate": False, "params_json": EDGE_POOL[0],
+    "candidates_json": EDGE_POOL,
+    "oos_trade_returns_json": np.array([-0.0, 5e-324, 1e308, -1e308])}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=st.lists(trials(), min_size=1, max_size=4))
+@example(drawn=[EDGE_TRIAL, {**EDGE_TRIAL, "seed": 43, "degenerate": True,
+                             "oos_trade_returns_json": np.array([])}])
+def test_trial_rows_read_back_as_written(tmp_path, drawn):
+    # `read_trials_csv` takes each cell only as the writer spells it, so
+    # the rows it reads back are spelled by the writer into the same bytes
+    cell_json = {}
+    text = csv_text(TRIAL_COLUMNS, [trial_row(t, cell_json) for t in drawn])
+    (tmp_path / "trials.csv").write_text(text)
+    rows = read_trials_csv(tmp_path / "trials.csv")
+    assert csv_text(TRIAL_COLUMNS, rows) == text
+
+
 def test_montecarlo_reruns_identically(workspace, tmp_path):
     root, cfg_path = workspace
     out2 = tmp_path / "mc2"
@@ -588,7 +649,15 @@ def test_malformed_trials_exit_code(workspace, tmp_path, capsys):
              (broken(15, "oos_trades", "2_7"), "line 15", "oos_trades"),
              (padded, "line 16", "oos_return"),
              (broken(17, "oos_trade_returns_json", '["0.10"]'), "line 17",
-              "oos_trade_returns_json")]
+              "oos_trade_returns_json"),
+             # and JSON spaced only as the writer spaces it
+             (broken(18, "oos_trade_returns_json", '["0.1","0.2"]'),
+              "line 18", "oos_trade_returns_json"),
+             # JSON that no float holds, or too deep to parse
+             (broken(19, "oos_trade_returns_json", f"[{'9' * 400}]"),
+              "line 19", "oos_trade_returns_json"),
+             (broken(20, "oos_trade_returns_json", "[" * 100_000),
+              "line 20", "oos_trade_returns_json")]
     for i, (rows, line, column) in enumerate(cases):
         out = tmp_path / f"case{i}"
         out.mkdir()
@@ -776,6 +845,38 @@ def test_missing_data_exit_code(tmp_path, capsys):
         assert err == (f"WARNING skipping X: {reason}\n"
                        "error: no asset has a split with >= 2 bars in "
                        "each window: skipped X\n")
+    # an asset id holding a newline is named on one line, escaped, in the
+    # warning as in the error; printable non-ASCII is left as it is
+    (data_dir / "X.csv").rename(data_dir / "X\nY.csv")
+    capsys.readouterr()
+    assert main(["montecarlo", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        "WARNING skipping X\\nY: chrono split leaves 21 train / 0 test "
+        "bars, need >= 60 each\n"
+        "error: no asset has a split with >= 2 bars in each window: "
+        "skipped X\\nY\n")
+    for assets, path in ((["a\nb"], data_dir / "a\\nb.csv"),
+                         (["\u00e9t\u00e9"], data_dir / "\u00e9t\u00e9.csv")):
+        cfg_path.write_text(json.dumps(encode_config(RunConfig(
+            data_dir=str(data_dir), assets=assets,
+            out_dir=str(tmp_path / "out")))))
+        capsys.readouterr()
+        assert main(["montecarlo", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read data file {path}: No such file or "
+            "directory\n")
+    # with no assets configured, each CSV file in the data directory is
+    # read as named; a file named only `.csv` names no asset
+    shutil.rmtree(data_dir)
+    data_dir.mkdir()
+    (data_dir / "SYN00.csv").write_text(good)
+    shutil.copy(data_dir / "SYN00.csv", data_dir / ".csv")
+    cfg_path.write_text(json.dumps(encode_config(RunConfig(
+        data_dir=str(data_dir), out_dir=str(tmp_path / "out")))))
+    capsys.readouterr()
+    assert main(["montecarlo", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: data file {data_dir / '.csv'} names no asset\n")
     # a failing study writes nothing
     assert not (tmp_path / "out").exists()
 
@@ -1255,6 +1356,12 @@ def test_bad_config_exit_code(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
         assert main(["montecarlo", "--config", str(bad)]) == 1
         assert capsys.readouterr().err == f"error: bad run config: {path}\n"
+    # a key holding a newline is named on the one error line, escaped
+    bad.write_text('{"bud\\nget": 1}')
+    capsys.readouterr()
+    assert main(["montecarlo", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        "error: bad run config: bud\\nget: unknown key\n")
     # a directory where the config file should be
     capsys.readouterr()
     assert main(["montecarlo", "--config", str(tmp_path)]) == 1

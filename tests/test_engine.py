@@ -121,8 +121,8 @@ def test_backtest_matches_oracle(case):
     series = make_series(closes, opens=opens)
     start = series.dates[i0].item()
     end = series.dates[i1 - 1].item() + dt.timedelta(days=1)
-    res = run_backtest(series.slice(start, end),
-                       np.array(positions, bool)[i0:i1])
+    window = series.slice(start, end)
+    res = run_backtest(window, np.array(positions, bool)[i0:i1])
     net_total = oracle_backtest(series, positions, start, end, cost)[2]
     assert math.isclose(recompound_with_costs(res.trade_returns, cost),
                         net_total, rel_tol=1e-12, abs_tol=1e-12)
@@ -136,7 +136,7 @@ def test_backtest_matches_oracle(case):
     assert res.trade_exit_dates.dtype == np.dtype("datetime64[D]")
     assert res.trade_exit_dates.tolist() == exit_dates
     assert res.n_trades == len(exit_dates)
-    assert res.window == (start, end)
+    assert (window.start_date, window.span_end) == (start, end)
 
 
 @settings(max_examples=300, deadline=None)
@@ -204,10 +204,12 @@ def test_entry_on_final_bar_is_skipped():
 def test_window_restricts_execution():
     series = make_series([10, 11, 12, 13, 12, 11, 12])
     pos = np.ones(7, dtype=bool)
-    res = run_backtest(series.slice(D(2020, 1, 3), D(2020, 1, 6)), pos[2:5])
+    window = series.slice(D(2020, 1, 3), D(2020, 1, 6))
+    res = run_backtest(window, pos[2:5])
     # within [bar2, bar5): entry fills at bar 3 open, forced out at bar 4
     # close; the benchmark covers the same bars
-    assert res.window == (D(2020, 1, 3), D(2020, 1, 6))
+    assert (window.start_date, window.span_end) == (D(2020, 1, 3),
+                                                    D(2020, 1, 6))
     assert res.trade_returns.tolist() == [12.0 / 12.0 - 1.0]
     assert res.trade_exit_dates.tolist() == [D(2020, 1, 5)]
     assert res.benchmark_total_return == pytest.approx(12.0 / 12.0 - 1.0)

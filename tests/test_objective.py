@@ -208,7 +208,14 @@ def test_stabilization_config_accepts_edges():
 # --- metric_context and pool_losses ---------------------------------------
 
 
+def span(series):
+    """A series' window, as the search passes its training window to
+    `pool_losses`."""
+    return series.start_date, series.span_end
+
+
 def winning_backtest(n_trades=60):
+    """A backtest of `n_trades` gaining round trips, and its window."""
     # alternating rises so each round trip gains, opens gap to prior close
     closes = [100.0]
     for _ in range(n_trades):
@@ -218,7 +225,7 @@ def winning_backtest(n_trades=60):
     pos = np.zeros(len(closes), dtype=bool)
     pos[0::2] = True  # enter on even bars, exit next bar
     pos[-1] = False
-    return run_backtest(series, pos)
+    return run_backtest(series, pos), span(series)
 
 
 def metric_context(res, cfg, observations=None):
@@ -228,7 +235,7 @@ def metric_context(res, cfg, observations=None):
 
 
 def test_metric_context_fields():
-    res = winning_backtest()
+    res, _ = winning_backtest()
     c = metric_context(res, CFG)
     assert c.n == res.n_trades
     assert c.mu == pytest.approx(float(res.trade_returns.mean()))
@@ -238,7 +245,7 @@ def test_metric_context_fields():
 
 
 def test_metric_context_arithmetic_mode():
-    res = winning_backtest()
+    res, _ = winning_backtest()
     cfg = ObjectiveConfig(benchmark_mode="arithmetic")
     c = metric_context(res, cfg)
     assert c.mu_m == pytest.approx(res.benchmark_total_return / c.n)
@@ -248,15 +255,15 @@ def test_metric_context_r2_reads_its_observations():
     # r2 is fitted to the equity of the observations the context is built
     # on: the backtest's own equity curve for trade returns (log1p of it
     # when asked), the compounded period returns otherwise.
-    res = stabilized_pool()[-1]
+    pool, window = stabilized_pool()
+    res = pool[-1]
     equity = np.cumprod(1.0 + res.trade_returns) - 1.0
     kept = res.equity_points.copy()
     assert metric_context(res, CFG).r2 == r_squared_consistency(equity)
     log_cfg = ObjectiveConfig(r2_on_log_equity=True)
     assert metric_context(res, log_cfg).r2 == r_squared_consistency(
         np.log1p(equity))
-    obs = period_returns(res.trade_exit_dates, res.equity_points,
-                         res.window, 20)
+    obs = period_returns(res.trade_exit_dates, res.equity_points, window, 20)
     by_period = metric_context(res, STAB, observations=obs).r2
     assert by_period == r_squared_consistency(np.cumprod(1.0 + obs) - 1.0)
     assert by_period != metric_context(res, CFG).r2
@@ -301,9 +308,7 @@ def fake_backtest(trade_returns, benchmark_total_return):
     r = np.array(trade_returns, dtype=float)
     equity = np.cumprod(1.0 + r) - 1.0
     return BacktestResult(r, equity, float(equity[-1]),
-                          benchmark_total_return,
-                          (START, START + dt.timedelta(days=100)),
-                          np.array([], "datetime64[D]"))
+                          benchmark_total_return, np.array([], "datetime64[D]"))
 
 
 @st.composite
@@ -360,50 +365,37 @@ def test_trial_loss_zero_trades_is_penalty():
     for cfg in (CFG, STAB, ObjectiveConfig(n_min=1)):
         assert trade_gate(cfg) > res.n_trades == 0
     with pytest.raises(ConfigError, match="empty"):
-        pool_losses([res], list(ObjectiveKind), CFG)
+        pool_losses([res], list(ObjectiveKind), CFG, span(series))
 
 
 def test_trial_loss_matches_direct_composition():
-    res = winning_backtest()
+    res, window = winning_backtest()
     c = metric_context(res, CFG)
     gt, simple = pool_losses([res], [ObjectiveKind.GT_SCORE,
-                                     ObjectiveKind.SIMPLE], CFG)
+                                     ObjectiveKind.SIMPLE], CFG, window)
     assert gt == [gt_score_loss(c, CFG)]
     assert simple == [baseline_loss(ObjectiveKind.SIMPLE, c,
                                     res.total_return, CFG)]
 
 
 def stabilized_pool():
-    """Three trading backtests on one window, as the gate admits them."""
+    """Three trading backtests on one window, as the gate admits them, and
+    that window."""
     rng = np.random.Generator(np.random.Philox(11))
     series = make_series(random_closes(rng, 400, vol=0.01))
     return [run_backtest(series, rng.random(400) < p)
-            for p in (0.1, 0.3, 0.5)]
+            for p in (0.1, 0.3, 0.5)], span(series)
 
 
 def test_pool_losses_stabilized_match_single_candidate_pools():
-    pool = stabilized_pool()
+    pool, window = stabilized_pool()
     objectives = list(ObjectiveKind)
-    whole = pool_losses(pool, objectives, STAB)
-    singles = [pool_losses([res], objectives, STAB) for res in pool]
+    whole = pool_losses(pool, objectives, STAB, window)
+    singles = [pool_losses([res], objectives, STAB, window) for res in pool]
     assert all(res.n_trades >= trade_gate(STAB) for res in pool)
     apart = [[single[j][0] for single in singles]
              for j in range(len(objectives))]
     assert np.array(whole).tobytes() == np.array(apart).tobytes()
-
-
-def test_pool_losses_stabilized_rejects_mixed_windows():
-    series = make_series(random_closes(np.random.Generator(
-        np.random.Philox(12)), 300))
-    pos = np.zeros(300, bool)
-    pos[::3] = True
-    a = run_backtest(series, pos)
-    b = run_backtest(series.slice(series.start_date + dt.timedelta(days=10),
-                                  series.span_end), pos[10:])
-    with pytest.raises(ConfigError, match="one window"):
-        pool_losses([a, b], [ObjectiveKind.GT_SCORE], STAB)
-    # the fixed-trades mode reads no window
-    assert len(pool_losses([a, b], [ObjectiveKind.GT_SCORE], CFG)[0]) == 2
 
 
 # --- periodization ---------------------------------------------------------
@@ -676,8 +668,8 @@ def test_stabilized_count_plateaus_on_flat_equity():
 def test_stabilized_mode_bypasses_trade_gate():
     # 5 trades is far below n_min, but period observations stand in for
     # trades under the stabilized mode
-    res = winning_backtest(n_trades=5)
-    [[fixed]] = pool_losses([res], [ObjectiveKind.GT_SCORE], CFG)
-    [[stab]] = pool_losses([res], [ObjectiveKind.GT_SCORE], STAB)
+    res, window = winning_backtest(n_trades=5)
+    [[fixed]] = pool_losses([res], [ObjectiveKind.GT_SCORE], CFG, window)
+    [[stab]] = pool_losses([res], [ObjectiveKind.GT_SCORE], STAB, window)
     assert fixed == CFG.below_min_penalty
     assert stab != STAB.below_min_penalty

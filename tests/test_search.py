@@ -277,7 +277,9 @@ def test_pool_losses_scores_only_admitted_backtests(monkeypatch):
     want = [[composed_loss(obj, bt) for bt in admitted]
             for obj in OBJECTIVES]
     calls = spy_contexts(monkeypatch)
-    assert objective.pool_losses(admitted, OBJECTIVES, CFG) == want
+    train = ASSET.slice(SPLIT.train_start, SPLIT.train_end)
+    window = (train.start_date, train.span_end)
+    assert objective.pool_losses(admitted, OBJECTIVES, CFG, window) == want
     assert [id(r) for r in calls] == [id(r) for r in admitted]
 
 
@@ -547,8 +549,7 @@ def oracle_stabilized_losses(pool, window, cfg):
         rets, equity, total, bench, dates = oracle_backtest(
             window, reference_signals(params, window), *span)
         dates = np.array(dates, dtype="datetime64[D]")
-        backtests.append(BacktestResult(rets, equity, total, bench, span,
-                                        dates))
+        backtests.append(BacktestResult(rets, equity, total, bench, dates))
         if not rets.size:
             for obj in OBJECTIVES:
                 losses[obj].append(cfg.below_min_penalty)
