@@ -120,8 +120,8 @@ class RunConfig:
 def read_text(path, error: type[GtscoreError], what: str) -> str:
     """A file's text; `error`, naming the file, if it cannot be read."""
     try:
-        return Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
         raise error(f"cannot read {what} {path}: "
                     f"{getattr(exc, 'strerror', None) or exc}") from None
 
@@ -181,7 +181,7 @@ def csv_text(columns: list[str], rows: list[dict]) -> str:
 
 
 def write_csv(path: Path, columns: list[str], rows: Iterable[dict]) -> None:
-    with path.open("w") as stream:
+    with path.open("w", encoding="utf-8") as stream:
         _write_rows(stream, columns, rows)
 
 
@@ -232,13 +232,14 @@ def _records(reader, path: Path):
 
 def read_trials_csv(path: Path) -> list[dict]:
     """The rows of a trials file exactly as `trial_row` writes them: each
-    cell parsed, then refused unless the writer spells its value so."""
+    cell parsed, then refused unless the writer spells its value so; at
+    least one row, and each trial in one row only."""
     reader = csv.reader(io.StringIO(read_text(path, DataError, "trials file")))
     records = _records(reader, path)
     if (header := next(records, [])) != TRIAL_COLUMNS:
         raise DataError(f"{path} line 1: header {','.join(header)} is not "
                         f"{','.join(TRIAL_COLUMNS)}")
-    rows = []
+    rows, lines = [], {}  # (asset, strategy, objective, split, seed) -> line
     for cells in records:
         where = f"{path} line {reader.line_num}"
         if len(cells) > len(TRIAL_COLUMNS):
@@ -256,7 +257,12 @@ def read_trials_csv(path: Path) -> list[dict]:
             except (TypeError, ValueError, OverflowError,
                     RecursionError) as exc:  # JSON too large or too deep
                 raise DataError(f"{where}, column {col}: {exc}") from None
+        first = lines.setdefault(tuple(cells[:5]), reader.line_num)
+        if first != reader.line_num:
+            raise DataError(f"{where}: repeats the trial of line {first}")
         rows.append(row)
+    if not rows:
+        raise DataError(f"{path}: no trials")
     return rows
 
 
@@ -467,6 +473,9 @@ def _load_assets(cfg: RunConfig) -> list:
     for asset_id, path in files:
         if not asset_id:
             raise DataError(f"data file {path} names no asset")
+        # UTF-8 encodes every character but a lone surrogate (`\udce9`)
+        if asset_id.encode(errors="replace").decode() != asset_id:
+            raise DataError(f"asset id {asset_id} is not UTF-8 text")
     return [parse_ohlcv_csv(read_text(path, DataError, "data file"), asset_id)
             for asset_id, path in files]
 
@@ -528,8 +537,7 @@ def cmd_costsweep(args) -> int:
     return 0
 
 
-def _format_text_table(cols: list[str], rows: list[dict],
-                       precision: int = 4) -> str:
+def _format_text_table(cols: list[str], rows: list[dict]) -> str:
     def fmt(v):
         try:
             f = float(v)
@@ -537,7 +545,7 @@ def _format_text_table(cols: list[str], rows: list[dict],
             return str(v)
         if f.is_integer() and abs(f) < 1e15:
             return str(int(f))
-        return f"{f:.{precision}f}"
+        return f"{f:.4f}"
     table = [cols, *([fmt(r[c]) for c in cols] for r in rows)]
     widths = [max(map(len, column)) for column in zip(*table)]
     lines = ["  ".join(v.ljust(w) for v, w in zip(row, widths)) for row in table]

@@ -168,9 +168,10 @@ def parse_ohlcv_csv(text: str, asset_id: str) -> PriceSeries:
             raise bad(1, "empty document")
         if [h.strip().lower() for h in header] != CSV_HEADER:
             raise bad(1, f"bad header {header!r}, want {CSV_HEADER}")
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            line = reader.line_num
             if len(row) != 6:
                 raise bad(line, f"expected 6 fields, got {len(row)}")
             try:

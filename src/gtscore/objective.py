@@ -199,8 +199,6 @@ def stabilized_period_returns(equity_dates_list: list[np.ndarray],
     """
     stab = cfg.stabilization
     lo, hi = stab.n_range
-    if not equity_dates_list:
-        return []
     total_days = (window[1] - window[0]).days
     days, start = np.arange(total_days + 1), np.datetime64(window[0], "D")
     # at[i, d]: the index in `levels` of candidate i's wealth d days into
@@ -240,7 +238,5 @@ def stabilized_period_returns(equity_dates_list: list[np.ndarray],
         for i in np.flatnonzero(pending & (run >= need)).tolist():
             out[i] = r[i].copy()
         pending &= run < need
-        if not pending.any():
-            return out
     r = returns(stab.fallback)
     return [r[i].copy() if o is None else o for i, o in enumerate(out)]

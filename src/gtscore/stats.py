@@ -69,11 +69,7 @@ def _exact_p(d: np.ndarray, ranks: np.ndarray, w: float) -> float:
 def wilcoxon_normal_p(d: np.ndarray) -> tuple[float, float]:
     """Two-sided normal-approximation p with tie-corrected variance and a
     0.5 continuity correction; returns (W, p) with W = min(W+, W-)."""
-    return _normal_p(*_signed_ranks(np.asarray(d, dtype=float)))
-
-
-def _normal_p(d: np.ndarray, ranks: np.ndarray,
-              w: float) -> tuple[float, float]:
+    d, _, w = _signed_ranks(np.asarray(d, dtype=float))
     n = d.size
     if n == 0:
         return 0.0, 1.0
@@ -98,7 +94,7 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     d, ranks, w = _signed_ranks(a - b)
     if d.size <= WILCOXON_EXACT_MAX_N:
         return w, _exact_p(d, ranks, w)
-    return _normal_p(d, ranks, w)
+    return wilcoxon_normal_p(a - b)
 
 
 def cohens_d_pooled(a: np.ndarray, b: np.ndarray) -> float:

@@ -407,7 +407,8 @@ EDGE_TRIAL = {
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(drawn=st.lists(trials(), min_size=1, max_size=4))
+@given(drawn=st.lists(trials(), min_size=1, max_size=4, unique_by=lambda t: (
+    t["asset"], t["strategy"], t["objective"], t["split_id"], t["seed"])))
 @example(drawn=[EDGE_TRIAL, {**EDGE_TRIAL, "seed": 43, "degenerate": True,
                              "oos_trade_returns_json": np.array([])}])
 def test_trial_rows_read_back_as_written(tmp_path, drawn):
@@ -616,6 +617,7 @@ def test_malformed_trials_exit_code(workspace, tmp_path, capsys):
     widened = [[*r, "x" if i == 0 else "0"] for i, r in enumerate(table)]
     swapped = [[r[1], r[0], *r[2:]] for r in table]
     padded = broken(16, "oos_return", f" {table[15][col('oos_return')]} ")
+    repeated = [*table, table[1]]
     # (rows, file line and column the message must name; for a row
     # that is too long, what is wrong with it)
     cases = [(broken(1, "seed", "sead"), "line 1", "seed"),
@@ -657,15 +659,26 @@ def test_malformed_trials_exit_code(workspace, tmp_path, capsys):
              (broken(19, "oos_trade_returns_json", f"[{'9' * 400}]"),
               "line 19", "oos_trade_returns_json"),
              (broken(20, "oos_trade_returns_json", "[" * 100_000),
-              "line 20", "oos_trade_returns_json")]
+              "line 20", "oos_trade_returns_json"),
+             # each trial once, and at least one: a repeated row is named
+             # with the row it repeats; a file of no rows is named
+             (repeated, f"line {len(table) + 1}",
+              "repeats the trial of line 2"),
+             (table[:1], "trials.csv", "no trials")]
     for i, (rows, line, column) in enumerate(cases):
         out = tmp_path / f"case{i}"
         out.mkdir()
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(rows)
         (out / "trials.csv").write_text(buf.getvalue())
+        if len(rows) == 1:  # beside the derived files that no rows make
+            for o in cli.OUTPUTS:
+                if "montecarlo" in o.written_by:
+                    (out / o.name).write_text(csv_text(*cli.derive(o, [])))
+        before = tree_state(out)
         for argv in (["costsweep", "--trials", str(out / "trials.csv"),
                       "--out", str(out)],
+                     ["report", "--out", str(out)],
                      ["verify", "--out", str(out)]):
             capsys.readouterr()
             assert main(argv) == 2
@@ -673,6 +686,7 @@ def test_malformed_trials_exit_code(workspace, tmp_path, capsys):
             assert err.startswith("error: ") and err.count("\n") == 1
             assert f"{line}," in err or f"{line}:" in err
             assert column in err
+        assert tree_state(out) == before
     # a directory where the trials file should be
     capsys.readouterr()
     assert main(["costsweep", "--trials", str(tmp_path),
@@ -877,8 +891,51 @@ def test_missing_data_exit_code(tmp_path, capsys):
     assert main(["montecarlo", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err == (
         f"error: data file {data_dir / '.csv'} names no asset\n")
+    # an asset id that is not UTF-8 text, from a file named in latin-1 or
+    # from a JSON escape, is named escaped before any file is read
+    (data_dir / ".csv").unlink()
+    shutil.copy(data_dir / "SYN00.csv", data_dir / "B.csv")
+    (data_dir / os.fsdecode(b"\xe9t\xe9.csv")).write_text(good)
+    for assets in ([], ["\udce9t\udce9", "B"]):
+        cfg_path.write_text(json.dumps(encode_config(RunConfig(
+            data_dir=str(data_dir), assets=assets,
+            out_dir=str(tmp_path / "out")))))
+        capsys.readouterr()
+        assert main(["montecarlo", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: asset id \\udce9t\\udce9 is not UTF-8 text\n")
     # a failing study writes nothing
     assert not (tmp_path / "out").exists()
+
+
+def test_files_are_utf8_under_an_ascii_locale(workspace, tmp_path):
+    # a study of an asset named in UTF-8 is verified under a POSIX locale,
+    # whose encoding is ASCII; there, a config naming that asset cannot
+    # name its data file, and fails in one line, writing nothing
+    root, _ = workspace
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    shutil.copy(root / "data" / "AA.csv", data_dir / "\u00e9t\u00e9.csv")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(encode_config(RunConfig(
+        data_dir=str(data_dir), assets=["\u00e9t\u00e9"], budget=2,
+        mc=MonteCarloConfig(seeds=[42, 43]), out_dir=str(tmp_path / "mc")))))
+    assert main(["montecarlo", "--config", str(cfg_path)]) == 0
+    src = Path(gtscore.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUTF8": "0",
+           "LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0"}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "gtscore.cli", *argv],
+                              capture_output=True, text=True, env=env)
+    verify = run("verify", "--out", str(tmp_path / "mc"))
+    assert verify.returncode == 0, verify.stderr
+    shutil.rmtree(tmp_path / "mc")
+    study = run("montecarlo", "--config", str(cfg_path))
+    assert study.returncode == 2
+    assert study.stderr.startswith("error: cannot read data file ")
+    assert study.stderr.count("\n") == 1
+    assert not (tmp_path / "mc").exists()
 
 
 def test_zero_day_training_side_skips_the_asset(workspace, tmp_path,

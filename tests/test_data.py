@@ -109,16 +109,18 @@ def oracle_row(asset_id, line_no, row):
 
 
 def oracle_parse(text, asset_id):
-    """Row-at-a-time parse: each record becomes a (date, values) pair."""
-    rows = list(csv.reader(io.StringIO(text)))
+    """Row-at-a-time parse: each record becomes a (date, values) pair. A
+    record's line is the last line it spans, as `csv` counts them."""
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, row) for row in reader]
     if not rows:
         raise parse_error(asset_id, 1, "empty document")
-    header = [h.strip().lower() for h in rows[0]]
+    header = [h.strip().lower() for h in rows[0][1]]
     if header != CSV_HEADER:
         raise parse_error(asset_id, 1,
-                          f"bad header {rows[0]!r}, want {CSV_HEADER}")
-    parsed = [oracle_row(asset_id, i, row)
-              for i, row in enumerate(rows[1:], start=2) if row]
+                          f"bad header {rows[0][1]!r}, want {CSV_HEADER}")
+    parsed = [oracle_row(asset_id, line, row)
+              for line, row in rows[1:] if row]
     dates = np.array([d for d, _ in parsed], dtype="datetime64[D]")
     values = np.array([v for _, v in parsed], dtype=float).reshape(-1, 5)
     order = np.argsort(dates, kind="stable")
@@ -197,6 +199,13 @@ def test_parse_reports_first_bad_record():
     for text in ["", "date,open,high,low,close,volume\n",
                  "date,open,high,low,close,volume\n\n\n"]:
         assert outcome(parse_ohlcv_csv, text) == outcome(oracle_parse, text)
+    # a quoted field spanning two lines: the bad record is named by the
+    # line it is on, not by its count of records
+    text = (lines[0] + "\n" + lines[1].rsplit(",", 1)[0] + ',"5\n"\n'
+            + lines[2] + "\n" + bad_number + "\n")
+    got = outcome(parse_ohlcv_csv, text)
+    assert got == outcome(oracle_parse, text)
+    assert got.startswith("A: line 5: non-numeric field")
 
 
 def test_parse_peak_memory():

@@ -665,6 +665,27 @@ def test_stabilized_count_plateaus_on_flat_equity():
     assert got == [lo + CFG.stabilization.window - 1] * 3
 
 
+def test_stabilized_empty_pool_is_empty():
+    window = (START, START + dt.timedelta(days=365))
+    assert stabilized_period_returns([], [], window, CFG) == []
+
+
+def test_stabilized_pool_settled_before_n_range_end_matches_oracle():
+    # flat equity, with no trade or with one on the window's first day,
+    # settles every candidate well before n_range's end; the scan runs on
+    # to it and keeps each candidate's first settled count
+    window = (START, START + dt.timedelta(days=365))
+    dates, equity = no_trades()
+    dates = [dates, np.array([START], "datetime64[D]")]
+    equity = [equity, np.array([0.1])]
+    got = stabilized_period_returns(dates, equity, window, CFG)
+    assert max(map(len, got)) < CFG.stabilization.n_range[1]
+    for returns, d, e in zip(got, dates, equity):
+        n = oracle_stabilized_count(d, e, window, CFG)
+        np.testing.assert_array_equal(
+            returns, oracle_period_returns(d.tolist(), e, window, n))
+
+
 def test_stabilized_mode_bypasses_trade_gate():
     # 5 trades is far below n_min, but period observations stand in for
     # trades under the stabilized mode
