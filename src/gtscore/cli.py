@@ -16,6 +16,7 @@ import io
 import json
 import logging
 import math
+import os
 import shutil
 import sys
 from collections import namedtuple
@@ -140,14 +141,24 @@ def load_config(path: str) -> RunConfig:
 
 def output_dir(path, names) -> Path:
     """`path` as a directory to write the files `names` into, checked
-    before any work: it, or else its nearest existing parent, must be a
-    directory, and each name must be free or a file."""
+    before any work: each path must be one the file system's encoding
+    can name (`exists` would read it as absent), it or else its nearest
+    existing parent must be a directory, and each name must be free or a
+    file."""
     path = Path(path)
+    targets = [path / name for name in names]
+    for target in (path, *targets):
+        try:
+            os.fsencode(target)
+        except UnicodeEncodeError:
+            raise ConfigError(f"output path {target}: the file system "
+                              f"encoding ({sys.getfilesystemencoding()}) "
+                              "cannot name it") from None
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"output path {path}: {existing} is not a "
                           f"directory")
-    for target in (path / name for name in names):
+    for target in targets:
         if target.exists() and not target.is_file():
             raise ConfigError(f"output path {target}: not a file")
     return path
@@ -464,10 +475,12 @@ def derive(out: Output, *args) -> tuple[list[str], list[dict]]:
 def _load_assets(cfg: RunConfig) -> list:
     """The series of each configured asset, or else of each `*.csv` file
     in the data directory, by asset id; a file's asset id is its name less
-    `.csv`, so a file named only `.csv` names none."""
+    `.csv`, so a file named only `.csv` names none. A file's name is read
+    from its bytes as UTF-8, whatever the locale's encoding."""
     data_dir = Path(cfg.data_dir)
     files = [(a, data_dir / f"{a}.csv") for a in cfg.assets] or sorted(
-        (p.name.removesuffix(".csv"), p) for p in data_dir.glob("*.csv"))
+        (os.fsencode(p.name).decode(errors="surrogateescape")
+         .removesuffix(".csv"), p) for p in data_dir.glob("*.csv"))
     if not files:
         raise DataError(f"no assets configured and no CSVs in {data_dir}")
     for asset_id, path in files:

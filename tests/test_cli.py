@@ -1,5 +1,6 @@
 """CLI end-to-end: config, synth, studies, costsweep, report, verify."""
 
+import contextlib
 import csv
 import datetime as dt
 import errno
@@ -14,9 +15,10 @@ import shlex
 import shutil
 import subprocess
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,6 +46,7 @@ from gtscore.data import (
     SyntheticSpec,
     decode_config,
     encode_config,
+    generate_synthetic_series,
     ohlcv_rows,
 )
 from gtscore.engine import recompound_with_costs
@@ -318,19 +321,6 @@ def test_run_config_json_round_trip():
     assert decode_config(RunConfig, doc) == cfg
 
 
-def test_load_config_errors(tmp_path):
-    with pytest.raises(ConfigError):
-        load_config(str(tmp_path / "missing.json"))
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ConfigError):
-        load_config(str(bad))
-    unknown = tmp_path / "unknown.json"
-    unknown.write_text('{"no_such_field": 1}')
-    with pytest.raises(ConfigError):
-        load_config(str(unknown))
-
-
 def test_synth_writes_loadable_csvs(workspace):
     root, _ = workspace
     files = sorted(p.name for p in (root / "data").glob("*.csv"))
@@ -442,23 +432,6 @@ def test_costsweep_and_report(workspace, capsys):
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) == 0
     assert "Transaction-cost sensitivity\n" in capsys.readouterr().out
-
-    # a level that is not a number, not finite, negative or given twice
-    for bps, message in [("0,x", "'x'"), ("nan", "nan: levels must"),
-                         ("0,inf", "inf: levels"), ("1e400", "inf: levels"),
-                         ("2,2", "2.0: levels"), ("2,5,2.0", "2.0: levels"),
-                         ("0,-1", "-1.0: levels"), ("0,-0", "-0.0: levels"),
-                         # a 100% round-trip haircut, or more
-                         ("5000", "5000.0: levels"),
-                         ("20000", "20000.0: levels"),
-                         ("1e308,2", "1e+308: levels")]:
-        capsys.readouterr()
-        assert main(["costsweep", "--trials", str(out / "trials.csv"),
-                     "--out", str(out / "bad"), "--bps", bps]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: bad --bps level: ") and message in err
-        assert err.count("\n") == 1
-        assert not (out / "bad").exists()
 
 
 def test_costsweep_wiped_out_trade_loses_its_stake(workspace, tmp_path):
@@ -599,103 +572,6 @@ def test_verify_passes_then_catches_tampering(workspace, tmp_path, capsys):
         "sharpe\n")
 
 
-def test_malformed_trials_exit_code(workspace, tmp_path, capsys):
-    root, _ = workspace
-    table = list(csv.reader(io.StringIO(
-        (root / "mc" / "trials.csv").read_text())))
-    col = table[0].index
-
-    def broken(line, column, value):
-        rows = [list(r) for r in table]
-        rows[line - 1][col(column)] = value
-        return rows
-
-    truncated = [list(r) for r in table]
-    truncated[2] = truncated[2][:5]
-    extended = [list(r) for r in table]
-    extended[13].append("0.1")
-    widened = [[*r, "x" if i == 0 else "0"] for i, r in enumerate(table)]
-    swapped = [[r[1], r[0], *r[2:]] for r in table]
-    padded = broken(16, "oos_return", f" {table[15][col('oos_return')]} ")
-    repeated = [*table, table[1]]
-    # (rows, file line and column the message must name; for a row
-    # that is too long, what is wrong with it)
-    cases = [(broken(1, "seed", "sead"), "line 1", "seed"),
-             (broken(4, "oos_return", "abc"), "line 4", "oos_return"),
-             (broken(2, "split_id", "1.5"), "line 2", "split_id"),
-             (broken(3, "degenerate", "yes"), "line 3", "degenerate"),
-             (broken(5, "oos_trade_returns_json", '["0.1", '), "line 5",
-              "oos_trade_returns_json"),
-             (broken(6, "oos_trade_returns_json", '["0.1", "x"]'), "line 6",
-              "oos_trade_returns_json"),
-             (broken(7, "oos_trade_returns_json", '[null]'), "line 7",
-              "oos_trade_returns_json"),
-             (broken(8, "objective", "sharpee"), "line 8", "objective"),
-             (broken(9, "strategy", "bolinger"), "line 9", "strategy"),
-             (truncated, "line 3", "train_return"),
-             # the writer writes only finite numbers, as strings in a list
-             (broken(10, "oos_return", "nan"), "line 10", "oos_return"),
-             (broken(11, "oos_trade_returns_json", '["inf"]'), "line 11",
-              "oos_trade_returns_json"),
-             (broken(12, "oos_trade_returns_json", '[true]'), "line 12",
-              "oos_trade_returns_json"),
-             (broken(13, "oos_trade_returns_json", '[0.1]'), "line 13",
-              "oos_trade_returns_json"),
-             (broken(14, "oos_trade_returns_json", '"0.1"'), "line 14",
-              "oos_trade_returns_json"),
-             (extended, "line 14", "more cells than the header's 14"),
-             # and spells every cell as the writer does: the header in
-             # order, integers as `str` and numbers as `repr` writes them
-             (widened, "line 1", "oos_trade_returns_json,x is not"),
-             (swapped, "line 1", "header strategy,asset,objective,"),
-             (broken(15, "oos_trades", "2_7"), "line 15", "oos_trades"),
-             (padded, "line 16", "oos_return"),
-             (broken(17, "oos_trade_returns_json", '["0.10"]'), "line 17",
-              "oos_trade_returns_json"),
-             # and JSON spaced only as the writer spaces it
-             (broken(18, "oos_trade_returns_json", '["0.1","0.2"]'),
-              "line 18", "oos_trade_returns_json"),
-             # JSON that no float holds, or too deep to parse
-             (broken(19, "oos_trade_returns_json", f"[{'9' * 400}]"),
-              "line 19", "oos_trade_returns_json"),
-             (broken(20, "oos_trade_returns_json", "[" * 100_000),
-              "line 20", "oos_trade_returns_json"),
-             # each trial once, and at least one: a repeated row is named
-             # with the row it repeats; a file of no rows is named
-             (repeated, f"line {len(table) + 1}",
-              "repeats the trial of line 2"),
-             (table[:1], "trials.csv", "no trials")]
-    for i, (rows, line, column) in enumerate(cases):
-        out = tmp_path / f"case{i}"
-        out.mkdir()
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
-        (out / "trials.csv").write_text(buf.getvalue())
-        if len(rows) == 1:  # beside the derived files that no rows make
-            for o in cli.OUTPUTS:
-                if "montecarlo" in o.written_by:
-                    (out / o.name).write_text(csv_text(*cli.derive(o, [])))
-        before = tree_state(out)
-        for argv in (["costsweep", "--trials", str(out / "trials.csv"),
-                      "--out", str(out)],
-                     ["report", "--out", str(out)],
-                     ["verify", "--out", str(out)]):
-            capsys.readouterr()
-            assert main(argv) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1
-            assert f"{line}," in err or f"{line}:" in err
-            assert column in err
-        assert tree_state(out) == before
-    # a directory where the trials file should be
-    capsys.readouterr()
-    assert main(["costsweep", "--trials", str(tmp_path),
-                 "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot read trials file ")
-    assert err.count("\n") == 1
-
-
 def walkforward_study(root):
     """A walkforward study of one ~9.2-year synthetic asset (4 rolling
     splits) at --jobs 2; its output directory."""
@@ -789,153 +665,32 @@ def test_walkforward_skips_splits_below_two_bars(tmp_path, capsys):
     assert not (tmp_path / "none").exists()
 
 
-def test_missing_data_exit_code(tmp_path, capsys):
-    cfg = RunConfig(data_dir=str(tmp_path / "nowhere"),
-                    out_dir=str(tmp_path / "out"))
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(encode_config(cfg)))
-    assert main(["montecarlo", "--config", str(cfg_path)]) == 2
-
-    # non-finite values are data errors too, reported in one line
-    data_dir = tmp_path / "data"
-    data_dir.mkdir()
-    cfg = RunConfig(data_dir=str(data_dir), out_dir=str(tmp_path / "out"))
-    cfg_path.write_text(json.dumps(encode_config(cfg)))
-    good = "date,open,high,low,close,volume\n2020-01-02,10,11,9,10.5,100\n"
-    for row in ["2020-01-03,11,inf,10,10.8,100",
-                "2020-01-03,11,12,10,10.8,nan",
-                "2020-01-03,11,12,10,10.8,inf"]:
-        (data_dir / "X.csv").write_text(good + row + "\n")
-        capsys.readouterr()
-        assert main(["montecarlo", "--config", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "2020-01-03" in err
-        assert err.count("\n") == 1
-    # a last bar on the calendar's last day is refused like any bad row,
-    # under both protocols
-    (data_dir / "X.csv").write_text(good + "9999-12-31,11,12,10,10.8,100\n")
-    for command in ("montecarlo", "walkforward"):
-        capsys.readouterr()
-        assert main([command, "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == (
-            "error: X: 9999-12-31: date on or after 9999-12-31 (o=11.0 "
-            "h=12.0 l=10.0 c=10.8 v=100.0)\n")
-    # a parse error names the asset, as validation errors do
-    for text, message in [
-            (good + "2020-01-03,11,12,10,10.8\n",
-             "X: line 3: expected 6 fields, got 5"),
-            ("\ufeff" + good,
-             "X: line 1: bad header ['\\ufeffdate', 'open', 'high', 'low', "
-             "'close', 'volume'], want ['date', 'open', 'high', 'low', "
-             "'close', 'volume']")]:
-        (data_dir / "X.csv").write_text(text, encoding="utf-8")
-        capsys.readouterr()
-        assert main(["montecarlo", "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-    # a data file that is not UTF-8 text is named in one line
-    (data_dir / "X.csv").write_bytes(b"\xff\xfe" + good.encode("utf-16-le"))
-    capsys.readouterr()
-    assert main(["montecarlo", "--config", str(cfg_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read data file {data_dir / 'X.csv'}")
-    assert err.count("\n") == 1
-    # an asset too short for any split leaves the study without a cell
-    spec_path = tmp_path / "m.json"
-    spec_path.write_text(json.dumps({"assets": [{
-        "asset_id": "X", "n_days": 30, "initial_price": 100.0,
-        "regimes": [[30, 0.0, 0.01]], "seed": 1}]}))
-    assert main(["synth", "--spec", str(spec_path),
-                 "--out", str(data_dir)]) == 0
-    # after one warning that names the asset once
-    for command, reason in (
-            ("montecarlo", "chrono split leaves 21 train / 0 test bars, need "
-                           ">= 60 each"),
-            ("walkforward", "series ends 2010-02-11, needs to reach "
-                            "2016-01-31 for one split (4y train + 30d "
-                            "embargo + 2y val)")):
-        capsys.readouterr()
-        assert main([command, "--config", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert err == (f"WARNING skipping X: {reason}\n"
-                       "error: no asset has a split with >= 2 bars in "
-                       "each window: skipped X\n")
-    # an asset id holding a newline is named on one line, escaped, in the
-    # warning as in the error; printable non-ASCII is left as it is
-    (data_dir / "X.csv").rename(data_dir / "X\nY.csv")
-    capsys.readouterr()
-    assert main(["montecarlo", "--config", str(cfg_path)]) == 2
-    assert capsys.readouterr().err == (
-        "WARNING skipping X\\nY: chrono split leaves 21 train / 0 test "
-        "bars, need >= 60 each\n"
-        "error: no asset has a split with >= 2 bars in each window: "
-        "skipped X\\nY\n")
-    for assets, path in ((["a\nb"], data_dir / "a\\nb.csv"),
-                         (["\u00e9t\u00e9"], data_dir / "\u00e9t\u00e9.csv")):
-        cfg_path.write_text(json.dumps(encode_config(RunConfig(
-            data_dir=str(data_dir), assets=assets,
-            out_dir=str(tmp_path / "out")))))
-        capsys.readouterr()
-        assert main(["montecarlo", "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: cannot read data file {path}: No such file or "
-            "directory\n")
-    # with no assets configured, each CSV file in the data directory is
-    # read as named; a file named only `.csv` names no asset
-    shutil.rmtree(data_dir)
-    data_dir.mkdir()
-    (data_dir / "SYN00.csv").write_text(good)
-    shutil.copy(data_dir / "SYN00.csv", data_dir / ".csv")
-    cfg_path.write_text(json.dumps(encode_config(RunConfig(
-        data_dir=str(data_dir), out_dir=str(tmp_path / "out")))))
-    capsys.readouterr()
-    assert main(["montecarlo", "--config", str(cfg_path)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: data file {data_dir / '.csv'} names no asset\n")
-    # an asset id that is not UTF-8 text, from a file named in latin-1 or
-    # from a JSON escape, is named escaped before any file is read
-    (data_dir / ".csv").unlink()
-    shutil.copy(data_dir / "SYN00.csv", data_dir / "B.csv")
-    (data_dir / os.fsdecode(b"\xe9t\xe9.csv")).write_text(good)
-    for assets in ([], ["\udce9t\udce9", "B"]):
-        cfg_path.write_text(json.dumps(encode_config(RunConfig(
-            data_dir=str(data_dir), assets=assets,
-            out_dir=str(tmp_path / "out")))))
-        capsys.readouterr()
-        assert main(["montecarlo", "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == (
-            "error: asset id \\udce9t\\udce9 is not UTF-8 text\n")
-    # a failing study writes nothing
-    assert not (tmp_path / "out").exists()
-
-
-def test_files_are_utf8_under_an_ascii_locale(workspace, tmp_path):
+def test_files_are_utf8_under_an_ascii_locale(workspace, tmp_path,
+                                              posix_main):
     # a study of an asset named in UTF-8 is verified under a POSIX locale,
-    # whose encoding is ASCII; there, a config naming that asset cannot
-    # name its data file, and fails in one line, writing nothing
+    # whose encoding is ASCII; there, a study of every CSV file in the data
+    # directory names that file's asset by its UTF-8 bytes: it writes the
+    # same trials.csv, which is verified too
     root, _ = workspace
     data_dir = tmp_path / "data"
     data_dir.mkdir()
     shutil.copy(root / "data" / "AA.csv", data_dir / "\u00e9t\u00e9.csv")
+    cfg = RunConfig(data_dir=str(data_dir), assets=["\u00e9t\u00e9"], budget=2,
+                    mc=MonteCarloConfig(seeds=[42, 43]),
+                    out_dir=str(tmp_path / "mc"))
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(encode_config(RunConfig(
-        data_dir=str(data_dir), assets=["\u00e9t\u00e9"], budget=2,
-        mc=MonteCarloConfig(seeds=[42, 43]), out_dir=str(tmp_path / "mc")))))
+    cfg_path.write_text(json.dumps(encode_config(cfg)))
     assert main(["montecarlo", "--config", str(cfg_path)]) == 0
-    src = Path(gtscore.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUTF8": "0",
-           "LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0"}
-
-    def run(*argv):
-        return subprocess.run([sys.executable, "-m", "gtscore.cli", *argv],
-                              capture_output=True, text=True, env=env)
-    verify = run("verify", "--out", str(tmp_path / "mc"))
-    assert verify.returncode == 0, verify.stderr
-    shutil.rmtree(tmp_path / "mc")
-    study = run("montecarlo", "--config", str(cfg_path))
-    assert study.returncode == 2
-    assert study.stderr.startswith("error: cannot read data file ")
-    assert study.stderr.count("\n") == 1
-    assert not (tmp_path / "mc").exists()
+    cfg.assets, cfg.out_dir = [], str(tmp_path / "globbed")
+    cfg_path.write_text(json.dumps(encode_config(cfg)))
+    study = posix_main(["montecarlo", "--config", str(cfg_path)], tmp_path)
+    assert study[0] == 0, study
+    trials = tmp_path / "globbed" / "trials.csv"
+    assert trials.read_bytes() == (tmp_path / "mc" / "trials.csv").read_bytes()
+    assert {r["asset"] for r in read_trials_csv(trials)} == {"\u00e9t\u00e9"}
+    for out in ("mc", "globbed"):
+        verify = posix_main(["verify", "--out", str(tmp_path / out)], tmp_path)
+        assert verify[0] == 0, verify
 
 
 def test_zero_day_training_side_skips_the_asset(workspace, tmp_path,
@@ -970,117 +725,10 @@ def test_zero_day_training_side_skips_the_asset(workspace, tmp_path,
         tmp_path / "out" / "trials.csv")} == {"AA"}
 
 
-def test_too_few_pairs_exit_code(workspace, tmp_path, capsys, monkeypatch):
-    # one asset, strategy and seed: one pair per comparison, too few for
-    # the paired statistics, found before any backtest runs
-    root, _ = workspace
-    cfg = RunConfig(data_dir=str(root / "data"), assets=["AA"],
-                    strategies=[StrategyKind.MACD],
-                    mc=MonteCarloConfig(seeds=[42]), budget=2,
-                    out_dir=str(tmp_path / "out"))
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(encode_config(cfg)))
-    monkeypatch.setattr(search, "run_trials",
-                        lambda *args: pytest.fail("the study ran"))
-    capsys.readouterr()
-    assert main(["montecarlo", "--config", str(cfg_path)]) == 1
-    assert capsys.readouterr().err == (
-        "error: need n >= 2 pairs to compare gt_score with a baseline; this "
-        "study has 1 (one per asset, strategy and seed)\n")
-    assert not (tmp_path / "out").exists()
-
-
-def test_study_out_is_a_file_exit_code(workspace, tmp_path, capsys,
-                                       monkeypatch):
-    # --out naming a file, or a path under one, fails in one line before
-    # any backtest runs, for both protocols; the file is left as it was
-    _, cfg_path = workspace
-    monkeypatch.setattr(search, "run_trials",
-                        lambda *args: pytest.fail("the study ran"))
-    taken = tmp_path / "taken"
-    taken.write_text("keep")
-    for command in ("montecarlo", "walkforward"):
-        for out in (taken, taken / "sub"):
-            capsys.readouterr()
-            assert main([command, "--config", str(cfg_path),
-                         "--out", str(out)]) == 1
-            assert capsys.readouterr().err == (
-                f"error: output path {out}: {taken} is not a directory\n")
-    assert taken.read_text() == "keep"
-
-
-def test_costsweep_out_is_a_file_exit_code(workspace, tmp_path, capsys):
-    root, _ = workspace
-    taken = tmp_path / "taken"
-    taken.write_text("keep")
-    for out in (taken, taken / "sub"):
-        for argv in (["costsweep", "--trials", str(root / "mc" / "trials.csv")],
-                     ["synth", "--spec", str(root / "manifest.json")]):
-            capsys.readouterr()
-            assert main(argv + ["--out", str(out)]) == 1
-            assert capsys.readouterr().err == (
-                f"error: output path {out}: {taken} is not a directory\n")
-    assert taken.read_text() == "keep"
-    assert list(tmp_path.iterdir()) == [taken]  # no CSV written anywhere
-
-
-
-@pytest.mark.parametrize("command", ["synth", "montecarlo", "costsweep",
-                                     "report"])
-def test_output_path_os_error_exit_code(workspace, tmp_path, capsys,
-                                        command):
-    # a path component longer than the file system allows (ENAMETOOLONG)
-    # ends in one error line naming the path, and writes nothing
-    root, cfg_path = workspace
-    out = tmp_path / ("x" * 300)
-    argv = {"synth": ["synth", "--spec", str(root / "manifest.json")],
-            "montecarlo": ["montecarlo", "--config", str(cfg_path)],
-            "costsweep": ["costsweep", "--trials",
-                          str(root / "mc" / "trials.csv")],
-            "report": ["report"]}[command]
-    capsys.readouterr()
-    assert main(argv + ["--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert str(out) in err
-    assert list(tmp_path.iterdir()) == []
-
-
 def tree_state(root):
     """Every path under `root` with its bytes, None for a directory."""
     return {p: None if p.is_dir() else p.read_bytes()
             for p in sorted(root.rglob("*"))}
-
-
-def assert_output_file_blocked(argv, taken, capsys):
-    """`argv` fails in one line naming `taken`, a directory where it
-    would write a file, and changes nothing under its parent."""
-    before = tree_state(taken.parent)
-    capsys.readouterr()
-    assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: output path {taken}: not a file\n"
-    assert tree_state(taken.parent) == before
-
-
-def test_costsweep_output_file_is_a_directory_exit_code(workspace, tmp_path,
-                                                        capsys):
-    root, _ = workspace
-    (tmp_path / "cost_sensitivity.csv").mkdir()
-    assert_output_file_blocked(
-        ["costsweep", "--trials", str(root / "mc" / "trials.csv"),
-         "--out", str(tmp_path)], tmp_path / "cost_sensitivity.csv", capsys)
-
-
-def test_study_output_file_is_a_directory_exit_code(workspace, tmp_path,
-                                                    capsys, monkeypatch):
-    # found before any backtest runs, so no half-written study is left
-    _, cfg_path = workspace
-    monkeypatch.setattr(search, "run_trials",
-                        lambda *args: pytest.fail("the study ran"))
-    (tmp_path / "aggregates.csv").mkdir()
-    assert_output_file_blocked(
-        ["montecarlo", "--config", str(cfg_path), "--out", str(tmp_path)],
-        tmp_path / "aggregates.csv", capsys)
 
 
 def other_seeds(cfg_path, path):
@@ -1198,236 +846,6 @@ def test_synth_failure_on_the_second_asset_writes_nothing(
         assert tree_state(tmp_path) == {kept: None}
 
 
-def test_oversized_csv_field_exit_code(workspace, tmp_path, capsys):
-    # a cell longer than csv.field_size_limit() (131,072 characters) ends
-    # each reader in one error line naming the file and line, exit 2: an
-    # asset CSV (montecarlo), trials.csv (verify, costsweep) and the cost
-    # levels' header line (report, verify). A derived file's body is not
-    # parsed but compared with its recomputation, so an oversized cell
-    # there, or a row with fewer or more cells than its header, is exit 3
-    root, _ = workspace
-    big = "1" * 200_000
-    shutil.copytree(root / "data", tmp_path / "data")
-    study = tmp_path / "mc"
-    shutil.copytree(root / "mc", study)
-    assert main(["costsweep", "--trials", str(study / "trials.csv"),
-                 "--out", str(study)]) == 0
-
-    def oversize(text):
-        return text.replace(",", f",{big}", 1)
-
-    def cut(text):  # to two cells
-        return ",".join(text.split(",")[:2]) + "\n"
-
-    def extend(text):
-        return text.replace("\n", ",0.1\n")
-
-    asset, trials = tmp_path / "data" / "BB.csv", study / "trials.csv"
-    cost, agg = study / "cost_sensitivity.csv", study / "aggregates.csv"
-    cfg = RunConfig(data_dir=str(tmp_path / "data"),
-                    mc=MonteCarloConfig(seeds=[42]), budget=2)
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(encode_config(cfg)))
-    limit = "field larger than field limit (131072)"
-    report = ["report", "--out", str(study)]
-    verify = ["verify", "--out", str(study)]
-    agg_differs = "aggregates.csv: differs from recomputation"
-    cost_differs = "cost_sensitivity.csv: differs from recomputation"
-    cases = [(asset, 3, oversize, ["montecarlo", "--config", str(cfg_path),
-                                   "--out", str(tmp_path / "new")],
-              2, f"BB: line 3: {limit}"),
-             (trials, 4, oversize, verify, 2, f"{trials} line 4: {limit}"),
-             (trials, 4, oversize, ["costsweep", "--trials", str(trials),
-                                    "--out", str(tmp_path / "new")],
-              2, f"{trials} line 4: {limit}"),
-             (cost, 1, oversize, report, 2, f"{cost} line 1: {limit}"),
-             (cost, 1, oversize, verify, 2, f"{cost} line 1: {limit}"),
-             (cost, 2, oversize, report, 3, cost_differs),
-             (agg, 2, cut, report, 3, agg_differs),
-             (agg, 3, extend, report, 3, agg_differs),
-             (cost, 3, cut, verify, 3, cost_differs),
-             (cost, 2, extend, verify, 3, cost_differs)]
-    for path, line, change, argv, code, message in cases:
-        text = path.read_text()
-        lines = text.splitlines(keepends=True)
-        lines[line - 1] = change(lines[line - 1])
-        path.write_text("".join(lines))
-        before = tree_state(tmp_path)
-        capsys.readouterr()
-        assert main(argv) == code, argv
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert tree_state(tmp_path) == before
-        path.write_text(text)
-
-
-def test_synth_output_file_is_a_directory_exit_code(workspace, tmp_path,
-                                                    capsys):
-    # the manifest's second asset is not written either
-    root, _ = workspace
-    (tmp_path / "AA.csv").mkdir()
-    assert_output_file_blocked(
-        ["synth", "--spec", str(root / "manifest.json"),
-         "--out", str(tmp_path)], tmp_path / "AA.csv", capsys)
-
-def test_bad_config_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # where the default out_dir would be made
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"wf": 5}')
-    assert main(["montecarlo", "--config", str(bad)]) == 1
-    stabilization = ['"window": 0', '"n_range": [0, 5]', '"n_range": [50, 10]',
-                     '"threshold": -1', '"n_range": [10]', '"fallback": 0']
-    stabilization.append('"n_range": [10, "a"]')
-    for doc in ['{"budget": "3"}', '{"mc": {"seeds": "12"}}',
-                '{"strategies": ["bogus"]}', '{"objectives": ["bogus"]}',
-                '{"assets": [1]}', '{"budget": true}',
-                '{"mc": {"seeds": ["x"]}}', '[]',
-                '{"objective": {"eps": NaN}}',
-                '{"objective": {"eps": Infinity}}',
-                '{"objective": {"below_min_penalty": NaN}}',
-                '{"objective": {"below_min_penalty": Infinity}}'] + [
-            '{"objective": {"stabilization": {%s}}}' % item
-            for item in stabilization]:
-        bad.write_text(doc)
-        capsys.readouterr()
-        assert main(["montecarlo", "--config", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: bad run config: ")
-        assert err.count("bad run config") == 1
-        assert err.count("\n") == 1
-    # an int beyond float range in a float setting is named by its path
-    huge = "1" + "0" * 400
-    for doc, path in [('{"objective": {"eps": %s}}' % huge, "objective.eps"),
-                      ('{"objective": {"below_min_penalty": %s}}' % huge,
-                       "objective.below_min_penalty"),
-                      ('{"objective": {"stabilization": {"threshold": %s}}}'
-                       % huge, "objective.stabilization.threshold")]:
-        bad.write_text(doc)
-        capsys.readouterr()
-        assert main(["montecarlo", "--config", str(bad)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: bad run config: {path}: int too large to convert to "
-            "float\n")
-    # a value past its field's bound is named by its path: the upper
-    # bounds are the spans the calendar holds
-    for doc, message in [
-            ('{"mc": {"embargo_days": %s}}' % huge,
-             f"mc.embargo_days: must be <= 3652058, got {huge}"),
-            ('{"wf": {"embargo_days": %d}}' % 10 ** 12,
-             "wf.embargo_days: must be <= 3652058, got 1000000000000"),
-            ('{"wf": {"train_years": %d}}' % 10 ** 6,
-             "wf.train_years: must be <= 9998, got 1000000"),
-            ('{"budget": 0}', "budget: must be >= 1, got 0"),
-            ('{"objective": {"benchmark_mode": "median"}}',
-             "objective.benchmark_mode: 'median' is not a valid "
-             "BenchmarkMode")]:
-        for command in ("montecarlo", "walkforward"):
-            bad.write_text(doc)
-            capsys.readouterr()
-            assert main([command, "--config", str(bad)]) == 1
-            assert capsys.readouterr().err == (
-                f"error: bad run config: {message}\n")
-    # an int too long for int() to read is not JSON this program reads
-    bad.write_text('{"mc": {"embargo_days": 1%s}}' % ("0" * 5000))
-    capsys.readouterr()
-    assert main(["montecarlo", "--config", str(bad)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: config is not valid JSON: Exceeds the limit")
-    assert err.count("\n") == 1
-    # a key its dataclass lacks is named by its path, the first one in
-    # document order, before any value is decoded
-    for doc, path in [('{"wf": {"step": 1}}', "wf.step"),
-                      ('{"objective": {"stabilization": {"windw": 3}}}',
-                       "objective.stabilization.windw"),
-                      ('{"colour": 1}', "colour"),
-                      ('{"budget": "3", "zz": 1, "aa": 2}', "zz")]:
-        for command in ("montecarlo", "walkforward"):
-            bad.write_text(doc)
-            capsys.readouterr()
-            assert main([command, "--config", str(bad)]) == 1
-            assert capsys.readouterr().err == (
-                f"error: bad run config: {path}: unknown key\n")
-    # a key repeated in one object is named by its path: the last value
-    # would otherwise win unseen
-    for doc, path in [('{"budget": 0, "budget": 2}', "budget"),
-                      ('{"mc": {"seeds": [1], "embargo_days": 3, '
-                       '"seeds": [2]}}', "mc.seeds"),
-                      ('{"objective": {"stabilization": {"window": 3, '
-                       '"window": 3, "window": 4}}}',
-                       "objective.stabilization.window")]:
-        for command in ("montecarlo", "walkforward"):
-            bad.write_text(doc)
-            capsys.readouterr()
-            assert main([command, "--config", str(bad)]) == 1
-            assert capsys.readouterr().err == (
-                f"error: bad run config: {path}: repeated key\n")
-    # a string holding a NUL can name no file, nor anything else
-    for doc, path in [('{"assets": ["AA", "A\\u0000"]}', "assets[1]"),
-                      ('{"out_dir": "out\\u0000"}', "out_dir"),
-                      ('{"data_dir": "\\u0000"}', "data_dir"),
-                      ('{"strategies": ["rsi\\u0000"]}', "strategies[0]")]:
-        for command in ("montecarlo", "walkforward"):
-            bad.write_text(doc)
-            capsys.readouterr()
-            assert main([command, "--config", str(bad)]) == 1
-            assert capsys.readouterr().err == (
-                f"error: bad run config: {path}: holds a NUL character\n")
-    # a wrong JSON type is named by its path
-    for doc, path in [('{"assets": [1]}', "assets[0]"),
-                      ('{"budget": true}', "budget"),
-                      ('{"mc": {"seeds": ["x"]}}', "mc.seeds[0]"),
-                      ('{"objective": {"stabilization": {"n_range": '
-                       '[10, "a"]}}}', "objective.stabilization.n_range[1]")]:
-        bad.write_text(doc)
-        capsys.readouterr()
-        assert main(["montecarlo", "--config", str(bad)]) == 1
-        assert f"bad run config: {path}: expected " in capsys.readouterr().err
-    # an empty strategy or objective list would run a study of no trial
-    for command in ("montecarlo", "walkforward"):
-        for name in ("strategies", "objectives"):
-            bad.write_text('{"%s": []}' % name)
-            capsys.readouterr()
-            assert main([command, "--config", str(bad)]) == 1
-            assert capsys.readouterr().err == (
-                f"error: bad run config: {name}: must name at least one\n")
-    # a repeated list entry would count its trials twice; named by its path
-    for doc, path in [('{"assets": ["A", "B", "A"]}',
-                       "assets[2]: repeats 'A'"),
-                      ('{"strategies": ["rsi", "rsi"]}',
-                       "strategies[1]: repeats 'rsi'"),
-                      ('{"objectives": ["gt_score", "gt_score", "sharpe"]}',
-                       "objectives[1]: repeats 'gt_score'"),
-                      ('{"mc": {"seeds": [42, 43, 42]}}',
-                       "mc.seeds[2]: repeats 42")]:
-        bad.write_text(doc)
-        capsys.readouterr()
-        assert main(["montecarlo", "--config", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: bad run config: {path}\n"
-    # a string that is not one of an enum's values is named by its path
-    for doc, path in [('{"strategies": ["rsi", "bogus"]}',
-                       "strategies[1]: 'bogus' is not a valid StrategyKind"),
-                      ('{"objective": {"periodization": "weekly"}}',
-                       "objective.periodization: 'weekly' is not a valid "
-                       "Periodization")]:
-        bad.write_text(doc)
-        capsys.readouterr()
-        assert main(["montecarlo", "--config", str(bad)]) == 1
-        assert capsys.readouterr().err == f"error: bad run config: {path}\n"
-    # a key holding a newline is named on the one error line, escaped
-    bad.write_text('{"bud\\nget": 1}')
-    capsys.readouterr()
-    assert main(["montecarlo", "--config", str(bad)]) == 1
-    assert capsys.readouterr().err == (
-        "error: bad run config: bud\\nget: unknown key\n")
-    # a directory where the config file should be
-    capsys.readouterr()
-    assert main(["montecarlo", "--config", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read config {tmp_path}")
-    assert err.count("\n") == 1
-    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
-
-
 def bounded_fields(tp, path):
     """(dotted path, type, limits) of each `bounded` field of the dataclass
     `tp` and of the dataclasses nested in it."""
@@ -1536,122 +954,6 @@ def test_config_rules_from_the_fields(tmp_path, capsys, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
-def test_synth_bad_manifest_exit_code(tmp_path, capsys):
-    entry = small_manifest()["assets"][0]
-    no_seed = {k: v for k, v in entry.items() if k != "seed"}
-    spec = tmp_path / "m.json"
-    cases = [(None, "cannot read manifest"),
-             ("{not json", "bad synthetic manifest"),
-             (json.dumps({"assets": [no_seed]}),
-              "bad synthetic manifest: assets[0].seed: missing key"),
-             (json.dumps({}), "bad synthetic manifest: assets: missing key"),
-             (json.dumps([]),
-              "bad synthetic manifest: document: expected dict, got list"),
-             (json.dumps({"assets": [{**entry, "n_days": "many"}]}),
-              "bad synthetic manifest"),
-             (json.dumps({"assets": [{**entry, "regimes": 5}]}),
-              "bad synthetic manifest"),
-             # a manifest value of the wrong JSON type is named by its path,
-             # never coerced
-             (json.dumps({"assets": [{**entry, "n_days": 600.7}]}),
-              "assets[0].n_days: expected int, got float"),
-             (json.dumps({"assets": [{**entry, "seed": True}]}),
-              "assets[0].seed: expected int, got bool"),
-             (json.dumps({"assets": [{**entry, "seed": "7"}]}),
-              "assets[0].seed: expected int, got str"),
-             (json.dumps({"assets": [{**entry, "asset_id": 7}]}),
-              "assets[0].asset_id: expected str, got int"),
-             (json.dumps({"assets": [{**entry, "initial_price": 10 ** 400}]}),
-              "assets[0].initial_price: int too large to convert to float"),
-             (json.dumps({"assets": [{**entry, "regimes": [[600, 0, "x"]]}]}),
-              "assets[0].regimes[0][2]: expected float, got str"),
-             (json.dumps({"assets": [{**entry, "start_date": 2010}]}),
-              "assets[0].start_date: expected str, got int"),
-             (json.dumps({"assets": [{**entry, "start_date": "2010-13-01"}]}),
-              "bad synthetic manifest: assets[0].start_date: "),
-             (json.dumps({"assets": [entry, entry]}), "assets[1]: repeats"),
-             # one CSV per asset_id: a second entry would overwrite the first
-             (json.dumps({"assets": [entry, {**entry, "seed": 2}]}),
-              "assets[1].asset_id repeats assets[0].asset_id 'AA'"),
-             (json.dumps({"assets": [{**entry, "colour": "red"}]}),
-              "bad synthetic manifest: assets[0].colour: unknown key"),
-             # a repeated key is named by its path; a later value would win
-             (json.dumps({"assets": [entry]})[:-3] + ', "seed": 2}]}',
-              "bad synthetic manifest: assets[0].seed: repeated key"),
-             (json.dumps({"assets": [entry]})[:-1] + ', "assets": []}',
-              "bad synthetic manifest: assets: repeated key"),
-             # an asset_id names its CSV: one holding a NUL or a "/", or
-             # none at all, names no file in the output directory
-             (json.dumps({"assets": [{**entry, "asset_id": "A\0B"}]}),
-              "bad synthetic manifest: assets[0].asset_id: holds a NUL "
-              "character"),
-             (json.dumps({"assets": [{**entry, "asset_id": "a/b"}]}),
-              "bad synthetic manifest: assets[0].asset_id: must name a file, "
-              "got 'a/b'"),
-             (json.dumps({"assets": [{**entry, "asset_id": ""}]}),
-              "bad synthetic manifest: assets[0].asset_id: must name a file, "
-              "got ''"),
-             (json.dumps({"assets": [entry], "version": 1}),
-              "bad synthetic manifest: version: unknown key"),
-             (json.dumps({"assets": [5]}), "assets[0]: expected dict"),
-             # lengths that sum to n_days but one is negative
-             (json.dumps({"assets": [{**entry, "n_days": 10, "regimes": [
-                 [-5, 0.5, 0.0], [15, -0.5, 0.0]]}]}),
-              "bad synthetic manifest: assets[0].regimes: need lengths >= 0 "
-              "that sum to n_days, finite drifts and finite vols >= 0"),
-             # a value out of its field's range is named by its path too
-             (json.dumps({"assets": [{**entry, "seed": -1}]}),
-              "assets[0].seed: must be >= 0, got -1"),
-             (json.dumps({"assets": [{**entry, "start_date": "9999-12-01"}]}),
-              "assets[0].start_date: its n_days weekdays must end before "
-              "9999-12-31"),
-             (json.dumps({"assets": [{**entry, "initial_price": math.nan}]}),
-              "assets[0].initial_price: must be finite, got nan"),
-             (json.dumps({"assets": [{**entry, "initial_price": math.inf}]}),
-              "assets[0].initial_price: must be finite, got inf"),
-             (json.dumps({"assets": [{**entry, "regimes": [
-                 [600, 0.0, math.nan]]}]}),
-              "assets[0].regimes: need lengths >= 0 that sum to n_days, "
-              "finite drifts and finite vols >= 0"),
-             (json.dumps({"assets": [entry, {
-                 k: v for k, v in entry.items() if k != "n_days"}]}),
-              "bad synthetic manifest: assets[1].n_days: missing key")]
-    for text, message in cases:
-        if text is not None:
-            spec.write_text(text)
-        capsys.readouterr()
-        path = str(spec if text is not None else tmp_path / "missing.json")
-        assert main(["synth", "--spec", path,
-                     "--out", str(tmp_path / "data")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
-        assert err.count("\n") == 1
-    assert not (tmp_path / "data").exists()
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["montecarlo", "--config", "c.json", "--bogus"],
-     "unrecognized arguments: --bogus"),
-    (["bogus"], "argument command: invalid choice: 'bogus'"),
-    ([], "the following arguments are required: command"),
-    (["montecarlo", "--config", "c.json", "--jobs", "two"],
-     "argument --jobs: invalid int value: 'two'"),
-    # removed options: a study's seeds are its config's, and `config init`
-    # prints, for the shell to redirect
-    (["montecarlo", "--config", "c.json", "--seed-range", "1..5"],
-     "unrecognized arguments: --seed-range 1..5"),
-    (["config", "init", "--out", "c.json"],
-     "unrecognized arguments: --out c.json")])
-def test_usage_error_exit_code(tmp_path, monkeypatch, capsys, argv, message):
-    # a usage error is a config error: exit 1, one line, and no file
-    monkeypatch.chdir(tmp_path)
-    capsys.readouterr()
-    assert main(argv) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"error: {message}")
-    assert err.count("\n") == 1 and list(tmp_path.iterdir()) == []
-
-
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -1673,38 +975,6 @@ def test_readme_walkthrough_parses():
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv)
-
-
-def test_jobs_below_one_exit_code(tmp_path, capsys):
-    # a --jobs below 1 is refused before the config or an asset CSV is
-    # read: a config whose data_dir does not exist, and no config at all
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(
-        encode_config(RunConfig(data_dir=str(tmp_path / "none")))))
-    for config in (cfg_path, tmp_path / "missing.json"):
-        capsys.readouterr()
-        assert main(["montecarlo", "--config", str(config),
-                     "--out", str(tmp_path / "out"), "--jobs", "0"]) == 1
-        assert capsys.readouterr().err == (
-            "error: argument --jobs: must be >= 1, got 0\n")
-    assert list(tmp_path.iterdir()) == [cfg_path]
-
-
-def test_negative_embargo_exit_code(workspace, tmp_path, capsys):
-    root, _ = workspace
-    cfg_path = tmp_path / "cfg.json"
-    for command, settings, message in (
-            ("montecarlo", {"mc": {"embargo_days": -5}},
-             "bad run config: mc.embargo_days: must be >= 0, got -5"),
-            ("walkforward", {"wf": {"embargo_days": -5}},
-             "bad run config: wf.embargo_days: must be >= 0, got -5")):
-        cfg_path.write_text(json.dumps({
-            "data_dir": str(root / "data"), "budget": 1,
-            "out_dir": str(tmp_path / "out"), **settings}))
-        capsys.readouterr()
-        assert main([command, "--config", str(cfg_path)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "out").exists()
 
 
 def test_study_settings_reach_splits(workspace, tmp_path, monkeypatch):
@@ -1746,23 +1016,717 @@ def test_study_settings_reach_splits(workspace, tmp_path, monkeypatch):
     assert calls == [{"train_fraction": 0.6, "embargo_days": 12}] * 2
 
 
-def test_report_without_results_exit_code(tmp_path, capsys):
+# --- the exit contract -------------------------------------------------------
+# A command that fails exits with its code, prints nothing on stdout and, on
+# stderr, only its warnings and then one `error:` line, with no traceback;
+# and it changes no file. `CASES` lists the failing inputs; `run_case`
+# checks all of that on each.
+
+
+@dataclass(frozen=True)
+class Case:
+    """Failing command lines and what each must print.
+
+    `files` maps a path under the case's directory to what `make_files`
+    makes there. Each of `argvs` (one string, or a tuple of them) is split
+    as a shell would. In argvs, file texts and messages, `{d}` stands for
+    the case's directory and `{ws}` for the workspace's. `error` is the
+    `error:` line after `error: `, where `...` stands for any text;
+    `warnings` are the lines before it. `before_search`: the search must
+    not run. `posix`: run under an ASCII locale (`posix_main`)."""
+    id: str
+    argvs: str | tuple[str, ...]
+    code: int
+    error: str
+    files: dict = field(default_factory=dict)
+    warnings: tuple[str, ...] = ()
+    before_search: bool = False
+    posix: bool = False
+
+
+def fill(text, d, ws):
+    return text.replace("{d}", str(d)).replace("{ws}", str(ws))
+
+
+def copied(name, edit=None):
+    """The workspace's file or directory `name`, copied; a file's text
+    passed through `edit`, if given."""
+    def make(ws, path):
+        if edit:
+            path.write_text(edit((ws / name).read_text()))
+        elif (ws / name).is_dir():
+            shutil.copytree(ws / name, path)
+        else:
+            shutil.copy(ws / name, path)
+    return make
+
+
+def make_files(files, d, ws):
+    """Make each path of `files` under `d`: a function makes it from the
+    workspace `ws`; None is an empty directory; bytes are written as they
+    are; a str, or a dict as its JSON, is written as UTF-8 text with `{d}`
+    and `{ws}` filled in."""
+    for name, content in files.items():
+        path = d / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if callable(content):
+            content(ws, path)
+        elif content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            text = content if isinstance(content, str) else json.dumps(content)
+            path.write_text(fill(text, d, ws), encoding="utf-8")
+
+
+def search_ran(*args):
+    raise AssertionError("the search ran")
+
+
+def in_process(argv, cwd, before_search):
+    """(exit code, stdout, stderr) of `main(argv)` run in `cwd`."""
+    out, err, home = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(cwd)
+    try:
+        with (mock.patch.object(search, "run_trials", search_ran)
+              if before_search else contextlib.nullcontext()), \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(home)
+    return code, out.getvalue(), err.getvalue()
+
+
+# `in_process` in a child interpreter: one call per line of stdin, each
+# answered with one line of stdout; its streams are captured in their own
+# encoding, so a name the locale cannot spell prints as it would on a
+# terminal, and an uncaught exception prints its traceback
+POSIX_CHILD = """
+import contextlib, io, json, os, sys, traceback
+from unittest import mock
+from gtscore import cli, search
+
+def search_ran(*args):
+    raise AssertionError("the search ran")
+
+streams = sys.stdout, sys.stderr
+for line in sys.stdin:
+    argv, cwd, before_search = json.loads(line)
+    os.chdir(cwd)
+    sys.stdout, sys.stderr = captured = [
+        io.TextIOWrapper(io.BytesIO(), s.encoding, s.errors) for s in streams]
+    try:
+        with (mock.patch.object(search, "run_trials", search_ran)
+              if before_search else contextlib.nullcontext()):
+            code = cli.main(argv)
+    except Exception:
+        traceback.print_exc()
+        code = 1
+    sys.stdout, sys.stderr = streams
+    for s in captured:
+        s.flush()
+    print(json.dumps([code, *(s.buffer.getvalue().hex() for s in captured)]),
+          flush=True)
+"""
+
+
+@pytest.fixture(scope="module")
+def posix_main():
+    """`in_process` under the POSIX locale, whose file-system encoding is
+    ASCII: in one child interpreter, started at the first call and shared
+    by every call in this module."""
+    child = None
+
+    def run(argv, cwd, before_search=False):
+        nonlocal child
+        if child is None:
+            src = Path(gtscore.__file__).resolve().parents[1]
+            child = subprocess.Popen(
+                [sys.executable, "-c", POSIX_CHILD], stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE, env={
+                    **os.environ, "PYTHONPATH": str(src), "PYTHONUTF8": "0",
+                    "LC_ALL": "POSIX", "PYTHONCOERCECLOCALE": "0"})
+        child.stdin.write(
+            json.dumps([argv, str(cwd), before_search]).encode() + b"\n")
+        child.stdin.flush()
+        code, out, err = json.loads(child.stdout.readline())
+        return code, bytes.fromhex(out).decode(), bytes.fromhex(err).decode()
+
+    yield run
+    if child is not None:
+        child.stdin.close()
+        child.wait(timeout=60)
+
+
+def run_case(case, d, ws, posix_main):
+    """Set up `case` in the empty directory `d`, with the workspace `ws`,
+    and run each of its argvs there, in this interpreter or in
+    `posix_main`. Each must exit with the case's code; print nothing on
+    stdout; print on stderr the case's warnings, then its one `error:`
+    line, and no traceback; and leave every file under `d` and `ws` as it
+    was."""
+    make_files(case.files, d, ws)
+    run = posix_main if case.posix else in_process
+    error = "error: " + ".*".join(
+        map(re.escape, fill(case.error, d, ws).split("...")))
+    for argv in [case.argvs] if isinstance(case.argvs, str) else case.argvs:
+        argv = [fill(arg, d, ws) for arg in shlex.split(argv)]
+        before = tree_state(d), tree_state(ws)
+        code, out, err = run(argv, d, case.before_search)
+        *warned, last = err.removesuffix("\n").split("\n")
+        context = case.id, argv, err
+        assert (code, out, warned) == (
+            case.code, "", list(case.warnings)), context
+        assert err.endswith("\n") and re.fullmatch(error, last), context
+        assert "Traceback" not in err, context
+        assert (tree_state(d), tree_state(ws)) == before, context
+
+
+# --- the cases, by the part of the contract they check -----------------------
+
+MC = "montecarlo --config {d}/cfg.json"
+WF = "walkforward --config {d}/cfg.json"
+CFG = {"data_dir": "{d}/data", "out_dir": "{d}/out"}
+GOOD_CSV = "date,open,high,low,close,volume\n2020-01-02,10,11,9,10.5,100\n"
+# an asset too short for any split: 30 bars from 2010-01-01
+SHORT_CSV = csv_text(CSV_HEADER, ohlcv_rows(generate_synthetic_series(
+    SyntheticSpec(30, 100.0, ((30, 0.0, 0.01),), 1), "X")))
+NO_SPLIT = "no asset has a split with >= 2 bars in each window: skipped "
+LATIN1_CSV = os.fsdecode(b"\xe9t\xe9.csv")
+LONG = "{d}/" + "x" * 300  # a path component too long to name a file
+
+
+def bad_config(doc, error, commands=("montecarlo",)):
+    return Case(f"bad_config/{doc[:48]}",
+                tuple(f"{c} --config {{d}}/bad.json" for c in commands), 1,
+                f"bad run config: {error}", {"bad.json": doc})
+
+
+def both_protocols(doc, error):
+    return bad_config(doc, error, ("montecarlo", "walkforward"))
+
+
+HUGE = "1" + "0" * 400
+STAB = '{"objective": {"stabilization": {%s}}}'
+ENTRY = small_manifest()["assets"][0]
+
+
+def manifest(**changes):
+    return json.dumps({"assets": [{**ENTRY, **changes}]})
+
+
+def trials_with(change):
+    """The workspace study's trials.csv, its records (lists of cells,
+    header first) passed through `change`."""
+    def edit(text):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            change(list(csv.reader(io.StringIO(text)))))
+        return buf.getvalue()
+    return copied("mc/trials.csv", edit)
+
+
+def bad_cell(line, column, value):
+    """A case of the trials.csv whose cell at file line `line`, `column`,
+    holds `value`, or `value` of the cell there: the error names both."""
+    def change(rows):
+        cell = rows[line - 1][TRIAL_COLUMNS.index(column)]
+        rows[line - 1][TRIAL_COLUMNS.index(column)] = (
+            value(cell) if callable(value) else value)
+        return rows
+    return (f"line {line} {column}", trials_with(change),
+            f"{{d}}/trials.csv line {line}, column {column}: ...")
+
+
+def edit_line(n, change):
+    """A text with its line `n` passed through `change`."""
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        lines[n - 1] = change(lines[n - 1])
+        return "".join(lines)
+    return edit
+
+
+def costs(edit=lambda text: text):
+    """The cost_sensitivity.csv that `costsweep` writes at its default
+    levels for the workspace study, passed through `edit`."""
+    def make(ws, path):
+        rows = read_trials_csv(ws / "mc" / "trials.csv")
+        (out,) = [out for out in cli.OUTPUTS if "costsweep" in out.written_by]
+        path.write_text(edit(csv_text(*cli.derive(
+            out, rows, cli.DEFAULT_COST_SWEEP))))
+    return make
+
+
+def oversized(name, line, change):
+    """The workspace data and study, a cost_sensitivity.csv beside it, and
+    a config of that data; with line `line` of the file `name` changed."""
+    edit = edit_line(line, change)
+    return {"data": copied("data"), "mc": copied("mc"),
+            "mc/cost_sensitivity.csv": costs(), "config.json": {
+                "data_dir": "{d}/data", "mc": {"seeds": [42]}, "budget": 2},
+            name: costs(edit) if name == "mc/cost_sensitivity.csv"
+            else copied(name, edit)}
+
+
+BIG = "1" * 200_000  # past csv.field_size_limit(), 131,072 characters
+
+
+def oversize(line):
+    return line.replace(",", f",{BIG}", 1)
+
+
+def cut(line):  # to two cells
+    return ",".join(line.split(",")[:2]) + "\n"
+
+
+def extend(line):
+    return line.replace("\n", ",0.1\n")
+
+
+LIMIT = "field larger than field limit (131072)"
+TRIO = ("costsweep --trials {d}/trials.csv --out {d}", "report --out {d}",
+        "verify --out {d}")
+# a trials.csv with no rows, beside the derived files that no rows make
+NO_TRIALS = {"trials.csv": csv_text(TRIAL_COLUMNS, []), **{
+    out.name: csv_text(*cli.derive(out, [])) for out in cli.OUTPUTS
+    if "montecarlo" in out.written_by}}
+
+
+CASES = [
+    # a usage error is a config error
+    *(Case(f"usage_error/{argv}", argv, 1, f"{message}...")
+      for argv, message in [
+          ("montecarlo --config c.json --bogus",
+           "unrecognized arguments: --bogus"),
+          ("bogus", "argument command: invalid choice: 'bogus'"),
+          ("", "the following arguments are required: command"),
+          ("montecarlo --config c.json --jobs two",
+           "argument --jobs: invalid int value: 'two'"),
+          # removed options: a study's seeds are its config's, and `config
+          # init` prints, for the shell to redirect
+          ("montecarlo --config c.json --seed-range 1..5",
+           "unrecognized arguments: --seed-range 1..5"),
+          ("config init --out c.json",
+           "unrecognized arguments: --out c.json")]),
+    # a --jobs below 1 is refused before the config or an asset CSV is
+    # read: a config whose data_dir does not exist, and no config at all
+    Case("jobs_below_one/0", tuple(
+        f"montecarlo --config {{d}}/{name} --out {{d}}/out --jobs 0"
+        for name in ("cfg.json", "missing.json")), 1,
+        "argument --jobs: must be >= 1, got 0",
+        {"cfg.json": {"data_dir": "{d}/none"}}),
+    # a cost level that is not a number, not finite, negative or given
+    # twice; or a 100% round-trip haircut, or more
+    *(Case(f"bad_bps/{bps}", "costsweep --trials {ws}/mc/trials.csv "
+           f"--out {{d}}/bad --bps {bps}", 1,
+           f"bad --bps level: ...{message}...")
+      for bps, message in [
+          ("0,x", "'x'"), ("nan", "nan: levels must"),
+          ("0,inf", "inf: levels"), ("1e400", "inf: levels"),
+          ("2,2", "2.0: levels"), ("2,5,2.0", "2.0: levels"),
+          ("0,-1", "-1.0: levels"), ("0,-0", "-0.0: levels"),
+          ("5000", "5000.0: levels"), ("20000", "20000.0: levels"),
+          ("1e308,2", "1e+308: levels")]),
+    # a config that cannot be read, or is not JSON this program reads: no
+    # file, a directory, and an int too long for int() to read
+    Case("bad_config/missing", "montecarlo --config {d}/missing.json", 1,
+         "cannot read config {d}/missing.json: No such file or directory"),
+    Case("bad_config/a directory", "montecarlo --config {d}", 1,
+         "cannot read config {d}..."),
+    Case("bad_config/{not json", "montecarlo --config {d}/bad.json", 1,
+         "config is not valid JSON: Expecting property name enclosed in "
+         "double quotes: line 1 column 2 (char 1)", {"bad.json": "{not json"}),
+    Case("bad_config/5000 digits", "montecarlo --config {d}/bad.json", 1,
+         "config is not valid JSON: Exceeds the limit...",
+         {"bad.json": '{"mc": {"embargo_days": 1%s}}' % ("0" * 5000)}),
+    # a value of the wrong JSON type or not in its enum, named by its path
+    bad_config('{"wf": 5}', "wf: expected dict, got int"),
+    bad_config('{"budget": "3"}', "budget: expected int, got str"),
+    bad_config('{"mc": {"seeds": "12"}}', "mc.seeds: expected list, got str"),
+    bad_config('{"strategies": ["bogus"]}',
+               "strategies[0]: 'bogus' is not a valid StrategyKind"),
+    bad_config('{"objectives": ["bogus"]}',
+               "objectives[0]: 'bogus' is not a valid ObjectiveKind"),
+    bad_config('{"assets": [1]}', "assets[0]: expected str, got int"),
+    bad_config('{"budget": true}', "budget: expected int, got bool"),
+    bad_config('{"mc": {"seeds": ["x"]}}',
+               "mc.seeds[0]: expected int, got str"),
+    bad_config("[]", "document: expected dict, got list"),
+    bad_config(STAB % '"n_range": [10]',
+               "objective.stabilization.n_range: expected 2 items, got 1"),
+    bad_config(STAB % '"n_range": [10, "a"]',
+               "objective.stabilization.n_range[1]: expected int, got str"),
+    bad_config('{"strategies": ["rsi", "bogus"]}',
+               "strategies[1]: 'bogus' is not a valid StrategyKind"),
+    bad_config('{"objective": {"periodization": "weekly"}}',
+               "objective.periodization: 'weekly' is not a valid "
+               "Periodization"),
+    # a float setting that is not finite, or an int beyond float range
+    *(bad_config('{"objective": {"%s": %s}}' % (name, value),
+                 f"objective.{name}: must be finite, got {shown}")
+      for name in ("eps", "below_min_penalty")
+      for value, shown in (("NaN", "nan"), ("Infinity", "inf"))),
+    *(bad_config(doc % HUGE, f"{path}: int too large to convert to float")
+      for doc, path in [
+          ('{"objective": {"eps": %s}}', "objective.eps"),
+          ('{"objective": {"below_min_penalty": %s}}',
+           "objective.below_min_penalty"),
+          (STAB % '"threshold": %s', "objective.stabilization.threshold")]),
+    # a value past its field's bound, named by its path: the upper bounds
+    # are the spans the calendar holds
+    bad_config(STAB % '"window": 0',
+               "objective.stabilization.window: must be >= 1, got 0"),
+    bad_config(STAB % '"n_range": [0, 5]',
+               "objective.stabilization.n_range: must be ints 1 <= lo <= "
+               "hi, got (0, 5)"),
+    bad_config(STAB % '"n_range": [50, 10]',
+               "objective.stabilization.n_range: must be ints 1 <= lo <= "
+               "hi, got (50, 10)"),
+    bad_config(STAB % '"threshold": -1',
+               "objective.stabilization.threshold: must be > 0, got -1.0"),
+    bad_config(STAB % '"fallback": 0',
+               "objective.stabilization.fallback: must be >= 1, got 0"),
+    both_protocols('{"mc": {"embargo_days": %s}}' % HUGE,
+                   f"mc.embargo_days: must be <= 3652058, got {HUGE}"),
+    both_protocols('{"wf": {"embargo_days": %d}}' % 10 ** 12,
+                   "wf.embargo_days: must be <= 3652058, got 1000000000000"),
+    both_protocols('{"wf": {"train_years": %d}}' % 10 ** 6,
+                   "wf.train_years: must be <= 9998, got 1000000"),
+    both_protocols('{"budget": 0}', "budget: must be >= 1, got 0"),
+    both_protocols('{"objective": {"benchmark_mode": "median"}}',
+                   "objective.benchmark_mode: 'median' is not a valid "
+                   "BenchmarkMode"),
+    # a key its dataclass lacks, named by its path: the first one in
+    # document order, before any value is decoded; escaped if it holds a
+    # newline
+    *(both_protocols(doc, f"{path}: unknown key") for doc, path in [
+        ('{"wf": {"step": 1}}', "wf.step"),
+        (STAB % '"windw": 3', "objective.stabilization.windw"),
+        ('{"colour": 1}', "colour"),
+        ('{"budget": "3", "zz": 1, "aa": 2}', "zz")]),
+    bad_config('{"bud\\nget": 1}', "bud\\nget: unknown key"),
+    # a key repeated in one object: the last value would otherwise win
+    *(both_protocols(doc, f"{path}: repeated key") for doc, path in [
+        ('{"budget": 0, "budget": 2}', "budget"),
+        ('{"mc": {"seeds": [1], "embargo_days": 3, "seeds": [2]}}',
+         "mc.seeds"),
+        (STAB % '"window": 3, "window": 3, "window": 4',
+         "objective.stabilization.window")]),
+    # a string holding a NUL can name no file, nor anything else
+    *(both_protocols(doc, f"{path}: holds a NUL character")
+      for doc, path in [('{"assets": ["AA", "A\\u0000"]}', "assets[1]"),
+                        ('{"out_dir": "out\\u0000"}', "out_dir"),
+                        ('{"data_dir": "\\u0000"}', "data_dir"),
+                        ('{"strategies": ["rsi\\u0000"]}', "strategies[0]")]),
+    # an empty strategy or objective list would run a study of no trial
+    *(both_protocols('{"%s": []}' % name, f"{name}: must name at least one")
+      for name in ("strategies", "objectives")),
+    # a repeated list entry would count its trials twice
+    *(bad_config(doc, error) for doc, error in [
+        ('{"assets": ["A", "B", "A"]}', "assets[2]: repeats 'A'"),
+        ('{"strategies": ["rsi", "rsi"]}', "strategies[1]: repeats 'rsi'"),
+        ('{"objectives": ["gt_score", "gt_score", "sharpe"]}',
+         "objectives[1]: repeats 'gt_score'"),
+        ('{"mc": {"seeds": [42, 43, 42]}}', "mc.seeds[2]: repeats 42")]),
+    # embargoes below 0
+    *(Case(f"negative_embargo/{command}", f"{command} --config {{d}}/cfg.json",
+           1, f"bad run config: {key}.embargo_days: must be >= 0, got -5", {
+               "cfg.json": {"data_dir": "{ws}/data", "budget": 1,
+                            "out_dir": "{d}/out", key: {"embargo_days": -5}}})
+      for command, key in (("montecarlo", "mc"), ("walkforward", "wf"))),
+    # one asset, strategy and seed: one pair per comparison, too few for
+    # the paired statistics, found before any backtest runs
+    Case("too_few_pairs/one pair", MC, 1,
+         "need n >= 2 pairs to compare gt_score with a baseline; this study "
+         "has 1 (one per asset, strategy and seed)", {"cfg.json": {
+             "data_dir": "{ws}/data", "assets": ["AA"],
+             "strategies": ["macd"], "mc": {"seeds": [42]}, "budget": 2,
+             "out_dir": "{d}/out"}}, before_search=True),
+    # a synth manifest that cannot be read, or whose entries are not
+    # assets; a value of the wrong JSON type is named by its path, never
+    # coerced
+    Case("synth_bad_manifest/missing",
+         "synth --spec {d}/missing.json --out {d}/data", 1,
+         "...cannot read manifest..."),
+    *(Case(f"synth_bad_manifest/{message}",
+           "synth --spec {d}/m.json --out {d}/data", 1, f"...{message}...",
+           {"m.json": text}) for text, message in [
+        ("{not json", "bad synthetic manifest"),
+        (json.dumps({"assets": [{k: v for k, v in ENTRY.items()
+                                 if k != "seed"}]}),
+         "bad synthetic manifest: assets[0].seed: missing key"),
+        (json.dumps({}), "bad synthetic manifest: assets: missing key"),
+        (json.dumps([]),
+         "bad synthetic manifest: document: expected dict, got list"),
+        (manifest(n_days="many"), "bad synthetic manifest"),
+        (manifest(regimes=5), "bad synthetic manifest"),
+        (manifest(n_days=600.7), "assets[0].n_days: expected int, got float"),
+        (manifest(seed=True), "assets[0].seed: expected int, got bool"),
+        (manifest(seed="7"), "assets[0].seed: expected int, got str"),
+        (manifest(asset_id=7), "assets[0].asset_id: expected str, got int"),
+        (manifest(initial_price=10 ** 400),
+         "assets[0].initial_price: int too large to convert to float"),
+        (manifest(regimes=[[600, 0, "x"]]),
+         "assets[0].regimes[0][2]: expected float, got str"),
+        (manifest(start_date=2010),
+         "assets[0].start_date: expected str, got int"),
+        (manifest(start_date="2010-13-01"),
+         "bad synthetic manifest: assets[0].start_date: "),
+        (json.dumps({"assets": [ENTRY, ENTRY]}), "assets[1]: repeats"),
+        # one CSV per asset_id: a second entry would overwrite the first
+        (json.dumps({"assets": [ENTRY, {**ENTRY, "seed": 2}]}),
+         "assets[1].asset_id repeats assets[0].asset_id 'AA'"),
+        (manifest(colour="red"),
+         "bad synthetic manifest: assets[0].colour: unknown key"),
+        # a repeated key is named by its path; a later value would win
+        (manifest()[:-3] + ', "seed": 2}]}',
+         "bad synthetic manifest: assets[0].seed: repeated key"),
+        (manifest()[:-1] + ', "assets": []}',
+         "bad synthetic manifest: assets: repeated key"),
+        # an asset_id names its CSV: one holding a NUL or a "/", or none
+        # at all, names no file in the output directory
+        (manifest(asset_id="A\0B"), "bad synthetic manifest: "
+         "assets[0].asset_id: holds a NUL character"),
+        (manifest(asset_id="a/b"), "bad synthetic manifest: "
+         "assets[0].asset_id: must name a file, got 'a/b'"),
+        (manifest(asset_id=""), "bad synthetic manifest: "
+         "assets[0].asset_id: must name a file, got ''"),
+        (json.dumps({"assets": [ENTRY], "version": 1}),
+         "bad synthetic manifest: version: unknown key"),
+        (json.dumps({"assets": [5]}), "assets[0]: expected dict"),
+        # lengths that sum to n_days but one is negative
+        (manifest(n_days=10, regimes=[[-5, 0.5, 0.0], [15, -0.5, 0.0]]),
+         "bad synthetic manifest: assets[0].regimes: need lengths >= 0 "
+         "that sum to n_days, finite drifts and finite vols >= 0"),
+        # a value out of its field's range is named by its path too
+        (manifest(seed=-1), "assets[0].seed: must be >= 0, got -1"),
+        (manifest(start_date="9999-12-01"), "assets[0].start_date: its "
+         "n_days weekdays must end before 9999-12-31"),
+        (manifest(initial_price=math.nan),
+         "assets[0].initial_price: must be finite, got nan"),
+        (manifest(initial_price=math.inf),
+         "assets[0].initial_price: must be finite, got inf"),
+        (manifest(regimes=[[600, 0.0, math.nan]]),
+         "assets[0].regimes: need lengths >= 0 that sum to n_days, "
+         "finite drifts and finite vols >= 0"),
+        (json.dumps({"assets": [ENTRY, {k: v for k, v in ENTRY.items()
+                                        if k != "n_days"}]}),
+         "bad synthetic manifest: assets[1].n_days: missing key")]),
+    # an --out that is a file or lies under one, found before any
+    # backtest runs
+    *(Case(f"study_out_is_a_file/{out}", tuple(
+        f"{command} --config {{ws}}/config.json --out {out}"
+        for command in ("montecarlo", "walkforward")), 1,
+        f"output path {out}: {{d}}/taken is not a directory",
+        {"taken": "keep"}, before_search=True)
+      for out in ("{d}/taken", "{d}/taken/sub")),
+    *(Case(f"costsweep_out_is_a_file/{out}", (
+        f"costsweep --trials {{ws}}/mc/trials.csv --out {out}",
+        f"synth --spec {{ws}}/manifest.json --out {out}"), 1,
+        f"output path {out}: {{d}}/taken is not a directory",
+        {"taken": "keep"}) for out in ("{d}/taken", "{d}/taken/sub")),
+    # a file a command would write whose path is taken by a directory; the
+    # study is refused before any backtest runs, and synth writes not even
+    # the manifest's second asset
+    Case("costsweep_output_file_is_a_directory/cost_sensitivity.csv",
+         "costsweep --trials {ws}/mc/trials.csv --out {d}", 1,
+         "output path {d}/cost_sensitivity.csv: not a file",
+         {"cost_sensitivity.csv": None}),
+    Case("study_output_file_is_a_directory/aggregates.csv",
+         "montecarlo --config {ws}/config.json --out {d}", 1,
+         "output path {d}/aggregates.csv: not a file",
+         {"aggregates.csv": None}, before_search=True),
+    Case("synth_output_file_is_a_directory/AA.csv",
+         "synth --spec {ws}/manifest.json --out {d}", 1,
+         "output path {d}/AA.csv: not a file", {"AA.csv": None}),
+    # a path component longer than the file system allows (ENAMETOOLONG)
+    *(Case(f"output_path_os_error/{argv.split()[0]}", f"{argv} --out {LONG}",
+           1, f"...{LONG}...") for argv in [
+        "synth --spec {ws}/manifest.json",
+        "montecarlo --config {ws}/config.json",
+        "costsweep --trials {ws}/mc/trials.csv", "report"]),
     # `report` and `verify` read a study's trials.csv first: a directory
-    # without one, or no directory, is exit 2 in one line naming the file;
-    # an --out too long to be a path (ENAMETOOLONG) is exit 1 naming it,
-    # as for the commands that write there
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    for out, code, err in [
-            (empty, 2, f"error: cannot read trials file {empty}/trials.csv: "),
-            (tmp_path / "none", 2,
-             f"error: cannot read trials file {tmp_path}/none/trials.csv: "),
-            (tmp_path / ("x" * 300), 1,
-             f"error: [Errno {errno.ENAMETOOLONG}] ")]:
-        for command in ("report", "verify"):
-            capsys.readouterr()
-            assert main([command, "--out", str(out)]) == code
-            text = capsys.readouterr().err
-            assert text.startswith(err) and text.count("\n") == 1
-            assert str(out) in text
-    assert list(tmp_path.iterdir()) == [empty]
+    # without one, or no directory, is exit 2 naming the file; an --out too
+    # long to be a path is exit 1 naming it, as for the commands that
+    # write there
+    *(Case(f"report_without_results/{out[:10]}",
+           (f"report --out {out}", f"verify --out {out}"), code, error, files)
+      for out, code, error, files in [
+          ("{d}/empty", 2, "cannot read trials file {d}/empty/trials.csv: ...",
+           {"empty": None}),
+          ("{d}/none", 2, "cannot read trials file {d}/none/trials.csv: ...",
+           {}),
+          (LONG, 1, f"[Errno {errno.ENAMETOOLONG}] ...{LONG}...", {})]),
+    # an asset CSV that is missing, cannot be read or holds a bad row; the
+    # error names the asset
+    Case("missing_data/no data directory", MC, 2,
+         "no assets configured and no CSVs in {d}/nowhere",
+         {"cfg.json": {"data_dir": "{d}/nowhere", "out_dir": "{d}/out"}}),
+    *(Case(f"missing_data/{row}", MC, 2, "...2020-01-03...",
+           {"cfg.json": CFG, "data/X.csv": f"{GOOD_CSV}{row}\n"})
+      for row in ["2020-01-03,11,inf,10,10.8,100",
+                  "2020-01-03,11,12,10,10.8,nan",
+                  "2020-01-03,11,12,10,10.8,inf"]),
+    Case("missing_data/last calendar day", (MC, WF), 2,
+         "X: 9999-12-31: date on or after 9999-12-31 (o=11.0 h=12.0 l=10.0 "
+         "c=10.8 v=100.0)", {"cfg.json": CFG, "data/X.csv":
+                             GOOD_CSV + "9999-12-31,11,12,10,10.8,100\n"}),
+    Case("missing_data/short row", MC, 2,
+         "X: line 3: expected 6 fields, got 5", {
+             "cfg.json": CFG,
+             "data/X.csv": f"{GOOD_CSV}2020-01-03,11,12,10,10.8\n"}),
+    Case("missing_data/byte order mark", MC, 2,
+         "X: line 1: bad header ['\\ufeffdate', 'open', 'high', 'low', "
+         "'close', 'volume'], want ['date', 'open', 'high', 'low', 'close', "
+         "'volume']", {"cfg.json": CFG, "data/X.csv": "\ufeff" + GOOD_CSV}),
+    Case("missing_data/utf-16", MC, 2,
+         "cannot read data file {d}/data/X.csv...", {"cfg.json": CFG,
+          "data/X.csv": b"\xff\xfe" + GOOD_CSV.encode("utf-16-le")}),
+    # an asset too short for any split leaves the study without a cell,
+    # after one warning that names it once; a newline in its id is escaped
+    # in the warning as in the error
+    *(Case(f"missing_data/too short {shown} {command[:10]}", command, 2,
+           NO_SPLIT + shown, {"cfg.json": CFG, f"data/{name}.csv": SHORT_CSV},
+           warnings=(f"WARNING skipping {shown}: {reason}",))
+      for name, shown, command, reason in [
+          ("X", "X", MC, "chrono split leaves 21 train / 0 test bars, need "
+                         ">= 60 each"),
+          ("X", "X", WF, "series ends 2010-02-11, needs to reach 2016-01-31 "
+                         "for one split (4y train + 30d embargo + 2y val)"),
+          ("X\nY", "X\\nY", MC, "chrono split leaves 21 train / 0 test "
+                                "bars, need >= 60 each")]),
+    # a configured asset without its file, named escaped; printable
+    # non-ASCII is left as it is
+    *(Case(f"missing_data/no file {shown}", MC, 2,
+           f"cannot read data file {{d}}/data/{shown}.csv: No such file or "
+           "directory", {"cfg.json": {**CFG, "assets": [asset]}, "data": None})
+      for asset, shown in (("a\nb", "a\\nb"), ("été", "été"))),
+    # with no assets configured, each CSV file in the data directory is
+    # read as named; a file named only `.csv` names no asset
+    Case("missing_data/.csv", MC, 2, "data file {d}/data/.csv names no asset",
+         {"cfg.json": CFG, "data/SYN00.csv": GOOD_CSV, "data/.csv": GOOD_CSV}),
+    # an asset id that is not UTF-8 text, from a file named in latin-1 or
+    # from a JSON escape, is named escaped before any file is read
+    *(Case(f"missing_data/latin-1 {assets}", MC, 2,
+           "asset id \\udce9t\\udce9 is not UTF-8 text", {
+               "cfg.json": {**CFG, "assets": assets},
+               "data/SYN00.csv": GOOD_CSV, "data/B.csv": GOOD_CSV,
+               f"data/{LATIN1_CSV}": GOOD_CSV})
+      for assets in ([], ["\udce9t\udce9", "B"])),
+    # a cell longer than csv.field_size_limit() ends each reader in one
+    # error line naming the file and line, exit 2: an asset CSV
+    # (montecarlo), trials.csv (verify, costsweep) and the cost levels'
+    # header line (report, verify). A derived file's body is not parsed but
+    # compared with its recomputation, so an oversized cell there, or a
+    # row with fewer or more cells than its header, is exit 3
+    *(Case(f"oversized_csv_field/{name} line {line}", argvs, code, error,
+           oversized(name, line, change))
+      for name, line, change, argvs, code, error in [
+          ("data/BB.csv", 3, oversize,
+           "montecarlo --config {d}/config.json --out {d}/new", 2,
+           f"BB: line 3: {LIMIT}"),
+          ("mc/trials.csv", 4, oversize, (
+              "verify --out {d}/mc",
+              "costsweep --trials {d}/mc/trials.csv --out {d}/new"), 2,
+           f"{{d}}/mc/trials.csv line 4: {LIMIT}"),
+          ("mc/cost_sensitivity.csv", 1, oversize,
+           ("report --out {d}/mc", "verify --out {d}/mc"), 2,
+           f"{{d}}/mc/cost_sensitivity.csv line 1: {LIMIT}"),
+          ("mc/cost_sensitivity.csv", 2, oversize, "report --out {d}/mc", 3,
+           "cost_sensitivity.csv: differs from recomputation"),
+          ("mc/aggregates.csv", 2, cut, "report --out {d}/mc", 3,
+           "aggregates.csv: differs from recomputation"),
+          ("mc/aggregates.csv", 3, extend, "report --out {d}/mc", 3,
+           "aggregates.csv: differs from recomputation"),
+          ("mc/cost_sensitivity.csv", 3, cut, "verify --out {d}/mc", 3,
+           "cost_sensitivity.csv: differs from recomputation"),
+          ("mc/cost_sensitivity.csv", 2, extend, "verify --out {d}/mc", 3,
+           "cost_sensitivity.csv: differs from recomputation")]),
+    # a trials.csv that `costsweep`, `report` and `verify` refuse, naming
+    # its line and column; it spells every cell as the writer does: the
+    # header in order, integers as `str`, numbers as `repr`, and JSON
+    # lists of numbers as strings, spaced as the writer spaces them
+    *(Case(f"malformed_trials/{name}", TRIO, 2, error, {"trials.csv": trials})
+      for name, trials, error in [
+          bad_cell(4, "oos_return", "abc"),
+          bad_cell(2, "split_id", "1.5"),
+          bad_cell(3, "degenerate", "yes"),
+          bad_cell(5, "oos_trade_returns_json", '["0.1", '),
+          bad_cell(6, "oos_trade_returns_json", '["0.1", "x"]'),
+          bad_cell(7, "oos_trade_returns_json", "[null]"),
+          bad_cell(8, "objective", "sharpee"),
+          bad_cell(9, "strategy", "bolinger"),
+          bad_cell(10, "oos_return", "nan"),
+          bad_cell(11, "oos_trade_returns_json", '["inf"]'),
+          bad_cell(12, "oos_trade_returns_json", "[true]"),
+          bad_cell(13, "oos_trade_returns_json", "[0.1]"),
+          bad_cell(14, "oos_trade_returns_json", '"0.1"'),
+          bad_cell(15, "oos_trades", "2_7"),
+          bad_cell(17, "oos_trade_returns_json", '["0.10"]'),
+          bad_cell(18, "oos_trade_returns_json", '["0.1","0.2"]'),
+          # JSON that no float holds, or too deep to parse
+          bad_cell(19, "oos_trade_returns_json", f"[{'9' * 400}]"),
+          bad_cell(20, "oos_trade_returns_json", "[" * 100_000),
+          bad_cell(16, "oos_return", lambda cell: f" {cell} "),
+          ("truncated", trials_with(
+              lambda rows: [*rows[:2], rows[2][:5], *rows[3:]]),
+           "{d}/trials.csv line 3, column train_return: ..."),
+          ("extended", trials_with(
+              lambda rows: [*rows[:13], [*rows[13], "0.1"], *rows[14:]]),
+           "{d}/trials.csv line 14: more cells than the header's 14"),
+          ("seed as sead", trials_with(lambda rows: [
+              ["sead" if c == "seed" else c for c in rows[0]], *rows[1:]]),
+           "{d}/trials.csv line 1: header ...seed..."),
+          ("widened", trials_with(lambda rows: [
+              [*r, "x" if i == 0 else "0"] for i, r in enumerate(rows)]),
+           "{d}/trials.csv line 1: header ...oos_trade_returns_json,x is "
+           "not..."),
+          ("swapped", trials_with(
+              lambda rows: [[r[1], r[0], *r[2:]] for r in rows]),
+           "{d}/trials.csv line 1: header strategy,asset,objective,..."),
+          # each trial once: a repeated row is named with the row it
+          # repeats
+          ("repeated", trials_with(lambda rows: [*rows, rows[1]]),
+           "{d}/trials.csv line 50: repeats the trial of line 2")]),
+    # and at least one trial, beside the derived files no trial makes
+    Case("malformed_trials/no trials", TRIO, 2, "{d}/trials.csv: no trials",
+         NO_TRIALS),
+    Case("malformed_trials/a directory", "costsweep --trials {d} --out {d}", 2,
+         "cannot read trials file ..."),
+    # under a POSIX locale, whose file-system encoding is ASCII, a config
+    # naming an asset or an output path that the encoding cannot spell
+    # fails in one line, writing nothing; an output path fails before the
+    # search runs, as does one a caller passes to costsweep, or a file
+    # synth would name by a manifest's asset_id
+    Case("ascii_locale/asset", MC, 2, "cannot read data file ...", {
+        "cfg.json": {"data_dir": "{d}/data", "assets": ["été"],
+                     "out_dir": "{d}/mc"},
+        "data/été.csv": copied("data/AA.csv")}, posix=True),
+    Case("ascii_locale/montecarlo out_dir", MC, 1,
+         "output path repro/\\xe9t\\xe9: the file system encoding (ascii) "
+         "cannot name it", {"cfg.json": {
+             "data_dir": "{ws}/data", "mc": {"seeds": [42, 43]}, "budget": 2,
+             "out_dir": "repro/été"}},
+         before_search=True, posix=True),
+    Case("ascii_locale/costsweep --out",
+         "costsweep --trials {ws}/mc/trials.csv --out {d}/été", 1,
+         "output path {d}/\\xe9t\\xe9: the file system encoding (ascii) "
+         "cannot name it", posix=True),
+    Case("ascii_locale/synth asset_id",
+         "synth --spec {d}/m.json --out {d}/data", 1,
+         "output path {d}/data/\\xe9t\\xe9.csv: the file system encoding "
+         "(ascii) cannot name it", {"m.json": manifest(asset_id="été")},
+         posix=True),
+]
+
+
+@pytest.mark.parametrize("group", list(dict.fromkeys(
+    case.id.split("/")[0] for case in CASES)))
+def test_exit_contract(group, workspace, tmp_path, posix_main):
+    cases = [case for case in CASES if case.id.startswith(f"{group}/")]
+    for i, case in enumerate(cases):
+        (tmp_path / str(i)).mkdir()
+        run_case(case, tmp_path / str(i), workspace[0], posix_main)
