@@ -321,6 +321,19 @@ def test_run_config_json_round_trip():
     assert decode_config(RunConfig, doc) == cfg
 
 
+def test_load_config_errors(tmp_path):
+    with pytest.raises(ConfigError):
+        load_config(str(tmp_path / "missing.json"))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    with pytest.raises(ConfigError):
+        load_config(str(bad))
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text('{"no_such_field": 1}')
+    with pytest.raises(ConfigError):
+        load_config(str(unknown))
+
+
 def test_synth_writes_loadable_csvs(workspace):
     root, _ = workspace
     files = sorted(p.name for p in (root / "data").glob("*.csv"))
@@ -1295,22 +1308,25 @@ NO_TRIALS = {"trials.csv": csv_text(TRIAL_COLUMNS, []), **{
     if "montecarlo" in out.written_by}}
 
 
+USAGE_ERRORS = [
+    (["montecarlo", "--config", "c.json", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+    (["montecarlo", "--config", "c.json", "--jobs", "two"],
+     "argument --jobs: invalid int value: 'two'"),
+    # removed options: a study's seeds are its config's, and `config init`
+    # prints, for the shell to redirect
+    (["montecarlo", "--config", "c.json", "--seed-range", "1..5"],
+     "unrecognized arguments: --seed-range 1..5"),
+    (["config", "init", "--out", "c.json"],
+     "unrecognized arguments: --out c.json")]
+
+
 CASES = [
     # a usage error is a config error
-    *(Case(f"usage_error/{argv}", argv, 1, f"{message}...")
-      for argv, message in [
-          ("montecarlo --config c.json --bogus",
-           "unrecognized arguments: --bogus"),
-          ("bogus", "argument command: invalid choice: 'bogus'"),
-          ("", "the following arguments are required: command"),
-          ("montecarlo --config c.json --jobs two",
-           "argument --jobs: invalid int value: 'two'"),
-          # removed options: a study's seeds are its config's, and `config
-          # init` prints, for the shell to redirect
-          ("montecarlo --config c.json --seed-range 1..5",
-           "unrecognized arguments: --seed-range 1..5"),
-          ("config init --out c.json",
-           "unrecognized arguments: --out c.json")]),
+    *(Case(f"usage_error/{shlex.join(argv)}", shlex.join(argv), 1,
+           f"{message}...") for argv, message in USAGE_ERRORS),
     # a --jobs below 1 is refused before the config or an asset CSV is
     # read: a config whose data_dir does not exist, and no config at all
     Case("jobs_below_one/0", tuple(
@@ -1723,10 +1739,50 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("group", list(dict.fromkeys(
-    case.id.split("/")[0] for case in CASES)))
-def test_exit_contract(group, workspace, tmp_path, posix_main):
-    cases = [case for case in CASES if case.id.startswith(f"{group}/")]
+def run_cases(cases, tmp_path, ws, posix_main):
+    """`run_case` on each of `cases`, each in a directory of its own."""
     for i, case in enumerate(cases):
         (tmp_path / str(i)).mkdir()
-        run_case(case, tmp_path / str(i), workspace[0], posix_main)
+        run_case(case, tmp_path / str(i), ws, posix_main)
+
+
+def group_of(case):
+    return case.id.split("/")[0]
+
+
+def named(case_id):
+    """The one case of `CASES` whose id is `case_id`, in a list."""
+    (case,) = [case for case in CASES if case.id == case_id]
+    return [case]
+
+
+# these groups run under the names of the tests they were before the table
+NAMED = ("usage_error", "bad_config", "output_path_os_error")
+
+
+@pytest.mark.parametrize("group", [
+    group for group in dict.fromkeys(map(group_of, CASES))
+    if group not in NAMED])
+def test_exit_contract(group, workspace, tmp_path, posix_main):
+    run_cases([case for case in CASES if group_of(case) == group],
+              tmp_path, workspace[0], posix_main)
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_error_exit_code(argv, message, workspace, tmp_path,
+                               posix_main):
+    run_cases(named(f"usage_error/{shlex.join(argv)}"), tmp_path,
+              workspace[0], posix_main)
+
+
+def test_bad_config_exit_code(workspace, tmp_path, posix_main):
+    run_cases([case for case in CASES if group_of(case) == "bad_config"],
+              tmp_path, workspace[0], posix_main)
+
+
+@pytest.mark.parametrize("command", ["synth", "montecarlo", "costsweep",
+                                     "report"])
+def test_output_path_os_error_exit_code(command, workspace, tmp_path,
+                                        posix_main):
+    run_cases(named(f"output_path_os_error/{command}"), tmp_path,
+              workspace[0], posix_main)
