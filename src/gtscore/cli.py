@@ -218,16 +218,17 @@ def write_tables(out_dir: Path, tables: dict) -> None:
         raise
 
 
-def trial_row(trial: dict, cell_json: dict) -> dict:
+def trial_row(trial: dict, pool_json: dict) -> dict:
     """One trials.csv row from a trial of `search`. A cell's trials share
-    one candidate pool, so `cell_json` keeps each cell's `candidates_json`
+    one candidate pool, so `pool_json` keeps each pool's `candidates_json`
     across calls."""
-    cell = trial["asset"], trial["strategy"], trial["split_id"], trial["seed"]
-    if cell not in cell_json:
-        cell_json[cell] = json.dumps(
-            [params_doc(p) for p in trial["candidates_json"]], sort_keys=True)
+    pool = tuple(trial["candidates_json"])
+    text = pool_json.get(pool)
+    if text is None:
+        text = pool_json[pool] = json.dumps(
+            [params_doc(p) for p in pool], sort_keys=True)
     return {**trial, "params_json": params_to_json(trial["params_json"]),
-            "candidates_json": cell_json[cell],
+            "candidates_json": text,
             "oos_trade_returns_json": _cell(trial["oos_trade_returns_json"])}
 
 
@@ -527,8 +528,8 @@ def cmd_study(args) -> int:
         run, settings = search.run_walkforward, vars(cfg.wf)
     results = run(assets, cfg.strategies, cfg.objectives, cfg=cfg.objective,
                   jobs=args.jobs, budget=cfg.budget, **settings)
-    cell_json = {}
-    rows = [trial_row(r, cell_json) for r in results]
+    pool_json = {}
+    rows = [trial_row(r, pool_json) for r in results]
     write_tables(out_dir, dict(zip(names, [
         (TRIAL_COLUMNS, rows), *(derive(out, rows) for out in derived)])))
     print(f"{args.command}: {len(rows)} trials -> {out_dir}")
@@ -574,10 +575,7 @@ def study_tables(out_dir: Path) -> list[tuple[Output, list, list]]:
     file that differs from its recomputation, is one InternalCheckError
     naming every such file; a table that `trials.csv` cannot make (too
     few or unpaired trials to compare) is a DataError naming it."""
-    try:  # an --out that is no path (too long, say) is exit 1, as when written
-        out_dir.stat()
-    except FileNotFoundError:
-        pass  # named as the trials file that cannot be read
+    output_dir(out_dir, [])  # an unusable --out is exit 1, as when written
     trials = out_dir / "trials.csv"
     rows = read_trials_csv(trials)
     # the protocol is the one whose own files are there, walkforward's

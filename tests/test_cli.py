@@ -41,7 +41,6 @@ from gtscore.cli import (
 from gtscore.data import (
     CSV_HEADER,
     NONEMPTY,
-    PriceSeries,
     SyntheticManifest,
     SyntheticSpec,
     decode_config,
@@ -57,7 +56,7 @@ from gtscore.objective import (
     Periodization,
     StabilizationConfig,
 )
-from gtscore.strategy import StrategyKind, sample_params
+from gtscore.strategy import StrategyKind, params_doc, sample_params
 
 from conftest import make_series, random_closes
 
@@ -74,6 +73,11 @@ CONFIG_INIT_SHA256 = (
 # the reference walk-forward: the default config on the 8 fixture assets
 REFERENCE_WALKFORWARD_TRIALS_SHA256 = (
     "386b2a9129f960964fe4319d6f15d4e401e0ad0b91d6ad10577b7dea3bcd6772")
+# the benchmark's two workloads at seed 0, on the same assets
+MC_STUDY_TRIALS_SHA256 = (
+    "8b4c2c7659e96486bc0f60063c65857dcab429faef04624dade36a8dbbfb4727")
+MC_STAB_GT_TRIALS_SHA256 = (
+    "f112d58b7132b7723e1a29abb758b9484c0a6a5c41e4522cb1186858105b4ab7")
 # every file in a study directory: the workspace Monte Carlo study after
 # `costsweep --bps 0,5,10`, and `walkforward_study`; and what `report`
 # prints on each
@@ -140,9 +144,12 @@ def small_manifest():
     ]}
 
 
+WF_STUDY = "wf"  # the workspace's walkforward study
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """Synthetic data plus a completed montecarlo run."""
+    """Synthetic data, a montecarlo run and a walkforward study (WF_STUDY)."""
     root = tmp_path_factory.mktemp("cli")
     spec_path = root / "manifest.json"
     spec_path.write_text(json.dumps(small_manifest()))
@@ -156,6 +163,8 @@ def workspace(tmp_path_factory):
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(encode_config(cfg)))
     assert main(["montecarlo", "--config", str(cfg_path)]) == 0
+    shutil.copytree(walkforward_study(tmp_path_factory.mktemp("wf")),
+                    root / WF_STUDY)
     return root, cfg_path
 
 
@@ -166,7 +175,7 @@ def test_output_files_pinned(workspace, tmp_path, capsys):
                  "--out", str(mc)]) == 0
     assert main(["costsweep", "--trials", str(mc / "trials.csv"),
                  "--out", str(mc), "--bps", "0,5,10"]) == 0
-    wf = walkforward_study(tmp_path)
+    wf = workspace[0] / WF_STUDY
     for out, pins, report in (
             (mc, MONTECARLO_OUTPUT_SHA256, MONTECARLO_REPORT_SHA256),
             (wf, WALKFORWARD_OUTPUT_SHA256, WALKFORWARD_REPORT_SHA256)):
@@ -180,21 +189,54 @@ def test_output_files_pinned(workspace, tmp_path, capsys):
         assert {p.name: sha256_of(p) for p in sorted(out.iterdir())} == pins
 
 
-def test_reference_walkforward_pinned(tmp_path):
+FIXTURE_ASSETS = Path(__file__).parent / "fixtures" / "study_assets.json"
+
+
+@pytest.fixture(scope="module")
+def fixture_data(tmp_path_factory):
+    """The 8 fixture assets, synthesized once: the benchmark's data at
+    seed 0."""
+    data_dir = tmp_path_factory.mktemp("fixture") / "data"
+    assert main(["synth", "--spec", str(FIXTURE_ASSETS),
+                 "--out", str(data_dir)]) == 0
+    return data_dir
+
+
+def study_trials(doc, tmp_path, command, jobs):
+    """The trials.csv of a `command` study of the config `doc` at
+    `--jobs` `jobs`."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg_path), "--out",
+                 str(tmp_path / command), "--jobs", str(jobs)]) == 0
+    return tmp_path / command / "trials.csv"
+
+
+def test_reference_walkforward_pinned(fixture_data, tmp_path):
     # 48 tasks of 12 trials, run in a pool of two workers: each task's two
     # windows are what a worker receives
-    data_dir = tmp_path / "data"
-    assert main(["synth", "--spec", str(Path(__file__).parent / "fixtures"
-                                        / "study_assets.json"),
-                 "--out", str(data_dir)]) == 0
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(encode_config(
-        RunConfig(data_dir=str(data_dir)))))
-    assert main(["walkforward", "--config", str(cfg_path),
-                 "--out", str(tmp_path / "wf"), "--jobs", "2"]) == 0
-    trials = tmp_path / "wf" / "trials.csv"
+    trials = study_trials({"data_dir": str(fixture_data)}, tmp_path,
+                          "walkforward", 2)
     assert len(read_trials_csv(trials)) == 576
     assert sha256_of(trials) == REFERENCE_WALKFORWARD_TRIALS_SHA256
+
+
+def test_benchmark_studies_pinned(fixture_data, tmp_path):
+    # the benchmark's two workloads at seed 0 (perfbench/run.py pins the
+    # same bytes): `mc_study` run serially, `mc_stab_gt` in a pool of two
+    # workers
+    seeds = {"seeds": [42, 43, 44, 45, 46]}
+    six = [a["asset_id"] for a in json.loads(
+        FIXTURE_ASSETS.read_text())["assets"][:6]]
+    for doc, jobs, pin in [
+            ({"data_dir": str(fixture_data), "mc": seeds}, 1,
+             MC_STUDY_TRIALS_SHA256),
+            ({"data_dir": str(fixture_data), "mc": seeds, "assets": six,
+              "objectives": ["gt_score"],
+              "objective": {"periodization": "stabilized"}}, 2,
+             MC_STAB_GT_TRIALS_SHA256)]:
+        assert sha256_of(study_trials(doc, tmp_path, "montecarlo",
+                                      jobs)) == pin
 
 
 def stabilized_study(root, tmp_path):
@@ -406,6 +448,8 @@ EDGE_TRIAL = {
     "degenerate": False, "params_json": EDGE_POOL[0],
     "candidates_json": EDGE_POOL,
     "oos_trade_returns_json": np.array([-0.0, 5e-324, 1e308, -1e308])}
+OTHER_POOL = [sample_params(StrategyKind.RSI, np.random.Generator(
+    np.random.Philox(1)))]
 
 
 @settings(max_examples=60, deadline=None,
@@ -414,11 +458,19 @@ EDGE_TRIAL = {
     t["asset"], t["strategy"], t["objective"], t["split_id"], t["seed"])))
 @example(drawn=[EDGE_TRIAL, {**EDGE_TRIAL, "seed": 43, "degenerate": True,
                              "oos_trade_returns_json": np.array([])}])
+@example(drawn=[EDGE_TRIAL, {**EDGE_TRIAL, "objective": "sharpe",
+                             "params_json": OTHER_POOL[0],
+                             "candidates_json": OTHER_POOL}])
 def test_trial_rows_read_back_as_written(tmp_path, drawn):
-    # `read_trials_csv` takes each cell only as the writer spells it, so
-    # the rows it reads back are spelled by the writer into the same bytes
-    cell_json = {}
-    text = csv_text(TRIAL_COLUMNS, [trial_row(t, cell_json) for t in drawn])
+    # each row records its own trial's pool, also where two trials of one
+    # cell drew different pools; `read_trials_csv` takes each cell only as
+    # the writer spells it, so the rows it reads back are spelled by the
+    # writer into the same bytes
+    pool_json = {}
+    written = [trial_row(t, pool_json) for t in drawn]
+    assert [json.loads(row["candidates_json"]) for row in written] == [
+        [params_doc(p) for p in t["candidates_json"]] for t in drawn]
+    text = csv_text(TRIAL_COLUMNS, written)
     (tmp_path / "trials.csv").write_text(text)
     rows = read_trials_csv(tmp_path / "trials.csv")
     assert csv_text(TRIAL_COLUMNS, rows) == text
@@ -497,92 +549,17 @@ def test_cost_zero_level_matches_oos_mean(workspace, tmp_path):
     assert traded
 
 
-def test_verify_passes_then_catches_tampering(workspace, tmp_path, capsys):
+def test_verify_passes_then_catches_tampering(workspace, tmp_path, capsys,
+                                              posix_main):
     # `report` prints only what `verify` proves: on every directory both
     # exit with the same code, and an error is the same one line
-    def both(out, code):
-        errs = []
+    root, _ = workspace
+    for out in (root / "mc", root / WF_STUDY):
         for command in ("verify", "report"):
             capsys.readouterr()
-            assert main([command, "--out", str(out)]) == code, command
-            errs.append(capsys.readouterr().err)
-        assert errs[0] == errs[1] and errs[0].count("\n") == (code != 0)
-        return errs[0]
-
-    root, _ = workspace
-    out = root / "mc"
-    both(out, 0)
-
-    broken = tmp_path / "broken"
-    shutil.copytree(out, broken)
-    agg = broken / "aggregates.csv"
-    text = agg.read_text()
-    agg.write_text(text.replace("0.", "1.", 1))
-    assert both(broken, 3) == (
-        "error: aggregates.csv: differs from recomputation\n")
-    # cut to its header
-    agg.write_text(text.splitlines(keepends=True)[0])
-    both(broken, 3)
-    # a derived file that is not UTF-8 text is named in one line
-    agg.write_bytes(b"\xff\xfe")
-    assert both(broken, 2).startswith(f"error: cannot read file {agg}")
-    # a cost_sensitivity.csv header whose levels cannot be read back is
-    # named with its file in one line
-    shutil.rmtree(broken)
-    shutil.copytree(out, broken)
-    cost = broken / "cost_sensitivity.csv"
-    for header in ["objective,bps_x", "objective,bps_0,bps_nan",
-                   "objective,bps_-1", "objective,bps_2,bps_2.0",
-                   "objective,bps_0,bps_5000", "objective,bps_1e308",
-                   "objective,level_5"]:
-        cost.write_text(header + "\n")
-        cols = header.split(",")
-        assert both(broken, 2).startswith(f"error: {cost}: bad header {cols}: ")
-    # a file the other protocol writes is checked too: a wrong stray
-    # trade_counts.csv in a walkforward study
-    wf = walkforward_study(tmp_path)
-    both(wf, 0)
-    shutil.copy(out / "trade_counts.csv", wf)
-    assert both(wf, 3) == (
-        "error: trade_counts.csv: differs from recomputation\n")
-    # missing files are named for the study's protocol, and with neither
-    # protocol's own files there, for each protocol
-    (wf / "splits_genratio.csv").unlink()
-    (wf / "periods.csv").unlink()
-    (wf / "trade_counts.csv").unlink()
-    assert both(wf, 3) == (
-        "error: splits_genratio.csv, periods.csv (walkforward) or "
-        "strategy_means.csv, comparisons.csv, trade_counts.csv (montecarlo): "
-        "missing\n")
-    shutil.rmtree(broken)
-    shutil.copytree(out, broken)
-    (broken / "comparisons.csv").unlink()
-    assert both(broken, 3) == "error: comparisons.csv (montecarlo): missing\n"
-    # a trials.csv that cannot make the paired comparisons is named: one
-    # cell's four trials, one pair per comparison, beside a header-only
-    # comparisons.csv; and a study missing one sharpe trial
-    header, *records = (out / "trials.csv").read_text().splitlines(True)
-
-    def cell(record):  # asset, strategy, split_id, seed
-        cells = record.split(",", 5)
-        return cells[:2] + cells[3:5]
-    shutil.rmtree(broken)
-    broken.mkdir()
-    (broken / "trials.csv").write_text(header + "".join(
-        r for r in records if cell(r) == cell(records[0])))
-    (broken / "comparisons.csv").write_text(
-        (out / "comparisons.csv").read_text().splitlines(True)[0])
-    assert both(broken, 2) == (
-        f"error: {broken}/trials.csv: need n >= 2 pairs to compare gt_score "
-        "with sharpe, got 1\n")
-    shutil.rmtree(broken)
-    shutil.copytree(out, broken)
-    sharpe = next(r for r in records if ",sharpe," in r)
-    (broken / "trials.csv").write_text(
-        header + "".join(r for r in records if r != sharpe))
-    assert both(broken, 2) == (
-        f"error: {broken}/trials.csv: unpaired trials between gt_score and "
-        "sharpe\n")
+            assert main([command, "--out", str(out)]) == 0, command
+            assert capsys.readouterr().err == "", command
+    run_cases(in_group("tampered_study"), tmp_path, root, posix_main)
 
 
 def walkforward_study(root):
@@ -606,8 +583,8 @@ def walkforward_study(root):
     return root / "wf"
 
 
-def test_walkforward_end_to_end(tmp_path):
-    out = walkforward_study(tmp_path)
+def test_walkforward_end_to_end(workspace):
+    out = workspace[0] / WF_STUDY
     rows = read_trials_csv(out / "trials.csv")
     splits = {r["split_id"] for r in rows}
     assert splits == set(range(4))
@@ -618,64 +595,30 @@ def test_walkforward_end_to_end(tmp_path):
     assert main(["verify", "--out", str(out)]) == 0
 
 
-def test_walkforward_skips_splits_below_two_bars(tmp_path, capsys):
+def test_walkforward_skips_splits_below_two_bars(workspace, tmp_path, capsys,
+                                                 posix_main):
     # Split k of one-year windows two years apart trains on year 2k and
     # validates on year 2k + 1 of 2010-2015. N holds every day. G holds
     # one bar of 2010 and one of 2013, so its splits 0 and 1 are skipped
     # with one warning each; H also holds one bar of 2014-2015, so it keeps
     # no split.
-    data_dir = tmp_path / "data"
-    data_dir.mkdir()
-    full = make_series(random_closes(np.random.Generator(np.random.Philox(7)),
-                                     2191), start=dt.date(2010, 1, 1))
-    year = full.dates.astype("datetime64[Y]").astype(int) + 1970
-    lone = np.isin(full.dates, np.array(
-        ["2010-01-01", "2013-07-01", "2015-12-31"], dtype="datetime64[D]"))
-    for asset_id, keep in (("N", year > 0),
-                           ("G", lone | np.isin(year, [2011, 2012, 2014,
-                                                       2015])),
-                           ("H", lone | np.isin(year, [2011, 2012]))):
-        cols = [getattr(full, name)[keep] for name in (
-            "dates", "opens", "highs", "lows", "closes", "volumes")]
-        (data_dir / f"{asset_id}.csv").write_text(cli.csv_text(
-            CSV_HEADER, ohlcv_rows(PriceSeries(asset_id, *cols))))
-    cfg = RunConfig(data_dir=str(data_dir), assets=["N", "G"],
-                    strategies=[StrategyKind.BOLLINGER], budget=2,
-                    wf=WalkforwardConfig(train_years=1, val_years=1,
-                                         step_years=2, embargo_days=0),
-                    out_dir=str(tmp_path / "wf"))
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(encode_config(cfg)))
+    (case,) = named("no_split/walkforward H")
+    make_files({"cfg.json": {**case.files["cfg.json"], "assets": ["N", "G"]},
+                "data/N.csv": lone_days_csv("N", range(2010, 2016)),
+                "data/G.csv": lone_days_csv("G", [2011, 2012, 2014, 2015])},
+               tmp_path, workspace[0])
     # in-process, with pytest's handlers on the root logger, each warning
-    # reaches stderr once; so do those of the second `main` call below
+    # reaches stderr once
     capsys.readouterr()
-    assert main(["walkforward", "--config", str(cfg_path)]) == 0
-    assert capsys.readouterr().err == (
-        "WARNING skipping G split 0: 1 training and 365 validation bars, "
-        "need >= 2 each\n"
-        "WARNING skipping G split 1: 366 training and 1 validation bars, "
-        "need >= 2 each\n")
-    rows = read_trials_csv(tmp_path / "wf" / "trials.csv")
+    assert main(["walkforward", "--config", str(tmp_path / "cfg.json")]) == 0
+    assert capsys.readouterr().err == "".join(
+        line + "\n" for line in skipped_splits("G", [(1, 365), (366, 1)]))
+    rows = read_trials_csv(tmp_path / "out" / "trials.csv")
     assert len(rows) == 4 * len(ObjectiveKind)
     assert {(r["asset"], r["split_id"]) for r in rows} == {
         ("N", 0), ("N", 1), ("N", 2), ("G", 2)}
-    assert main(["verify", "--out", str(tmp_path / "wf")]) == 0
-
-    # an asset that keeps no split leaves the study without a cell
-    cfg.assets, cfg.out_dir = ["H"], str(tmp_path / "none")
-    cfg_path.write_text(json.dumps(encode_config(cfg)))
-    capsys.readouterr()
-    assert main(["walkforward", "--config", str(cfg_path)]) == 2
-    assert capsys.readouterr().err == (
-        "WARNING skipping H split 0: 1 training and 365 validation bars, "
-        "need >= 2 each\n"
-        "WARNING skipping H split 1: 366 training and 1 validation bars, "
-        "need >= 2 each\n"
-        "WARNING skipping H split 2: 0 training and 1 validation bars, "
-        "need >= 2 each\n"
-        "error: no asset has a split with >= 2 bars in each window: "
-        "skipped H\n")
-    assert not (tmp_path / "none").exists()
+    assert main(["verify", "--out", str(tmp_path / "out")]) == 0
+    run_cases([case], tmp_path, workspace[0], posix_main)
 
 
 def test_files_are_utf8_under_an_ascii_locale(workspace, tmp_path,
@@ -706,36 +649,22 @@ def test_files_are_utf8_under_an_ascii_locale(workspace, tmp_path,
         assert verify[0] == 0, verify
 
 
-def test_zero_day_training_side_skips_the_asset(workspace, tmp_path,
-                                                capsys):
+def test_zero_day_training_side_skips_the_asset(workspace, tmp_path, capsys,
+                                                posix_main):
     # a 3-bar asset whose training side rounds to 0 days is skipped with
     # one warning: alone it leaves the study without a cell (exit 2),
     # beside a valid asset the study completes without it
     root, _ = workspace
-    data_dir = tmp_path / "data"
-    data_dir.mkdir()
-    (data_dir / "S.csv").write_text(
-        "date,open,high,low,close,volume\n2020-01-02,10,11,9,10.5,100\n"
-        "2020-01-03,10,11,9,10.4,100\n2020-01-06,10,11,9,10.6,100\n")
-    shutil.copy(root / "data" / "AA.csv", data_dir)
-    warning = ("WARNING skipping S: chrono split leaves 0 train / 3 test "
-               "bars, need >= 60 each\n")
-    cfg_path = tmp_path / "cfg.json"
-    for assets, code, err in (
-            (["S"], 2, warning + "error: no asset has a split with >= 2 bars "
-                                 "in each window: skipped S\n"),
-            (["S", "AA"], 0, warning)):
-        cfg_path.write_text(json.dumps({
-            "data_dir": str(data_dir), "assets": assets,
-            "strategies": ["macd"], "budget": 1,
-            "mc": {"seeds": [42, 43], "train_fraction": 0.1,
-                   "embargo_days": 0},
-            "out_dir": str(tmp_path / "out")}))
-        capsys.readouterr()
-        assert main(["montecarlo", "--config", str(cfg_path)]) == code
-        assert capsys.readouterr().err == err
+    (case,) = named("no_split/montecarlo S")
+    make_files({**case.files, "data/AA.csv": copied("data/AA.csv"),
+                "cfg.json": {**case.files["cfg.json"], "assets": ["S", "AA"]}},
+               tmp_path, root)
+    capsys.readouterr()
+    assert main(["montecarlo", "--config", str(tmp_path / "cfg.json")]) == 0
+    assert capsys.readouterr().err == case.warnings[0] + "\n"
     assert {r["asset"] for r in read_trials_csv(
         tmp_path / "out" / "trials.csv")} == {"AA"}
+    run_cases([case], tmp_path, root, posix_main)
 
 
 def tree_state(root):
@@ -930,41 +859,16 @@ def config_levels(tp, path=()):
             yield from config_levels(hint, where)
 
 
-def test_config_rules_from_the_fields(tmp_path, capsys, monkeypatch):
+def test_config_rules_from_the_fields(workspace, tmp_path, posix_main):
     # the rules read from the dataclass fields, checked through the CLI: at
     # every level of a run config and of a manifest, an added unknown key,
     # and an empty list in each field declared NONEMPTY, exits 1 with one
     # error line naming its path, and writes no file
-    monkeypatch.chdir(tmp_path)  # where the default out_dir would be made
-    doc_path = tmp_path / "doc.json"
-
-    def dotted(keys):
-        return "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
-                       for k in keys).lstrip(".")
-
-    nonempty = []
-    for tp, base, argv, prefix in [
-            (RunConfig, {}, ["montecarlo", "--config"], "bad run config"),
-            (SyntheticManifest, {"assets": small_manifest()["assets"][:1]},
-             ["synth", "--out", "data", "--spec"], "bad synthetic manifest")]:
-        for path, level in config_levels(tp):
-            cases = [("unknown", 1, "unknown key")]
-            cases += [(f.name, [], "must name at least one")
-                      for f in fields(level) if f.metadata == NONEMPTY]
-            nonempty += [dotted((*path, key)) for key, *_ in cases[1:]]
-            for key, value, message in cases:
-                doc = node = json.loads(json.dumps(base))
-                for k in path:
-                    node = (node[k] if isinstance(k, int)
-                            else node.setdefault(k, {}))
-                node[key] = value
-                doc_path.write_text(json.dumps(doc))
-                capsys.readouterr()
-                assert main([*argv, str(doc_path)]) == 1
-                assert capsys.readouterr().err == (
-                    f"error: {prefix}: {dotted((*path, key))}: {message}\n")
-    assert nonempty == ["strategies", "objectives", "mc.seeds"]
-    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+    rows = in_group("config_rules")
+    assert [case.id.split(": ")[1] for case in rows
+            if case.error.endswith("must name at least one")] == [
+        "strategies", "objectives", "mc.seeds"]
+    run_cases(rows, tmp_path, workspace[0], posix_main)
 
 
 def test_help_exits_zero(capsys):
@@ -1061,14 +965,16 @@ def fill(text, d, ws):
     return text.replace("{d}", str(d)).replace("{ws}", str(ws))
 
 
-def copied(name, edit=None):
+def copied(name, edit=None, without=()):
     """The workspace's file or directory `name`, copied; a file's text
-    passed through `edit`, if given."""
+    passed through `edit`, if given; a directory without the files named
+    in `without`."""
     def make(ws, path):
         if edit:
             path.write_text(edit((ws / name).read_text()))
         elif (ws / name).is_dir():
-            shutil.copytree(ws / name, path)
+            shutil.copytree(ws / name, path,
+                            ignore=shutil.ignore_patterns(*without))
         else:
             shutil.copy(ws / name, path)
     return make
@@ -1211,6 +1117,26 @@ LATIN1_CSV = os.fsdecode(b"\xe9t\xe9.csv")
 LONG = "{d}/" + "x" * 300  # a path component too long to name a file
 
 
+def lone_days_csv(asset_id, years):
+    """The CSV of an asset of a bar a day from 2010-01-01 to 2015-12-31
+    that keeps the bars of `years` and those of three lone days."""
+    def make(ws, path):
+        header, *lines = csv_text(CSV_HEADER, ohlcv_rows(make_series(
+            random_closes(np.random.Generator(np.random.Philox(7)), 2191),
+            asset_id, dt.date(2010, 1, 1)))).splitlines(keepends=True)
+        path.write_text(header + "".join(
+            line for line in lines if int(line[:4]) in years
+            or line[:10] in ("2010-01-01", "2013-07-01", "2015-12-31")))
+    return make
+
+
+def skipped_splits(asset_id, bars):
+    """The warnings of splits 0, 1, ... of `asset_id`, skipped for `bars`."""
+    return tuple(f"WARNING skipping {asset_id} split {k}: {train} training "
+                 f"and {val} validation bars, need >= 2 each"
+                 for k, (train, val) in enumerate(bars))
+
+
 def bad_config(doc, error, commands=("montecarlo",)):
     return Case(f"bad_config/{doc[:48]}",
                 tuple(f"{c} --config {{d}}/bad.json" for c in commands), 1,
@@ -1228,6 +1154,31 @@ ENTRY = small_manifest()["assets"][0]
 
 def manifest(**changes):
     return json.dumps({"assets": [{**ENTRY, **changes}]})
+
+
+def config_rules():
+    """At each level of a run config and of a manifest (`config_levels`),
+    a document with an added unknown key, and one with an empty list in
+    each field declared NONEMPTY: a case naming its path."""
+    for tp, base, argv, prefix in [
+            (RunConfig, {}, "montecarlo --config", "bad run config"),
+            (SyntheticManifest, {"assets": [ENTRY]}, "synth --out data --spec",
+             "bad synthetic manifest")]:
+        for path, level in config_levels(tp):
+            rules = [("unknown", 1, "unknown key")]
+            rules += [(f.name, [], "must name at least one")
+                      for f in fields(level) if f.metadata == NONEMPTY]
+            for key, value, message in rules:
+                doc = node = json.loads(json.dumps(base))
+                for k in path:
+                    node = (node[k] if isinstance(k, int)
+                            else node.setdefault(k, {}))
+                node[key] = value
+                where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                                for k in (*path, key)).lstrip(".")
+                error = f"{prefix}: {where}: {message}"
+                yield Case(f"config_rules/{error}", f"{argv} {{d}}/doc.json",
+                           1, error, {"doc.json": doc})
 
 
 def trials_with(change):
@@ -1271,6 +1222,22 @@ def costs(edit=lambda text: text):
         path.write_text(edit(csv_text(*cli.derive(
             out, rows, cli.DEFAULT_COST_SWEEP))))
     return make
+
+
+LEVELS = "levels must be finite, non-negative, below 5000 and distinct"
+
+
+def tampered(case_id, code, error, changes=(), study="mc", without=()):
+    """`verify` and `report` of {d}/s: a copy of the workspace's `study`
+    without the files `without`, with the files `changes` written in."""
+    files = {f"s/{name}": text for name, text in dict(changes).items()}
+    return Case(f"tampered_study/{case_id}", ("verify --out {d}/s",
+                                              "report --out {d}/s"),
+                code, error, {"s": copied(study, without=without), **files})
+
+
+def header_only(text):
+    return text.splitlines(keepends=True)[0]
 
 
 def oversized(name, line, change):
@@ -1565,9 +1532,9 @@ CASES = [
         "montecarlo --config {ws}/config.json",
         "costsweep --trials {ws}/mc/trials.csv", "report"]),
     # `report` and `verify` read a study's trials.csv first: a directory
-    # without one, or no directory, is exit 2 naming the file; an --out too
-    # long to be a path is exit 1 naming it, as for the commands that
-    # write there
+    # without one, or no directory, is exit 2 naming the file; an --out
+    # that is a file, or too long to be a path, is exit 1 naming it, as
+    # for the commands that write there
     *(Case(f"report_without_results/{out[:10]}",
            (f"report --out {out}", f"verify --out {out}"), code, error, files)
       for out, code, error, files in [
@@ -1575,6 +1542,8 @@ CASES = [
            {"empty": None}),
           ("{d}/none", 2, "cannot read trials file {d}/none/trials.csv: ...",
            {}),
+          ("{d}/taken", 1, "output path {d}/taken: {d}/taken is not a "
+           "directory", {"taken": "keep"}),
           (LONG, 1, f"[Errno {errno.ENAMETOOLONG}] ...{LONG}...", {})]),
     # an asset CSV that is missing, cannot be read or holds a bad row; the
     # error names the asset
@@ -1716,7 +1685,8 @@ CASES = [
     # naming an asset or an output path that the encoding cannot spell
     # fails in one line, writing nothing; an output path fails before the
     # search runs, as does one a caller passes to costsweep, or a file
-    # synth would name by a manifest's asset_id
+    # synth would name by a manifest's asset_id, or a study that `report`
+    # or `verify` would read
     Case("ascii_locale/asset", MC, 2, "cannot read data file ...", {
         "cfg.json": {"data_dir": "{d}/data", "assets": ["été"],
                      "out_dir": "{d}/mc"},
@@ -1731,11 +1701,88 @@ CASES = [
          "costsweep --trials {ws}/mc/trials.csv --out {d}/été", 1,
          "output path {d}/\\xe9t\\xe9: the file system encoding (ascii) "
          "cannot name it", posix=True),
+    Case("ascii_locale/report --out",
+         ("report --out {d}/été", "verify --out {d}/été"), 1,
+         "output path {d}/\\xe9t\\xe9: the file system encoding (ascii) "
+         "cannot name it", posix=True),
     Case("ascii_locale/synth asset_id",
          "synth --spec {d}/m.json --out {d}/data", 1,
          "output path {d}/data/\\xe9t\\xe9.csv: the file system encoding "
          "(ascii) cannot name it", {"m.json": manifest(asset_id="été")},
          posix=True),
+    # a study that `verify` and `report` refuse alike: a derived file that
+    # is edited, cut to its header, or not UTF-8 text
+    tampered("edited aggregates.csv", 3,
+             "aggregates.csv: differs from recomputation",
+             {"aggregates.csv": copied("mc/aggregates.csv", lambda text:
+                                       text.replace("0.", "1.", 1))}),
+    tampered("aggregates.csv cut to its header", 3,
+             "aggregates.csv: differs from recomputation",
+             {"aggregates.csv": copied("mc/aggregates.csv", header_only)}),
+    tampered("aggregates.csv not UTF-8", 2,
+             "cannot read file {d}/s/aggregates.csv: 'utf-8' codec can't "
+             "decode byte 0xff in position 0: invalid start byte",
+             {"aggregates.csv": b"\xff\xfe"}),
+    # a cost_sensitivity.csv header whose levels cannot be read back,
+    # named with its file
+    *(tampered(f"cost header {header}", 2,
+               f"{{d}}/s/cost_sensitivity.csv: bad header "
+               f"{header.split(',')}: {message}",
+               {"cost_sensitivity.csv": header + "\n"})
+      for header, message in [
+          ("objective,bps_x", "could not convert string to float: 'x'"),
+          ("objective,bps_0,bps_nan", f"nan: {LEVELS}"),
+          ("objective,bps_-1", f"-1.0: {LEVELS}"),
+          ("objective,bps_2,bps_2.0", f"2.0: {LEVELS}"),
+          ("objective,bps_0,bps_5000", f"5000.0: {LEVELS}"),
+          ("objective,bps_1e308", f"1e+308: {LEVELS}"),
+          ("objective,level_5",
+           "could not convert string to float: 'level_5'")]),
+    # a file the other protocol writes is checked too: a wrong stray
+    # trade_counts.csv in a walkforward study
+    tampered("stray trade_counts.csv", 3, "trade_counts.csv: differs from "
+             "recomputation", {"trade_counts.csv": copied(
+                 "mc/trade_counts.csv")}, study=WF_STUDY),
+    # missing files are named for the study's protocol, and with neither
+    # protocol's own files there, for each protocol
+    tampered("neither protocol's files", 3,
+             "splits_genratio.csv, periods.csv (walkforward) or "
+             "strategy_means.csv, comparisons.csv, trade_counts.csv "
+             "(montecarlo): missing", study=WF_STUDY,
+             without=("splits_genratio.csv", "periods.csv")),
+    tampered("no comparisons.csv", 3, "comparisons.csv (montecarlo): missing",
+             without=("comparisons.csv",)),
+    # a trials.csv that cannot make the paired comparisons is named: the
+    # header and one cell's (asset, strategy, split_id, seed) four trials,
+    # one pair per comparison, beside a header-only comparisons.csv; and a
+    # study missing its first sharpe trial, on line 4
+    tampered("one cell", 2, "{d}/s/trials.csv: need n >= 2 pairs to compare "
+             "gt_score with sharpe, got 1", {"trials.csv": trials_with(
+                 lambda rows: [r for r in rows if r[:2] + r[3:5] in (
+                     rows[0][:2] + rows[0][3:5], rows[1][:2] + rows[1][3:5])]),
+                 "comparisons.csv": copied("mc/comparisons.csv", header_only)},
+             without=("*.csv",)),
+    tampered("a sharpe trial dropped", 2,
+             "{d}/s/trials.csv: unpaired trials between gt_score and sharpe",
+             {"trials.csv": trials_with(lambda rows: rows[:3] + rows[4:])}),
+    *config_rules(),
+    # a study in which no asset keeps a split, after a warning for each one
+    # skipped (`test_walkforward_skips_splits_below_two_bars`,
+    # `test_zero_day_training_side_skips_the_asset`)
+    Case("no_split/walkforward H", WF, 2, NO_SPLIT + "H", {
+        "cfg.json": {**CFG, "assets": ["H"], "strategies": ["bollinger"],
+                     "budget": 2, "wf": {"train_years": 1, "val_years": 1,
+                                         "step_years": 2, "embargo_days": 0}},
+        "data/H.csv": lone_days_csv("H", [2011, 2012])},
+        warnings=skipped_splits("H", [(1, 365), (366, 1), (0, 1)])),
+    Case("no_split/montecarlo S", MC, 2, NO_SPLIT + "S", {
+        "cfg.json": {**CFG, "assets": ["S"], "strategies": ["macd"],
+                     "budget": 1, "mc": {"seeds": [42, 43], "embargo_days": 0,
+                                         "train_fraction": 0.1}},
+        "data/S.csv": GOOD_CSV + "2020-01-03,10,11,9,10.4,100\n"
+                                 "2020-01-06,10,11,9,10.6,100\n"},
+        warnings=("WARNING skipping S: chrono split leaves 0 train / 3 test "
+                  "bars, need >= 60 each",)),
 ]
 
 
@@ -1750,22 +1797,27 @@ def group_of(case):
     return case.id.split("/")[0]
 
 
+def in_group(name):
+    return [case for case in CASES if group_of(case) == name]
+
+
 def named(case_id):
     """The one case of `CASES` whose id is `case_id`, in a list."""
     (case,) = [case for case in CASES if case.id == case_id]
     return [case]
 
 
-# these groups run under the names of the tests they were before the table
-NAMED = ("usage_error", "bad_config", "output_path_os_error")
+# these groups run in the tests that held them before the table, under
+# those tests' names
+NAMED = ("usage_error", "bad_config", "output_path_os_error", "tampered_study",
+         "config_rules", "no_split")
 
 
 @pytest.mark.parametrize("group", [
     group for group in dict.fromkeys(map(group_of, CASES))
     if group not in NAMED])
 def test_exit_contract(group, workspace, tmp_path, posix_main):
-    run_cases([case for case in CASES if group_of(case) == group],
-              tmp_path, workspace[0], posix_main)
+    run_cases(in_group(group), tmp_path, workspace[0], posix_main)
 
 
 @pytest.mark.parametrize("argv, message", USAGE_ERRORS)
@@ -1776,8 +1828,7 @@ def test_usage_error_exit_code(argv, message, workspace, tmp_path,
 
 
 def test_bad_config_exit_code(workspace, tmp_path, posix_main):
-    run_cases([case for case in CASES if group_of(case) == "bad_config"],
-              tmp_path, workspace[0], posix_main)
+    run_cases(in_group("bad_config"), tmp_path, workspace[0], posix_main)
 
 
 @pytest.mark.parametrize("command", ["synth", "montecarlo", "costsweep",
