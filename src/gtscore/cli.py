@@ -36,6 +36,7 @@ from .data import (
     check_bounds,
     decode_config,
     encode_config,
+    float_faults,
     generate_synthetic_series,
     json_document,
     load_synthetic_manifest,
@@ -467,7 +468,8 @@ def derive(out: Output, *args) -> tuple[list[str], list[dict]]:
     """A file's (columns, rows) from trial rows, plus the cost levels for
     the file `costsweep` writes."""
     columns = out.columns(*args) if callable(out.columns) else out.columns
-    return columns, out.build(*args)
+    with float_faults(out.name):
+        return columns, out.build(*args)
 
 
 # --- subcommands ------------------------------------------------------------

@@ -14,6 +14,7 @@ bit-for-bit on any platform.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import io
@@ -34,6 +35,17 @@ _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 # the spans the calendar holds: a longer shift from any date leaves it
 MAX_YEARS = dt.MAXYEAR - dt.MINYEAR
 MAX_DAYS = (dt.date.max - dt.date.min).days
+
+
+@contextlib.contextmanager
+def float_faults(name: str):
+    """Run a block that makes numbers from outside input with numpy's float
+    faults raised; a FloatingPointError becomes a DataError naming `name`."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DataError(f"{name}: {exc}") from None
 
 
 def _column(values, dtype) -> np.ndarray:
@@ -225,20 +237,19 @@ def generate_synthetic_series(spec: SyntheticSpec,
     gp = rng.standard_normal(n)
     volumes = rng.integers(100_000, 1_000_000, size=n)
 
-    closes = np.empty(n)
-    closes[0] = spec.initial_price
-    steps = np.exp(drift[1:] + vol[1:] * g)
-    closes[1:] = spec.initial_price * np.cumprod(steps)
-
-    opens = np.empty(n)
-    opens[0] = spec.initial_price
-    opens[1:] = closes[:-1]
-
-    shock = np.abs(vol * gp)
-    highs = np.maximum(opens, closes) * (1.0 + shock)
-    lows = np.minimum(opens, closes) * (1.0 - shock)
-    # Guard against a pathological draw pushing low non-positive
-    lows = np.maximum(lows, np.minimum(opens, closes) * 1e-6)
+    with float_faults(asset_id):  # a drift or vol in bounds may overflow
+        closes = np.empty(n)
+        closes[0] = spec.initial_price
+        steps = np.exp(drift[1:] + vol[1:] * g)
+        closes[1:] = spec.initial_price * np.cumprod(steps)
+        opens = np.empty(n)
+        opens[0] = spec.initial_price
+        opens[1:] = closes[:-1]
+        shock = np.abs(vol * gp)
+        highs = np.maximum(opens, closes) * (1.0 + shock)
+        lows = np.minimum(opens, closes) * (1.0 - shock)
+        # Guard against a pathological draw pushing low non-positive
+        lows = np.maximum(lows, np.minimum(opens, closes) * 1e-6)
 
     dates = np.busday_offset(np.datetime64(spec.start_date, "D"),
                              np.arange(n), roll="forward")

@@ -9,7 +9,10 @@ charges a flat per-side haircut in basis points on entry and exit.
 
 Trades come out as arrays (returns and exit dates), derived from the
 rising and falling edges of the position array; no per-trade objects exist.
-"""
+
+It takes the package's own values unchecked, from `search` and `objective`
+inside `search.run_task`'s float-fault boundary and from `cli` in
+`cli.derive`'s: aligned positions and counts of at least one."""
 
 from __future__ import annotations
 
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PriceSeries
-from .errors import ConfigError
 
 BPS = 1e-4
 
@@ -51,8 +53,6 @@ def entry_bars(positions: np.ndarray) -> np.ndarray:
 def run_backtest(series: PriceSeries, positions: np.ndarray) -> BacktestResult:
     """Execute long/flat signals over every bar of `series`, flat before
     the first bar. `positions` must be aligned 1:1 with series bars."""
-    if len(positions) != len(series):
-        raise ConfigError("positions not aligned with series bars")
     m = len(series)
     opens, closes = series.opens, series.closes
     sig = np.asarray(positions, dtype=bool)
@@ -84,19 +84,14 @@ def benchmark_per_observation_mean(benchmark_total_return: float,
     """Per-trade-equivalent buy-and-hold mean: the geometric n-th root.
 
     Chosen so the strategy mean equals the benchmark mean exactly for an
-    always-in, zero-cost strategy.
-    """
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    always-in, zero-cost strategy. A total <= -1 is a FloatingPointError."""
     if benchmark_total_return <= -1:
-        raise ConfigError("benchmark total return must be > -1")
+        raise FloatingPointError("benchmark total return must be > -1")
     return float((1.0 + benchmark_total_return) ** (1.0 / n) - 1.0)
 
 
 def benchmark_arithmetic_mean(benchmark_total_return: float, n: int) -> float:
     """Alternative per-observation benchmark: total return divided by n."""
-    if n < 1:
-        raise ConfigError("n must be >= 1")
     return benchmark_total_return / n
 
 

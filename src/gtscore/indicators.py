@@ -59,6 +59,7 @@ def rsi_columns(closes: np.ndarray, periods) -> np.ndarray:
             row[[k + j for j in cols]] = float(losses[:i].mean())
         prev = row
     gain, loss = avg[:, :k], avg[:, k:]
+    # gain / 0 and 0 / 0 where the average loss is 0, overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
         out = 100.0 - 100.0 / (1.0 + gain / loss)
     out[gain == 0.0] = 0.0

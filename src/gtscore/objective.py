@@ -229,6 +229,7 @@ def stabilized_period_returns(equity_dates_list: list[np.ndarray],
         dev = r - np.add.reduce(r, axis=1, keepdims=True) / n
         var = np.add.reduce(np.square(dev, out=dev), axis=1) / n
         if n > lo:
+            # the ratio's x / 0 where prev == 0, which np.where replaces
             with np.errstate(divide="ignore", invalid="ignore"):
                 change = np.where(prev == 0.0,
                                   np.where(var == 0.0, 0.0, np.inf),

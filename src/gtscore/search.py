@@ -31,7 +31,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .data import PriceSeries, SplitSpec, make_chrono_split, make_walkforward_splits
+from .data import (PriceSeries, SplitSpec, float_faults, make_chrono_split,
+                   make_walkforward_splits)
 from .engine import entry_bars, run_backtest
 from .errors import ConfigError, DataError
 from .objective import (
@@ -100,6 +101,8 @@ def _search_family(task: Task, family: StrategyKind,
                      dtype=float)
     losses[:, list(fits)] = pool_losses(list(fits.values()), objectives, cfg,
                                         (train.start_date, train.span_end))
+    if not np.isfinite(losses).all():  # Python float math overflows to inf
+        raise FloatingPointError("overflow encountered in a loss")
     picks, start = [], 0
     for seed, pool in zip(task.seeds, pools):
         stop = start + len(pool)
@@ -143,9 +146,10 @@ def run_task(task: Task, objectives: list[ObjectiveKind],
              cfg: ObjectiveConfig) -> list[dict]:
     """One trial per (strategy, seed, objective) of `task`, in that order:
     each strategy family is searched by `_search_family` on the task's
-    windows."""
-    return [trial for family in task.strategies
-            for trial in _search_family(task, family, objectives, cfg)]
+    windows; a float fault is a DataError naming the task's asset and split."""
+    with float_faults(f"{task.train.asset_id} split {task.split_id}"):
+        return [trial for family in task.strategies
+                for trial in _search_family(task, family, objectives, cfg)]
 
 
 def run_trials(tasks: list[Task], objectives: list[ObjectiveKind],

@@ -138,6 +138,7 @@ def _rule(params: StrategyParams, closes: np.ndarray, ind) -> np.ndarray:
     """The positions of one candidate's rule on its indicator `ind`."""
     if isinstance(params, BollingerParams):
         middle, _, lower = bollinger(closes, params.window, params.k, ind)
+        # closes against the NaN bands of the warm-up, which ~isnan masks
         with np.errstate(invalid="ignore"):
             return positions(closes < lower, closes >= middle,
                              ~np.isnan(middle))
@@ -146,6 +147,7 @@ def _rule(params: StrategyParams, closes: np.ndarray, ind) -> np.ndarray:
         ind = fast - slow - signal
     prev = np.concatenate([[np.nan], ind[:-1]])
     valid = ~(np.isnan(ind) | np.isnan(prev))
+    # comparisons of the NaN warm-up values, which `valid` masks
     with np.errstate(invalid="ignore"):
         if isinstance(params, RsiParams):
             enter = (prev < params.oversold) & (ind >= params.oversold)

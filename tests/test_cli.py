@@ -41,6 +41,7 @@ from gtscore.cli import (
 from gtscore.data import (
     CSV_HEADER,
     NONEMPTY,
+    PriceSeries,
     SyntheticManifest,
     SyntheticSpec,
     decode_config,
@@ -1275,6 +1276,38 @@ NO_TRIALS = {"trials.csv": csv_text(TRIAL_COLUMNS, []), **{
     if "montecarlo" in out.written_by}}
 
 
+def weekday_csv(closes):
+    """The CSV of an asset of one weekday bar from 2010-01-01 per close,
+    each with open = close, high 1% above and low 1% below."""
+    closes = np.asarray(closes, dtype=float)
+    dates = np.busday_offset(np.datetime64("2010-01-01"),
+                             np.arange(len(closes)), roll="forward")
+    return csv_text(CSV_HEADER, ohlcv_rows(PriceSeries(
+        "X", dates, closes, closes * 1.01, closes * 0.99, closes,
+        np.ones(len(closes)))))
+
+
+def spiked_closes(n, factor, spiked):
+    """`n` closes near 100, those at the bars `spiked` selects `factor`
+    times higher."""
+    closes = 100.0 * (1.0 + 0.01 * np.sin(np.arange(n) / 3.0))
+    closes[spiked] *= factor
+    return closes
+
+
+def spiking(n):
+    """The CSV of `n` bars whose bars 20-22 of every 40 spike 1e80-fold."""
+    return weekday_csv(spiked_closes(
+        n, 1e80, np.isin(np.arange(n) % 40, (20, 21, 22))))
+
+
+# an asset whose closes fall from 1e12 to 1e-12, swinging 10% about the
+# trend so that strategies trade: over its training window the buy and
+# hold return rounds to -1
+FALLING = weekday_csv(1e12 * 1e-24 ** np.linspace(0.0, 1.0, 900)
+                      * (1.0 + 0.1 * np.sin(np.arange(900) / 3.0)))
+
+
 USAGE_ERRORS = [
     (["montecarlo", "--config", "c.json", "--bogus"],
      "unrecognized arguments: --bogus"),
@@ -1434,18 +1467,24 @@ CASES = [
     Case("synth_bad_manifest/missing",
          "synth --spec {d}/missing.json --out {d}/data", 1,
          "...cannot read manifest..."),
+    *(Case(f"synth_bad_manifest/{error}",
+           "synth --spec {d}/m.json --out {d}/data", 1, error,
+           {"m.json": text}) for text, error in [
+        ("{not json", "bad synthetic manifest: Expecting property name "
+         "enclosed in double quotes: line 1 column 2 (char 1)"),
+        (manifest(n_days="many"),
+         "bad synthetic manifest: assets[0].n_days: expected int, got str"),
+        (manifest(regimes=5), "bad synthetic manifest: "
+         "assets[0].regimes: expected list, got int")]),
     *(Case(f"synth_bad_manifest/{message}",
            "synth --spec {d}/m.json --out {d}/data", 1, f"...{message}...",
            {"m.json": text}) for text, message in [
-        ("{not json", "bad synthetic manifest"),
         (json.dumps({"assets": [{k: v for k, v in ENTRY.items()
                                  if k != "seed"}]}),
          "bad synthetic manifest: assets[0].seed: missing key"),
         (json.dumps({}), "bad synthetic manifest: assets: missing key"),
         (json.dumps([]),
          "bad synthetic manifest: document: expected dict, got list"),
-        (manifest(n_days="many"), "bad synthetic manifest"),
-        (manifest(regimes=5), "bad synthetic manifest"),
         (manifest(n_days=600.7), "assets[0].n_days: expected int, got float"),
         (manifest(seed=True), "assets[0].seed: expected int, got bool"),
         (manifest(seed="7"), "assets[0].seed: expected int, got str"),
@@ -1607,8 +1646,8 @@ CASES = [
     # header line (report, verify). A derived file's body is not parsed but
     # compared with its recomputation, so an oversized cell there, or a
     # row with fewer or more cells than its header, is exit 3
-    *(Case(f"oversized_csv_field/{name} line {line}", argvs, code, error,
-           oversized(name, line, change))
+    *(Case(f"oversized_csv_field/{name} line {line} {change.__name__}",
+           argvs, code, error, oversized(name, line, change))
       for name, line, change, argvs, code, error in [
           ("data/BB.csv", 3, oversize,
            "montecarlo --config {d}/config.json --out {d}/new", 2,
@@ -1783,6 +1822,44 @@ CASES = [
                                  "2020-01-06,10,11,9,10.6,100\n"},
         warnings=("WARNING skipping S: chrono split leaves 0 train / 3 test "
                   "bars, need >= 60 each",)),
+    # numbers beyond float range are a data error, named where they are
+    # made from outside input: in the search by asset and split, serially
+    # and in a pool of two workers (on two copies of the asset), under
+    # either periodization and under walkforward (its asset lengthened to
+    # one split); in a derived file by the file; in synth by the asset
+    *(Case(f"float_fault/spiking {name}", (f"{MC} --jobs 1", f"{MC} --jobs 2"),
+           2, "SPK split 0: overflow encountered in square", {
+               "cfg.json": {**CFG, "assets": ["SPK", "SPL"], "budget": 5,
+                            "mc": {"seeds": [42]}, "objective": objective},
+               "data/SPK.csv": spiking(900), "data/SPL.csv": spiking(900)})
+      for name, objective in [
+          ("n_min 1", {"n_min": 1}),
+          ("stabilized", {"periodization": "stabilized"})]),
+    Case("float_fault/spiking walkforward", WF, 2,
+         "SPK split 0: overflow encountered in accumulate", {
+             "cfg.json": {**CFG, "assets": ["SPK"], "budget": 5,
+                          "objective": {"n_min": 1}},
+             "data/SPK.csv": spiking(1600)}),
+    # a loss that Python's float arithmetic takes past float range, as an
+    # eps in bounds does for a one-trade window: trials.csv would hold an
+    # infinite best_loss, which its reader refuses
+    Case("float_fault/loss", MC, 2,
+         "AA split 0: overflow encountered in a loss", {
+             "cfg.json": {**CFG, "data_dir": "{ws}/data", "assets": ["AA"],
+                          "budget": 5, "mc": {"seeds": [42]},
+                          "objective": {"n_min": 1, "eps": 5e-324}}}),
+    Case("float_fault/falling", MC, 2,
+         "FALL split 0: benchmark total return must be > -1", {
+             "cfg.json": {**CFG, "assets": ["FALL"], "budget": 2,
+                          "mc": {"seeds": [42]}, "objective": {"n_min": 1}},
+             "data/FALL.csv": FALLING}),
+    Case("float_fault/costsweep", "costsweep --trials {d}/trials.csv --out "
+         "{d}/new", 2, "cost_sensitivity.csv: overflow encountered in reduce",
+         {"trials.csv": bad_cell(2, "oos_trade_returns_json",
+                                 '["1e+200", "1e+200"]')[1]}),
+    Case("float_fault/synth", "synth --spec {d}/m.json --out {d}/data", 2,
+         "AA: overflow encountered in exp",
+         {"m.json": manifest(regimes=[[600, 0.0, 1000.0]])}),
 ]
 
 
@@ -1837,3 +1914,41 @@ def test_output_path_os_error_exit_code(command, workspace, tmp_path,
                                         posix_main):
     run_cases(named(f"output_path_os_error/{command}"), tmp_path,
               workspace[0], posix_main)
+
+
+def test_case_ids_are_unique():
+    # so that a failure names its row, and `named` finds each one
+    ids = [case.id for case in CASES]
+    assert len(set(ids)) == len(ids)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(k=st.integers(1, 300), at=st.integers(0, 199),
+       length=st.integers(1, 40))
+def test_a_spike_is_verified_or_refused_in_one_line(tmp_path, k, at, length):
+    # a 10^k-fold spike of `length` bars at bar `at` of a 200-bar asset:
+    # the study either passes `verify` or exits 2 in one line, writing
+    # nothing. The line names the asset and split when the search faults,
+    # or the derived file whose aggregate over every asset leaves float
+    # range (a validation trade that rides the spike)
+    spiked = np.zeros(200, bool)
+    spiked[at:at + length] = True
+    (tmp_path / "SPK.csv").write_text(weekday_csv(spiked_closes(
+        200, 10.0 ** k, spiked)))
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "data_dir": str(tmp_path), "assets": ["SPK"], "budget": 2,
+        "objective": {"n_min": 1},
+        "mc": {"seeds": [42], "train_fraction": 0.5, "embargo_days": 0}}))
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    code, stdout, err = in_process(
+        ["montecarlo", "--config", str(tmp_path / "cfg.json"), "--out",
+         str(out)], tmp_path, False)
+    if code == 0:
+        assert in_process(["verify", "--out", str(out)], tmp_path,
+                          False)[0] == 0
+    else:
+        assert (code, stdout, out.exists()) == (2, "", False), err
+        assert re.fullmatch(r"error: (SPK split 0|%s): [^\n]*\n" % "|".join(
+            re.escape(o.name) for o in cli.OUTPUTS), err), err

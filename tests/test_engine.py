@@ -17,7 +17,6 @@ from gtscore.engine import (
     recompound_with_costs,
     run_backtest,
 )
-from gtscore.errors import ConfigError
 
 from conftest import make_series
 
@@ -238,12 +237,6 @@ def test_equity_points_compound():
     assert res.total_return == pytest.approx(res.equity_points[-1])
 
 
-def test_run_backtest_errors():
-    series = make_series([10, 11, 12])
-    with pytest.raises(ConfigError, match="positions not aligned"):
-        run_backtest(series, np.ones(2, bool))
-
-
 # --- benchmark helpers -----------------------------------------------------
 
 
@@ -258,9 +251,8 @@ def test_arithmetic_benchmark():
 
 
 def test_benchmark_errors():
-    with pytest.raises(ConfigError, match="n must be >= 1"):
-        benchmark_per_observation_mean(0.5, 0)
-    with pytest.raises(ConfigError, match="must be > -1"):
+    # a float fault, which the search's boundary names by asset and split
+    with pytest.raises(FloatingPointError, match="must be > -1"):
         benchmark_per_observation_mean(-1.0, 5)
 
 

@@ -1,8 +1,11 @@
 """Random-search tasks and cells: determinism, evaluate-once, aggregation."""
 
 import datetime as dt
+import functools
 import math
+import multiprocessing
 from collections import Counter
+from concurrent import futures
 from dataclasses import replace
 
 import numpy as np
@@ -437,6 +440,42 @@ def test_run_trials_parallel_matches_serial():
     assert len(serial) == len(parallel) == len(cells) * len(OBJECTIVES)
     assert list(map(key_of, serial)) == list(map(key_of, parallel))
     assert _outcomes(serial) == _outcomes(parallel) == _outcomes(alone)
+
+
+def test_run_trials_spawn_pool_matches_serial(monkeypatch):
+    # Workers that `spawn` starts import the package afresh and get each
+    # task pickled. A tiny study (one asset, two walk-forward splits,
+    # budget 2) gives the trials of --jobs 1 in such a pool, and the same
+    # asset with bars 20-22 of every 40 spiking 1e200-fold the same
+    # DataError, raised in the task.
+    asset = make_asset(n_days=1000)
+    scale = np.where(np.isin(np.arange(len(asset)) % 40, (20, 21, 22)),
+                     1e200, 1.0)
+    spiking = PriceSeries("A", asset.dates, *(
+        scale * getattr(asset, name)
+        for name in ("opens", "highs", "lows", "closes")), asset.volumes)
+
+    def study(series, jobs):
+        tasks = study_tasks([series], list(StrategyKind), lambda s: (
+            make_walkforward_splits(s, train_years=1, val_years=1)), [42], 2)
+        assert len(tasks) == 2
+        return run_trials(tasks, OBJECTIVES, ObjectiveConfig(n_min=1), jobs)
+
+    def fault(jobs):
+        with pytest.raises(DataError) as caught:
+            study(spiking, jobs)
+        return str(caught.value)
+
+    serial, serial_fault = study(asset, 1), fault(1)
+    spawn = functools.partial(futures.ProcessPoolExecutor,
+                              mp_context=multiprocessing.get_context("spawn"))
+    monkeypatch.setattr(search.futures, "ProcessPoolExecutor", spawn)
+    spawned = study(asset, 2)
+    assert list(map(key_of, serial)) == list(map(key_of, spawned))
+    assert _outcomes(serial) == _outcomes(spawned)
+    assert not all(r["degenerate"] for r in serial)
+    assert fault(2) == serial_fault
+    assert serial_fault.startswith("A split 0: overflow encountered in ")
 
 
 # a gate low enough that every family has non-degenerate winners

@@ -87,13 +87,6 @@ def test_t_test_constant_difference():
     assert (t, p, mean_diff) == (0.0, 1.0, 0.5)
 
 
-def test_t_test_errors():
-    with pytest.raises(ConfigError, match="length mismatch"):
-        paired_t_test(np.ones(3), np.ones(4))
-    with pytest.raises(ConfigError, match="need n >= 2 pairs"):
-        paired_t_test(np.ones(1), np.ones(1))
-
-
 # --- Wilcoxon --------------------------------------------------------------
 
 
@@ -215,8 +208,6 @@ def test_cohens_d_hand_value():
 def test_cohens_d_degenerate():
     assert cohens_d_pooled(np.ones(4), np.ones(4)) == 0.0
     assert math.isnan(cohens_d_pooled(np.ones(4), np.zeros(4)))
-    with pytest.raises(ConfigError, match="each group needs >= 2"):
-        cohens_d_pooled(np.ones(1), np.ones(4))
 
 
 def test_compare_paired_bundles_everything():
