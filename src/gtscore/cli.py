@@ -466,10 +466,15 @@ OUTPUTS = [  # in report order
 
 def derive(out: Output, *args) -> tuple[list[str], list[dict]]:
     """A file's (columns, rows) from trial rows, plus the cost levels for
-    the file `costsweep` writes."""
+    the file `costsweep` writes; an infinite cell is a float fault."""
     columns = out.columns(*args) if callable(out.columns) else out.columns
     with float_faults(out.name):
-        return columns, out.build(*args)
+        rows = out.build(*args)
+        inf = [c for row in rows for c, v in row.items()
+               if isinstance(v, float) and math.isinf(v)]
+        if inf:  # Python float math overflows with no fault; NaN is legal
+            raise FloatingPointError(f"overflow encountered in {inf[0]}")
+        return columns, rows
 
 
 # --- subcommands ------------------------------------------------------------
@@ -668,13 +673,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bps", help="comma-separated per-side bps levels")
     p.set_defaults(func=cmd_costsweep)
 
-    p = sub.add_parser("report", help="text summary of a study's CSVs")
-    p.add_argument("--out", required=True, help="study output directory")
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("verify", help="recompute aggregates and diff")
-    p.add_argument("--out", required=True, help="study output directory")
-    p.set_defaults(func=cmd_verify)
+    for name, func, text in (
+            ("report", cmd_report, "text summary of a study's CSVs"),
+            ("verify", cmd_verify, "recompute aggregates and diff")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--out", required=True, help="study output directory")
+        p.set_defaults(func=func)
     return parser
 
 

@@ -9,14 +9,14 @@ training window and scores that one pool under every objective, so paired
 comparisons across objectives rest on identical candidates by construction.
 Only candidates the trade gate admits are backtested and scored; every
 other one's loss is the penalty, and a trial is degenerate when its winner
-is one of them. Each objective's winner then gets one out-of-sample pass:
-one trial per (cell, objective), a dict of the trials.csv columns in file
-order (`cli.TRIAL_SCHEMA`) whose `*_json` columns hold the winner's params,
-the cell's candidate pool and its out-of-sample trade returns, for
-`cli.trial_row` to encode. `run_task` searches each strategy family of a
-task end to end by one `_search_family` call: pools, scores, winners, then
-their out-of-sample pass. It cuts no window; the search sees only the
-training window, which it also hands to `pool_losses` as every pool's.
+is one of them. Each distinct winner gets one out-of-sample pass, read by
+every trial it wins. A trial, one per (cell, objective), is a dict of the
+trials.csv columns in file order (`cli.TRIAL_SCHEMA`) whose `*_json`
+columns hold the winner's params, the cell's candidate pool and its
+out-of-sample trade returns, for `cli.trial_row` to encode. `run_task`
+searches each strategy family of a task by one `_search_family` call. It
+cuts no window; the search sees only the training window, which it also
+hands to `pool_losses` as every pool's.
 """
 
 from __future__ import annotations
@@ -85,18 +85,16 @@ def _search_family(task: Task, family: StrategyKind,
     winner under an objective is its first candidate with the lowest
     loss. A trial is degenerate when its winner was not admitted: it gets
     that winner's training backtest and no out-of-sample one (a
-    zero-trade record). The other winners get their validation positions
-    from one more `pool_signals` call and one backtest each."""
+    zero-trade record). Each distinct admitted winner is backtested once
+    on validation positions from one more `pool_signals` call."""
     train, val, asset_id = task.train, task.val, task.train.asset_id
-    pools = []
-    for seed in task.seeds:
-        rng = candidate_rng(seed, asset_id, family)
-        pools.append([sample_params(family, rng) for _ in range(task.budget)])
+    rngs = [candidate_rng(seed, asset_id, family) for seed in task.seeds]
+    pools = [[sample_params(family, rng) for _ in range(task.budget)]
+             for rng in rngs]
     flat = [params for pool in pools for params in pool]
     sigs = pool_signals(train, flat)
-    gate = trade_gate(cfg)
     fits = {i: run_backtest(train, sig) for i, sig in enumerate(sigs)
-            if len(entry_bars(sig)) >= gate}
+            if len(entry_bars(sig)) >= trade_gate(cfg)}
     losses = np.full((len(objectives), len(flat)), cfg.below_min_penalty,
                      dtype=float)
     losses[:, list(fits)] = pool_losses(list(fits.values()), objectives, cfg,
@@ -108,20 +106,19 @@ def _search_family(task: Task, family: StrategyKind,
         stop = start + len(pool)
         for kind, row in zip(objectives, losses):
             best = start + int(row[start:stop].argmin())
-            picks.append((seed, pool, kind, float(row[best]), best,
-                          best not in fits))
+            picks.append((seed, pool, kind, float(row[best]), best))
         start = stop
-    # only the picks' training backtests outlive the search; a gated
-    # pick's runs once, however many objectives pick it
+    # only the picks' backtests outlive the search, each run once however
+    # many objectives pick it: on training and, if admitted, on validation
     picked = {i: fits[i] if i in fits else run_backtest(train, sigs[i])
               for i in dict.fromkeys(pick[4] for pick in picks)}
+    winners = [i for i in picked if i in fits]
     del sigs, fits
-    val_sigs = iter(pool_signals(val, [flat[best] for *_, best, degenerate
-                                       in picks if not degenerate]))
+    oos_of = {i: run_backtest(val, sig) for i, sig in
+              zip(winners, pool_signals(val, [flat[i] for i in winners]))}
     trials = []
-    for seed, pool, kind, loss, best, degenerate in picks:
-        fit = picked[best]
-        oos = None if degenerate else run_backtest(val, next(val_sigs))
+    for seed, pool, kind, loss, best in picks:
+        fit, oos = picked[best], oos_of.get(best)
         trials.append({
             "asset": asset_id,
             "strategy": family.value,
@@ -133,11 +130,10 @@ def _search_family(task: Task, family: StrategyKind,
             "train_trades": fit.n_trades,
             "oos_trades": oos.n_trades if oos else 0,
             "best_loss": loss,
-            "degenerate": degenerate,
+            "degenerate": oos is None,
             "params_json": flat[best],
             "candidates_json": pool,
-            "oos_trade_returns_json": (oos.trade_returns if oos
-                                       else np.array([])),
+            "oos_trade_returns_json": oos.trade_returns if oos else np.empty(0),
         })
     return trials
 

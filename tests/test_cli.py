@@ -299,6 +299,24 @@ def test_tracer_cli_targets_resolve():
     assert stale == KNOWN_STALE
 
 
+def test_benchmark_runs_from_a_copy(tmp_path):
+    # the benchmark's tiny mc_study, run from a copy of what the benchmark
+    # builds from, as it is run: a change that breaks the imports of its
+    # child or an option it passes to the CLI fails here first
+    repo = Path(__file__).resolve().parents[1]
+    for part in ("src", "perfbench", "tests/fixtures"):
+        shutil.copytree(repo / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "mc_study",
+         "--tiny", "--seconds", "0", "--trace", "0"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    lines = proc.stdout.splitlines()
+    assert lines, proc.stderr
+    result = json.loads(lines[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), proc.stdout
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # every subcommand pays for what `import gtscore.cli` loads, and
     # scipy.stats alone took most of a second
@@ -475,16 +493,6 @@ def test_trial_rows_read_back_as_written(tmp_path, drawn):
     (tmp_path / "trials.csv").write_text(text)
     rows = read_trials_csv(tmp_path / "trials.csv")
     assert csv_text(TRIAL_COLUMNS, rows) == text
-
-
-def test_montecarlo_reruns_identically(workspace, tmp_path):
-    root, cfg_path = workspace
-    out2 = tmp_path / "mc2"
-    assert main(["montecarlo", "--config", str(cfg_path),
-                 "--out", str(out2)]) == 0
-    a = (root / "mc" / "trials.csv").read_bytes()
-    b = (out2 / "trials.csv").read_bytes()
-    assert a == b
 
 
 def test_costsweep_and_report(workspace, capsys):
@@ -1182,15 +1190,61 @@ def config_rules():
                            1, error, {"doc.json": doc})
 
 
-def trials_with(change):
-    """The workspace study's trials.csv, its records (lists of cells,
-    header first) passed through `change`."""
+def records_with(change):
+    """An edit of a CSV text: its records (lists of cells, header first)
+    passed through `change`."""
     def edit(text):
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
             change(list(csv.reader(io.StringIO(text)))))
         return buf.getvalue()
-    return copied("mc/trials.csv", edit)
+    return edit
+
+
+def trials_with(change):
+    """The workspace study's trials.csv, its records passed through
+    `change`."""
+    return copied("mc/trials.csv", records_with(change))
+
+
+def rebuilt_with(study, change):
+    """A copy of the workspace's `study` whose trials.csv records pass
+    through `change`, each of its derived files rebuilt from them by the
+    file's builder alone: as a study would be written if no check
+    stood between the builders and the file."""
+    def make(ws, path):
+        shutil.copytree(ws / study, path,
+                        ignore=shutil.ignore_patterns("cost_sensitivity.csv"))
+        trials = path / "trials.csv"
+        trials.write_text(records_with(change)(trials.read_text()))
+        rows = read_trials_csv(trials)
+        for out in cli.OUTPUTS:
+            if (path / out.name).exists():
+                columns = (out.columns(rows) if callable(out.columns)
+                           else out.columns)
+                (path / out.name).write_text(
+                    csv_text(columns, out.build(rows)))
+    return make
+
+
+def live_returns(oos, train):
+    """A records change: every trial made non-degenerate, with
+    oos_return `oos(objective)` and train_return `train`."""
+    def change(rows):
+        col = TRIAL_COLUMNS.index
+        for row in rows[1:]:
+            row[col("oos_return")] = repr(oos(row[col("objective")]))
+            row[col("train_return")] = repr(train)
+            row[col("degenerate")] = "false"
+        return rows
+    return change
+
+
+# huge returns whose means over the study's groups are exact, so that each
+# group's std is 0 and only the cell under test overflows: a power of two
+# (its multiples by small counts are exact), and 1.5 times one
+HUGE_OOS = 2.0 ** 996  # about 6.7e299: over a 1e-10 training mean, inf
+WIDE_OOS = 1.5 * 2.0 ** 1016  # about 1.05e306: 200 times it is inf
 
 
 def bad_cell(line, column, value):
@@ -1860,6 +1914,17 @@ CASES = [
     Case("float_fault/synth", "synth --spec {d}/m.json --out {d}/data", 2,
          "AA: overflow encountered in exp",
          {"m.json": manifest(regimes=[[600, 0.0, 1000.0]])}),
+    # a derived cell that Python's float arithmetic takes past float range
+    # with no fault, in a study whose derived files hold it as `inf`
+    Case("float_fault/gen_ratio", ("verify --out {d}/s", "report --out {d}/s"),
+         2, "{d}/s/trials.csv: aggregates.csv: overflow encountered in "
+         "gen_ratio", {"s": rebuilt_with("mc", live_returns(
+             lambda objective: HUGE_OOS, 1e-10))}),
+    Case("float_fault/delta_pp", ("verify --out {d}/s", "report --out {d}/s"),
+         2, "{d}/s/trials.csv: periods.csv: overflow encountered in delta_pp",
+         {"s": rebuilt_with(WF_STUDY, live_returns(
+             lambda objective: WIDE_OOS if objective == "gt_score"
+             else -WIDE_OOS, 1.0))}),
 ]
 
 

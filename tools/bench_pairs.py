@@ -15,9 +15,7 @@ starts every child process faster: a tree with a `__pycache__` under
 `PYTHONDONTWRITEBYTECODE=1`, so neither side compiles one. Pair i runs
 the parent first when i is even and the change first when it is odd; the
 pairs of every workload/seed row are interleaved, so a slow spell of the
-host falls on both sides. With `--trace`, each side also runs one traced
-seed-0 pass of the claimed workload, whose per-layer metrics go under
-"trace".
+host falls on both sides.
 
 The output follows `BENCH_12.json`: per row and end-to-end metric, the
 runs of each side with their median and quartiles, the pairs the change
@@ -47,7 +45,7 @@ in sorted order: equal digests show that both sides ran one benchmark.
 `--merge` pools the runs of earlier outputs of this script, made on the
 same trees, into one record over all their pairs, keeping each set's own
 claim under "sets", the first set's "src_lines", "src_modules" and
-"bench_sha256" and the first traced pass found.
+"bench_sha256".
 """
 
 from __future__ import annotations
@@ -70,13 +68,11 @@ DEFAULT_CLAIM = "mc_study/study_s"
 MIN_WON_FRACTION = 0.9
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float,
-             trace: int = 0) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One `perfbench/run.py` run inside `tree`: its result object."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds),
-         "--trace", str(trace)],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=False,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = proc.stdout.strip().splitlines()
@@ -218,20 +214,12 @@ def measure(args, bounds: dict) -> tuple[dict, dict]:
         "bench_sha256": {side: bench_sha256(tree)
                          for side, tree in trees.items()},
     }
-    if args.trace:
-        traced = {side: run_once(tree, claimed, 0, args.seconds, trace=1)
-                  for side, tree in trees.items()}
-        record["trace"] = {claimed: {
-            side: {"correct": r["correct"],
-                   "metrics": {k: v["value"]
-                               for k, v in r["metrics"].items()}}
-            for side, r in traced.items()}}
     return rows, record
 
 
 def merge(paths: list[Path], bounds: dict) -> tuple[dict, dict]:
     """Pool the runs of earlier records; the first one's descriptive
-    fields, each set's claim, and the first traced pass."""
+    fields and each set's claim."""
     sets = [json.loads(p.read_text()) for p in paths]
     rows = {}
     for s in sets:
@@ -249,9 +237,6 @@ def merge(paths: list[Path], bounds: dict) -> tuple[dict, dict]:
     record["method"] += (f"; {len(sets)} sets of pairs on the same trees, "
                          "pooled")
     record["sets"] = [s["claim"] for s in sets]
-    trace = next((s["trace"] for s in sets if "trace" in s), None)
-    if trace is not None:
-        record["trace"] = trace
     return rows, record
 
 
@@ -284,9 +269,6 @@ def parse_args(argv=None):
                         f"{DEFAULT_CLAIM})")
     p.add_argument("--claim-seed", type=int, action="append", default=[],
                    help="also run the claimed workload at this seed")
-    p.add_argument("--trace", action="store_true",
-                   help="also run one traced seed-0 pass of the claimed "
-                        "workload per side")
     args = p.parse_args(argv)
     if not args.merge and not (args.parent and args.change):
         p.error("give --parent and --change, or --merge")
