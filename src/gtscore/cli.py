@@ -545,7 +545,7 @@ def cmd_study(args) -> int:
 
 def cmd_costsweep(args) -> int:
     try:
-        sweep = (parse_bps_levels(args.bps.split(",")) if args.bps
+        sweep = (parse_bps_levels(args.bps.split(",")) if args.bps is not None
                  else DEFAULT_COST_SWEEP)
     except ValueError as exc:
         raise ConfigError(f"bad --bps level: {exc}") from None

@@ -87,12 +87,11 @@ def wilcoxon_normal_p(d: np.ndarray) -> tuple[float, float]:
 def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Paired signed-rank test; exact enumeration for small samples, else
     the tie-corrected normal approximation. Returns (W, two-sided p)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d, ranks, w = _signed_ranks(a - b)
-    if d.size <= WILCOXON_EXACT_MAX_N:
-        return w, _exact_p(d, ranks, w)
-    return wilcoxon_normal_p(a - b)
+    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    if np.count_nonzero(d) > WILCOXON_EXACT_MAX_N:
+        return wilcoxon_normal_p(d)
+    d, ranks, w = _signed_ranks(d)
+    return w, _exact_p(d, ranks, w)
 
 
 def cohens_d_pooled(a: np.ndarray, b: np.ndarray) -> float:

@@ -61,73 +61,6 @@ from gtscore.strategy import StrategyKind, params_doc, sample_params
 
 from conftest import make_series, random_closes
 
-# Byte-level pins on the outputs of the runs below. A change to any of them
-# is a change of behaviour and must be deliberate.
-SYNTH_AA_SHA256 = (
-    "f9b000129f7ab5510e4e1dc2fb892ab2c281ba8009b5af5a0f3fe87a569ad75b")
-MONTECARLO_TRIALS_SHA256 = (
-    "c39c72fa3bf4f9bd3ae214f3f03707574fddae9dfdbe25946d4b26a4bc0bb878")
-WALKFORWARD_TRIALS_SHA256 = (
-    "1a6e3e2384733c226f010aa7313fa39b257bde47bedb54793b4a88ba1faec9e1")
-CONFIG_INIT_SHA256 = (
-    "eb5200fe96d76c3c76536ebea1321ec054448bfa55bf31b6d711069b95098960")
-# the reference walk-forward: the default config on the 8 fixture assets
-REFERENCE_WALKFORWARD_TRIALS_SHA256 = (
-    "386b2a9129f960964fe4319d6f15d4e401e0ad0b91d6ad10577b7dea3bcd6772")
-# the benchmark's two workloads at seed 0, on the same assets
-MC_STUDY_TRIALS_SHA256 = (
-    "8b4c2c7659e96486bc0f60063c65857dcab429faef04624dade36a8dbbfb4727")
-MC_STAB_GT_TRIALS_SHA256 = (
-    "f112d58b7132b7723e1a29abb758b9484c0a6a5c41e4522cb1186858105b4ab7")
-# every file in a study directory: the workspace Monte Carlo study after
-# `costsweep --bps 0,5,10`, and `walkforward_study`; and what `report`
-# prints on each
-MONTECARLO_OUTPUT_SHA256 = {
-    "aggregates.csv": (
-        "450e77b9bf78fd8470a2ab8100ecb89747a02e5a75e9a2ad5249c9318900e734"),
-    "comparisons.csv": (
-        "7d92d69a9c923cec5e6ead9d8e68f50237dcb9d616e94fae2f4d7a166efd1418"),
-    "cost_sensitivity.csv": (
-        "3af5a9d07e2481d440d01a4e8b8e421572680ee8fc441139f658ead5f6063918"),
-    "strategy_means.csv": (
-        "2dd16f17934588f4db73d5d2be6e5b59cbb10fa5d2eb2ce50cbfe4aaa7b98f4c"),
-    "trade_counts.csv": (
-        "943507aa8a9939e0caca2e630438af28b9194919e5748f70efeb26a99a06d8b4"),
-    "trials.csv": MONTECARLO_TRIALS_SHA256,
-}
-WALKFORWARD_OUTPUT_SHA256 = {
-    "aggregates.csv": (
-        "fc54910fb50ede407658e557baf4d75918c75bd28ecc270ba608aa340976fb0e"),
-    "periods.csv": (
-        "8214aced6d8b2a38011e4aa16d52d6c2cd9fc19a2e34dfd9f4c013f28383886b"),
-    "splits_genratio.csv": (
-        "18299e11d73032a0a100c97bb14965b6708bf42701b33ed8aaf219b94ec64e9b"),
-    "trials.csv": WALKFORWARD_TRIALS_SHA256,
-}
-MONTECARLO_REPORT_SHA256 = (
-    "b3c8fb71ea628e75ee2472aa3117d2b378df1ca6c8c44d5bb5c569556a1e7666")
-WALKFORWARD_REPORT_SHA256 = (
-    "b74204b18c2f8c7545ea637fd46f4fd24f613dd9036f6bb159962261393eaedf")
-
-# every file of a stabilized-periodization Monte Carlo study on the
-# workspace data (`stabilized_study`)
-STABILIZED_OUTPUT_SHA256 = {
-    "aggregates.csv": (
-        "a2e559a7143cac782e531f3d16b279611dc271ec95a9fa2b55f1764d0b6f4ff0"),
-    "comparisons.csv": (
-        "fe25e35152765745e3302d2247eb0a9a28e8690d617a3fc7d13f5dabf811bdeb"),
-    "strategy_means.csv": (
-        "8857f8d8f6c9bbfb7451fcba74318c05f3db64c903baa9cc2460c1eca4490f24"),
-    "trade_counts.csv": (
-        "1887d7a516a8412b9a41060cb2ac8e775650be07fc21f9f750c26e35e44c1065"),
-    "trials.csv": (
-        "363f52ce93ec5f58e024cad52cd240b6263ba9de09627477d6f8cb5e74551a66"),
-}
-
-
-def sha256_of(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
 
 def small_manifest():
     def regimes(flip):
@@ -145,12 +78,17 @@ def small_manifest():
     ]}
 
 
+# one ~9.2-year synthetic asset: 4 rolling splits of the default walkforward
+WF_MANIFEST = {"assets": [{
+    "asset_id": "WF", "n_days": 2400, "initial_price": 100.0,
+    "regimes": [[2400, 0.0005, 0.015]], "seed": 4}]}
 WF_STUDY = "wf"  # the workspace's walkforward study
 
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """Synthetic data, a montecarlo run and a walkforward study (WF_STUDY)."""
+    """Synthetic data, a montecarlo run and the study of the
+    `walkforward/workspace` row (WF_STUDY)."""
     root = tmp_path_factory.mktemp("cli")
     spec_path = root / "manifest.json"
     spec_path.write_text(json.dumps(small_manifest()))
@@ -164,114 +102,246 @@ def workspace(tmp_path_factory):
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(encode_config(cfg)))
     assert main(["montecarlo", "--config", str(cfg_path)]) == 0
-    shutil.copytree(walkforward_study(tmp_path_factory.mktemp("wf")),
-                    root / WF_STUDY)
+    (wf,) = pinned(["walkforward/workspace"])
+    d = tmp_path_factory.mktemp("wf")
+    make_files(wf.files, d, root)
+    for argv in wf.argvs:
+        succeed(argv, d, root)
+    shutil.copytree(d / "out", root / WF_STUDY)
     return root, cfg_path
-
-
-def test_output_files_pinned(workspace, tmp_path, capsys):
-    _, cfg_path = workspace
-    mc = tmp_path / "mc"
-    assert main(["montecarlo", "--config", str(cfg_path),
-                 "--out", str(mc)]) == 0
-    assert main(["costsweep", "--trials", str(mc / "trials.csv"),
-                 "--out", str(mc), "--bps", "0,5,10"]) == 0
-    wf = workspace[0] / WF_STUDY
-    for out, pins, report in (
-            (mc, MONTECARLO_OUTPUT_SHA256, MONTECARLO_REPORT_SHA256),
-            (wf, WALKFORWARD_OUTPUT_SHA256, WALKFORWARD_REPORT_SHA256)):
-        # `report` prints, and changes no file
-        before = tree_state(out)
-        capsys.readouterr()
-        assert main(["report", "--out", str(out)]) == 0
-        text = capsys.readouterr().out
-        assert hashlib.sha256(text.encode()).hexdigest() == report
-        assert tree_state(out) == before
-        assert {p.name: sha256_of(p) for p in sorted(out.iterdir())} == pins
 
 
 FIXTURE_ASSETS = Path(__file__).parent / "fixtures" / "study_assets.json"
 
 
 @pytest.fixture(scope="module")
-def fixture_data(tmp_path_factory):
-    """The 8 fixture assets, synthesized once: the benchmark's data at
-    seed 0."""
-    data_dir = tmp_path_factory.mktemp("fixture") / "data"
+def fixture_ws(tmp_path_factory):
+    """The 8 fixture assets, synthesized once into `data/`: the benchmark's
+    data at seed 0."""
+    root = tmp_path_factory.mktemp("fixture")
     assert main(["synth", "--spec", str(FIXTURE_ASSETS),
-                 "--out", str(data_dir)]) == 0
-    return data_dir
+                 "--out", str(root / "data")]) == 0
+    return root
 
 
-def study_trials(doc, tmp_path, command, jobs):
-    """The trials.csv of a `command` study of the config `doc` at
-    `--jobs` `jobs`."""
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(doc))
-    assert main([command, "--config", str(cfg_path), "--out",
-                 str(tmp_path / command), "--jobs", str(jobs)]) == 0
-    return tmp_path / command / "trials.csv"
+# --- pinned runs -------------------------------------------------------------
+# A command that succeeds exits 0 with nothing on stderr. `PINNED` lists
+# successful runs and pins every file of each one's output directory;
+# `run_pinned` checks that, and that `verify` accepts a study there and
+# `report` prints its pinned text, neither changing a file. A change to any
+# digest is a change of behaviour and must be deliberate.
 
 
-def test_reference_walkforward_pinned(fixture_data, tmp_path):
-    # 48 tasks of 12 trials, run in a pool of two workers: each task's two
-    # windows are what a worker receives
-    trials = study_trials({"data_dir": str(fixture_data)}, tmp_path,
-                          "walkforward", 2)
-    assert len(read_trials_csv(trials)) == 576
-    assert sha256_of(trials) == REFERENCE_WALKFORWARD_TRIALS_SHA256
+@dataclass(frozen=True)
+class Pinned:
+    """Command lines that succeed and the bytes they leave in `{d}/out`.
+
+    `files` and `argvs` are as in `Case`, but `{ws}` stands for the data
+    the row runs on: the module's `workspace`, or `fixture_ws`. `sha256`
+    maps each file of `{d}/out` to its digest; `report` is the digest of
+    what `report` prints there, None where no study is written."""
+    id: str
+    argvs: tuple[str, ...]
+    sha256: dict
+    report: str | None
+    files: dict = field(default_factory=dict)
 
 
-def test_benchmark_studies_pinned(fixture_data, tmp_path):
+# a stabilized-periodization Monte Carlo study of the workspace data, scored
+# on period returns: counts that plateau inside n_range and the fallback
+# outside it
+STABILIZED = {"data_dir": "{ws}/data", "mc": {"seeds": [42, 43]}, "budget": 5,
+              "out_dir": "{d}/out", "objective": {
+                  "periodization": "stabilized", "below_min_penalty": 300.0,
+                  "stabilization": {"n_range": [10, 80], "fallback": 90}}}
+STABILIZED_SHA256 = {
+    "aggregates.csv": (
+        "a2e559a7143cac782e531f3d16b279611dc271ec95a9fa2b55f1764d0b6f4ff0"),
+    "comparisons.csv": (
+        "fe25e35152765745e3302d2247eb0a9a28e8690d617a3fc7d13f5dabf811bdeb"),
+    "strategy_means.csv": (
+        "8857f8d8f6c9bbfb7451fcba74318c05f3db64c903baa9cc2460c1eca4490f24"),
+    "trade_counts.csv": (
+        "1887d7a516a8412b9a41060cb2ac8e775650be07fc21f9f750c26e35e44c1065"),
+    "trials.csv": (
+        "363f52ce93ec5f58e024cad52cd240b6263ba9de09627477d6f8cb5e74551a66"),
+}
+STABILIZED_REPORT_SHA256 = (
+    "4ae89e137d02c6faf2c1cf4909fb46bbe85bb40227edf213c330b07bd446b290")
+SEEDS = {"seeds": [42, 43, 44, 45, 46]}
+MC = "montecarlo --config {d}/cfg.json"
+
+PINNED = [
+    Pinned("synth/workspace", ("synth --spec {ws}/manifest.json --out "
+                               "{d}/out",), {
+        "AA.csv":
+            "f9b000129f7ab5510e4e1dc2fb892ab2c281ba8009b5af5a0f3fe87a569ad75b",
+        "BB.csv":
+            "6430f9d5a8a38fa3ada7e148fe56f9a353adc2976d46e8547c4e1820ce3fd028",
+    }, None),
+    # the workspace study, then its costs at three levels
+    Pinned("montecarlo/workspace", (
+        "montecarlo --config {ws}/config.json --out {d}/out",
+        "costsweep --trials {d}/out/trials.csv --out {d}/out --bps 0,5,10"), {
+        "aggregates.csv":
+            "450e77b9bf78fd8470a2ab8100ecb89747a02e5a75e9a2ad5249c9318900e734",
+        "comparisons.csv":
+            "7d92d69a9c923cec5e6ead9d8e68f50237dcb9d616e94fae2f4d7a166efd1418",
+        "cost_sensitivity.csv":
+            "3af5a9d07e2481d440d01a4e8b8e421572680ee8fc441139f658ead5f6063918",
+        "strategy_means.csv":
+            "2dd16f17934588f4db73d5d2be6e5b59cbb10fa5d2eb2ce50cbfe4aaa7b98f4c",
+        "trade_counts.csv":
+            "943507aa8a9939e0caca2e630438af28b9194919e5748f70efeb26a99a06d8b4",
+        "trials.csv":
+            "c39c72fa3bf4f9bd3ae214f3f03707574fddae9dfdbe25946d4b26a4bc0bb878",
+    }, "b3c8fb71ea628e75ee2472aa3117d2b378df1ca6c8c44d5bb5c569556a1e7666"),
+    Pinned("walkforward/workspace", (
+        "synth --spec {d}/m.json --out {d}/data",
+        "walkforward --config {d}/cfg.json --jobs 2"), {
+        "aggregates.csv":
+            "fc54910fb50ede407658e557baf4d75918c75bd28ecc270ba608aa340976fb0e",
+        "periods.csv":
+            "8214aced6d8b2a38011e4aa16d52d6c2cd9fc19a2e34dfd9f4c013f28383886b",
+        "splits_genratio.csv":
+            "18299e11d73032a0a100c97bb14965b6708bf42701b33ed8aaf219b94ec64e9b",
+        "trials.csv":
+            "1a6e3e2384733c226f010aa7313fa39b257bde47bedb54793b4a88ba1faec9e1",
+    }, "b74204b18c2f8c7545ea637fd46f4fd24f613dd9036f6bb159962261393eaedf",
+        {"m.json": WF_MANIFEST, "cfg.json": {
+            "data_dir": "{d}/data", "budget": 3, "out_dir": "{d}/out"}}),
+    Pinned("montecarlo/stabilized", (MC,), STABILIZED_SHA256,
+           STABILIZED_REPORT_SHA256, {"cfg.json": STABILIZED}),
+    # an int in a float setting is read as that float: a penalty of `300`
+    # must not make the search's loss matrix int64, truncating every loss
+    Pinned("montecarlo/stabilized int penalty", (MC,), STABILIZED_SHA256,
+           STABILIZED_REPORT_SHA256, {"cfg.json": {**STABILIZED, "objective": {
+               **STABILIZED["objective"], "below_min_penalty": 300}}}),
     # the benchmark's two workloads at seed 0 (perfbench/run.py pins the
-    # same bytes): `mc_study` run serially, `mc_stab_gt` in a pool of two
-    # workers
-    seeds = {"seeds": [42, 43, 44, 45, 46]}
-    six = [a["asset_id"] for a in json.loads(
-        FIXTURE_ASSETS.read_text())["assets"][:6]]
-    for doc, jobs, pin in [
-            ({"data_dir": str(fixture_data), "mc": seeds}, 1,
-             MC_STUDY_TRIALS_SHA256),
-            ({"data_dir": str(fixture_data), "mc": seeds, "assets": six,
-              "objectives": ["gt_score"],
-              "objective": {"periodization": "stabilized"}}, 2,
-             MC_STAB_GT_TRIALS_SHA256)]:
-        assert sha256_of(study_trials(doc, tmp_path, "montecarlo",
-                                      jobs)) == pin
+    # same trials.csv): `mc_study` run serially, `mc_stab_gt` in a pool of
+    # two workers
+    Pinned("montecarlo/mc_study", (f"{MC} --jobs 1",), {
+        "aggregates.csv":
+            "62897b511d11f65224b68efb0af4122d6e9a8383352ae17fa7d016aa0af380df",
+        "comparisons.csv":
+            "67261af516f2f9dd7f9435ef21bd71454b14de84062ffc057ce5d66d3e9d3861",
+        "strategy_means.csv":
+            "7407edd4fd338d55622e3c40d5e3a0d892337d768ac600f19c06766c4b7a6508",
+        "trade_counts.csv":
+            "da297f9c369fdb0549cc53836940427dffd3259b317422c4ddb9bdab946da549",
+        "trials.csv":
+            "8b4c2c7659e96486bc0f60063c65857dcab429faef04624dade36a8dbbfb4727",
+    }, "31837678bdbb166682fd81330744f35a906410636af190d03e84ee41674771d3",
+        {"cfg.json": {"data_dir": "{ws}/data", "mc": SEEDS,
+                      "out_dir": "{d}/out"}}),
+    Pinned("montecarlo/mc_stab_gt", (f"{MC} --jobs 2",), {
+        "aggregates.csv":
+            "6578be26407c2b7dc1bda1b57af4a5f3b42ed92930756edff76a89bde77c3404",
+        "comparisons.csv":
+            "03880034cc333ea48583478eab19ddf95d6659a4009887ade138534c38638718",
+        "strategy_means.csv":
+            "e5d33e68e728ded45907fa33a9876b0c2f54ff77eb72c0398ffe34ae5b253f78",
+        "trade_counts.csv":
+            "28a769d9996acebf5fd24c69e81dfb9c149a535330c98ef5322b55a1169ba488",
+        "trials.csv":
+            "f112d58b7132b7723e1a29abb758b9484c0a6a5c41e4522cb1186858105b4ab7",
+    }, "0866a0af73219dc3d900924b5629a87403ac6108d4026df3586bc30a7d41fdcb",
+        {"cfg.json": {
+            "data_dir": "{ws}/data", "mc": SEEDS, "objectives": ["gt_score"],
+            "assets": [a["asset_id"] for a in json.loads(
+                FIXTURE_ASSETS.read_text())["assets"][:6]],
+            "objective": {"periodization": "stabilized"},
+            "out_dir": "{d}/out"}}),
+    # the reference walk-forward, the default config on the 8 fixture
+    # assets: 48 tasks of 12 trials, run in a pool of two workers, each
+    # task's two windows being what a worker receives
+    Pinned("walkforward/reference", ("walkforward --config {d}/cfg.json "
+                                     "--jobs 2",), {
+        "aggregates.csv":
+            "1d3dc2086fcaae6955174e795905565b9d0ce4e7263ae30a1683d6e201234bba",
+        "periods.csv":
+            "bc13737f905a5fa2f322dc5f785dfd9a98a065e8e6fd6e0f2d1a3331d93037bc",
+        "splits_genratio.csv":
+            "b63ed750deb87c04f76a077c8f1333feefd3e2a100b78d09f22185292f24168d",
+        "trials.csv":
+            "386b2a9129f960964fe4319d6f15d4e401e0ad0b91d6ad10577b7dea3bcd6772",
+    }, "ddc75832d6489e6e696aa04ad7256f45929213749968ba4582ea5f391be1e0da",
+        {"cfg.json": {"data_dir": "{ws}/data", "out_dir": "{d}/out"}}),
+]
 
 
-def stabilized_study(root, tmp_path):
-    """A stabilized-periodization Monte Carlo study of the workspace data
-    `root / "data"`, scored on period returns: counts that plateau inside
-    n_range and the fallback outside it; its output directory."""
-    cfg = RunConfig(data_dir=str(root / "data"),
-                    mc=MonteCarloConfig(seeds=[42, 43]), budget=5,
-                    objective=ObjectiveConfig(
-                        periodization=Periodization.STABILIZED,
-                        stabilization=StabilizationConfig(
-                            n_range=(10, 80), fallback=90)),
-                    out_dir=str(tmp_path / "stab"))
-    cfg_path = tmp_path / "stab.json"
-    cfg_path.write_text(json.dumps(encode_config(cfg)))
-    assert main(["montecarlo", "--config", str(cfg_path)]) == 0
-    return tmp_path / "stab"
+def pinned(ids):
+    """The rows of `PINNED` whose ids are `ids`, in that order."""
+    rows = {row.id: row for row in PINNED}
+    return [rows[i] for i in ids]
+
+
+def succeed(argv, d, ws):
+    """Run `argv`, with `{d}` and `{ws}` filled in, in `d`: it must exit 0
+    with nothing on stderr. Its stdout."""
+    argv = [fill(arg, d, ws) for arg in shlex.split(argv)]
+    code, out, err = in_process(argv, d, False)
+    assert (code, err) == (0, ""), (argv, err)
+    return out
+
+
+def run_pinned(ids, tmp_path, ws):
+    """Run each row of `ids` in a directory of its own under `tmp_path`,
+    with the data `ws`: each command line must succeed and leave the
+    row's files in `{d}/out`; there `verify` and `report` must succeed,
+    `report` print the row's text, and neither change a file."""
+    for i, row in enumerate(pinned(ids)):
+        d = tmp_path / str(i)
+        d.mkdir()
+        make_files(row.files, d, ws)
+        for argv in row.argvs:
+            succeed(argv, d, ws)
+        out = d / "out"
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(out.iterdir())} == row.sha256, row.id
+        if row.report is not None:
+            before = tree_state(out)
+            succeed("verify --out {d}/out", d, ws)
+            text = succeed("report --out {d}/out", d, ws)
+            assert (hashlib.sha256(text.encode()).hexdigest()
+                    == row.report), row.id
+            assert tree_state(out) == before, row.id
+
+
+# the tests that pinned these runs before the table run them, under their
+# names
+def test_synth_writes_loadable_csvs(workspace, tmp_path):
+    run_pinned(["synth/workspace"], tmp_path, workspace[0])
+
+
+def test_costsweep_and_report(workspace, tmp_path):
+    run_pinned(["montecarlo/workspace"], tmp_path, workspace[0])
+
+
+def test_walkforward_end_to_end(workspace, tmp_path):
+    run_pinned(["walkforward/workspace"], tmp_path, workspace[0])
 
 
 def test_stabilized_output_files_pinned(workspace, tmp_path):
-    out = stabilized_study(workspace[0], tmp_path)
-    assert {p.name: sha256_of(p)
-            for p in sorted(out.iterdir())} == STABILIZED_OUTPUT_SHA256
-    # an int in a float setting is read as that float: a penalty of `300`
-    # must not make the search's loss matrix int64, truncating every loss
-    cfg_path = tmp_path / "stab.json"
-    doc = json.loads(cfg_path.read_text())
-    assert doc["objective"]["below_min_penalty"] == 300.0
-    doc["objective"]["below_min_penalty"] = 300
-    cfg_path.write_text(json.dumps(doc))
-    assert main(["montecarlo", "--config", str(cfg_path),
-                 "--out", str(tmp_path / "int")]) == 0
-    assert (sha256_of(tmp_path / "int" / "trials.csv")
-            == STABILIZED_OUTPUT_SHA256["trials.csv"])
+    run_pinned(["montecarlo/stabilized", "montecarlo/stabilized int penalty"],
+               tmp_path, workspace[0])
+
+
+def test_benchmark_studies_pinned(fixture_ws, tmp_path):
+    run_pinned(["montecarlo/mc_study", "montecarlo/mc_stab_gt"], tmp_path,
+               fixture_ws)
+
+
+def test_reference_walkforward_pinned(fixture_ws, tmp_path):
+    run_pinned(["walkforward/reference"], tmp_path, fixture_ws)
+
+
+def stabilized_study(ws, d):
+    """The study of the `montecarlo/stabilized` row, run in `d` on the
+    workspace `ws`; its output directory."""
+    make_files({"cfg.json": STABILIZED}, d, ws)
+    assert main(["montecarlo", "--config", str(d / "cfg.json")]) == 0
+    return d / "out"
 
 
 # perfbench/tracer.py spans whose target no longer exists; repointing them
@@ -317,29 +387,24 @@ def test_benchmark_runs_from_a_copy(tmp_path):
     assert (result["correct"], result["failed"]) == (True, 0), proc.stdout
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def test_cli_import_leaves_scipy_stats_and_multiprocessing_unloaded():
     # every subcommand pays for what `import gtscore.cli` loads, and
-    # scipy.stats alone took most of a second
+    # scipy.stats alone took most of a second; and only a study with --jobs
+    # above 1 starts a process pool: the pool's module, and multiprocessing
+    # with it, load there and not before
     src = Path(gtscore.__file__).resolve().parents[1]
-    code = ("import sys, gtscore.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] == ['scipy', 'stats']))")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
-
-
-def test_cli_import_leaves_multiprocessing_unloaded():
-    # only a study with --jobs above 1 starts a process pool: the pool's
-    # module, and multiprocessing with it, load there and not before
-    src = Path(gtscore.__file__).resolve().parents[1]
-    code = ("import sys, gtscore.cli; print(sorted(m for m in sys.modules "
+    code = ("import sys, gtscore.cli\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['scipy', 'stats']))\n"
+            "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'multiprocessing' "
             "or m == 'concurrent.futures.process'))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    scipy_stats, pool = run.stdout.splitlines()
+    assert scipy_stats == "[]"
+    assert pool == "[]"
 
 
 def test_config_init_round_trips(tmp_path, capsys):
@@ -348,6 +413,10 @@ def test_config_init_round_trips(tmp_path, capsys):
     assert main(["config", "init"]) == 0
     out.write_text(capsys.readouterr().out)
     assert load_config(str(out)) == RunConfig()
+
+
+CONFIG_INIT_SHA256 = (
+    "eb5200fe96d76c3c76536ebea1321ec054448bfa55bf31b6d711069b95098960")
 
 
 def test_config_init_output_pinned(capsys):
@@ -393,28 +462,6 @@ def test_load_config_errors(tmp_path):
     unknown.write_text('{"no_such_field": 1}')
     with pytest.raises(ConfigError):
         load_config(str(unknown))
-
-
-def test_synth_writes_loadable_csvs(workspace):
-    root, _ = workspace
-    files = sorted(p.name for p in (root / "data").glob("*.csv"))
-    assert files == ["AA.csv", "BB.csv"]
-    header = (root / "data" / "AA.csv").read_text().splitlines()[0]
-    assert header == "date,open,high,low,close,volume"
-    assert sha256_of(root / "data" / "AA.csv") == SYNTH_AA_SHA256
-
-
-def test_montecarlo_outputs(workspace):
-    root, _ = workspace
-    out = root / "mc"
-    for name in ("trials.csv", "aggregates.csv", "strategy_means.csv",
-                 "comparisons.csv", "trade_counts.csv"):
-        assert (out / name).exists(), name
-    rows = read_trials_csv(out / "trials.csv")
-    assert len(rows) == 2 * 3 * 4 * 2  # assets x strategies x objectives x seeds
-    assert {r["objective"] for r in rows} == {
-        "gt_score", "simple", "sharpe", "sortino"}
-    assert sha256_of(out / "trials.csv") == MONTECARLO_TRIALS_SHA256
 
 
 def test_trial_rows_round_trip_returns(workspace):
@@ -495,19 +542,6 @@ def test_trial_rows_read_back_as_written(tmp_path, drawn):
     assert csv_text(TRIAL_COLUMNS, rows) == text
 
 
-def test_costsweep_and_report(workspace, capsys):
-    root, _ = workspace
-    out = root / "mc"
-    assert main(["costsweep", "--trials", str(out / "trials.csv"),
-                 "--out", str(out), "--bps", "0,5,10"]) == 0
-    text = (out / "cost_sensitivity.csv").read_text()
-    assert text.splitlines()[0] == "objective,bps_0,bps_5,bps_10"
-
-    capsys.readouterr()
-    assert main(["report", "--out", str(out)]) == 0
-    assert "Transaction-cost sensitivity\n" in capsys.readouterr().out
-
-
 def test_costsweep_wiped_out_trade_loses_its_stake(workspace, tmp_path):
     # at 4,999 bps a side the round trip's haircut is 99.98%, so each losing
     # trade of the stabilized study is wiped out: its wealth factor floors
@@ -558,50 +592,12 @@ def test_cost_zero_level_matches_oos_mean(workspace, tmp_path):
     assert traded
 
 
-def test_verify_passes_then_catches_tampering(workspace, tmp_path, capsys,
+def test_verify_passes_then_catches_tampering(workspace, tmp_path,
                                               posix_main):
     # `report` prints only what `verify` proves: on every directory both
-    # exit with the same code, and an error is the same one line
-    root, _ = workspace
-    for out in (root / "mc", root / WF_STUDY):
-        for command in ("verify", "report"):
-            capsys.readouterr()
-            assert main([command, "--out", str(out)]) == 0, command
-            assert capsys.readouterr().err == "", command
-    run_cases(in_group("tampered_study"), tmp_path, root, posix_main)
-
-
-def walkforward_study(root):
-    """A walkforward study of one ~9.2-year synthetic asset (4 rolling
-    splits) at --jobs 2; its output directory."""
-    manifest = {"assets": [{
-        "asset_id": "WF", "n_days": 2400, "initial_price": 100.0,
-        "regimes": [[2400, 0.0005, 0.015]], "seed": 4}]}
-    spec_path = root / "m.json"
-    spec_path.write_text(json.dumps(manifest))
-    data_dir = root / "data"
-    assert main(["synth", "--spec", str(spec_path),
-                 "--out", str(data_dir)]) == 0
-
-    cfg = RunConfig(data_dir=str(data_dir), budget=3,
-                    out_dir=str(root / "wf"))
-    cfg_path = root / "cfg.json"
-    cfg_path.write_text(json.dumps(encode_config(cfg)))
-    assert main(["walkforward", "--config", str(cfg_path),
-                 "--jobs", "2"]) == 0
-    return root / "wf"
-
-
-def test_walkforward_end_to_end(workspace):
-    out = workspace[0] / WF_STUDY
-    rows = read_trials_csv(out / "trials.csv")
-    splits = {r["split_id"] for r in rows}
-    assert splits == set(range(4))
-    assert len(rows) == 3 * 4 * 4
-    assert sha256_of(out / "trials.csv") == WALKFORWARD_TRIALS_SHA256
-    for name in ("aggregates.csv", "periods.csv", "splits_genratio.csv"):
-        assert (out / name).exists(), name
-    assert main(["verify", "--out", str(out)]) == 0
+    # exit with the same code, and an error is the same one line; both
+    # pass on each study of `PINNED`, and fail alike on these
+    run_cases(in_group("tampered_study"), tmp_path, workspace[0], posix_main)
 
 
 def test_walkforward_skips_splits_below_two_bars(workspace, tmp_path, capsys,
@@ -906,11 +902,8 @@ def test_readme_walkthrough_parses():
 def test_study_settings_reach_splits(workspace, tmp_path, monkeypatch):
     root, _ = workspace
     # step_years 2 leaves 2 of the 4 default splits of a 9.2-year series
-    manifest = {"assets": [{
-        "asset_id": "WF", "n_days": 2400, "initial_price": 100.0,
-        "regimes": [[2400, 0.0005, 0.015]], "seed": 4}]}
     spec_path = tmp_path / "m.json"
-    spec_path.write_text(json.dumps(manifest))
+    spec_path.write_text(json.dumps(WF_MANIFEST))
     assert main(["synth", "--spec", str(spec_path),
                  "--out", str(tmp_path / "data")]) == 0
     cfg = RunConfig(data_dir=str(tmp_path / "data"), budget=1,
@@ -1086,6 +1079,7 @@ def posix_main():
     if child is not None:
         child.stdin.close()
         child.wait(timeout=60)
+        child.stdout.close()
 
 
 def run_case(case, d, ws, posix_main):
@@ -1114,7 +1108,6 @@ def run_case(case, d, ws, posix_main):
 
 # --- the cases, by the part of the contract they check -----------------------
 
-MC = "montecarlo --config {d}/cfg.json"
 WF = "walkforward --config {d}/cfg.json"
 CFG = {"data_dir": "{d}/data", "out_dir": "{d}/out"}
 GOOD_CSV = "date,open,high,low,close,volume\n2020-01-02,10,11,9,10.5,100\n"
@@ -1389,11 +1382,12 @@ CASES = [
         "argument --jobs: must be >= 1, got 0",
         {"cfg.json": {"data_dir": "{d}/none"}}),
     # a cost level that is not a number, not finite, negative or given
-    # twice; or a 100% round-trip haircut, or more
+    # twice; or a 100% round-trip haircut, or more; or no level at all
     *(Case(f"bad_bps/{bps}", "costsweep --trials {ws}/mc/trials.csv "
-           f"--out {{d}}/bad --bps {bps}", 1,
+           f"--out {{d}}/bad --bps {shlex.quote(bps)}", 1,
            f"bad --bps level: ...{message}...")
       for bps, message in [
+          ("", "could not convert string to float: ''"),
           ("0,x", "'x'"), ("nan", "nan: levels must"),
           ("0,inf", "inf: levels"), ("1e400", "inf: levels"),
           ("2,2", "2.0: levels"), ("2,5,2.0", "2.0: levels"),
@@ -1982,9 +1976,9 @@ def test_output_path_os_error_exit_code(command, workspace, tmp_path,
 
 
 def test_case_ids_are_unique():
-    # so that a failure names its row, and `named` finds each one
-    ids = [case.id for case in CASES]
-    assert len(set(ids)) == len(ids)
+    # so that a failure names its row, and `named` and `pinned` find each one
+    for ids in ([case.id for case in CASES], [row.id for row in PINNED]):
+        assert len(set(ids)) == len(ids)
 
 
 @settings(max_examples=50, deadline=None,
