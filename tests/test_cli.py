@@ -4,6 +4,7 @@ import contextlib
 import csv
 import datetime as dt
 import errno
+import functools
 import hashlib
 import importlib.util
 import io
@@ -318,6 +319,15 @@ def test_costsweep_and_report(workspace, tmp_path):
     run_pinned(["montecarlo/workspace"], tmp_path, workspace[0])
 
 
+def test_montecarlo_outputs(workspace, tmp_path):
+    run_pinned(["montecarlo/workspace"], tmp_path, workspace[0])
+
+
+def test_output_files_pinned(workspace, tmp_path):
+    run_pinned(["montecarlo/workspace", "walkforward/workspace"], tmp_path,
+               workspace[0])
+
+
 def test_walkforward_end_to_end(workspace, tmp_path):
     run_pinned(["walkforward/workspace"], tmp_path, workspace[0])
 
@@ -387,11 +397,11 @@ def test_benchmark_runs_from_a_copy(tmp_path):
     assert (result["correct"], result["failed"]) == (True, 0), proc.stdout
 
 
-def test_cli_import_leaves_scipy_stats_and_multiprocessing_unloaded():
-    # every subcommand pays for what `import gtscore.cli` loads, and
-    # scipy.stats alone took most of a second; and only a study with --jobs
-    # above 1 starts a process pool: the pool's module, and multiprocessing
-    # with it, load there and not before
+@functools.cache
+def modules_after_cli_import():
+    """The scipy.stats modules, and the process pool's modules, that a fresh
+    interpreter holds after `import gtscore.cli`, as two printed lists; one
+    interpreter serves both checks below."""
     src = Path(gtscore.__file__).resolve().parents[1]
     code = ("import sys, gtscore.cli\n"
             "print(sorted(m for m in sys.modules "
@@ -402,9 +412,19 @@ def test_cli_import_leaves_scipy_stats_and_multiprocessing_unloaded():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert run.returncode == 0, run.stderr
-    scipy_stats, pool = run.stdout.splitlines()
-    assert scipy_stats == "[]"
-    assert pool == "[]"
+    return tuple(run.stdout.splitlines())
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # every subcommand pays for what `import gtscore.cli` loads, and
+    # scipy.stats alone took most of a second
+    assert modules_after_cli_import()[0] == "[]"
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # only a study with --jobs above 1 starts a process pool: the pool's
+    # module, and multiprocessing with it, load there and not before
+    assert modules_after_cli_import()[1] == "[]"
 
 
 def test_config_init_round_trips(tmp_path, capsys):
