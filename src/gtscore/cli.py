@@ -22,6 +22,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,7 @@ from .stats import compare_paired
 from .strategy import StrategyKind, params_doc, params_to_json
 
 DEFAULT_COST_SWEEP = [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+STUDIES = ("walkforward", "montecarlo")  # the study commands
 
 
 def _finite(values):
@@ -252,7 +254,7 @@ def read_trials_csv(path: Path) -> list[dict]:
     if (header := next(records, [])) != TRIAL_COLUMNS:
         raise DataError(f"{path} line 1: header {','.join(header)} is not "
                         f"{','.join(TRIAL_COLUMNS)}")
-    rows, lines = [], {}  # (asset, strategy, objective, split, seed) -> line
+    rows, lines = [], {}  # a trial's search.TRIAL_KEY -> its line
     for cells in records:
         where = f"{path} line {reader.line_num}"
         if len(cells) > len(TRIAL_COLUMNS):
@@ -270,7 +272,8 @@ def read_trials_csv(path: Path) -> list[dict]:
             except (TypeError, ValueError, OverflowError,
                     RecursionError) as exc:  # JSON too large or too deep
                 raise DataError(f"{where}, column {col}: {exc}") from None
-        first = lines.setdefault(tuple(cells[:5]), reader.line_num)
+        first = lines.setdefault(itemgetter(*search.TRIAL_KEY)(row),
+                                 reader.line_num)
         if first != reader.line_num:
             raise DataError(f"{where}: repeats the trial of line {first}")
         rows.append(row)
@@ -370,12 +373,11 @@ def mean_trade_counts(rows: list[dict]) -> list[dict]:
 
 def paired_oos_returns(rows: list[dict], obj_a: str,
                        obj_b: str) -> tuple[np.ndarray, np.ndarray]:
-    """Out-of-sample returns of two objectives aligned on the full trial
-    key (asset, strategy, split, seed)."""
-    def by_key(obj):
-        return {(r["asset"], r["strategy"], r["split_id"], r["seed"]):
-                r["oos_return"] for r in rows if r["objective"] == obj}
-    a, b = by_key(obj_a), by_key(obj_b)
+    """Out-of-sample returns of two objectives aligned on the trial key
+    (`search.TRIAL_KEY`) less the objective."""
+    pair = itemgetter(*(c for c in search.TRIAL_KEY if c != "objective"))
+    a, b = ({pair(r): r["oos_return"] for r in rows if r["objective"] == obj}
+            for obj in (obj_a, obj_b))
     if a.keys() != b.keys():
         raise DataError(f"unpaired trials between {obj_a} and {obj_b}")
     keys = sorted(a)
@@ -578,28 +580,19 @@ def study_tables(out_dir: Path) -> list[tuple[Output, list, list]]:
     """Every derived file in `out_dir` as (output, columns, rows) in
     `OUTPUTS` order, recomputed from the `trials.csv` there and checked
     against the file's bytes; `cost_sensitivity.csv` at the levels its
-    header names. A file of the study's protocol that is missing, or a
-    file that differs from its recomputation, is one InternalCheckError
-    naming every such file; a table that `trials.csv` cannot make (too
-    few or unpaired trials to compare) is a DataError naming it."""
+    header names. One InternalCheckError names each file that differs
+    from its recomputation and, unless some study command's files are
+    all there, each one's missing files; a table that `trials.csv`
+    cannot make (too few or unpaired trials) is a DataError naming it."""
     output_dir(out_dir, [])  # an unusable --out is exit 1, as when written
     trials = out_dir / "trials.csv"
     rows = read_trials_csv(trials)
-    # the protocol is the one whose own files are there, walkforward's
-    # first (a stray montecarlo file may sit beside them); with neither,
-    # the missing files of each are named
-    own = {p: [out.name for out in OUTPUTS if out.written_by == (p,)]
-           for p in ("walkforward", "montecarlo")}
-    protocols = [p for p, names in own.items()
-                 if any((out_dir / name).exists() for name in names)][:1]
     missing = {p: [out.name for out in OUTPUTS if p in out.written_by
-                   and not (out_dir / out.name).exists()]
-               for p in protocols or own}
+                   and not (out_dir / out.name).exists()] for p in STUDIES}
     tables, failures = [], []
     if all(missing.values()):
-        failures.append(" or ".join(f"{', '.join(names)} ({p})"
-                                    for p, names in missing.items())
-                        + ": missing")
+        failures.append(" or ".join(f"{', '.join(names)} ({p})" for p, names
+                                    in missing.items()) + ": missing")
     for out in OUTPUTS:
         path = out_dir / out.name
         if not path.exists():
@@ -660,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
-    for name in ("walkforward", "montecarlo"):
+    for name in STUDIES:
         p = sub.add_parser(name, help=f"run the {name} study")
         p.add_argument("--config", required=True)
         p.add_argument("--out", help="override config out_dir")

@@ -48,6 +48,8 @@ logger = logging.getLogger(__name__)
 DEFAULT_BUDGET = 25
 WALKFORWARD_SEED = 42
 BASELINES = (ObjectiveKind.SHARPE, ObjectiveKind.SORTINO, ObjectiveKind.SIMPLE)
+# the trials.csv columns that name a trial, in the order trials are sorted
+TRIAL_KEY = ("asset", "strategy", "objective", "split_id", "seed")
 
 
 @dataclass(frozen=True)
@@ -161,8 +163,7 @@ def run_trials(tasks: list[Task], objectives: list[ObjectiveKind],
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_task = list(pool.map(run_task, *args))
     trials = [trial for task in per_task for trial in task]
-    trials.sort(key=itemgetter("asset", "strategy", "objective", "split_id",
-                               "seed"))
+    trials.sort(key=itemgetter(*TRIAL_KEY))
     return trials
 
 

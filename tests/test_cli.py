@@ -484,9 +484,12 @@ def test_load_config_errors(tmp_path):
         load_config(str(unknown))
 
 
-def test_trial_rows_round_trip_returns(workspace):
-    root, _ = workspace
-    rows = read_trials_csv(root / "mc" / "trials.csv")
+def test_trial_rows_round_trip_returns(workspace, tmp_path):
+    # the stabilized study, whose trials trade out of sample (every trial
+    # of the workspace's own montecarlo study is degenerate)
+    rows = read_trials_csv(
+        stabilized_study(workspace[0], tmp_path) / "trials.csv")
+    assert any(r["oos_trades"] for r in rows)
     for r in rows:
         returns = r["oos_trade_returns_json"]
         assert returns.size == r["oos_trades"]
@@ -618,6 +621,24 @@ def test_verify_passes_then_catches_tampering(workspace, tmp_path,
     # exit with the same code, and an error is the same one line; both
     # pass on each study of `PINNED`, and fail alike on these
     run_cases(in_group("tampered_study"), tmp_path, workspace[0], posix_main)
+
+
+@pytest.mark.parametrize("study, stray", [("mc", "periods.csv"),
+                                          (WF_STUDY, "trade_counts.csv")])
+def test_a_recomputable_stray_file_is_verified(study, stray, workspace,
+                                               tmp_path):
+    # a complete study beside a file only the other study command writes,
+    # recomputed from the same trials.csv: `verify` checks that file too
+    # and passes, and `report` prints it, neither changing a file
+    ws = workspace[0]
+    make_files({"s": copied(study), f"s/{stray}": recomputed(stray, study)},
+               tmp_path, ws)
+    before = tree_state(tmp_path / "s")
+    assert f"verify: {stray} OK" in succeed(
+        "verify --out {d}/s", tmp_path, ws).splitlines()
+    (out,) = [out for out in cli.OUTPUTS if out.name == stray]
+    assert f"\n{out.title}\n" in succeed("report --out {d}/s", tmp_path, ws)
+    assert tree_state(tmp_path / "s") == before
 
 
 def test_walkforward_skips_splits_below_two_bars(workspace, tmp_path, capsys,
@@ -1281,15 +1302,22 @@ def edit_line(n, change):
     return edit
 
 
+def recomputed(name, study, *args, edit=lambda text: text):
+    """The derived file `name` as `verify` recomputes it from the
+    trials.csv of the workspace's `study` (and `args`), passed through
+    `edit`."""
+    def make(ws, path):
+        rows = read_trials_csv(ws / study / "trials.csv")
+        (out,) = [out for out in cli.OUTPUTS if out.name == name]
+        path.write_text(edit(csv_text(*cli.derive(out, rows, *args))))
+    return make
+
+
 def costs(edit=lambda text: text):
     """The cost_sensitivity.csv that `costsweep` writes at its default
     levels for the workspace study, passed through `edit`."""
-    def make(ws, path):
-        rows = read_trials_csv(ws / "mc" / "trials.csv")
-        (out,) = [out for out in cli.OUTPUTS if "costsweep" in out.written_by]
-        path.write_text(edit(csv_text(*cli.derive(
-            out, rows, cli.DEFAULT_COST_SWEEP))))
-    return make
+    return recomputed("cost_sensitivity.csv", "mc", cli.DEFAULT_COST_SWEEP,
+                      edit=edit)
 
 
 LEVELS = "levels must be finite, non-negative, below 5000 and distinct"
@@ -1850,14 +1878,16 @@ CASES = [
     tampered("stray trade_counts.csv", 3, "trade_counts.csv: differs from "
              "recomputation", {"trade_counts.csv": copied(
                  "mc/trade_counts.csv")}, study=WF_STUDY),
-    # missing files are named for the study's protocol, and with neither
-    # protocol's own files there, for each protocol
+    # a study is complete when one study command's files are all there;
+    # when none's are, each command's missing files are named
     tampered("neither protocol's files", 3,
              "splits_genratio.csv, periods.csv (walkforward) or "
              "strategy_means.csv, comparisons.csv, trade_counts.csv "
              "(montecarlo): missing", study=WF_STUDY,
              without=("splits_genratio.csv", "periods.csv")),
-    tampered("no comparisons.csv", 3, "comparisons.csv (montecarlo): missing",
+    tampered("no comparisons.csv", 3,
+             "splits_genratio.csv, periods.csv (walkforward) or "
+             "comparisons.csv (montecarlo): missing",
              without=("comparisons.csv",)),
     # a trials.csv that cannot make the paired comparisons is named: the
     # header and one cell's (asset, strategy, split_id, seed) four trials,

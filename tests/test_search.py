@@ -41,7 +41,8 @@ from gtscore.cli import (
     mean_trade_counts,
     paired_oos_returns,
 )
-from gtscore.search import candidate_rng, run_task, run_trials, study_tasks
+from gtscore.search import (TRIAL_KEY, candidate_rng, run_task, run_trials,
+                            study_tasks)
 from gtscore.strategy import BollingerParams, StrategyKind, sample_params
 
 from conftest import make_series
@@ -108,13 +109,9 @@ def draw_pool(task, family, seed):
     return [sample_params(family, rng) for _ in range(task.budget)]
 
 
-# the trials.csv columns that order trials and pair them across objectives
-KEY = ("asset", "strategy", "objective", "split_id", "seed")
-
-
 def key_of(trial):
     """A trial's key, from its own columns."""
-    return tuple(trial[column] for column in KEY)
+    return tuple(trial[column] for column in TRIAL_KEY)
 
 
 def key(task, family, seed, kind):
@@ -411,7 +408,7 @@ def _outcomes(results):
     """Each trial's other columns by its key; the trade returns as a list,
     so that outcomes compare with ==."""
     return {key_of(r): [r[c].tolist() if c == "oos_trade_returns_json"
-                        else r[c] for c in r if c not in KEY]
+                        else r[c] for c in r if c not in TRIAL_KEY]
             for r in results}
 
 
