@@ -309,23 +309,14 @@ def run_pinned(ids, tmp_path, ws):
             assert tree_state(out) == before, row.id
 
 
-# the tests that pinned these runs before the table run them, under their
-# names
+# each row runs once, in the test that pinned its run before the table,
+# under that test's name
 def test_synth_writes_loadable_csvs(workspace, tmp_path):
     run_pinned(["synth/workspace"], tmp_path, workspace[0])
 
 
 def test_costsweep_and_report(workspace, tmp_path):
     run_pinned(["montecarlo/workspace"], tmp_path, workspace[0])
-
-
-def test_montecarlo_outputs(workspace, tmp_path):
-    run_pinned(["montecarlo/workspace"], tmp_path, workspace[0])
-
-
-def test_output_files_pinned(workspace, tmp_path):
-    run_pinned(["montecarlo/workspace", "walkforward/workspace"], tmp_path,
-               workspace[0])
 
 
 def test_walkforward_end_to_end(workspace, tmp_path):
@@ -362,13 +353,22 @@ KNOWN_STALE = {"indicators.rsi", "indicators.macd", "indicators.ema",
                "search.draw_candidates", "search.oos"}
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
+def module_at(path):
+    """The module of the file `path` under the repository, loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        path.replace("/", "_").removesuffix(".py"), REPO / path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_cli_targets_resolve():
     # perfbench/tracer.py wraps these names where the package looks them
     # up; a rename must fail here, not silently zero a benchmark metric
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = module_at("perfbench/tracer.py")
     stale = set()
     for name, module, attr, _ in tracer.TARGETS:
         owner = importlib.import_module(module)
@@ -379,13 +379,24 @@ def test_tracer_cli_targets_resolve():
     assert stale == KNOWN_STALE
 
 
+def test_mutation_ledger_names_what_exists():
+    # tools/mutants.py runs outside tier-1: a rename in src or tests must
+    # fail here, not leave a mutant that changes nothing or expects a test
+    # that is gone
+    for mutant in module_at("tools/mutants.py").LEDGER:
+        text = (REPO / mutant.path).read_text()
+        assert text.count(mutant.snippet) == 1, mutant.id
+        for test in mutant.tests:
+            path, name = test.split("[")[0].split("::")
+            assert f"\ndef {name}(" in (REPO / path).read_text(), test
+
+
 def test_benchmark_runs_from_a_copy(tmp_path):
     # the benchmark's tiny mc_study, run from a copy of what the benchmark
     # builds from, as it is run: a change that breaks the imports of its
     # child or an option it passes to the CLI fails here first
-    repo = Path(__file__).resolve().parents[1]
     for part in ("src", "perfbench", "tests/fixtures"):
-        shutil.copytree(repo / part, tmp_path / part,
+        shutil.copytree(REPO / part, tmp_path / part,
                         ignore=shutil.ignore_patterns("__pycache__"))
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "mc_study",
@@ -469,19 +480,6 @@ def test_run_config_json_round_trip():
     doc = json.loads(json.dumps(encode_config(cfg)))
     assert doc["objective"]["stabilization"]["n_range"] == [5, 80]
     assert decode_config(RunConfig, doc) == cfg
-
-
-def test_load_config_errors(tmp_path):
-    with pytest.raises(ConfigError):
-        load_config(str(tmp_path / "missing.json"))
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ConfigError):
-        load_config(str(bad))
-    unknown = tmp_path / "unknown.json"
-    unknown.write_text('{"no_such_field": 1}')
-    with pytest.raises(ConfigError):
-        load_config(str(unknown))
 
 
 def test_trial_rows_round_trip_returns(workspace, tmp_path):
@@ -646,13 +644,16 @@ def test_walkforward_skips_splits_below_two_bars(workspace, tmp_path, capsys,
     # Split k of one-year windows two years apart trains on year 2k and
     # validates on year 2k + 1 of 2010-2015. N holds every day. G holds
     # one bar of 2010 and one of 2013, so its splits 0 and 1 are skipped
-    # with one warning each; H also holds one bar of 2014-2015, so it keeps
-    # no split.
+    # with one warning each; its split 2 keeps its calendar id and the
+    # trials that G's last two years get alone, as their split 0. H also
+    # holds one bar of 2014-2015, so it keeps no split.
+    ws = workspace[0]
     (case,) = named("no_split/walkforward H")
-    make_files({"cfg.json": {**case.files["cfg.json"], "assets": ["N", "G"]},
+    cfg = {**case.files["cfg.json"], "objective": {"n_min": 5}}
+    make_files({"cfg.json": {**cfg, "assets": ["N", "G"]},
                 "data/N.csv": lone_days_csv("N", range(2010, 2016)),
                 "data/G.csv": lone_days_csv("G", [2011, 2012, 2014, 2015])},
-               tmp_path, workspace[0])
+               tmp_path, ws)
     # in-process, with pytest's handlers on the root logger, each warning
     # reaches stderr once
     capsys.readouterr()
@@ -664,7 +665,20 @@ def test_walkforward_skips_splits_below_two_bars(workspace, tmp_path, capsys,
     assert {(r["asset"], r["split_id"]) for r in rows} == {
         ("N", 0), ("N", 1), ("N", 2), ("G", 2)}
     assert main(["verify", "--out", str(tmp_path / "out")]) == 0
-    run_cases([case], tmp_path, workspace[0], posix_main)
+    head, *lines = (tmp_path / "data" / "G.csv").read_text().splitlines(
+        keepends=True)
+    make_files({"cfg.json": {**cfg, "assets": ["G"]},
+                "data/G.csv": head + "".join(
+                    line for line in lines if line >= "2014")},
+               tmp_path / "tail", ws)
+    succeed("walkforward --config {d}/cfg.json", tmp_path / "tail", ws)
+    alone = read_trials_csv(tmp_path / "tail" / "out" / "trials.csv")
+    assert {r["split_id"] for r in alone} == {0}
+    assert not all(r["degenerate"] for r in alone)
+    others = [column for column in TRIAL_COLUMNS if column != "split_id"]
+    assert csv_text(others, alone) == csv_text(
+        others, [r for r in rows if r["asset"] == "G"])
+    run_cases([case], tmp_path, ws, posix_main)
 
 
 def test_files_are_utf8_under_an_ascii_locale(workspace, tmp_path,
@@ -673,19 +687,15 @@ def test_files_are_utf8_under_an_ascii_locale(workspace, tmp_path,
     # whose encoding is ASCII; there, a study of every CSV file in the data
     # directory names that file's asset by its UTF-8 bytes: it writes the
     # same trials.csv, which is verified too
-    root, _ = workspace
-    data_dir = tmp_path / "data"
-    data_dir.mkdir()
-    shutil.copy(root / "data" / "AA.csv", data_dir / "\u00e9t\u00e9.csv")
-    cfg = RunConfig(data_dir=str(data_dir), assets=["\u00e9t\u00e9"], budget=2,
-                    mc=MonteCarloConfig(seeds=[42, 43]),
-                    out_dir=str(tmp_path / "mc"))
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(encode_config(cfg)))
-    assert main(["montecarlo", "--config", str(cfg_path)]) == 0
-    cfg.assets, cfg.out_dir = [], str(tmp_path / "globbed")
-    cfg_path.write_text(json.dumps(encode_config(cfg)))
-    study = posix_main(["montecarlo", "--config", str(cfg_path)], tmp_path)
+    cfg = {"data_dir": "{d}/data", "budget": 2, "mc": {"seeds": [42, 43]}}
+    make_files({"data/\u00e9t\u00e9.csv": copied("data/AA.csv"),
+                "named.json": {**cfg, "assets": ["\u00e9t\u00e9"],
+                               "out_dir": "{d}/mc"},
+                "globbed.json": {**cfg, "out_dir": "{d}/globbed"}},
+               tmp_path, workspace[0])
+    succeed("montecarlo --config {d}/named.json", tmp_path, workspace[0])
+    study = posix_main(["montecarlo", "--config",
+                        str(tmp_path / "globbed.json")], tmp_path)
     assert study[0] == 0, study
     trials = tmp_path / "globbed" / "trials.csv"
     assert trials.read_bytes() == (tmp_path / "mc" / "trials.csv").read_bytes()
@@ -719,118 +729,83 @@ def tree_state(root):
             for p in sorted(root.rglob("*"))}
 
 
-def other_seeds(cfg_path, path):
-    """The config at `cfg_path` with `mc.seeds` [7, 8], written to `path`."""
-    cfg = load_config(str(cfg_path))
-    cfg.mc.seeds = [7, 8]
-    path.write_text(json.dumps(encode_config(cfg)))
-    return path
-
-
 def test_write_failure_changes_no_file(workspace, tmp_path, capsys,
                                        monkeypatch):
-    # a study with other seeds whose third file fails to write, and a
-    # costsweep whose one file does, over a finished study: each exits 1
-    # in one line and leaves every file as it was, with no temporary file
+    # over a finished study, each exits 1 in one line and leaves every file
+    # as it was, with no temporary file: a study with other seeds whose
+    # third file fails to write; a costsweep whose one file does; and a
+    # study that fails once part of its trials.csv is on disk, the rows
+    # being streamed into the temporary file
     root, cfg_path = workspace
     study = tmp_path / "mc"
     shutil.copytree(root / "mc", study)
     assert main(["costsweep", "--trials", str(study / "trials.csv"),
                  "--out", str(study)]) == 0
     before = tree_state(study)
-    real, calls = cli.write_csv, []
+    temp, calls, streamed = study / ".trials.csv.tmp", [], []
+    real_write, real_cell = cli.write_csv, cli._cell
 
     def failing(path, *args):
         calls.append(path.parent)
         if len(calls) == fail_at:
             raise OSError(28, "No space left on device")
-        real(path, *args)
+        real_write(path, *args)
+
+    def cell(value):
+        if fail_at is None and temp.exists() and temp.stat().st_size:
+            streamed.append(temp.stat().st_size)
+            raise OSError(28, "No space left on device")
+        return real_cell(value)
 
     monkeypatch.setattr(cli, "write_csv", failing)
-    seeds = other_seeds(cfg_path, tmp_path / "seeds.json")
-    for fail_at, argv in ((3, ["montecarlo", "--config", str(seeds)]),
-                          (1, ["costsweep", "--trials",
-                               str(study / "trials.csv")])):
+    monkeypatch.setattr(cli, "_cell", cell)
+    cfg = load_config(str(cfg_path))
+    cfg.mc.seeds = [7, 8]
+    (tmp_path / "seeds.json").write_text(json.dumps(encode_config(cfg)))
+    seeds = ["montecarlo", "--config", str(tmp_path / "seeds.json")]
+    for fail_at, argv in ((3, seeds), (None, seeds), (1, [
+            "costsweep", "--trials", str(study / "trials.csv")])):
         calls.clear()
         capsys.readouterr()
         assert main(argv + ["--out", str(study)]) == 1
         assert capsys.readouterr().err == (
             "error: [Errno 28] No space left on device\n")
-        assert calls == [study] * fail_at
+        assert fail_at is None or calls == [study] * fail_at
         assert tree_state(study) == before
+    assert 0 < streamed[0] < (study / "trials.csv").stat().st_size
 
 
 def test_write_failure_removes_the_directories_it_made(workspace, tmp_path,
                                                        capsys, monkeypatch):
-    # a costsweep into fresh/a/b whose file fails to write exits 1 in one
-    # line and leaves no fresh/, and the directory it sat in as it was
+    # synth writes all or nothing, its second asset failing to write: into
+    # a directory that exists, and into one it makes, which it removes
+    # again with the parents it made; so does a costsweep into fresh/a/b
+    # whose one file fails. Each exits 1 in one line.
     root, _ = workspace
-    (tmp_path / "keep.txt").write_text("keep")
-
-    def failing(path, *args):
-        assert path.parent.is_dir()
-        raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(cli, "write_csv", failing)
-    capsys.readouterr()
-    assert main(["costsweep", "--trials", str(root / "mc" / "trials.csv"),
-                 "--out", str(tmp_path / "fresh" / "a" / "b")]) == 1
-    assert capsys.readouterr().err == (
-        "error: [Errno 28] No space left on device\n")
-    assert tree_state(tmp_path) == {tmp_path / "keep.txt": b"keep"}
-
-
-def test_write_failure_after_part_of_a_file_changes_no_file(
-        workspace, tmp_path, capsys, monkeypatch):
-    # rows are streamed into the temporary file: a study that fails once
-    # part of its trials.csv is on disk exits 1 in one line, removes the
-    # temporary file and leaves the study it would replace as it was
-    root, cfg_path = workspace
-    study = tmp_path / "mc"
-    shutil.copytree(root / "mc", study)
-    before = tree_state(study)
-    temp, real, streamed = study / ".trials.csv.tmp", cli._cell, []
-
-    def cell(value):
-        if temp.exists() and temp.stat().st_size:
-            streamed.append(temp.stat().st_size)
-            raise OSError(28, "No space left on device")
-        return real(value)
-
-    seeds = other_seeds(cfg_path, tmp_path / "seeds.json")
-    monkeypatch.setattr(cli, "_cell", cell)
-    capsys.readouterr()
-    assert main(["montecarlo", "--config", str(seeds),
-                 "--out", str(study)]) == 1
-    assert capsys.readouterr().err == (
-        "error: [Errno 28] No space left on device\n")
-    assert 0 < streamed[0] < (study / "trials.csv").stat().st_size
-    assert tree_state(study) == before
-
-
-def test_synth_failure_on_the_second_asset_writes_nothing(
-        workspace, tmp_path, capsys, monkeypatch):
-    # synth writes all or nothing: into a directory that exists, and into
-    # one it makes, which it removes again with the parents it made
-    root, _ = workspace
-    kept, fresh = tmp_path / "kept", tmp_path / "fresh" / "a" / "data"
+    kept, fresh = tmp_path / "kept", tmp_path / "fresh" / "a"
     kept.mkdir()
     real, calls = cli.write_csv, []
 
     def failing(path, *args):
+        assert path.parent.is_dir()
         calls.append(path)
-        if len(calls) % 2 == 0:
+        if path.name != ".AA.csv.tmp":
             raise OSError(28, "No space left on device")
         real(path, *args)
 
     monkeypatch.setattr(cli, "write_csv", failing)
-    for out in (kept, fresh):
+    synth = ["synth", "--spec", str(root / "manifest.json")]
+    assets = [".AA.csv.tmp", ".BB.csv.tmp"]
+    for argv, out, names in (
+            (synth, kept, assets), (synth, fresh / "data", assets),
+            (["costsweep", "--trials", str(root / "mc" / "trials.csv")],
+             fresh / "b", [".cost_sensitivity.csv.tmp"])):
+        calls.clear()
         capsys.readouterr()
-        assert main(["synth", "--spec", str(root / "manifest.json"),
-                     "--out", str(out)]) == 1
+        assert main(argv + ["--out", str(out)]) == 1
         assert capsys.readouterr() == (
             "", "error: [Errno 28] No space left on device\n")
-        assert calls[-2:] == [out / ".AA.csv.tmp", out / ".BB.csv.tmp"]
+        assert calls == [out / name for name in names]
         assert tree_state(tmp_path) == {kept: None}
 
 
@@ -926,7 +901,7 @@ def test_help_exits_zero(capsys):
 def test_readme_walkthrough_parses():
     # every `gtscore ...` line of the README's walkthrough is one the
     # parser accepts, so a removed option cannot stay in the docs
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = (REPO / "README.md").read_text()
     walkthrough = text[text.index("## CLI walkthrough"):
                        text.index("### Outputs")]
     commands = [shlex.split(line.split(">")[0])[1:]
@@ -941,38 +916,23 @@ def test_readme_walkthrough_parses():
 
 
 def test_study_settings_reach_splits(workspace, tmp_path, monkeypatch):
-    root, _ = workspace
-    # step_years 2 leaves 2 of the 4 default splits of a 9.2-year series
-    spec_path = tmp_path / "m.json"
-    spec_path.write_text(json.dumps(WF_MANIFEST))
-    assert main(["synth", "--spec", str(spec_path),
-                 "--out", str(tmp_path / "data")]) == 0
-    cfg = RunConfig(data_dir=str(tmp_path / "data"), budget=1,
-                    strategies=[StrategyKind.MACD],
-                    objectives=[ObjectiveKind.SIMPLE],
-                    wf=WalkforwardConfig(step_years=2))
-    cfg_path = tmp_path / "wf.json"
-    cfg_path.write_text(json.dumps(encode_config(cfg)))
-    assert main(["walkforward", "--config", str(cfg_path),
-                 "--out", str(tmp_path / "wf")]) == 0
+    # step_years 2 leaves 2 of the 4 default splits of a 9.2-year series;
+    # the montecarlo split settings reach the split of each of two assets
+    one = {"budget": 1, "strategies": ["macd"], "objectives": ["simple"]}
+    make_files({"m.json": WF_MANIFEST, "wf.json": {
+        **one, "data_dir": "{d}/data", "wf": {"step_years": 2}},
+        "mc.json": {**one, "data_dir": "{ws}/data", "mc": {
+            "seeds": [3], "train_fraction": 0.6, "embargo_days": 12}}},
+        tmp_path, workspace[0])
+    calls, real = [], search.make_chrono_split
+    monkeypatch.setattr(search, "make_chrono_split", lambda series, **kw: (
+        calls.append(kw) or real(series, **kw)))
+    for argv in ("synth --spec {d}/m.json --out {d}/data",
+                 "walkforward --config {d}/wf.json --out {d}/wf",
+                 "montecarlo --config {d}/mc.json --out {d}/mc"):
+        succeed(argv, tmp_path, workspace[0])
     rows = read_trials_csv(tmp_path / "wf" / "trials.csv")
     assert sorted(r["split_id"] for r in rows) == [0, 1]
-
-    calls = []
-    real = search.make_chrono_split
-
-    def recording(series, **kwargs):
-        calls.append(kwargs)
-        return real(series, **kwargs)
-
-    monkeypatch.setattr(search, "make_chrono_split", recording)
-    cfg = RunConfig(data_dir=str(root / "data"), budget=1,
-                    strategies=[StrategyKind.MACD],
-                    objectives=[ObjectiveKind.SIMPLE],
-                    mc=MonteCarloConfig([3], 0.6, 12))
-    cfg_path.write_text(json.dumps(encode_config(cfg)))
-    assert main(["montecarlo", "--config", str(cfg_path),
-                 "--out", str(tmp_path / "mc")]) == 0
     assert calls == [{"train_fraction": 0.6, "embargo_days": 12}] * 2
 
 

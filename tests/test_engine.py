@@ -20,7 +20,6 @@ from gtscore.engine import (
 
 from conftest import make_series
 
-D = dt.date
 
 
 def oracle_backtest(series, positions, window_start, window_end,
@@ -101,6 +100,9 @@ def _edge_case(positions):
 @given(case=backtest_cases())
 # one-bar signal: enters at bar 2's open, exits at bar 3's open
 @example(case=_edge_case([0, 1, 0, 0, 0, 0, 0]))
+# a round trip at 11 and 13, then an entry signal that would fill on the
+# final bar and is skipped
+@example(case=_edge_case([0, 1, 1, 0, 0, 1, 1]))
 # entry signal on the last bar, and one that would fill on the last bar
 @example(case=_edge_case([0, 0, 0, 0, 0, 0, 1]))
 @example(case=_edge_case([0, 0, 0, 0, 0, 1, 1]))
@@ -109,6 +111,12 @@ def _edge_case(positions):
 @example(case=_edge_case([0, 1, 1, 1, 1, 1, 0]))
 # forced close of a position still held at the end, after a round trip
 @example(case=_edge_case([1, 0, 1, 1, 1, 1, 1]))
+# a position held from bar 1 to the end: entered at 11, out at the last
+# close, 12, not at an open
+@example(case=_edge_case([0, 1, 1, 1, 1, 1, 1]))
+# always long in bars [2, 5): entered at bar 3's open, forced out at bar
+# 4's close; the benchmark covers the same bars
+@example(case=(*_edge_case([1] * 7)[:3], (2, 5), 5.0))
 # a trade whose costs take more than what is left of its stake
 @example(case=([1.0] * 5, [1.0, 1.0, 313.0, 1.0, 1.0],
                [False, True, False, False, False], (0, 4), 16.0))
@@ -157,63 +165,6 @@ def test_entry_bars_count_the_backtest_trades(positions):
         series, positions, series.start_date, series.span_end)[0])
 
 
-def test_single_trade_hand_example():
-    # closes 10,11,12,13,12,11,12; opens are the prior close. A long signal
-    # appearing at bar 1 fills at bar 2's open (11); the exit signal at
-    # bar 3 fills at bar 4's open (13).
-    series = make_series([10, 11, 12, 13, 12, 11, 12])
-    pos = np.array([0, 1, 1, 0, 0, 1, 1], dtype=bool)
-    res = run_backtest(series, pos)
-    assert res.n_trades == 1
-    assert res.trade_returns[0] == 13.0 / 11.0 - 1.0
-    assert res.trade_exit_dates.tolist() == [D(2020, 1, 5)]
-    # the entry signal at bar 5 would fill on the final bar and is skipped
-    assert res.total_return == pytest.approx(2.0 / 11.0)
-    assert res.benchmark_total_return == pytest.approx(12.0 / 10.0 - 1.0)
-
-
-def test_cost_haircut_per_round_trip():
-    # backtests are gross; 10 bps per side costs 0.002 per round trip
-    series = make_series([10, 11, 12, 13, 12, 11, 12])
-    pos = np.array([0, 1, 1, 0, 0, 0, 0], dtype=bool)
-    res = run_backtest(series, pos)
-    assert res.trade_returns.tolist() == [13.0 / 11.0 - 1.0]
-    assert recompound_with_costs(res.trade_returns, 10.0) == pytest.approx(
-        13.0 / 11.0 - 1.0 - 0.002, rel=1e-12)
-
-
-def test_force_exit_at_last_close():
-    series = make_series([10, 11, 12, 13, 12, 11, 12])
-    pos = np.array([0, 1, 1, 1, 1, 1, 1], dtype=bool)
-    res = run_backtest(series, pos)
-    assert res.n_trades == 1
-    # entered at 11, exited at the last close (12), not at an open
-    assert res.trade_returns[0] == 12.0 / 11.0 - 1.0
-    assert res.trade_exit_dates.tolist() == [D(2020, 1, 7)]
-
-
-def test_entry_on_final_bar_is_skipped():
-    series = make_series([10, 11, 12, 13, 12, 11, 12])
-    pos = np.array([0, 0, 0, 0, 0, 1, 1], dtype=bool)
-    res = run_backtest(series, pos)
-    assert res.n_trades == 0
-    assert res.total_return == 0.0
-
-
-def test_window_restricts_execution():
-    series = make_series([10, 11, 12, 13, 12, 11, 12])
-    pos = np.ones(7, dtype=bool)
-    window = series.slice(D(2020, 1, 3), D(2020, 1, 6))
-    res = run_backtest(window, pos[2:5])
-    # within [bar2, bar5): entry fills at bar 3 open, forced out at bar 4
-    # close; the benchmark covers the same bars
-    assert (window.start_date, window.span_end) == (D(2020, 1, 3),
-                                                    D(2020, 1, 6))
-    assert res.trade_returns.tolist() == [12.0 / 12.0 - 1.0]
-    assert res.trade_exit_dates.tolist() == [D(2020, 1, 5)]
-    assert res.benchmark_total_return == pytest.approx(12.0 / 12.0 - 1.0)
-
-
 def test_always_long_equals_buy_and_hold():
     # With opens gapping to the prior close, an always-long strategy entered
     # at the second bar compounds to exactly the buy-and-hold return.
@@ -224,17 +175,6 @@ def test_always_long_equals_buy_and_hold():
     assert res.n_trades == 1
     assert res.total_return == pytest.approx(res.benchmark_total_return,
                                              abs=1e-12)
-
-
-def test_equity_points_compound():
-    series = make_series([10, 11, 12, 13, 12, 11, 13, 14, 15])
-    pos = np.array([0, 1, 1, 0, 0, 1, 1, 0, 0], dtype=bool)
-    res = run_backtest(series, pos)
-    assert res.n_trades == 2
-    r = res.trade_returns
-    np.testing.assert_allclose(res.equity_points,
-                               np.cumprod(1 + r) - 1)
-    assert res.total_return == pytest.approx(res.equity_points[-1])
 
 
 # --- benchmark helpers -----------------------------------------------------

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtscore.data import decode_config
 from gtscore.engine import (
     BacktestResult,
     benchmark_arithmetic_mean,
@@ -175,17 +174,6 @@ def test_penalty_dominates_every_branch():
 
 
 # --- config ----------------------------------------------------------------
-
-
-def test_config_validation():
-    with pytest.raises(ConfigError, match="below_min_penalty: must be > 200"):
-        ObjectiveConfig(below_min_penalty=150.0)
-    with pytest.raises(ConfigError, match="eps: must be > 0"):
-        ObjectiveConfig(eps=0.0)
-    # an enum is checked by type, where its JSON form is decoded
-    with pytest.raises(ConfigError, match="benchmark_mode: 'median' is not "
-                                          "a valid BenchmarkMode"):
-        decode_config(ObjectiveConfig, {"benchmark_mode": "median"})
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -531,6 +519,11 @@ def equity_pools(draw):
          lo=40, width=5)
 @example(pool=(300, [([10, 100], [0.2, -0.1])]), threshold=0.5, window=2,
          lo=20, width=0)
+# flat equity, with no trade or one on the window's first day, settles
+# each candidate well before the end of the default n_range; the scan runs
+# on to it and keeps each candidate's first settled count
+@example(pool=(365, [([], []), ([0], [0.1])]), threshold=0.01, window=3,
+         lo=10, width=90)
 def test_stabilized_count_matches_oracle(pool, threshold, window, lo, width):
     span, cands = pool
     win = (START, START + dt.timedelta(days=span))
@@ -665,22 +658,6 @@ def test_stabilized_count_plateaus_on_flat_equity():
 def test_stabilized_empty_pool_is_empty():
     window = (START, START + dt.timedelta(days=365))
     assert stabilized_period_returns([], [], window, CFG) == []
-
-
-def test_stabilized_pool_settled_before_n_range_end_matches_oracle():
-    # flat equity, with no trade or with one on the window's first day,
-    # settles every candidate well before n_range's end; the scan runs on
-    # to it and keeps each candidate's first settled count
-    window = (START, START + dt.timedelta(days=365))
-    dates, equity = no_trades()
-    dates = [dates, np.array([START], "datetime64[D]")]
-    equity = [equity, np.array([0.1])]
-    got = stabilized_period_returns(dates, equity, window, CFG)
-    assert max(map(len, got)) < CFG.stabilization.n_range[1]
-    for returns, d, e in zip(got, dates, equity):
-        n = oracle_stabilized_count(d, e, window, CFG)
-        np.testing.assert_array_equal(
-            returns, oracle_period_returns(d.tolist(), e, window, n))
 
 
 def test_stabilized_mode_bypasses_trade_gate():

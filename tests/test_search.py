@@ -15,13 +15,12 @@ from gtscore.data import (
     PriceSeries,
     SplitSpec,
     SyntheticSpec,
-    decode_config,
     generate_synthetic_series,
     make_chrono_split,
     make_walkforward_splits,
 )
 from gtscore.engine import BacktestResult, run_backtest
-from gtscore.errors import ConfigError, DataError
+from gtscore.errors import DataError
 from gtscore.objective import (
     ObjectiveConfig,
     ObjectiveKind,
@@ -33,7 +32,6 @@ from gtscore.objective import (
 from gtscore import indicators, objective, search, strategy
 from gtscore.cli import (
     TRIAL_COLUMNS,
-    RunConfig,
     aggregate_by_objective,
     aggregate_by_period,
     aggregate_by_split,
@@ -141,7 +139,7 @@ def test_candidate_rng_distinguishes_key_parts():
 # --- cells -----------------------------------------------------------------
 
 
-def test_run_trial_deterministic():
+def test_run_task_deterministic():
     a = run_task(task_for(), OBJECTIVES, CFG)
     b = run_task(task_for(), OBJECTIVES, CFG)
     assert [r["objective"] for r in a] == [k.value for k in OBJECTIVES]
@@ -161,7 +159,7 @@ def composed_loss(kind, bt, cfg=CFG):
     return baseline_loss(kind, ctx, bt.total_return, cfg)
 
 
-def test_run_trial_replay_oracle():
+def test_run_task_replay_oracle():
     # Recompute every candidate's loss independently under each objective;
     # the reported winner must be the first candidate attaining the minimum.
     task = task_for(budget=15)
@@ -182,7 +180,7 @@ def test_run_trial_replay_oracle():
 def admitted_and_gated_picks(task, cfg):
     """Per cell of `task`, from full training backtests of every candidate:
     the candidates the n_min gate admits, and the gated ones that some
-    objective picks (replayed as in `test_run_trial_replay_oracle`)."""
+    objective picks (replayed as in `test_run_task_replay_oracle`)."""
     out = []
     for family, seed in cells_of(task):
         bts = [backtest_on(p, SPLIT.train_start, SPLIT.train_end)
@@ -201,7 +199,7 @@ def admitted_and_gated_picks(task, cfg):
 GATE_TASK = task_for(list(StrategyKind), [42, 43], budget=12)
 
 
-def test_run_cell_backtests_each_candidate_once(monkeypatch):
+def test_run_task_backtests_each_candidate_once(monkeypatch):
     # Training backtests run once per admitted candidate and once per gated
     # pick (its trial reports it), never for a gated candidate no
     # objective picks; out-of-sample backtests once per distinct admitted
@@ -241,7 +239,7 @@ def spy_contexts(monkeypatch):
     return calls
 
 
-def test_run_cell_one_metric_context_per_candidate(monkeypatch):
+def test_run_task_one_metric_context_per_candidate(monkeypatch):
     # One metric context per candidate the n_min gate admits, shared by
     # every objective; none for a gated candidate, picked or not.
     admitted = sum(len(a) for a, _ in
@@ -357,51 +355,6 @@ def test_degenerate_trial_has_empty_oos():
         assert res["oos_trades"] == 0
         assert res["oos_return"] == 0.0
         assert res["oos_trade_returns_json"].size == 0
-
-
-def test_walkforward_windows_below_two_bars(caplog):
-    # One bar in 2010 and one in 2013 around daily 2011-2012 and
-    # 2014-2015: with one-year windows two years apart, split 0 trains on
-    # 1 bar, split 1 validates on 1 bar and split 2 holds two full years.
-    # A window that short is skipped with one warning per split, and the
-    # full split keeps its calendar id and the trials it gets alone.
-    dates = np.concatenate([[np.datetime64("2010-01-01")],
-                            np.datetime64("2011-01-01") + np.arange(731),
-                            [np.datetime64("2013-07-01")],
-                            np.datetime64("2014-01-01") + np.arange(730)])
-    body = make_asset(seed=4, n_days=len(dates))
-    gappy = PriceSeries("G", dates, body.opens, body.highs, body.lows,
-                        body.closes, body.volumes)
-    settings = dict(train_years=1, val_years=1, step_years=2, embargo_days=0)
-    results = search.run_walkforward(
-        [gappy], [StrategyKind.BOLLINGER], OBJECTIVES, FEW_TRADES, budget=6,
-        **settings)
-    assert [r.getMessage() for r in caplog.records
-            if r.name == "gtscore.search"] == [
-        "skipping G split 0: 1 training and 365 validation bars, "
-        "need >= 2 each",
-        "skipping G split 1: 366 training and 1 validation bars, "
-        "need >= 2 each"]
-    assert len(results) == len(OBJECTIVES)
-    assert {r["split_id"] for r in results} == {2}
-    tail = gappy.slice(dt.date(2014, 1, 1), dt.date(2016, 1, 1))
-    alone = search.run_walkforward(
-        [tail], [StrategyKind.BOLLINGER], OBJECTIVES, FEW_TRADES, budget=6,
-        **settings)
-    assert {r["split_id"] for r in alone} == {0}
-
-    def task_windows(series):
-        return [(t.train, t.val) for t in study_tasks(
-            [series], [StrategyKind.BOLLINGER],
-            lambda s: make_walkforward_splits(s, **settings),
-            [search.WALKFORWARD_SEED])]
-
-    # the tail's one split is the full split of the gappy series
-    assert task_windows(tail) == task_windows(gappy)
-    assert len(task_windows(tail)) == 1
-    assert (list(_outcomes(results).values())
-            == list(_outcomes(alone).values()))
-    assert not all(r["degenerate"] for r in results)
 
 
 def _outcomes(results):
@@ -758,12 +711,6 @@ def test_walkforward_spec_count():
     assert split_ids == set(range(9))
     assert sum(len(cells_of(t)) for t in tasks) == 3 * 9
     assert all(t.seeds == (42,) for t in tasks)
-
-
-def test_study_tasks_need_seeds():
-    # a study's seeds are its config's, which names at least one
-    with pytest.raises(ConfigError, match="^mc.seeds: must name at least"):
-        decode_config(RunConfig, {"mc": {"seeds": []}})
 
 
 # --- aggregation -----------------------------------------------------------

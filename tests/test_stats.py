@@ -143,20 +143,11 @@ def test_exact_rejects_large_n():
         wilcoxon_exact_p(np.arange(1.0, 15.0))
 
 
-def test_signed_rank_uses_exact_for_small_n():
-    rng = np.random.Generator(np.random.Philox(43))
+def test_signed_rank_matches_scipy_exact():
+    # every n up to the limit takes the exact p
+    rng = np.random.Generator(np.random.Philox(44))
     for _ in range(50):
         n = int(rng.integers(2, WILCOXON_EXACT_MAX_N + 1))
-        a = rng.standard_normal(n)
-        b = rng.standard_normal(n)
-        w, p = wilcoxon_signed_rank(a, b)
-        assert p == pytest.approx(oracle_exact_p(a - b), abs=1e-12)
-
-
-def test_signed_rank_matches_scipy_exact():
-    rng = np.random.Generator(np.random.Philox(44))
-    for _ in range(30):
-        n = int(rng.integers(4, WILCOXON_EXACT_MAX_N + 1))
         a = rng.standard_normal(n)
         b = rng.standard_normal(n)
         w, p = wilcoxon_signed_rank(a, b)
@@ -166,11 +157,15 @@ def test_signed_rank_matches_scipy_exact():
 
 
 def test_signed_rank_matches_scipy_approx():
+    # continuous differences, and half-integer ones whose ties shrink the
+    # variance (zeros among them are dropped, leaving more than 12)
     rng = np.random.Generator(np.random.Philox(45))
-    for _ in range(30):
+    for ties in [False, True] * 15:
         n = int(rng.integers(WILCOXON_EXACT_MAX_N + 1, 60))
         a = rng.standard_normal(n)
         b = rng.standard_normal(n)
+        if ties:
+            a, b = rng.integers(-4, 5, size=n + 30) / 2.0, np.zeros(n + 30)
         w, p = wilcoxon_signed_rank(a, b)
         want = scipy.stats.wilcoxon(a, b, method="approx", correction=True)
         assert w == pytest.approx(want.statistic)

@@ -4,7 +4,6 @@ import datetime as dt
 from dataclasses import fields
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -194,62 +193,6 @@ def test_rsi_jump_through_both_levels_flips_state():
         assert signals(p, make_series(closes)).tolist() == want
 
 
-def test_rsi_signals_match_rule():
-    rng = np.random.Generator(np.random.Philox(21))
-    series = make_series(random_closes(rng, 300))
-    p = RsiParams(10, 30.0, 70.0)
-    ind = rsi(series.closes, p.period)
-    n = len(ind)
-    enter = [False] * n
-    leave = [False] * n
-    valid = [False] * n
-    for i in range(1, n):
-        if np.isnan(ind[i]) or np.isnan(ind[i - 1]):
-            continue
-        valid[i] = True
-        enter[i] = ind[i - 1] < p.oversold <= ind[i]
-        leave[i] = ind[i] >= p.overbought
-    assert signals(p, series).tolist() == oracle_positions(enter, leave, valid)
-
-
-def test_macd_signals_match_rule():
-    rng = np.random.Generator(np.random.Philox(22))
-    series = make_series(random_closes(rng, 300))
-    p = MacdParams(8, 21, 5)
-    line, sig, _ = macd(series.closes, p.fast, p.slow, p.signal)
-    diff = line - sig
-    n = len(diff)
-    enter = [False] * n
-    leave = [False] * n
-    valid = [False] * n
-    for i in range(1, n):
-        if np.isnan(diff[i]) or np.isnan(diff[i - 1]):
-            continue
-        valid[i] = True
-        enter[i] = diff[i - 1] <= 0 < diff[i]
-        leave[i] = diff[i - 1] >= 0 > diff[i]
-    assert signals(p, series).tolist() == oracle_positions(enter, leave, valid)
-
-
-def test_bollinger_signals_match_rule():
-    rng = np.random.Generator(np.random.Philox(23))
-    series = make_series(random_closes(rng, 300))
-    p = BollingerParams(15, 1.5)
-    mid, _, lower = bollinger(series.closes, p.window, p.k)
-    closes = series.closes
-    n = len(closes)
-    enter = [False] * n
-    leave = [False] * n
-    valid = [False] * n
-    for i in range(n):
-        if np.isnan(mid[i]):
-            continue
-        valid[i] = True
-        enter[i] = closes[i] < lower[i]
-        leave[i] = closes[i] >= mid[i]
-    assert signals(p, series).tolist() == oracle_positions(enter, leave, valid)
-
-
 def test_signals_flat_during_warmup():
     rng = np.random.Generator(np.random.Philox(24))
     series = make_series(random_closes(rng, 100))
@@ -330,6 +273,9 @@ def _bytes(sigs):
     MacdParams(5, 30, 9), BollingerParams(20, 2.0), BollingerParams(20, 1.0),
     RsiParams(14, 30.0, 70.0), RsiParams(14, 25.0, 75.0),
     BollingerParams(41, 2.0)])
+# each family's rule on a 300-bar series
+@example(n=300, seed=21, pool=[RsiParams(10, 30.0, 70.0), MacdParams(8, 21, 5),
+                               BollingerParams(15, 1.5)])
 def test_pool_signals_match_reference(n, seed, pool):
     # One call for a pool whose windows include warm-ups too long for the
     # series (flat on every bar): each entry equals the reference and the
