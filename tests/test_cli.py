@@ -86,32 +86,6 @@ WF_MANIFEST = {"assets": [{
 WF_STUDY = "wf"  # the workspace's walkforward study
 
 
-@pytest.fixture(scope="module")
-def workspace(tmp_path_factory):
-    """Synthetic data, a montecarlo run and the study of the
-    `walkforward/workspace` row (WF_STUDY)."""
-    root = tmp_path_factory.mktemp("cli")
-    spec_path = root / "manifest.json"
-    spec_path.write_text(json.dumps(small_manifest()))
-    data_dir = root / "data"
-    assert main(["synth", "--spec", str(spec_path),
-                 "--out", str(data_dir)]) == 0
-
-    cfg = RunConfig(data_dir=str(data_dir),
-                    mc=MonteCarloConfig(seeds=[42, 43]),
-                    budget=5, out_dir=str(root / "mc"))
-    cfg_path = root / "config.json"
-    cfg_path.write_text(json.dumps(encode_config(cfg)))
-    assert main(["montecarlo", "--config", str(cfg_path)]) == 0
-    (wf,) = pinned(["walkforward/workspace"])
-    d = tmp_path_factory.mktemp("wf")
-    make_files(wf.files, d, root)
-    for argv in wf.argvs:
-        succeed(argv, d, root)
-    shutil.copytree(d / "out", root / WF_STUDY)
-    return root, cfg_path
-
-
 FIXTURE_ASSETS = Path(__file__).parent / "fixtures" / "study_assets.json"
 
 
@@ -271,10 +245,10 @@ PINNED = [
 ]
 
 
-def pinned(ids):
-    """The rows of `PINNED` whose ids are `ids`, in that order."""
-    rows = {row.id: row for row in PINNED}
-    return [rows[i] for i in ids]
+def pinned(row_id):
+    """The row of `PINNED` whose id is `row_id`."""
+    (row,) = [row for row in PINNED if row.id == row_id]
+    return row
 
 
 def succeed(argv, d, ws):
@@ -286,46 +260,91 @@ def succeed(argv, d, ws):
     return out
 
 
+def run_row(row_id, d, ws):
+    """Run the row of `PINNED` whose id is `row_id` in the empty directory
+    `d`, with the data `ws`: each command line must succeed."""
+    row = pinned(row_id)
+    make_files(row.files, d, ws)
+    for argv in row.argvs:
+        succeed(argv, d, ws)
+
+
+def check_row(row_id, d, ws):
+    """The row's files must be in `{d}/out`, where it ran; there `verify`
+    and `report` must succeed, `report` print the row's text, and neither
+    change a file."""
+    row, out = pinned(row_id), d / "out"
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())} == row.sha256, row.id
+    if row.report is not None:
+        before = tree_state(out)
+        succeed("verify --out {d}/out", d, ws)
+        text = succeed("report --out {d}/out", d, ws)
+        assert hashlib.sha256(text.encode()).hexdigest() == row.report, row.id
+        assert tree_state(out) == before, row.id
+
+
 def run_pinned(ids, tmp_path, ws):
-    """Run each row of `ids` in a directory of its own under `tmp_path`,
-    with the data `ws`: each command line must succeed and leave the
-    row's files in `{d}/out`; there `verify` and `report` must succeed,
-    `report` print the row's text, and neither change a file."""
-    for i, row in enumerate(pinned(ids)):
+    """`run_row` then `check_row` on each row of `ids`, each in a directory
+    of its own under `tmp_path`."""
+    for i, row_id in enumerate(ids):
         d = tmp_path / str(i)
         d.mkdir()
-        make_files(row.files, d, ws)
-        for argv in row.argvs:
-            succeed(argv, d, ws)
-        out = d / "out"
-        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in sorted(out.iterdir())} == row.sha256, row.id
-        if row.report is not None:
-            before = tree_state(out)
-            succeed("verify --out {d}/out", d, ws)
-            text = succeed("report --out {d}/out", d, ws)
-            assert (hashlib.sha256(text.encode()).hexdigest()
-                    == row.report), row.id
-            assert tree_state(out) == before, row.id
+        run_row(row_id, d, ws)
+        check_row(row_id, d, ws)
 
 
-# each row runs once, in the test that pinned its run before the table,
-# under that test's name
-def test_synth_writes_loadable_csvs(workspace, tmp_path):
-    run_pinned(["synth/workspace"], tmp_path, workspace[0])
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    """The workspace `root`, and the directory each of three rows of
+    `PINNED` ran in, by id. Each row runs once, here, and its outputs make
+    the workspace: `synth/workspace` its `data/`, `montecarlo/workspace` its
+    `mc` (without the row's cost_sensitivity.csv) and
+    `walkforward/workspace` its WF_STUDY."""
+    root = tmp_path_factory.mktemp("cli")
+    (root / "manifest.json").write_text(json.dumps(small_manifest()))
+    (root / "config.json").write_text(json.dumps(encode_config(RunConfig(
+        data_dir=str(root / "data"), mc=MonteCarloConfig(seeds=[42, 43]),
+        budget=5, out_dir=str(root / "mc")))))
+    runs = {}
+    for row_id, name, without in [
+            ("synth/workspace", "data", ()),
+            ("montecarlo/workspace", "mc", ("cost_sensitivity.csv",)),
+            ("walkforward/workspace", WF_STUDY, ())]:
+        runs[row_id] = d = tmp_path_factory.mktemp("run")
+        run_row(row_id, d, root)
+        shutil.copytree(d / "out", root / name,
+                        ignore=shutil.ignore_patterns(*without))
+    return root, runs
 
 
-def test_costsweep_and_report(workspace, tmp_path):
-    run_pinned(["montecarlo/workspace"], tmp_path, workspace[0])
+@pytest.fixture(scope="module")
+def stabilized(workspace, tmp_path_factory):
+    """The directory the `montecarlo/stabilized` row ran in, once; its
+    study is `out` there. A test that writes into the study copies it."""
+    d = tmp_path_factory.mktemp("stabilized")
+    run_row("montecarlo/stabilized", d, workspace[0])
+    return d / "out"
 
 
-def test_walkforward_end_to_end(workspace, tmp_path):
-    run_pinned(["walkforward/workspace"], tmp_path, workspace[0])
+def test_synth_writes_loadable_csvs(workspace):
+    root, runs = workspace
+    check_row("synth/workspace", runs["synth/workspace"], root)
 
 
-def test_stabilized_output_files_pinned(workspace, tmp_path):
-    run_pinned(["montecarlo/stabilized", "montecarlo/stabilized int penalty"],
-               tmp_path, workspace[0])
+def test_costsweep_and_report(workspace):
+    root, runs = workspace
+    check_row("montecarlo/workspace", runs["montecarlo/workspace"], root)
+
+
+def test_walkforward_end_to_end(workspace):
+    root, runs = workspace
+    check_row("walkforward/workspace", runs["walkforward/workspace"], root)
+
+
+def test_stabilized_output_files_pinned(workspace, stabilized, tmp_path):
+    check_row("montecarlo/stabilized", stabilized.parent, workspace[0])
+    run_pinned(["montecarlo/stabilized int penalty"], tmp_path, workspace[0])
 
 
 def test_benchmark_studies_pinned(fixture_ws, tmp_path):
@@ -335,14 +354,6 @@ def test_benchmark_studies_pinned(fixture_ws, tmp_path):
 
 def test_reference_walkforward_pinned(fixture_ws, tmp_path):
     run_pinned(["walkforward/reference"], tmp_path, fixture_ws)
-
-
-def stabilized_study(ws, d):
-    """The study of the `montecarlo/stabilized` row, run in `d` on the
-    workspace `ws`; its output directory."""
-    make_files({"cfg.json": STABILIZED}, d, ws)
-    assert main(["montecarlo", "--config", str(d / "cfg.json")]) == 0
-    return d / "out"
 
 
 # perfbench/tracer.py spans whose target no longer exists; repointing them
@@ -382,13 +393,16 @@ def test_tracer_cli_targets_resolve():
 def test_mutation_ledger_names_what_exists():
     # tools/mutants.py runs outside tier-1: a rename in src or tests must
     # fail here, not leave a mutant that changes nothing or expects a test
-    # that is gone
+    # or a group of `CASES` that is gone
+    groups = set(map(group_of, CASES))
     for mutant in module_at("tools/mutants.py").LEDGER:
         text = (REPO / mutant.path).read_text()
         assert text.count(mutant.snippet) == 1, mutant.id
         for test in mutant.tests:
             path, name = test.split("[")[0].split("::")
             assert f"\ndef {name}(" in (REPO / path).read_text(), test
+            if name == "test_exit_contract":
+                assert test.removesuffix("]").split("[")[1] in groups, test
 
 
 def test_benchmark_runs_from_a_copy(tmp_path):
@@ -482,11 +496,10 @@ def test_run_config_json_round_trip():
     assert decode_config(RunConfig, doc) == cfg
 
 
-def test_trial_rows_round_trip_returns(workspace, tmp_path):
+def test_trial_rows_round_trip_returns(stabilized):
     # the stabilized study, whose trials trade out of sample (every trial
     # of the workspace's own montecarlo study is degenerate)
-    rows = read_trials_csv(
-        stabilized_study(workspace[0], tmp_path) / "trials.csv")
+    rows = read_trials_csv(stabilized / "trials.csv")
     assert any(r["oos_trades"] for r in rows)
     for r in rows:
         returns = r["oos_trade_returns_json"]
@@ -563,12 +576,13 @@ def test_trial_rows_read_back_as_written(tmp_path, drawn):
     assert csv_text(TRIAL_COLUMNS, rows) == text
 
 
-def test_costsweep_wiped_out_trade_loses_its_stake(workspace, tmp_path):
+def test_costsweep_wiped_out_trade_loses_its_stake(stabilized, tmp_path):
     # at 4,999 bps a side the round trip's haircut is 99.98%, so each losing
     # trade of the stabilized study is wiped out: its wealth factor floors
     # at 0 and its trial returns exactly -100%, also where an even number
     # of negative factors would multiply to a gain
-    out = stabilized_study(workspace[0], tmp_path)
+    out = tmp_path / "out"
+    shutil.copytree(stabilized, out)
     assert main(["costsweep", "--trials", str(out / "trials.csv"),
                  "--out", str(out), "--bps", "0,4999"]) == 0
     rows = read_trials_csv(out / "trials.csv")
@@ -588,13 +602,12 @@ def test_costsweep_wiped_out_trade_loses_its_stake(workspace, tmp_path):
     assert min(means.values()) >= -1.0
 
 
-def test_cost_zero_level_matches_oos_mean(workspace, tmp_path):
+def test_cost_zero_level_matches_oos_mean(workspace, stabilized, tmp_path):
     # the workspace study (default levels) makes no out-of-sample trade,
     # so only the stabilized one (89 trades) shows a cost being charged
     root, _ = workspace
     traded = []
-    for study, bps in ((root / "mc", []),
-                       (stabilized_study(root, tmp_path), ["--bps", "0,10"])):
+    for study, bps in ((root / "mc", []), (stabilized, ["--bps", "0,10"])):
         out = tmp_path / "costs" / study.name
         assert main(["costsweep", "--trials", str(study / "trials.csv"),
                      "--out", str(out), *bps]) == 0
@@ -611,14 +624,6 @@ def test_cost_zero_level_matches_oos_mean(workspace, tmp_path):
                     traded.append(cells["objective"])
                     assert float(cells["bps_10"]) < float(cells["bps_0"])
     assert traded
-
-
-def test_verify_passes_then_catches_tampering(workspace, tmp_path,
-                                              posix_main):
-    # `report` prints only what `verify` proves: on every directory both
-    # exit with the same code, and an error is the same one line; both
-    # pass on each study of `PINNED`, and fail alike on these
-    run_cases(in_group("tampered_study"), tmp_path, workspace[0], posix_main)
 
 
 @pytest.mark.parametrize("study, stray", [("mc", "periods.csv"),
@@ -639,8 +644,7 @@ def test_a_recomputable_stray_file_is_verified(study, stray, workspace,
     assert tree_state(tmp_path / "s") == before
 
 
-def test_walkforward_skips_splits_below_two_bars(workspace, tmp_path, capsys,
-                                                 posix_main):
+def test_walkforward_skips_splits_below_two_bars(workspace, tmp_path, capsys):
     # Split k of one-year windows two years apart trains on year 2k and
     # validates on year 2k + 1 of 2010-2015. N holds every day. G holds
     # one bar of 2010 and one of 2013, so its splits 0 and 1 are skipped
@@ -648,7 +652,7 @@ def test_walkforward_skips_splits_below_two_bars(workspace, tmp_path, capsys,
     # trials that G's last two years get alone, as their split 0. H also
     # holds one bar of 2014-2015, so it keeps no split.
     ws = workspace[0]
-    (case,) = named("no_split/walkforward H")
+    case = named("no_split/walkforward H")
     cfg = {**case.files["cfg.json"], "objective": {"n_min": 5}}
     make_files({"cfg.json": {**cfg, "assets": ["N", "G"]},
                 "data/N.csv": lone_days_csv("N", range(2010, 2016)),
@@ -678,7 +682,6 @@ def test_walkforward_skips_splits_below_two_bars(workspace, tmp_path, capsys,
     others = [column for column in TRIAL_COLUMNS if column != "split_id"]
     assert csv_text(others, alone) == csv_text(
         others, [r for r in rows if r["asset"] == "G"])
-    run_cases([case], tmp_path, ws, posix_main)
 
 
 def test_files_are_utf8_under_an_ascii_locale(workspace, tmp_path,
@@ -705,13 +708,12 @@ def test_files_are_utf8_under_an_ascii_locale(workspace, tmp_path,
         assert verify[0] == 0, verify
 
 
-def test_zero_day_training_side_skips_the_asset(workspace, tmp_path, capsys,
-                                                posix_main):
+def test_zero_day_training_side_skips_the_asset(workspace, tmp_path, capsys):
     # a 3-bar asset whose training side rounds to 0 days is skipped with
     # one warning: alone it leaves the study without a cell (exit 2),
     # beside a valid asset the study completes without it
-    root, _ = workspace
-    (case,) = named("no_split/montecarlo S")
+    root = workspace[0]
+    case = named("no_split/montecarlo S")
     make_files({**case.files, "data/AA.csv": copied("data/AA.csv"),
                 "cfg.json": {**case.files["cfg.json"], "assets": ["S", "AA"]}},
                tmp_path, root)
@@ -720,7 +722,6 @@ def test_zero_day_training_side_skips_the_asset(workspace, tmp_path, capsys,
     assert capsys.readouterr().err == case.warnings[0] + "\n"
     assert {r["asset"] for r in read_trials_csv(
         tmp_path / "out" / "trials.csv")} == {"AA"}
-    run_cases([case], tmp_path, root, posix_main)
 
 
 def tree_state(root):
@@ -736,7 +737,7 @@ def test_write_failure_changes_no_file(workspace, tmp_path, capsys,
     # third file fails to write; a costsweep whose one file does; and a
     # study that fails once part of its trials.csv is on disk, the rows
     # being streamed into the temporary file
-    root, cfg_path = workspace
+    root = workspace[0]
     study = tmp_path / "mc"
     shutil.copytree(root / "mc", study)
     assert main(["costsweep", "--trials", str(study / "trials.csv"),
@@ -759,7 +760,7 @@ def test_write_failure_changes_no_file(workspace, tmp_path, capsys,
 
     monkeypatch.setattr(cli, "write_csv", failing)
     monkeypatch.setattr(cli, "_cell", cell)
-    cfg = load_config(str(cfg_path))
+    cfg = load_config(str(root / "config.json"))
     cfg.mc.seeds = [7, 8]
     (tmp_path / "seeds.json").write_text(json.dumps(encode_config(cfg)))
     seeds = ["montecarlo", "--config", str(tmp_path / "seeds.json")]
@@ -781,7 +782,7 @@ def test_write_failure_removes_the_directories_it_made(workspace, tmp_path,
     # a directory that exists, and into one it makes, which it removes
     # again with the parents it made; so does a costsweep into fresh/a/b
     # whose one file fails. Each exits 1 in one line.
-    root, _ = workspace
+    root = workspace[0]
     kept, fresh = tmp_path / "kept", tmp_path / "fresh" / "a"
     kept.mkdir()
     real, calls = cli.write_csv, []
@@ -880,16 +881,14 @@ def config_levels(tp, path=()):
             yield from config_levels(hint, where)
 
 
-def test_config_rules_from_the_fields(workspace, tmp_path, posix_main):
-    # the rules read from the dataclass fields, checked through the CLI: at
-    # every level of a run config and of a manifest, an added unknown key,
-    # and an empty list in each field declared NONEMPTY, exits 1 with one
-    # error line naming its path, and writes no file
-    rows = in_group("config_rules")
-    assert [case.id.split(": ")[1] for case in rows
+def test_config_rules_from_the_fields():
+    # the rules read from the dataclass fields, the `config_rules` rows of
+    # `CASES`: at every level of a run config and of a manifest, an added
+    # unknown key, and an empty list in each field declared NONEMPTY, here
+    # these three, exits 1 with one error line naming its path
+    assert [case.id.split(": ")[1] for case in in_group("config_rules")
             if case.error.endswith("must name at least one")] == [
         "strategies", "objectives", "mc.seeds"]
-    run_cases(rows, tmp_path, workspace[0], posix_main)
 
 
 def test_help_exits_zero(capsys):
@@ -1363,25 +1362,22 @@ FALLING = weekday_csv(1e12 * 1e-24 ** np.linspace(0.0, 1.0, 900)
                       * (1.0 + 0.1 * np.sin(np.arange(900) / 3.0)))
 
 
-USAGE_ERRORS = [
-    (["montecarlo", "--config", "c.json", "--bogus"],
-     "unrecognized arguments: --bogus"),
-    (["bogus"], "argument command: invalid choice: 'bogus'"),
-    ([], "the following arguments are required: command"),
-    (["montecarlo", "--config", "c.json", "--jobs", "two"],
-     "argument --jobs: invalid int value: 'two'"),
-    # removed options: a study's seeds are its config's, and `config init`
-    # prints, for the shell to redirect
-    (["montecarlo", "--config", "c.json", "--seed-range", "1..5"],
-     "unrecognized arguments: --seed-range 1..5"),
-    (["config", "init", "--out", "c.json"],
-     "unrecognized arguments: --out c.json")]
-
-
 CASES = [
     # a usage error is a config error
-    *(Case(f"usage_error/{shlex.join(argv)}", shlex.join(argv), 1,
-           f"{message}...") for argv, message in USAGE_ERRORS),
+    *(Case(f"usage_error/{argv}", argv, 1, f"{message}...")
+      for argv, message in [
+          ("montecarlo --config c.json --bogus",
+           "unrecognized arguments: --bogus"),
+          ("bogus", "argument command: invalid choice: 'bogus'"),
+          ("", "the following arguments are required: command"),
+          ("montecarlo --config c.json --jobs two",
+           "argument --jobs: invalid int value: 'two'"),
+          # removed options: a study's seeds are its config's, and `config
+          # init` prints, for the shell to redirect
+          ("montecarlo --config c.json --seed-range 1..5",
+           "unrecognized arguments: --seed-range 1..5"),
+          ("config init --out c.json",
+           "unrecognized arguments: --out c.json")]),
     # a --jobs below 1 is refused before the config or an asset CSV is
     # read: a config whose data_dir does not exist, and no config at all
     Case("jobs_below_one/0", tuple(
@@ -1805,8 +1801,10 @@ CASES = [
          "output path {d}/data/\\xe9t\\xe9.csv: the file system encoding "
          "(ascii) cannot name it", {"m.json": manifest(asset_id="été")},
          posix=True),
-    # a study that `verify` and `report` refuse alike: a derived file that
-    # is edited, cut to its header, or not UTF-8 text
+    # `report` prints only what `verify` proves: both pass on each study of
+    # `PINNED`, and on each study below both exit with the same code and
+    # the same one error line. A derived file that is edited, cut to its
+    # header, or not UTF-8 text
     tampered("edited aggregates.csv", 3,
              "aggregates.csv: differs from recomputation",
              {"aggregates.csv": copied("mc/aggregates.csv", lambda text:
@@ -1864,7 +1862,8 @@ CASES = [
              {"trials.csv": trials_with(lambda rows: rows[:3] + rows[4:])}),
     *config_rules(),
     # a study in which no asset keeps a split, after a warning for each one
-    # skipped (`test_walkforward_skips_splits_below_two_bars`,
+    # skipped (their files are read by
+    # `test_walkforward_skips_splits_below_two_bars` and
     # `test_zero_day_training_side_skips_the_asset`)
     Case("no_split/walkforward H", WF, 2, NO_SPLIT + "H", {
         "cfg.json": {**CFG, "assets": ["H"], "strategies": ["bollinger"],
@@ -1948,41 +1947,14 @@ def in_group(name):
 
 
 def named(case_id):
-    """The one case of `CASES` whose id is `case_id`, in a list."""
+    """The one case of `CASES` whose id is `case_id`."""
     (case,) = [case for case in CASES if case.id == case_id]
-    return [case]
+    return case
 
 
-# these groups run in the tests that held them before the table, under
-# those tests' names
-NAMED = ("usage_error", "bad_config", "output_path_os_error", "tampered_study",
-         "config_rules", "no_split")
-
-
-@pytest.mark.parametrize("group", [
-    group for group in dict.fromkeys(map(group_of, CASES))
-    if group not in NAMED])
+@pytest.mark.parametrize("group", list(dict.fromkeys(map(group_of, CASES))))
 def test_exit_contract(group, workspace, tmp_path, posix_main):
     run_cases(in_group(group), tmp_path, workspace[0], posix_main)
-
-
-@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
-def test_usage_error_exit_code(argv, message, workspace, tmp_path,
-                               posix_main):
-    run_cases(named(f"usage_error/{shlex.join(argv)}"), tmp_path,
-              workspace[0], posix_main)
-
-
-def test_bad_config_exit_code(workspace, tmp_path, posix_main):
-    run_cases(in_group("bad_config"), tmp_path, workspace[0], posix_main)
-
-
-@pytest.mark.parametrize("command", ["synth", "montecarlo", "costsweep",
-                                     "report"])
-def test_output_path_os_error_exit_code(command, workspace, tmp_path,
-                                        posix_main):
-    run_cases(named(f"output_path_os_error/{command}"), tmp_path,
-              workspace[0], posix_main)
 
 
 def test_case_ids_are_unique():

@@ -7,8 +7,9 @@ tests it names must catch it.
 An entry is a file, a snippet that occurs once in it, the snippet's
 replacement and the test ids expected to fail, applied in a temporary copy
 of the tree. The default mode runs each expected test with `-x` and exits
-1 if one passes. `--matrix` runs tier-1 per mutant, prints the tests each
-fails and, per test, its mutants, and exits 1 if a mutant fails no test.
+1 if one passes or is not found. `--matrix` runs tier-1 per mutant, prints
+the tests each fails and, per test, its mutants, and exits 1 if a mutant
+fails no test.
 Both take minutes, so neither is in tier-1; there,
 `test_mutation_ledger_names_what_exists` checks the ledger's names.
 """
@@ -130,7 +131,7 @@ LEDGER = [
       "test_stats.py::test_signed_rank_matches_scipy_approx"),
     m("sampler_top_excluded", "strategy.py", "rng.integers(lo, hi + 1)",
       "rng.integers(lo, hi)",
-      "test_strategy.py::test_sampler_hits_range_bounds"),
+      "test_strategy.py::test_sampler_matches_branch_oracle"),
     m("last_lowest_loss_wins", "search.py",
       "best = start + int(row[start:stop].argmin())",
       "best = stop - 1 - int(row[start:stop][::-1].argmin())",
@@ -162,15 +163,16 @@ LEDGER = [
     m("internal_error_exits_2", "cli.py",
       "3 if isinstance(exc, InternalCheckError)",
       "2 if isinstance(exc, InternalCheckError)",
-      "test_cli.py::test_verify_passes_then_catches_tampering"),
+      "test_cli.py::test_exit_contract[tampered_study]"),
     m("error_over_two_lines", "cli.py",
       'print(f"error: {_one_line(str(exc))}"', 'print(f"error: {exc}"',
-      "test_cli.py::test_bad_config_exit_code"),
+      "test_cli.py::test_exit_contract[bad_config]"),
     m("usage_error_from_argparse", "cli.py", "raise ConfigError(message)",
-      "super().error(message)", "test_cli.py::test_usage_error_exit_code"),
+      "super().error(message)",
+      "test_cli.py::test_exit_contract[usage_error]"),
     m("os_error_uncaught", "cli.py", "except (GtscoreError, OSError) as exc:",
       "except GtscoreError as exc:",
-      "test_cli.py::test_output_path_os_error_exit_code",
+      "test_cli.py::test_exit_contract[output_path_os_error]",
       "test_cli.py::test_write_failure_changes_no_file"),
     m("float_fault_raised_raw", "data.py",
       'raise DataError(f"{name}: {exc}") from None', "raise",
@@ -188,23 +190,23 @@ LEDGER = [
     m("repeated_trial_accepted", "cli.py", "if first != reader.line_num:",
       "if False:", "test_cli.py::test_exit_contract[malformed_trials]"),
     m("incomplete_study_accepted", "cli.py", "if all(missing.values()):",
-      "if False:", "test_cli.py::test_verify_passes_then_catches_tampering"),
+      "if False:", "test_cli.py::test_exit_contract[tampered_study]"),
     m("derived_bytes_unchecked", "cli.py", "if csv_text(cols, data) != text:",
-      "if False:", "test_cli.py::test_verify_passes_then_catches_tampering"),
+      "if False:", "test_cli.py::test_exit_contract[tampered_study]"),
     m("infinite_cell_written", "cli.py", "if inf:", "if False:",
       "test_cli.py::test_exit_contract[float_fault]"),
     m("bad_json_raised_raw", "cli.py",
       'raise ConfigError(f"config is not valid JSON: {exc}") from None',
-      "raise", "test_cli.py::test_bad_config_exit_code"),
+      "raise", "test_cli.py::test_exit_contract[bad_config]"),
     m("repeated_key_last_wins", "data.py",
       "doc[(key,) if key in doc else key] = value", "doc[key] = value",
-      "test_cli.py::test_bad_config_exit_code"),
+      "test_cli.py::test_exit_contract[bad_config]"),
     m("bounds_unchecked", "data.py",
       "if name in SIGNS and not getattr(operator, name)(value, limit):",
       "if False:", "test_cli.py::test_config_bounds_from_field_metadata"),
     m("empty_list_accepted", "data.py",
       'if f.metadata.get("nonempty") and not value:', "if False:",
-      "test_cli.py::test_config_rules_from_the_fields"),
+      "test_cli.py::test_exit_contract[config_rules]"),
     m("non_finite_volume_accepted", "data.py", "& np.isfinite(v))", ")",
       "test_data.py::test_validation_rejects_bad_ohlc"),
 ]
@@ -242,14 +244,16 @@ def failing(run):
 
 
 def check(mutants):
-    """Each expected test must fail (exit 1) under its mutant."""
+    """Each expected test must fail (exit 1) under its mutant; pytest exits
+    4 on an id it cannot find."""
     missed = 0
     for mutant in mutants:
         for test in mutant.tests:
-            caught = in_copy(mutant, "-x", test).returncode == 1
-            missed += not caught
-            print(f"{mutant.id}: {test} {'fails' if caught else 'PASSES'}",
-                  flush=True)
+            code = in_copy(mutant, "-x", test).returncode
+            missed += code != 1
+            outcome = {0: "PASSES", 1: "fails", 4: "NOT FOUND"}.get(
+                code, f"EXITS {code}")
+            print(f"{mutant.id}: {test} {outcome}", flush=True)
     print(f"{len(mutants)} mutants, {missed} expected tests not failing")
     return 1 if missed else 0
 
