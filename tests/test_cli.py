@@ -394,7 +394,6 @@ def test_mutation_ledger_names_what_exists():
     # tools/mutants.py runs outside tier-1: a rename in src or tests must
     # fail here, not leave a mutant that changes nothing or expects a test
     # or a group of `CASES` that is gone
-    groups = set(map(group_of, CASES))
     for mutant in module_at("tools/mutants.py").LEDGER:
         text = (REPO / mutant.path).read_text()
         assert text.count(mutant.snippet) == 1, mutant.id
@@ -402,7 +401,7 @@ def test_mutation_ledger_names_what_exists():
             path, name = test.split("[")[0].split("::")
             assert f"\ndef {name}(" in (REPO / path).read_text(), test
             if name == "test_exit_contract":
-                assert test.removesuffix("]").split("[")[1] in groups, test
+                assert test.split("[")[1][:-1] in CONTRACT_GROUPS, test
 
 
 def test_benchmark_runs_from_a_copy(tmp_path):
@@ -1362,22 +1361,25 @@ FALLING = weekday_csv(1e12 * 1e-24 ** np.linspace(0.0, 1.0, 900)
                       * (1.0 + 0.1 * np.sin(np.arange(900) / 3.0)))
 
 
+USAGE_ERRORS = [
+    (["montecarlo", "--config", "c.json", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+    (["montecarlo", "--config", "c.json", "--jobs", "two"],
+     "argument --jobs: invalid int value: 'two'"),
+    # removed options: a study's seeds are its config's, and `config init`
+    # prints, for the shell to redirect
+    (["montecarlo", "--config", "c.json", "--seed-range", "1..5"],
+     "unrecognized arguments: --seed-range 1..5"),
+    (["config", "init", "--out", "c.json"],
+     "unrecognized arguments: --out c.json")]
+
+
 CASES = [
     # a usage error is a config error
-    *(Case(f"usage_error/{argv}", argv, 1, f"{message}...")
-      for argv, message in [
-          ("montecarlo --config c.json --bogus",
-           "unrecognized arguments: --bogus"),
-          ("bogus", "argument command: invalid choice: 'bogus'"),
-          ("", "the following arguments are required: command"),
-          ("montecarlo --config c.json --jobs two",
-           "argument --jobs: invalid int value: 'two'"),
-          # removed options: a study's seeds are its config's, and `config
-          # init` prints, for the shell to redirect
-          ("montecarlo --config c.json --seed-range 1..5",
-           "unrecognized arguments: --seed-range 1..5"),
-          ("config init --out c.json",
-           "unrecognized arguments: --out c.json")]),
+    *(Case(f"usage_error/{shlex.join(argv)}", shlex.join(argv), 1,
+           f"{message}...") for argv, message in USAGE_ERRORS),
     # a --jobs below 1 is refused before the config or an asset CSV is
     # read: a config whose data_dir does not exist, and no config at all
     Case("jobs_below_one/0", tuple(
@@ -1952,9 +1954,31 @@ def named(case_id):
     return case
 
 
-@pytest.mark.parametrize("group", list(dict.fromkeys(map(group_of, CASES))))
+# these groups run one row to a test, under the names their tests held
+# before the table; every other group runs whole in test_exit_contract
+ONE_ROW_GROUPS = ("usage_error", "output_path_os_error")
+CONTRACT_GROUPS = [group for group in dict.fromkeys(map(group_of, CASES))
+                   if group not in ONE_ROW_GROUPS]
+
+
+@pytest.mark.parametrize("group", CONTRACT_GROUPS)
 def test_exit_contract(group, workspace, tmp_path, posix_main):
     run_cases(in_group(group), tmp_path, workspace[0], posix_main)
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_error_exit_code(argv, message, workspace, tmp_path,
+                               posix_main):
+    run_cases([named(f"usage_error/{shlex.join(argv)}")], tmp_path,
+              workspace[0], posix_main)
+
+
+@pytest.mark.parametrize("command", [
+    case.id.split("/")[1] for case in in_group("output_path_os_error")])
+def test_output_path_os_error_exit_code(command, workspace, tmp_path,
+                                        posix_main):
+    run_cases([named(f"output_path_os_error/{command}")], tmp_path,
+              workspace[0], posix_main)
 
 
 def test_case_ids_are_unique():

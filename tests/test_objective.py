@@ -405,6 +405,34 @@ def period_returns(equity_dates, equity_points, window, n):
     return w[1:] / w[:-1] - 1.0
 
 
+def test_period_returns_compound_to_final_wealth():
+    start = dt.date(2020, 1, 1)
+    window = (start, start + dt.timedelta(days=100))
+    dates = [start + dt.timedelta(days=d) for d in (10, 30, 55, 80)]
+    equity = np.array([0.02, 0.01, 0.05, 0.04])
+    for n in (2, 4, 10):
+        pr = period_returns(dates, equity, window, n)
+        assert len(pr) == n
+        assert float(np.prod(1 + pr)) == pytest.approx(1.04, abs=1e-12)
+
+
+def test_period_returns_empty_slices_are_zero():
+    start = dt.date(2020, 1, 1)
+    window = (start, start + dt.timedelta(days=100))
+    dates = [start + dt.timedelta(days=5)]
+    equity = np.array([0.1])
+    pr = period_returns(dates, equity, window, 10)
+    assert pr[0] == pytest.approx(0.1)
+    assert np.all(pr[1:] == 0.0)
+
+
+def test_period_returns_no_trades():
+    start = dt.date(2020, 1, 1)
+    window = (start, start + dt.timedelta(days=50))
+    pr = period_returns([], np.array([]), window, 5)
+    assert np.all(pr == 0.0)
+
+
 def oracle_period_returns(dates, equity, window, n):
     """Slice-by-slice loop: bounds rounded half to even by Python round()."""
     start, end = window
@@ -421,37 +449,19 @@ def oracle_period_returns(dates, equity, window, n):
 
 
 def test_period_returns_match_loop_oracle():
-    start = dt.date(2020, 1, 1)
-
-    def checked(total, offsets, equity, n):
-        """`period_returns` of trades on days `offsets` of a `total`-day
-        window, which must equal the loop's to the last bit."""
-        window = (start, start + dt.timedelta(days=total))
-        dates = [start + dt.timedelta(days=int(o)) for o in offsets]
-        got = period_returns(dates, np.asarray(equity, float), window, n)
-        np.testing.assert_array_equal(
-            got, oracle_period_returns(dates, equity, window, n))
-        return got
-
     # odd spans put bounds on exact halves, where rounding must go to even
     rng = np.random.Generator(np.random.Philox(7))
+    start = dt.date(2020, 1, 1)
     for total in (5, 99, 101, 365, 1001):
+        window = (start, start + dt.timedelta(days=total))
         offsets = np.sort(rng.choice(total + 1, size=min(40, total),
                                      replace=False))
+        dates = [start + dt.timedelta(days=int(o)) for o in offsets]
         equity = np.cumsum(rng.normal(0.0, 0.02, offsets.size))
         for n in range(1, 92):
-            checked(total, offsets, equity, n)
-    # by hand: four trades compound to the final wealth at every count; a
-    # slice after the last trade returns 0, and so does every slice of a
-    # window without trades
-    for n in range(1, 92):
-        pr = checked(100, [10, 30, 55, 80], [0.02, 0.01, 0.05, 0.04], n)
-        assert len(pr) == n
-        assert float(np.prod(1 + pr)) == pytest.approx(1.04, abs=1e-12)
-    pr = checked(100, [5], [0.1], 10)
-    assert pr[0] == pytest.approx(0.1)
-    assert np.all(pr[1:] == 0.0)
-    assert np.all(checked(50, [], [], 5) == 0.0)
+            np.testing.assert_array_equal(
+                period_returns(dates, equity, window, n),
+                oracle_period_returns(dates, equity, window, n))
 
 
 def _rel_change(prev: float, cur: float) -> float:

@@ -122,15 +122,20 @@ def test_exact_p_matches_oracle_random():
     # tie-heavy half-integer differences with zeros, every n up to the limit
     samples += [rng.integers(-4, 5, size=n) / 2.0
                 for n in range(WILCOXON_EXACT_MAX_N + 1) for _ in range(20)]
-    samples += [[0.0, 1.0, 1.0, -1.0, 2.0, -3.0, 3.0], [1.0, 2.0, 3.0],
-                np.zeros(5)]
     for d in samples:
         assert wilcoxon_exact_p(d) == oracle_exact_p(d)
-    # by hand: three positive ranks give W- = 0, the most extreme outcome,
-    # and two of eight sign patterns are as extreme, so p = 0.25; all
-    # zeros, p = 1
-    assert wilcoxon_exact_p([1.0, 2.0, 3.0]) == pytest.approx(0.25)
+
+
+def test_exact_p_handles_ties_and_zeros():
+    d = np.array([0.0, 1.0, 1.0, -1.0, 2.0, -3.0, 3.0])
+    assert wilcoxon_exact_p(d) == pytest.approx(oracle_exact_p(d), abs=1e-12)
     assert wilcoxon_exact_p(np.zeros(5)) == 1.0
+
+
+def test_exact_small_case_by_hand():
+    # n = 3 distinct ranks, all positive: W- = 0, most extreme outcome.
+    # Two of eight sign patterns are as extreme: p = 0.25.
+    assert wilcoxon_exact_p(np.array([1.0, 2.0, 3.0])) == pytest.approx(0.25)
 
 
 def test_exact_rejects_large_n():

@@ -131,7 +131,7 @@ LEDGER = [
       "test_stats.py::test_signed_rank_matches_scipy_approx"),
     m("sampler_top_excluded", "strategy.py", "rng.integers(lo, hi + 1)",
       "rng.integers(lo, hi)",
-      "test_strategy.py::test_sampler_matches_branch_oracle"),
+      "test_strategy.py::test_sampler_hits_range_bounds"),
     m("last_lowest_loss_wins", "search.py",
       "best = start + int(row[start:stop].argmin())",
       "best = stop - 1 - int(row[start:stop][::-1].argmin())",
@@ -168,11 +168,10 @@ LEDGER = [
       'print(f"error: {_one_line(str(exc))}"', 'print(f"error: {exc}"',
       "test_cli.py::test_exit_contract[bad_config]"),
     m("usage_error_from_argparse", "cli.py", "raise ConfigError(message)",
-      "super().error(message)",
-      "test_cli.py::test_exit_contract[usage_error]"),
+      "super().error(message)", "test_cli.py::test_usage_error_exit_code"),
     m("os_error_uncaught", "cli.py", "except (GtscoreError, OSError) as exc:",
       "except GtscoreError as exc:",
-      "test_cli.py::test_exit_contract[output_path_os_error]",
+      "test_cli.py::test_output_path_os_error_exit_code",
       "test_cli.py::test_write_failure_changes_no_file"),
     m("float_fault_raised_raw", "data.py",
       'raise DataError(f"{name}: {exc}") from None', "raise",
