@@ -56,9 +56,10 @@ def sortino(mu: float, sigma_d: float, eps: float) -> float:
 def r_squared_consistency(equity_points: np.ndarray):
     """R-squared of the equity curve regressed on observation index.
 
-    A perfectly steady equity ramp scores 1; flat equity (zero total
-    variance) scores 0 by convention.
-    """
+    A steady equity ramp scores 1, and flat equity (zero total variance, a
+    0 / 0) scores 0 by convention. ss_res >= 0, so no curve exceeds 1; the
+    floor at 0 stays because rounding takes a trendless curve just below
+    it ([0.3, 0.2, 1.1, 1.1, 0.2, 0.3] gives -2.2e-16)."""
     y = np.asarray(equity_points, dtype=float)
     n = y.shape[-1]
     x = np.arange(n, dtype=float)
@@ -67,9 +68,8 @@ def r_squared_consistency(equity_points: np.ndarray):
     ss_tot = np.sum(dy ** 2, axis=-1)
     slope = np.sum(dx * dy, axis=-1) / np.sum(dx ** 2)
     ss_res = np.sum((dy - slope[..., None] * dx) ** 2, axis=-1)
-    # a flat curve's 0 / 0, replaced by 0 below
     with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = np.minimum(np.maximum(1.0 - ss_res / ss_tot, 0.0), 1.0)
+        r2 = np.maximum(1.0 - ss_res / ss_tot, 0.0)
     return np.where(ss_tot == 0.0, 0.0, r2)[()]
 
 

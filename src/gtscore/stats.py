@@ -53,8 +53,8 @@ def _signed_ranks(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _exact_p(d: np.ndarray, ranks: np.ndarray, w: float) -> float:
-    """Two-sided exact p by enumerating all 2^n sign patterns: P(W+ <= w)
-    + P(W+ >= T - w), the doubled one-tail by the null's symmetry."""
+    """Two-sided exact p, P(W+ <= w) + P(W+ >= T - w) by symmetry: the
+    tails' share of the 2^n sign patterns, so at most 1 by construction."""
     n = d.size
     if n > WILCOXON_EXACT_MAX_N:  # keeps the matrix at 2^12 rows at most
         raise ConfigError(f"exact enumeration limited to n <= {WILCOXON_EXACT_MAX_N}")
@@ -63,7 +63,7 @@ def _exact_p(d: np.ndarray, ranks: np.ndarray, w: float) -> float:
     signs = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
     s = signs @ ranks
     count = int(np.count_nonzero((s <= w + 1e-9) | (s >= total - w - 1e-9)))
-    return min(count / (1 << n), 1.0)
+    return count / (1 << n)
 
 
 def wilcoxon_normal_p(d: np.ndarray) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 """CLI end-to-end: config, synth, studies, costsweep, report, verify."""
 
+import ast
 import contextlib
 import csv
 import datetime as dt
@@ -392,16 +393,33 @@ def test_tracer_cli_targets_resolve():
 
 def test_mutation_ledger_names_what_exists():
     # tools/mutants.py runs outside tier-1: a rename in src or tests must
-    # fail here, not leave a mutant that changes nothing or expects a test
-    # or a group of `CASES` that is gone
-    for mutant in module_at("tools/mutants.py").LEDGER:
+    # fail here, not leave a mutant that changes nothing, hides another of
+    # its id or expects a test or a group of `CASES` that is gone
+    tool = module_at("tools/mutants.py")
+    assert all(mutant.tests for mutant in tool.LEDGER)
+    assert all(why for _, why in tool.EQUIVALENT)
+    ledger = tool.LEDGER + [mutant for mutant, _ in tool.EQUIVALENT]
+    ids = [mutant.id for mutant in ledger]
+    assert sorted(ids) == sorted(set(ids))
+    for mutant in ledger:
         text = (REPO / mutant.path).read_text()
         assert text.count(mutant.snippet) == 1, mutant.id
+        assert mutant.replacement != mutant.snippet, mutant.id
         for test in mutant.tests:
             path, name = test.split("[")[0].split("::")
             assert f"\ndef {name}(" in (REPO / path).read_text(), test
             if name == "test_exit_contract":
                 assert test.split("[")[1][:-1] in CONTRACT_GROUPS, test
+    # each of the paper's functions holds the snippet of a mutant
+    for file, names in tool.PAPER.items():
+        path = "src/gtscore/" + file
+        text = (REPO / path).read_text()
+        spans = {node.name: ast.get_source_segment(text, node)
+                 for node in ast.parse(text).body
+                 if isinstance(node, ast.FunctionDef)}
+        for name in names:
+            assert any(mutant.path == path and mutant.snippet in spans[name]
+                       for mutant in ledger), name
 
 
 def test_benchmark_runs_from_a_copy(tmp_path):

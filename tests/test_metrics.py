@@ -54,6 +54,11 @@ def test_r_squared_perfect_line():
 
 def test_r_squared_flat_curve_is_zero():
     assert r_squared_consistency(np.array([0.5, 0.5, 0.5])) == 0.0
+    # trendless, but rounding takes 1 - ss_res / ss_tot to -2.2e-16: the
+    # floor keeps it at 0, alone and as the rows of a stack
+    y = np.array([0.3, 0.2, 1.1, 1.1, 0.2, 0.3])
+    assert r_squared_consistency(y) == 0.0
+    assert r_squared_consistency(np.stack([y, y])).tolist() == [0.0, 0.0]
 
 
 def test_r_squared_matches_polyfit_oracle():

@@ -405,13 +405,22 @@ def period_returns(equity_dates, equity_points, window, n):
     return w[1:] / w[:-1] - 1.0
 
 
+def package_period_returns(equity_dates, equity_points, window, n):
+    """`stabilized_period_returns` of one candidate at the one count n."""
+    cfg = ObjectiveConfig(stabilization=StabilizationConfig(
+        window=1, n_range=(n, n), fallback=n))
+    [returns] = stabilized_period_returns([equity_dates], [equity_points],
+                                          window, cfg)
+    return returns
+
+
 def test_period_returns_compound_to_final_wealth():
     start = dt.date(2020, 1, 1)
     window = (start, start + dt.timedelta(days=100))
     dates = [start + dt.timedelta(days=d) for d in (10, 30, 55, 80)]
     equity = np.array([0.02, 0.01, 0.05, 0.04])
     for n in (2, 4, 10):
-        pr = period_returns(dates, equity, window, n)
+        pr = package_period_returns(dates, equity, window, n)
         assert len(pr) == n
         assert float(np.prod(1 + pr)) == pytest.approx(1.04, abs=1e-12)
 
@@ -421,7 +430,7 @@ def test_period_returns_empty_slices_are_zero():
     window = (start, start + dt.timedelta(days=100))
     dates = [start + dt.timedelta(days=5)]
     equity = np.array([0.1])
-    pr = period_returns(dates, equity, window, 10)
+    pr = package_period_returns(dates, equity, window, 10)
     assert pr[0] == pytest.approx(0.1)
     assert np.all(pr[1:] == 0.0)
 
@@ -429,7 +438,7 @@ def test_period_returns_empty_slices_are_zero():
 def test_period_returns_no_trades():
     start = dt.date(2020, 1, 1)
     window = (start, start + dt.timedelta(days=50))
-    pr = period_returns([], np.array([]), window, 5)
+    pr = package_period_returns([], np.array([]), window, 5)
     assert np.all(pr == 0.0)
 
 
@@ -459,9 +468,11 @@ def test_period_returns_match_loop_oracle():
         dates = [start + dt.timedelta(days=int(o)) for o in offsets]
         equity = np.cumsum(rng.normal(0.0, 0.02, offsets.size))
         for n in range(1, 92):
+            want = oracle_period_returns(dates, equity, window, n)
             np.testing.assert_array_equal(
-                period_returns(dates, equity, window, n),
-                oracle_period_returns(dates, equity, window, n))
+                package_period_returns(dates, equity, window, n), want)
+            np.testing.assert_array_equal(
+                period_returns(dates, equity, window, n), want)
 
 
 def _rel_change(prev: float, cur: float) -> float:

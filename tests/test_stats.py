@@ -158,14 +158,18 @@ def test_signed_rank_matches_scipy_exact():
 
 def test_signed_rank_matches_scipy_approx():
     # continuous differences, and half-integer ones whose ties shrink the
-    # variance (zeros among them are dropped, leaving more than 12)
+    # variance (zeros among them are dropped, leaving more than 12); last,
+    # 7 ups and 7 downs, whose W equals its mean, so the continuity
+    # correction takes p to about 1.03 before the cap at 1
     rng = np.random.Generator(np.random.Philox(45))
-    for ties in [False, True] * 15:
+    for ties in [False, True] * 15 + [None]:
         n = int(rng.integers(WILCOXON_EXACT_MAX_N + 1, 60))
         a = rng.standard_normal(n)
         b = rng.standard_normal(n)
         if ties:
             a, b = rng.integers(-4, 5, size=n + 30) / 2.0, np.zeros(n + 30)
+        if ties is None:
+            a, b = np.repeat([1.0, -1.0], 7), np.zeros(14)
         w, p = wilcoxon_signed_rank(a, b)
         want = scipy.stats.wilcoxon(a, b, method="approx", correction=True)
         assert w == pytest.approx(want.statistic)

@@ -9,9 +9,10 @@ replacement and the test ids expected to fail, applied in a temporary copy
 of the tree. The default mode runs each expected test with `-x` and exits
 1 if one passes or is not found. `--matrix` runs tier-1 per mutant, prints
 the tests each fails and, per test, its mutants, and exits 1 if a mutant
-fails no test.
+fails no test, or an `EQUIVALENT` one fails some.
 Both take minutes, so neither is in tier-1; there,
-`test_mutation_ledger_names_what_exists` checks the ledger's names.
+`test_mutation_ledger_names_what_exists` checks the ledger's names, and
+that each function of `PAPER` holds a mutant's snippet.
 """
 
 import argparse
@@ -111,11 +112,13 @@ LEDGER = [
     m("slice_bounds_floored", "objective.py",
       "np.rint(np.arange(n + 1) * total_days / n)",
       "np.floor(np.arange(n + 1) * total_days / n)",
-      "test_objective.py::test_stabilized_count_matches_oracle"),
+      "test_objective.py::test_stabilized_count_matches_oracle",
+      "test_objective.py::test_period_returns_match_loop_oracle"),
     m("wealth_before_the_bound", "objective.py",
       'np.searchsorted(offsets, days, side="right")',
       'np.searchsorted(offsets, days, side="left")',
-      "test_objective.py::test_stabilized_count_matches_oracle"),
+      "test_objective.py::test_stabilized_count_matches_oracle",
+      "test_objective.py::test_period_returns_match_loop_oracle"),
     m("rows_left_unsorted", "data.py",
       'order = np.argsort(days, kind="stable")',
       "order = np.arange(len(days))",
@@ -208,7 +211,163 @@ LEDGER = [
       "test_cli.py::test_exit_contract[config_rules]"),
     m("non_finite_volume_accepted", "data.py", "& np.isfinite(v))", ")",
       "test_data.py::test_validation_rejects_bad_ohlc"),
+    # --- the paper's formulas (PAPER) --------------------------------------
+    # each names the tests the matrix shows failing, less the four that
+    # check the digests of whole studies, which fail under most of them
+    m("z_band_without_100", "objective.py", "return 100.0 + 100.0 *",
+      "return 100.0 *",
+      "test_acceptance.py::test_criterion_1_composite_branch_suite",
+      "test_objective.py::test_loss_at_z_zero",
+      "test_objective.py::test_jump_at_zero_is_exactly_100",
+      "test_objective.py::test_negative_z_branch_hand_value",
+      "test_objective.py::test_penalty_band_bounded"),
+    m("z_zero_in_transition_band", "objective.py", "if z <= 0.0:",
+      "if z < 0.0:",
+      "test_acceptance.py::test_criterion_1_composite_branch_suite",
+      "test_objective.py::test_loss_at_z_zero",
+      "test_objective.py::test_jump_at_zero_is_exactly_100",
+      "test_objective.py::test_penalty_band_bounded"),
+    m("transition_band_dropped", "objective.py", "if z <= 1.0:",
+      "if False:",
+      "test_acceptance.py::test_criterion_1_composite_branch_suite",
+      "test_acceptance.py::test_criterion_7_directional_study",
+      "test_objective.py::test_jump_at_zero_is_exactly_100",
+      "test_objective.py::test_loss_monotone_decreasing_below_one"),
+    m("log1p_of_z", "objective.py", "math.log(z)", "math.log1p(z)",
+      "test_acceptance.py::test_criterion_1_composite_branch_suite",
+      "test_objective.py::test_continuity_at_z_one",
+      "test_objective.py::test_product_branch_hand_value"),
+    m("r2_left_out_of_loss", "objective.py", "math.log(z) * ctx.r2",
+      "math.log(z)",
+      "test_acceptance.py::test_criterion_1_composite_branch_suite",
+      "test_acceptance.py::test_criterion_7_directional_study",
+      "test_objective.py::test_product_branch_hand_value",
+      "test_objective.py::test_product_branch_rewards_consistency"),
+    m("loss_gate_inclusive", "objective.py", "if ctx.n < trade_gate(cfg):",
+      "if ctx.n <= trade_gate(cfg):",
+      "test_objective.py::test_n_min_gate_composite",
+      "test_objective.py::test_stabilized_losses_gate_at_one_observation"),
+    m("baseline_gate_inclusive", "objective.py",
+      "ctx.n < trade_gate(cfg) else loss()",
+      "ctx.n <= trade_gate(cfg) else loss()",
+      "test_objective.py::test_stabilized_losses_gate_at_one_observation"),
+    m("sharpe_on_downside_deviation", "objective.py",
+      "-sharpe(ctx.mu, ctx.sigma, cfg.eps)",
+      "-sharpe(ctx.mu, ctx.sigma_d, cfg.eps)",
+      "test_objective.py::test_baseline_losses_oriented",
+      "test_search.py::test_gated_pick_keeps_its_training_backtest"),
+    m("stabilized_gate_is_n_min", "objective.py",
+      "STABILIZED:\n        return 1", "STABILIZED:\n        return cfg.n_min",
+      "test_cli.py::test_trial_rows_round_trip_returns",
+      "test_cli.py::test_costsweep_wiped_out_trade_loses_its_stake",
+      "test_cli.py::test_cost_zero_level_matches_oos_mean",
+      "test_cli.py::test_exit_contract[float_fault]",
+      "test_objective.py::test_stabilized_losses_gate_at_one_observation",
+      "test_objective.py::test_pool_losses_stabilized_match_single_candidate_pools",
+      "test_search.py::test_run_task_stabilized_matches_uncached_oracle"),
+    m("scan_guard_span_strict", "objective.py", "total_days >= lo",
+      "total_days > lo",
+      "test_objective.py::test_stabilized_count_matches_oracle"),
+    m("scan_guard_need_strict", "objective.py", "need <= hi - lo",
+      "need < hi - lo",
+      "test_objective.py::test_stabilized_count_matches_oracle",
+      "test_objective.py::test_stabilized_variance_is_numpys_to_the_last_bit"),
+    m("flat_variance_never_settles", "objective.py",
+      "np.where(var == 0.0, 0.0, np.inf)",
+      "np.where(var == 0.0, np.inf, np.inf)",
+      "test_objective.py::test_stabilized_count_matches_oracle",
+      "test_objective.py::test_stabilized_count_plateaus_on_flat_equity"),
+    m("fallback_at_top_of_range", "objective.py",
+      "r = returns(stab.fallback)", "r = returns(hi)",
+      "test_objective.py::test_stabilized_count_matches_oracle",
+      "test_objective.py::test_stabilized_count_threshold_is_strict",
+      "test_objective.py::test_stabilized_variance_is_numpys_to_the_last_bit",
+      "test_objective.py::test_stabilized_pool_rows_choose_their_own_counts",
+      "test_objective.py::test_stabilized_count_short_span_falls_back",
+      "test_search.py::test_run_task_stabilized_matches_uncached_oracle"),
+    m("z_over_sqrt_n_minus_1", "metrics.py", "sigma / math.sqrt(n) + eps",
+      "sigma / math.sqrt(n - 1) + eps",
+      "test_cli.py::test_exit_contract[float_fault]",
+      "test_cli.py::test_a_spike_is_verified_or_refused_in_one_line",
+      "test_metrics.py::test_z_score_hand_value",
+      "test_metrics.py::test_z_score_sign_property",
+      "test_objective.py::test_grouped_contexts_match_scalar_oracle",
+      "test_search.py::test_run_task_backtests_each_candidate_once",
+      "test_search.py::test_run_task_one_metric_context_per_candidate",
+      "test_search.py::test_run_trials_spawn_pool_matches_serial",
+      "test_search.py::test_run_task_matches_uncached_oracle"),
+    m("r2_floor_dropped", "metrics.py",
+      "r2 = np.maximum(1.0 - ss_res / ss_tot, 0.0)",
+      "r2 = 1.0 - ss_res / ss_tot",
+      "test_metrics.py::test_r_squared_flat_curve_is_zero"),
+    m("flat_equity_scores_one", "metrics.py",
+      "np.where(ss_tot == 0.0, 0.0, r2)", "np.where(ss_tot == 0.0, 1.0, r2)",
+      "test_metrics.py::test_r_squared_flat_curve_is_zero",
+      "test_objective.py::test_grouped_contexts_match_scalar_oracle"),
+    m("gen_ratio_at_zero_train_mean", "metrics.py", "if train_mean <= 0.0:",
+      "if train_mean < 0.0:",
+      "test_metrics.py::test_generalization_ratio"),
+    m("benchmark_mean_arithmetic", "engine.py",
+      "return float((1.0 + benchmark_total_return) ** (1.0 / n) - 1.0)",
+      "return float(benchmark_total_return / n)",
+      "test_acceptance.py::test_criterion_7_directional_study",
+      "test_engine.py::test_geometric_benchmark_identity",
+      "test_objective.py::test_metric_context_fields"),
+    m("t_test_n_degrees", "stats.py", "stdtr(n - 1, -abs(t))",
+      "stdtr(n, -abs(t))",
+      "test_stats.py::test_t_test_matches_scipy"),
+    m("normal_p_without_continuity", "stats.py", "(w - mean + 0.5)",
+      "(w - mean)",
+      "test_stats.py::test_signed_rank_matches_scipy_approx",
+      "test_stats.py::test_normal_p_reasonable_for_moderate_n"),
+    m("normal_p_cap_dropped", "stats.py", "return w, min(p, 1.0)",
+      "return w, p",
+      "test_stats.py::test_signed_rank_matches_scipy_approx",
+      "test_stats.py::test_normal_p_reasonable_for_moderate_n"),
+    m("cohens_d_over_na_plus_nb", "stats.py", "(na + nb - 2)", "(na + nb)",
+      "test_stats.py::test_cohens_d_hand_value"),
+    m("splits_without_embargo", "data.py",
+      "val_start = train_end + dt.timedelta(days=embargo_days)",
+      "val_start = train_end",
+      "test_acceptance.py::test_criterion_8_protocol_shape",
+      "test_cli.py::test_exit_contract[missing_data]",
+      "test_data.py::test_walkforward_default_split_count",
+      "test_data.py::test_walkforward_split_geometry",
+      "test_search.py::test_walkforward_spec_count"),
+    m("val_std_sample", "cli.py",
+      'float(np.std([r["oos_return"] for r in sub]))',
+      'float(np.std([r["oos_return"] for r in sub], ddof=1))',
+      "test_cli.py::test_walkforward_skips_splits_below_two_bars",
+      "test_cli.py::test_study_settings_reach_splits",
+      "test_search.py::test_aggregate_all_degenerate_gives_nan_ratio",
+      "test_search.py::test_aggregate_by_split_and_period"),
+    m("delta_pp_times_1000", "cli.py", "(gt - base) * 100.0",
+      "(gt - base) * 1000.0",
+      "test_search.py::test_aggregate_by_split_and_period"),
 ]
+
+# Mutants that no input can tell from the package, each with its reason.
+# They expect no test; `--matrix` exits 1 if a test fails one.
+EQUIVALENT = [
+    (m("t_test_cap_dropped", "stats.py", "min(p, 1.0), mean_diff",
+       "p, mean_diff"),
+     "2 * stdtr(df, x) never exceeded 1 for x <= 0, over df 1-1,999 and "
+     "4,001 values of x; the cap stays, as that bound rests on scipy's "
+     "kernel, not on algebra"),
+]
+
+# The paper's functions, by file under src/gtscore: tier-1 checks that each
+# holds the snippet of at least one mutant above.
+PAPER = {
+    "objective.py": ("gt_score_loss", "baseline_loss", "trade_gate",
+                     "stabilized_period_returns"),
+    "metrics.py": ("z_score", "r_squared_consistency",
+                   "generalization_ratio"),
+    "engine.py": ("benchmark_per_observation_mean",),
+    "stats.py": ("paired_t_test", "wilcoxon_normal_p", "cohens_d_pooled"),
+    "data.py": ("make_walkforward_splits",),
+    "cli.py": ("aggregate_by_period",),
+}
 
 
 def in_copy(mutant, *args):
@@ -264,19 +423,24 @@ def matrix(mutants):
              "tests/test_cli.py::test_mutation_ledger_names_what_exists")
     known = set(failing(in_copy(None, *tier1)))
     print(f"unmutated: {sorted(known)} fail", flush=True)
-    under, empty = {}, []
+    equivalent = {mutant.id for mutant, _ in EQUIVALENT}
+    under, empty, caught = {}, [], []
     for mutant in mutants:
         tests = [t for t in failing(in_copy(mutant, *tier1)) if t not in known]
         print(f"{mutant.id}: {len(tests)} fail", *tests, sep="\n    ",
               flush=True)
         for test in tests:
             under.setdefault(test, []).append(mutant.id)
-        empty += [] if tests else [mutant.id]
+        if not tests and mutant.id not in equivalent:
+            empty.append(mutant.id)
+        if tests and mutant.id in equivalent:
+            caught.append(mutant.id)
     print("\nper test, the mutants it fails under:")
     for test, ids in sorted(under.items()):
         print(f"{test}  {' '.join(ids)}")
-    print(f"{len(mutants)} mutants; caught by no test: {empty or 'none'}")
-    return 1 if empty else 0
+    print(f"{len(mutants)} mutants; caught by no test: {empty or 'none'}; "
+          f"equivalent but caught: {caught or 'none'}")
+    return 1 if empty or caught else 0
 
 
 def main(argv=None):
@@ -285,10 +449,11 @@ def main(argv=None):
     parser.add_argument("--matrix", action="store_true",
                         help="run all of tier-1 per mutant")
     args = parser.parse_args(argv)
-    known = {mutant.id: mutant for mutant in LEDGER}
+    every = LEDGER + [mutant for mutant, _ in EQUIVALENT]
+    known = {mutant.id: mutant for mutant in every}
     if unknown := [i for i in args.ids if i not in known]:
         parser.error(f"unknown mutant ids: {unknown}")
-    mutants = [known[i] for i in args.ids] or LEDGER
+    mutants = [known[i] for i in args.ids] or every
     return (matrix if args.matrix else check)(mutants)
 
 
